@@ -5,12 +5,11 @@ fabrics x island geometries x V/F tables x all four paper strategies —
 swept three ways:
 
 1. **naive** — the honest baseline: one cold compile per point, fresh
-   per-point cache, scalar candidate scoring, no II warm starts, the
-   routing distance-oracle cache cleared between points;
+   per-point cache, no II warm starts, the routing distance-oracle
+   cache cleared between points;
 2. **optimized serial** — ``repro.dse.run_dse`` with every reuse
    channel on (exact-key dedupe, cross-V/F blob aliasing, warm-started
-   II deepening, vectorized scoring, cross-point oracle reuse) against
-   a fresh disk cache;
+   II deepening, cross-point oracle reuse) against a fresh disk cache;
 3. **optimized parallel** — the same sweep at ``--jobs N`` against
    another fresh cache.
 

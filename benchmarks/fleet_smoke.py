@@ -2,14 +2,15 @@
 
 Simulates one day of traffic (default 288 inputs per tenant — one
 five-minute interval each) for a synthetic multi-tenant fleet at
-``--tenants`` scale, through both fleet paths:
+``--tenants`` scale, through the fleet simulator and its test-side
+per-tenant reference loop (``tests/reference_fleet.py``):
 
-1. **reference** — the honest baseline: one sequential fast-engine run
-   per tenant, in tenant order (``batched=False``), timed once;
+1. **reference** — the honest baseline: one sequential engine run per
+   tenant, in tenant order, timed once;
 2. **batched** — homogeneous tenant groups stacked into tenant-major
-   vectorized scans (``batched=True``), best of two runs;
+   vectorized scans (``FleetSim``), best of two runs;
 3. **identity** — ``canonical_report`` (everything outside the volatile
-   ``stats`` section) must be *equal* between the two paths: every
+   ``stats`` section) must be *equal* between the two: every
    tenant row float for float, every fabric load, every rollup total;
 4. **jobs** — a ``jobs=2`` batched run must produce the same canonical
    report as ``jobs=1`` (compile parallelism must not leak into
@@ -20,7 +21,7 @@ Asserted invariants:
 * batched-vs-reference simulation speedup >= ``MIN_BATCHED_SPEEDUP``
   (a same-process ratio over the ``simulate_s`` phase, so compile time
   and runner speed cancel out);
-* canonical reports identical across engine paths and jobs counts;
+* canonical reports identical to the reference and across jobs counts;
 * with ``--baseline FILE``, the speedup has not regressed more than
   ``--max-regression`` against the committed ``BENCH_fleet.json``
   (ratio-vs-ratio, machine-independent).
@@ -40,10 +41,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
+
 from repro.fleet import FleetSim, canonical_report, synthesize_fleet
+from tests.reference_fleet import ReferenceFleetSim
 
 MIN_BATCHED_SPEEDUP = 10.0
 
@@ -59,9 +66,8 @@ def _build(args):
 
 
 def _run(spec, cache_dir: str, *, jobs: int = 1,
-         batched: bool = True) -> dict:
-    return FleetSim(spec).run(jobs=jobs, cache_dir=cache_dir,
-                              batched=batched)
+         sim: type[FleetSim] = FleetSim) -> dict:
+    return sim(spec).run(jobs=jobs, cache_dir=cache_dir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"compile: {warm['stats']['compile_s']:.2f}s cold "
               f"({warm['stats']['batched_groups']} batched groups)")
 
-        reference = _run(spec, cache_dir, batched=False)
+        reference = _run(spec, cache_dir, sim=ReferenceFleetSim)
         reference_s = reference["stats"]["simulate_s"]
 
         batched = None

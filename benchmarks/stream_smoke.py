@@ -2,12 +2,14 @@
 
 Runs one traffic scenario (default ``enzyme``, the Fig 13 GCN stream —
 pick another with ``--scenario``, see ``repro scenarios list``) at
-10^5 inputs through both streaming engines and all three strategies
-(iced / drips / static), then scales the fast engine to a 10^6-input
-stream under a memory budget:
+10^5 inputs through the streaming engine and its test-side per-input
+reference loop (``tests/reference_streaming.py``) for all three
+strategies (iced / drips / static), then scales the engine to a
+10^6-input stream under a memory budget:
 
-1. **reference** — the scalar engine over a materialized input list,
-   timed once per strategy (it is the slow side by construction);
+1. **reference** — the per-input reference loop over a materialized
+   input list, timed once per strategy (it is the slow side by
+   construction);
 2. **fast** — the window-batched vectorized engine over lazy feature
    blocks, best of two runs per strategy;
 3. **identity** — every fast result must equal its reference result
@@ -47,16 +49,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import tracemalloc
 from dataclasses import asdict
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
+
 from repro.streaming import (
     DVFSController,
-    fast_simulate_drips,
-    fast_simulate_static,
-    fast_simulate_stream,
     inputs_of,
     make_scenario,
     partition_app,
@@ -68,6 +72,11 @@ from repro.streaming import (
     streaming_cgra,
     take_inputs,
     write_envelope,
+)
+from tests.reference_streaming import (
+    reference_simulate_drips,
+    reference_simulate_static,
+    reference_simulate_stream,
 )
 
 MIN_FAST_SPEEDUP = 10.0
@@ -88,14 +97,14 @@ def _controller(partition, window: int,
 def run_pair(name: str, partition, run_inputs, stream, window: int) -> dict:
     """Reference once, fast best-of-two; assert exact identity."""
     reference_fns = {
+        "iced": reference_simulate_stream,
+        "drips": reference_simulate_drips,
+        "static": reference_simulate_static,
+    }
+    fast_fns = {
         "iced": simulate_stream,
         "drips": simulate_drips,
         "static": simulate_static,
-    }
-    fast_fns = {
-        "iced": fast_simulate_stream,
-        "drips": fast_simulate_drips,
-        "static": fast_simulate_static,
     }
     kwargs_ref: dict = {}
     kwargs_fast: dict = {}
@@ -152,7 +161,7 @@ def run_million(partition, window: int, million_inputs: int,
 
     def one_run():
         controller = _controller(partition, window, record_decisions=False)
-        return fast_simulate_stream(
+        return simulate_stream(
             partition, stream.feature_blocks(), window=window,
             controller=controller, keep_windows=False,
         )
@@ -242,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         tracer = obs.install_tracer()
         saved = obs.set_metrics(obs.MetricsRegistry())
         try:
-            fast_simulate_stream(
+            simulate_stream(
                 partition,
                 skip_blocks(stream.feature_blocks(), PROFILE_INPUTS),
                 window=args.window,

@@ -38,6 +38,7 @@ from repro.compile import (
     render_per_ii,
     render_report,
 )
+from repro.errors import StreamingError
 from repro.kernels.suite import kernel_names
 from repro.mapper.backends import (
     DEFAULT_PORTFOLIO,
@@ -193,11 +194,10 @@ def cmd_stream(args) -> int:
 
     from repro.streaming.app import gcn_app, lu_app
     from repro.streaming.controller import DVFSController
-    from repro.streaming.drips import fast_simulate_drips, simulate_drips
-    from repro.streaming.engine import fast_simulate_stream, simulate_stream
+    from repro.streaming.drips import simulate_drips
+    from repro.streaming.engine import check_window, simulate_stream
     from repro.streaming.partitioner import partition_app, streaming_cgra
     from repro.streaming.scenarios import make_scenario
-    from repro.streaming.stage import inputs_of
     from repro.streaming.workloads import (
         EnzymeGraphStream,
         SparseMatrixStream,
@@ -205,15 +205,10 @@ def cmd_stream(args) -> int:
         take_inputs,
     )
 
+    check_window(args.window)
     if args.scenario:
-        from repro.errors import ScenarioError
-
-        try:
-            scenario = make_scenario(args.scenario, seed=args.seed,
-                                     n=args.inputs)
-        except ScenarioError as exc:
-            print(f"stream: {exc}", file=sys.stderr)
-            return 2
+        scenario = make_scenario(args.scenario, seed=args.seed,
+                                 n=args.inputs)
         app, workload = scenario.app, scenario.stream
         print(f"scenario: {scenario.name} (seed {scenario.seed}, "
               f"app {app.name})")
@@ -231,36 +226,35 @@ def cmd_stream(args) -> int:
     # The partitioner profiles the first inputs (the paper uses 50);
     # cap the prefix so a million-input run doesn't profile a third of
     # the stream. The rest of the stream is only ever touched block by
-    # block on the fast engine.
+    # block.
     profile_n = min(50, max(5, args.inputs // 3))
+    if args.inputs <= profile_n:
+        raise StreamingError(
+            f"--inputs {args.inputs} leaves nothing to stream after the "
+            f"{profile_n}-input profiling prefix"
+        )
     profile = take_inputs(workload.feature_blocks(), profile_n)
     instrument = Instrumentation()
     partition = None
 
     def run_streaming():
-        if args.engine == "fast":
-            controller = DVFSController(
-                dvfs=fabric.dvfs,
-                kernel_names=[p.kernel.name for p in partition.placements],
-                window=args.window,
-                record_decisions=False,
-            )
-            iced = fast_simulate_stream(
-                partition,
-                skip_blocks(workload.feature_blocks(), profile_n),
-                window=args.window, controller=controller,
-                keep_windows=False,
-            )
-            drips = fast_simulate_drips(
-                partition,
-                skip_blocks(workload.feature_blocks(), profile_n),
-                window=args.window, keep_windows=False,
-            )
-        else:
-            run = inputs_of(skip_blocks(workload.feature_blocks(),
-                                        profile_n))
-            iced = simulate_stream(partition, run, window=args.window)
-            drips = simulate_drips(partition, run, window=args.window)
+        controller = DVFSController(
+            dvfs=fabric.dvfs,
+            kernel_names=[p.kernel.name for p in partition.placements],
+            window=args.window,
+            record_decisions=False,
+        )
+        iced = simulate_stream(
+            partition,
+            skip_blocks(workload.feature_blocks(), profile_n),
+            window=args.window, controller=controller,
+            keep_windows=False,
+        )
+        drips = simulate_drips(
+            partition,
+            skip_blocks(workload.feature_blocks(), profile_n),
+            window=args.window, keep_windows=False,
+        )
         return iced, drips
 
     with _tracing(args.trace):
@@ -295,8 +289,8 @@ def cmd_stream(args) -> int:
     print(f"perf/W ratio (ICED / DRIPS): {ratio:.3f}")
     streamed = iced.inputs + drips.inputs
     if elapsed > 0:
-        print(f"engine: {args.engine}, {streamed} inputs streamed in "
-              f"{elapsed:.2f}s ({streamed / elapsed:,.0f} inputs/sec)")
+        print(f"{streamed} inputs streamed in {elapsed:.2f}s "
+              f"({streamed / elapsed:,.0f} inputs/sec)")
     if args.stats:
         print()
         print(render_report(instrument.events, get_cache().stats_dict()))
@@ -320,21 +314,19 @@ def cmd_scenarios(args) -> int:
                   f"{row['description']}")
         return 0
 
-    from repro.errors import ScenarioError
+    from repro.streaming.engine import check_window
 
+    check_window(args.window)
     names = (args.only.split(",") if args.only
              else [r["name"] for r in describe_scenarios()])
-    envelopes = {}
-    for name in names:
-        try:
-            envelopes[name] = scenario_envelope(
-                name, seed=args.seed, inputs=args.inputs,
-                window=args.window, use_cache=not args.no_cache,
-                jobs=args.jobs,
-            )
-        except ScenarioError as exc:
-            print(f"scenarios: {exc}", file=sys.stderr)
-            return 2
+    envelopes = {
+        name: scenario_envelope(
+            name, seed=args.seed, inputs=args.inputs,
+            window=args.window, use_cache=not args.no_cache,
+            jobs=args.jobs,
+        )
+        for name in names
+    }
     if args.json:
         print(_json.dumps(envelopes, indent=2, sort_keys=True))
         return 0
@@ -358,7 +350,6 @@ def cmd_fleet(args) -> int:
     registered placement strategy over the same fleet (``table``)."""
     import json as _json
 
-    from repro.errors import FleetError
     from repro.fleet import (
         FleetSim,
         TenantSLO,
@@ -374,7 +365,12 @@ def cmd_fleet(args) -> int:
     if args.slo_p99 is not None or args.slo_energy is not None:
         slo = TenantSLO(p99_latency_cycles=args.slo_p99,
                         energy_budget_uj=args.slo_energy)
-    failed = tuple(int(f) for f in args.failed.split(",") if f)
+    try:
+        failed = tuple(int(f) for f in args.failed.split(",") if f)
+    except ValueError:
+        print(f"fleet: --failed expects comma-separated fabric ids, got "
+              f"{args.failed!r}", file=sys.stderr)
+        return 2
 
     def run_fleet(placement: str) -> dict:
         spec = synthesize_fleet(
@@ -387,42 +383,38 @@ def cmd_fleet(args) -> int:
         )
         return FleetSim(spec).run(
             jobs=args.jobs, use_cache=not args.no_cache,
-            cache_dir=args.cache_dir, batched=not args.reference,
+            cache_dir=args.cache_dir,
         )
 
-    try:
-        with _tracing(args.trace):
-            if args.action == "run":
-                report = run_fleet(args.placement)
-                if args.json:
-                    print(_json.dumps(report, indent=2, sort_keys=True))
-                else:
-                    print(render_fleet_summary(report))
-                if args.out:
-                    write_report(canonical_report(report), args.out)
-                    print(f"wrote {args.out}")
-                return 0
-            # table: the same fleet under every placement strategy.
-            table = TextTable(["placement", "max load cyc", "mean util",
-                               "energy mJ", "SLO viol", "sim s"])
-            for name in placement_names():
-                report = run_fleet(name)
-                rollup = report["rollup"]
-                table.add_row([
-                    name,
-                    f"{rollup['max_fabric_load_cycles']:,.0f}",
-                    f"{rollup['mean_utilization']:.3f}",
-                    f"{rollup['total_energy_uj'] / 1e3:.1f}",
-                    rollup["slo_violations"],
-                    f"{report['stats']['simulate_s']:.2f}",
-                ])
-            print(f"fleet table: {args.tenants} tenants on "
-                  f"{args.fabrics} fabrics, every placement strategy")
-            print(table.render())
+    with _tracing(args.trace):
+        if args.action == "run":
+            report = run_fleet(args.placement)
+            if args.json:
+                print(_json.dumps(report, indent=2, sort_keys=True))
+            else:
+                print(render_fleet_summary(report))
+            if args.out:
+                write_report(canonical_report(report), args.out)
+                print(f"wrote {args.out}")
             return 0
-    except FleetError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
+        # table: the same fleet under every placement strategy.
+        table = TextTable(["placement", "max load cyc", "mean util",
+                           "energy mJ", "SLO viol", "sim s"])
+        for name in placement_names():
+            report = run_fleet(name)
+            rollup = report["rollup"]
+            table.add_row([
+                name,
+                f"{rollup['max_fabric_load_cycles']:,.0f}",
+                f"{rollup['mean_utilization']:.3f}",
+                f"{rollup['total_energy_uj'] / 1e3:.1f}",
+                rollup["slo_violations"],
+                f"{report['stats']['simulate_s']:.2f}",
+            ])
+        print(f"fleet table: {args.tenants} tenants on "
+              f"{args.fabrics} fabrics, every placement strategy")
+        print(table.render())
+        return 0
 
 
 def cmd_trace(args) -> int:
@@ -436,10 +428,11 @@ def cmd_trace(args) -> int:
     from repro.kernels.suite import load_kernel
     from repro.sim.simulator import simulate_execution
     from repro.streaming.app import StreamingApp
-    from repro.streaming.engine import simulate_stream
+    from repro.streaming.engine import check_window, simulate_stream
     from repro.streaming.partitioner import partition_app, streaming_cgra
     from repro.streaming.stage import KernelStage, StreamInput
 
+    check_window(args.window)
     with _tracing(args.out):
         cgra = _build_fabric(args)
         result = compile_kernel(args.kernel, cgra, args.strategy,
@@ -783,13 +776,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="scenario stream seed (default: the "
                              "scenario's registered seed)")
     stream.add_argument("--inputs", type=int, default=60,
-                        help="synthetic stream length (scales to 10^6+ "
-                             "on the fast engine)")
+                        help="synthetic stream length (scales to 10^6+)")
     stream.add_argument("--window", type=int, default=10)
-    stream.add_argument("--engine", default="fast",
-                        choices=("fast", "reference"),
-                        help="vectorized window-batched engine (fast) or "
-                             "the scalar reference (identical results)")
     stream.add_argument("--profile", action="store_true",
                         help="cProfile the streaming phase and print the "
                              "hottest functions")
@@ -858,9 +846,6 @@ def main(argv: list[str] | None = None) -> int:
     fleet.add_argument("--jobs", type=int, default=1,
                        help="processes for the compile phase (the fleet "
                             "report is bit-identical across jobs counts)")
-    fleet.add_argument("--reference", action="store_true",
-                       help="use the sequential per-tenant reference "
-                            "loop instead of the batched engine")
     fleet.add_argument("--no-cache", action="store_true",
                        help="bypass the mapping cache")
     fleet.add_argument("--cache-dir", default=None,
@@ -1068,7 +1053,14 @@ def main(argv: list[str] | None = None) -> int:
         "serve": cmd_serve,
         "loadtest": cmd_loadtest,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except StreamingError as exc:
+        # Streaming and fleet input the runtime rejects (windows,
+        # stream lengths, scenario or fleet mixes, placements) is a
+        # usage error: one line naming the command, exit status 2.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from repro.compile.pipeline import (
     CompileResult,
     compile_annealed,
     compile_dfg,
-    compile_exhaustive,
     compile_kernel,
     resolve_config,
     resolve_strategy,
@@ -78,7 +77,6 @@ __all__ = [
     "cgra_fingerprint",
     "compile_annealed",
     "compile_dfg",
-    "compile_exhaustive",
     "compile_kernel",
     "config_fingerprint",
     "default_cache_root",

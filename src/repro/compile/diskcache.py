@@ -74,6 +74,32 @@ DEFAULT_ROOT = ".repro-cache"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 
+def _publish(path: Path, payload: str) -> None:
+    """Atomically replace ``path`` with ``payload``.
+
+    Writes a private temp file (pid + monotonic ns) in the target's
+    directory, flushes and fsyncs it, then renames it over ``path``: a
+    concurrent reader sees old-or-new, never a prefix, and a concurrent
+    writer's replace simply wins. A failed write removes its temp file
+    and re-raises, so callers choose their own error policy.
+    """
+    tmp = path.parent / (
+        f".{path.stem}.{os.getpid()}.{time.monotonic_ns()}.tmp"
+    )
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():  # the write or replace failed: don't leak temps
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+
+
 def default_cache_root() -> str:
     """The cache root the CLIs default to: ``$REPRO_CACHE_DIR`` or
     ``.repro-cache`` under the current directory."""
@@ -358,22 +384,7 @@ class DiskCache:
         # initializing the same cache root simultaneously must both
         # succeed (the EEXIST race is swallowed at every level).
         os.makedirs(path.parent, exist_ok=True)
-        # Private temp name (pid + monotonic ns) in the same directory,
-        # then an atomic rename: a concurrent reader sees old-or-new,
-        # never a prefix; a concurrent writer's replace simply wins.
-        tmp = path.parent / f".{key}.{os.getpid()}.{time.monotonic_ns()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # replace failed midway: don't leak temps
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        _publish(path, payload)
         self.stats.stores += 1
         self.invalidate_peers()
 
@@ -397,21 +408,10 @@ class DiskCache:
                              "point": int(point_index)}
         payload = json.dumps(envelope, sort_keys=True,
                              separators=(",", ":"))
-        tmp = path.parent / f".{key}.{os.getpid()}.{time.monotonic_ns()}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            _publish(path, payload)
         except OSError:
             return False
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
         self.invalidate_peers()
         return True
 
@@ -527,7 +527,8 @@ class DiskCache:
             horizon = time.time() - max_age_s
             doomed.extend(p for mtime, p in stamped if mtime < horizon)
         if max_entries is not None:
-            survivors = [p for _, p in stamped if p not in set(doomed)]
+            doomed_set = set(doomed)
+            survivors = [p for _, p in stamped if p not in doomed_set]
             if len(survivors) > max_entries:
                 doomed.extend(survivors[: len(survivors) - max_entries])
         removed = 0

@@ -69,9 +69,9 @@ def config_fingerprint(config: EngineConfig) -> dict[str, Any]:
         d["allowed_tiles"] = sorted(d["allowed_tiles"])
     if d["allowed_level_names"] is not None:
         d["allowed_level_names"] = list(d["allowed_level_names"])
-    # Acceleration-only knobs (vectorized scoring, sound II warm
-    # starts) are proven result-neutral by the differential suites, so
-    # toggling them must hit the same cache entries.
+    # Acceleration-only knobs (sound II warm starts) are proven
+    # result-neutral by the differential suites, so toggling them must
+    # hit the same cache entries.
     for field_name in ACCEL_FIELDS:
         d.pop(field_name, None)
     return d

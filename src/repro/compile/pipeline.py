@@ -1,7 +1,7 @@
 """The unified compilation pipeline.
 
 Every mapping in the repository — baseline, ICED, per-tile, gating,
-anneal-refined, exhaustive-bounded, partition-restricted streaming —
+anneal-refined, exact, partition-restricted streaming —
 is produced by this module's pass sequence:
 
     lower -> analyze -> place_route -> <strategy post-pass> ->
@@ -23,8 +23,6 @@ Entry points:
 * :func:`compile_dfg` — from an existing DFG.
 * :func:`compile_annealed` — heuristic seed from the cache, then
   simulated-annealing refinement.
-* :func:`compile_exhaustive` — exhaustive search bounded above by the
-  cached heuristic's II.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.compile.fingerprint import mapping_cache_key
 from repro.compile.instrument import Instrumentation, PassEvent
 from repro.dfg.analysis import DFGAnalysis, analyze_dfg
 from repro.dfg.graph import DFG
-from repro.errors import MappingError
 from repro.mapper.anneal import AnnealStats, anneal_mapping
 # The strategy vocabulary lives in the backend registry (single source
 # of truth for the CLI, experiments and benchmarks); re-exported here
@@ -55,7 +52,6 @@ from repro.mapper.backends import (  # noqa: F401  (re-exports)
 )
 from repro.mapper.bitstream import Bitstream, generate_bitstream
 from repro.mapper.engine import EngineConfig, EngineStats
-from repro.mapper.exhaustive import SearchStats, map_exhaustive
 from repro.mapper.island_refine import refine_island_levels
 from repro.mapper.mapping import Mapping
 from repro.mapper.per_tile import assign_per_tile_dvfs, gate_unused_tiles
@@ -387,33 +383,3 @@ def compile_annealed(dfg: DFG, cgra: CGRA,
                           use_cache=use_cache, cache=cache,
                           instrument=instrument)
     return base, refined
-
-
-def compile_exhaustive(dfg: DFG, cgra: CGRA, *, max_ii: int = 8,
-                       max_probes: int = 400_000, use_cache: bool = True,
-                       cache: MappingCache | None = None,
-                       instrument: Instrumentation | None = None,
-                       ) -> tuple[Mapping, SearchStats]:
-    """Exhaustive minimum-II search, bounded by the cached heuristic.
-
-    The heuristic's II is a sound upper bound on the optimum (the
-    exhaustive search uses the same feasibility rules), so the search
-    never deepens past it — and the heuristic mapping itself comes from
-    the cache when available.
-    """
-    instrument = instrument or Instrumentation()
-    bound = max_ii
-    try:
-        heuristic = compile_dfg(dfg, cgra, "baseline",
-                                use_cache=use_cache, cache=cache,
-                                instrument=instrument)
-        bound = min(max_ii, heuristic.mapping.ii)
-    except MappingError:
-        pass  # heuristic gave up; search the caller's full range
-    with instrument.measure("exhaustive", dfg.name) as counters:
-        mapping, stats = map_exhaustive(dfg, cgra, max_ii=bound,
-                                        max_probes=max_probes)
-        counters["probes"] = stats.probes
-        counters["backtracks"] = stats.backtracks
-        counters["ii"] = mapping.ii
-    return mapping, stats

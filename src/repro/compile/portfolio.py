@@ -90,7 +90,7 @@ def _member_options(member: str, member_options: dict[str, dict] | None,
     options = dict((member_options or {}).get(member, {}))
     cls = get_backend(member)
     if (budget_s is not None and getattr(cls, "proves_optimality", False)
-            and member != "exhaustive" and "budget_s" not in options):
+            and "budget_s" not in options):
         options["budget_s"] = budget_s
     if member == "anneal" and "seed" not in options:
         options["seed"] = seed

@@ -20,9 +20,8 @@ per-point mapping blob is byte-identical to a naive cold compile):
   ``min_ii = exact_lower_bound(dfg, fabric)`` (and, for oblivious
   points, the solved II of an identical-search sibling), skipping
   ascending-II attempts a sound bound already rules out;
-* **vectorized candidate scoring** and the process-global routing
-  distance-oracle cache (keyed by topology fingerprint) accelerate the
-  cold compiles that remain.
+* the process-global routing distance-oracle cache (keyed by topology
+  fingerprint) accelerates the cold compiles that remain.
 
 Determinism: per-point seeds derive from (sweep seed, point index) —
 never from scheduling — and result rows carry no volatile fields, so
@@ -216,7 +215,7 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     ``{schema, space, space_hash, points, frontier, stats}``.
 
     ``naive`` disables every reuse channel (fresh per-point cache, no
-    vectorization, no warm starts, cold routing oracle) — the honest
+    warm starts, cold routing oracle) — the honest
     per-point-compile baseline the dse benchmark races against.
     ``skip_unmappable=False`` re-raises the first ``MappingError``
     instead of recording an ``unmappable`` row. ``blob_sink``, when
@@ -293,8 +292,7 @@ def _run_naive(points: list[DesignPoint], space: DesignSpace, seed: int,
     for point in points:
         routing.clear_oracle_cache()
         cgra = build_fabric(point)
-        config = replace(resolve_config(point.strategy, None),
-                         vectorize=False, min_ii=0)
+        config = replace(resolve_config(point.strategy, None), min_ii=0)
         stats["compiles"] += 1
         try:
             result = compile_kernel(

@@ -1,7 +1,7 @@
 """The tenant-major batched fleet engine.
 
 One fabric-fleet simulation is N tenant streams, each of which the
-fast streaming engine (:class:`~repro.streaming.engine.FastPipelineSim`)
+streaming engine (:class:`~repro.streaming.engine.FastPipelineSim`)
 could run in ~milliseconds — but N sequential runs pay the Python
 window loop, adapter dispatch and controller bookkeeping N times.
 This module stacks *homogeneous tenant groups* — same app, same
@@ -19,13 +19,13 @@ window at once:
   first-occurrence argmax tie-breaking, same neighbor clamping —
   elementwise over tenants;
 * the power model is memoized per level-index combination and
-  evaluated through the *scalar* ``_PipelineSim._power_mw``, so every
-  power value is bit-identical by construction.
+  evaluated through the single-stream ``FastPipelineSim._power_mw``,
+  so every power value is bit-identical by construction.
 
 Every quantity is an integer-valued float64 far below 2**53
 (iterations, IIs, slowdowns are integers), so each vector operation is
 exact and per-tenant results are **bit-identical** to N sequential
-``fast_simulate_stream`` / ``fast_simulate_static`` runs — including
+``simulate_stream`` / ``simulate_static`` runs — including
 per-window stats — not merely close. The differential suite pins this.
 DRIPS tenants have fractional reshape penalties (``vector_ok=False``
 in the streaming engine) and fall back to per-tenant sequential runs.
@@ -297,8 +297,8 @@ def simulate_group_batched(
     same number of inputs. ``strategy`` is ``iced`` (vectorized DVFS
     controller) or ``static`` (nominal level everywhere). Per-tenant
     outcomes are bit-identical to sequential
-    ``fast_simulate_stream``/``fast_simulate_static`` runs over the
-    same partition and streams.
+    ``simulate_stream``/``simulate_static`` runs over the same
+    partition and streams.
     """
     if window < 1:
         raise FleetError("window must be >= 1")

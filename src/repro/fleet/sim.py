@@ -14,13 +14,13 @@ instances:
    length and strategy) advance together through the tenant-major
    batched engine (:mod:`repro.fleet.engine`); strategies the batched
    engine cannot vectorize (DRIPS' fractional reshape penalties) fall
-   back to sequential per-tenant fast-engine runs;
+   back to sequential per-tenant engine runs;
 4. **account** — per-tenant summaries (p99 latency, energy,
    throughput) checked against each tenant's SLO, rolled up into
    per-fabric load/utilization and fleet-wide totals.
 
-``FleetSim.run(batched=False)`` runs the per-tenant reference loop —
-one sequential fast-engine simulation per tenant — and produces an
+The per-tenant reference loop — one sequential engine run per tenant —
+lives test-side (``tests/reference_fleet.py``) and must produce an
 *identical* report (minus wall-clock ``stats``): the differential
 suite and the CI bench gate pin this, which is what makes the batched
 path trustworthy rather than merely fast.
@@ -47,8 +47,8 @@ from repro.fleet.placement import (
     place_tenants,
 )
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.drips import fast_simulate_drips, fast_simulate_static
-from repro.streaming.engine import StreamResult, fast_simulate_stream
+from repro.streaming.drips import simulate_drips, simulate_static
+from repro.streaming.engine import StreamResult, simulate_stream
 from repro.streaming.envelopes import weighted_percentile
 from repro.streaming.partitioner import (
     Partition,
@@ -128,6 +128,8 @@ def synthesize_fleet(num_tenants: int, num_fabrics: int, *,
     across processes)."""
     if num_tenants < 1 or num_fabrics < 1:
         raise FleetError("need at least one tenant and one fabric")
+    if not scenarios or not strategies:
+        raise FleetError("need at least one scenario and one strategy")
     unknown = [s for s in strategies if s not in FLEET_STRATEGIES]
     if unknown:
         raise FleetError(
@@ -219,16 +221,16 @@ class _Tenant:
     stream: object
     fabric_id: int = -1
     #: Feature blocks materialized once per run (the ``stream`` phase)
-    #: and consumed by whichever engine path runs — so ``simulate_s``
-    #: times engine work, not arrival-stream synthesis, and both paths
-    #: see byte-identical inputs by construction.
+    #: and consumed by the simulate phase — so ``simulate_s`` times
+    #: engine work, not arrival-stream synthesis, and the test-side
+    #: reference loop sees byte-identical inputs by construction.
     blocks: list = field(default_factory=list)
 
 
 _SEQUENTIAL_RUNNERS = {
-    "iced": fast_simulate_stream,
-    "static": fast_simulate_static,
-    "drips": fast_simulate_drips,
+    "iced": simulate_stream,
+    "static": simulate_static,
+    "drips": simulate_drips,
 }
 
 
@@ -282,8 +284,8 @@ class FleetSim:
 
     def _materialize(self, tenants: list[_Tenant]) -> None:
         """Synthesize every tenant's arrival stream into feature
-        blocks, once — both engine paths then consume the same lists,
-        and the simulate phase times simulation, not stream synthesis.
+        blocks, once — the simulate phase then times simulation, not
+        stream synthesis.
         """
         with obs.span("fleet.streams", category="fleet",
                       tenants=len(tenants)):
@@ -400,32 +402,14 @@ class FleetSim:
                     )
         return summaries, num_batched, num_fallback
 
-    def _simulate_reference(self, tenants: list[_Tenant],
-                            partitions: dict[str, Partition],
-                            ) -> dict[int, dict]:
-        """The honest baseline: one sequential fast-engine run per
-        tenant, in tenant order."""
-        summaries: dict[int, dict] = {}
-        for tenant in tenants:
-            runner = _SEQUENTIAL_RUNNERS[tenant.spec.strategy]
-            result = runner(
-                partitions[tenant.app_name],
-                tenant.blocks,
-                tenant.spec.window, self.params,
-            )
-            summaries[tenant.index] = _summarize_stream_result(result)
-        return summaries
-
     # -- the whole run ---------------------------------------------------
 
     def run(self, *, jobs: int = 1, use_cache: bool = True,
-            cache_dir: str | Path | None = None,
-            batched: bool = True) -> dict:
+            cache_dir: str | Path | None = None) -> dict:
         """Simulate the fleet and return its canonical report dict.
 
         Everything outside the ``stats`` section is a deterministic
-        function of the spec: independent of ``jobs``, of ``batched``
-        (pinned by the differential suite) and of wall clock.
+        function of the spec: independent of ``jobs`` and of wall clock.
         """
         wall_start = time.perf_counter()
         registry = obs.metrics()
@@ -439,14 +423,10 @@ class FleetSim:
                                    cache_dir=cache_dir)
         t_compiled = time.perf_counter()
         with obs.span("fleet.simulate", category="fleet",
-                      tenants=len(tenants), batched=batched):
-            if batched:
-                summaries, num_batched, num_fallback = (
-                    self._simulate_batched(tenants, partitions)
-                )
-            else:
-                summaries = self._simulate_reference(tenants, partitions)
-                num_batched, num_fallback = 0, len(tenants)
+                      tenants=len(tenants)):
+            summaries, num_batched, num_fallback = (
+                self._simulate_batched(tenants, partitions)
+            )
         t_simulated = time.perf_counter()
 
         tenant_rows: dict[str, dict] = {}
@@ -529,7 +509,6 @@ class FleetSim:
                 "violating_tenants": violating,
             },
             "stats": {
-                "batched": batched,
                 "batched_groups": num_batched,
                 "fallback_runs": num_fallback,
                 "place_s": round(t_placed - wall_start, 4),
@@ -543,7 +522,8 @@ class FleetSim:
 
 def canonical_report(report: dict) -> dict:
     """The report minus its volatile wall-clock section — the part
-    that must be identical across ``jobs`` counts and engine paths."""
+    that must be identical across ``jobs`` counts and against the
+    per-tenant reference loop."""
     return {k: v for k, v in report.items() if k != "stats"}
 
 

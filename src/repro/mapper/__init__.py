@@ -17,7 +17,6 @@ from repro.mapper.dvfs import map_dvfs_aware
 from repro.mapper.per_tile import assign_per_tile_dvfs, gate_unused_tiles
 from repro.mapper.island_refine import refine_island_levels
 from repro.mapper.anneal import anneal_mapping
-from repro.mapper.exhaustive import map_exhaustive
 from repro.mapper.exact import ExactStats, exact_lower_bound, map_exact
 from repro.mapper.backends import (
     DEFAULT_PORTFOLIO,
@@ -54,7 +53,6 @@ __all__ = [
     "gate_unused_tiles",
     "refine_island_levels",
     "anneal_mapping",
-    "map_exhaustive",
     "ExactStats",
     "exact_lower_bound",
     "map_exact",

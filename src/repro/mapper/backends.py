@@ -1,8 +1,8 @@
 """Pluggable mapper backends behind one registry.
 
 Every way the repository can turn a DFG into a mapping — the heuristic
-engine, annealing refinement, the exhaustive brute-force, the exact
-branch-and-bound — is a :class:`MapperBackend`: a named, registered
+engine, annealing refinement, the exact branch-and-bound — is a
+:class:`MapperBackend`: a named, registered
 object with a uniform ``map(dfg, fabric, config) -> MappingResult``
 contract. The compile pipeline's ``place_route`` pass dispatches
 through this registry, the CLI's ``--backend`` flag and ``repro
@@ -37,7 +37,6 @@ from repro.mapper.anneal import _cost as _anneal_cost
 from repro.mapper.anneal import anneal_mapping
 from repro.mapper.engine import EngineConfig, EngineStats, map_dfg
 from repro.mapper.exact import ExactStats, map_exact
-from repro.mapper.exhaustive import map_exhaustive
 from repro.mapper.mapping import Mapping
 
 # -- strategy vocabulary (single source of truth) ---------------------------
@@ -85,7 +84,7 @@ class MappingResult:
     """What every backend returns: a mapping plus its quality record.
 
     ``optimal`` asserts the II is *provably* minimal under the shared
-    feasibility model (exhaustive/exact backends only). ``stats`` holds
+    feasibility model (exact and portfolio backends only). ``stats`` holds
     the backend's own search-effort counters under its native names —
     namespacing for merged snapshots is the pipeline's job. ``detail``
     carries structured per-run diagnostics (e.g. the engine's per-II
@@ -288,32 +287,6 @@ class AnnealBackend:
 
 
 @register_backend
-class ExhaustiveBackend:
-    """Brute-force minimum-II search for tiny instances (ground truth)."""
-
-    name = "exhaustive"
-    proves_optimality = True
-
-    def __init__(self, max_ii: int = 8, max_probes: int = 400_000):
-        self.max_ii = int(max_ii)
-        self.max_probes = int(max_probes)
-
-    def map(self, dfg: DFG, fabric: CGRA,
-            config: EngineConfig | None = None, *,
-            analysis: DFGAnalysis | None = None) -> MappingResult:
-        start = time.perf_counter()
-        mapping, stats = map_exhaustive(dfg, fabric, max_ii=self.max_ii,
-                                        max_probes=self.max_probes)
-        # The search ascends from a sound lower bound, so the first
-        # feasible II is minimal by construction.
-        return MappingResult.wrap(
-            mapping, self.name, optimal=True,
-            stats={"probes": stats.probes, "backtracks": stats.backtracks},
-            wall_ms=(time.perf_counter() - start) * 1000.0,
-        )
-
-
-@register_backend
 class ExactBackend:
     """Branch-and-bound exact modulo scheduling with optimality proofs."""
 
@@ -380,8 +353,7 @@ class PortfolioBackend:
         cls = get_backend(member)
         if (self.budget_s is not None
                 and getattr(cls, "proves_optimality", False)
-                and "budget_s" not in options
-                and member != "exhaustive"):
+                and "budget_s" not in options):
             options["budget_s"] = self.budget_s
         return cls(**options)
 

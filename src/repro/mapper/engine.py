@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro import obs
 from repro.arch.cgra import CGRA
 from repro.arch.dvfs import DVFSLevel
@@ -63,12 +61,6 @@ class EngineConfig:
             Cost weights (issue lateness, routing latency, label/island
             level mismatch, activating an untouched island, and FU
             occupancy pressure on the candidate tile).
-        vectorize: Score a node's candidate tiles with one numpy pass
-            (windows, prune mask, claim-pool pressure) instead of
-            per-candidate python loops. Bit-identical to the scalar
-            path by construction (integer arithmetic either way) and
-            pinned by the differential suite, so it is excluded from
-            cache fingerprints (see ``ACCEL_FIELDS``).
         min_ii: A *sound lower bound* on the feasible II supplied by
             the caller (e.g. ``exact_lower_bound`` or a DSE warm-start
             ladder). IIs below it are skipped outright — bit-identical
@@ -91,7 +83,6 @@ class EngineConfig:
     w_mismatch: float = 8.0
     w_new_island: float = 6.0
     w_pressure: float = 3.0
-    vectorize: bool = True
     min_ii: int = 0
 
     @classmethod
@@ -105,7 +96,7 @@ class EngineConfig:
         """
         dvfs_aware = strategy not in (
             "baseline", "baseline+gating", "per_tile_dvfs", "per_tile",
-            "anneal", "exhaustive",
+            "anneal",
         )
         return cls(dvfs_aware=dvfs_aware)
 
@@ -113,7 +104,7 @@ class EngineConfig:
 #: EngineConfig fields that accelerate the search without changing its
 #: result (enforced by the differential suites). They are stripped from
 #: cache fingerprints so toggling them can never split the cache.
-ACCEL_FIELDS = ("vectorize", "min_ii")
+ACCEL_FIELDS = ("min_ii",)
 
 
 @dataclass
@@ -447,24 +438,6 @@ class _Candidate:
     level: DVFSLevel
 
 
-def _distance_np(cgra: CGRA):
-    """``cgra._distance`` as an int64 matrix, cached on the fabric."""
-    dist = getattr(cgra, "_distance_np", None)
-    if dist is None:
-        dist = np.asarray(cgra._distance, dtype=np.int64)
-        cgra._distance_np = dist
-    return dist
-
-
-def _island_ids(cgra: CGRA) -> list[int]:
-    """Per-tile island id, cached on the fabric."""
-    ids = getattr(cgra, "_island_id_of", None)
-    if ids is None:
-        ids = [cgra.island_of(t).id for t in range(cgra.num_tiles)]
-        cgra._island_id_of = ids
-    return ids
-
-
 class _Attempt:
     """One fixed-II placement attempt."""
 
@@ -519,12 +492,6 @@ class _Attempt:
         self._slow_variants: dict[tuple, tuple[int, ...]] = {}
         # Opcode/tile latencies are static for the lifetime of a run.
         self._op_cycles_cache: dict[int, int] = {}
-        # Opcode -> allowed tiles whose FU supports it (static too).
-        self._support_cache: dict[Opcode, list[int]] = {}
-        # (label, island-count) -> per-island options; island levels
-        # are only ever added, so the dict length versions the cache
-        # (same trick as _slow_vector).
-        self._island_options_cache: dict[tuple, list] = {}
         # A placed node's ready time never changes while it stays
         # placed (its island's level is fixed at commit); any caller
         # that *removes* a placement must drop the cache entry.
@@ -638,15 +605,8 @@ class _Attempt:
     # -- candidate search ----------------------------------------------------
 
     def _best_candidate(self, node: int) -> _Candidate | None:
-        if self.config.vectorize:
-            return self._best_candidate_vec(node)
-        return self._best_candidate_ref(node)
-
-    def _best_candidate_ref(self, node: int) -> _Candidate | None:
-        """Scalar reference scorer. ``_best_candidate_vec`` must agree
-        with this loop bit-for-bit — mapping, cost tuples and stats
-        counters alike (pinned by the differential suite); any change
-        here must be mirrored there."""
+        """The cheapest feasible (tile, issue time, level) for ``node``
+        among the beam of candidate tiles, or ``None``."""
         label = self.labels[node]
         opcode = self.dfg.node(node).opcode
         tiles = self._candidate_tiles(node, opcode)
@@ -713,204 +673,6 @@ class _Attempt:
                 ):
                     best = _Candidate(cost, tile, time, level)
         return best
-
-    def _best_candidate_vec(self, node: int) -> _Candidate | None:
-        """Vectorized scorer: one numpy pass computes every candidate
-        tile's issue window, prune verdict and (lazily) the claim-pool
-        pressure, replacing the per-tile python loops of
-        ``_best_candidate_ref``. The router probes themselves stay
-        sequential — they mutate the pool — but they consume the
-        precomputed windows, so the per-candidate python work collapses
-        to the probe call.
-
-        Bit-identity with the reference loop is by construction: all
-        precomputed quantities are integers (numpy int64 == python int
-        arithmetic), they are converted back to python scalars before
-        entering any cost expression, and the visit order, beam break
-        and counter updates replicate the scalar control flow exactly.
-        """
-        label = self.labels[node]
-        opcode = self.dfg.node(node).opcode
-        placements = self.placements
-        in_placed = [
-            e for _i, e in self._in[node] if e.src in placements
-        ]
-        out_placed = [
-            e for _i, e in self._out[node]
-            if e.dst != node and e.dst in placements
-        ]
-        tiles, np_tiles = self._candidate_tiles_vec(
-            node, opcode, in_placed, out_placed
-        )
-        if not tiles:
-            return None
-        island_ids = _island_ids(self.cgra)
-        by_island = self._island_options(label)
-        num = len(tiles)
-        min_slow = [1] * num
-        live = [False] * num
-        for k, tile in enumerate(tiles):
-            opts = by_island[island_ids[tile]]
-            if opts is not None:
-                live[k] = True
-                min_slow[k] = opts[1]
-        if out_placed:
-            s_vec = np.asarray(
-                [self._op_cycles(node, t) for t in tiles], dtype=np.int64
-            ) * np.asarray(min_slow, dtype=np.int64)
-        else:
-            # No placed consumer constrains ``latest``, so the per-tile
-            # op duration never enters the window math; compute it
-            # lazily per visited tile instead.
-            s_vec = None
-        earliest, latest = self._windows_vec(
-            node, np_tiles, s_vec, in_placed, out_placed
-        )
-        # Back to python scalars in one pass each — per-element numpy
-        # indexing in the visit loop would cost more than it saves.
-        s_list = None if s_vec is None else s_vec.tolist()
-        earliest = earliest.tolist()
-        latest = latest.tolist()
-        busy: dict[int, float] = {}
-        best: _Candidate | None = None
-        feasible = 0
-        ii = self.ii
-        for k, tile in enumerate(tiles):
-            if feasible >= self.config.max_good_candidates:
-                break
-            if not live[k]:
-                continue
-            island = island_ids[tile]
-            options = by_island[island][0]
-            if earliest[k] > latest[k]:
-                self.stats.candidates_pruned += len(options)
-                continue
-            s_best = (s_list[k] if s_list is not None
-                      else self._op_cycles(node, tile) * min_slow[k])
-            window = (earliest[k], latest[k])
-            for level, fresh in options:
-                self.stats.candidates_probed += 1
-                result = self._try_tile(node, tile, level, island,
-                                        s_hint=s_best, window=window)
-                if result is None:
-                    continue
-                feasible += 1
-                time, route_latency = result
-                # Probes roll the pool back, so occupancy is invariant
-                # across this node's whole candidate loop: each tile's
-                # busy count is read from the claim pool at most once.
-                pressure = busy.get(tile)
-                if pressure is None:
-                    pressure = self.mrrg.tile_busy_slots(tile) / ii
-                    busy[tile] = pressure
-                cost = (
-                    self.config.w_time * time
-                    + self.config.w_route * route_latency
-                    + self.config.w_pressure * pressure
-                )
-                if self.config.dvfs_aware:
-                    mismatch = abs(
-                        self.cgra.dvfs.index_of(level)
-                        - self.cgra.dvfs.index_of(label)
-                    )
-                    cost += self.config.w_mismatch * mismatch
-                    cost += self.config.w_new_island * (1 if fresh else 0)
-                if best is None or (cost, tile, time) < (
-                    best.cost, best.tile, best.time
-                ):
-                    best = _Candidate(cost, tile, time, level)
-        return best
-
-    def _island_options(self, label: DVFSLevel) -> list:
-        """Per-island placement options for a node labeled ``label``:
-        ``None`` when the island must be skipped (assigned slower than
-        the label, or no admissible fresh level), else
-        ``(options, min_slowdown)`` with options exactly as the
-        reference loop builds them."""
-        cache_key = (label, len(self.island_levels))
-        cached = self._island_options_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        allowed_names = self.config.allowed_level_names
-        normal = self.cgra.dvfs.normal
-        out: list = [None] * len(self.cgra.islands)
-        for island in self.cgra.islands:
-            assigned = self.island_levels.get(island.id)
-            if assigned is None:
-                option_levels = {label, normal}
-                options = [
-                    (level, True) for level in self.cgra.dvfs.levels
-                    if level in option_levels
-                    and (allowed_names is None
-                         or level.name in allowed_names)
-                ]
-                if options:
-                    out[island.id] = (
-                        options,
-                        min(lv.slowdown for lv, _fresh in options),
-                    )
-            elif assigned.at_least_as_fast_as(label):
-                out[island.id] = ([(assigned, False)], assigned.slowdown)
-        self._island_options_cache[cache_key] = out
-        return out
-
-    def _candidate_tiles_vec(self, node: int, opcode: Opcode,
-                             in_placed: list[DFGEdge],
-                             out_placed: list[DFGEdge]):
-        """``_candidate_tiles`` with the anchor-distance sort done as a
-        stable numpy argsort (ties keep ascending tile id, matching the
-        reference ``(sum, t)`` key) and the opcode-support filter cached
-        per attempt. Returns ``(tiles, int64 array of tiles)``.
-
-        ``in_placed``/``out_placed`` are the node's edges to already
-        placed neighbours; they coincide with the reference anchor scan
-        because the node being placed is never in ``placements`` (so a
-        self-loop can't contribute an anchor there either).
-        """
-        supported = self._support_cache.get(opcode)
-        if supported is None:
-            supported = [
-                t for t in self.tiles if self.cgra.tile(t).supports(opcode)
-            ]
-            self._support_cache[opcode] = supported
-        tiles = supported
-        placements = self.placements
-        anchors = [placements[e.src].tile for e in in_placed] + [
-            placements[e.dst].tile for e in out_placed
-        ]
-        if anchors and len(tiles) > 1:
-            dist = _distance_np(self.cgra)
-            sums = dist[np.ix_(tiles, anchors)].sum(axis=1)
-            order = np.argsort(sums, kind="stable")
-            np_tiles = np.asarray(tiles, dtype=np.int64)[order]
-            if self.config.beam_width and \
-                    len(tiles) > self.config.beam_width:
-                np_tiles = np_tiles[: self.config.beam_width]
-            return np_tiles.tolist(), np_tiles
-        if self.config.beam_width and len(tiles) > self.config.beam_width:
-            tiles = tiles[: self.config.beam_width]
-        return list(tiles), np.asarray(tiles, dtype=np.int64)
-
-    def _windows_vec(self, node: int, np_tiles, s_vec,
-                     in_placed: list[DFGEdge],
-                     out_placed: list[DFGEdge]):
-        """``_time_window`` for every candidate tile at once; the edge
-        loops run once over numpy vectors instead of once per tile."""
-        dist = _distance_np(self.cgra)
-        placements = self.placements
-        earliest = np.full(len(np_tiles), self.asap[node], dtype=np.int64)
-        for edge in in_placed:
-            src = placements[edge.src]
-            base = self._ready(edge.src) - edge.dist * self.ii
-            np.maximum(earliest, base + dist[src.tile, np_tiles],
-                       out=earliest)
-        latest = earliest + (self.ii - 1 + self.config.extra_window)
-        for edge in out_placed:
-            dst = placements[edge.dst]
-            base = dst.time + edge.dist * self.ii
-            np.minimum(latest, base - s_vec - dist[np_tiles, dst.tile],
-                       out=latest)
-        return earliest, latest
 
     def _base_latency(self, node: int) -> int:
         """Latency of ``node`` on a representative capable tile (FUs are

@@ -2,9 +2,8 @@
 
 The paper benchmarks its heuristic against ILP mappers; this module is
 the reproduction's stand-in for that role on realistically sized
-kernels. Where :mod:`repro.mapper.exhaustive` brute-forces tiny
-instances, this is a proper branch-and-bound over the same flat MRRG
-claim pool:
+kernels: a branch-and-bound over the engine's flat MRRG claim pool.
+One search is both the optimal backend and its own optimality proof:
 
 * **sound lower bound** — ``exact_lower_bound`` combines RecMII with
   resource bounds (FU slot capacity, memory-port capacity, the longest
@@ -19,8 +18,9 @@ claim pool:
 
 Optimality here means minimum II under the repository's shared
 feasibility model (modulo claim pool, issue-time windows, Dijkstra
-router) — the same sense in which the exhaustive mapper is ground
-truth. The search is deterministic: the primary budget is a probe
+router). The test suite checks it against a brute-force oracle
+(``tests/reference_exhaustive.py``) on every instance small enough for
+exhaustion. The search is deterministic: the primary budget is a probe
 count, not wall-clock; an optional ``budget_s`` adds a hard wall-clock
 cut at the price of run-to-run reproducibility of *timeouts* (never of
 results that complete).

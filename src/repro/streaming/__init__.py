@@ -9,12 +9,10 @@ others — trading idle time in non-bottleneck kernels for energy, which
 is the Fig 13 experiment. DRIPS, the comparison point, instead
 re-allocates islands toward the bottleneck at full voltage.
 
-Two simulation engines share one contract (see
-``docs/streaming_runtime.md``): the scalar reference
-(``simulate_stream`` / ``simulate_drips`` / ``simulate_static``) and
-the window-batched vectorized fast engine (``fast_simulate_*``), which
-produces float-identical results while streaming million-input runs in
-O(window) memory from lazy ``FeatureBlock`` chunks.
+One window-batched, vectorized engine (``simulate_stream`` /
+``simulate_drips`` / ``simulate_static``, see
+``docs/streaming_runtime.md``) streams million-input runs in O(window)
+memory from lazy ``FeatureBlock`` chunks.
 
 The traffic-scenario library (``repro.streaming.scenarios``) names
 workload regimes — diurnal, bursty, phase-shifting, trace replay,
@@ -64,15 +62,9 @@ from repro.streaming.engine import (
     FastPipelineSim,
     StreamResult,
     WindowStats,
-    fast_simulate_stream,
     simulate_stream,
 )
-from repro.streaming.drips import (
-    fast_simulate_drips,
-    fast_simulate_static,
-    simulate_drips,
-    simulate_static,
-)
+from repro.streaming.drips import simulate_drips, simulate_static
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -112,9 +104,6 @@ __all__ = [
     "FastPipelineSim",
     "StreamResult",
     "WindowStats",
-    "fast_simulate_stream",
-    "fast_simulate_drips",
-    "fast_simulate_static",
     "simulate_stream",
     "simulate_drips",
     "simulate_static",

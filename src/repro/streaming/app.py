@@ -22,7 +22,7 @@ plus ``*``/``+``), so the same lambda evaluates one
 iteration count happens once, in ``KernelStage.iterations``. The only
 exception is solver0's ``** 1.5``: numpy's vectorized pow rounds
 differently than libm's, so its batch model runs libm pow per element
-to stay bit-identical with the scalar engine.
+to stay bit-identical with the per-input model.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def _solver0_model(item):
 
 def _solver0_batch(block):
     # libm pow per element: python's ``**`` and numpy's vectorized pow
-    # disagree in the last ulp, and bit-identity with the scalar
-    # engine matters more here than one vectorized op.
+    # disagree in the last ulp, and bit-identity with the per-input
+    # model matters more here than one vectorized op.
     n = block.get("n")
     return np.array([v ** 1.5 for v in n.tolist()], dtype=np.float64) * 0.9
 

@@ -12,9 +12,10 @@ The re-shaper consults the same II table the ICED partitioner profiled
 initial partition, mirroring the paper's "first 50 input instances are
 used to profile the initial mapping for DRIPS and ICED".
 
-The reshape logic lives in :class:`_DripsState`, shared verbatim
-between the scalar reference engine and the fast window-batched engine
-so the two cannot drift apart.
+The reshape logic lives in :class:`_DripsState`, which the engine's
+:class:`_FastDrips` adapter and the test-side reference loop
+(``tests/reference_streaming.py``) both drive, so the two cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ import numpy as np
 
 from repro import obs
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.engine import (
-    FastPipelineSim,
-    StreamResult,
-    _as_blocks,
-    _PipelineSim,
-)
+from repro.streaming.engine import FastPipelineSim, StreamResult, _as_blocks
 from repro.streaming.partitioner import Partition
-from repro.streaming.stage import StreamInput
 
 #: Cycles to reload one island's tile configurations after a reshape.
 RESHAPE_CONFIG_CYCLES = 256
@@ -41,33 +36,11 @@ RESHAPE_CONFIG_CYCLES = 256
 RESHAPE_DRAIN_INPUTS = 1.0
 
 
-def simulate_static(partition: Partition, inputs: list[StreamInput],
-                    window: int = 10,
+def simulate_static(partition: Partition, stream, window: int = 10,
                     params: PowerParams = DEFAULT_POWER_PARAMS,
-                    ) -> StreamResult:
+                    keep_windows: bool = True) -> StreamResult:
     """A DynPaC-style static baseline: fixed partition, fixed nominal
     V/f, no reshaping — the floor both DRIPS and ICED improve on."""
-    sim = _PipelineSim(partition, params)
-
-    def latency_of(kernel, item: StreamInput) -> float:
-        return kernel.iterations(item) * partition.placement_of(
-            kernel.name
-        ).ii
-
-    return sim.run(
-        inputs, window,
-        latency_of=latency_of,
-        level_name_of=lambda name: partition.cgra.dvfs.normal.name,
-        on_window_end=lambda: None,
-        strategy="static",
-    )
-
-
-def fast_simulate_static(partition: Partition, stream, window: int = 10,
-                         params: PowerParams = DEFAULT_POWER_PARAMS,
-                         keep_windows: bool = True) -> StreamResult:
-    """The static baseline on the fast engine — float-identical to
-    :func:`simulate_static`."""
     sim = FastPipelineSim(partition, params)
     adapter = _FastStatic(partition)
     return sim.run_blocks(_as_blocks(stream), window, adapter,
@@ -103,12 +76,12 @@ class _FastStatic:
 class _DripsState:
     """The DRIPS re-shaper's mutable state and window-end decision.
 
-    Both engines drive this one implementation: the scalar engine
-    through a per-input ``latency_of`` closure, the fast engine through
-    :class:`_FastDrips` — identical arithmetic either way.
+    The engine drives it through :class:`_FastDrips`; the test-side
+    reference loop drives it through a per-input ``latency_of``
+    closure — identical arithmetic either way.
     """
 
-    def __init__(self, sim: _PipelineSim, partition: Partition,
+    def __init__(self, sim: FastPipelineSim, partition: Partition,
                  window: int, max_islands_per_kernel: int):
         self.sim = sim
         self.partition = partition
@@ -202,9 +175,9 @@ class _FastDrips:
     Reshape penalties are fractional (``busy / window``), so the
     cumsum-based numpy scan could round differently than the
     sequential recurrence — this adapter opts out (``vector_ok =
-    False``) and reproduces the scalar engine's per-input arithmetic
-    exactly: penalty consumed by the kernel's first input of the
-    window, busy time accumulated sequentially in the same order.
+    False``) and reproduces the per-input arithmetic exactly: penalty
+    consumed by the kernel's first input of the window, busy time
+    accumulated sequentially in the same order.
     """
 
     vector_ok = False
@@ -236,37 +209,11 @@ class _FastDrips:
         self.state.end_of_window()
 
 
-def simulate_drips(partition: Partition, inputs: list[StreamInput],
-                   window: int = 10,
+def simulate_drips(partition: Partition, stream, window: int = 10,
                    params: PowerParams = DEFAULT_POWER_PARAMS,
-                   max_islands_per_kernel: int = 4) -> StreamResult:
-    """Run the DRIPS configuration on the same partition and inputs
-    (scalar reference engine)."""
-    sim = _PipelineSim(partition, params)
-    state = _DripsState(sim, partition, window, max_islands_per_kernel)
-
-    def latency_of(kernel, item: StreamInput) -> float:
-        cycles = kernel.iterations(item) * state.current_ii(kernel.name)
-        cycles += state.penalty[kernel.name]
-        state.penalty[kernel.name] = 0.0
-        state.busy[kernel.name] += cycles
-        return cycles
-
-    return sim.run(
-        inputs, window,
-        latency_of=latency_of,
-        level_name_of=lambda name: partition.cgra.dvfs.normal.name,
-        on_window_end=state.end_of_window,
-        strategy="drips",
-    )
-
-
-def fast_simulate_drips(partition: Partition, stream, window: int = 10,
-                        params: PowerParams = DEFAULT_POWER_PARAMS,
-                        max_islands_per_kernel: int = 4,
-                        keep_windows: bool = True) -> StreamResult:
-    """The DRIPS configuration on the fast engine — float-identical to
-    :func:`simulate_drips`."""
+                   max_islands_per_kernel: int = 4,
+                   keep_windows: bool = True) -> StreamResult:
+    """Run the DRIPS configuration on the same partition and stream."""
     sim = FastPipelineSim(partition, params)
     state = _DripsState(sim, partition, window, max_islands_per_kernel)
     adapter = _FastDrips(state)

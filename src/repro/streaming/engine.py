@@ -12,27 +12,24 @@ tile power for the window's duration (idle-but-clocked tiles burn like
 busy ones at the same level — which is precisely the waste DVFS
 recovers), plus island DVFS controllers and the SPM.
 
-Two engines share that contract:
-
-* :class:`_PipelineSim` — the scalar reference: one input at a time
-  through nested Python loops, trivially auditable.
-* :class:`FastPipelineSim` — window-batched and numpy-vectorized.
-  Levels (and DRIPS shapes) only change at window boundaries, so
-  within a window every kernel's latency vector is known up front and
-  the recurrence ``finish[i] = max(s[i], finish[i-1]) + lat[i]``
-  becomes a max-plus scan: with ``C = cumsum(lat)``,
-  ``finish[i] = C[i] + max(carry, max_{j<=i}(s[j] - C[j-1]))`` —
-  a ``cumsum`` plus a ``maximum.accumulate``. Every quantity involved
-  is an integer-valued float64 far below 2**53 (iterations, IIs and
-  slowdowns are integers), so each operation is exact and the scan is
-  **bit-identical** to the sequential recurrence, not merely close.
-  Strategies whose latencies are fractional (DRIPS charges
-  ``busy/window`` reshape penalties) opt out of the numpy scan
-  (``vector_ok = False``) and run an exact sequential scan in the
-  scalar engine's operation order instead — still window-batched, so
-  they keep the batched iteration-model evaluation and power
-  memoization. The differential hypothesis suite pins equality of the
-  full ``StreamResult``/``WindowStats``/decision stream.
+:class:`FastPipelineSim` runs that contract window-batched and
+numpy-vectorized. Levels (and DRIPS shapes) only change at window
+boundaries, so within a window every kernel's latency vector is known
+up front and the recurrence ``finish[i] = max(s[i], finish[i-1]) +
+lat[i]`` becomes a max-plus scan: with ``C = cumsum(lat)``,
+``finish[i] = C[i] + max(carry, max_{j<=i}(s[j] - C[j-1]))`` — a
+``cumsum`` plus a ``maximum.accumulate``. Every quantity involved is an
+integer-valued float64 far below 2**53 (iterations, IIs and slowdowns
+are integers), so each operation is exact and the scan is
+**bit-identical** to the sequential recurrence, not merely close.
+Strategies whose latencies are fractional (DRIPS charges
+``busy/window`` reshape penalties) opt out of the numpy scan
+(``vector_ok = False``) and run an exact sequential scan in the
+recurrence's own operation order instead — still window-batched, so
+they keep the batched iteration-model evaluation and power memoization.
+The differential hypothesis suite pins equality of the full
+``StreamResult``/``WindowStats``/decision stream against the
+one-input-at-a-time reference loop in ``tests/reference_streaming.py``.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.errors import StreamingError
 from repro.power.model import (
     DEFAULT_POWER_PARAMS,
     PowerParams,
@@ -138,118 +136,6 @@ class StreamResult:
         return self.inputs / self.total_energy_uj
 
 
-class _PipelineSim:
-    """Shared pipeline-recurrence machinery for ICED and DRIPS runs."""
-
-    def __init__(self, partition: Partition,
-                 params: PowerParams = DEFAULT_POWER_PARAMS):
-        self.partition = partition
-        self.app = partition.app
-        self.cgra = partition.cgra
-        self.params = params
-        spm = self.cgra.spm
-        self.sram = SRAMModel(size_bytes=spm.size_bytes,
-                              num_banks=spm.num_banks)
-        self.kernel_tiles = {
-            p.kernel.name: len(p.tile_ids(self.cgra))
-            for p in partition.placements
-        }
-        self.prev_finish: dict[str, float] = {
-            p.kernel.name: 0.0 for p in partition.placements
-        }
-
-    def run(self, inputs: list[StreamInput], window: int,
-            latency_of, level_name_of, on_window_end, strategy: str,
-            ) -> StreamResult:
-        wall_start = time.perf_counter()
-        stage_finish = 0.0
-        windows: list[WindowStats] = []
-        window_start = 0.0
-        window_inputs = 0
-        window_index = 0
-        energy_total = 0.0
-
-        base_mhz = self.cgra.dvfs.normal.frequency_mhz
-        last_index = len(inputs) - 1
-        for index, item in enumerate(inputs):
-            prev_stage_done = 0.0
-            for stage in self.app.stages:
-                stage_done = prev_stage_done
-                for kernel in stage:
-                    name = kernel.name
-                    start = max(prev_stage_done, self.prev_finish[name])
-                    latency = latency_of(kernel, item)
-                    finish = start + latency
-                    self.prev_finish[name] = finish
-                    stage_done = max(stage_done, finish)
-                prev_stage_done = stage_done
-            stage_finish = max(stage_finish, prev_stage_done)
-            window_inputs += 1
-
-            if window_inputs == window or index == last_index:
-                duration = stage_finish - window_start
-                power = self._power_mw(level_name_of)
-                energy = power * (duration / base_mhz) * 1e-3  # mW*us -> uJ
-                stats = WindowStats(
-                    index=window_index,
-                    start_cycle=window_start,
-                    end_cycle=stage_finish,
-                    inputs=window_inputs,
-                    energy_uj=energy,
-                    levels={
-                        p.kernel.name: level_name_of(p.kernel.name)
-                        for p in self.partition.placements
-                    },
-                    frequency_mhz=base_mhz,
-                )
-                windows.append(stats)
-                energy_total += energy
-                _emit_window_span(self.app.name, strategy, window_index,
-                                  window_start, duration, window_inputs,
-                                  energy, power, stats.levels)
-                registry = obs.metrics()
-                registry.counter("streaming.windows").inc()
-                registry.counter("streaming.inputs").inc(window_inputs)
-                _timed_window_end(registry, on_window_end)
-                window_start = stage_finish
-                window_inputs = 0
-                window_index += 1
-
-        _set_throughput_gauge(len(inputs), wall_start)
-        return StreamResult(
-            app=self.app.name,
-            strategy=strategy,
-            makespan_cycles=stage_finish,
-            total_energy_uj=energy_total,
-            inputs=len(inputs),
-            frequency_mhz=base_mhz,
-            windows=windows,
-        )
-
-    def _power_mw(self, level_name_of) -> float:
-        dvfs = self.cgra.dvfs
-        total = 0.0
-        used_islands = 0
-        for placement in self.partition.placements:
-            level = dvfs.level_named(level_name_of(placement.kernel.name))
-            total += self.kernel_tiles[placement.kernel.name] * (
-                level_tile_power_mw(self.params, level,
-                                    self.params.streaming_activity)
-            )
-            used_islands += len(placement.island_ids)
-        # Unallocated islands are power gated.
-        gated_tiles = self.cgra.num_tiles - sum(self.kernel_tiles.values())
-        total += gated_tiles * level_tile_power_mw(self.params,
-                                                   dvfs.power_gated)
-        total += (
-            self.params.controller_mw() * self.params.island_controller_scale
-            * len(self.cgra.islands)
-        )
-        total += self.sram.power_mw(dvfs.normal.frequency_mhz,
-                                    self.params.sram_activity)
-        return total
-
-
 def _emit_window_span(app_name: str, strategy: str, window_index: int,
                       window_start: float, duration: float,
                       window_inputs: int, energy: float, power: float,
@@ -274,13 +160,10 @@ def _emit_window_span(app_name: str, strategy: str, window_index: int,
     )
 
 
-def _timed_window_end(registry, on_window_end) -> None:
-    t0 = time.perf_counter()
-    on_window_end()
-    registry.histogram("streaming.decision_latency_ms",
-                       buckets=_DECISION_BUCKETS).observe(
-        (time.perf_counter() - t0) * 1e3
-    )
+def check_window(window: int) -> None:
+    """Reject an observation window the engine cannot run."""
+    if window < 1:
+        raise StreamingError(f"window must be >= 1, got {window}")
 
 
 def _set_throughput_gauge(total_inputs: int, wall_start: float) -> None:
@@ -315,7 +198,7 @@ def _maxplus_scan_array(s: np.ndarray, carry: float,
 def _maxplus_scan_list(s: list[float], carry: float,
                        lat: list[float]) -> list[float]:
     """The same recurrence as :func:`_maxplus_scan_array`, evaluated
-    sequentially in the scalar engine's exact operation order — used
+    sequentially in its own exact operation order — used
     for small windows and for strategies with fractional latencies
     (where the cumsum form could round differently)."""
     out = []
@@ -365,24 +248,56 @@ def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-class FastPipelineSim(_PipelineSim):
+class FastPipelineSim:
     """Window-batched, vectorized pipeline simulation.
 
     Consumes the stream as :class:`FeatureBlock` chunks (never the
     whole input list), advances the recurrence one *window* at a time
     via max-plus scans, and memoizes the power model per
-    (levels, shape) configuration. Produces results float-identical to
-    :class:`_PipelineSim` — same ``WindowStats`` sequence, same
-    decisions, same makespan/energy.
+    (levels, shape) configuration.
     """
 
     def __init__(self, partition: Partition,
                  params: PowerParams = DEFAULT_POWER_PARAMS):
-        super().__init__(partition, params)
+        self.partition = partition
+        self.app = partition.app
+        self.cgra = partition.cgra
+        self.params = params
+        spm = self.cgra.spm
+        self.sram = SRAMModel(size_bytes=spm.size_bytes,
+                              num_banks=spm.num_banks)
+        self.kernel_tiles = {
+            p.kernel.name: len(p.tile_ids(self.cgra))
+            for p in partition.placements
+        }
+        self.prev_finish: dict[str, float] = {
+            p.kernel.name: 0.0 for p in partition.placements
+        }
         self._power_memo: dict[tuple, float] = {}
         self._placement_names = [
             p.kernel.name for p in partition.placements
         ]
+
+    def _power_mw(self, level_name_of) -> float:
+        dvfs = self.cgra.dvfs
+        total = 0.0
+        for placement in self.partition.placements:
+            level = dvfs.level_named(level_name_of(placement.kernel.name))
+            total += self.kernel_tiles[placement.kernel.name] * (
+                level_tile_power_mw(self.params, level,
+                                    self.params.streaming_activity)
+            )
+        # Unallocated islands are power gated.
+        gated_tiles = self.cgra.num_tiles - sum(self.kernel_tiles.values())
+        total += gated_tiles * level_tile_power_mw(self.params,
+                                                   dvfs.power_gated)
+        total += (
+            self.params.controller_mw() * self.params.island_controller_scale
+            * len(self.cgra.islands)
+        )
+        total += self.sram.power_mw(dvfs.normal.frequency_mhz,
+                                    self.params.sram_activity)
+        return total
 
     def _power_mw_cached(self, level_names: tuple[str, ...],
                          level_name_of) -> float:
@@ -407,8 +322,7 @@ class FastPipelineSim(_PipelineSim):
         ``keep_windows=False`` drops the per-window stats list so a
         million-input run holds O(window) state.
         """
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        check_window(window)
         wall_start = time.perf_counter()
         stage_finish = 0.0
         windows: list[WindowStats] = []
@@ -539,8 +453,8 @@ class _FastIced:
     Latencies are ``iterations * II * slowdown`` — products of
     integers — so the numpy scan applies. The controller's exeTable
     gets the window's exact busy sum (integer summation is
-    order-independent), making decisions identical to the scalar
-    engine's per-input accumulation.
+    order-independent), making decisions identical to a per-input
+    accumulation.
     """
 
     vector_ok = True
@@ -577,44 +491,15 @@ def _as_blocks(stream) -> Iterable[FeatureBlock]:
     return stream
 
 
-def simulate_stream(partition: Partition, inputs: list[StreamInput],
-                    window: int = 10,
+def simulate_stream(partition: Partition, stream, window: int = 10,
                     params: PowerParams = DEFAULT_POWER_PARAMS,
-                    controller: DVFSController | None = None) -> StreamResult:
-    """Run the ICED configuration: fixed partition, dynamic DVFS
-    (scalar reference engine)."""
-    sim = _PipelineSim(partition, params)
-    controller = controller or DVFSController(
-        dvfs=partition.cgra.dvfs,
-        kernel_names=[p.kernel.name for p in partition.placements],
-        window=window,
-    )
-
-    def latency_of(kernel, item) -> float:
-        level = controller.level_of(kernel.name)
-        ii = partition.placement_of(kernel.name).ii
-        cycles = kernel.iterations(item) * ii * max(level.slowdown, 1)
-        controller.record_execution(kernel.name, cycles)
-        return cycles
-
-    return sim.run(
-        inputs, window,
-        latency_of=latency_of,
-        level_name_of=lambda name: controller.level_of(name).name,
-        on_window_end=controller.end_of_window,
-        strategy="iced",
-    )
-
-
-def fast_simulate_stream(partition: Partition, stream, window: int = 10,
-                         params: PowerParams = DEFAULT_POWER_PARAMS,
-                         controller: DVFSController | None = None,
-                         keep_windows: bool = True) -> StreamResult:
-    """Run the ICED configuration on the fast engine.
+                    controller: DVFSController | None = None,
+                    keep_windows: bool = True) -> StreamResult:
+    """Run the ICED configuration: fixed partition, dynamic DVFS.
 
     ``stream`` is either an iterable of :class:`FeatureBlock` (the
     constant-memory path) or a materialized ``StreamInput`` list (auto
-    chunked). Float-identical to :func:`simulate_stream`.
+    chunked).
     """
     sim = FastPipelineSim(partition, params)
     controller = controller or DVFSController(

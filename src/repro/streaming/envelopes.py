@@ -33,8 +33,8 @@ from pathlib import Path
 from repro import obs
 from repro.errors import ScenarioError
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.drips import fast_simulate_drips, fast_simulate_static
-from repro.streaming.engine import StreamResult, fast_simulate_stream
+from repro.streaming.drips import simulate_drips, simulate_static
+from repro.streaming.engine import StreamResult, simulate_stream
 from repro.streaming.partitioner import Partition, partition_app, streaming_cgra
 from repro.streaming.scenarios import make_scenario, scenario_names
 from repro.streaming.workloads import take_inputs
@@ -112,9 +112,9 @@ def summarize_result(result: StreamResult) -> dict:
 
 
 _RUNNERS = {
-    "iced": fast_simulate_stream,
-    "drips": fast_simulate_drips,
-    "static": fast_simulate_static,
+    "iced": simulate_stream,
+    "drips": simulate_drips,
+    "static": simulate_static,
 }
 
 

@@ -9,14 +9,15 @@ seedable object:
 
     scenario = make_scenario("bursty", seed=3, n=10_000)
     scenario.app               # the StreamingApp its features drive
-    scenario.feature_blocks()  # lazy FeatureBlocks for the fast engine
-    scenario.generate()        # the same stream for the scalar engine
+    scenario.feature_blocks()  # lazy FeatureBlocks for the engine
+    scenario.generate()        # the same stream as StreamInput objects
 
 Every scenario pairs a stream generator with the application whose
 iteration models consume its features, so one ``FeatureBlock`` stream
-drives both simulation engines unchanged — the fast-vs-reference
-float-identity contract (``docs/streaming_runtime.md``) extends to
-every registered scenario and is pinned by the differential suite.
+drives the engine and its per-input test-side reference unchanged —
+the engine-vs-reference float-identity contract
+(``docs/streaming_runtime.md``) extends to every registered scenario
+and is pinned by the differential suite.
 
 Generators follow the segment-addressed seeding convention of
 :class:`~repro.streaming.workloads.SegmentedWorkload`: values are a

@@ -3,9 +3,9 @@
 Two input representations coexist:
 
 * :class:`StreamInput` — one input instance as a Python object, what
-  the scalar reference engine and the iteration models consume;
+  the iteration models and the per-input reference loop consume;
 * :class:`FeatureBlock` — a *batch* of consecutive inputs as a dict of
-  equal-length numpy feature arrays, what the vectorized fast engine
+  equal-length numpy feature arrays, what the vectorized engine
   consumes. A block answers the same ``get(key)`` protocol as a
   ``StreamInput`` (returning arrays instead of scalars), so iteration
   models written as pure feature arithmetic work on both without
@@ -108,7 +108,7 @@ def blocks_of(inputs: Sequence[StreamInput],
 
 def inputs_of(blocks: Iterable[FeatureBlock]) -> list[StreamInput]:
     """Materialize a block stream back into ``StreamInput`` objects
-    (tests and the scalar reference engine use this)."""
+    (tests and the per-input reference loop use this)."""
     return [row for block in blocks for row in block.rows()]
 
 

@@ -13,7 +13,7 @@ Every generator derives from :class:`SegmentedWorkload` and exposes two
 shapes of the **same** stream:
 
 * :meth:`SegmentedWorkload.generate` — the whole stream as
-  ``StreamInput`` objects (what the scalar reference engine and small
+  ``StreamInput`` objects (what the per-input reference loop and small
   experiments use);
 * :meth:`SegmentedWorkload.feature_blocks` — the stream as lazily
   produced :class:`~repro.streaming.stage.FeatureBlock` chunks, holding

@@ -53,9 +53,11 @@ from repro.mapper.validation import validate_mapping
 class TestRegistry:
     def test_core_backends_registered(self):
         names = backend_names()
-        for expected in ("engine", "anneal", "exhaustive", "exact",
-                         "portfolio"):
+        for expected in ("engine", "anneal", "exact", "portfolio"):
             assert expected in names
+        # ``exact`` is the one optimal backend; the brute force is a
+        # test oracle only.
+        assert "exhaustive" not in names
         assert names == tuple(sorted(names))
 
     def test_unknown_backend_is_a_value_error_naming_the_known(self):

@@ -1,0 +1,33 @@
+"""Bad CLI input exits 2 with a one-line typed error, never a traceback.
+
+Each argv below once escaped as a raw ``ZeroDivisionError`` or
+``ValueError`` (or, for ``trace --window 0``, silently ran a single
+window). The handlers now map the typed ``StreamingError`` family
+(``FleetError`` included) and a malformed ``--failed`` list to exit
+status 2 and one stderr line named after the subcommand, before any
+expensive compile or partition work.
+"""
+
+import pytest
+
+from repro.__main__ import main
+
+
+@pytest.mark.parametrize("argv", [
+    ["fleet", "run", "--scenarios", ","],
+    ["fleet", "run", "--strategies", ","],
+    ["fleet", "run", "--failed", "x"],
+    ["stream", "gcn", "--window", "0"],
+    ["stream", "gcn", "--inputs", "3"],
+    ["scenarios", "table", "--window", "0"],
+    ["trace", "fir", "--window", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)  # anything written lands in tmp_path
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"{argv[0]}: ")
+    assert "Traceback" not in err[0]
+    assert list(tmp_path.iterdir()) == []

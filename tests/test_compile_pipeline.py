@@ -13,7 +13,6 @@ from repro.compile import (
     MappingCache,
     compile_annealed,
     compile_dfg,
-    compile_exhaustive,
     compile_kernel,
     get_cache,
     mapping_cache_key,
@@ -241,23 +240,6 @@ class TestSeededSearches:
         _, again = compile_annealed(dfg, FABRIC, moves=50, seed=7,
                                     cache=cache)
         assert again.cache_hit
-
-    def test_exhaustive_bounded_by_cached_heuristic(self):
-        b = DFGBuilder("diamond")
-        ld = b.op(Opcode.LOAD)
-        left = b.op(Opcode.ADD, ld)
-        right = b.op(Opcode.MUL, ld)
-        join = b.op(Opcode.SUB, left, right)
-        b.op(Opcode.STORE, join)
-        dfg = b.build()
-        fabric = CGRA.build(3, 3, island_shape=(3, 3))
-        cache = MappingCache()
-        heuristic = compile_dfg(dfg, fabric, "baseline", cache=cache)
-        mapping, stats = compile_exhaustive(dfg, fabric, cache=cache)
-        validate_mapping(mapping)
-        assert mapping.ii <= heuristic.mapping.ii
-        assert stats.probes > 0
-        assert cache.stats.hits >= 1  # the heuristic bound came cached
 
 
 class TestInstrumentationReport:

@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import tempfile
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -449,6 +450,19 @@ class TestHousekeeping:
         # Everything was stamped around t=1000: far past any horizon.
         assert cache.gc(max_age_s=3600.0) == 4
         assert len(cache) == 0
+
+    def test_gc_age_horizon_then_entry_cap(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        keys = self._seed(cache, 6)
+        # Two artifacts are fresh: the age horizon spares exactly them.
+        fresh = time.time()
+        for key in keys[-2:]:
+            os.utime(cache._path(key), (fresh, fresh))
+        # The cap then trims the fresh survivors to the newest one;
+        # nothing the horizon already evicted counts against it.
+        assert cache.gc(max_entries=1, max_age_s=3600.0) == 5
+        assert {p.stem for p in cache.artifact_paths()} == {keys[-1]}
+        assert cache.stats.evictions == 5
 
     def test_gc_noop_without_limits(self, tmp_path):
         cache = DiskCache(tmp_path)

@@ -7,8 +7,8 @@ The load-bearing contracts:
   pure functions of the point set (hypothesis-tested);
 * ``DesignSpace.expand`` is deterministic, densely indexed and drops
   only island shapes that do not fit their fabric;
-* the optimized driver (cache reuse, blob aliasing, warm-started II,
-  vectorized scoring) produces byte-identical rows *and* final mapping
+* the optimized driver (cache reuse, blob aliasing, warm-started II)
+  produces byte-identical rows *and* final mapping
   blobs to the naive per-point baseline, and ``jobs=2`` matches
   ``jobs=1`` byte for byte;
 * DSE-produced disk artifacts carry the sweep provenance tag and the

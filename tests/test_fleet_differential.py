@@ -3,9 +3,9 @@
 The contract under test: for every tenant in a homogeneous group, the
 tenant-major batched engine produces a ``StreamResult`` **equal** (by
 ``asdict``, so every ``WindowStats`` field, float for float) to a
-standalone sequential fast-engine run over the same partition and
-stream — and therefore a whole ``FleetSim`` report is identical
-between ``batched=True`` and the per-tenant reference loop, for every
+standalone sequential engine run over the same partition and
+stream — and therefore a whole ``FleetSim`` report is identical to the
+per-tenant reference loop's (``tests/reference_fleet.py``), for every
 placement strategy and strategy mix (DRIPS rides the sequential
 fallback inside the batched path).
 
@@ -42,12 +42,14 @@ from repro.streaming import (  # noqa: E402
     StreamInput,
     StreamingApp,
     blocks_of,
-    fast_simulate_static,
-    fast_simulate_stream,
     make_scenario,
+    simulate_static,
+    simulate_stream,
     streaming_cgra,
 )
 from repro.streaming.engine import _VECTOR_WINDOW_MIN  # noqa: E402
+
+from tests.reference_fleet import ReferenceFleetSim  # noqa: E402
 
 CGRA = streaming_cgra()
 
@@ -151,8 +153,8 @@ def group_cases(draw):
 @given(group_cases(), st.sampled_from(["iced", "static"]))
 def test_batched_group_equals_sequential_runs(case, strategy):
     partition, tenant_inputs, window, block_size = case
-    sequential_fn = (fast_simulate_stream if strategy == "iced"
-                     else fast_simulate_static)
+    sequential_fn = (simulate_stream if strategy == "iced"
+                     else simulate_static)
     batched = simulate_group_batched(
         partition,
         [blocks_of(inputs, block_size) for inputs in tenant_inputs],
@@ -186,8 +188,8 @@ def real_scenario_groups(draw):
 @given(real_scenario_groups(), st.sampled_from(["iced", "static"]))
 def test_real_scenario_group_equals_sequential_runs(case, strategy):
     partition, scenarios, window = case
-    sequential_fn = (fast_simulate_stream if strategy == "iced"
-                     else fast_simulate_static)
+    sequential_fn = (simulate_stream if strategy == "iced"
+                     else simulate_static)
     batched = simulate_group_batched(
         partition, [s.feature_blocks() for s in scenarios],
         window, strategy=strategy,
@@ -245,10 +247,9 @@ def fleet_cases(draw):
 @given(fleet_cases())
 def test_fleet_report_batched_equals_reference(case):
     spec, partitions = case
-    batched = FleetSim(spec, partitions=partitions).run(batched=True)
-    reference = FleetSim(spec, partitions=partitions).run(batched=False)
+    batched = FleetSim(spec, partitions=partitions).run()
+    reference = ReferenceFleetSim(spec, partitions=partitions).run()
     assert canonical_report(batched) == canonical_report(reference)
-    assert batched["stats"]["batched"] is True
     assert reference["stats"]["fallback_runs"] == len(spec.tenants)
 
 

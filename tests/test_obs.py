@@ -18,11 +18,12 @@ from repro.streaming import (
     KernelStage,
     StreamingApp,
     StreamInput,
-    fast_simulate_stream,
     simulate_stream,
     streaming_cgra,
 )
 from repro.streaming.controller import DVFSController
+
+from tests.reference_streaming import reference_simulate_stream
 
 
 @pytest.fixture
@@ -282,7 +283,7 @@ def _tiny_partition():
 
 class TestStreamingMetrics:
     """Satellite: ``streaming.inputs_per_sec`` gauge and the per-window
-    ``streaming.decision_latency_ms`` histogram, on both engines."""
+    ``streaming.decision_latency_ms`` histogram."""
 
     def _run(self, simulate, registry):
         partition = _tiny_partition()
@@ -293,29 +294,22 @@ class TestStreamingMetrics:
         result = simulate(partition, inputs, window=5)
         return result, registry.snapshot()
 
-    def test_reference_engine_reports_throughput(self, registry):
+    def test_fast_engine_reports_throughput(self, registry):
         result, snap = self._run(simulate_stream, registry)
         assert len(result.windows) == 5
         assert snap["streaming.inputs_per_sec"]["value"] > 0
+        assert snap["streaming.windows"]["value"] == 5.0
         assert snap["streaming.inputs"]["value"] == 25.0
         hist = snap["streaming.decision_latency_ms"]
         assert hist["count"] == len(result.windows)
         assert hist["sum"] >= 0.0
 
-    def test_fast_engine_reports_throughput(self, registry):
-        result, snap = self._run(fast_simulate_stream, registry)
-        assert len(result.windows) == 5
-        assert snap["streaming.inputs_per_sec"]["value"] > 0
-        assert snap["streaming.windows"]["value"] == 5.0
-        hist = snap["streaming.decision_latency_ms"]
-        assert hist["count"] == len(result.windows)
-
     def test_engines_observe_same_window_count(self, registry):
-        _, reference = self._run(simulate_stream, registry)
+        _, reference = self._run(reference_simulate_stream, registry)
         fresh = obs.MetricsRegistry()
         previous = obs.set_metrics(fresh)
         try:
-            _, fast = self._run(fast_simulate_stream, fresh)
+            _, fast = self._run(simulate_stream, fresh)
         finally:
             obs.set_metrics(previous)
         assert (

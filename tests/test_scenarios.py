@@ -56,6 +56,12 @@ from repro.streaming.workloads import (
     take_inputs,
 )
 
+from tests.reference_streaming import (
+    reference_simulate_drips,
+    reference_simulate_static,
+    reference_simulate_stream,
+)
+
 GOLDEN_DIR = Path(__file__).parent / "envelopes"
 
 EXPECTED_SCENARIOS = {
@@ -360,16 +366,10 @@ class TestGoldenEnvelopes:
     def test_fast_reference_identity_on_real_partition(self, name):
         scenario, partition = scenario_partition(name, 60)
         inputs = scenario.generate()
-        from repro.streaming.drips import (
-            fast_simulate_drips,
-            fast_simulate_static,
-        )
-        from repro.streaming.engine import fast_simulate_stream
-
         pairs = [
-            (simulate_stream, fast_simulate_stream),
-            (simulate_drips, fast_simulate_drips),
-            (simulate_static, fast_simulate_static),
+            (reference_simulate_stream, simulate_stream),
+            (reference_simulate_drips, simulate_drips),
+            (reference_simulate_static, simulate_static),
         ]
         for reference, fast in pairs:
             ref = reference(partition, inputs, window=10)

@@ -103,6 +103,8 @@ class TestRequestValidation:
         {"kernel": "fir", "cgra": [6]},
         {"kernel": "fir", "cgra": "0x6"},
         {"kernel": "fir", "surprise": 1},
+        # The brute-force mapper is a test oracle, not a backend.
+        {"kernel": "fir", "backend": "exhaustive"},
     ])
     def test_bad_compile_bodies_rejected(self, body):
         with pytest.raises(RequestError):

@@ -1,12 +1,12 @@
-"""Property-based differential suite: fast engine vs scalar reference.
+"""Property-based differential suite: the engine vs the per-input oracle.
 
 Mirrors how the router rewrite was pinned: hypothesis draws random
 pipeline apps (stage shapes, iteration models, IIs, island counts),
 random integer-feature streams, random windows and block sizes, and
-asserts the fast engine's ``StreamResult`` — including every
+asserts the engine's ``StreamResult`` — including every
 ``WindowStats`` field — and the ICED controller's decision log are
-**equal** (``==``, not approximately) to the scalar reference's, for
-all three strategies.
+**equal** (``==``, not approximately) to those of the per-input oracle
+in ``tests/reference_streaming.py``, for all three strategies.
 
 The apps use lightweight fake partitions (the engines only consume
 ``app``/``cgra``/``placements``/``placement_of``/``ii_table``), so the
@@ -30,9 +30,6 @@ from repro.streaming import (  # noqa: E402
     StreamInput,
     StreamingApp,
     blocks_of,
-    fast_simulate_drips,
-    fast_simulate_static,
-    fast_simulate_stream,
     make_scenario,
     scenario_names,
     simulate_drips,
@@ -41,6 +38,12 @@ from repro.streaming import (  # noqa: E402
     streaming_cgra,
 )
 from repro.streaming.engine import _VECTOR_WINDOW_MIN  # noqa: E402
+
+from tests.reference_streaming import (  # noqa: E402
+    reference_simulate_drips,
+    reference_simulate_static,
+    reference_simulate_stream,
+)
 
 CGRA = streaming_cgra()
 
@@ -138,12 +141,12 @@ def test_iced_differential(scenario):
                              window=window)
     fast_ctl = DVFSController(dvfs=CGRA.dvfs, kernel_names=names,
                               window=window)
-    ref = simulate_stream(partition, inputs, window=window,
-                          controller=ref_ctl)
-    fast = fast_simulate_stream(partition,
-                                blocks_of(inputs, block_size)
-                                if inputs else [],
-                                window=window, controller=fast_ctl)
+    ref = reference_simulate_stream(partition, inputs, window=window,
+                                    controller=ref_ctl)
+    fast = simulate_stream(partition,
+                           blocks_of(inputs, block_size)
+                           if inputs else [],
+                           window=window, controller=fast_ctl)
     assert asdict(ref) == asdict(fast)
     assert ref_ctl.decisions == fast_ctl.decisions
     assert ref_ctl.levels == fast_ctl.levels
@@ -154,11 +157,11 @@ def test_iced_differential(scenario):
 @given(scenarios())
 def test_drips_differential(scenario):
     partition, inputs, window, block_size = scenario
-    ref = simulate_drips(partition, inputs, window=window)
-    fast = fast_simulate_drips(partition,
-                               blocks_of(inputs, block_size)
-                               if inputs else [],
-                               window=window)
+    ref = reference_simulate_drips(partition, inputs, window=window)
+    fast = simulate_drips(partition,
+                          blocks_of(inputs, block_size)
+                          if inputs else [],
+                          window=window)
     assert asdict(ref) == asdict(fast)
 
 
@@ -166,11 +169,11 @@ def test_drips_differential(scenario):
 @given(scenarios())
 def test_static_differential(scenario):
     partition, inputs, window, block_size = scenario
-    ref = simulate_static(partition, inputs, window=window)
-    fast = fast_simulate_static(partition,
-                                blocks_of(inputs, block_size)
-                                if inputs else [],
-                                window=window)
+    ref = reference_simulate_static(partition, inputs, window=window)
+    fast = simulate_static(partition,
+                           blocks_of(inputs, block_size)
+                           if inputs else [],
+                           window=window)
     assert asdict(ref) == asdict(fast)
 
 
@@ -213,23 +216,23 @@ def test_scenario_differential_all_strategies(case):
                              window=window)
     fast_ctl = DVFSController(dvfs=CGRA.dvfs, kernel_names=names,
                               window=window)
-    ref = simulate_stream(partition, inputs, window=window,
-                          controller=ref_ctl)
-    fast = fast_simulate_stream(partition,
-                                scenario.feature_blocks(block_size),
-                                window=window, controller=fast_ctl)
+    ref = reference_simulate_stream(partition, inputs, window=window,
+                                    controller=ref_ctl)
+    fast = simulate_stream(partition,
+                           scenario.feature_blocks(block_size),
+                           window=window, controller=fast_ctl)
     assert asdict(ref) == asdict(fast)
     assert ref_ctl.decisions == fast_ctl.decisions
     assert ref_ctl.levels == fast_ctl.levels
 
-    ref = simulate_drips(partition, inputs, window=window)
-    fast = fast_simulate_drips(partition,
-                               scenario.feature_blocks(block_size),
-                               window=window)
+    ref = reference_simulate_drips(partition, inputs, window=window)
+    fast = simulate_drips(partition,
+                          scenario.feature_blocks(block_size),
+                          window=window)
     assert asdict(ref) == asdict(fast)
 
-    ref = simulate_static(partition, inputs, window=window)
-    fast = fast_simulate_static(partition,
-                                scenario.feature_blocks(block_size),
-                                window=window)
+    ref = reference_simulate_static(partition, inputs, window=window)
+    fast = simulate_static(partition,
+                           scenario.feature_blocks(block_size),
+                           window=window)
     assert asdict(ref) == asdict(fast)

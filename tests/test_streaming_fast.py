@@ -1,5 +1,5 @@
-"""Fast streaming engine: blocks, chunked workloads, and equality with
-the scalar reference on the real applications.
+"""The streaming engine: blocks, chunked workloads, and equality with
+the per-input reference loop on the real applications.
 
 The property-based differential suite lives in
 ``test_streaming_differential.py``; these are the deterministic unit
@@ -21,9 +21,6 @@ from repro.streaming import (
     SparseMatrixStream,
     StreamInput,
     blocks_of,
-    fast_simulate_drips,
-    fast_simulate_static,
-    fast_simulate_stream,
     gcn_app,
     inputs_of,
     partition_app,
@@ -34,12 +31,19 @@ from repro.streaming import (
     streaming_cgra,
     take_inputs,
 )
+from repro.errors import StreamingError
 from repro.streaming.engine import (
     StreamResult,
     WindowStats,
     _maxplus_scan_array,
     _maxplus_scan_list,
     _window_iteration_chunks,
+)
+
+from tests.reference_streaming import (
+    reference_simulate_drips,
+    reference_simulate_static,
+    reference_simulate_stream,
 )
 
 
@@ -194,41 +198,43 @@ class TestFastEngineEquality:
                                  kernel_names=names, window=window)
         fast_ctl = DVFSController(dvfs=gcn_partition.cgra.dvfs,
                                   kernel_names=names, window=window)
-        ref = simulate_stream(gcn_partition, gcn_inputs, window=window,
-                              controller=ref_ctl)
-        fast = fast_simulate_stream(gcn_partition, gcn_inputs,
-                                    window=window, controller=fast_ctl)
+        ref = reference_simulate_stream(gcn_partition, gcn_inputs,
+                                        window=window, controller=ref_ctl)
+        fast = simulate_stream(gcn_partition, gcn_inputs,
+                               window=window, controller=fast_ctl)
         assert asdict(ref) == asdict(fast)
         assert ref_ctl.decisions == fast_ctl.decisions
 
     @pytest.mark.parametrize("window", [1, 5, 10, 30, 60])
     def test_drips_identical(self, gcn_partition, gcn_inputs, window):
-        ref = simulate_drips(gcn_partition, gcn_inputs, window=window)
-        fast = fast_simulate_drips(gcn_partition, gcn_inputs,
-                                   window=window)
+        ref = reference_simulate_drips(gcn_partition, gcn_inputs,
+                                       window=window)
+        fast = simulate_drips(gcn_partition, gcn_inputs,
+                              window=window)
         assert asdict(ref) == asdict(fast)
 
     @pytest.mark.parametrize("window", [1, 10, 60])
     def test_static_identical(self, gcn_partition, gcn_inputs, window):
-        ref = simulate_static(gcn_partition, gcn_inputs, window=window)
-        fast = fast_simulate_static(gcn_partition, gcn_inputs,
-                                    window=window)
+        ref = reference_simulate_static(gcn_partition, gcn_inputs,
+                                        window=window)
+        fast = simulate_static(gcn_partition, gcn_inputs,
+                               window=window)
         assert asdict(ref) == asdict(fast)
 
     def test_block_size_invariance(self, gcn_partition, gcn_inputs):
-        baseline = fast_simulate_stream(gcn_partition, gcn_inputs,
-                                        window=10)
+        baseline = simulate_stream(gcn_partition, gcn_inputs,
+                                   window=10)
         for block_size in (1, 9, 17):
-            result = fast_simulate_stream(
+            result = simulate_stream(
                 gcn_partition, blocks_of(gcn_inputs, block_size),
                 window=10)
             assert asdict(result) == asdict(baseline)
 
     def test_keep_windows_false_same_totals(self, gcn_partition,
                                             gcn_inputs):
-        full = fast_simulate_stream(gcn_partition, gcn_inputs, window=10)
-        slim = fast_simulate_stream(gcn_partition, gcn_inputs, window=10,
-                                    keep_windows=False)
+        full = simulate_stream(gcn_partition, gcn_inputs, window=10)
+        slim = simulate_stream(gcn_partition, gcn_inputs, window=10,
+                               keep_windows=False)
         assert slim.windows == []
         assert slim.makespan_cycles == full.makespan_cycles
         assert slim.total_energy_uj == full.total_energy_uj
@@ -242,23 +248,23 @@ class TestFastEngineEquality:
         off = DVFSController(dvfs=gcn_partition.cgra.dvfs,
                              kernel_names=names, window=10,
                              record_decisions=False)
-        a = fast_simulate_stream(gcn_partition, gcn_inputs, window=10,
-                                 controller=on)
-        b = fast_simulate_stream(gcn_partition, gcn_inputs, window=10,
-                                 controller=off)
+        a = simulate_stream(gcn_partition, gcn_inputs, window=10,
+                            controller=on)
+        b = simulate_stream(gcn_partition, gcn_inputs, window=10,
+                            controller=off)
         assert asdict(a) == asdict(b)
         assert off.decisions == []
         assert off.num_decisions == on.num_decisions == len(on.decisions)
 
     def test_empty_stream(self, gcn_partition):
-        result = fast_simulate_stream(gcn_partition, [], window=10)
+        result = simulate_stream(gcn_partition, [], window=10)
         assert result.inputs == 0
         assert result.windows == []
         assert result.makespan_cycles == 0.0
 
     def test_bad_window_rejected(self, gcn_partition, gcn_inputs):
-        with pytest.raises(ValueError):
-            fast_simulate_stream(gcn_partition, gcn_inputs, window=0)
+        with pytest.raises(StreamingError, match="window must be >= 1"):
+            simulate_stream(gcn_partition, gcn_inputs, window=0)
 
 
 class TestSatelliteRegressions:
@@ -270,10 +276,10 @@ class TestSatelliteRegressions:
         items = gcn_inputs[:10]
         duplicate = items[-1]
         stream = items[:3] + [duplicate] + items[3:]
-        result = simulate_stream(gcn_partition, stream, window=50)
+        result = reference_simulate_stream(gcn_partition, stream, window=50)
         assert len(result.windows) == 1
         assert result.windows[0].inputs == len(stream)
-        fast = fast_simulate_stream(gcn_partition, stream, window=50)
+        fast = simulate_stream(gcn_partition, stream, window=50)
         assert asdict(fast) == asdict(result)
 
     def test_frequency_has_no_hardcoded_default(self):
