@@ -341,13 +341,6 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
     executor = SweepExecutor(jobs=jobs, cache=cache,
                              cache_dir=cache_dir, seed=seed)
     index = _ObliviousIndex()
-    dfgs: dict[tuple, object] = {}
-
-    def dfg_of(point: DesignPoint):
-        key = (point.kernel, point.unroll)
-        if key not in dfgs:
-            dfgs[key] = load_kernel(point.kernel, point.unroll)
-        return dfgs[key]
 
     # Group points by fabric: the executor compiles one fabric per call.
     groups: dict[tuple, list[DesignPoint]] = {}
@@ -361,8 +354,7 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
                       topology=cgra.topology, points=len(group)):
             group_rows = _run_group(group, cgra, space, space_hash,
                                     executor, cache, disk, index, seed,
-                                    stats, skip_unmappable, dfg_of,
-                                    blob_sink)
+                                    stats, skip_unmappable, blob_sink)
         rows.extend(group_rows)
         if manifest is not None:
             # Checkpoint after every fabric group: a kill loses at most
@@ -375,7 +367,7 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
 def _run_group(group: list[DesignPoint], cgra: CGRA, space: DesignSpace,
                space_hash: str, executor: SweepExecutor, cache, disk,
                index: _ObliviousIndex, seed: int, stats: dict,
-               skip_unmappable: bool, dfg_of,
+               skip_unmappable: bool,
                blob_sink: dict | None) -> list[dict]:
     """Compile one fabric's points: alias sibling blobs in, warm-start
     IIs, dispatch in two waves (unique keys first, guaranteed-warm
@@ -383,7 +375,7 @@ def _run_group(group: list[DesignPoint], cgra: CGRA, space: DesignSpace,
     prepared: list[tuple[DesignPoint, SweepItem, str, bool]] = []
     lower_bounds: dict[tuple, int] = {}
     for point in group:
-        dfg = dfg_of(point)
+        dfg = load_kernel(point.kernel, point.unroll)
         key, config = _point_key(point, cgra, dfg)
         oblivious = not config.dvfs_aware
         # Cross-variant aliasing: an identical search already solved

@@ -22,9 +22,10 @@ window at once:
   evaluated through the single-stream ``FastPipelineSim._power_mw``,
   so every power value is bit-identical by construction.
 
-Every quantity is an integer-valued float64 far below 2**53
-(iterations, IIs, slowdowns are integers), so each vector operation is
-exact and per-tenant results are **bit-identical** to N sequential
+Every quantity is an integer-valued float64 below 2**53 (iterations,
+IIs, slowdowns are integers; the scan raises ``StreamingError`` once a
+finish time reaches the bound), so each vector operation is exact and
+per-tenant results are **bit-identical** to N sequential
 ``simulate_stream`` / ``simulate_static`` runs — including
 per-window stats — not merely close. The differential suite pins this.
 DRIPS tenants have fractional reshape penalties (``vector_ok=False``
@@ -44,6 +45,7 @@ from repro.streaming.engine import (
     FastPipelineSim,
     StreamResult,
     WindowStats,
+    check_maxplus_exact,
 )
 from repro.streaming.partitioner import Partition
 from repro.streaming.stage import FeatureBlock
@@ -70,7 +72,9 @@ def maxplus_scan_2d(s: np.ndarray, carry: np.ndarray,
     ``maximum.accumulate`` run along axis 1, advancing every tenant's
     recurrence in the same exact integer-float arithmetic as the 1-D
     scan (cumulative sums are sequential per row, so the operation
-    order per tenant is identical).
+    order per tenant is identical). Like the 1-D scan it raises
+    :class:`~repro.errors.StreamingError` once any row's last finish
+    time reaches 2**53.
     """
     c = np.add.accumulate(lat, axis=1)
     g = np.empty_like(s)
@@ -78,6 +82,7 @@ def maxplus_scan_2d(s: np.ndarray, carry: np.ndarray,
     np.subtract(s[:, 1:], c[:, :-1], out=g[:, 1:])
     np.maximum.accumulate(g, axis=1, out=g)
     g += c
+    check_maxplus_exact(g[:, -1].max(initial=0.0))
     return g
 
 

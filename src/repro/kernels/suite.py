@@ -10,11 +10,17 @@ mapped co-simulation must all agree (the differential tests).
 
 from __future__ import annotations
 
+import functools
+
 from repro.dfg.graph import DFG
 from repro.dfg.transforms import unroll as unroll_transform
 from repro.errors import DFGError
 from repro.kernels.synthesis import synthesize_dfg
 from repro.kernels.table1 import TABLE1_SPECS, kernel_spec
+
+#: Graphs the per-process kernel memo holds; all 21 Table I kernels at
+#: unroll 1 and 2 fit.
+_KERNEL_MEMO_SIZE = 64
 
 
 def kernel_names() -> list[str]:
@@ -52,21 +58,30 @@ def load_kernel(name: str, unroll: int = 1) -> DFG:
     Unroll factors 1 and 2 reproduce the published statistics exactly;
     higher factors apply the generic graph-level unrolling transform to
     the unroll-2 graph (Table I does not publish them).
+
+    Each ``(name, unroll)`` graph is synthesized once per process and
+    memoized; every call returns a fresh :meth:`DFG.copy` of it, so the
+    caller owns its graph and may mutate it. Errors are not memoized:
+    a bad name or unroll raises :class:`DFGError` on every call.
     """
+    return _synthesized(name, unroll).copy()
+
+
+@functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
+def _synthesized(name: str, unroll: int) -> DFG:
+    """The memoized graph behind :func:`load_kernel`; never handed out."""
     spec = kernel_spec(name)
     if unroll < 1:
         raise DFGError("unroll factor must be >= 1")
     if unroll <= 2:
         n, e, r = spec.stats(unroll)
-        dfg = synthesize_dfg(
+        return synthesize_dfg(
             f"{name}_u{unroll}" if unroll > 1 else name,
             n, e, r, domain=spec.domain,
         )
-        return dfg
     if unroll % 2:
         raise DFGError(
             "unroll factors above 2 must be even (they extend the "
             "published unroll-2 graph)"
         )
-    base = load_kernel(name, 2)
-    return unroll_transform(base, unroll // 2)
+    return unroll_transform(_synthesized(name, 2), unroll // 2)

@@ -315,11 +315,10 @@ class CompileService:
         self._tenant_pending: dict[str, int] = {}
         self._closing = False
         self._started_at = time.monotonic()
-        # Per-process memos: fabrics and lowered DFGs are pure values
-        # keyed by their constructor arguments, so fingerprinting a
-        # request does not re-lower the kernel every time.
+        # Fabrics are pure values keyed by their constructor arguments,
+        # so fingerprinting a request does not rebuild one every time;
+        # kernel DFGs come from the kernels layer's own memo.
         self._fabric_memo: dict[tuple, CGRA] = {}
-        self._dfg_memo: dict[tuple, object] = {}
         self._fp_memo: dict[object, str] = {}
         self._memo_lock = threading.Lock()
 
@@ -378,16 +377,6 @@ class CompileService:
                 fabric = self._fabric_memo.setdefault(key, fabric)
         return fabric
 
-    def _dfg(self, request: CompileRequest):
-        key = (request.kernel, request.unroll)
-        with self._memo_lock:
-            dfg = self._dfg_memo.get(key)
-        if dfg is None:
-            dfg = load_kernel(request.kernel, request.unroll)
-            with self._memo_lock:
-                dfg = self._dfg_memo.setdefault(key, dfg)
-        return dfg
-
     def fingerprint(self, request) -> str:
         """The coalescing identity of one request.
 
@@ -407,7 +396,8 @@ class CompileService:
             return cached
         if isinstance(request, CompileRequest):
             engine_key = mapping_cache_key(
-                self._dfg(request), self._fabric(request),
+                load_kernel(request.kernel, request.unroll),
+                self._fabric(request),
                 resolve_config(request.strategy, None), request.backend,
             )
             payload = {"compile": engine_key,

@@ -91,6 +91,12 @@ class _DripsState:
         self.allocation = {
             p.kernel.name: len(p.island_ids) for p in partition.placements
         }
+        # Placements never change during a run, only the allocation.
+        self.tiles_per_island = {
+            p.kernel.name: len(p.tile_ids(partition.cgra))
+            // max(1, len(p.island_ids))
+            for p in partition.placements
+        }
         self.busy: dict[str, float] = {name: 0.0 for name in self.allocation}
         self.penalty: dict[str, float] = {
             name: 0.0 for name in self.allocation
@@ -159,14 +165,8 @@ class _DripsState:
         for name in busy:
             busy[name] = 0.0
         # Power accounting follows the new allocation.
-        for placement in self.partition.placements:
-            name = placement.kernel.name
-            tiles_per_island = len(
-                placement.tile_ids(self.partition.cgra)
-            ) // max(1, len(placement.island_ids))
-            self.sim.kernel_tiles[name] = (
-                tiles_per_island * allocation[name]
-            )
+        for name, tiles in self.tiles_per_island.items():
+            self.sim.kernel_tiles[name] = tiles * allocation[name]
 
 
 class _FastDrips:

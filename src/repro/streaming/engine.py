@@ -19,9 +19,11 @@ up front and the recurrence ``finish[i] = max(s[i], finish[i-1]) +
 lat[i]`` becomes a max-plus scan: with ``C = cumsum(lat)``,
 ``finish[i] = C[i] + max(carry, max_{j<=i}(s[j] - C[j-1]))`` — a
 ``cumsum`` plus a ``maximum.accumulate``. Every quantity involved is an
-integer-valued float64 far below 2**53 (iterations, IIs and slowdowns
+integer-valued float64 below 2**53 (iterations, IIs and slowdowns
 are integers), so each operation is exact and the scan is
-**bit-identical** to the sequential recurrence, not merely close.
+**bit-identical** to the sequential recurrence, not merely close; the
+scan checks that bound at runtime and raises ``StreamingError`` once a
+finish time reaches it.
 Strategies whose latencies are fractional (DRIPS charges
 ``busy/window`` reshape penalties) opt out of the numpy scan
 (``vector_ok = False``) and run an exact sequential scan in the
@@ -166,6 +168,22 @@ def check_window(window: int) -> None:
         raise StreamingError(f"window must be >= 1, got {window}")
 
 
+def check_maxplus_exact(last_finish: float) -> None:
+    """Refuse a vectorized scan whose last finish time reached 2**53.
+
+    Float64 holds every integer below 2**53 and not every one past it,
+    so the cumsum form is exact (bit-identical to the sequential
+    recurrence) only below the bound. Finish times never decrease
+    along a scan, so its last one bounds every intermediate sum.
+    """
+    if last_finish >= 2.0 ** 53:
+        raise StreamingError(
+            f"max-plus scan reached finish time {last_finish:.17g} "
+            f"cycles, at or past the 2**53 exactness bound of float64 "
+            f"integers"
+        )
+
+
 def _set_throughput_gauge(total_inputs: int, wall_start: float) -> None:
     elapsed = time.perf_counter() - wall_start
     if elapsed > 0:
@@ -184,7 +202,8 @@ def _maxplus_scan_array(s: np.ndarray, carry: float,
     ``C = cumsum(lat)`` and ``C[-1] = 0``. For integer-valued float64
     operands below 2**53 every subtraction/summation here is exact, so
     the result is bit-identical to evaluating the recurrence
-    sequentially.
+    sequentially; a last finish time at or past 2**53 raises
+    :class:`~repro.errors.StreamingError` (:func:`check_maxplus_exact`).
     """
     c = np.add.accumulate(lat)
     g = np.empty_like(s)
@@ -192,6 +211,7 @@ def _maxplus_scan_array(s: np.ndarray, carry: float,
     np.subtract(s[1:], c[:-1], out=g[1:])
     np.maximum.accumulate(g, out=g)
     g += c
+    check_maxplus_exact(g[-1])
     return g
 
 
@@ -200,7 +220,9 @@ def _maxplus_scan_list(s: list[float], carry: float,
     """The same recurrence as :func:`_maxplus_scan_array`, evaluated
     sequentially in its own exact operation order — used
     for small windows and for strategies with fractional latencies
-    (where the cumsum form could round differently)."""
+    (where the cumsum form could round differently). Its match with
+    the sequential reference comes from that order, not from integer
+    exactness, so it has no 2**53 check."""
     out = []
     prev = carry
     for done, latency in zip(s, lat):

@@ -1,11 +1,15 @@
 """Tests for the Table I kernel suite and the DFG synthesizer."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.dfg import dfg_stats
 from repro.dfg.analysis import recurrence_cycles
 from repro.dfg.ops import Opcode
 from repro.errors import DFGError
+from repro.fleet import FleetSim, synthesize_fleet
 from repro.kernels import (
     GCN_KERNELS,
     LU_KERNELS,
@@ -15,8 +19,10 @@ from repro.kernels import (
     kernel_names,
     kernel_spec,
     load_kernel,
+    suite,
     synthesize_dfg,
 )
+from repro.streaming import gcn_app, streaming_cgra
 
 
 class TestTable1Specs:
@@ -83,6 +89,120 @@ class TestSuiteStatistics:
     def test_every_kernel_validates(self):
         for name in kernel_names():
             load_kernel(name, 1).validate()
+
+
+class _FakePlacement:
+    """One island per kernel; all the fleet engines read of a placement."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.island_ids = [0]
+        self.ii = 2
+
+    def tile_ids(self, cgra):
+        return [0, 1, 2, 3]
+
+
+class _FakePartition:
+    """A partition over ``app`` that needs no kernel mapping."""
+
+    def __init__(self, app):
+        self.app = app
+        self.cgra = streaming_cgra()
+        self.placements = [_FakePlacement(k) for k in app.all_kernels()]
+        self.ii_table = {}
+
+    def placement_of(self, name):
+        return next(p for p in self.placements if p.kernel.name == name)
+
+
+class TestKernelMemo:
+    def count_syntheses(self, monkeypatch) -> list[str]:
+        """Clear the memo and record every synthesis from now on."""
+        calls: list[str] = []
+        real = suite.synthesize_dfg
+
+        def counting(name, *args, **kwargs):
+            calls.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(suite, "synthesize_dfg", counting)
+        suite._synthesized.cache_clear()
+        return calls
+
+    def test_cold_fleet_run_synthesizes_each_kernel_once(self,
+                                                         monkeypatch):
+        partitions = {"gcn": _FakePartition(gcn_app())}
+        spec = synthesize_fleet(
+            24, 4, scenarios=("enzyme", "bursty", "trace_fleet"),
+            strategies=("iced", "static", "drips"), inputs=20, seed=5,
+        )
+        calls = self.count_syntheses(monkeypatch)
+        report = FleetSim(spec, partitions=partitions).run()
+        assert len(report["tenants"]) == 24
+        # gcn instantiates aggregate twice: 6 stages, 5 distinct kernels
+        # for the whole fleet, not 6 per tenant.
+        assert sorted(calls) == sorted(GCN_KERNELS)
+
+    def test_results_are_independent_copies(self, monkeypatch):
+        calls = self.count_syntheses(monkeypatch)
+        first = load_kernel("gemm", 2)
+        first.remove_node(first.node_ids()[0])
+        second = load_kernel("gemm", 2)
+        n, e, r = kernel_spec("gemm").stats(2)
+        fresh = synthesize_dfg("gemm_u2", n, e, r,
+                               domain=kernel_spec("gemm").domain)
+        assert second == fresh
+        assert second is not load_kernel("gemm", 2)
+        assert calls == ["gemm_u2"]
+
+    def test_higher_unroll_reuses_the_unroll_2_graph(self, monkeypatch):
+        calls = self.count_syntheses(monkeypatch)
+        load_kernel("fir", 4)
+        load_kernel("fir", 2)
+        load_kernel("fir", 6)
+        assert calls == ["fir_u2"]
+
+    def test_concurrent_callers_each_own_their_graph(self, monkeypatch):
+        expected = load_kernel("fft", 1)
+        self.count_syntheses(monkeypatch)
+        sizes: list[int] = []
+        errors: list[Exception] = []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    dfg = load_kernel("fft", 1)
+                    # Mutating a shared graph would shrink it for the
+                    # next caller (or raise on an already removed node).
+                    dfg.remove_node(dfg.node_ids()[0])
+                    sizes.append(dfg.num_nodes)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sizes == [expected.num_nodes - 1] * 160
+        assert load_kernel("fft", 1) == expected
+
+    def test_errors_are_not_memoized(self, monkeypatch):
+        self.count_syntheses(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(DFGError):
+                load_kernel("bogus")
+            with pytest.raises(DFGError):
+                load_kernel("fir", 3)
+        assert suite._synthesized.cache_info().currsize == 0
 
 
 class TestSynthesizer:

@@ -38,6 +38,7 @@ from repro.streaming.envelopes import (
 )
 from repro.streaming.scenarios import (
     DEFAULT_TRACE_PATH,
+    FLEET_TRACE_PATH,
     TraceReplayStream,
     describe_scenarios,
     get_scenario,
@@ -275,6 +276,39 @@ class TestTraceReplay:
     def test_blank_column_name_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="blank column"):
             TraceReplayStream(self.write(tmp_path, "x,\n1,2\n"))
+
+    @staticmethod
+    def column_bytes(stream) -> list[dict[str, bytes]]:
+        return [{name: column.tobytes()
+                 for name, column in block.features.items()}
+                for block in stream.feature_blocks(64)]
+
+    def test_bundled_scenarios_share_one_read_only_parse(self):
+        short = make_scenario("trace_fleet", n=100).stream
+        long = make_scenario("trace_fleet", n=700).stream
+        assert short is not long
+        assert (short.num_inputs(), long.num_inputs()) == (100, 700)
+        for stream, n in ((short, 100), (long, 700)):
+            direct = TraceReplayStream(FLEET_TRACE_PATH, num_inputs=n)
+            assert self.column_bytes(stream) == self.column_bytes(direct)
+        assert short._columns["nnz"] is long._columns["nnz"]
+        with pytest.raises(ValueError, match="read-only"):
+            long._columns["nnz"][0] = 1.0
+        # Blocks are fresh arrays: callers may still write to those.
+        next(iter(short.feature_blocks(8))).features["nnz"][0] = 1.0
+        replay = make_scenario("trace_replay", n=5).stream
+        assert len(replay.generate()) == 5
+
+    def test_caller_trace_is_reread_on_every_construction(self, tmp_path):
+        path = self.write(tmp_path, "x,y\n1,2\n3,4\n")
+        before = TraceReplayStream(path)
+        # Same size, possibly the same mtime tick: still re-read.
+        path.write_text("x,y\n5,6\n7,8\n")
+        after = TraceReplayStream(path)
+        assert [r.features for r in before.generate()] == [
+            {"x": 1.0, "y": 2.0}, {"x": 3.0, "y": 4.0}]
+        assert [r.features for r in after.generate()] == [
+            {"x": 5.0, "y": 6.0}, {"x": 7.0, "y": 8.0}]
 
 
 # ---------------------------------------------------------------------------

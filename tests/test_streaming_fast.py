@@ -32,6 +32,8 @@ from repro.streaming import (
     take_inputs,
 )
 from repro.errors import StreamingError
+from repro.fleet import maxplus_scan_2d, simulate_group_batched
+from repro.streaming.scenarios import TraceReplayStream
 from repro.streaming.engine import (
     StreamResult,
     WindowStats,
@@ -188,6 +190,47 @@ class TestMaxPlusScan:
             seq = _maxplus_scan_list(s.tolist(), carry, lat.tolist())
             vec = _maxplus_scan_array(s, carry, lat)
             assert vec.tolist() == seq  # bit-identical, not approx
+
+
+class TestExactnessBound:
+    """Past 2**53 float64 drops integers: the vectorized scans refuse."""
+
+    BOUND = 2.0 ** 53
+
+    def test_1d_scan_refuses_a_finish_at_the_bound(self):
+        with pytest.raises(StreamingError, match=r"2\*\*53"):
+            _maxplus_scan_array(np.array([self.BOUND]), 0.0,
+                                np.array([1.0]))
+        with pytest.raises(StreamingError, match=r"2\*\*53"):
+            _maxplus_scan_array(np.zeros(3), self.BOUND, np.ones(3))
+        below = _maxplus_scan_array(np.array([self.BOUND - 2.0]), 0.0,
+                                    np.array([1.0]))
+        assert below.tolist() == [self.BOUND - 1.0]
+
+    def test_2d_scan_refuses_when_any_row_reaches_the_bound(self):
+        s = np.zeros((2, 4))
+        lat = np.ones((2, 4))
+        with pytest.raises(StreamingError, match=r"2\*\*53"):
+            maxplus_scan_2d(s, np.array([0.0, self.BOUND - 2.0]), lat)
+        fine = maxplus_scan_2d(s, np.array([0.0, self.BOUND - 5.0]), lat)
+        assert fine[1, -1] == self.BOUND - 1.0
+
+    def test_sequential_scan_is_left_unchecked(self):
+        # Its match with the reference comes from operation order.
+        assert _maxplus_scan_list([self.BOUND], 0.0, [1.0]) == [self.BOUND]
+
+    def test_engines_refuse_a_huge_feature_trace(self, gcn_partition,
+                                                 tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("n_nodes,degree,nnz,features\n"
+                        "10,2,1e15,4\n12,3,1e15,4\n")
+        stream = TraceReplayStream(path, num_inputs=64)
+        with pytest.raises(StreamingError, match=r"2\*\*53"):
+            simulate_stream(gcn_partition, stream.feature_blocks(),
+                            window=32)
+        with pytest.raises(StreamingError, match=r"2\*\*53"):
+            simulate_group_batched(gcn_partition,
+                                   [stream.feature_blocks()], 32)
 
 
 class TestFastEngineEquality:
