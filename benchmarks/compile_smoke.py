@@ -69,15 +69,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:
     sys.path.insert(0, REPO_ROOT)
 
+from repro import obs
 from repro.arch.cgra import CGRA
 from repro.compile import (
     DiskCache,
-    Instrumentation,
     SweepExecutor,
     SweepItem,
     default_jobs,
+    pass_rows,
     render_report,
-    summarize,
 )
 from repro.kernels.table1 import STANDALONE_KERNELS
 
@@ -208,11 +208,10 @@ def _blobs(outcomes) -> dict[str, str]:
     }
 
 
-def run_sweep(jobs: int, cache_dir: str, instrument: Instrumentation,
-              kernels: tuple[str, ...], cgra: CGRA) -> dict:
+def run_sweep(jobs: int, cache_dir: str, kernels: tuple[str, ...],
+              cgra: CGRA) -> dict:
     """One full sweep through the executor; returns timing + outcomes."""
-    executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir,
-                             instrument=instrument)
+    executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
     items = [SweepItem(kernel=name, strategy=STRATEGY) for name in kernels]
     start = time.perf_counter()
     outcomes = executor.run(items, cgra)
@@ -246,15 +245,9 @@ def run_reference_sweep(cache_dir: str, kernels: tuple[str, ...],
     original = engine_mod.find_route
     engine_mod.find_route = reference_find_route
     try:
-        return run_sweep(1, cache_dir, Instrumentation(), kernels, cgra)
+        return run_sweep(1, cache_dir, kernels, cgra)
     finally:
         engine_mod.find_route = original
-
-
-def _engine_counters(events) -> dict[str, float]:
-    """Summed place_route counters of one phase's event slice."""
-    rows = summarize(events)
-    return rows.get("place_route", {})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,48 +283,53 @@ def main(argv: list[str] | None = None) -> int:
     effective = _effective_cores(jobs)
 
     cgra = CGRA.build(args.size, args.size)
-    instrument = Instrumentation()
+    # The three canonical sweeps record into one fresh registry: it is
+    # the source of the per-pass table and the `passes` section.
+    registry = obs.MetricsRegistry()
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         serial_dir = os.path.join(tmp, "serial")
         parallel_dir = os.path.join(tmp, "parallel")
 
-        cold = run_sweep(1, serial_dir, instrument,
-                         STANDALONE_KERNELS, cgra)
-        cold_counters = _engine_counters(instrument.events)
-        if args.trace:
-            # Trace the parallel sweep (the interesting one: worker
-            # span streams adopted into one timeline). The cold serial
-            # sweep above stays untraced so the baseline perf gate
-            # times exactly what it always timed.
-            from repro import obs
-
-            tracer = obs.install_tracer()
-            saved_registry = obs.set_metrics(obs.MetricsRegistry())
-            try:
-                parallel = run_sweep(jobs, parallel_dir, instrument,
+        saved_registry = obs.set_metrics(registry)
+        try:
+            cold = run_sweep(1, serial_dir, STANDALONE_KERNELS, cgra)
+            cold_counters = pass_rows(registry.snapshot()).get(
+                "place_route", {})
+            if args.trace:
+                # Trace the parallel sweep (the interesting one: worker
+                # span streams adopted into one timeline). The cold
+                # serial sweep above stays untraced so the baseline
+                # perf gate times exactly what it always timed.
+                tracer = obs.install_tracer()
+                obs.set_metrics(obs.MetricsRegistry())
+                try:
+                    parallel = run_sweep(jobs, parallel_dir,
+                                         STANDALONE_KERNELS, cgra)
+                finally:
+                    trace_registry = obs.set_metrics(registry)
+                    obs.uninstall_tracer()
+                registry.merge(trace_registry.snapshot())
+                events = obs.write_trace(args.trace, tracer,
+                                         trace_registry)
+                print(f"trace: {events} events -> {args.trace}")
+            else:
+                parallel = run_sweep(jobs, parallel_dir,
                                      STANDALONE_KERNELS, cgra)
-            finally:
-                trace_registry = obs.set_metrics(saved_registry)
-                obs.uninstall_tracer()
-            events = obs.write_trace(args.trace, tracer, trace_registry)
-            print(f"trace: {events} events -> {args.trace}")
-        else:
-            parallel = run_sweep(jobs, parallel_dir, instrument,
-                                 STANDALONE_KERNELS, cgra)
-        # Fresh executor + memory cache over the parallel run's disk
-        # tree: exactly what a fresh process sees on a warm cache.
-        warm = run_sweep(1, parallel_dir, instrument,
-                         STANDALONE_KERNELS, cgra)
+            # Fresh executor + memory cache over the parallel run's disk
+            # tree: exactly what a fresh process sees on a warm cache.
+            warm = run_sweep(1, parallel_dir, STANDALONE_KERNELS, cgra)
+        finally:
+            obs.set_metrics(saved_registry)
         disk_entries = len(DiskCache(parallel_dir))
         # Hot-path A/B, best-of-two per side, interleaved so each
         # router also gets a run with the interpreter fully warmed up.
-        # Own Instrumentation: the extra sweeps must not inflate the
+        # These run outside `registry`, so they never inflate the
         # per-pass table of the three canonical sweeps above.
         reference = run_reference_sweep(os.path.join(tmp, "ref1"),
                                         STANDALONE_KERNELS, cgra)
         optimized2 = run_sweep(1, os.path.join(tmp, "serial2"),
-                               Instrumentation(), STANDALONE_KERNELS, cgra)
+                               STANDALONE_KERNELS, cgra)
         reference2 = run_reference_sweep(os.path.join(tmp, "ref2"),
                                          STANDALONE_KERNELS, cgra)
         portfolio_section = run_portfolio_section(cgra)
@@ -379,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "passes": {
             name: {k: round(v, 3) for k, v in row.items()}
-            for name, row in summarize(instrument.events).items()
+            for name, row in pass_rows(registry.snapshot()).items()
         },
         "cold": cold["kernels"],
         "parallel": parallel["kernels"],
@@ -389,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
-    print(render_report(instrument.events, warm["cache"]))
+    print(render_report(registry.snapshot(), warm["cache"]))
     print(f"\ncold serial {cold['wall_s']:.2f}s, cold --jobs {jobs} "
           f"{parallel['wall_s']:.2f}s ({parallel_speedup:.1f}x, "
           f"{effective} effective cores), warm {warm['wall_s']:.3f}s "

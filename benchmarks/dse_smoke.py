@@ -144,9 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     assert opt_result["frontier"] == naive_result["frontier"]
 
     # -- jobs determinism ---------------------------------------------------
-    canon = lambda doc, sec: json.dumps(doc[sec], sort_keys=True)
-    assert canon(par_result, "points") == canon(opt_result, "points")
-    assert canon(par_result, "frontier") == canon(opt_result, "frontier")
+    for sec in ("points", "frontier"):
+        assert (json.dumps(par_result[sec], sort_keys=True)
+                == json.dumps(opt_result[sec], sort_keys=True))
     assert par_blobs == opt_blobs
 
     # -- the reuse channels actually fired ----------------------------------
@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
               f"(committed {base['optimized_s']}s "
               f"+{args.max_regression:.0%})")
         if opt_s > budget:
-            print(f"FAIL: optimized sweep regressed past the budget",
+            print("FAIL: optimized sweep regressed past the budget",
                   file=sys.stderr)
             ok = False
     return 0 if ok else 1

@@ -27,7 +27,6 @@ from repro.arch import (
 )
 from repro.compile import (
     CompileResult,
-    Instrumentation,
     MappingCache,
     compile_dfg,
     compile_kernel,
@@ -73,7 +72,6 @@ __all__ = [
     "DEFAULT_DVFS_CONFIG",
     "ScratchpadMemory",
     "CompileResult",
-    "Instrumentation",
     "MappingCache",
     "compile_dfg",
     "compile_kernel",

@@ -30,7 +30,6 @@ from contextlib import contextmanager
 from repro import obs
 from repro.arch.cgra import CGRA
 from repro.compile import (
-    Instrumentation,
     MappingCache,
     compile_kernel,
     compile_portfolio,
@@ -66,7 +65,8 @@ def _build_fabric(args) -> CGRA:
 
 @contextmanager
 def _tracing(out: str | None):
-    """Install a tracer + fresh registry; write ``out`` on the way out.
+    """Install a tracer; write it and the command's registry to ``out``
+    on the way out.
 
     With ``out`` falsy this is a no-op, so command handlers can wrap
     their whole body unconditionally.
@@ -75,13 +75,11 @@ def _tracing(out: str | None):
         yield None
         return
     tracer = obs.install_tracer()
-    previous = obs.set_metrics(obs.MetricsRegistry())
     try:
         yield tracer
     finally:
-        registry = obs.set_metrics(previous)
         obs.uninstall_tracer()
-        events = obs.write_trace(out, tracer, registry)
+        events = obs.write_trace(out, tracer, obs.metrics())
         kinds = ", ".join(sorted(c for c in tracer.categories() if c))
         print(f"trace: {events} events ({len(tracer)} spans; {kinds}) "
               f"-> {out}")
@@ -113,7 +111,6 @@ def _single_backend_options(args) -> dict:
 def cmd_map(args) -> int:
     cgra = _build_fabric(args)
     shows = set(args.show.split(",")) if args.show else set()
-    instrument = Instrumentation()
     with _tracing(args.trace):
         if args.portfolio:
             members = tuple(m for m in args.members.split(",") if m)
@@ -121,7 +118,6 @@ def cmd_map(args) -> int:
                 args.kernel, cgra, args.strategy, unroll=args.unroll,
                 members=members, budget_s=args.budget_s, jobs=args.jobs,
                 cache=MappingCache() if args.no_cache else None,
-                instrument=instrument,
             )
             result = portfolio.winner
             print(f"portfolio: winner={portfolio.winner_backend}"
@@ -143,7 +139,7 @@ def cmd_map(args) -> int:
                 args.kernel, cgra, args.strategy, unroll=args.unroll,
                 backend=args.backend,
                 backend_options=_single_backend_options(args),
-                use_cache=not args.no_cache, instrument=instrument,
+                use_cache=not args.no_cache,
                 want_bitstream="bitstream" in shows,
             )
             if args.backend != "engine":
@@ -181,7 +177,8 @@ def cmd_map(args) -> int:
         print(bitstream.to_json(indent=2))
     if args.stats:
         print()
-        print(render_report(instrument.events, get_cache().stats_dict()))
+        print(render_report(obs.metrics().snapshot(),
+                            get_cache().stats_dict()))
         if result.engine_stats is not None and result.engine_stats.per_ii:
             print()
             print("engine effort per II attempt:")
@@ -234,7 +231,6 @@ def cmd_stream(args) -> int:
             f"{profile_n}-input profiling prefix"
         )
     profile = take_inputs(workload.feature_blocks(), profile_n)
-    instrument = Instrumentation()
     partition = None
 
     def run_streaming():
@@ -260,7 +256,6 @@ def cmd_stream(args) -> int:
     with _tracing(args.trace):
         partition = partition_app(app, fabric, profile,
                                   use_cache=not args.no_cache,
-                                  instrument=instrument,
                                   jobs=args.jobs,
                                   cache_dir=args.cache_dir)
         print(partition.summary())
@@ -293,7 +288,8 @@ def cmd_stream(args) -> int:
               f"({streamed / elapsed:,.0f} inputs/sec)")
     if args.stats:
         print()
-        print(render_report(instrument.events, get_cache().stats_dict()))
+        print(render_report(obs.metrics().snapshot(),
+                            get_cache().stats_dict()))
     return 0
 
 
@@ -1053,6 +1049,11 @@ def main(argv: list[str] | None = None) -> int:
         "serve": cmd_serve,
         "loadtest": cmd_loadtest,
     }
+    # Each command records into its own registry, so `--stats` tables
+    # and traces cover exactly this command; the process registry
+    # still accumulates everything once the command returns.
+    registry = obs.MetricsRegistry()
+    previous = obs.set_metrics(registry)
     try:
         return handlers[args.command](args)
     except StreamingError as exc:
@@ -1061,6 +1062,9 @@ def main(argv: list[str] | None = None) -> int:
         # usage error: one line naming the command, exit status 2.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        obs.set_metrics(previous)
+        previous.merge(registry.snapshot())
 
 
 if __name__ == "__main__":

@@ -27,11 +27,9 @@ from repro.compile.fingerprint import (
     mapping_cache_key,
 )
 from repro.compile.instrument import (
-    Instrumentation,
-    PassEvent,
+    pass_rows,
     render_per_ii,
     render_report,
-    summarize,
 )
 from repro.compile.parallel import (
     SweepExecutor,
@@ -67,9 +65,7 @@ __all__ = [
     "CompileResult",
     "DiskCache",
     "DiskCacheStats",
-    "Instrumentation",
     "MappingCache",
-    "PassEvent",
     "SweepExecutor",
     "SweepItem",
     "SweepOutcome",
@@ -84,9 +80,9 @@ __all__ = [
     "dfg_fingerprint",
     "get_cache",
     "mapping_cache_key",
+    "pass_rows",
     "render_per_ii",
     "render_report",
     "resolve_config",
     "resolve_strategy",
-    "summarize",
 ]

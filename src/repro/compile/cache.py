@@ -124,34 +124,6 @@ class MappingCache:
                 self._meta.pop(evicted, None)
                 self.stats.evictions += 1
 
-    def upgrade_best(self, key: str, blob: str, *, backend: str,
-                     ii: int, cost: float, kernel: str = "",
-                     optimal: bool = False) -> bool:
-        """Replace the entry under ``key`` only by a strictly better
-        (II, cost) mapping; provenance of the displaced entry is kept
-        under ``upgraded_from``. Returns True when stored."""
-        with self._lock:
-            incumbent = self._meta.get(key, {})
-        provenance = None
-        old_ii = incumbent.get("ii")
-        if isinstance(old_ii, int):
-            old_cost = incumbent.get("cost")
-            old_rank = (old_ii, old_cost if isinstance(
-                old_cost, (int, float)) else float("inf"))
-            if (ii, cost) >= old_rank:
-                return False
-            provenance = {
-                "backend": incumbent.get("backend", "engine"),
-                "ii": old_ii,
-                "cost": old_cost,
-            }
-        meta = {"backend": backend, "optimal": bool(optimal),
-                "cost": cost, "ii": int(ii)}
-        if provenance is not None:
-            meta["upgraded_from"] = provenance
-        self.store_serialized(key, blob, meta=meta)
-        return True
-
     def serialized(self, key: str) -> str | None:
         """The raw cached bytes (for byte-identity tests)."""
         with self._lock:

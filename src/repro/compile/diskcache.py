@@ -74,7 +74,7 @@ DEFAULT_ROOT = ".repro-cache"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 
-def _publish(path: Path, payload: str) -> None:
+def atomic_write(path: Path, payload: str) -> None:
     """Atomically replace ``path`` with ``payload``.
 
     Writes a private temp file (pid + monotonic ns) in the target's
@@ -301,15 +301,14 @@ class DiskCache:
     def meta(self, key: str) -> dict:
         """Provenance of the artifact under ``key`` (empty on miss):
         the producing ``backend``, its ``optimal`` proof flag, the
-        mapping ``cost`` and any ``upgraded_from`` history. Peer
+        mapping ``cost`` and ``ii``, and any ``sweep`` tag. Peer
         shards are consulted on an own-tree miss, matching
         :meth:`load_blob`."""
         envelope = self._envelope(key)
         if envelope is None:
             return {}
         out = {}
-        for field_name in ("backend", "optimal", "cost", "ii",
-                           "upgraded_from", "sweep"):
+        for field_name in ("backend", "optimal", "cost", "ii", "sweep"):
             if field_name in envelope:
                 out[field_name] = envelope[field_name]
         return out
@@ -355,9 +354,9 @@ class DiskCache:
         ``engine_stats`` optionally embeds the search-effort counters of
         the compile that produced the artifact; ``backend`` tags which
         mapper backend produced it and ``meta`` adds provenance fields
-        (``optimal``, ``cost``, ``ii``, ``upgraded_from``, and for DSE
-        artifacts ``sweep`` — the design-space hash and point index that
-        first produced the blob). All are additive envelope fields:
+        (``optimal``, ``cost``, ``ii``, and for DSE artifacts ``sweep``
+        — the design-space hash and point index that first produced the
+        blob). All are additive envelope fields:
         readers that don't know them ignore them, so the schema version
         is unchanged and cache keys are unaffected — but a reader that
         *names* its expected backend is refused a mismatching artifact
@@ -373,8 +372,7 @@ class DiskCache:
             envelope["engine_stats"] = dict(engine_stats)
         if backend is not None:
             envelope["backend"] = backend
-        for field_name in ("optimal", "cost", "ii", "upgraded_from",
-                           "sweep"):
+        for field_name in ("optimal", "cost", "ii", "sweep"):
             if meta and field_name in meta:
                 envelope[field_name] = meta[field_name]
         payload = json.dumps(envelope, sort_keys=True,
@@ -384,7 +382,7 @@ class DiskCache:
         # initializing the same cache root simultaneously must both
         # succeed (the EEXIST race is swallowed at every level).
         os.makedirs(path.parent, exist_ok=True)
-        _publish(path, payload)
+        atomic_write(path, payload)
         self.stats.stores += 1
         self.invalidate_peers()
 
@@ -409,44 +407,10 @@ class DiskCache:
         payload = json.dumps(envelope, sort_keys=True,
                              separators=(",", ":"))
         try:
-            _publish(path, payload)
+            atomic_write(path, payload)
         except OSError:
             return False
         self.invalidate_peers()
-        return True
-
-    def upgrade_best(self, key: str, blob: str, *, backend: str,
-                     ii: int, cost: float, kernel: str = "",
-                     optimal: bool = False) -> bool:
-        """Best-known-artifact upgrade: replace the artifact under
-        ``key`` only by a *strictly better* mapping.
-
-        "Better" is lexicographic (II, cost). On replacement the new
-        envelope records where the old artifact came from
-        (``upgraded_from``), so provenance survives the upgrade; on a
-        tie or a worse candidate the incumbent is left untouched.
-        Returns True when the candidate was stored.
-        """
-        incumbent = self.meta(key)
-        provenance = None
-        if incumbent:
-            old_ii = incumbent.get("ii")
-            old_cost = incumbent.get("cost")
-            if isinstance(old_ii, int):
-                old_rank = (old_ii, old_cost if isinstance(
-                    old_cost, (int, float)) else float("inf"))
-                if (ii, cost) >= old_rank:
-                    return False
-                provenance = {
-                    "backend": incumbent.get("backend", "engine"),
-                    "ii": old_ii,
-                    "cost": old_cost,
-                }
-        meta = {"optimal": bool(optimal), "cost": cost, "ii": int(ii)}
-        if provenance is not None:
-            meta["upgraded_from"] = provenance
-        self.store_serialized(key, blob, kernel=kernel, backend=backend,
-                              meta=meta)
         return True
 
     # -- housekeeping -------------------------------------------------------
@@ -655,17 +619,6 @@ class TieredCache:
         self.disk.store_serialized(key, blob, kernel=kernel,
                                    engine_stats=engine_stats,
                                    backend=backend, meta=meta)
-
-    def upgrade_best(self, key: str, blob: str, *, backend: str,
-                     ii: int, cost: float, kernel: str = "",
-                     optimal: bool = False) -> bool:
-        stored = self.disk.upgrade_best(key, blob, backend=backend, ii=ii,
-                                        cost=cost, kernel=kernel,
-                                        optimal=optimal)
-        if stored:
-            self.memory.store_serialized(key, blob,
-                                         meta=self.disk.meta(key))
-        return stored
 
     def serialized(self, key: str) -> str | None:
         blob = self.memory.serialized(key)

@@ -1,122 +1,87 @@
 """Per-pass instrumentation of the compile pipeline.
 
-Every pass emits one :class:`PassEvent` — pass name, wall time and a
-dict of counters (engine search effort, cache hit/miss, graph sizes).
-Events are plain structured data: the experiment harnesses can persist
-them as JSON artifacts, and :func:`render_report` turns an event stream
-into the per-pass timing table ``python -m repro map --stats`` prints.
-
-Since the :mod:`repro.obs` layer landed, every measured pass is also a
-span view: when a tracer is installed, :meth:`Instrumentation.measure`
-opens a span (category ``pipeline`` by default) whose attributes are
-the pass's final counters, and the pass's call count and wall time are
-absorbed into the process metrics registry. ``PassEvent`` and its
-consumers (``--stats``, cache envelopes, the experiment harnesses) are
-unchanged — the span is a *view*, not a replacement.
+Every pass runs under :func:`measure`, which records it in
+:mod:`repro.obs` and nowhere else: a span (category ``pipeline`` by
+default) whose attributes are the pass's final counters, plus three
+kinds of registry instruments under the ``{category}.{pass}`` prefix —
+a ``.calls`` counter, a ``.wall_ms`` histogram and the pass's counters
+absorbed as ``.{counter}``. Traces, ``perfbench`` and the ``--stats``
+table therefore read one record: :func:`pass_rows` pulls the per-pass
+rows back out of a registry snapshot and :func:`render_report` turns
+them into the table ``python -m repro map --stats`` prints.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from repro import obs
 from repro.utils.tables import TextTable
 
 
-@dataclass
-class PassEvent:
-    """One pass execution inside one compile."""
+@contextmanager
+def measure(pass_name: str, kernel: str = "", category: str = "pipeline"):
+    """Time one pass; yields its mutable counter dict.
 
-    pass_name: str
-    wall_ms: float
-    counters: dict[str, float] = field(default_factory=dict)
-    kernel: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.pass_name,
-            "wall_ms": round(self.wall_ms, 3),
-            "kernel": self.kernel,
-            "counters": dict(self.counters),
-        }
-
-
-class Instrumentation:
-    """Collects :class:`PassEvent` streams across one or many compiles."""
-
-    def __init__(self) -> None:
-        self.events: list[PassEvent] = []
-
-    @contextmanager
-    def measure(self, pass_name: str, kernel: str = "",
-                category: str = "pipeline"):
-        """Time one pass; yields the event's mutable counter dict.
-
-        When a tracer is installed the pass is also recorded as a span
-        under ``category``, carrying the final counters as attributes;
-        either way its call count and wall time feed the metrics
-        registry.
-        """
-        counters: dict[str, float] = {}
-        span_cm = obs.span(pass_name, category=category, kernel=kernel)
+    On exit the pass's span carries the final counters as attributes
+    (when a tracer is installed), and its call count, wall time and
+    counters land in the process metrics registry.
+    """
+    counters: dict[str, float] = {}
+    with obs.span(pass_name, category=category, kernel=kernel) as span:
         start = time.perf_counter()
-        with span_cm as span:
-            try:
-                yield counters
-            finally:
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                self.events.append(
-                    PassEvent(pass_name, elapsed_ms, counters, kernel)
+        try:
+            yield counters
+        finally:
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            span.set(**counters)
+            registry = obs.metrics()
+            prefix = f"{category}.{pass_name}"
+            registry.counter(f"{prefix}.calls").inc()
+            registry.histogram(f"{prefix}.wall_ms").observe(elapsed_ms)
+            registry.absorb(prefix, counters)
+
+
+def pass_rows(snapshot: dict[str, dict]) -> dict[str, dict[str, float]]:
+    """Per-pass rows of a registry snapshot: calls, total wall time and
+    summed counters, keyed by pass name.
+
+    A pass is any ``{category}.{pass}.wall_ms`` histogram; rows keep
+    the snapshot's creation order, which is the order passes first
+    completed — pipeline pass order. Integral counters come back as
+    ``int``.
+    """
+    rows: dict[str, dict[str, float]] = {}
+    for name, hist in snapshot.items():
+        pass_prefix, _, tail = name.rpartition(".")
+        if hist["type"] != "histogram" or tail != "wall_ms":
+            continue
+        prefix = f"{pass_prefix}."
+        row: dict[str, float] = {"calls": 0, "wall_ms": hist["sum"]}
+        for key, counter in snapshot.items():
+            if counter["type"] == "counter" and key.startswith(prefix):
+                value = counter["value"]
+                row[key[len(prefix):]] = (
+                    int(value) if float(value).is_integer() else value
                 )
-                span.set(**counters)
-                registry = obs.metrics()
-                registry.counter(f"{category}.{pass_name}.calls").inc()
-                registry.histogram(f"{category}.pass_wall_ms").observe(
-                    elapsed_ms
-                )
-                registry.absorb(f"{category}.{pass_name}", counters)
-
-    def extend(self, events: list[PassEvent]) -> None:
-        self.events.extend(events)
-
-    def total_ms(self) -> float:
-        return sum(e.wall_ms for e in self.events)
-
-    def to_dicts(self) -> list[dict]:
-        return [e.to_dict() for e in self.events]
+        rows[pass_prefix.partition(".")[2]] = row
+    return rows
 
 
-def summarize(events: list[PassEvent]) -> dict[str, dict[str, float]]:
-    """Aggregate an event stream per pass: calls, total/mean wall time,
-    summed counters. Insertion order of first appearance is kept, which
-    matches pipeline pass order."""
-    summary: dict[str, dict[str, float]] = {}
-    for event in events:
-        row = summary.setdefault(
-            event.pass_name, {"calls": 0, "wall_ms": 0.0}
-        )
-        row["calls"] += 1
-        row["wall_ms"] += event.wall_ms
-        for key, value in event.counters.items():
-            row[key] = row.get(key, 0) + value
-    return summary
-
-
-def render_report(events: list[PassEvent],
+def render_report(snapshot: dict[str, dict],
                   cache_stats: dict[str, int] | None = None) -> str:
     """The ``--stats`` text report: per-pass timings plus cache totals."""
-    if not events:
+    rows = pass_rows(snapshot)
+    if not rows:
         return "no compile passes recorded"
-    summary = summarize(events)
-    total = sum(row["wall_ms"] for row in summary.values())
+    total = sum(row["wall_ms"] for row in rows.values())
     table = TextTable(["pass", "calls", "total ms", "mean ms", "share",
                        "counters"])
-    for name, row in summary.items():
-        calls = int(row["calls"])
+    for name, row in rows.items():
+        calls = row["calls"]
         extras = ", ".join(
-            f"{k}={int(v) if float(v).is_integer() else round(v, 3)}"
+            f"{k}={round(v, 3)}"
             for k, v in row.items() if k not in ("calls", "wall_ms")
         )
         table.add_row([

@@ -11,16 +11,13 @@ list out across a ``ProcessPoolExecutor`` and merges the results back
   index) via :func:`repro.utils.rng.derive_worker_seed`, so a
   ``--jobs N`` sweep is bit-identical to ``--jobs 1`` no matter how
   items land on workers;
-* every worker's :class:`PassEvent` stream is carried home and merged
-  into the parent's :class:`Instrumentation` in item order, so the
-  ``--stats`` table of a parallel sweep aggregates exactly the passes
-  that ran, wherever they ran;
-* when tracing is on (:func:`repro.obs.current_tracer` returns a
-  tracer in the parent), each worker records its item under a fresh
-  tracer and metrics registry; the parent *adopts* the span stream
-  (ids remapped into its own space) and merges the metric snapshot, in
-  item order — so a ``--jobs N`` trace carries exactly the span
-  content of a serial one;
+* each worker records its item under a fresh metrics registry (and,
+  when :func:`repro.obs.current_tracer` returns a tracer in the
+  parent, a fresh tracer); the parent merges the metric snapshot and
+  *adopts* the span stream (ids remapped into its own space), in item
+  order — so the ``--stats`` table of a parallel sweep aggregates
+  exactly the passes that ran, wherever they ran, and a ``--jobs N``
+  trace carries exactly the span content of a serial one;
 * workers share one :class:`~repro.compile.diskcache.DiskCache`
   directory (when configured), so a warm sweep — even from a fresh
   process — rehydrates artifacts instead of recompiling, and the
@@ -49,7 +46,7 @@ from repro import obs
 from repro.arch.cgra import CGRA
 from repro.compile.cache import MappingCache
 from repro.compile.diskcache import DiskCache, TieredCache
-from repro.compile.instrument import Instrumentation, PassEvent
+from repro.compile.instrument import measure
 from repro.compile.pipeline import CompileResult, compile_dfg, compile_kernel
 from repro.dfg.graph import DFG
 from repro.errors import MappingError
@@ -160,6 +157,19 @@ def _worker_init(cache_dir: str | None) -> None:
     )
 
 
+def _compile(item: SweepItem, cgra: CGRA, cache) -> CompileResult:
+    """Compile one item through the pipeline against ``cache``."""
+    common = dict(backend=item.backend,
+                  backend_options=item.backend_kwargs(),
+                  refine=item.refine, anneal_moves=item.anneal_moves,
+                  seed=item.seed or 0, cache=cache)
+    if item.dfg is not None:
+        return compile_dfg(item.dfg, cgra, item.strategy, item.config,
+                           **common)
+    return compile_kernel(item.kernel, cgra, item.strategy, item.config,
+                          unroll=item.unroll, **common)
+
+
 def _compile_item(payload: tuple) -> tuple:
     """Compile one item; returns only picklable, order-independent data.
 
@@ -171,31 +181,13 @@ def _compile_item(payload: tuple) -> tuple:
     """
     index, item, cgra, trace_on = payload
     cache = _WORKER_CACHE if _WORKER_CACHE is not None else MappingCache()
-    instrument = Instrumentation()
     tracer = obs.install_tracer() if trace_on else None
     saved_registry = obs.set_metrics(obs.MetricsRegistry())
     try:
         try:
-            if item.dfg is not None:
-                result = compile_dfg(
-                    item.dfg, cgra, item.strategy, item.config,
-                    backend=item.backend,
-                    backend_options=item.backend_kwargs(),
-                    refine=item.refine, anneal_moves=item.anneal_moves,
-                    seed=item.seed or 0, cache=cache,
-                    instrument=instrument,
-                )
-            else:
-                result = compile_kernel(
-                    item.kernel, cgra, item.strategy, item.config,
-                    backend=item.backend,
-                    backend_options=item.backend_kwargs(),
-                    unroll=item.unroll, refine=item.refine,
-                    anneal_moves=item.anneal_moves, seed=item.seed or 0,
-                    cache=cache, instrument=instrument,
-                )
+            result = _compile(item, cgra, cache)
         except MappingError as exc:
-            return (index, None, None, "", False, instrument.to_dicts(),
+            return (index, None, None, "", False,
                     (str(exc), exc.last_ii), os.getpid(),
                     tracer.to_dicts() if tracer else [],
                     obs.metrics().snapshot(), None)
@@ -210,7 +202,7 @@ def _compile_item(payload: tuple) -> tuple:
             "backend_stats": result.backend_stats,
         }
         return (index, blob, engine_blob, result.cache_key,
-                result.cache_hit, instrument.to_dicts(), None, os.getpid(),
+                result.cache_hit, None, os.getpid(),
                 tracer.to_dicts() if tracer else [],
                 obs.metrics().snapshot(), meta)
     finally:
@@ -236,13 +228,11 @@ class SweepExecutor:
     cache: object | None = None
     cache_dir: str | None = None
     seed: int = 0
-    instrument: Instrumentation | None = None
     mp_context: str | None = None
     _outcomes: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.jobs = max(1, int(self.jobs))
-        self.instrument = self.instrument or Instrumentation()
         if self.cache is None:
             memory = MappingCache()
             self.cache = (
@@ -289,24 +279,7 @@ class SweepExecutor:
     def _run_inline(self, index: int, item: SweepItem,
                     cgra: CGRA) -> SweepOutcome:
         try:
-            if item.dfg is not None:
-                result = compile_dfg(
-                    item.dfg, cgra, item.strategy, item.config,
-                    backend=item.backend,
-                    backend_options=item.backend_kwargs(),
-                    refine=item.refine, anneal_moves=item.anneal_moves,
-                    seed=item.seed or 0, cache=self.cache,
-                    instrument=self.instrument,
-                )
-            else:
-                result = compile_kernel(
-                    item.kernel, cgra, item.strategy, item.config,
-                    backend=item.backend,
-                    backend_options=item.backend_kwargs(),
-                    unroll=item.unroll, refine=item.refine,
-                    anneal_moves=item.anneal_moves, seed=item.seed or 0,
-                    cache=self.cache, instrument=self.instrument,
-                )
+            result = _compile(item, cgra, self.cache)
         except MappingError as exc:
             return SweepOutcome(index, item, error=exc,
                                 worker_pid=os.getpid())
@@ -371,7 +344,7 @@ class SweepExecutor:
                     continue  # raw stays None -> cancelled outcome
                 tup = future.result()  # re-raises worker crashes
                 raw[tup[0]] = tup
-                meta = tup[10]
+                meta = tup[9]
                 if meta and meta.get("optimal"):
                     proof_at = (tup[0] if proof_at is None
                                 else min(proof_at, tup[0]))
@@ -385,14 +358,8 @@ class SweepExecutor:
     def _merge(self, tup: tuple, item: SweepItem,
                cgra: CGRA) -> SweepOutcome:
         """Rehydrate, re-validate and account one worker result."""
-        (index, blob, engine_blob, cache_key, cache_hit, event_dicts,
-         error, pid, span_dicts, metric_snapshot, meta) = tup
-        events = [
-            PassEvent(d["pass"], d["wall_ms"], dict(d["counters"]),
-                      d["kernel"])
-            for d in event_dicts
-        ]
-        self.instrument.extend(events)
+        (index, blob, engine_blob, cache_key, cache_hit, error, pid,
+         span_dicts, metric_snapshot, meta) = tup
         tracer = obs.current_tracer()
         if tracer is not None and span_dicts:
             tracer.adopt(span_dicts)
@@ -410,8 +377,8 @@ class SweepExecutor:
 
             dfg = load_kernel(item.kernel, item.unroll)
         mapping = Mapping.from_dict(json.loads(blob), dfg, cgra)
-        with self.instrument.measure("revalidate", dfg.name,
-                                     category="executor") as counters:
+        with measure("revalidate", dfg.name,
+                     category="executor") as counters:
             report = validate_mapping(mapping)
             counters["ii"] = report.ii
         # Promote the worker's backend artifact so later serial compiles
@@ -434,7 +401,6 @@ class SweepExecutor:
         result = CompileResult(
             mapping=mapping,
             report=report,
-            events=events,
             cache_key=cache_key,
             cache_hit=cache_hit,
             backend=meta.get("backend", item.backend),

@@ -12,9 +12,9 @@ is backed by the content-addressed mapping cache
 (:mod:`repro.compile.cache`): a repeated (DFG, fabric, engine config)
 compile rehydrates the cached artifact instead of re-running the
 engine, and the pipeline re-validates it before returning — a cache
-hit is never trusted unchecked. Each pass emits a structured
-:class:`~repro.compile.instrument.PassEvent`; ``--stats`` renders the
-stream as a timing table.
+hit is never trusted unchecked. Each pass is recorded once, in
+:mod:`repro.obs`, by :func:`~repro.compile.instrument.measure`;
+``--stats`` renders the registry's per-pass rows as a timing table.
 
 Entry points:
 
@@ -33,7 +33,7 @@ from repro import obs
 from repro.arch.cgra import CGRA
 from repro.compile.cache import MappingCache, get_cache
 from repro.compile.fingerprint import mapping_cache_key
-from repro.compile.instrument import Instrumentation, PassEvent
+from repro.compile.instrument import measure
 from repro.dfg.analysis import DFGAnalysis, analyze_dfg
 from repro.dfg.graph import DFG
 from repro.mapper.anneal import AnnealStats, anneal_mapping
@@ -75,7 +75,6 @@ class CompileContext:
     seed: int = 0
     use_cache: bool = True
     cache: MappingCache | None = None
-    instrument: Instrumentation | None = None
     backend: str = "engine"
     backend_options: dict = field(default_factory=dict)
     # -- produced by passes -------------------------------------------------
@@ -102,7 +101,6 @@ class CompileResult:
 
     mapping: Mapping
     report: TimingReport
-    events: list[PassEvent] = field(default_factory=list)
     cache_key: str = ""
     cache_hit: bool = False
     engine_stats: EngineStats | None = None
@@ -112,10 +110,6 @@ class CompileResult:
     backend_stats: dict | None = None
     optimal: bool = False
     cost: float = 0.0
-
-    @property
-    def wall_ms(self) -> float:
-        return sum(e.wall_ms for e in self.events)
 
 
 def resolve_config(strategy: str,
@@ -140,14 +134,14 @@ def resolve_config(strategy: str,
 def _pass_lower(ctx: CompileContext) -> None:
     from repro.kernels.suite import load_kernel
 
-    with ctx.instrument.measure("lower", ctx.kernel) as counters:
+    with measure("lower", ctx.kernel) as counters:
         ctx.dfg = load_kernel(ctx.kernel, ctx.unroll)
         counters["nodes"] = ctx.dfg.num_nodes
         counters["edges"] = ctx.dfg.num_edges
 
 
 def _pass_analyze(ctx: CompileContext) -> None:
-    with ctx.instrument.measure("analyze", ctx.dfg.name) as counters:
+    with measure("analyze", ctx.dfg.name) as counters:
         ctx.analysis = analyze_dfg(ctx.dfg)
         counters["rec_mii"] = ctx.analysis.rec_mii
         counters["nodes"] = ctx.dfg.num_nodes
@@ -181,7 +175,7 @@ def _pass_place_route(ctx: CompileContext) -> None:
         options=dict(sorted(ctx.backend_options.items()))
         if ctx.backend_options else None,
     )
-    with ctx.instrument.measure("place_route", ctx.dfg.name) as counters:
+    with measure("place_route", ctx.dfg.name) as counters:
         if ctx.use_cache:
             try:
                 cached = cache.lookup(ctx.cache_key, ctx.dfg, ctx.cgra,
@@ -250,7 +244,7 @@ def _pass_post(ctx: CompileContext) -> None:
     }[ctx.strategy]
     if ctx.strategy == "iced" and not ctx.refine:
         return
-    with ctx.instrument.measure(name, ctx.dfg.name) as counters:
+    with measure(name, ctx.dfg.name) as counters:
         if ctx.strategy == "iced":
             names = (
                 ctx.config.allowed_level_names
@@ -274,14 +268,14 @@ def _pass_post(ctx: CompileContext) -> None:
 def _pass_validate(ctx: CompileContext) -> None:
     """Full structural + timing revalidation — cache hits included, so
     a rehydrated artifact is provably as good as a cold compile."""
-    with ctx.instrument.measure("validate", ctx.dfg.name) as counters:
+    with measure("validate", ctx.dfg.name) as counters:
         ctx.report = validate_mapping(ctx.mapping)
         counters["ii"] = ctx.report.ii
         counters["cache_hit"] = 1 if ctx.cache_hit else 0
 
 
 def _pass_bitstream(ctx: CompileContext) -> None:
-    with ctx.instrument.measure("bitstream", ctx.dfg.name) as counters:
+    with measure("bitstream", ctx.dfg.name) as counters:
         ctx.bitstream = generate_bitstream(ctx.mapping)
         counters["words"] = ctx.bitstream.words_used()
 
@@ -290,8 +284,6 @@ def _pass_bitstream(ctx: CompileContext) -> None:
 
 
 def _run(ctx: CompileContext, want_bitstream: bool) -> CompileResult:
-    ctx.instrument = ctx.instrument or Instrumentation()
-    first_event = len(ctx.instrument.events)
     if ctx.dfg is None:
         _pass_lower(ctx)
     _pass_analyze(ctx)
@@ -303,7 +295,6 @@ def _run(ctx: CompileContext, want_bitstream: bool) -> CompileResult:
     return CompileResult(
         mapping=ctx.mapping,
         report=ctx.report,
-        events=ctx.instrument.events[first_event:],
         cache_key=ctx.cache_key,
         cache_hit=ctx.cache_hit,
         engine_stats=ctx.engine_stats,
@@ -324,7 +315,6 @@ def compile_dfg(dfg: DFG, cgra: CGRA, strategy: str = "iced",
                 refine_level_names: object = _FROM_CONFIG,
                 anneal_moves: int = 800, seed: int = 0,
                 use_cache: bool = True, cache: MappingCache | None = None,
-                instrument: Instrumentation | None = None,
                 want_bitstream: bool = False) -> CompileResult:
     """Compile an existing DFG onto ``cgra`` under ``strategy``,
     producing the placement with the named mapper ``backend``."""
@@ -332,8 +322,7 @@ def compile_dfg(dfg: DFG, cgra: CGRA, strategy: str = "iced",
     ctx = CompileContext(
         cgra=cgra, strategy=strategy,
         config=resolve_config(strategy, config), dfg=dfg,
-        seed=seed, use_cache=use_cache, cache=cache,
-        instrument=instrument, backend=backend,
+        seed=seed, use_cache=use_cache, cache=cache, backend=backend,
         backend_options=dict(backend_options or {}), refine=refine,
         refine_level_names=refine_level_names, anneal_moves=anneal_moves,
     )
@@ -348,7 +337,6 @@ def compile_kernel(name: str, cgra: CGRA, strategy: str = "iced",
                    anneal_moves: int = 800, seed: int = 0,
                    use_cache: bool = True,
                    cache: MappingCache | None = None,
-                   instrument: Instrumentation | None = None,
                    want_bitstream: bool = False) -> CompileResult:
     """Compile a Table I kernel by name (runs the *lower* pass too)."""
     strategy = resolve_strategy(strategy)
@@ -356,7 +344,7 @@ def compile_kernel(name: str, cgra: CGRA, strategy: str = "iced",
         cgra=cgra, strategy=strategy,
         config=resolve_config(strategy, config),
         kernel=name, unroll=unroll, seed=seed,
-        use_cache=use_cache, cache=cache, instrument=instrument,
+        use_cache=use_cache, cache=cache,
         backend=backend, backend_options=dict(backend_options or {}),
         refine=refine, anneal_moves=anneal_moves,
     )
@@ -368,7 +356,6 @@ def compile_annealed(dfg: DFG, cgra: CGRA,
                      moves: int = 800, seed: int = 0,
                      use_cache: bool = True,
                      cache: MappingCache | None = None,
-                     instrument: Instrumentation | None = None,
                      ) -> tuple[CompileResult, CompileResult]:
     """The annealing comparison pair: (heuristic seed, refined result).
 
@@ -376,10 +363,8 @@ def compile_annealed(dfg: DFG, cgra: CGRA,
     parameters (moves, seed) never re-runs the constructive engine.
     """
     base = compile_dfg(dfg, cgra, "baseline", config,
-                       use_cache=use_cache, cache=cache,
-                       instrument=instrument)
+                       use_cache=use_cache, cache=cache)
     refined = compile_dfg(dfg, cgra, "anneal", config,
                           anneal_moves=moves, seed=seed,
-                          use_cache=use_cache, cache=cache,
-                          instrument=instrument)
+                          use_cache=use_cache, cache=cache)
     return base, refined

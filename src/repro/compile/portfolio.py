@@ -15,10 +15,8 @@ every non-cancelled member* as ``--jobs 1`` — only which doomed
 members got cancelled before finishing may differ, and those never
 participate in selection.
 
-The winner is also published to the cache under a ``portfolio``-kind
-key via the best-known-artifact rule: an existing artifact is replaced
-only by a strictly better (II, cost) mapping, and the displaced
-artifact's provenance is recorded in the new envelope.
+Each member that runs caches its own artifact under its own backend's
+key; the race itself publishes nothing further.
 """
 
 from __future__ import annotations
@@ -27,10 +25,8 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.arch.cgra import CGRA
-from repro.compile.fingerprint import mapping_cache_key
-from repro.compile.instrument import Instrumentation
 from repro.compile.parallel import SweepExecutor, SweepItem
-from repro.compile.pipeline import CompileResult, resolve_config, resolve_strategy
+from repro.compile.pipeline import CompileResult, resolve_strategy
 from repro.dfg.graph import DFG
 from repro.errors import MappingError
 from repro.mapper.backends import (
@@ -105,7 +101,6 @@ def compile_portfolio(dfg: DFG | str, cgra: CGRA, strategy: str = "iced",
                       unroll: int = 1, jobs: int = 1, seed: int = 0,
                       cache: object | None = None,
                       cache_dir: str | None = None,
-                      instrument: Instrumentation | None = None,
                       ) -> PortfolioReport:
     """Race ``members`` on one input and keep the best mapping.
 
@@ -134,7 +129,7 @@ def compile_portfolio(dfg: DFG | str, cgra: CGRA, strategy: str = "iced",
         for member in members
     ]
     executor = SweepExecutor(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                             seed=seed, instrument=instrument)
+                             seed=seed)
     outcomes = executor.run(items, cgra, cancel_on_optimal=True)
 
     entries: list[PortfolioEntry] = []
@@ -177,20 +172,6 @@ def compile_portfolio(dfg: DFG | str, cgra: CGRA, strategy: str = "iced",
         f"mapper.backend.{winner_backend}.portfolio_wins").inc()
     if gap is not None:
         obs.metrics().histogram("mapper.optimality_gap").observe(float(gap))
-
-    # Best-known-artifact upgrade under the portfolio identity: only a
-    # strictly better (II, cost) mapping may displace the incumbent.
-    upgrade = getattr(executor.cache, "upgrade_best", None)
-    blob = (executor.cache.serialized(winner.cache_key)
-            if hasattr(executor.cache, "serialized") else None)
-    if upgrade is not None and blob is not None:
-        portfolio_key = mapping_cache_key(
-            winner.mapping.dfg, cgra, resolve_config(strategy, config),
-            "portfolio", options={"members": list(members)},
-        )
-        upgrade(portfolio_key, blob, backend=winner_backend, ii=best.ii,
-                cost=best.cost, kernel=winner.mapping.dfg.name,
-                optimal=proven_optimal)
 
     return PortfolioReport(
         name=items[0].name, strategy=strategy, winner=winner,

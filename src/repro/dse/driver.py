@@ -41,7 +41,7 @@ from repro import obs
 from repro.arch.cgra import CGRA
 from repro.arch.dvfs import scaled_config
 from repro.compile.cache import MappingCache
-from repro.compile.diskcache import DiskCache, TieredCache
+from repro.compile.diskcache import DiskCache, TieredCache, atomic_write
 from repro.compile.fingerprint import mapping_cache_key
 from repro.compile.parallel import SweepExecutor, SweepItem
 from repro.compile.pipeline import compile_kernel, resolve_config
@@ -112,7 +112,7 @@ class ResumeManifest:
             self.rows[int(row["index"])] = row
 
     def flush(self) -> None:
-        """Atomically publish the manifest (tmp file + ``os.replace``)."""
+        """Atomically publish the manifest (see :func:`atomic_write`)."""
         payload = json.dumps(
             {
                 "schema": RESUME_SCHEMA,
@@ -122,21 +122,7 @@ class ResumeManifest:
             sort_keys=True, separators=(",", ":"),
         )
         os.makedirs(self.path.parent, exist_ok=True)
-        tmp = self.path.with_name(
-            f".{self.path.name}.{os.getpid()}.{time.monotonic_ns()}.tmp"
-        )
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        atomic_write(self.path, payload)
 
 
 def build_fabric(point: DesignPoint) -> CGRA:

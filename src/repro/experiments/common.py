@@ -25,7 +25,6 @@ from typing import Callable
 
 from repro.arch.cgra import CGRA
 from repro.compile import (
-    Instrumentation,
     SweepExecutor,
     SweepItem,
     compile_kernel,
@@ -48,10 +47,6 @@ _MEMO: dict[tuple, "MappedKernel"] = {}
 #: Compiles that raised MappingError, memoized as such so parallel
 #: prefetches and serial retries agree on which combinations fail.
 _MEMO_ERRORS: dict[tuple, MappingError] = {}
-
-#: Pass events of every compile issued by the experiment layer; the
-#: benchmark harness renders these into per-pass timing artifacts.
-_INSTRUMENT = Instrumentation()
 
 #: Module defaults the CLI sets once (``--jobs``/``--cache-dir``) so
 #: every harness routes through the executor without signature churn.
@@ -118,8 +113,7 @@ def mapped_kernel(name: str, unroll: int, cgra: CGRA,
     compiled = compile_kernel(name, cgra, strategy, unroll=unroll,
                               backend=backend,
                               backend_options=dict(options),
-                              cache=_experiment_cache(),
-                              instrument=_INSTRUMENT)
+                              cache=_experiment_cache())
     result = MappedKernel(mapping=compiled.mapping,
                           report=compiled.report,
                           cache_hit=compiled.cache_hit,
@@ -134,11 +128,6 @@ def clear_cache() -> None:
     """Drop the experiment memo (the pipeline's mapping cache stays)."""
     _MEMO.clear()
     _MEMO_ERRORS.clear()
-
-
-def get_instrumentation() -> Instrumentation:
-    """The pass-event stream of every experiment-layer compile."""
-    return _INSTRUMENT
 
 
 # -- the shared figure sweep ------------------------------------------------
@@ -196,8 +185,7 @@ def _prefetch_parallel(kernels: tuple[str, ...], cgra: CGRA,
     if not pending:
         return
     executor = SweepExecutor(jobs=jobs, cache=_experiment_cache(),
-                             cache_dir=_DEFAULT_CACHE_DIR,
-                             instrument=_INSTRUMENT)
+                             cache_dir=_DEFAULT_CACHE_DIR)
     outcomes = executor.run([item for _, item in pending], cgra)
     for (key, _item), outcome in zip(pending, outcomes):
         if outcome.ok:

@@ -47,9 +47,7 @@ from repro.fleet.placement import (
     place_tenants,
 )
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.drips import simulate_drips, simulate_static
-from repro.streaming.engine import StreamResult, simulate_stream
-from repro.streaming.envelopes import weighted_percentile
+from repro.streaming.envelopes import RUNNERS, summarize_result, summarize_run
 from repro.streaming.partitioner import (
     Partition,
     partition_app,
@@ -164,36 +162,6 @@ def synthesize_fleet(num_tenants: int, num_fabrics: int, *,
                      placement=placement, seed=seed)
 
 
-def _summarize(makespan: float, energy: float, inputs: int,
-               num_windows: int, latencies: list[float],
-               weights: list[float], frequency_mhz: float) -> dict:
-    """Per-tenant summary, term-for-term the same arithmetic as
-    ``envelopes.summarize_result`` so the batched and reference paths
-    agree bitwise."""
-    makespan_us = makespan / frequency_mhz
-    return {
-        "energy_uj": energy,
-        "makespan_cycles": makespan,
-        "inputs": inputs,
-        "windows": num_windows,
-        "throughput_inputs_per_kcycle":
-            (1e3 * inputs / makespan) if makespan > 0 else 0.0,
-        "p50_latency_cycles": weighted_percentile(latencies, weights, 0.50),
-        "p99_latency_cycles": weighted_percentile(latencies, weights, 0.99),
-        "average_power_mw":
-            (energy * 1e3 / makespan_us) if makespan_us > 0 else 0.0,
-    }
-
-
-def _summarize_stream_result(result: StreamResult) -> dict:
-    latencies = [w.duration_cycles / w.inputs for w in result.windows
-                 if w.inputs > 0]
-    weights = [w.inputs for w in result.windows if w.inputs > 0]
-    return _summarize(result.makespan_cycles, result.total_energy_uj,
-                      result.inputs, len(result.windows), latencies,
-                      weights, result.frequency_mhz)
-
-
 def _check_slo(summary: dict, slo: TenantSLO | None) -> dict | None:
     if slo is None:
         return None
@@ -225,13 +193,6 @@ class _Tenant:
     #: engine work, not arrival-stream synthesis, and the test-side
     #: reference loop sees byte-identical inputs by construction.
     blocks: list = field(default_factory=list)
-
-
-_SEQUENTIAL_RUNNERS = {
-    "iced": simulate_stream,
-    "static": simulate_static,
-    "drips": simulate_drips,
-}
 
 
 class FleetSim:
@@ -382,7 +343,7 @@ class FleetSim:
                 weights = result.window_inputs.tolist()
                 nw = len(result.window_inputs)
                 for t, tenant in enumerate(members):
-                    summaries[tenant.index] = _summarize(
+                    summaries[tenant.index] = summarize_run(
                         float(result.makespan_cycles[t]),
                         float(result.total_energy_uj[t]),
                         result.inputs, nw,
@@ -391,15 +352,13 @@ class FleetSim:
                     )
             else:
                 num_fallback += len(members)
-                runner = _SEQUENTIAL_RUNNERS[strategy]
+                runner = RUNNERS[strategy]
                 for tenant in members:
                     stream_result = runner(
                         partition, tenant.blocks,
                         window, self.params,
                     )
-                    summaries[tenant.index] = (
-                        _summarize_stream_result(stream_result)
-                    )
+                    summaries[tenant.index] = summarize_result(stream_result)
         return summaries, num_batched, num_fallback
 
     # -- the whole run ---------------------------------------------------

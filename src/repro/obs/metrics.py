@@ -1,10 +1,10 @@
 """Counters, gauges and fixed-bucket histograms.
 
 The registry is the numeric side of the observability layer: the
-compile pipeline absorbs each pass's ``PassEvent`` counters (including
-the engine's :class:`~repro.mapper.engine.EngineStats`) into it, the
-streaming runtime counts windows and level switches, and sinks export
-a snapshot alongside the span stream. It deliberately mirrors the
+compile pipeline records each pass's calls, wall time and counters
+(including the engine's :class:`~repro.mapper.engine.EngineStats`) into
+it, the streaming runtime counts windows and level switches, and sinks
+export a snapshot alongside the span stream. It deliberately mirrors the
 shape (not the wire format) of Prometheus-style registries while
 staying zero-dependency and cheap enough to leave always on.
 
@@ -117,8 +117,8 @@ class MetricsRegistry:
         return self._get(name, lambda n: Histogram(n, buckets))
 
     def absorb(self, prefix: str, counters: dict[str, float]) -> None:
-        """Fold a flat counter dict (e.g. a pass's ``PassEvent``
-        counters) into ``{prefix}.{key}`` counters."""
+        """Fold a flat counter dict (e.g. a compile pass's counters)
+        into ``{prefix}.{key}`` counters."""
         for key, value in counters.items():
             self.counter(f"{prefix}.{key}").inc(value)
 

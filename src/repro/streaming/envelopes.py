@@ -42,6 +42,7 @@ from repro.streaming.workloads import take_inputs
 __all__ = [
     "DEFAULT_ENVELOPE_INPUTS",
     "ENVELOPE_SCHEMA",
+    "RUNNERS",
     "STRATEGIES",
     "all_envelopes",
     "compare_envelopes",
@@ -49,6 +50,7 @@ __all__ = [
     "load_envelope",
     "scenario_envelope",
     "summarize_result",
+    "summarize_run",
     "weighted_percentile",
     "write_envelope",
 ]
@@ -92,26 +94,41 @@ def weighted_percentile(values, weights, q: float) -> float:
     return pairs[-1][0]
 
 
-def summarize_result(result: StreamResult) -> dict:
-    """One strategy's envelope entry from its ``StreamResult``."""
-    latencies = [w.duration_cycles / w.inputs for w in result.windows
-                 if w.inputs > 0]
-    weights = [w.inputs for w in result.windows if w.inputs > 0]
-    makespan = result.makespan_cycles
+def summarize_run(makespan: float, energy: float, inputs: int,
+                  windows: int, latencies, weights,
+                  frequency_mhz: float) -> dict:
+    """One run's summary entry from its totals and per-window latencies.
+
+    The single implementation behind :func:`summarize_result` and the
+    fleet's batched path, so both agree bitwise.
+    """
+    makespan_us = makespan / frequency_mhz
     return {
-        "energy_uj": result.total_energy_uj,
+        "energy_uj": energy,
         "makespan_cycles": makespan,
-        "inputs": result.inputs,
-        "windows": len(result.windows),
+        "inputs": inputs,
+        "windows": windows,
         "throughput_inputs_per_kcycle":
-            (1e3 * result.inputs / makespan) if makespan > 0 else 0.0,
+            (1e3 * inputs / makespan) if makespan > 0 else 0.0,
         "p50_latency_cycles": weighted_percentile(latencies, weights, 0.50),
         "p99_latency_cycles": weighted_percentile(latencies, weights, 0.99),
-        "average_power_mw": result.average_power_mw,
+        "average_power_mw":
+            (energy * 1e3 / makespan_us) if makespan_us > 0 else 0.0,
     }
 
 
-_RUNNERS = {
+def summarize_result(result: StreamResult) -> dict:
+    """One strategy's envelope entry from its ``StreamResult``."""
+    busy = [w for w in result.windows if w.inputs > 0]
+    return summarize_run(
+        result.makespan_cycles, result.total_energy_uj, result.inputs,
+        len(result.windows), [w.duration_cycles / w.inputs for w in busy],
+        [w.inputs for w in busy], result.frequency_mhz,
+    )
+
+
+#: Strategy -> single-stream runner, shared with the fleet simulator.
+RUNNERS = {
     "iced": simulate_stream,
     "drips": simulate_drips,
     "static": simulate_static,
@@ -138,10 +155,10 @@ def scenario_envelope(name: str, *, seed: int | None = None,
     gauges (last-strategy values) and per-scenario qualified gauges
     (``streaming.energy_mj.<scenario>.<strategy>``).
     """
-    unknown = [s for s in strategies if s not in _RUNNERS]
+    unknown = [s for s in strategies if s not in RUNNERS]
     if unknown:
         raise ScenarioError(
-            f"unknown strategies {unknown} (known: {list(_RUNNERS)})"
+            f"unknown strategies {unknown} (known: {list(RUNNERS)})"
         )
     scenario = make_scenario(name, seed=seed, n=inputs)
     registry = obs.metrics()
@@ -157,7 +174,7 @@ def scenario_envelope(name: str, *, seed: int | None = None,
             )
         entries = {}
         for strategy in strategies:
-            result = _RUNNERS[strategy](
+            result = RUNNERS[strategy](
                 partition, scenario.feature_blocks(), window, params
             )
             summary = summarize_result(result)

@@ -20,12 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.arch.cgra import CGRA
-from repro.compile import (
-    Instrumentation,
-    SweepExecutor,
-    SweepItem,
-    compile_dfg,
-)
+from repro.compile import SweepExecutor, SweepItem, compile_dfg
 from repro.errors import MappingError, PartitionError
 from repro.mapper.engine import EngineConfig
 from repro.mapper.mapping import Mapping
@@ -130,9 +125,7 @@ def _island_config(cgra: CGRA, island_ids: tuple[int, ...],
 
 def _map_on_islands(kernel: KernelStage, cgra: CGRA,
                     island_ids: tuple[int, ...], max_ii: int = 32, *,
-                    use_cache: bool = True,
-                    instrument: Instrumentation | None = None,
-                    ) -> Mapping | None:
+                    use_cache: bool = True) -> Mapping | None:
     """Map one kernel restricted to ``island_ids``, through the pipeline.
 
     ``allowed_tiles`` is part of the mapping cache key, so the table
@@ -143,8 +136,7 @@ def _map_on_islands(kernel: KernelStage, cgra: CGRA,
     config = _island_config(cgra, island_ids, max_ii)
     try:
         return compile_dfg(kernel.dfg, cgra, "iced", config, refine=False,
-                           use_cache=use_cache,
-                           instrument=instrument).mapping
+                           use_cache=use_cache).mapping
     except MappingError:
         return None
 
@@ -152,7 +144,6 @@ def _map_on_islands(kernel: KernelStage, cgra: CGRA,
 def build_ii_table(app: StreamingApp, cgra: CGRA,
                    max_islands_per_kernel: int = 4, *,
                    use_cache: bool = True,
-                   instrument: Instrumentation | None = None,
                    jobs: int = 1, cache_dir: str | None = None,
                    ) -> dict[tuple[str, int], int | None]:
     """II of every kernel on 1..N islands (None = unmappable).
@@ -181,8 +172,7 @@ def build_ii_table(app: StreamingApp, cgra: CGRA,
             if cache_dir else get_cache()
         )
         executor = SweepExecutor(jobs=jobs, cache=parent_cache,
-                                 cache_dir=cache_dir,
-                                 instrument=instrument)
+                                 cache_dir=cache_dir)
         items = [
             SweepItem(dfg=kernel.dfg, strategy="iced",
                       config=_island_config(cgra, tuple(snake[:count])),
@@ -199,8 +189,7 @@ def build_ii_table(app: StreamingApp, cgra: CGRA,
     for kernel, count in probes:
         probe_islands = tuple(snake[:count])
         mapping = _map_on_islands(kernel, cgra, probe_islands,
-                                  use_cache=use_cache,
-                                  instrument=instrument)
+                                  use_cache=use_cache)
         table[(kernel.name, count)] = mapping.ii if mapping else None
     return table
 
@@ -223,7 +212,6 @@ def partition_app(app: StreamingApp, cgra: CGRA,
                   max_islands_per_kernel: int = 4,
                   ii_table: dict | None = None, *,
                   use_cache: bool = True,
-                  instrument: Instrumentation | None = None,
                   jobs: int = 1,
                   cache_dir: str | None = None) -> Partition:
     """Choose and realize the throughput-optimal island composition."""
@@ -236,8 +224,7 @@ def partition_app(app: StreamingApp, cgra: CGRA,
         )
     table = ii_table if ii_table is not None else build_ii_table(
         app, cgra, max_islands_per_kernel,
-        use_cache=use_cache, instrument=instrument,
-        jobs=jobs, cache_dir=cache_dir,
+        use_cache=use_cache, jobs=jobs, cache_dir=cache_dir,
     )
 
     names = [k.name for k in kernels]
@@ -283,8 +270,7 @@ def partition_app(app: StreamingApp, cgra: CGRA,
             island_ids = tuple(snake[next_island:next_island + count])
             next_island += count
             mapping = _map_on_islands(kernel, cgra, island_ids,
-                                      use_cache=use_cache,
-                                      instrument=instrument)
+                                      use_cache=use_cache)
             if mapping is None:
                 raise PartitionError(
                     f"kernel {kernel.name!r} failed to map on its "

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.arch import CGRA
 from repro.frontend import lower_kernel
 from repro.kernels import fig1_kernel, load_kernel
@@ -70,3 +71,12 @@ def per_tile_fir(baseline_fir):
 @pytest.fixture(scope="session")
 def fir_report(baseline_fir):
     return compute_timing(baseline_fir)
+
+
+@pytest.fixture
+def registry():
+    """A fresh process metrics registry for one test, restored after."""
+    fresh = obs.MetricsRegistry()
+    previous = obs.set_metrics(fresh)
+    yield fresh
+    obs.set_metrics(previous)

@@ -12,11 +12,8 @@ must be identical.
 
 from __future__ import annotations
 
-from repro.fleet.sim import (
-    _SEQUENTIAL_RUNNERS,
-    FleetSim,
-    _summarize_stream_result,
-)
+from repro.fleet.sim import FleetSim
+from repro.streaming.envelopes import RUNNERS, summarize_result
 
 
 class ReferenceFleetSim(FleetSim):
@@ -25,11 +22,11 @@ class ReferenceFleetSim(FleetSim):
     def _simulate_batched(self, tenants, partitions):
         summaries: dict[int, dict] = {}
         for tenant in tenants:
-            runner = _SEQUENTIAL_RUNNERS[tenant.spec.strategy]
+            runner = RUNNERS[tenant.spec.strategy]
             result = runner(
                 partitions[tenant.app_name],
                 tenant.blocks,
                 tenant.spec.window, self.params,
             )
-            summaries[tenant.index] = _summarize_stream_result(result)
+            summaries[tenant.index] = summarize_result(result)
         return summaries, 0, len(tenants)

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.compile import (
-    Instrumentation,
+    DiskCache,
     MappingCache,
     compile_kernel,
     compile_portfolio,
-    mapping_cache_key,
-    resolve_config,
-    summarize,
+    pass_rows,
 )
 from repro.compile.parallel import SweepExecutor, SweepItem
 from repro.errors import MappingError
@@ -245,19 +244,16 @@ class TestMappingResultRoundtrip:
 
 
 class TestCounterNamespacing:
-    def test_engine_keeps_bare_names(self, cgra44):
-        instrument = Instrumentation()
-        compile_kernel("relu", cgra44, "iced", cache=MappingCache(),
-                       instrument=instrument)
-        counters = summarize(instrument.events)["place_route"]
+    def test_engine_keeps_bare_names(self, cgra44, registry):
+        compile_kernel("relu", cgra44, "iced", cache=MappingCache())
+        counters = pass_rows(registry.snapshot())["place_route"]
         assert "candidates_probed" in counters
         assert not any(k.startswith("engine.") for k in counters)
 
-    def test_non_engine_counters_are_prefixed(self, cgra44):
-        instrument = Instrumentation()
+    def test_non_engine_counters_are_prefixed(self, cgra44, registry):
         compile_kernel("relu", cgra44, "iced", backend="exact",
-                       cache=MappingCache(), instrument=instrument)
-        counters = summarize(instrument.events)["place_route"]
+                       cache=MappingCache())
+        counters = pass_rows(registry.snapshot())["place_route"]
         assert "exact.probes" in counters
         assert "exact.optimal" in counters
         assert "probes" not in counters  # never collides with engine
@@ -265,17 +261,20 @@ class TestCounterNamespacing:
     def test_heterogeneous_sweep_counters_jobs_independent(self, cgra44):
         snapshots = {}
         for jobs in (1, 2):
-            instrument = Instrumentation()
             items = [
                 SweepItem(kernel="relu", strategy="iced",
                           backend=backend)
                 for backend in ("engine", "exact", "anneal")
             ]
-            executor = SweepExecutor(jobs=jobs, cache=MappingCache(),
-                                     instrument=instrument)
-            outcomes = executor.run(items, cgra44)
+            executor = SweepExecutor(jobs=jobs, cache=MappingCache())
+            registry = obs.MetricsRegistry()
+            previous = obs.set_metrics(registry)
+            try:
+                outcomes = executor.run(items, cgra44)
+            finally:
+                obs.set_metrics(previous)
             assert all(o.ok for o in outcomes)
-            counters = dict(summarize(instrument.events)["place_route"])
+            counters = pass_rows(registry.snapshot())["place_route"]
             # Every backend's counters land under its own namespace; the
             # engine's bare names are not inflated by the others.
             assert "exact.probes" in counters
@@ -375,19 +374,17 @@ class TestCompilePortfolio:
             assert report.optimality_gap == 0
             assert report.gap_of(report.winner_backend) == 0
 
-    def test_winner_published_under_portfolio_key(self, cgra44):
-        cache = MappingCache()
+    def test_cache_holds_one_artifact_per_member_that_ran(self, cgra44,
+                                                          tmp_path):
         report = compile_portfolio("relu", cgra44, "iced",
                                    member_options=EXACT_SMOKE,
-                                   cache=cache)
-        key = mapping_cache_key(
-            report.winner.mapping.dfg, cgra44,
-            resolve_config("iced", None), "portfolio",
-            options={"members": list(DEFAULT_PORTFOLIO)},
+                                   cache_dir=str(tmp_path))
+        ran = sorted(e.backend for e in report.entries if e.ok)
+        tags = sorted(
+            json.loads(path.read_text())["backend"]
+            for path in DiskCache(tmp_path).artifact_paths()
         )
-        meta = cache.meta(key)
-        assert meta["backend"] == report.winner_backend
-        assert meta["ii"] == report.winner.report.ii
+        assert ran and tags == ran
 
     def test_every_member_failing_raises(self, cgra66):
         dfg = load_kernel("fft", 1)

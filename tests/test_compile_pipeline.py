@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import CGRA
 from repro.compile import (
-    Instrumentation,
     MappingCache,
     compile_annealed,
     compile_dfg,
     compile_kernel,
     get_cache,
     mapping_cache_key,
+    pass_rows,
     render_report,
-    summarize,
 )
 from repro.dfg import DFGBuilder, Opcode
 from repro.kernels import load_kernel
@@ -38,16 +37,16 @@ def chain_dfg(n: int = 5, name: str = "chain") -> "DFG":
 
 
 class TestPipeline:
-    def test_pass_sequence_and_events(self):
-        inst = Instrumentation()
+    def test_pass_sequence_and_events(self, registry):
         result = compile_kernel("fir", FABRIC, "iced",
-                                cache=MappingCache(), instrument=inst)
-        assert [e.pass_name for e in result.events] == [
+                                cache=MappingCache())
+        rows = pass_rows(registry.snapshot())
+        assert list(rows) == [
             "lower", "analyze", "place_route", "refine_islands",
             "validate",
         ]
-        assert result.events is not inst.events
-        assert inst.total_ms() > 0
+        assert all(row["calls"] == 1 for row in rows.values())
+        assert sum(row["wall_ms"] for row in rows.values()) > 0
         assert result.engine_stats.placements_committed > 0
         assert result.engine_stats.routes_searched > 0
 
@@ -67,11 +66,11 @@ class TestPipeline:
         with pytest.raises(ValueError, match="unknown strategy"):
             compile_dfg(chain_dfg(), FABRIC, "turbo")
 
-    def test_bitstream_pass_optional(self):
+    def test_bitstream_pass_optional(self, registry):
         result = compile_kernel("fir", FABRIC, cache=MappingCache(),
                                 want_bitstream=True)
         assert result.bitstream is not None
-        assert result.events[-1].pass_name == "bitstream"
+        assert list(pass_rows(registry.snapshot()))[-1] == "bitstream"
         assert result.bitstream.words_used() > 0
 
 
@@ -243,31 +242,26 @@ class TestSeededSearches:
 
 
 class TestInstrumentationReport:
-    def test_summarize_aggregates_per_pass(self):
-        inst = Instrumentation()
+    def test_summarize_aggregates_per_pass(self, registry):
         cache = MappingCache()
         for _ in range(2):
-            compile_kernel("relu", FABRIC, "baseline", cache=cache,
-                           instrument=inst)
-        summary = summarize(inst.events)
+            compile_kernel("relu", FABRIC, "baseline", cache=cache)
+        summary = pass_rows(registry.snapshot())
         assert summary["place_route"]["calls"] == 2
         assert summary["place_route"]["cache_hit"] == 1
         assert summary["analyze"]["calls"] == 2
 
-    def test_render_report_mentions_passes_and_hit_rate(self):
-        inst = Instrumentation()
+    def test_render_report_mentions_passes_and_hit_rate(self, registry):
         cache = MappingCache()
-        compile_kernel("relu", FABRIC, "iced", cache=cache,
-                       instrument=inst)
-        compile_kernel("relu", FABRIC, "iced", cache=cache,
-                       instrument=inst)
-        text = render_report(inst.events, cache.stats_dict())
+        compile_kernel("relu", FABRIC, "iced", cache=cache)
+        compile_kernel("relu", FABRIC, "iced", cache=cache)
+        text = render_report(registry.snapshot(), cache.stats_dict())
         assert "place_route" in text
         assert "refine_islands" in text
         assert "50% hit rate" in text
 
     def test_render_report_empty(self):
-        assert "no compile passes" in render_report([])
+        assert "no compile passes" in render_report({})
 
 
 class TestSweepHitRate:

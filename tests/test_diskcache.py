@@ -552,43 +552,6 @@ class TestBackendMigration:
         }
         assert cache.meta("cd" * 16) == {}
 
-    def test_upgrade_best_replaces_only_strictly_better(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        first = canon({"v": "incumbent"})
-        assert cache.upgrade_best(self.KEY, first, backend="engine",
-                                  ii=5, cost=40.0)
-        # Equal rank and worse candidates leave the incumbent untouched.
-        for ii, cost in ((5, 40.0), (5, 41.0), (6, 10.0)):
-            assert not cache.upgrade_best(self.KEY, canon({"v": "worse"}),
-                                          backend="anneal", ii=ii,
-                                          cost=cost)
-        assert cache.load_blob(self.KEY) == first
-        assert "upgraded_from" not in cache.meta(self.KEY)
-        # Same II but strictly cheaper wins, and provenance survives.
-        better = canon({"v": "better"})
-        assert cache.upgrade_best(self.KEY, better, backend="exact",
-                                  ii=5, cost=25.0, optimal=True)
-        assert cache.load_blob(self.KEY) == better
-        meta = cache.meta(self.KEY)
-        assert meta["backend"] == "exact" and meta["optimal"]
-        assert meta["upgraded_from"] == {
-            "backend": "engine", "ii": 5, "cost": 40.0,
-        }
-
-    def test_memory_cache_upgrade_best_matches_disk_semantics(self):
-        cache = MappingCache()
-        first = canon({"v": "incumbent"})
-        assert cache.upgrade_best(self.KEY, first, backend="engine",
-                                  ii=5, cost=40.0)
-        assert not cache.upgrade_best(self.KEY, canon({"v": "worse"}),
-                                      backend="anneal", ii=5, cost=40.0)
-        assert cache.serialized(self.KEY) == first
-        assert cache.upgrade_best(self.KEY, canon({"v": "better"}),
-                                  backend="exact", ii=4, cost=99.0)
-        meta = cache.meta(self.KEY)
-        assert meta["ii"] == 4
-        assert meta["upgraded_from"]["backend"] == "engine"
-
     def test_memory_lookup_respects_backend_tag(self, baseline_fir,
                                                 fir_dfg, cgra66):
         cache = MappingCache()

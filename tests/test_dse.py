@@ -169,9 +169,9 @@ def test_jobs_two_matches_jobs_one_byte_for_byte(tmp_path):
     pool = run_dse(SMALL_SPACE, jobs=2, seed=0,
                    cache_dir=str(tmp_path / "c2"),
                    blob_sink=pool_blobs)
-    dump = lambda doc, section: json.dumps(doc[section], sort_keys=True)
-    assert dump(serial, "points") == dump(pool, "points")
-    assert dump(serial, "frontier") == dump(pool, "frontier")
+    for section in ("points", "frontier"):
+        assert (json.dumps(serial[section], sort_keys=True)
+                == json.dumps(pool[section], sort_keys=True))
     assert serial_blobs == pool_blobs
 
 

@@ -33,14 +33,6 @@ def tracer():
     obs.uninstall_tracer()
 
 
-@pytest.fixture
-def registry():
-    fresh = obs.MetricsRegistry()
-    previous = obs.set_metrics(fresh)
-    yield fresh
-    obs.set_metrics(previous)
-
-
 class TestTracer:
     def test_nesting_and_parent_ids(self, tracer):
         with obs.span("outer", category="pipeline") as outer:

@@ -10,12 +10,13 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.arch.cgra import CGRA
 from repro.compile import (
-    Instrumentation,
     SweepExecutor,
     SweepItem,
     default_jobs,
+    pass_rows,
 )
 from repro.compile.parallel import ENV_JOBS
 from repro.errors import MappingError
@@ -117,18 +118,20 @@ class TestPoolMechanics:
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert [o.item.kernel for o in outcomes] == list(KERNELS)
 
-    def test_worker_events_merged(self):
-        instrument = Instrumentation()
-        executor = SweepExecutor(jobs=2, instrument=instrument)
-        executor.run(_items(), CGRA.build(6, 6))
-        by_pass: dict[str, int] = {}
-        for event in instrument.events:
-            by_pass[event.pass_name] = by_pass.get(event.pass_name, 0) + 1
+    def test_worker_events_merged(self, registry):
+        tracer = obs.install_tracer()
+        try:
+            SweepExecutor(jobs=2).run(_items(), CGRA.build(6, 6))
+        finally:
+            obs.uninstall_tracer()
+        by_pass = {name: row["calls"]
+                   for name, row in pass_rows(registry.snapshot()).items()}
         # Every kernel contributes its full pass sequence plus the
         # parent-side revalidation of the returned artifact.
         assert by_pass["place_route"] == len(KERNELS)
         assert by_pass["revalidate"] == len(KERNELS)
-        kernels_seen = {e.kernel for e in instrument.events}
+        kernels_seen = {span.attrs.get("kernel") for span in tracer.spans
+                        if span.category in ("pipeline", "executor")}
         assert set(KERNELS) <= kernels_seen
 
     def test_parallel_results_revalidated(self):

@@ -38,14 +38,6 @@ from repro.serve import (
 from repro.serve.client import HTTPClient
 
 
-@pytest.fixture
-def registry():
-    fresh = obs.MetricsRegistry()
-    previous = obs.set_metrics(fresh)
-    yield fresh
-    obs.set_metrics(previous)
-
-
 def run(coro, timeout_s: float = 60.0):
     """Drive one async test body on a fresh loop with a hang guard."""
     return asyncio.run(asyncio.wait_for(coro, timeout_s))

@@ -145,3 +145,46 @@ class TestCacheEffortCommand:
         out = capsys.readouterr().out
         assert "engine effort across cached artifacts" in out
         assert "route_memo_hits" in out
+
+
+#: The pass rows `map fir --stats` prints, in pipeline order.
+FIR_PASSES = ("lower", "analyze", "place_route", "refine_islands",
+              "validate")
+
+
+def _stats_calls(out: str) -> list[tuple[str, str]]:
+    """(pass, calls) for each row of the `--stats` pass table."""
+    rows: list[tuple[str, str]] = []
+    in_table = False
+    for line in out.splitlines():
+        if line.startswith("pass "):
+            in_table = True
+        elif line.startswith("mapping cache:"):
+            in_table = False
+        elif in_table and not line.startswith("-"):
+            name, calls = (cell.strip() for cell in line.split("|")[:2])
+            rows.append((name, calls))
+    return rows
+
+
+class TestStatsFlag:
+    def test_map_stats_prints_one_row_per_pass(self, capsys):
+        assert main(["map", "fir", "--no-cache", "--stats"]) == 0
+        rows = _stats_calls(capsys.readouterr().out)
+        assert rows == [(name, "1") for name in FIR_PASSES]
+
+    def test_map_stats_with_trace_prints_same_rows(self, tmp_path, capsys):
+        trace = tmp_path / "map.json"
+        assert main(["map", "fir", "--no-cache", "--stats",
+                     "--trace", str(trace)]) == 0
+        rows = _stats_calls(capsys.readouterr().out)
+        assert rows == [(name, "1") for name in FIR_PASSES]
+        assert trace.exists()
+
+    def test_stream_stats_includes_pool_revalidation(self, tmp_path,
+                                                     capsys):
+        assert main(["stream", "gcn", "--inputs", "12", "--jobs", "2",
+                     "--cache-dir", str(tmp_path), "--stats"]) == 0
+        rows = dict(_stats_calls(capsys.readouterr().out))
+        assert "revalidate" in rows
+        assert rows["place_route"] == rows["validate"]
