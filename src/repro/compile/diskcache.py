@@ -146,40 +146,21 @@ class DiskCache:
         self.version_dir = base / f"v{SCHEMA_VERSION}"
         self.quarantine_dir = base / "quarantine"
         self.stats = DiskCacheStats()
-        self._peers_epoch = 0
-        self._peers_cache: tuple[int, list[Path]] | None = None
 
     # -- paths --------------------------------------------------------------
 
     def _path(self, key: str) -> Path:
         return self.version_dir / key[:2] / f"{key}.json"
 
-    def invalidate_peers(self) -> None:
-        """Drop the memoized peer-shard listing.
-
-        Called on every own write (a writer knows the topology may have
-        changed — not least because its *own* first write creates a
-        shard) and from ``stats_dict`` (the natural refresh point:
-        servers poll ``/cache/stats``, so a long-lived daemon picks up
-        newly joined peer shards without rescanning per miss).
-        """
-        self._peers_epoch += 1
-
     def _peer_version_dirs(self) -> list[Path]:
         """Version dirs of every *other* writer over the same root:
         the unsharded tree (when we are a shard) plus each sibling
         shard, in sorted order for deterministic read preference.
 
-        The listing is memoized per :meth:`invalidate_peers` epoch: a
-        burst of misses (a cold sweep probing hundreds of keys) costs
-        one ``os.scandir`` of the shards directory, not one per miss —
-        the peer *artifact* probes are exact-path reads and stay
-        per-key.
+        Listed afresh on every call (one ``os.scandir`` of the shards
+        directory), so a shard that joins at any time is read on the
+        very next own-tree miss.
         """
-        cached = self._peers_cache
-        if cached is not None and cached[0] == self._peers_epoch:
-            return cached[1]
-        epoch = self._peers_epoch
         peers: list[Path] = []
         unsharded = self.root / f"v{SCHEMA_VERSION}"
         if self.shard and unsharded.is_dir():
@@ -198,7 +179,6 @@ class DiskCache:
             version_dir = shards_dir / name / f"v{SCHEMA_VERSION}"
             if version_dir.is_dir():
                 peers.append(version_dir)
-        self._peers_cache = (epoch, peers)
         return peers
 
     def _peer_path(self, version_dir: Path, key: str) -> Path:
@@ -315,17 +295,23 @@ class DiskCache:
 
     def lookup(self, key: str, dfg: DFG, cgra: CGRA,
                backend: str | None = None) -> Mapping | None:
-        """Rehydrate the artifact under ``key``; ``None`` on miss.
+        """Rehydrate the artifact under ``key``; ``None`` on miss."""
+        found = self.rehydrate(key, dfg, cgra, backend)
+        return None if found is None else found[0]
+
+    def rehydrate(self, key: str, dfg: DFG, cgra: CGRA,
+                  backend: str | None = None) -> tuple[Mapping, str] | None:
+        """``(mapping, canonical blob)`` under ``key``; ``None`` on miss.
 
         A blob that parses but does not revalidate against the caller's
-        DFG/fabric (e.g. a kernel-name mismatch) is quarantined too: it
-        can never become servable again under this key.
+        DFG/fabric (e.g. a kernel-name mismatch) is counted as a miss and
+        quarantined too: it can never become servable under this key.
         """
         blob = self.load_blob(key, backend)
         if blob is None:
             return None
         try:
-            return Mapping.from_dict(json.loads(blob), dfg, cgra)
+            return Mapping.from_dict(json.loads(blob), dfg, cgra), blob
         except Exception:
             self._quarantine(self._path(key))
             self.stats.hits -= 1
@@ -384,7 +370,6 @@ class DiskCache:
         os.makedirs(path.parent, exist_ok=True)
         atomic_write(path, payload)
         self.stats.stores += 1
-        self.invalidate_peers()
 
     def tag_sweep(self, key: str, space_hash: str,
                   point_index: int) -> bool:
@@ -410,7 +395,6 @@ class DiskCache:
             atomic_write(path, payload)
         except OSError:
             return False
-        self.invalidate_peers()
         return True
 
     # -- housekeeping -------------------------------------------------------
@@ -506,7 +490,6 @@ class DiskCache:
         return removed
 
     def stats_dict(self) -> dict[str, int]:
-        self.invalidate_peers()
         d = self.stats.to_dict()
         d["entries"] = len(self)
         d["bytes"] = self.size_bytes()
@@ -585,13 +568,10 @@ class TieredCache:
         hit = self.memory.lookup(key, dfg, cgra, backend)
         if hit is not None:
             return hit
-        blob = self.disk.load_blob(key, backend)
-        if blob is None:
+        found = self.disk.rehydrate(key, dfg, cgra, backend)
+        if found is None:
             return None
-        try:
-            mapping = Mapping.from_dict(json.loads(blob), dfg, cgra)
-        except Exception:
-            return None
+        mapping, blob = found
         self.memory.store_serialized(key, blob, meta=self.disk.meta(key))
         return mapping
 

@@ -21,13 +21,13 @@ to the unaccelerated search:
   cannot change the parent, path or probe of any surviving state. The
   pop order itself stays plain Dijkstra ``(t, tile, depart)``; the
   heuristic only filters pushes and rejects hopeless queries in O(1)
-  before any frontier exists. When a :class:`RouteMemo` is supplied the
-  bound is sharpened to the *slowdown-weighted* shortest transit time
-  to the destination (one small Dijkstra per (slowdown vector, dst),
-  cached in the memo): still an exact lower bound — it ignores only
-  congestion and waits — and still consistent by the shortest-path
-  triangle inequality, so the same argument applies while pruning far
-  harder around slowed DVFS islands.
+  before any frontier exists. The bound actually used is the sharper
+  *slowdown-weighted* shortest transit time to the destination (one
+  small Dijkstra per (topology, slowdown vector, dst), cached per
+  process and, with a :class:`RouteMemo`, in the memo): still an exact
+  lower bound — it ignores only congestion and waits — and still
+  consistent by the shortest-path triangle inequality, so the same
+  argument applies while pruning far harder around slowed DVFS islands.
 
 * **Route memoization.** Candidate scoring, commit re-routing and
   reschedule retries repeat the same (src, dst, timing) query against
@@ -140,15 +140,9 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
 
     # Oracle early reject: even a congestion-free best-case transit
     # misses the horizon, so the full search would return (None, None).
-    if memo is None:
-        hcol = None
-        if ready + mrrg.cgra._distance[src_tile][dst_tile] * min(slow) \
-                > horizon:
-            return None, None
-    else:
-        hcol = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)
-        if ready + hcol[src_tile] > horizon:
-            return None, None
+    hcol = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)
+    if ready + hcol[src_tile] > horizon:
+        return None, None
 
     max_wait = deadline - ready if max_wait is None else min(
         max_wait, deadline - ready
@@ -168,10 +162,6 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
             return RouteResult(path, ready + depart_rel,
                                ready + arrival_rel), probe
         memo.misses += 1
-
-    if hcol is None:
-        min_slow = min(slow)
-        hcol = [row[dst_tile] * min_slow for row in mrrg.cgra._distance]
 
     # Deadline-tight pass first: a returned route always has arrival <=
     # deadline, and every ancestor of a returned goal state has f <=
@@ -278,23 +268,26 @@ def clear_oracle_cache() -> None:
     _HCOL_CACHE.clear()
 
 
-def _weighted_hcol(memo: RouteMemo, cgra, slow: tuple[int, ...],
+def _weighted_hcol(memo: RouteMemo | None, cgra, slow: tuple[int, ...],
                    dst_tile: int) -> list[int]:
     """``h[tile]`` = cheapest congestion-free transit time from ``tile``
     to ``dst_tile`` under ``slow`` (a hop into tile ``v`` costs
     ``slow[v]``). Computed by one Dijkstra from the destination over the
-    reversed link graph; cached in the memo per (dst, slow) and in the
-    process-level ``_HCOL_CACHE`` per (topology, dst, slow) so sweeps
-    over fabric variants sharing a topology build each column once."""
+    reversed link graph; cached in the memo (if any) per (dst, slow) and
+    in the process-level ``_HCOL_CACHE`` per (topology, dst, slow) so
+    sweeps over fabric variants sharing a topology build each column
+    once."""
     key = (dst_tile, slow)
-    col = memo.hcols.get(key)
-    if col is not None:
-        return col
+    if memo is not None:
+        col = memo.hcols.get(key)
+        if col is not None:
+            return col
     global_key = (topology_fingerprint(cgra), dst_tile, slow)
     col = _HCOL_CACHE.get(global_key)
     if col is not None:
-        memo.hcols[key] = col
-        memo.hcol_reuses += 1
+        if memo is not None:
+            memo.hcols[key] = col
+            memo.hcol_reuses += 1
         return col
     preds = _pred_rows(cgra)
     col = [_UNREACHABLE] * cgra.num_tiles
@@ -310,8 +303,9 @@ def _weighted_hcol(memo: RouteMemo, cgra, slow: tuple[int, ...],
             if nd < col[y]:
                 col[y] = nd
                 heappush(heap, (nd, y))
-    memo.hcols[key] = col
-    memo.hcol_builds += 1
+    if memo is not None:
+        memo.hcols[key] = col
+        memo.hcol_builds += 1
     if len(_HCOL_CACHE) < _HCOL_CACHE_MAX:
         _HCOL_CACHE[global_key] = col
     return col

@@ -6,8 +6,9 @@ single keep-alive connection speaking ``Content-Length``-framed JSON.
 strategies drawn from the Table I suite and the backend registry's
 strategy vocabulary, scenarios from the traffic-scenario registry —
 across N concurrent connections and aggregates a canonical-JSON report
-(throughput, p50/p99 latency, coalesce rate, cache-hit rate) that CI
-gates against the committed ``BENCH_serve.json`` baseline.
+(throughput, p50/p99 latency, coalesce rate, cache-hit rate) whose
+p99 and coalesce rate CI gates against the ``serve`` section of the
+committed ``BENCH.json`` baseline (``benchmarks/smoke.py serve``).
 
 Coalescing is invisible to an individual waiter by design (every
 waiter receives the *same* payload bytes), so the coalesce rate is

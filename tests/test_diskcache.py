@@ -237,60 +237,17 @@ class TestShards:
         assert shard.stats_dict()["peer_hits"] == 1
 
 
-class TestPeerScanMemoization:
-    """The peer-shard directory listing is memoized per epoch: a burst
-    of lookups costs one ``os.scandir``, not one per miss, and any own
-    write (or a ``stats_dict`` poll) invalidates the memo."""
+class TestPeerDiscovery:
+    """Peer shards are listed afresh on every own-tree miss, so a shard
+    that joins at any time is read on the very next lookup."""
 
     KEY = "ab" * 16
 
-    @staticmethod
-    def _count_scandir(monkeypatch):
-        calls = {"n": 0}
-        real_scandir = os.scandir
-
-        def counting_scandir(*args, **kwargs):
-            calls["n"] += 1
-            return real_scandir(*args, **kwargs)
-
-        monkeypatch.setattr(os, "scandir", counting_scandir)
-        return calls
-
-    def test_one_scandir_per_lookup_burst(self, tmp_path, monkeypatch):
-        peer = DiskCache(tmp_path, shard="api-0")
-        peer.store_serialized(self.KEY, canon({"x": 1}))
+    def test_late_joining_peer_served_on_next_lookup(self, tmp_path):
         reader = DiskCache(tmp_path, shard="api-1")
-        calls = self._count_scandir(monkeypatch)
-        # A cold burst: one peer hit plus many misses on fresh keys.
-        assert reader.load_blob(self.KEY) == canon({"x": 1})
-        for i in range(50):
-            assert reader.load_blob(f"{i:02x}" * 16) is None
-        assert f"{7:02x}" * 16 not in reader
-        assert calls["n"] == 1
-
-    def test_own_write_invalidates_the_memo(self, tmp_path, monkeypatch):
-        peer = DiskCache(tmp_path, shard="api-0")
-        peer.store_serialized(self.KEY, canon({"x": 1}))
-        reader = DiskCache(tmp_path, shard="api-1")
-        calls = self._count_scandir(monkeypatch)
-        assert reader.load_blob("cd" * 16) is None
-        assert calls["n"] == 1
-        reader.store_serialized("cd" * 16, canon({"y": 2}))
-        assert reader.load_blob("ef" * 16) is None
-        assert calls["n"] == 2
-        # ... and the refreshed listing still serves peer artifacts.
-        assert reader.load_blob(self.KEY) == canon({"x": 1})
-        assert calls["n"] == 2
-
-    def test_stats_poll_picks_up_newly_joined_peers(self, tmp_path):
-        reader = DiskCache(tmp_path, shard="api-1")
-        assert reader.load_blob(self.KEY) is None  # memoizes: no peers
-        late_peer = DiskCache(tmp_path, shard="api-0")
-        late_peer.store_serialized(self.KEY, canon({"x": 1}))
-        # Stale memo: the reader does not see the new shard yet ...
-        assert reader.load_blob(self.KEY) is None
-        # ... until the next stats poll refreshes the epoch.
-        reader.stats_dict()
+        assert reader.load_blob(self.KEY) is None  # no peers yet
+        DiskCache(tmp_path, shard="api-0").store_serialized(
+            self.KEY, canon({"x": 1}))
         assert reader.load_blob(self.KEY) == canon({"x": 1})
         assert reader.stats.peer_hits == 1
 
@@ -414,6 +371,21 @@ class TestTieredCache:
         assert key in tiered.memory
         assert key in tiered.disk
         assert tiered.serialized(key) == canon(baseline_fir.to_dict())
+
+    def test_unrehydratable_disk_artifact_is_a_quarantined_miss(
+            self, tmp_path, baseline_fig1, fir_dfg, cgra66):
+        # A valid envelope holding another kernel's mapping: the disk
+        # tier must count and quarantine it as DiskCache.lookup does.
+        key = "56" * 16
+        disk = DiskCache(tmp_path)
+        disk.store_serialized(key, canon(baseline_fig1.to_dict()))
+        tiered = TieredCache(MappingCache(), disk)
+        assert tiered.lookup(key, fir_dfg, cgra66) is None
+        assert tiered.lookup(key, fir_dfg, cgra66) is None
+        assert (disk.stats.hits, disk.stats.misses) == (0, 2)
+        assert disk.stats.quarantined == 1
+        assert not disk._path(key).exists()
+        assert key not in tiered.memory
 
     def test_stats_dict_has_both_tiers(self, tmp_path):
         tiered = TieredCache(MappingCache(), DiskCache(tmp_path))

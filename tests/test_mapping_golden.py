@@ -1,10 +1,12 @@
 """Committed mapping digests: every mapper change must leave them as is.
 
 The golden ``tests/golden/mapping_digests.json`` holds, for each of the
-10 standalone kernels x 4 experiment strategies on the 6x6 fabric with
-2x2 islands, the SHA-256 of the mapping's canonical ``to_dict()`` JSON
-and the compile's ``mapping_cache_key``. A refactor of the mapper that
-claims "mappings unchanged" has to keep both byte-equal.
+10 standalone kernels x (4 experiment strategies + the ``anneal``
+backend under ``iced``) on the 6x6 fabric with 2x2 islands, the SHA-256
+of the mapping's canonical ``to_dict()`` JSON and the compile's
+``mapping_cache_key``. A refactor of the mapper that claims "mappings
+unchanged" has to keep both byte-equal. The ``anneal`` rows pin the
+router's memo-less path, which only the annealer takes.
 
 Regenerate only after a deliberate change of mapping results, from the
 repo root:
@@ -28,21 +30,26 @@ from repro.mapper.backends import EXPERIMENT_STRATEGIES
 
 GOLDEN = Path(__file__).parent / "golden" / "mapping_digests.json"
 
+#: Golden row name -> (strategy, backend) of the compile it pins.
+ROWS = {strategy: (strategy, "engine") for strategy in EXPERIMENT_STRATEGIES}
+ROWS["anneal"] = ("iced", "anneal")
+
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def mapping_digests() -> dict:
-    """``{kernel: {strategy: {"sha256", "cache_key"}}}`` of the 40 compiles."""
+    """``{kernel: {row: {"sha256", "cache_key"}}}`` of the 50 compiles."""
     cgra = CGRA.build(6, 6, island_shape=(2, 2))
     cache = MappingCache()
     digests: dict = {}
     for kernel in STANDALONE_KERNELS:
-        for strategy in EXPERIMENT_STRATEGIES:
-            result = compile_kernel(kernel, cgra, strategy, cache=cache)
+        for row, (strategy, backend) in ROWS.items():
+            result = compile_kernel(kernel, cgra, strategy, backend=backend,
+                                    cache=cache)
             blob = canonical_json(result.mapping.to_dict()).encode("utf-8")
-            digests.setdefault(kernel, {})[strategy] = {
+            digests.setdefault(kernel, {})[row] = {
                 "sha256": hashlib.sha256(blob).hexdigest(),
                 "cache_key": result.cache_key,
             }
@@ -62,16 +69,16 @@ def golden():
 def test_golden_covers_every_compile(golden):
     assert sorted(golden) == sorted(STANDALONE_KERNELS)
     for kernel in STANDALONE_KERNELS:
-        assert sorted(golden[kernel]) == sorted(EXPERIMENT_STRATEGIES)
+        assert sorted(golden[kernel]) == sorted(ROWS)
 
 
 @pytest.mark.parametrize("field", ["sha256", "cache_key"])
 def test_mappings_match_golden(fresh, golden, field):
     changed = [
-        f"{kernel}/{strategy}"
+        f"{kernel}/{row}"
         for kernel in STANDALONE_KERNELS
-        for strategy in EXPERIMENT_STRATEGIES
-        if fresh[kernel][strategy][field] != golden[kernel][strategy][field]
+        for row in ROWS
+        if fresh[kernel][row][field] != golden[kernel][row][field]
     ]
     assert not changed, f"{field} differs from the golden for: {changed}"
 
