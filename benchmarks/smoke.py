@@ -21,8 +21,9 @@ Cases (run sizes, repetition counts and thresholds are constants):
 * ``dse`` -- the 108-point solver0 space swept naive (best of two,
   before and after), optimized serial (traced) and optimized
   ``--jobs 2``;
-* ``stream`` -- enzyme at 10^5 inputs through the engine and the
-  per-input reference loop (``tests/reference_streaming.py``) for
+* ``stream`` -- enzyme's cold partition (timed and counted, report
+  only), then 10^5 inputs through the engine and the per-input
+  reference loop (``tests/reference_streaming.py``) for
   iced/drips/static, then a 10^6-input constant-memory run;
 * ``scenario`` -- the same at 5x10^4 / 3x10^5 inputs for
   ``--scenario NAME``, with the scenario's envelope in the report;
@@ -515,6 +516,9 @@ MAX_STREAM_REGRESSION = 0.25
 MAX_MILLION_PEAK_MB = 64.0
 STREAM_WINDOW = 100
 PROFILE_INPUTS = 50  # the paper profiles the initial mapping on 50
+#: pipeline.place_route counters in the report's ``partition`` section.
+PARTITION_COUNTERS = ("calls", "attempts", "iis_tried", "routes_searched",
+                      "route_memo_misses")
 REFERENCE_RUNNERS = {"iced": reference_simulate_stream,
                      "drips": reference_simulate_drips,
                      "static": reference_simulate_static}
@@ -594,18 +598,34 @@ def _million(partition, name: str, inputs: int) -> dict:
             "makespan_cycles": result.makespan_cycles}
 
 
+def _cold_partition(scenario) -> tuple:
+    """``(partition, report section)`` of the scenario's cold
+    ``partition_app``: its wall seconds and the place_route counters it
+    added to the process registry. Report-only: nothing gates on it."""
+    before = obs.metrics().counters()
+    wall_s, partition = timed(lambda: partition_app(
+        scenario.app, streaming_cgra(),
+        take_inputs(scenario.stream.feature_blocks(), PROFILE_INPUTS),
+    ))
+    after = obs.metrics().counters()
+    section = {"wall_s": round(wall_s, 3)}
+    for name in PARTITION_COUNTERS:
+        key = f"pipeline.place_route.{name}"
+        section[name] = int(after.get(key, 0) - before.get(key, 0))
+    return partition, section
+
+
 def _stream_case(s: Smoke, name: str, inputs: int, million_inputs: int,
                  min_speedup: float):
     """The stream gates for scenario ``name``; returns its partition."""
     scenario = make_scenario(name, n=inputs)
     stream = scenario.stream
-    partition = partition_app(
-        scenario.app, streaming_cgra(),
-        take_inputs(stream.feature_blocks(), PROFILE_INPUTS),
-    )
+    partition, cold = _cold_partition(scenario)
     print(f"scenario: {scenario.name} (app {scenario.app.name}, "
           f"seed {scenario.seed})")
     print(partition.summary())
+    print(f"cold partition: {cold['wall_s']:.2f}s, " + ", ".join(
+        f"{counter} {cold[counter]:,}" for counter in PARTITION_COUNTERS))
     run_inputs = inputs_of(skip_blocks(stream.feature_blocks(),
                                        PROFILE_INPUTS))
     strategies = {strategy: _stream_pair(strategy, partition, run_inputs,
@@ -614,7 +634,8 @@ def _stream_case(s: Smoke, name: str, inputs: int, million_inputs: int,
     million = _million(partition, name, million_inputs)
     s.report.update({"app": scenario.app.name, "scenario": scenario.name,
                      "inputs": inputs, "window": STREAM_WINDOW,
-                     "strategies": strategies, "million": million})
+                     "partition": cold, "strategies": strategies,
+                     "million": million})
     if s.trace:  # the traced run: one extra windowed engine ICED run
         s.traced(lambda: simulate_stream(
             partition, skip_blocks(stream.feature_blocks(), PROFILE_INPUTS),

@@ -254,18 +254,30 @@ def _deepen(dfg: DFG, cgra: CGRA, config: EngineConfig,
         try:
             with obs.span(f"ii={ii}", category="mapper", kernel=dfg.name,
                           ii=ii):
+                if config.dvfs_aware:
+                    alg1_labels = label_dvfs_levels(dfg, cgra, ii)
+                previous = None
                 for soften in range(softening_steps):
                     # Performance first (the paper's Alg. 1 falls back to
                     # normal labels rather than risk the II): before
                     # conceding a longer II, retry with every label promoted
                     # ``soften`` steps toward normal.
                     if config.dvfs_aware:
-                        labels = label_dvfs_levels(dfg, cgra, ii)
-                        labels = _soften_labels(labels, cgra, soften)
-                        labels = _clamp_labels(labels, cgra, config)
+                        labels = _clamp_labels(
+                            _soften_labels(alg1_labels, cgra, soften),
+                            cgra, config,
+                        )
                     else:
                         labels = {n: cgra.dvfs.normal
                                   for n in dfg.node_ids()}
+                    # A step whose clamped labels equal the previous
+                    # step's would restart that chain from empty floors
+                    # with the same inputs: an attempt is deterministic
+                    # and the route memo never changes a result, so it
+                    # could only replay the chain that just failed.
+                    if labels == previous:
+                        continue
+                    previous = labels
                     floors: dict[int, int] = {}
                     for retry in range(config.max_reschedules + 1):
                         stats.attempts += 1

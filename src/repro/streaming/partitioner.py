@@ -162,15 +162,25 @@ def build_ii_table(app: StreamingApp, cgra: CGRA,
         for kernel in app.all_kernels()
         for count in range(1, max_islands_per_kernel + 1)
     ]
-    if jobs > 1 and use_cache:
-        from repro.compile import DiskCache, TieredCache, get_cache
+    if jobs > 1:
+        from repro.compile import (
+            DiskCache,
+            MappingCache,
+            TieredCache,
+            get_cache,
+        )
 
         # Engine artifacts promote into the process-wide cache so the
-        # realization step below the table search hits warm.
-        parent_cache = (
-            TieredCache(get_cache(), DiskCache(cache_dir))
-            if cache_dir else get_cache()
-        )
+        # realization step below the table search hits warm. Without the
+        # cache they promote into a throwaway one: workers compile
+        # against fresh per-worker caches, so nothing shared is read or
+        # written.
+        if not use_cache:
+            parent_cache, cache_dir = MappingCache(), None
+        elif cache_dir:
+            parent_cache = TieredCache(get_cache(), DiskCache(cache_dir))
+        else:
+            parent_cache = get_cache()
         executor = SweepExecutor(jobs=jobs, cache=parent_cache,
                                  cache_dir=cache_dir)
         items = [

@@ -177,3 +177,57 @@ class TestEngineStats:
         # Every counter the pipeline surfaces is present and an int.
         for name, value in counters.items():
             assert isinstance(value, int), name
+
+
+class TestSofteningSteps:
+    def test_clamped_compile_never_replays_an_attempt(self, monkeypatch):
+        # The partitioner's probes allow only the normal level, so every
+        # softening step clamps to the same labels; re-running a step's
+        # chain would repeat (ii, labels, floors) attempts verbatim.
+        from repro.mapper.engine import EngineStats, _Attempt
+        from repro.streaming.partitioner import (
+            _island_config,
+            _snake_island_order,
+            streaming_cgra,
+        )
+
+        keys = []
+        run = _Attempt.run
+
+        def recording_run(attempt):
+            keys.append((
+                attempt.ii,
+                tuple(sorted((n, lv.name) for n, lv in attempt.labels.items())),
+                tuple(sorted(attempt.floors.items())),
+            ))
+            return run(attempt)
+
+        monkeypatch.setattr(_Attempt, "run", recording_run)
+        cgra = streaming_cgra()
+        config = _island_config(cgra, tuple(_snake_island_order(cgra)[:2]))
+        stats = EngineStats()
+        map_dfg(load_kernel("compress", 1), cgra, config, stats=stats)
+        assert stats.iis_tried > 1  # at least one II failed
+        assert len(keys) == len(set(keys))
+        assert stats.attempts == len(keys)
+
+    @pytest.mark.parametrize("kernel, ii, soften, retry", [
+        ("fft", 6, 2, 2),
+        ("fir", 4, 1, 0),
+    ])
+    def test_whole_fabric_still_maps_on_softened_step(self, cgra66, kernel,
+                                                      ii, soften, retry):
+        from repro import obs
+
+        tracer = obs.install_tracer()
+        try:
+            map_dfg(load_kernel(kernel, 1), cgra66,
+                    EngineConfig(dvfs_aware=True))
+        finally:
+            obs.uninstall_tracer()
+        mapped = [
+            (s.attrs["ii"], s.attrs["soften"], s.attrs["retry"])
+            for s in tracer.spans
+            if s.name == "attempt" and s.attrs.get("outcome") == "mapped"
+        ]
+        assert mapped == [(ii, soften, retry)]

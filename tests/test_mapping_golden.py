@@ -1,12 +1,20 @@
 """Committed mapping digests: every mapper change must leave them as is.
 
-The golden ``tests/golden/mapping_digests.json`` holds, for each of the
-10 standalone kernels x (4 experiment strategies + the ``anneal``
-backend under ``iced``) on the 6x6 fabric with 2x2 islands, the SHA-256
-of the mapping's canonical ``to_dict()`` JSON and the compile's
-``mapping_cache_key``. A refactor of the mapper that claims "mappings
-unchanged" has to keep both byte-equal. The ``anneal`` rows pin the
-router's memo-less path, which only the annealer takes.
+The golden ``tests/golden/mapping_digests.json`` holds the SHA-256 of
+the mapping's canonical ``to_dict()`` JSON and the compile's
+``mapping_cache_key`` for two families of compiles:
+
+* whole-fabric: each of the 10 standalone kernels x (4 experiment
+  strategies + the ``anneal`` backend under ``iced``) on the 6x6
+  fabric with 2x2 islands. The ``anneal`` rows pin the router's
+  memo-less path, which only the annealer takes;
+* partition probes: each of gcn_app's 6 kernels on the first 1-4
+  islands of the snake order of ``streaming_cgra()``, compiled exactly
+  as ``build_ii_table`` does (normal-only levels, no refinement). They
+  pin the restricted-island compiles behind every streaming partition.
+
+A refactor of the mapper that claims "mappings unchanged" has to keep
+both byte-equal.
 
 Regenerate only after a deliberate change of mapping results, from the
 repo root:
@@ -24,9 +32,15 @@ from pathlib import Path
 import pytest
 
 from repro.arch.cgra import CGRA
-from repro.compile import MappingCache, compile_kernel
+from repro.compile import MappingCache, compile_dfg, compile_kernel
 from repro.kernels.table1 import STANDALONE_KERNELS
 from repro.mapper.backends import EXPERIMENT_STRATEGIES
+from repro.streaming.app import gcn_app
+from repro.streaming.partitioner import (
+    _island_config,
+    _snake_island_order,
+    streaming_cgra,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "mapping_digests.json"
 
@@ -34,13 +48,29 @@ GOLDEN = Path(__file__).parent / "golden" / "mapping_digests.json"
 ROWS = {strategy: (strategy, "engine") for strategy in EXPERIMENT_STRATEGIES}
 ROWS["anneal"] = ("iced", "anneal")
 
+#: Island counts of the partition probes (build_ii_table's default).
+PROBE_ISLANDS = (1, 2, 3, 4)
+PROBE_ROWS = [f"islands={count}" for count in PROBE_ISLANDS]
+PROBE_KERNELS = [f"gcn/{kernel.name}" for kernel in gcn_app().all_kernels()]
+
+#: Golden group -> its rows: the 50 whole-fabric compiles, then the 24
+#: partition probes.
+EXPECTED = {kernel: sorted(ROWS) for kernel in STANDALONE_KERNELS}
+EXPECTED.update({group: PROBE_ROWS for group in PROBE_KERNELS})
+
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _digest(result) -> dict:
+    blob = canonical_json(result.mapping.to_dict()).encode("utf-8")
+    return {"sha256": hashlib.sha256(blob).hexdigest(),
+            "cache_key": result.cache_key}
+
+
 def mapping_digests() -> dict:
-    """``{kernel: {row: {"sha256", "cache_key"}}}`` of the 50 compiles."""
+    """``{group: {row: {"sha256", "cache_key"}}}`` of all 74 compiles."""
     cgra = CGRA.build(6, 6, island_shape=(2, 2))
     cache = MappingCache()
     digests: dict = {}
@@ -48,11 +78,17 @@ def mapping_digests() -> dict:
         for row, (strategy, backend) in ROWS.items():
             result = compile_kernel(kernel, cgra, strategy, backend=backend,
                                     cache=cache)
-            blob = canonical_json(result.mapping.to_dict()).encode("utf-8")
-            digests.setdefault(kernel, {})[row] = {
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "cache_key": result.cache_key,
-            }
+            digests.setdefault(kernel, {})[row] = _digest(result)
+    fabric = streaming_cgra()
+    snake = _snake_island_order(fabric)
+    probe_cache = MappingCache()
+    for kernel in gcn_app().all_kernels():
+        for count, row in zip(PROBE_ISLANDS, PROBE_ROWS):
+            config = _island_config(fabric, tuple(snake[:count]))
+            result = compile_dfg(kernel.dfg, fabric, "iced", config,
+                                 refine=False, cache=probe_cache)
+            digests.setdefault(f"gcn/{kernel.name}", {})[row] = \
+                _digest(result)
     return digests
 
 
@@ -67,18 +103,18 @@ def golden():
 
 
 def test_golden_covers_every_compile(golden):
-    assert sorted(golden) == sorted(STANDALONE_KERNELS)
-    for kernel in STANDALONE_KERNELS:
-        assert sorted(golden[kernel]) == sorted(ROWS)
+    assert sorted(golden) == sorted(EXPECTED)
+    for group, rows in EXPECTED.items():
+        assert sorted(golden[group]) == sorted(rows)
 
 
 @pytest.mark.parametrize("field", ["sha256", "cache_key"])
 def test_mappings_match_golden(fresh, golden, field):
     changed = [
-        f"{kernel}/{row}"
-        for kernel in STANDALONE_KERNELS
-        for row in ROWS
-        if fresh[kernel][row][field] != golden[kernel][row][field]
+        f"{group}/{row}"
+        for group, rows in EXPECTED.items()
+        for row in rows
+        if fresh[group][row][field] != golden[group][row][field]
     ]
     assert not changed, f"{field} differs from the golden for: {changed}"
 

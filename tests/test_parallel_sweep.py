@@ -171,7 +171,9 @@ class TestPoolMechanics:
 
 
 class TestPartitionerParity:
-    def test_ii_table_jobs_identical_to_serial(self, tmp_path):
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_ii_table_jobs_identical_to_serial(self, tmp_path, registry,
+                                               use_cache):
         from repro.kernels.suite import load_kernel
         from repro.streaming.app import StreamingApp
         from repro.streaming.partitioner import (
@@ -186,10 +188,17 @@ class TestPartitionerParity:
         ])
         cgra = streaming_cgra()
         serial = build_ii_table(app, cgra, max_islands_per_kernel=2,
-                                jobs=1)
+                                jobs=1, use_cache=use_cache)
         parallel = build_ii_table(app, cgra, max_islands_per_kernel=2,
-                                  jobs=2, cache_dir=str(tmp_path))
+                                  jobs=2, cache_dir=str(tmp_path),
+                                  use_cache=use_cache)
         assert serial == parallel
+        # The pool ran: every probe came back from a worker and was
+        # revalidated in the parent.
+        assert registry.counters()["executor.revalidate.calls"] == \
+            len(parallel)
+        if not use_cache:  # nothing written to the shared disk cache
+            assert list(tmp_path.iterdir()) == []
         assert set(serial) == {
             ("fir", 1), ("fir", 2), ("relu", 1), ("relu", 2)
         }
