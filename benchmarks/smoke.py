@@ -20,7 +20,7 @@ Cases (run sizes, repetition counts and thresholds are constants):
   within a 120 s budget;
 * ``dse`` -- the 108-point solver0 space swept naive (best of two,
   before and after), optimized serial (traced) and optimized
-  ``--jobs 2``;
+  ``--jobs 2``, which must take no longer than serial;
 * ``stream`` -- enzyme's cold partition (timed and counted, report
   only), then 10^5 inputs through the engine and the per-input
   reference loop (``tests/reference_streaming.py``) for
@@ -130,6 +130,13 @@ def best_of(n, run, setup=lambda: None, clock=None):
             seconds = clock(result)
         best = seconds if best is None else min(best, seconds)
     return best, result
+
+
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def diverged(a: dict, b: dict) -> list:
@@ -290,11 +297,7 @@ def _portfolio(cgra: CGRA) -> dict:
 
 @case("compile")
 def compile_case(s: Smoke) -> None:
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
-    effective = min(COMPILE_JOBS, cores)
+    effective = min(COMPILE_JOBS, usable_cores())
     cgra = CGRA.build(COMPILE_SIZE, COMPILE_SIZE)
     # The three canonical sweeps record into one fresh registry: the
     # source of the per-pass table and the `passes` section.
@@ -472,6 +475,8 @@ def dse_case(s: Smoke) -> None:
     naive_s = min(naive_s1, naive_s2)
     stats = opt["stats"]
     speedup = naive_s / opt_s if opt_s else float("inf")
+    parallel_speedup = opt_s / max(par_s, 1e-9)
+    effective = min(DSE_JOBS, usable_cores())
     print(f"naive {naive_s:.2f}s ({stats['points']} compiles), optimized "
           f"{opt_s:.2f}s ({stats['compiles']} compiles, "
           f"{stats['cache_hits']} hits, {stats['aliased_blobs']} aliased),"
@@ -483,6 +488,8 @@ def dse_case(s: Smoke) -> None:
         "optimized_s": round(opt_s, 3),
         "parallel_s": round(par_s, 3),
         "parallel_jobs": DSE_JOBS,
+        "effective_cores": effective,
+        "parallel_speedup": round(parallel_speedup, 2),
         "speedup": round(speedup, 3),
         "stats": stats,
         "pareto": opt,
@@ -504,6 +511,9 @@ def dse_case(s: Smoke) -> None:
            stats["aliased_blobs"], ">", 0)
     s.gate("cache hits (exact-key reuse fired)", stats["cache_hits"], ">", 0)
     s.gate("optimized vs naive speedup", speedup, ">=", MIN_DSE_SPEEDUP)
+    s.gate(f"--jobs {DSE_JOBS} sweep seconds", par_s, "<=", opt_s,
+           unmeasured=(None if effective >= 2
+                       else f"{effective} usable core"))
     s.against_baseline("optimized sweep seconds", "optimized_s", opt_s, "<=",
                        lambda base: base * (1 + MAX_DSE_REGRESSION))
 

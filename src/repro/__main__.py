@@ -941,9 +941,10 @@ def main(argv: list[str] | None = None) -> int:
                      help="share an on-disk mapping cache across runs "
                           "and pool workers (default: in-memory only)")
     dse.add_argument("--resume", default=None, metavar="FILE",
-                     help="point-row manifest checkpointed after every "
-                          "fabric group; rerunning with the same space "
-                          "replays completed points instead of "
+                     help="point-row manifest checkpointed after each "
+                          "of the sweep's two waves (searches, then "
+                          "derived points); rerunning with the same "
+                          "space replays completed points instead of "
                           "recompiling them")
     dse.add_argument("--naive", action="store_true",
                      help="disable all cross-point reuse (benchmark "

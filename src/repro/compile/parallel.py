@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
@@ -240,9 +241,13 @@ class SweepExecutor:
                 if self.cache_dir else memory
             )
 
-    def run(self, items, cgra: CGRA, *,
+    def run(self, items, cgra: CGRA | Sequence[CGRA], *,
             cancel_on_optimal: bool = False) -> list[SweepOutcome]:
         """Compile every item; outcomes come back in work-list order.
+
+        ``cgra`` is either one fabric for every item or a sequence of
+        fabrics parallel to ``items``, so one dispatch can span several
+        fabrics. A single item always compiles inline, in this process.
 
         ``cancel_on_optimal`` enables portfolio racing: once an item
         completes with a *proven-optimal* result, later-indexed items
@@ -257,6 +262,11 @@ class SweepExecutor:
             else replace(item, seed=derive_worker_seed(self.seed, i))
             for i, item in enumerate(items)
         ]
+        fabrics = ([cgra] * len(seeded) if isinstance(cgra, CGRA)
+                   else list(cgra))
+        if len(fabrics) != len(seeded):
+            raise ValueError(f"{len(fabrics)} fabrics for {len(seeded)} "
+                             f"items: pass one CGRA or one per item")
         if self.jobs == 1 or len(seeded) <= 1:
             outcomes: list[SweepOutcome] = []
             proof_at: int | None = None
@@ -265,13 +275,13 @@ class SweepExecutor:
                         and i > proof_at and item.cancellable):
                     outcomes.append(SweepOutcome(i, item, cancelled=True))
                     continue
-                outcome = self._run_inline(i, item, cgra)
+                outcome = self._run_inline(i, item, fabrics[i])
                 outcomes.append(outcome)
                 if (cancel_on_optimal and proof_at is None
                         and outcome.ok and outcome.result.optimal):
                     proof_at = i
             return outcomes
-        return self._run_pool(seeded, cgra,
+        return self._run_pool(seeded, fabrics,
                               cancel_on_optimal=cancel_on_optimal)
 
     # -- serial path --------------------------------------------------------
@@ -298,7 +308,7 @@ class SweepExecutor:
             "fork" if "fork" in methods else None
         )
 
-    def _run_pool(self, items: list[SweepItem], cgra: CGRA, *,
+    def _run_pool(self, items: list[SweepItem], fabrics: list[CGRA], *,
                   cancel_on_optimal: bool = False) -> list[SweepOutcome]:
         raw: list[tuple | None] = [None] * len(items)
         trace_on = obs.current_tracer() is not None
@@ -309,7 +319,7 @@ class SweepExecutor:
             initargs=(self.cache_dir,),
         ) as pool:
             futures = [
-                pool.submit(_compile_item, (i, item, cgra, trace_on))
+                pool.submit(_compile_item, (i, item, fabrics[i], trace_on))
                 for i, item in enumerate(items)
             ]
             if not cancel_on_optimal:
@@ -319,7 +329,7 @@ class SweepExecutor:
             else:
                 self._race(futures, items, raw)
         return [
-            self._merge(tup, items[i], cgra) if tup is not None
+            self._merge(tup, items[i], fabrics[i]) if tup is not None
             else SweepOutcome(i, items[i], cancelled=True)
             for i, tup in enumerate(raw)
         ]

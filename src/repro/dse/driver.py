@@ -15,13 +15,23 @@ per-point mapping blob is byte-identical to a naive cold compile):
   reads any level but ``normal``, so fabrics differing *only* in V/F
   table depth run the identical search; the driver compiles one
   representative and republishes its serialized blob under the sibling
-  variants' keys before their group runs;
+  variants' keys;
 * **warm-started II deepening** — every item's engine config carries
   ``min_ii = exact_lower_bound(dfg, fabric)`` (and, for oblivious
   points, the solved II of an identical-search sibling), skipping
   ascending-II attempts a sound bound already rules out;
 * the process-global routing distance-oracle cache (keyed by topology
   fingerprint) accelerates the cold compiles that remain.
+
+The sweep runs in two waves. The **search wave** is one
+:meth:`SweepExecutor.run` call (one pool dispatch under ``--jobs N``)
+holding the first point, in expansion order, of every distinct search
+across all fabrics: a DVFS-aware search is its engine cache key, an
+oblivious one its ``(geometry, kernel, unroll)``. Every other point is
+**derived**: in expansion order the driver aliases its search's blob
+in, seeds its II and resolves it in this process against the shared
+cache — a warm hit, or, when its search failed, the same failing
+compile ``--jobs 1`` runs.
 
 Determinism: per-point seeds derive from (sweep seed, point index) —
 never from scheduling — and result rows carry no volatile fields, so
@@ -34,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro import obs
@@ -49,6 +59,7 @@ from repro.dse.pareto import PARETO_AXES, pareto_front
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.errors import DSEError
 from repro.kernels import load_kernel
+from repro.mapper.engine import EngineConfig
 from repro.mapper.exact import exact_lower_bound
 from repro.power.area import area_report
 from repro.power.model import energy_uj, mapping_power
@@ -66,12 +77,13 @@ class ResumeManifest:
     """Sweep-level resume: the completed point rows of one space.
 
     The manifest is canonical JSON (``{"schema", "space_hash",
-    "rows": {index: row}}``) rewritten *atomically after every fabric
-    group* — a sweep killed mid-flight loses at most the group in
-    progress, and a rerun with ``--resume`` replays the finished rows
-    from disk instead of recompiling them. Result rows are already
-    deterministic and volatile-free, so a resumed sweep's ``points``
-    and ``frontier`` are byte-equal to an uninterrupted one.
+    "rows": {index: row}}``) rewritten *atomically after every wave*
+    (the search wave, then the derived points) — a sweep killed
+    mid-flight loses at most the wave in progress, and a rerun with
+    ``--resume`` replays the finished rows from disk instead of
+    recompiling them. Result rows are already deterministic and
+    volatile-free, so a resumed sweep's ``points`` and ``frontier``
+    are byte-equal to an uninterrupted one.
 
     A manifest is bound to its design space by ``space_hash``: loading
     it against any other space raises :class:`~repro.errors.DSEError`
@@ -170,27 +182,6 @@ def _failed(point: DesignPoint, error) -> dict:
     return row
 
 
-class _ObliviousIndex:
-    """Per-(geometry, kernel) registry of solved DVFS-oblivious
-    compiles: the serialized blob, its provenance meta, and the solved
-    II — everything aliasing and sibling II seeding need."""
-
-    def __init__(self) -> None:
-        self._solved: dict[tuple, dict] = {}
-
-    @staticmethod
-    def _key(point: DesignPoint) -> tuple:
-        return (point.geometry_key, point.kernel, point.unroll)
-
-    def record(self, point: DesignPoint, blob: str, meta: dict) -> None:
-        self._solved.setdefault(self._key(point), {
-            "blob": blob, "meta": dict(meta),
-        })
-
-    def lookup(self, point: DesignPoint) -> dict | None:
-        return self._solved.get(self._key(point))
-
-
 def run_dse(space: DesignSpace, *, jobs: int = 1,
             cache: object | None = None, cache_dir: str | None = None,
             seed: int = 0, naive: bool = False,
@@ -210,10 +201,13 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     benchmark compares across naive/optimized/parallel runs.
     ``resume`` names a :class:`ResumeManifest` path: completed rows
     found there are replayed instead of recompiled, and the manifest is
-    atomically rewritten after every fabric group so an interrupted
-    sweep can pick up where it stopped. Unsupported with ``naive``
-    (whose whole point is to be cold).
+    atomically rewritten after each of the two waves (see the module
+    docstring) so an interrupted sweep can pick up where it stopped.
+    Unsupported with ``naive`` (whose whole point is to be cold).
+    ``jobs`` below 1 raises :class:`~repro.errors.DSEError`.
     """
+    if jobs < 1:
+        raise DSEError(f"jobs must be at least 1, got {jobs}")
     points = space.expand()
     space_hash = space.space_hash()
     if resume is not None and naive:
@@ -302,10 +296,137 @@ def _run_naive(points: list[DesignPoint], space: DesignSpace, seed: int,
 # -- optimized path ----------------------------------------------------------
 
 
-def _point_key(point: DesignPoint, cgra: CGRA, dfg) -> tuple[str, object]:
-    """The point's engine cache key and its resolved config."""
-    config = resolve_config(point.strategy, None)
-    return mapping_cache_key(dfg, cgra, config, "engine"), config
+@dataclass(frozen=True)
+class _Plan:
+    """One point ready to compile: its fabric, engine cache key,
+    resolved config and the sound II lower bound of its kernel there."""
+
+    point: DesignPoint
+    cgra: CGRA
+    key: str
+    config: EngineConfig
+    lower_bound: int
+
+    @property
+    def oblivious(self) -> bool:
+        return not self.config.dvfs_aware
+
+    @property
+    def search_id(self) -> object:
+        """What identifies the point's search. A DVFS-aware search is
+        its engine cache key. A DVFS-oblivious search reads only the
+        ``normal`` level, which every V/F variant shares, so it is
+        identified by ``(geometry, kernel, unroll)``."""
+        if self.oblivious:
+            point = self.point
+            return (point.geometry_key, point.kernel, point.unroll)
+        return self.key
+
+
+@dataclass
+class _Sweep:
+    """What one optimized sweep shares across its two waves: the
+    cache, the solved oblivious searches, the stats and the sinks."""
+
+    space: DesignSpace
+    space_hash: str
+    cache: object
+    seed: int
+    stats: dict
+    skip_unmappable: bool
+    blob_sink: dict | None
+    #: search id -> the solved blob and its provenance meta, for every
+    #: DVFS-oblivious search that mapped.
+    solved: dict = field(default_factory=dict)
+    _fabrics: dict = field(default_factory=dict)
+    _lower_bounds: dict = field(default_factory=dict)
+
+    @property
+    def disk(self) -> DiskCache | None:
+        return getattr(self.cache, "disk", None)
+
+    def plan(self, point: DesignPoint) -> _Plan:
+        cgra = self._fabrics.get(point.fabric_key)
+        if cgra is None:
+            cgra = self._fabrics[point.fabric_key] = build_fabric(point)
+        dfg = load_kernel(point.kernel, point.unroll)
+        config = resolve_config(point.strategy, None)
+        key = mapping_cache_key(dfg, cgra, config, "engine")
+        lb_key = (point.fabric_key, point.kernel, point.unroll)
+        if lb_key not in self._lower_bounds:
+            self._lower_bounds[lb_key] = exact_lower_bound(dfg, cgra)
+        return _Plan(point, cgra, key, config, self._lower_bounds[lb_key])
+
+    def item(self, plan: _Plan, min_ii: int) -> SweepItem:
+        point = plan.point
+        return SweepItem(
+            kernel=point.kernel, unroll=point.unroll,
+            strategy=point.strategy,
+            config=replace(plan.config, min_ii=min_ii),
+            seed=derive_worker_seed(self.seed, point.index),
+            tag=str(point.index),
+        )
+
+    def resolve(self, plan: _Plan, executor: SweepExecutor) -> dict:
+        """Resolve one derived point in this process against the shared
+        cache: alias its search's blob in, seed its II, then compile —
+        a warm hit unless its search failed."""
+        point = plan.point
+        min_ii = plan.lower_bound
+        solved = self.solved.get(plan.search_id)
+        if solved is not None:
+            # Cross-variant aliasing: the identical search, solved under
+            # a sibling V/F table, republishes its blob under this
+            # variant's key. Sound because the oblivious engine reads
+            # only the (shared) normal level — and revalidation still
+            # runs.
+            if plan.key not in self.cache:
+                if self.disk is not None:
+                    self.cache.store_serialized(
+                        plan.key, solved["blob"], kernel=point.kernel,
+                        backend="engine", meta=solved["meta"])
+                    self.disk.tag_sweep(plan.key, self.space_hash,
+                                        point.index)
+                else:
+                    self.cache.store_serialized(
+                        plan.key, solved["blob"], backend="engine",
+                        meta=solved["meta"])
+                self.stats["aliased_blobs"] += 1
+            sibling_ii = solved["meta"].get("ii")
+            if isinstance(sibling_ii, int) and sibling_ii > min_ii:
+                # The sibling solved the *identical* search at this II,
+                # so it is exact for this point too.
+                min_ii = sibling_ii
+                self.stats["sibling_ii_seeds"] += 1
+        # A one-item run compiles inline, never on a worker.
+        outcome = executor.run([self.item(plan, min_ii)], plan.cgra)[0]
+        return self.account(plan, outcome)
+
+    def account(self, plan: _Plan, outcome) -> dict:
+        """Count one outcome, tag and index what it produced, and turn
+        it into a result row."""
+        point = plan.point
+        if outcome.error is not None:
+            if not self.skip_unmappable:
+                raise outcome.error
+            self.stats["unmappable"] += 1
+            return _failed(point, outcome.error)
+        result = outcome.result
+        if result.cache_hit:
+            self.stats["cache_hits"] += 1
+        else:
+            self.stats["compiles"] += 1
+            if self.disk is not None:
+                self.disk.tag_sweep(plan.key, self.space_hash, point.index)
+        if plan.oblivious and plan.search_id not in self.solved:
+            blob = self.cache.serialized(plan.key)
+            if blob is not None:
+                meta = dict(self.cache.meta(plan.key))
+                meta.setdefault("ii", result.report.ii)
+                self.solved[plan.search_id] = {"blob": blob, "meta": meta}
+        if self.blob_sink is not None:
+            self.blob_sink[point.index] = _final_blob(result)
+        return _evaluate(point, result, plan.cgra, self.space.iterations)
 
 
 def _run_optimized(points: list[DesignPoint], space: DesignSpace,
@@ -323,126 +444,43 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
     if cache is None:
         cache = (TieredCache(MappingCache(), DiskCache(cache_dir))
                  if cache_dir else MappingCache())
-    disk = getattr(cache, "disk", None)
     executor = SweepExecutor(jobs=jobs, cache=cache,
                              cache_dir=cache_dir, seed=seed)
-    index = _ObliviousIndex()
+    sweep = _Sweep(space, space_hash, cache, seed, stats,
+                   skip_unmappable, blob_sink)
 
-    # Group points by fabric: the executor compiles one fabric per call.
-    groups: dict[tuple, list[DesignPoint]] = {}
+    # The first point of every distinct search, across all fabrics,
+    # joins the search wave; every other point is derived from one.
+    search: list[_Plan] = []
+    derived: list[_Plan] = []
+    seen: set = set()
     for point in points:
-        groups.setdefault(point.fabric_key, []).append(point)
+        plan = sweep.plan(point)
+        (derived if plan.search_id in seen else search).append(plan)
+        seen.add(plan.search_id)
 
-    for fabric_key, group in groups.items():
-        cgra = build_fabric(group[0])
-        with obs.span("dse.group", category="dse",
-                      fabric=f"{cgra.rows}x{cgra.cols}",
-                      topology=cgra.topology, points=len(group)):
-            group_rows = _run_group(group, cgra, space, space_hash,
-                                    executor, cache, disk, index, seed,
-                                    stats, skip_unmappable, blob_sink)
-        rows.extend(group_rows)
+    def checkpoint(wave_rows: list[dict]) -> None:
+        # After every wave: a kill loses at most the wave in flight.
+        rows.extend(wave_rows)
         if manifest is not None:
-            # Checkpoint after every fabric group: a kill loses at most
-            # the group in flight.
-            manifest.record(group_rows)
+            manifest.record(wave_rows)
             manifest.flush()
-    return rows
 
-
-def _run_group(group: list[DesignPoint], cgra: CGRA, space: DesignSpace,
-               space_hash: str, executor: SweepExecutor, cache, disk,
-               index: _ObliviousIndex, seed: int, stats: dict,
-               skip_unmappable: bool,
-               blob_sink: dict | None) -> list[dict]:
-    """Compile one fabric's points: alias sibling blobs in, warm-start
-    IIs, dispatch in two waves (unique keys first, guaranteed-warm
-    rest second) and evaluate the outcomes."""
-    prepared: list[tuple[DesignPoint, SweepItem, str, bool]] = []
-    lower_bounds: dict[tuple, int] = {}
-    for point in group:
-        dfg = load_kernel(point.kernel, point.unroll)
-        key, config = _point_key(point, cgra, dfg)
-        oblivious = not config.dvfs_aware
-        # Cross-variant aliasing: an identical search already solved
-        # under a sibling V/F table republishes its blob under this
-        # variant's key. Sound because the oblivious engine reads only
-        # the (shared) normal level — and revalidation still runs.
-        solved = index.lookup(point) if oblivious else None
-        if solved is not None and key not in cache:
-            if disk is not None:
-                cache.store_serialized(key, solved["blob"],
-                                       kernel=point.kernel,
-                                       backend="engine",
-                                       meta=solved["meta"])
-            else:
-                cache.store_serialized(key, solved["blob"],
-                                       backend="engine",
-                                       meta=solved["meta"])
-            if disk is not None:
-                disk.tag_sweep(key, space_hash, point.index)
-            stats["aliased_blobs"] += 1
-        lb_key = (point.kernel, point.unroll)
-        if lb_key not in lower_bounds:
-            lower_bounds[lb_key] = exact_lower_bound(dfg, cgra)
-        min_ii = lower_bounds[lb_key]
-        if solved is not None:
-            sibling_ii = solved["meta"].get("ii")
-            if isinstance(sibling_ii, int) and sibling_ii > min_ii:
-                # The sibling solved the *identical* search at this II,
-                # so it is exact for this point too.
-                min_ii = sibling_ii
-                stats["sibling_ii_seeds"] += 1
-        item = SweepItem(
-            kernel=point.kernel, unroll=point.unroll,
-            strategy=point.strategy,
-            config=replace(config, min_ii=min_ii),
-            seed=derive_worker_seed(seed, point.index),
-            tag=str(point.index),
-        )
-        prepared.append((point, item, key, oblivious))
-
-    # Two waves: one representative per engine key compiles first, so
-    # the rest hit warm even across pool workers (shared disk tier).
-    first_of: set[str] = set()
-    wave1, wave2 = [], []
-    for entry in prepared:
-        if entry[2] in first_of:
-            wave2.append(entry)
-        else:
-            first_of.add(entry[2])
-            wave1.append(entry)
-
-    rows: list[dict] = []
-    for wave in (wave1, wave2):
-        if not wave:
-            continue
-        outcomes = executor.run([item for _, item, _, _ in wave], cgra)
-        for (point, _, key, oblivious), outcome in zip(wave, outcomes):
-            if outcome.error is not None:
-                if not skip_unmappable:
-                    raise outcome.error
-                stats["unmappable"] += 1
-                rows.append(_failed(point, outcome.error))
-                continue
-            result = outcome.result
-            if result.cache_hit:
-                stats["cache_hits"] += 1
-            else:
-                stats["compiles"] += 1
-                if disk is not None and disk.tag_sweep(
-                        key, space_hash, point.index):
-                    pass  # first-producer tag written
-            if oblivious:
-                blob = cache.serialized(key)
-                if blob is not None:
-                    meta = dict(cache.meta(key))
-                    meta.setdefault("ii", result.report.ii)
-                    index.record(point, blob, meta)
-            if blob_sink is not None:
-                blob_sink[point.index] = _final_blob(result)
-            rows.append(_evaluate(point, result, cgra,
-                                  space.iterations))
+    if search:
+        # One pool dispatch for the whole sweep.
+        with obs.span("dse.wave", category="dse", wave="search",
+                      points=len(search)):
+            outcomes = executor.run(
+                [sweep.item(plan, plan.lower_bound) for plan in search],
+                [plan.cgra for plan in search])
+            wave_rows = [sweep.account(plan, outcome)
+                         for plan, outcome in zip(search, outcomes)]
+        checkpoint(wave_rows)
+    if derived:
+        with obs.span("dse.wave", category="dse", wave="derived",
+                      points=len(derived)):
+            wave_rows = [sweep.resolve(plan, executor) for plan in derived]
+        checkpoint(wave_rows)
     return rows
 
 

@@ -46,7 +46,6 @@ class TimingReport:
     """The reconstructed resource/timing state of a valid mapping."""
 
     ii: int
-    pool: ModuloResourcePool
     edge_timings: dict[int, EdgeTiming]
     tile_busy: dict[int, int] = field(default_factory=dict)
 
@@ -145,7 +144,7 @@ def compute_timing(mapping: Mapping) -> TimingReport:
     tile_busy = {
         tile.id: pool.tile_busy_slots(tile.id) for tile in cgra.tiles
     }
-    return TimingReport(ii=ii, pool=pool, edge_timings=edge_timings,
+    return TimingReport(ii=ii, edge_timings=edge_timings,
                         tile_busy=tile_busy)
 
 

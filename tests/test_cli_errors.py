@@ -2,10 +2,11 @@
 
 Each argv below once escaped as a raw ``ZeroDivisionError`` or
 ``ValueError`` (or, for ``trace --window 0``, silently ran a single
-window). The handlers now map the typed ``StreamingError`` family
-(``FleetError`` included) and a malformed ``--failed`` list to exit
-status 2 and one stderr line named after the subcommand, before any
-expensive compile or partition work.
+window, and for ``dse --jobs 0`` or a negative count, silently ran
+serially). The handlers now map the typed ``StreamingError`` family
+(``FleetError`` included), ``DSEError`` and a malformed ``--failed``
+list to exit status 2 and one stderr line named after the subcommand,
+before any expensive compile or partition work.
 """
 
 import pytest
@@ -21,6 +22,8 @@ from repro.__main__ import main
     ["stream", "gcn", "--inputs", "3"],
     ["scenarios", "table", "--window", "0"],
     ["trace", "fir", "--window", "0"],
+    ["dse", "--jobs", "0"],
+    ["dse", "--jobs", "-2"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, capsys,
                                                monkeypatch):

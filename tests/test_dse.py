@@ -10,7 +10,9 @@ The load-bearing contracts:
 * the optimized driver (cache reuse, blob aliasing, warm-started II)
   produces byte-identical rows *and* final mapping
   blobs to the naive per-point baseline, and ``jobs=2`` matches
-  ``jobs=1`` byte for byte;
+  ``jobs=1`` byte for byte, with or without a disk tier, from one
+  pool dispatch per sweep;
+* a sweep killed after its search wave resumes byte-identically;
 * DSE-produced disk artifacts carry the sweep provenance tag and the
   per-sweep footprint report groups by it.
 """
@@ -21,10 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compile.diskcache import DiskCache
+from repro.compile.parallel import SweepExecutor
 from repro.dse import (
     DesignPoint,
     DesignSpace,
     dominates,
+    driver,
     pareto_front,
     run_dse,
 )
@@ -175,6 +179,38 @@ def test_jobs_two_matches_jobs_one_byte_for_byte(tmp_path):
     assert serial_blobs == pool_blobs
 
 
+def test_jobs_two_without_cache_dir_matches_jobs_one():
+    # Derived points resolve in the parent against the shared in-memory
+    # cache, so a pool sweep with no disk tier still reuses every search.
+    serial_blobs, pool_blobs = {}, {}
+    serial = run_dse(SMALL_SPACE, jobs=1, seed=0, blob_sink=serial_blobs)
+    pool = run_dse(SMALL_SPACE, jobs=2, seed=0, blob_sink=pool_blobs)
+    for counter in ("compiles", "cache_hits", "aliased_blobs",
+                    "unmappable"):
+        assert pool["stats"][counter] == serial["stats"][counter], counter
+    for section in ("points", "frontier"):
+        assert (json.dumps(serial[section], sort_keys=True)
+                == json.dumps(pool[section], sort_keys=True))
+    assert serial_blobs == pool_blobs
+
+
+def test_pool_sweep_dispatches_once(tmp_path, monkeypatch):
+    # Every distinct search of both fabric groups goes out in one pool
+    # dispatch; no derived point reaches a worker.
+    dispatches = []
+    original = SweepExecutor._run_pool
+
+    def recording(self, items, *args, **kwargs):
+        dispatches.append(len(items))
+        return original(self, items, *args, **kwargs)
+
+    monkeypatch.setattr(SweepExecutor, "_run_pool", recording)
+    result = run_dse(SMALL_SPACE, jobs=2, seed=0,
+                     cache_dir=str(tmp_path / "cache"))
+    assert result["stats"]["compiles"] == 6
+    assert dispatches == [result["stats"]["compiles"]]
+
+
 def test_unmappable_points_are_recorded_not_raised():
     space = DesignSpace(fabrics=((1, 1),), islands=((1, 1),),
                         strategies=("baseline",),
@@ -241,8 +277,10 @@ def test_tag_sweep_keeps_first_producer(tmp_path):
 
 # -- sweep resume ------------------------------------------------------------
 
-#: Two V/F depths -> two fabric groups -> the manifest checkpoints
-#: mid-sweep, which is what partial-resume needs to exercise.
+#: Two V/F depths: the search wave holds points 0 (the oblivious
+#: search both depths share), 1 and 3 (one iced search per depth), and
+#: point 2 is derived. The manifest checkpoints after each wave, so a
+#: sweep killed among the derived points resumes from the search rows.
 RESUME_SPACE = DesignSpace(name="resume", fabrics=((4, 4),),
                            vf_levels=(3, 4),
                            strategies=("baseline", "iced"),
@@ -277,6 +315,27 @@ def test_partial_manifest_compiles_only_the_rest(tmp_path):
     # The checkpoint now holds the whole sweep again.
     refreshed = json.loads(manifest.read_text(encoding="utf-8"))
     assert len(refreshed["rows"]) == len(full["points"])
+
+
+def test_sweep_killed_after_the_search_wave_resumes(tmp_path,
+                                                    monkeypatch):
+    manifest = tmp_path / "sweep.resume.json"
+    full = run_dse(RESUME_SPACE, seed=0)
+
+    def killed(self, plan, executor):
+        raise RuntimeError("killed before the first derived point")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(driver._Sweep, "resolve", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    assert sorted(int(index) for index in doc["rows"]) == [0, 1, 3]
+    resumed = run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    for section in ("points", "frontier"):
+        assert (json.dumps(resumed[section], sort_keys=True)
+                == json.dumps(full[section], sort_keys=True))
+    assert resumed["stats"]["resumed"] == 3
 
 
 def test_manifest_from_another_space_is_refused(tmp_path):

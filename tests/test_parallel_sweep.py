@@ -118,6 +118,14 @@ class TestPoolMechanics:
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert [o.item.kernel for o in outcomes] == list(KERNELS)
 
+    def test_one_fabric_per_item(self):
+        # One dispatch may span fabrics; each item maps on its own.
+        fabrics = [CGRA.build(4, 4), CGRA.build(6, 6), CGRA.build(4, 4)]
+        outcomes = SweepExecutor(jobs=2).run(_items(), fabrics)
+        assert [o.mapping.cgra.rows for o in outcomes] == [4, 6, 4]
+        with pytest.raises(ValueError, match="fabrics"):
+            SweepExecutor(jobs=2).run(_items(), fabrics[:2])
+
     def test_worker_events_merged(self, registry):
         tracer = obs.install_tracer()
         try:
