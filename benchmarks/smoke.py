@@ -18,9 +18,10 @@ Cases (run sizes, repetition counts and thresholds are constants):
   (``tests/reference_routing.py``), and a backend portfolio race;
 * ``exact`` -- the exact backend must prove 5 small kernels optimal
   within a 120 s budget;
-* ``dse`` -- the 108-point solver0 space swept naive (best of two,
-  before and after), optimized serial (traced) and optimized
-  ``--jobs 2``, which must take no longer than serial;
+* ``dse`` -- the 108-point solver0 space swept naive, one cold compile
+  per point (``tests/reference_dse.py``; best of two, before and
+  after), optimized serial (traced) and optimized ``--jobs 2``, which
+  must take no longer than serial;
 * ``stream`` -- enzyme's cold partition (timed and counted, report
   only), then 10^5 inputs through the engine and the per-input
   reference loop (``tests/reference_streaming.py``) for
@@ -97,6 +98,7 @@ from repro.streaming import (
     streaming_cgra,
     take_inputs,
 )
+from tests.reference_dse import reference_run_dse
 from tests.reference_fleet import ReferenceFleetSim
 from tests.reference_streaming import (
     reference_simulate_drips,
@@ -450,12 +452,12 @@ DSE_SPACE = DesignSpace(
 )
 
 
-def _dse(**options) -> tuple[float, dict, dict]:
+def _dse(sweep=run_dse, **options) -> tuple[float, dict, dict]:
     """One timed sweep of the smoke space: (seconds, result, blobs)."""
     routing.clear_oracle_cache()
     blobs: dict = {}
-    seconds, result = timed(lambda: run_dse(DSE_SPACE, seed=DSE_SEED,
-                                            blob_sink=blobs, **options))
+    seconds, result = timed(lambda: sweep(DSE_SPACE, seed=DSE_SEED,
+                                          blob_sink=blobs, **options))
     return seconds, result, blobs
 
 
@@ -465,13 +467,13 @@ def dse_case(s: Smoke) -> None:
           f"(space hash {DSE_SPACE.space_hash()})")
     # Naive runs before and after the optimized ones; the best (the
     # conservative choice: warm-up can only flatter naive) is kept.
-    naive_s1, naive, naive_blobs = _dse(naive=True)
+    naive_s1, naive, naive_blobs = _dse(reference_run_dse)
     with tempfile.TemporaryDirectory(prefix="dse-smoke-") as tmp:
         (opt_s, opt, opt_blobs), _ = s.traced(
             lambda: _dse(jobs=1, cache_dir=os.path.join(tmp, "serial")))
         par_s, par, par_blobs = _dse(
             jobs=DSE_JOBS, cache_dir=os.path.join(tmp, "parallel"))
-    naive_s2, _, check_blobs = _dse(naive=True)
+    naive_s2, _, check_blobs = _dse(reference_run_dse)
     naive_s = min(naive_s1, naive_s2)
     stats = opt["stats"]
     speedup = naive_s / opt_s if opt_s else float("inf")

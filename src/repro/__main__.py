@@ -37,7 +37,7 @@ from repro.compile import (
     render_per_ii,
     render_report,
 )
-from repro.errors import StreamingError
+from repro.errors import ArchitectureError, DFGError, StreamingError
 from repro.kernels.suite import kernel_names
 from repro.mapper.backends import (
     DEFAULT_PORTFOLIO,
@@ -53,8 +53,17 @@ from repro import viz
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
+    """``"6x4"`` -> ``(6, 4)``; anything but ``RxC`` with R, C >= 1
+    raises :class:`ArchitectureError`."""
     rows, _, cols = text.partition("x")
-    return int(rows), int(cols)
+    try:
+        shape = int(rows), int(cols)
+    except ValueError:
+        shape = (0, 0)
+    if min(shape) < 1:
+        raise ArchitectureError(f"expected a shape RxC with R, C >= 1, "
+                                f"got {text!r}")
+    return shape
 
 
 def _build_fabric(args) -> CGRA:
@@ -111,9 +120,15 @@ def _single_backend_options(args) -> dict:
 def cmd_map(args) -> int:
     cgra = _build_fabric(args)
     shows = set(args.show.split(",")) if args.show else set()
+    members = tuple(m for m in args.members.split(",") if m)
+    if args.portfolio and (not members or any(
+            m not in backend_names() for m in members)):
+        print(f"map: --members needs backends from "
+              f"{', '.join(backend_names())}, got {args.members!r}",
+              file=sys.stderr)
+        return 2
     with _tracing(args.trace):
         if args.portfolio:
-            members = tuple(m for m in args.members.split(",") if m)
             portfolio = compile_portfolio(
                 args.kernel, cgra, args.strategy, unroll=args.unroll,
                 members=members, budget_s=args.budget_s, jobs=args.jobs,
@@ -267,8 +282,10 @@ def cmd_stream(args) -> int:
 
             profiler = cProfile.Profile()
             profiler.enable()
-            iced, drips = run_streaming()
-            profiler.disable()
+            try:
+                iced, drips = run_streaming()
+            finally:
+                profiler.disable()
             buffer = io.StringIO()
             stats = pstats.Stats(profiler, stream=buffer)
             stats.strip_dirs().sort_stats("cumulative").print_stats(15)
@@ -429,8 +446,8 @@ def cmd_trace(args) -> int:
     from repro.streaming.stage import KernelStage, StreamInput
 
     check_window(args.window)
+    cgra = _build_fabric(args)
     with _tracing(args.out):
-        cgra = _build_fabric(args)
         result = compile_kernel(args.kernel, cgra, args.strategy,
                                 unroll=args.unroll, use_cache=False)
         simulate_execution(result.mapping, args.iterations, result.report)
@@ -540,7 +557,7 @@ def cmd_dse(args) -> int:
         with _tracing(args.trace):
             result = run_dse(space, jobs=args.jobs,
                              cache_dir=args.cache_dir, seed=args.seed,
-                             naive=args.naive, resume=args.resume)
+                             resume=args.resume)
     except DSEError as exc:
         print(f"dse: {exc}", file=sys.stderr)
         return 2
@@ -582,11 +599,14 @@ def cmd_profile(args) -> int:
     use_cache = args.cached and not args.no_cache
     profiler = cProfile.Profile()
     profiler.enable()
-    result = compile_kernel(args.kernel, cgra, strategy=args.strategy,
-                            backend=args.backend,
-                            backend_options=_single_backend_options(args),
-                            unroll=args.unroll, use_cache=use_cache)
-    profiler.disable()
+    try:
+        result = compile_kernel(
+            args.kernel, cgra, strategy=args.strategy,
+            backend=args.backend,
+            backend_options=_single_backend_options(args),
+            unroll=args.unroll, use_cache=use_cache)
+    finally:
+        profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(args.top)
@@ -946,9 +966,6 @@ def main(argv: list[str] | None = None) -> int:
                           "derived points); rerunning with the same "
                           "space replays completed points instead of "
                           "recompiling them")
-    dse.add_argument("--naive", action="store_true",
-                     help="disable all cross-point reuse (benchmark "
-                          "baseline; results are identical, just slow)")
     dse.add_argument("--out", default=None, metavar="FILE",
                      help="write the canonical result JSON here")
     dse.add_argument("--top", type=int, default=10,
@@ -1057,10 +1074,11 @@ def main(argv: list[str] | None = None) -> int:
     previous = obs.set_metrics(registry)
     try:
         return handlers[args.command](args)
-    except StreamingError as exc:
-        # Streaming and fleet input the runtime rejects (windows,
-        # stream lengths, scenario or fleet mixes, placements) is a
-        # usage error: one line naming the command, exit status 2.
+    except (StreamingError, ArchitectureError, DFGError) as exc:
+        # Input the runtime rejects (fabric and island shapes, unroll
+        # factors, windows, stream lengths, scenario or fleet mixes,
+        # placements) is a usage error: one line naming the command,
+        # exit status 2.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     finally:

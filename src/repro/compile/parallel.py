@@ -41,7 +41,7 @@ import multiprocessing
 import os
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.arch.cgra import CGRA
@@ -229,8 +229,6 @@ class SweepExecutor:
     cache: object | None = None
     cache_dir: str | None = None
     seed: int = 0
-    mp_context: str | None = None
-    _outcomes: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.jobs = max(1, int(self.jobs))
@@ -299,8 +297,6 @@ class SweepExecutor:
     # -- pool path ----------------------------------------------------------
 
     def _pool_context(self):
-        if self.mp_context:
-            return multiprocessing.get_context(self.mp_context)
         methods = multiprocessing.get_all_start_methods()
         # fork reuses the parent's loaded modules — pool start-up is
         # milliseconds instead of a fresh interpreter + numpy import.

@@ -120,9 +120,9 @@ def resolve_config(strategy: str,
     the caller passed — mirroring the historical entry points."""
     from dataclasses import replace
 
-    if config is None:
-        config = EngineConfig.for_strategy(strategy)
     want_dvfs = strategy == "iced"
+    if config is None:
+        return EngineConfig(dvfs_aware=want_dvfs)
     if config.dvfs_aware != want_dvfs:
         config = replace(config, dvfs_aware=want_dvfs)
     return config

@@ -1,10 +1,11 @@
 """The DSE sweep driver: expand a design space, compile every point,
 emit Pareto frontiers.
 
-The naive way to sweep a design space is one cold compile per point.
+The plain way to sweep a design space is one cold compile per point.
 This driver instead layers every reuse channel the compile stack
-offers, all of them *result-neutral* (the dse benchmark asserts every
-per-point mapping blob is byte-identical to a naive cold compile):
+offers, all of them *result-neutral* (the DSE tests and the dse smoke
+case assert every per-point mapping blob is byte-identical to the
+one-cold-compile-per-point oracle in ``tests/reference_dse.py``):
 
 * **exact-key dedupe** — the mapping cache is keyed by (DFG, fabric,
   engine config, backend), *not* strategy, and every DVFS-oblivious
@@ -54,7 +55,7 @@ from repro.compile.cache import MappingCache
 from repro.compile.diskcache import DiskCache, TieredCache, atomic_write
 from repro.compile.fingerprint import mapping_cache_key
 from repro.compile.parallel import SweepExecutor, SweepItem
-from repro.compile.pipeline import compile_kernel, resolve_config
+from repro.compile.pipeline import resolve_config
 from repro.dse.pareto import PARETO_AXES, pareto_front
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.errors import DSEError
@@ -184,35 +185,25 @@ def _failed(point: DesignPoint, error) -> dict:
 
 def run_dse(space: DesignSpace, *, jobs: int = 1,
             cache: object | None = None, cache_dir: str | None = None,
-            seed: int = 0, naive: bool = False,
-            skip_unmappable: bool = True,
-            blob_sink: dict | None = None,
+            seed: int = 0, blob_sink: dict | None = None,
             resume: str | Path | None = None) -> dict:
     """Sweep ``space`` and return the canonical result document:
     ``{schema, space, space_hash, points, frontier, stats}``.
 
-    ``naive`` disables every reuse channel (fresh per-point cache, no
-    warm starts, cold routing oracle) — the honest
-    per-point-compile baseline the dse benchmark races against.
-    ``skip_unmappable=False`` re-raises the first ``MappingError``
-    instead of recording an ``unmappable`` row. ``blob_sink``, when
-    given, receives every point's *final* canonical mapping JSON
-    (``blob_sink[index] = blob``) — the bit-identity oracle the dse
-    benchmark compares across naive/optimized/parallel runs.
+    A point whose kernel does not map is recorded as an ``unmappable``
+    row. ``blob_sink``, when given, receives every point's *final*
+    canonical mapping JSON (``blob_sink[index] = blob``) — what the
+    bit-identity checks compare across cold/optimized/parallel runs.
     ``resume`` names a :class:`ResumeManifest` path: completed rows
     found there are replayed instead of recompiled, and the manifest is
     atomically rewritten after each of the two waves (see the module
     docstring) so an interrupted sweep can pick up where it stopped.
-    Unsupported with ``naive`` (whose whole point is to be cold).
     ``jobs`` below 1 raises :class:`~repro.errors.DSEError`.
     """
     if jobs < 1:
         raise DSEError(f"jobs must be at least 1, got {jobs}")
     points = space.expand()
     space_hash = space.space_hash()
-    if resume is not None and naive:
-        raise DSEError("resume is unsupported with the naive baseline "
-                       "(a resumed sweep would not be cold)")
     manifest = (ResumeManifest(resume, space_hash)
                 if resume is not None else None)
     started = time.perf_counter()
@@ -227,13 +218,8 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     }
     with obs.span("dse", category="dse", space=space.name,
                   space_hash=space_hash, points=len(points)):
-        if naive:
-            rows = _run_naive(points, space, seed, stats,
-                              skip_unmappable, blob_sink)
-        else:
-            rows = _run_optimized(points, space, space_hash, jobs,
-                                  cache, cache_dir, seed, stats,
-                                  skip_unmappable, blob_sink, manifest)
+        rows = _run_optimized(points, space, space_hash, jobs, cache,
+                              cache_dir, seed, stats, blob_sink, manifest)
     rows.sort(key=lambda row: row["index"])
     frontier = pareto_front([r for r in rows if r["status"] == "ok"])
     stats["frontier_size"] = len(frontier)
@@ -254,43 +240,9 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     }
 
 
-# -- naive path (the benchmark baseline) -------------------------------------
-
-
 def _final_blob(result) -> str:
     return json.dumps(result.mapping.to_dict(), sort_keys=True,
                       separators=(",", ":"))
-
-
-def _run_naive(points: list[DesignPoint], space: DesignSpace, seed: int,
-               stats: dict, skip_unmappable: bool,
-               blob_sink: dict | None) -> list[dict]:
-    from repro.errors import MappingError
-    from repro.mapper import routing
-
-    rows = []
-    for point in points:
-        routing.clear_oracle_cache()
-        cgra = build_fabric(point)
-        config = replace(resolve_config(point.strategy, None), min_ii=0)
-        stats["compiles"] += 1
-        try:
-            result = compile_kernel(
-                point.kernel, cgra, point.strategy, config,
-                unroll=point.unroll,
-                seed=derive_worker_seed(seed, point.index),
-                cache=MappingCache(),
-            )
-        except MappingError as exc:
-            if not skip_unmappable:
-                raise
-            stats["unmappable"] += 1
-            rows.append(_failed(point, exc))
-            continue
-        if blob_sink is not None:
-            blob_sink[point.index] = _final_blob(result)
-        rows.append(_evaluate(point, result, cgra, space.iterations))
-    return rows
 
 
 # -- optimized path ----------------------------------------------------------
@@ -333,7 +285,6 @@ class _Sweep:
     cache: object
     seed: int
     stats: dict
-    skip_unmappable: bool
     blob_sink: dict | None
     #: search id -> the solved blob and its provenance meta, for every
     #: DVFS-oblivious search that mapped.
@@ -407,8 +358,6 @@ class _Sweep:
         it into a result row."""
         point = plan.point
         if outcome.error is not None:
-            if not self.skip_unmappable:
-                raise outcome.error
             self.stats["unmappable"] += 1
             return _failed(point, outcome.error)
         result = outcome.result
@@ -432,7 +381,7 @@ class _Sweep:
 def _run_optimized(points: list[DesignPoint], space: DesignSpace,
                    space_hash: str, jobs: int, cache: object | None,
                    cache_dir: str | None, seed: int, stats: dict,
-                   skip_unmappable: bool, blob_sink: dict | None,
+                   blob_sink: dict | None,
                    manifest: ResumeManifest | None = None) -> list[dict]:
     rows: list[dict] = []
     if manifest is not None and manifest.rows:
@@ -446,8 +395,7 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
                  if cache_dir else MappingCache())
     executor = SweepExecutor(jobs=jobs, cache=cache,
                              cache_dir=cache_dir, seed=seed)
-    sweep = _Sweep(space, space_hash, cache, seed, stats,
-                   skip_unmappable, blob_sink)
+    sweep = _Sweep(space, space_hash, cache, seed, stats, blob_sink)
 
     # The first point of every distinct search, across all fabrics,
     # joins the search wave; every other point is derived from one.

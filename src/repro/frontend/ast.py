@@ -27,14 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from repro.dfg.ops import BINARY_SYMBOLS, CMP_SYMBOLS, UNARY_SYMBOLS
 from repro.errors import FrontendError
 
 #: Binary arithmetic operators the language supports.
-BIN_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "min", "max")
+BIN_OPS = tuple(BINARY_SYMBOLS)
 #: Comparison operators (produce 0/1 predicates).
-CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+CMP_OPS = tuple(CMP_SYMBOLS)
 #: Unary operators.
-UNARY_OPS = ("-", "abs", "sqrt", "not")
+UNARY_OPS = tuple(UNARY_SYMBOLS)
 
 
 @dataclass(frozen=True)

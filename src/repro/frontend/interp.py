@@ -10,11 +10,10 @@ flattening, predication, CSE) preserves semantics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.dfg.analysis import topo_order
-from repro.dfg.ops import Opcode
+from repro.dfg.ops import BINARY_SYMBOLS, UNARY_SYMBOLS, Opcode, evaluate
 from repro.errors import FrontendError
 from repro.frontend.ast import (
     Accumulate,
@@ -70,7 +69,8 @@ def _run_stmts(stmts, scalars: dict[str, float], mem: Memory) -> None:
             _write(stmt.target, value, scalars, mem)
         elif isinstance(stmt, Accumulate):
             current = scalars.get(stmt.target.name, 0.0)
-            value = _apply_bin(stmt.op, current, _eval(stmt.expr, scalars, mem))
+            value = evaluate(BINARY_SYMBOLS[stmt.op],
+                             (current, _eval(stmt.expr, scalars, mem)))
             scalars[stmt.target.name] = value
         elif isinstance(stmt, If):
             if _eval(stmt.cond, scalars, mem):
@@ -101,66 +101,19 @@ def _eval(expr, scalars: dict[str, float], mem: Memory) -> float:
     if isinstance(expr, Ref):
         return mem[expr.array][int(_eval(expr.index, scalars, mem))]
     if isinstance(expr, Bin):
-        return _apply_bin(expr.op, _eval(expr.lhs, scalars, mem),
-                          _eval(expr.rhs, scalars, mem))
+        return evaluate(BINARY_SYMBOLS[expr.op],
+                        (_eval(expr.lhs, scalars, mem),
+                         _eval(expr.rhs, scalars, mem)))
     if isinstance(expr, Cmp):
-        return _apply_cmp(expr.op, _eval(expr.lhs, scalars, mem),
-                          _eval(expr.rhs, scalars, mem))
+        return evaluate(Opcode.CMP, (_eval(expr.lhs, scalars, mem),
+                                     _eval(expr.rhs, scalars, mem)), expr.op)
     if isinstance(expr, Unary):
-        return _apply_unary(expr.op, _eval(expr.operand, scalars, mem))
+        value = _eval(expr.operand, scalars, mem)
+        opcode = UNARY_SYMBOLS[expr.op]
+        # -x is SUB(0.0, x), the node lowering emits for it.
+        return evaluate(opcode, (0.0, value) if opcode is Opcode.SUB
+                        else (value,))
     raise FrontendError(f"unknown expression {expr!r}")
-
-
-def _apply_bin(op: str, a: float, b: float) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "%":
-        return float(int(a) % int(b)) if b else 0.0
-    if op == "&":
-        return float(int(a) & int(b))
-    if op == "|":
-        return float(int(a) | int(b))
-    if op == "^":
-        return float(int(a) ^ int(b))
-    if op == "<<":
-        return float(int(a) << int(b))
-    if op == ">>":
-        return float(int(a) >> int(b))
-    if op == "min":
-        return min(a, b)
-    if op == "max":
-        return max(a, b)
-    raise FrontendError(f"unknown binary operator {op!r}")
-
-
-def _apply_cmp(op: str, a: float, b: float) -> float:
-    result = {
-        "<": a < b,
-        "<=": a <= b,
-        ">": a > b,
-        ">=": a >= b,
-        "==": a == b,
-        "!=": a != b,
-    }[op]
-    return 1.0 if result else 0.0
-
-
-def _apply_unary(op: str, a: float) -> float:
-    if op == "-":
-        return -a
-    if op == "abs":
-        return abs(a)
-    if op == "sqrt":
-        return math.sqrt(a) if a >= 0 else 0.0
-    if op == "not":
-        return 0.0 if a else 1.0
-    raise FrontendError(f"unknown unary operator {op!r}")
 
 
 # -- DFG interpretation --------------------------------------------------------
@@ -276,30 +229,4 @@ def _eval_node(dfg, meta, node_id, k, values, history, back_source,
         if pred:
             mem[info["array"]][index] = value
         return value
-    if op is Opcode.CMP:
-        return _apply_cmp(info["op"], args[0], args[1])
-    if op is Opcode.SELECT:
-        return args[1] if args[0] else args[2]
-    if op is Opcode.NOT:
-        return 0.0 if args[0] else 1.0
-    if op is Opcode.ABS:
-        return abs(args[0])
-    if op is Opcode.SQRT:
-        return math.sqrt(args[0]) if args[0] >= 0 else 0.0
-    if op is Opcode.MOV:
-        return args[0]
-    if op is Opcode.MAC:
-        return args[0] * args[1] + args[2]
-    binop = {
-        Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*", Opcode.DIV: "/",
-        Opcode.REM: "%", Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^",
-        Opcode.SHL: "<<", Opcode.SHR: ">>", Opcode.MIN: "min",
-        Opcode.MAX: "max",
-    }.get(op)
-    if binop is None:
-        raise FrontendError(f"cannot interpret opcode {op}")
-    if len(args) != 2:
-        raise FrontendError(
-            f"node {node_id} ({op.name}) expects 2 inputs, has {len(args)}"
-        )
-    return _apply_bin(binop, args[0], args[1])
+    return evaluate(op, args, info.get("op"))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dfg.graph import DFG
-from repro.dfg.ops import Opcode
+from repro.dfg.ops import BINARY_SYMBOLS, UNARY_SYMBOLS, Opcode
 from repro.errors import FrontendError
 from repro.frontend.ast import (
     Accumulate,
@@ -38,21 +38,6 @@ from repro.frontend.ast import (
     Unary,
     Var,
 )
-
-_BIN_OPCODES = {
-    "+": Opcode.ADD,
-    "-": Opcode.SUB,
-    "*": Opcode.MUL,
-    "/": Opcode.DIV,
-    "%": Opcode.REM,
-    "&": Opcode.AND,
-    "|": Opcode.OR,
-    "^": Opcode.XOR,
-    "<<": Opcode.SHL,
-    ">>": Opcode.SHR,
-    "min": Opcode.MIN,
-    "max": Opcode.MAX,
-}
 
 
 @dataclass
@@ -407,8 +392,7 @@ class _Lowerer:
         operand = self._lower_expr(expr.operand)
         if expr.op == "-":
             return self._binop("-", self._const(0.0), operand)
-        opcode = {"abs": Opcode.ABS, "sqrt": Opcode.SQRT,
-                  "not": Opcode.NOT}[expr.op]
+        opcode = UNARY_SYMBOLS[expr.op]
         key = (opcode, operand)
         if key in self._cse:
             return self._cse[key]
@@ -430,7 +414,7 @@ class _Lowerer:
         return self._const_cache[value]
 
     def _binop(self, op: str, lhs: int, rhs: int, name: str = "") -> int:
-        opcode = _BIN_OPCODES[op]
+        opcode = BINARY_SYMBOLS[op]
         key = (opcode, lhs, rhs)
         if key in self._cse:
             return self._cse[key]

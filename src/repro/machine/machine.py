@@ -20,11 +20,10 @@ computes garbage and the tests catch it against the AST interpreter.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.dfg.ops import Opcode
+from repro.dfg.ops import Opcode, evaluate
 from repro.errors import SimulationError
 from repro.mapper.bitstream import Bitstream, ConfigWord
 
@@ -242,55 +241,9 @@ def _evaluate(word: ConfigWord, args: list[float], mem: Memory,
         else:
             stats.stores_predicated_off += 1
         return value
-    if op is Opcode.CMP:
-        a, b = args[0], args[1]
-        result = {
-            "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-            "==": a == b, "!=": a != b,
-        }[word.cmp_op or "<"]
-        return 1.0 if result else 0.0
-    if op is Opcode.SELECT:
-        return args[1] if args[0] else args[2]
     if op is Opcode.PHI:
         return args[0] if args else 0.0
-    if op is Opcode.NOT:
-        return 0.0 if args[0] else 1.0
-    if op is Opcode.ABS:
-        return abs(args[0])
-    if op is Opcode.SQRT:
-        return math.sqrt(args[0]) if args[0] >= 0 else 0.0
-    if op is Opcode.MOV:
-        return args[0]
-    if op is Opcode.MAC:
-        return args[0] * args[1] + args[2]
-    if len(args) < 2:
-        raise SimulationError(f"{op} expects 2 operands, got {len(args)}")
-    a, b = args[0], args[1]
-    if op is Opcode.ADD:
-        return a + b
-    if op is Opcode.SUB:
-        return a - b
-    if op is Opcode.MUL:
-        return a * b
-    if op is Opcode.DIV:
-        return a / b if b else 0.0
-    if op is Opcode.REM:
-        return float(int(a) % int(b)) if b else 0.0
-    if op is Opcode.AND:
-        return float(int(a) & int(b))
-    if op is Opcode.OR:
-        return float(int(a) | int(b))
-    if op is Opcode.XOR:
-        return float(int(a) ^ int(b))
-    if op is Opcode.SHL:
-        return float(int(a) << int(b))
-    if op is Opcode.SHR:
-        return float(int(a) >> int(b))
-    if op is Opcode.MIN:
-        return min(a, b)
-    if op is Opcode.MAX:
-        return max(a, b)
-    raise SimulationError(f"machine cannot evaluate opcode {op}")
+    return evaluate(op, args, word.cmp_op)
 
 
 def _mem_ref(word: ConfigWord, mem: Memory) -> list[float]:

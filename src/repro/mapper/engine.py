@@ -85,21 +85,6 @@ class EngineConfig:
     w_pressure: float = 3.0
     min_ii: int = 0
 
-    @classmethod
-    def for_strategy(cls, strategy: str) -> "EngineConfig":
-        """The canonical engine configuration of an evaluated design.
-
-        This is the single source of truth for default engine tunables
-        (cost weights included): every mapper entry point and experiment
-        harness derives its configuration from here instead of restating
-        values inline.
-        """
-        dvfs_aware = strategy not in (
-            "baseline", "baseline+gating", "per_tile_dvfs", "per_tile",
-            "anneal",
-        )
-        return cls(dvfs_aware=dvfs_aware)
-
 
 #: EngineConfig fields that accelerate the search without changing its
 #: result (enforced by the differential suites). They are stripped from
@@ -558,14 +543,6 @@ class _Attempt:
                 vec = tuple(patched)
             self._slow_variants[key] = vec
         return vec
-
-    def _tile_level(self, tile: int, candidate_island: int | None,
-                    candidate_level: DVFSLevel | None) -> DVFSLevel | None:
-        island = self.cgra.island_of(tile).id
-        level = self.island_levels.get(island)
-        if level is None and island == candidate_island:
-            level = candidate_level
-        return level
 
     def _op_cycles(self, node: int, tile: int) -> int:
         """Own-clock latency of ``node`` on ``tile``'s FU (memoized)."""

@@ -182,7 +182,7 @@ def map_exact(dfg: DFG, cgra: CGRA, config: EngineConfig | None = None,
     instance exceeds the size cap or no mapping exists within budget.
     """
     dfg.validate()
-    config = config or EngineConfig.for_strategy("exact")
+    config = config or EngineConfig()
     if config.dvfs_aware:
         config = replace(config, dvfs_aware=False)
     stats = stats if stats is not None else ExactStats()

@@ -8,8 +8,9 @@ The load-bearing contracts:
 * ``DesignSpace.expand`` is deterministic, densely indexed and drops
   only island shapes that do not fit their fabric;
 * the optimized driver (cache reuse, blob aliasing, warm-started II)
-  produces byte-identical rows *and* final mapping
-  blobs to the naive per-point baseline, and ``jobs=2`` matches
+  produces byte-identical rows *and* final mapping blobs to the
+  one-cold-compile-per-point oracle (``tests/reference_dse.py``), and
+  ``jobs=2`` matches
   ``jobs=1`` byte for byte, with or without a disk tier, from one
   pool dispatch per sweep;
 * a sweep killed after its search wave resumes byte-identically;
@@ -33,6 +34,7 @@ from repro.dse import (
     run_dse,
 )
 from repro.dse.space import _parse_shape
+from tests.reference_dse import reference_run_dse
 
 SMALL_SPACE = DesignSpace(
     name="test",
@@ -156,8 +158,7 @@ def test_point_keys_partition_the_axes():
 def test_optimized_matches_naive_rows_and_blobs():
     opt_blobs, naive_blobs = {}, {}
     optimized = run_dse(SMALL_SPACE, seed=0, blob_sink=opt_blobs)
-    naive = run_dse(SMALL_SPACE, seed=0, naive=True,
-                    blob_sink=naive_blobs)
+    naive = reference_run_dse(SMALL_SPACE, seed=0, blob_sink=naive_blobs)
     assert optimized["points"] == naive["points"]
     assert optimized["frontier"] == naive["frontier"]
     assert opt_blobs == naive_blobs
@@ -347,14 +348,6 @@ def test_manifest_from_another_space_is_refused(tmp_path):
                         kernels=("mvt",))
     with pytest.raises(DSEError, match="space hash"):
         run_dse(other, seed=0, resume=manifest)
-
-
-def test_resume_with_naive_is_an_error(tmp_path):
-    from repro.errors import DSEError
-
-    with pytest.raises(DSEError, match="naive"):
-        run_dse(RESUME_SPACE, seed=0, naive=True,
-                resume=tmp_path / "x.json")
 
 
 def test_corrupt_manifest_is_refused(tmp_path):
