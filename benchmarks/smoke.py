@@ -85,7 +85,6 @@ from repro.serve import (
     loadtest,
 )
 from repro.streaming import (
-    DVFSController,
     inputs_of,
     make_scenario,
     partition_app,
@@ -101,6 +100,8 @@ from repro.streaming import (
 from tests.reference_dse import reference_run_dse
 from tests.reference_fleet import ReferenceFleetSim
 from tests.reference_streaming import (
+    DVFSController,
+    decision_log,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -538,39 +539,27 @@ FAST_RUNNERS = {"iced": simulate_stream, "drips": simulate_drips,
                 "static": simulate_static}
 
 
-def _controller(partition, record_decisions: bool = True) -> DVFSController:
-    return DVFSController(
-        dvfs=partition.cgra.dvfs,
-        kernel_names=[p.kernel.name for p in partition.placements],
-        window=STREAM_WINDOW, record_decisions=record_decisions,
-    )
-
-
 def _stream_pair(strategy: str, partition, run_inputs, stream) -> dict:
     """Reference once, engine best of two; exact identity of the full
-    results (and of the iced decision logs)."""
-    def controller_kwargs() -> dict:
-        return ({"controller": _controller(partition)}
-                if strategy == "iced" else {})
-
-    ref_kwargs = controller_kwargs()
+    results (and of the iced decision logs, the engine's rebuilt from
+    its windows)."""
+    ref_kwargs = ({"controller": DVFSController(
+        dvfs=partition.cgra.dvfs,
+        kernel_names=[p.kernel.name for p in partition.placements],
+        window=STREAM_WINDOW,
+    )} if strategy == "iced" else {})
     reference_s, reference = timed(lambda: REFERENCE_RUNNERS[strategy](
         partition, run_inputs, window=STREAM_WINDOW, **ref_kwargs))
 
-    def fast_run(arg):
-        blocks, kwargs = arg
-        return FAST_RUNNERS[strategy](partition, blocks,
-                                      window=STREAM_WINDOW, **kwargs), kwargs
-
-    fast_s, (fast, fast_kwargs) = best_of(
-        2, fast_run,
-        setup=lambda: (skip_blocks(stream.feature_blocks(), PROFILE_INPUTS),
-                       controller_kwargs()),
+    fast_s, fast = best_of(
+        2, lambda blocks: FAST_RUNNERS[strategy](partition, blocks,
+                                                 window=STREAM_WINDOW),
+        setup=lambda: skip_blocks(stream.feature_blocks(), PROFILE_INPUTS),
     )
     identical = asdict(reference) == asdict(fast)
     if strategy == "iced":
         identical = identical and (ref_kwargs["controller"].decisions
-                                   == fast_kwargs["controller"].decisions)
+                                   == decision_log(fast))
     speedup = reference_s / max(fast_s, 1e-9)
     print(f"{strategy:6s} reference {reference.inputs / reference_s:9,.0f}/s"
           f"  fast {fast.inputs / fast_s:9,.0f}/s  speedup {speedup:5.1f}x"
@@ -594,7 +583,6 @@ def _million(partition, name: str, inputs: int) -> dict:
     def one_run():
         return simulate_stream(
             partition, stream.feature_blocks(), window=STREAM_WINDOW,
-            controller=_controller(partition, record_decisions=False),
             keep_windows=False,
         )
 
@@ -651,7 +639,7 @@ def _stream_case(s: Smoke, name: str, inputs: int, million_inputs: int,
     if s.trace:  # the traced run: one extra windowed engine ICED run
         s.traced(lambda: simulate_stream(
             partition, skip_blocks(stream.feature_blocks(), PROFILE_INPUTS),
-            window=STREAM_WINDOW, controller=_controller(partition)))
+            window=STREAM_WINDOW))
     s.gate("engine differs from the reference on",
            [n for n, row in strategies.items() if not row["identical"]],
            "==", [])

@@ -75,7 +75,8 @@ def _build_fabric(args) -> CGRA:
 @contextmanager
 def _tracing(out: str | None):
     """Install a tracer; write it and the command's registry to ``out``
-    on the way out.
+    once the body completes (a body that raises writes nothing, so a
+    rejected command leaves no file behind).
 
     With ``out`` falsy this is a no-op, so command handlers can wrap
     their whole body unconditionally.
@@ -88,10 +89,10 @@ def _tracing(out: str | None):
         yield tracer
     finally:
         obs.uninstall_tracer()
-        events = obs.write_trace(out, tracer, obs.metrics())
-        kinds = ", ".join(sorted(c for c in tracer.categories() if c))
-        print(f"trace: {events} events ({len(tracer)} spans; {kinds}) "
-              f"-> {out}")
+    events = obs.write_trace(out, tracer, obs.metrics())
+    kinds = ", ".join(sorted(c for c in tracer.categories() if c))
+    print(f"trace: {events} events ({len(tracer)} spans; {kinds}) "
+          f"-> {out}")
 
 
 def cmd_kernels(_args) -> int:
@@ -205,10 +206,16 @@ def cmd_stream(args) -> int:
     import time
 
     from repro.streaming.app import gcn_app, lu_app
-    from repro.streaming.controller import DVFSController
-    from repro.streaming.drips import simulate_drips
-    from repro.streaming.engine import check_window, simulate_stream
-    from repro.streaming.partitioner import partition_app, streaming_cgra
+    from repro.streaming.engine import (
+        check_window,
+        simulate_drips,
+        simulate_stream,
+    )
+    from repro.streaming.partitioner import (
+        partition_app,
+        profile_count,
+        streaming_cgra,
+    )
     from repro.streaming.scenarios import make_scenario
     from repro.streaming.workloads import (
         EnzymeGraphStream,
@@ -235,11 +242,9 @@ def cmd_stream(args) -> int:
               file=sys.stderr)
         return 2
     fabric = streaming_cgra()
-    # The partitioner profiles the first inputs (the paper uses 50);
-    # cap the prefix so a million-input run doesn't profile a third of
-    # the stream. The rest of the stream is only ever touched block by
-    # block.
-    profile_n = min(50, max(5, args.inputs // 3))
+    # The rest of the stream after the profiling prefix is only ever
+    # touched block by block.
+    profile_n = profile_count(args.inputs)
     if args.inputs <= profile_n:
         raise StreamingError(
             f"--inputs {args.inputs} leaves nothing to stream after the "
@@ -249,17 +254,10 @@ def cmd_stream(args) -> int:
     partition = None
 
     def run_streaming():
-        controller = DVFSController(
-            dvfs=fabric.dvfs,
-            kernel_names=[p.kernel.name for p in partition.placements],
-            window=args.window,
-            record_decisions=False,
-        )
         iced = simulate_stream(
             partition,
             skip_blocks(workload.feature_blocks(), profile_n),
-            window=args.window, controller=controller,
-            keep_windows=False,
+            window=args.window, keep_windows=False,
         )
         drips = simulate_drips(
             partition,
@@ -343,7 +341,7 @@ def cmd_scenarios(args) -> int:
     if args.json:
         print(_json.dumps(envelopes, indent=2, sort_keys=True))
         return 0
-    width = max(len(n) for n in names)
+    width = max(len("scenario"), *(len(n) for n in names))
     print(f"{'scenario':<{width + 2}}{'strategy':<9}"
           f"{'energy (uJ)':>12}{'p99 lat (cyc)':>15}"
           f"{'p50 lat (cyc)':>15}{'thr (in/kcyc)':>15}")
@@ -532,28 +530,37 @@ def cmd_dse(args) -> int:
     import json
 
     from repro.dse import DesignSpace, render_summary, run_dse, write_result
-
-    if args.space:
-        with open(args.space, encoding="utf-8") as fh:
-            space = DesignSpace.from_dict(json.load(fh))
-    else:
-        def shapes(text):
-            return tuple(_parse_shape(s) for s in text.split(","))
-
-        space = DesignSpace(
-            name=args.name,
-            fabrics=shapes(args.fabrics),
-            islands=shapes(args.islands),
-            topologies=tuple(args.topologies.split(",")),
-            vf_levels=tuple(int(v) for v in args.vf.split(",")),
-            strategies=tuple(args.strategies.split(",")),
-            kernels=tuple(args.kernels.split(",")),
-            unroll=args.unroll,
-            iterations=args.iterations,
-        )
     from repro.errors import DSEError
 
+    def shapes(text):
+        return tuple(_parse_shape(s) for s in text.split(","))
+
     try:
+        if args.space:
+            try:
+                with open(args.space, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise DSEError(f"cannot read design space {args.space}: "
+                               f"{exc}") from None
+            space = DesignSpace.from_dict(data)
+        else:
+            try:
+                vf_levels = tuple(int(v) for v in args.vf.split(","))
+            except ValueError:
+                raise DSEError(f"--vf expects comma-separated integers, "
+                               f"got {args.vf!r}") from None
+            space = DesignSpace(
+                name=args.name,
+                fabrics=shapes(args.fabrics),
+                islands=shapes(args.islands),
+                topologies=tuple(args.topologies.split(",")),
+                vf_levels=vf_levels,
+                strategies=tuple(args.strategies.split(",")),
+                kernels=tuple(args.kernels.split(",")),
+                unroll=args.unroll,
+                iterations=args.iterations,
+            )
         with _tracing(args.trace):
             result = run_dse(space, jobs=args.jobs,
                              cache_dir=args.cache_dir, seed=args.seed,

@@ -23,6 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from repro.errors import DSEError
 from repro.kernels import kernel_names
 from repro.mapper.backends import resolve_strategy
 
@@ -116,23 +117,38 @@ class DesignSpace:
     iterations: int = 1024
 
     def __post_init__(self) -> None:
+        """Every bad axis value raises :class:`~repro.errors.DSEError`."""
         known = set(kernel_names())
         for kernel in self.kernels:
             if kernel not in known:
-                raise ValueError(f"unknown kernel {kernel!r}")
+                raise DSEError(f"unknown kernel {kernel!r}")
         for strategy in self.strategies:
-            resolve_strategy(strategy)  # raises on junk
+            try:
+                resolve_strategy(strategy)
+            except ValueError as exc:
+                raise DSEError(str(exc)) from None
         for topology in self.topologies:
             if topology not in ("mesh", "torus", "king"):
-                raise ValueError(f"unknown topology {topology!r}")
+                raise DSEError(f"unknown topology {topology!r}")
         for depth in self.vf_levels:
-            if not 1 <= depth <= 6:
-                raise ValueError(
-                    f"vf_levels must be in 1..6, got {depth}"
-                )
+            if not (isinstance(depth, int) and 1 <= depth <= 6):
+                raise DSEError(f"vf_levels must be in 1..6, got {depth!r}")
+        for axis in ("fabrics", "islands"):
+            for shape in getattr(self, axis):
+                if not (len(shape) == 2
+                        and all(isinstance(d, int) and d >= 1
+                                for d in shape)):
+                    raise DSEError(
+                        f"{axis} entries must be ROWSxCOLS with ROWS, "
+                        f"COLS >= 1, got {shape!r}"
+                    )
+        for field_name in ("unroll", "iterations"):
+            value = getattr(self, field_name)
+            if not (isinstance(value, int) and value >= 1):
+                raise DSEError(f"{field_name} must be >= 1, got {value!r}")
         if not (self.fabrics and self.islands and self.topologies
                 and self.vf_levels and self.strategies and self.kernels):
-            raise ValueError("every design-space axis needs >= 1 value")
+            raise DSEError("every design-space axis needs >= 1 value")
 
     # -- canonical forms ----------------------------------------------------
 
@@ -151,12 +167,30 @@ class DesignSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DesignSpace":
+        """The space :meth:`to_dict` wrote; unknown keys and badly shaped
+        values raise :class:`~repro.errors.DSEError`."""
+        if not isinstance(data, dict):
+            raise DSEError(f"a design space is a JSON object, got "
+                           f"{type(data).__name__}")
+        known = set(cls.__dataclass_fields__)
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise DSEError(f"unknown design-space keys {unknown} "
+                           f"(known: {', '.join(sorted(known))})")
         kwargs = dict(data)
-        for axis in ("fabrics", "islands"):
-            if axis in kwargs:
-                kwargs[axis] = tuple(
-                    _parse_shape(s) for s in kwargs[axis]
-                )
+        for axis in ("fabrics", "islands", "topologies", "vf_levels",
+                     "strategies", "kernels"):
+            if axis in kwargs and not isinstance(kwargs[axis], list):
+                raise DSEError(f"{axis} must be a JSON list, got "
+                               f"{kwargs[axis]!r}")
+        try:
+            for axis in ("fabrics", "islands"):
+                if axis in kwargs:
+                    kwargs[axis] = tuple(
+                        _parse_shape(s) for s in kwargs[axis]
+                    )
+        except ValueError as exc:
+            raise DSEError(str(exc)) from None
         for axis in ("topologies", "vf_levels", "strategies", "kernels"):
             if axis in kwargs:
                 kwargs[axis] = tuple(kwargs[axis])

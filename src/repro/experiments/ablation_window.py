@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.streaming.app import gcn_app, lu_app
-from repro.streaming.controller import DVFSController
-from repro.streaming.drips import simulate_drips
-from repro.streaming.engine import simulate_stream
+from repro.streaming.engine import simulate_drips, simulate_stream
 from repro.streaming.partitioner import partition_app, streaming_cgra
 from repro.streaming.workloads import EnzymeGraphStream, SparseMatrixStream
 from repro.utils.tables import TextTable
@@ -36,13 +34,7 @@ def run(app_name: str = "lu",
     table = TextTable(["window", "iced mW", "iced cycles", "perf/W vs DRIPS"])
     series = {"perf/W ratio": []}
     for window in windows:
-        controller = DVFSController(
-            dvfs=cgra.dvfs,
-            kernel_names=[p.kernel.name for p in partition.placements],
-            window=window,
-        )
-        iced = simulate_stream(partition, run_inputs, window=window,
-                               controller=controller)
+        iced = simulate_stream(partition, run_inputs, window=window)
         drips = simulate_drips(partition, run_inputs, window=window)
         ratio = iced.perf_per_watt() / drips.perf_per_watt()
         series["perf/W ratio"].append(ratio)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.streaming.app import gcn_app, lu_app
-from repro.streaming.drips import simulate_drips
-from repro.streaming.engine import simulate_stream
+from repro.streaming.engine import simulate_drips, simulate_stream
 from repro.streaming.partitioner import partition_app, streaming_cgra
 from repro.streaming.workloads import EnzymeGraphStream, SparseMatrixStream
 from repro.utils.tables import TextTable

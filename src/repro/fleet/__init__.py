@@ -9,21 +9,14 @@ Public surface:
   CLI and benchmarks;
 * the placement registry (:func:`register_placement`,
   :func:`placement_names`, :func:`place_tenants`) with the built-in
-  ``random`` / ``load_balanced`` / ``topology_aware`` strategies;
-* the batched engine primitives (:func:`simulate_group_batched`,
-  :func:`maxplus_scan_2d`) for anyone building other fleet-scale
-  analyses.
+  ``random`` / ``load_balanced`` / ``topology_aware`` strategies.
 
-See ``docs/fleet.md`` for the architecture and the float-identity
-contract the differential suite pins.
+Tenant groups run through the streaming engine
+(:func:`repro.streaming.simulate_group`). See ``docs/fleet.md`` for the
+architecture and the float-identity contract the differential suite
+pins.
 """
 
-from repro.fleet.engine import (
-    BatchedDVFS,
-    BatchedGroupResult,
-    maxplus_scan_2d,
-    simulate_group_batched,
-)
 from repro.fleet.placement import (
     FabricInstance,
     PlacementRequest,
@@ -47,8 +40,6 @@ from repro.fleet.sim import (
 )
 
 __all__ = [
-    "BatchedDVFS",
-    "BatchedGroupResult",
     "FLEET_REPORT_SCHEMA",
     "FabricInstance",
     "FleetSim",
@@ -60,12 +51,10 @@ __all__ = [
     "canonical_report",
     "describe_placements",
     "get_placement",
-    "maxplus_scan_2d",
     "place_tenants",
     "placement_names",
     "register_placement",
     "render_fleet_summary",
-    "simulate_group_batched",
     "synthesize_fleet",
     "write_report",
 ]

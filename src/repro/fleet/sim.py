@@ -11,10 +11,9 @@ instances:
    ``SweepExecutor`` inside :func:`partition_app` (``--jobs N`` is
    bit-identical to ``--jobs 1``, so the whole fleet report is too);
 3. **simulate** — homogeneous tenant groups (same app, window, stream
-   length and strategy) advance together through the tenant-major
-   batched engine (:mod:`repro.fleet.engine`); strategies the batched
-   engine cannot vectorize (DRIPS' fractional reshape penalties) fall
-   back to sequential per-tenant engine runs;
+   length and strategy, DRIPS included) advance together through the
+   streaming engine, one row per tenant
+   (:func:`repro.streaming.engine.simulate_group`);
 4. **account** — per-tenant summaries (p99 latency, energy,
    throughput) checked against each tenant's SLO, rolled up into
    per-fabric load/utilization and fleet-wide totals.
@@ -37,20 +36,18 @@ import numpy as np
 
 from repro import obs
 from repro.errors import FleetError
-from repro.fleet.engine import (
-    BATCHABLE_STRATEGIES,
-    simulate_group_batched,
-)
 from repro.fleet.placement import (
     FabricInstance,
     PlacementRequest,
     place_tenants,
 )
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.envelopes import RUNNERS, summarize_result, summarize_run
+from repro.streaming.engine import ENGINE_STRATEGIES, simulate_group
+from repro.streaming.envelopes import summarize_run
 from repro.streaming.partitioner import (
     Partition,
     partition_app,
+    profile_count,
     streaming_cgra,
 )
 from repro.streaming.scenarios import make_scenario, scenario_names
@@ -70,9 +67,6 @@ __all__ = [
 ]
 
 FLEET_REPORT_SCHEMA = 1
-
-#: Tenant strategies the fleet knows how to run.
-FLEET_STRATEGIES = ("iced", "static", "drips")
 
 #: Default per-tenant stream length: one simulated day at 5-minute
 #: arrival bins (matches the bundled ``trace_fleet`` arrival log).
@@ -128,11 +122,11 @@ def synthesize_fleet(num_tenants: int, num_fabrics: int, *,
         raise FleetError("need at least one tenant and one fabric")
     if not scenarios or not strategies:
         raise FleetError("need at least one scenario and one strategy")
-    unknown = [s for s in strategies if s not in FLEET_STRATEGIES]
+    unknown = [s for s in strategies if s not in ENGINE_STRATEGIES]
     if unknown:
         raise FleetError(
             f"unknown strategies {unknown} "
-            f"(known: {', '.join(FLEET_STRATEGIES)})"
+            f"(known: {', '.join(ENGINE_STRATEGIES)})"
         )
     known = set(scenario_names())
     missing = [s for s in scenarios if s not in known]
@@ -212,11 +206,11 @@ class FleetSim:
         if len(set(ids)) != len(ids):
             raise FleetError("duplicate tenant ids in fleet spec")
         for tenant in spec.tenants:
-            if tenant.strategy not in FLEET_STRATEGIES:
+            if tenant.strategy not in ENGINE_STRATEGIES:
                 raise FleetError(
                     f"tenant {tenant.tenant_id!r}: unknown strategy "
                     f"{tenant.strategy!r} "
-                    f"(known: {', '.join(FLEET_STRATEGIES)})"
+                    f"(known: {', '.join(ENGINE_STRATEGIES)})"
                 )
             if tenant.window < 1:
                 raise FleetError(
@@ -296,7 +290,7 @@ class FleetSim:
                 )
                 profile = take_inputs(
                     scenario.feature_blocks(),
-                    min(50, max(5, tenant.spec.inputs // 3)),
+                    profile_count(tenant.spec.inputs),
                 )
                 partitions[name] = partition_app(
                     scenario.app, streaming_cgra(), profile,
@@ -315,51 +309,35 @@ class FleetSim:
     def _simulate_batched(self, tenants: list[_Tenant],
                           partitions: dict[str, Partition],
                           ) -> tuple[dict[int, dict], int, int]:
-        """Per-tenant summaries via the batched engine; returns
-        ``(summaries by tenant index, batched groups, fallback runs)``.
+        """Per-tenant summaries, one engine run per group; returns
+        ``(summaries by tenant index, groups, per-tenant runs)`` — the
+        last is always 0 here and counts the reference loop's runs.
         """
         groups: dict[tuple, list[_Tenant]] = {}
         for tenant in tenants:
             groups.setdefault(self._group_key(tenant), []).append(tenant)
         summaries: dict[int, dict] = {}
-        num_batched = 0
-        num_fallback = 0
         for key in sorted(groups):
             app_name, window, _inputs, strategy = key
             members = groups[key]
-            partition = partitions[app_name]
-            if strategy in BATCHABLE_STRATEGIES:
-                num_batched += 1
-                with obs.span("fleet.simulate_group", category="fleet",
-                              app=app_name, strategy=strategy,
-                              tenants=len(members)):
-                    result = simulate_group_batched(
-                        partition,
-                        [t.blocks for t in members],
-                        window, strategy=strategy, params=self.params,
-                    )
-                durations = result.end_cycles - result.start_cycles
-                latencies = durations / result.window_inputs
-                weights = result.window_inputs.tolist()
-                nw = len(result.window_inputs)
-                for t, tenant in enumerate(members):
-                    summaries[tenant.index] = summarize_run(
-                        float(result.makespan_cycles[t]),
-                        float(result.total_energy_uj[t]),
-                        result.inputs, nw,
-                        latencies[t].tolist(), weights,
-                        result.frequency_mhz,
-                    )
-            else:
-                num_fallback += len(members)
-                runner = RUNNERS[strategy]
-                for tenant in members:
-                    stream_result = runner(
-                        partition, tenant.blocks,
-                        window, self.params,
-                    )
-                    summaries[tenant.index] = summarize_result(stream_result)
-        return summaries, num_batched, num_fallback
+            with obs.span("fleet.simulate_group", category="fleet",
+                          app=app_name, strategy=strategy,
+                          tenants=len(members)):
+                result = simulate_group(
+                    partitions[app_name], [t.blocks for t in members],
+                    window, strategy=strategy, params=self.params,
+                )
+            latencies = ((result.end_cycles - result.start_cycles)
+                         / result.window_inputs).tolist()
+            weights = result.window_inputs.tolist()
+            for tenant, makespan, energy, row_latencies in zip(
+                    members, result.makespan_cycles.tolist(),
+                    result.total_energy_uj.tolist(), latencies):
+                summaries[tenant.index] = summarize_run(
+                    makespan, energy, result.inputs, result.num_windows,
+                    row_latencies, weights, result.frequency_mhz,
+                )
+        return summaries, len(groups), 0
 
     # -- the whole run ---------------------------------------------------
 

@@ -9,9 +9,9 @@ others — trading idle time in non-bottleneck kernels for energy, which
 is the Fig 13 experiment. DRIPS, the comparison point, instead
 re-allocates islands toward the bottleneck at full voltage.
 
-One window-batched, vectorized engine (``simulate_stream`` /
-``simulate_drips`` / ``simulate_static``, see
-``docs/streaming_runtime.md``) streams million-input runs in O(window)
+One engine (``simulate_group``; ``simulate_stream`` /
+``simulate_drips`` / ``simulate_static`` are its one-stream case, see
+``docs/streaming_runtime.md``) streams million-input runs in O(chunk)
 memory from lazy ``FeatureBlock`` chunks.
 
 The traffic-scenario library (``repro.streaming.scenarios``) names
@@ -57,14 +57,16 @@ from repro.streaming.envelopes import (
     write_envelope,
 )
 from repro.streaming.partitioner import Partition, partition_app, streaming_cgra
-from repro.streaming.controller import DVFSController
+from repro.streaming.controller import BatchedDVFS
 from repro.streaming.engine import (
-    FastPipelineSim,
+    GroupResult,
     StreamResult,
     WindowStats,
+    simulate_drips,
+    simulate_group,
+    simulate_static,
     simulate_stream,
 )
-from repro.streaming.drips import simulate_drips, simulate_static
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -100,10 +102,11 @@ __all__ = [
     "Partition",
     "partition_app",
     "streaming_cgra",
-    "DVFSController",
-    "FastPipelineSim",
+    "BatchedDVFS",
+    "GroupResult",
     "StreamResult",
     "WindowStats",
+    "simulate_group",
     "simulate_stream",
     "simulate_drips",
     "simulate_static",

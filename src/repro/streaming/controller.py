@@ -8,113 +8,99 @@ islands one level (down to rest). Level switches themselves are ns
 scale (integrated LDO + ADPLL); the decision cadence is the 10-input
 window, exactly as DRIPS does its re-shaping, for a fair Fig 13
 comparison.
+
+:class:`BatchedDVFS` holds the levels of T independent pipelines (rows)
+and decides one window for all of them at once. The streaming engine
+passes each window's busy times in; the controller keeps no exeTable
+between windows. The scalar controller it replaced lives on as the
+decision oracle in ``tests/reference_streaming.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as np
 
-from repro import obs
-from repro.arch.dvfs import DVFSConfig, DVFSLevel
+from repro.arch.dvfs import DVFSConfig
 
 
-@dataclass
-class DVFSController:
-    """Window-based bottleneck detection and per-kernel level control."""
+class BatchedDVFS:
+    """Window-based bottleneck detection and per-kernel level control,
+    vectorized over T rows and K kernels.
 
-    dvfs: DVFSConfig
-    kernel_names: list[str]
-    window: int = 10
+    State is a ``(T, K)`` int64 array of level *indices* into
+    ``dvfs.levels`` (0 = normal). :meth:`end_of_window` applies the
+    section III-B rule elementwise, with the exact arithmetic of the
+    per-kernel scalar rule:
+
+    * the bottleneck is the first kernel (placement order) with the
+      largest busy time, and moves one level faster;
+    * the throughput bar is ``(headroom * busy[bottleneck]) * ratio``,
+      where ``ratio`` is the bottleneck's faster/current slowdown
+      quotient;
+    * every other kernel moves one level slower if its projected busy
+      time at that level stays at or under the bar, else one level
+      faster if its busy time already exceeds the bar and its level is
+      not the bottleneck's new one; a kernel at the slowest level stays.
+
+    A row whose window was all idle (zero busy time) makes no decision.
+    """
+
     #: A kernel is lowered only "if possible" (section III-B): its
     #: projected busy time at the slower level must stay below this
     #: fraction of the bottleneck's, or it would become the new
     #: bottleneck and throughput would degrade.
-    headroom: float = 0.9
-    #: Keep the per-window decision log. Million-input runs turn this
-    #: off so controller state stays O(kernels); levels still adjust
-    #: identically — only the ``decisions`` history is skipped.
-    record_decisions: bool = True
-    levels: dict[str, DVFSLevel] = field(init=False)
-    exe_table: dict[str, float] = field(init=False)
-    decisions: list[dict[str, str]] = field(init=False)
-    #: Decisions made so far (== ``len(decisions)`` when recording).
-    num_decisions: int = field(init=False)
+    headroom = 0.9
 
-    def __post_init__(self) -> None:
-        self.levels = {name: self.dvfs.normal for name in self.kernel_names}
-        self.exe_table = {name: 0.0 for name in self.kernel_names}
-        self.decisions = []
-        self.num_decisions = 0
+    def __init__(self, dvfs: DVFSConfig, num_rows: int, num_kernels: int):
+        levels = dvfs.levels
+        last = len(levels) - 1
+        self._last = last
+        self.slower_idx = np.array(
+            [min(i + 1, last) for i in range(last + 1)], dtype=np.int64
+        )
+        self.faster_idx = np.array(
+            [max(i - 1, 0) for i in range(last + 1)], dtype=np.int64
+        )
+        # The exact quotients the per-kernel rule divides out.
+        self.ratio_slower = np.array([
+            levels[min(i + 1, last)].slowdown / levels[i].slowdown
+            for i in range(last + 1)
+        ])
+        self.ratio_faster = np.array([
+            levels[max(i - 1, 0)].slowdown / levels[i].slowdown
+            for i in range(last + 1)
+        ])
+        #: Latency multiplier per level index (``max(slowdown, 1)``).
+        self.latency_slowdown = np.array([
+            float(max(level.slowdown, 1)) for level in levels
+        ])
+        self.idx = np.zeros((num_rows, num_kernels), dtype=np.int64)
+        self._rows = np.arange(num_rows)
 
-    def level_of(self, kernel_name: str) -> DVFSLevel:
-        return self.levels[kernel_name]
+    def end_of_window(self, busy: np.ndarray) -> np.ndarray:
+        """Decide one window from its ``(T, K)`` busy times.
 
-    def record_execution(self, kernel_name: str, busy_cycles: float) -> None:
-        """A kernel finished one input; update the exeTable."""
-        self.exe_table[kernel_name] += busy_cycles
-
-    def end_of_window(self) -> None:
-        """The window-th input was consumed: adjust levels and reset.
-
-        An all-idle window (no recorded execution — e.g. an empty
-        window at the end of a stream) makes no decision and leaves
-        every level untouched; with a tracer installed it still records
-        an ``idle`` decision span so the timeline shows the gap.
+        Updates :attr:`idx` and returns each row's bottleneck column,
+        -1 for a row with an all-idle window.
         """
-        if not any(self.exe_table.values()):
-            with obs.span("dvfs_decision", category="streaming",
-                          outcome="idle", window=self.num_decisions):
-                pass
-            return
-        with obs.span("dvfs_decision", category="streaming",
-                      window=self.num_decisions) as span:
-            bottleneck = max(self.exe_table,
-                             key=lambda k: self.exe_table[k])
-            bn_level = self.levels[bottleneck]
-            bn_next = self.dvfs.faster(bn_level)
-            # The bottleneck speeds up; project its new busy time as
-            # the bar every other kernel must stay under after its own
-            # change.
-            bar = self.headroom * self.exe_table[bottleneck] * (
-                bn_next.slowdown / bn_level.slowdown
-            )
-            self.levels[bottleneck] = bn_next
-            for name in self.kernel_names:
-                if name == bottleneck:
-                    continue
-                current = self.levels[name]
-                slower = self.dvfs.slower(current)
-                if slower is current:
-                    continue
-                projected = self.exe_table[name] * (
-                    slower.slowdown / current.slowdown
-                )
-                if projected <= bar:
-                    self.levels[name] = slower
-                elif self.exe_table[name] > bar and current is not bn_next:
-                    # Already over the bar at the current level: raise
-                    # it back toward normal instead of stalling the
-                    # pipeline.
-                    self.levels[name] = self.dvfs.faster(current)
-            if obs.current_tracer() is not None:
-                # Span attributes are built lazily: the exeTable is
-                # not reset until after this block, so the values
-                # match what an eager snapshot would have captured.
-                span.set(
-                    outcome="adjusted",
-                    bottleneck=bottleneck,
-                    busy_cycles={
-                        name: round(cycles, 3)
-                        for name, cycles in self.exe_table.items()
-                    },
-                    levels={n: lv.name for n, lv in self.levels.items()},
-                )
-        registry = obs.metrics()
-        registry.counter("streaming.dvfs_decisions").inc()
-        if self.record_decisions:
-            self.decisions.append(
-                {name: level.name for name, level in self.levels.items()}
-                | {"_bottleneck": bottleneck}
-            )
-        self.num_decisions += 1
-        self.exe_table = {name: 0.0 for name in self.kernel_names}
+        idx = self.idx
+        rows = self._rows
+        bn = busy.argmax(axis=1)
+        top = busy[rows, bn]
+        bn_cur = idx[rows, bn]
+        bn_next = self.faster_idx[bn_cur]
+        bar = ((self.headroom * top) * self.ratio_faster[bn_cur])[:, None]
+        lower = busy * self.ratio_slower[idx] <= bar
+        raise_back = ((busy > bar) & (idx != bn_next[:, None])
+                      & (idx != self._last))
+        new = np.where(lower, self.slower_idx[idx],
+                       np.where(raise_back, self.faster_idx[idx], idx))
+        new[rows, bn] = bn_next
+        # Busy times are never negative: a row is idle iff its largest
+        # one is zero.
+        idle = top == 0.0
+        if np.count_nonzero(idle):
+            new[idle] = idx[idle]
+            bn = np.where(idle, -1, bn)
+        self.idx = new
+        return bn

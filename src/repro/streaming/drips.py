@@ -12,19 +12,15 @@ The re-shaper consults the same II table the ICED partitioner profiled
 initial partition, mirroring the paper's "first 50 input instances are
 used to profile the initial mapping for DRIPS and ICED".
 
-The reshape logic lives in :class:`_DripsState`, which the engine's
-:class:`_FastDrips` adapter and the test-side reference loop
-(``tests/reference_streaming.py``) both drive, so the two cannot drift
-apart.
+The reshape logic lives in :class:`_DripsState`, which the streaming
+engine (``simulate_drips``, one state per row) and the test-side
+reference loop (``tests/reference_streaming.py``) both drive, so the
+two cannot drift apart.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
-from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.engine import FastPipelineSim, StreamResult, _as_blocks
 from repro.streaming.partitioner import Partition
 
 #: Cycles to reload one island's tile configurations after a reshape.
@@ -35,59 +31,24 @@ RESHAPE_CONFIG_CYCLES = 256
 #: remapping its tiles).
 RESHAPE_DRAIN_INPUTS = 1.0
 
-
-def simulate_static(partition: Partition, stream, window: int = 10,
-                    params: PowerParams = DEFAULT_POWER_PARAMS,
-                    keep_windows: bool = True) -> StreamResult:
-    """A DynPaC-style static baseline: fixed partition, fixed nominal
-    V/f, no reshaping — the floor both DRIPS and ICED improve on."""
-    sim = FastPipelineSim(partition, params)
-    adapter = _FastStatic(partition)
-    return sim.run_blocks(_as_blocks(stream), window, adapter,
-                          keep_windows=keep_windows)
-
-
-class _FastStatic:
-    """Fast-engine adapter for the static baseline: fixed IIs, nominal
-    level everywhere, no window-end action. Latencies are pure integer
-    products, so the numpy scan applies."""
-
-    vector_ok = True
-    strategy = "static"
-
-    def __init__(self, partition: Partition):
-        self._ii = {
-            p.kernel.name: float(p.ii) for p in partition.placements
-        }
-        self._normal = partition.cgra.dvfs.normal.name
-
-    def level_name_of(self, name: str) -> str:
-        return self._normal
-
-    def latency_window(self, name: str, counts: np.ndarray) -> np.ndarray:
-        # float multiplier -> float64 latencies in one op; exact, since
-        # every operand and product is an integer below 2**53.
-        return counts * self._ii[name]
-
-    def on_window_end(self) -> None:
-        pass
+#: The most islands the re-shaper grows one kernel to (the partitioner
+#: profiles the II table up to the same count).
+MAX_ISLANDS_PER_KERNEL = 4
 
 
 class _DripsState:
     """The DRIPS re-shaper's mutable state and window-end decision.
 
-    The engine drives it through :class:`_FastDrips`; the test-side
-    reference loop drives it through a per-input ``latency_of``
-    closure — identical arithmetic either way.
+    The engine feeds it one window at a time through
+    :meth:`window_latencies`; the test-side reference loop feeds it one
+    input at a time through a ``latency_of`` closure — identical
+    arithmetic either way.
     """
 
-    def __init__(self, sim: FastPipelineSim, partition: Partition,
-                 window: int, max_islands_per_kernel: int):
-        self.sim = sim
+    def __init__(self, partition: Partition, window: int):
         self.partition = partition
         self.table = partition.ii_table
         self.window = window
-        self.max_islands = max_islands_per_kernel
         self.allocation = {
             p.kernel.name: len(p.island_ids) for p in partition.placements
         }
@@ -95,6 +56,12 @@ class _DripsState:
         self.tiles_per_island = {
             p.kernel.name: len(p.tile_ids(partition.cgra))
             // max(1, len(p.island_ids))
+            for p in partition.placements
+        }
+        #: Tiles each kernel holds, for the power model: its placement's
+        #: until the first decided window, then its allocation's.
+        self.kernel_tiles = {
+            p.kernel.name: len(p.tile_ids(partition.cgra))
             for p in partition.placements
         }
         self.busy: dict[str, float] = {name: 0.0 for name in self.allocation}
@@ -107,6 +74,25 @@ class _DripsState:
         if ii is None:  # fall back to the realized mapping's II
             ii = self.partition.placement_of(name).ii
         return ii
+
+    def window_latencies(self, name: str, counts: list[int]) -> list[float]:
+        """One window's per-input latencies of kernel ``name``.
+
+        The per-input arithmetic, in input order: the pending reshape
+        penalty lands on the kernel's first input of the window, and
+        busy time accumulates input by input.
+        """
+        ii = self.current_ii(name)
+        busy = self.busy[name]
+        lats: list[float] = []
+        for count in counts:
+            cycles = count * ii
+            cycles += self.penalty[name]
+            self.penalty[name] = 0.0
+            busy += cycles
+            lats.append(cycles)
+        self.busy[name] = busy
+        return lats
 
     def end_of_window(self) -> None:
         if not any(self.busy.values()):
@@ -125,7 +111,7 @@ class _DripsState:
         )
         grown = allocation[bottleneck] + 1
         can_grow = (
-            grown <= self.max_islands
+            grown <= MAX_ISLANDS_PER_KERNEL
             and table.get((bottleneck, grown)) is not None
             and donors
         )
@@ -166,56 +152,4 @@ class _DripsState:
             busy[name] = 0.0
         # Power accounting follows the new allocation.
         for name, tiles in self.tiles_per_island.items():
-            self.sim.kernel_tiles[name] = tiles * allocation[name]
-
-
-class _FastDrips:
-    """Fast-engine adapter for DRIPS.
-
-    Reshape penalties are fractional (``busy / window``), so the
-    cumsum-based numpy scan could round differently than the
-    sequential recurrence — this adapter opts out (``vector_ok =
-    False``) and reproduces the per-input arithmetic exactly: penalty
-    consumed by the kernel's first input of the window, busy time
-    accumulated sequentially in the same order.
-    """
-
-    vector_ok = False
-
-    def __init__(self, state: _DripsState):
-        self.state = state
-        self._normal = state.partition.cgra.dvfs.normal.name
-
-    strategy = "drips"
-
-    def level_name_of(self, name: str) -> str:
-        return self._normal
-
-    def latency_window(self, name: str, counts: np.ndarray) -> list[float]:
-        state = self.state
-        ii = state.current_ii(name)
-        busy = state.busy[name]
-        lats: list[float] = []
-        for count in counts.tolist():
-            cycles = count * ii
-            cycles += state.penalty[name]
-            state.penalty[name] = 0.0
-            busy += cycles
-            lats.append(cycles)
-        state.busy[name] = busy
-        return lats
-
-    def on_window_end(self) -> None:
-        self.state.end_of_window()
-
-
-def simulate_drips(partition: Partition, stream, window: int = 10,
-                   params: PowerParams = DEFAULT_POWER_PARAMS,
-                   max_islands_per_kernel: int = 4,
-                   keep_windows: bool = True) -> StreamResult:
-    """Run the DRIPS configuration on the same partition and stream."""
-    sim = FastPipelineSim(partition, params)
-    state = _DripsState(sim, partition, window, max_islands_per_kernel)
-    adapter = _FastDrips(state)
-    return sim.run_blocks(_as_blocks(stream), window, adapter,
-                          keep_windows=keep_windows)
+            self.kernel_tiles[name] = tiles * allocation[name]

@@ -12,26 +12,45 @@ tile power for the window's duration (idle-but-clocked tiles burn like
 busy ones at the same level — which is precisely the waste DVFS
 recovers), plus island DVFS controllers and the SPM.
 
-:class:`FastPipelineSim` runs that contract window-batched and
-numpy-vectorized. Levels (and DRIPS shapes) only change at window
-boundaries, so within a window every kernel's latency vector is known
-up front and the recurrence ``finish[i] = max(s[i], finish[i-1]) +
-lat[i]`` becomes a max-plus scan: with ``C = cumsum(lat)``,
-``finish[i] = C[i] + max(carry, max_{j<=i}(s[j] - C[j-1]))`` — a
-``cumsum`` plus a ``maximum.accumulate``. Every quantity involved is an
-integer-valued float64 below 2**53 (iterations, IIs and slowdowns
-are integers), so each operation is exact and the scan is
-**bit-identical** to the sequential recurrence, not merely close; the
-scan checks that bound at runtime and raises ``StreamingError`` once a
-finish time reaches it.
-Strategies whose latencies are fractional (DRIPS charges
-``busy/window`` reshape penalties) opt out of the numpy scan
-(``vector_ok = False``) and run an exact sequential scan in the
-recurrence's own operation order instead — still window-batched, so
-they keep the batched iteration-model evaluation and power memoization.
-The differential hypothesis suite pins equality of the full
-``StreamResult``/``WindowStats``/decision stream against the
-one-input-at-a-time reference loop in ``tests/reference_streaming.py``.
+One engine, :func:`simulate_group`, advances T >= 1 same-length rows
+(streams) of one partition under one strategy: ``iced``, ``static`` or
+``drips``. :func:`simulate_stream`, :func:`simulate_static` and
+:func:`simulate_drips` are its T=1 case; the fleet simulator runs each
+tenant group through it. It consumes the rows in chunks of whole
+windows (at least :data:`DEFAULT_BLOCK_SIZE` inputs per row, cut at a
+window boundary, the remainder carried to the next chunk), so a lazy
+million-input stream holds O(chunk) state. Within a chunk, rows go in
+blocks of about :data:`DEFAULT_BLOCK_SIZE` inputs (one row of a long
+stream; many rows of short ones), which keeps a block's arrays small
+enough to stay in cache. Per chunk:
+
+1. each kernel's iteration model runs once per row block, over the
+   block's feature columns concatenated;
+2. the chunk's window decisions run first, because a decision reads
+   only the window's busy times, never a finish time. ICED's busy time
+   for window w is ``sum(counts) * II * slowdown``, decided for every
+   row at once by :class:`BatchedDVFS`; DRIPS's re-shaper runs one row
+   at a time and one input at a time, in stream order;
+3. the decided levels (or allocations) give every input's latency;
+4. each kernel advances with one max-plus scan per chunk and row block:
+   ``finish[i] = max(s[i], finish[i-1]) + lat[i]`` with
+   ``C = cumsum(lat)`` is
+   ``finish[i] = C[i] + max(carry, max_{j<=i}(s[j] - C[j-1]))``.
+   ICED and static latencies are integer-valued float64, so below
+   2**53 every operation is exact and the scan is **bit-identical** to
+   the sequential recurrence (:func:`maxplus_scan_2d` raises
+   ``StreamingError`` once a finish time reaches the bound). DRIPS's
+   reshape penalties are fractional, so it keeps the sequential scan,
+   in the recurrence's own operation order, one row at a time.
+
+Window ends, durations, power and energy all come from those arrays.
+Power is memoized per level (or allocation) combination through
+:func:`pipeline_power_mw`, the one power function the test oracle
+calls too. Energy totals accumulate window by window, in order:
+``np.add.accumulate`` is sequential, where ``np.sum`` (pairwise) or a
+compensated ``sum()`` would round differently. The differential suites
+pin equality of the full ``StreamResult`` against the one-input-at-a-
+time reference loop in ``tests/reference_streaming.py``.
 """
 
 from __future__ import annotations
@@ -50,30 +69,28 @@ from repro.power.model import (
     level_tile_power_mw,
 )
 from repro.power.sram import SRAMModel
-from repro.streaming.controller import DVFSController
+from repro.streaming.controller import BatchedDVFS
+from repro.streaming.drips import _DripsState
 from repro.streaming.partitioner import Partition
 from repro.streaming.stage import (
+    DEFAULT_BLOCK_SIZE,
     FeatureBlock,
-    KernelStage,
     StreamInput,
     blocks_of,
 )
 
-#: Below this window size the numpy scan's per-call overhead outweighs
-#: the vectorization win, so the fast engine runs its exact Python-list
-#: scan instead (identical results either way — the threshold is purely
-#: a speed knob).
-_VECTOR_WINDOW_MIN = 24
-
-#: Buckets (wall ms) for the per-window decision latency histogram —
-#: decisions are microsecond-scale, far below the default buckets.
-_DECISION_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-                     1.0, 5.0, 25.0)
+#: The strategies :func:`simulate_group` runs.
+ENGINE_STRATEGIES = ("iced", "static", "drips")
 
 
 @dataclass
 class WindowStats:
-    """One observation window's outcome."""
+    """One observation window's outcome.
+
+    ``bottleneck`` is the kernel the ICED controller picked at the
+    window's end (``None`` for static, DRIPS, or an all-idle window);
+    with the next window's ``levels`` it is that window's decision.
+    """
 
     index: int
     start_cycle: float
@@ -81,6 +98,7 @@ class WindowStats:
     inputs: int
     energy_uj: float
     levels: dict[str, str]
+    bottleneck: str | None
     frequency_mhz: float
 
     @property
@@ -106,7 +124,11 @@ class WindowStats:
 
 @dataclass
 class StreamResult:
-    """The outcome of streaming a whole input set."""
+    """The outcome of streaming a whole input set.
+
+    ``final_levels`` are the kernels' levels after the last window's
+    decision.
+    """
 
     app: str
     strategy: str
@@ -115,6 +137,7 @@ class StreamResult:
     inputs: int
     frequency_mhz: float
     windows: list[WindowStats] = field(default_factory=list)
+    final_levels: dict[str, str] = field(default_factory=dict)
 
     @property
     def makespan_us(self) -> float:
@@ -138,15 +161,43 @@ class StreamResult:
         return self.inputs / self.total_energy_uj
 
 
-def _emit_window_span(app_name: str, strategy: str, window_index: int,
-                      window_start: float, duration: float,
-                      window_inputs: int, energy: float, power: float,
-                      levels: dict[str, str]) -> None:
-    tracer = obs.current_tracer()
-    if tracer is None:
-        return
+def pipeline_power_mw(partition: Partition, params: PowerParams,
+                      level_names: Sequence[str],
+                      tiles: Sequence[int]) -> float:
+    """The fabric's power with each placement (in placement order) at
+    ``level_names[k]`` on ``tiles[k]`` tiles.
+
+    Unallocated tiles are power gated; the island DVFS controllers and
+    the SPM always burn.
+    """
+    cgra = partition.cgra
+    dvfs = cgra.dvfs
+    total = 0.0
+    for name, count in zip(level_names, tiles):
+        total += count * level_tile_power_mw(
+            params, dvfs.level_named(name), params.streaming_activity
+        )
+    gated_tiles = cgra.num_tiles - sum(tiles)
+    total += gated_tiles * level_tile_power_mw(params, dvfs.power_gated)
+    total += (
+        params.controller_mw() * params.island_controller_scale
+        * len(cgra.islands)
+    )
+    sram = SRAMModel(size_bytes=cgra.spm.size_bytes,
+                     num_banks=cgra.spm.num_banks)
+    total += sram.power_mw(dvfs.normal.frequency_mhz, params.sram_activity)
+    return total
+
+
+def _emit_window_span(tracer, app_name: str, strategy: str,
+                      window_index: int, window_start: float,
+                      duration: float, window_inputs: int, energy: float,
+                      power: float, levels: dict[str, str],
+                      bottleneck: str | None) -> None:
     # Logical span on the simulated-cycles track: the window's extent
-    # in base cycles, the levels its kernels ran at, and its energy.
+    # in base cycles, the levels its kernels ran at, the bottleneck the
+    # controller picked at its end, and its energy.
+    attrs = {} if bottleneck is None else {"bottleneck": bottleneck}
     tracer.add_span(
         f"window[{window_index}]",
         category="streaming",
@@ -159,6 +210,7 @@ def _emit_window_span(app_name: str, strategy: str, window_index: int,
         energy_uj=round(energy, 3),
         power_mw=round(power, 3),
         levels=dict(levels),
+        **attrs,
     )
 
 
@@ -184,45 +236,37 @@ def check_maxplus_exact(last_finish: float) -> None:
         )
 
 
-def _set_throughput_gauge(total_inputs: int, wall_start: float) -> None:
-    elapsed = time.perf_counter() - wall_start
-    if elapsed > 0:
-        obs.metrics().gauge("streaming.inputs_per_sec").set(
-            total_inputs / elapsed
-        )
-
-
-def _maxplus_scan_array(s: np.ndarray, carry: float,
-                        lat: np.ndarray) -> np.ndarray:
-    """``finish[i] = max(s[i], finish[i-1]) + lat[i]`` with
-    ``finish[-1] = carry``, vectorized.
+def maxplus_scan_2d(s: np.ndarray, carry: np.ndarray,
+                    lat: np.ndarray) -> np.ndarray:
+    """Row-wise ``finish[i] = max(s[i], finish[i-1]) + lat[i]`` with
+    per-row ``finish[-1] = carry``, vectorized.
 
     Unrolling the recurrence:
     ``finish[i] = C[i] + max(carry, max_{j<=i}(s[j] - C[j-1]))`` with
-    ``C = cumsum(lat)`` and ``C[-1] = 0``. For integer-valued float64
-    operands below 2**53 every subtraction/summation here is exact, so
-    the result is bit-identical to evaluating the recurrence
-    sequentially; a last finish time at or past 2**53 raises
-    :class:`~repro.errors.StreamingError` (:func:`check_maxplus_exact`).
+    ``C = cumsum(lat)`` along axis 1 and ``C[-1] = 0``. For
+    integer-valued float64 operands below 2**53 every subtraction and
+    summation here is exact, so each row is bit-identical to evaluating
+    its recurrence sequentially; a last finish time at or past 2**53
+    raises :class:`~repro.errors.StreamingError`
+    (:func:`check_maxplus_exact`).
     """
-    c = np.add.accumulate(lat)
+    c = np.add.accumulate(lat, axis=1)
     g = np.empty_like(s)
-    g[0] = s[0] if s[0] >= carry else carry
-    np.subtract(s[1:], c[:-1], out=g[1:])
-    np.maximum.accumulate(g, out=g)
+    np.maximum(s[:, 0], carry, out=g[:, 0])
+    np.subtract(s[:, 1:], c[:, :-1], out=g[:, 1:])
+    np.maximum.accumulate(g, axis=1, out=g)
     g += c
-    check_maxplus_exact(g[-1])
+    check_maxplus_exact(g[:, -1].max(initial=0.0))
     return g
 
 
 def _maxplus_scan_list(s: list[float], carry: float,
                        lat: list[float]) -> list[float]:
-    """The same recurrence as :func:`_maxplus_scan_array`, evaluated
-    sequentially in its own exact operation order — used
-    for small windows and for strategies with fractional latencies
-    (where the cumsum form could round differently). Its match with
-    the sequential reference comes from that order, not from integer
-    exactness, so it has no 2**53 check."""
+    """The same recurrence as :func:`maxplus_scan_2d` for one row,
+    evaluated sequentially in its own exact operation order — for
+    DRIPS's fractional latencies, where the cumsum form could round
+    differently. Its match with the sequential reference comes from
+    that order, not from integer exactness, so it has no 2**53 check."""
     out = []
     prev = carry
     for done, latency in zip(s, lat):
@@ -232,274 +276,442 @@ def _maxplus_scan_list(s: list[float], carry: float,
     return out
 
 
-def _window_iteration_chunks(
-    blocks: Iterable[FeatureBlock],
-    kernels: Sequence[KernelStage],
-    window: int,
-) -> Iterator[tuple[dict[str, np.ndarray], int]]:
-    """Re-chunk a block stream into per-window iteration-count arrays.
-
-    Iteration models evaluate once per *block* (amortizing Python
-    dispatch over thousands of inputs); the resulting int64 arrays are
-    sliced into window-sized pieces, stitching across block boundaries
-    as needed. Yields ``({kernel_name: counts}, n_inputs)`` with
-    ``n_inputs == window`` everywhere except a final partial window.
-    """
-    names = [k.name for k in kernels]
-    pending: dict[str, list[np.ndarray]] = {name: [] for name in names}
-    buffered = 0
-    for block in blocks:
-        counts = {k.name: k.iterations_block(block) for k in kernels}
-        n = len(block)
-        pos = 0
-        while pos < n:
-            take = min(window - buffered, n - pos)
-            for name in names:
-                pending[name].append(counts[name][pos:pos + take])
-            buffered += take
-            pos += take
-            if buffered == window:
-                yield {name: _cat(pending[name]) for name in names}, window
-                pending = {name: [] for name in names}
-                buffered = 0
-    if buffered:
-        yield {name: _cat(pending[name]) for name in names}, buffered
-
-
 def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-class FastPipelineSim:
-    """Window-batched, vectorized pipeline simulation.
+def _take(pending: list[FeatureBlock], n: int) -> dict[str, np.ndarray]:
+    """The first ``n`` inputs of a row's pending blocks as feature
+    columns; the rest stays pending as one block."""
+    if len(pending) == 1 and len(pending[0]) == n:
+        return pending.pop().features
+    columns = {key: _cat([block.features[key] for block in pending])
+               for key in pending[0].features}
+    total = sum(len(block) for block in pending)
+    pending.clear()
+    if total > n:
+        pending.append(FeatureBlock({k: v[n:] for k, v in columns.items()}))
+    return {k: v[:n] for k, v in columns.items()}
 
-    Consumes the stream as :class:`FeatureBlock` chunks (never the
-    whole input list), advances the recurrence one *window* at a time
-    via max-plus scans, and memoizes the power model per
-    (levels, shape) configuration.
+
+def _chunks(streams: list[Iterable[FeatureBlock]], window: int,
+            ) -> Iterator[tuple[int, list[dict[str, np.ndarray]]]]:
+    """Cut T rows of feature blocks into chunks of whole windows.
+
+    Yields ``(n, rows)``: the next ``n`` inputs of every row, as one
+    feature-column dict per row. Every row buffers at least
+    ``max(DEFAULT_BLOCK_SIZE, window)`` inputs before a cut at a window
+    boundary; only the last chunk may end in a partial window. Rows of
+    different lengths raise :class:`~repro.errors.StreamingError`.
+    """
+    rows = [iter(stream) for stream in streams]
+    pending: list[list[FeatureBlock]] = [[] for _ in rows]
+    buffered = [0] * len(rows)
+    done = [False] * len(rows)
+    target = max(DEFAULT_BLOCK_SIZE, window)
+    while True:
+        for t, blocks in enumerate(rows):
+            while not done[t] and buffered[t] < target:
+                block = next(blocks, None)
+                if block is None:
+                    done[t] = True
+                elif len(block):
+                    pending[t].append(block)
+                    buffered[t] += len(block)
+        if all(done):
+            if len(set(buffered)) > 1:
+                _length_mismatch(buffered)
+            n = buffered[0]
+        elif any(d and b < target for d, b in zip(done, buffered)):
+            _length_mismatch(buffered)
+        else:
+            n = min(buffered) // window * window
+        if n == 0:
+            return
+        buffered = [b - n for b in buffered]
+        yield n, [_take(blocks, n) for blocks in pending]
+
+
+def _length_mismatch(buffered: list[int]) -> None:
+    raise StreamingError(
+        f"rows of one group must have the same number of inputs; "
+        f"their remaining inputs differ ({min(buffered)} vs "
+        f"{max(buffered)})"
+    )
+
+
+@dataclass
+class GroupResult:
+    """The per-row outcomes of one :func:`simulate_group` run.
+
+    Per-row scalars are ``(T,)`` arrays. With windows kept, per-window
+    quantities are ``(T, nw)`` arrays: every row shares the window grid
+    in inputs (``window_inputs``), not in cycles. ``level_idx`` indexes
+    ``dvfs.levels`` per row, window and kernel (placement order);
+    ``bottleneck`` is the controller's bottleneck column per row and
+    window, -1 for none. :meth:`row_result` rebuilds one row's
+    ``StreamResult``.
     """
 
-    def __init__(self, partition: Partition,
-                 params: PowerParams = DEFAULT_POWER_PARAMS):
+    app: str
+    strategy: str
+    inputs: int
+    num_windows: int
+    frequency_mhz: float
+    kernel_names: list[str]
+    level_names: tuple[str, ...]
+    makespan_cycles: np.ndarray
+    total_energy_uj: np.ndarray
+    final_level_idx: np.ndarray
+    window_inputs: np.ndarray
+    start_cycles: np.ndarray
+    end_cycles: np.ndarray
+    energy_uj: np.ndarray
+    level_idx: np.ndarray
+    bottleneck: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.makespan_cycles)
+
+    def _levels(self, idx_row) -> dict[str, str]:
+        return {name: self.level_names[i]
+                for name, i in zip(self.kernel_names, idx_row)}
+
+    def row_result(self, t: int) -> StreamResult:
+        names = self.kernel_names
+        windows: list[WindowStats] = []
+        level_dicts: dict[tuple, dict[str, str]] = {}
+        for w, (start, end, inputs, energy, idx_row, bn) in enumerate(zip(
+                self.start_cycles[t].tolist(), self.end_cycles[t].tolist(),
+                self.window_inputs.tolist(), self.energy_uj[t].tolist(),
+                map(tuple, self.level_idx[t].tolist()),
+                self.bottleneck[t].tolist())):
+            levels = level_dicts.get(idx_row)
+            if levels is None:
+                levels = level_dicts[idx_row] = self._levels(idx_row)
+            windows.append(WindowStats(
+                index=w, start_cycle=start, end_cycle=end, inputs=inputs,
+                energy_uj=energy, levels=dict(levels),
+                bottleneck=names[bn] if bn >= 0 else None,
+                frequency_mhz=self.frequency_mhz,
+            ))
+        return StreamResult(
+            app=self.app,
+            strategy=self.strategy,
+            makespan_cycles=float(self.makespan_cycles[t]),
+            total_energy_uj=float(self.total_energy_uj[t]),
+            inputs=self.inputs,
+            frequency_mhz=self.frequency_mhz,
+            windows=windows,
+            final_levels=self._levels(self.final_level_idx[t].tolist()),
+        )
+
+
+class _GroupRun:
+    """One :func:`simulate_group` call's state across chunks."""
+
+    def __init__(self, partition: Partition, num_rows: int, window: int,
+                 strategy: str, params: PowerParams, keep_windows: bool):
         self.partition = partition
-        self.app = partition.app
-        self.cgra = partition.cgra
+        self.window = window
+        self.strategy = strategy
         self.params = params
-        spm = self.cgra.spm
-        self.sram = SRAMModel(size_bytes=spm.size_bytes,
-                              num_banks=spm.num_banks)
-        self.kernel_tiles = {
-            p.kernel.name: len(p.tile_ids(self.cgra))
-            for p in partition.placements
-        }
-        self.prev_finish: dict[str, float] = {
-            p.kernel.name: 0.0 for p in partition.placements
-        }
-        self._power_memo: dict[tuple, float] = {}
-        self._placement_names = [
-            p.kernel.name for p in partition.placements
+        self.keep_windows = keep_windows
+        self.app = partition.app
+        self.kernels = {k.name: k for k in self.app.all_kernels()}
+        placements = partition.placements
+        self.names = [p.kernel.name for p in placements]
+        self.column = {name: k for k, name in enumerate(self.names)}
+        dvfs = partition.cgra.dvfs
+        self.base_mhz = dvfs.normal.frequency_mhz
+        self.level_names = tuple(level.name for level in dvfs.levels)
+        self.tiles = tuple(len(p.tile_ids(partition.cgra))
+                           for p in placements)
+        num_kernels = len(placements)
+        self.controller = BatchedDVFS(dvfs, num_rows, num_kernels)
+        # latency factor [level, kernel] = II * max(slowdown, 1)
+        self.factor = np.outer(self.controller.latency_slowdown,
+                               [float(p.ii) for p in placements])
+        self.level_strides = (np.int64(len(self.level_names))
+                              ** np.arange(num_kernels, dtype=np.int64))
+        self.drips = ([_DripsState(partition, window)
+                       for _ in range(num_rows)]
+                      if strategy == "drips" else [])
+        self.power_memo: dict = {}
+        self.prev_finish = np.zeros((num_kernels, num_rows))
+        self.stage_finish = np.zeros(num_rows)
+        self.energy_total = np.zeros(num_rows)
+        self.num_windows = 0
+        self.num_decisions = 0
+        self.kept: list[tuple] = []
+        self.tracer = obs.current_tracer()
+
+    # -- decisions, latencies and scans ----------------------------------
+
+    def _counts(self, rows: list[dict[str, np.ndarray]], n: int,
+                ) -> list[np.ndarray]:
+        """Each kernel's ``(R, n)`` iteration counts for rows ``rows``:
+        one model evaluation over their feature columns concatenated."""
+        block = FeatureBlock({key: _cat([row[key] for row in rows])
+                              for key in rows[0]})
+        return [self.kernels[name].iterations_block(block).reshape(-1, n)
+                for name in self.names]
+
+    def _decide_levels(self, counts: list[list[np.ndarray]],
+                       starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every window's level indices ``(T, nw, K)`` and bottleneck
+        column ``(T, nw)``, all rows at once; ``counts`` holds each row
+        block's per-kernel counts. Only ICED moves off normal."""
+        num_rows = len(self.stage_finish)
+        num_kernels = len(self.names)
+        nw = len(starts)
+        level_idx = np.zeros((num_rows, nw, num_kernels), dtype=np.int64)
+        bottleneck = np.full((num_rows, nw), -1, dtype=np.int64)
+        if self.strategy != "iced":
+            return level_idx, bottleneck
+        # Window sums of the counts, [window, row, kernel].
+        sums = np.concatenate([
+            np.stack([np.add.reduceat(c, starts, axis=1) for c in block],
+                     axis=2)
+            for block in counts
+        ]).transpose(1, 0, 2)
+        controller = self.controller
+        factor = self.factor
+        kernels = np.arange(num_kernels)
+        for w in range(nw):
+            idx = controller.idx
+            level_idx[:, w] = idx
+            busy = sums[w] * factor[idx, kernels]
+            bottleneck[:, w] = controller.end_of_window(busy)
+        return level_idx, bottleneck
+
+    def _latencies(self, counts: list[np.ndarray], level_idx: np.ndarray,
+                   n: int) -> list[np.ndarray]:
+        """One row block's per-input latencies from its counts and
+        decided levels (``iterations * II * slowdown``)."""
+        if self.strategy != "iced":
+            return [c * self.factor[0, k] for k, c in enumerate(counts)]
+        per_window = self.factor[level_idx, np.arange(len(counts))]
+        return [
+            c * np.repeat(per_window[:, :, k], self.window, axis=1)[:, :n]
+            for k, c in enumerate(counts)
         ]
 
-    def _power_mw(self, level_name_of) -> float:
-        dvfs = self.cgra.dvfs
-        total = 0.0
-        for placement in self.partition.placements:
-            level = dvfs.level_named(level_name_of(placement.kernel.name))
-            total += self.kernel_tiles[placement.kernel.name] * (
-                level_tile_power_mw(self.params, level,
-                                    self.params.streaming_activity)
-            )
-        # Unallocated islands are power gated.
-        gated_tiles = self.cgra.num_tiles - sum(self.kernel_tiles.values())
-        total += gated_tiles * level_tile_power_mw(self.params,
-                                                   dvfs.power_gated)
-        total += (
-            self.params.controller_mw() * self.params.island_controller_scale
-            * len(self.cgra.islands)
-        )
-        total += self.sram.power_mw(dvfs.normal.frequency_mhz,
-                                    self.params.sram_activity)
-        return total
-
-    def _power_mw_cached(self, level_names: tuple[str, ...],
-                         level_name_of) -> float:
-        key = (
-            level_names,
-            tuple(self.kernel_tiles[name]
-                  for name in self._placement_names),
-        )
-        power = self._power_memo.get(key)
-        if power is None:
-            power = self._power_mw(level_name_of)
-            self._power_memo[key] = power
-        return power
-
-    def run_blocks(self, blocks: Iterable[FeatureBlock], window: int,
-                   adapter, *, keep_windows: bool = True) -> StreamResult:
-        """Stream ``blocks`` through the pipeline under ``adapter``.
-
-        ``adapter`` supplies the strategy: per-window latency vectors
-        (with whatever bookkeeping the strategy's controller needs),
-        level names for the power model, and the window-end hook.
-        ``keep_windows=False`` drops the per-window stats list so a
-        million-input run holds O(window) state.
-        """
-        check_window(window)
-        wall_start = time.perf_counter()
-        stage_finish = 0.0
-        windows: list[WindowStats] = []
-        window_start = 0.0
-        window_index = 0
-        energy_total = 0.0
-        total_inputs = 0
-
-        base_mhz = self.cgra.dvfs.normal.frequency_mhz
-        kernels = self.app.all_kernels()
-        use_vector = adapter.vector_ok and window >= _VECTOR_WINDOW_MIN
-        level_name_of = adapter.level_name_of
-        on_window_end = adapter.on_window_end
-        placement_names = self._placement_names
-        # Hoisted instruments: one registry lookup per run, not per
-        # window.
-        registry = obs.metrics()
-        windows_counter = registry.counter("streaming.windows")
-        inputs_counter = registry.counter("streaming.inputs")
-        decision_hist = registry.histogram("streaming.decision_latency_ms",
-                                           buckets=_DECISION_BUCKETS)
-
-        for counts, n_inputs in _window_iteration_chunks(
-                blocks, kernels, window):
-            total_inputs += n_inputs
-            if use_vector:
-                last_done = self._advance_window_vector(counts, n_inputs,
-                                                        adapter)
-            else:
-                last_done = self._advance_window_list(counts, n_inputs,
-                                                      adapter)
-            # Last-stage finishes increase strictly (every latency is
-            # >= 1 cycle), so the window's running max is its final
-            # element.
-            if last_done > stage_finish:
-                stage_finish = last_done
-
-            duration = stage_finish - window_start
-            level_names = tuple(
-                level_name_of(name) for name in placement_names
-            )
-            power = self._power_mw_cached(level_names, level_name_of)
-            energy = power * (duration / base_mhz) * 1e-3  # mW*us -> uJ
-            levels = dict(zip(placement_names, level_names))
-            if keep_windows:
-                windows.append(WindowStats(
-                    index=window_index,
-                    start_cycle=window_start,
-                    end_cycle=stage_finish,
-                    inputs=n_inputs,
-                    energy_uj=energy,
-                    levels=levels,
-                    frequency_mhz=base_mhz,
-                ))
-            energy_total += energy
-            _emit_window_span(self.app.name, adapter.strategy, window_index,
-                              window_start, duration, n_inputs,
-                              energy, power, levels)
-            windows_counter.inc()
-            inputs_counter.inc(n_inputs)
-            t0 = time.perf_counter()
-            on_window_end()
-            decision_hist.observe((time.perf_counter() - t0) * 1e3)
-            window_start = stage_finish
-            window_index += 1
-
-        _set_throughput_gauge(total_inputs, wall_start)
-        return StreamResult(
-            app=self.app.name,
-            strategy=adapter.strategy,
-            makespan_cycles=stage_finish,
-            total_energy_uj=energy_total,
-            inputs=total_inputs,
-            frequency_mhz=base_mhz,
-            windows=windows,
-        )
-
-    _zeros: np.ndarray | None = None
-
-    def _advance_window_vector(self, counts: dict[str, np.ndarray],
-                               n_inputs: int, adapter) -> float:
-        zeros = self._zeros
-        if zeros is None or len(zeros) != n_inputs:
-            zeros = self._zeros = np.zeros(n_inputs)
-        prev_stage: np.ndarray | None = None
+    def _scan(self, lats: list[np.ndarray], rows: slice) -> np.ndarray:
+        """Advance every kernel of rows ``rows`` one chunk; returns the
+        last stage's ``(R, n)`` finish times."""
+        prev_stage = np.zeros_like(lats[0])
         for stage in self.app.stages:
-            s = zeros if prev_stage is None else prev_stage
-            stage_done: np.ndarray | None = None
+            stage_done = None
             for kernel in stage:
-                name = kernel.name
-                lat = adapter.latency_window(name, counts[name])
-                finish = _maxplus_scan_array(s, self.prev_finish[name], lat)
-                self.prev_finish[name] = float(finish[-1])
+                k = self.column[kernel.name]
+                finish = maxplus_scan_2d(prev_stage,
+                                         self.prev_finish[k, rows], lats[k])
+                self.prev_finish[k, rows] = finish[:, -1]
                 if stage_done is None:
                     stage_done = finish
                 else:
                     np.maximum(stage_done, finish, out=stage_done)
             prev_stage = stage_done
-        return float(prev_stage[-1])
+        return prev_stage
 
-    def _advance_window_list(self, counts: dict[str, np.ndarray],
-                             n_inputs: int, adapter) -> float:
-        prev_stage: list[float] = [0.0] * n_inputs
+    def _drips_row(self, t: int, counts: list[list[int]],
+                   starts: list[int], n: int,
+                   ) -> tuple[list[tuple], list[float]]:
+        """DRIPS for row ``t``: its windows in order, one input at a
+        time, then the sequential scan. Returns each window's tiles and
+        the last stage's finish times."""
+        state = self.drips[t]
+        lats: list[list[float]] = [[] for _ in self.names]
+        tiles = []
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            for k, name in enumerate(self.names):
+                lats[k] += state.window_latencies(name, counts[k][lo:hi])
+            tiles.append(tuple(state.kernel_tiles[name]
+                               for name in self.names))
+            state.end_of_window()
+        prev_stage = [0.0] * n
         for stage in self.app.stages:
-            stage_done: list[float] | None = None
+            stage_done = None
             for kernel in stage:
-                name = kernel.name
-                lat = adapter.latency_window(name, counts[name])
-                if not isinstance(lat, list):
-                    lat = lat.tolist()
-                finish = _maxplus_scan_list(prev_stage,
-                                            self.prev_finish[name], lat)
-                self.prev_finish[name] = float(finish[-1])
-                if stage_done is None:
-                    stage_done = finish
-                else:
-                    stage_done = [
-                        a if a >= b else b
-                        for a, b in zip(stage_done, finish)
-                    ]
+                k = self.column[kernel.name]
+                finish = _maxplus_scan_list(
+                    prev_stage, float(self.prev_finish[k, t]), lats[k])
+                self.prev_finish[k, t] = finish[-1]
+                stage_done = finish if stage_done is None else [
+                    a if a >= b else b for a, b in zip(stage_done, finish)
+                ]
             prev_stage = stage_done
-        return float(prev_stage[-1])
+        return tiles, prev_stage
+
+    # -- power -----------------------------------------------------------
+
+    def _power(self, level_names: Sequence[str], tiles: Sequence[int],
+               key) -> float:
+        power = self.power_memo.get(key)
+        if power is None:
+            power = self.power_memo[key] = pipeline_power_mw(
+                self.partition, self.params, level_names, tiles)
+        return power
+
+    def _level_power(self, level_idx: np.ndarray) -> np.ndarray:
+        packed = level_idx @ self.level_strides
+        uniq, first, inverse = np.unique(packed, return_index=True,
+                                         return_inverse=True)
+        rows = level_idx.reshape(-1, level_idx.shape[-1])
+        powers = np.array([
+            self._power([self.level_names[i] for i in rows[f]],
+                        self.tiles, key)
+            for key, f in zip(uniq.tolist(), first.tolist())
+        ])
+        return powers[inverse].reshape(packed.shape)
+
+    # -- one chunk -------------------------------------------------------
+
+    def advance(self, n: int, rows: list[dict[str, np.ndarray]]) -> None:
+        """Advance every row ``n`` inputs, given each row's feature
+        columns."""
+        num_rows = len(rows)
+        starts = np.arange(0, n, self.window)
+        window_ends = np.minimum(starts + self.window, n)
+        # Blocks of rows holding about DEFAULT_BLOCK_SIZE inputs keep
+        # each block's arrays small enough to stay in cache; the window
+        # decisions still see every row at once.
+        step = max(1, DEFAULT_BLOCK_SIZE // n)
+        spans = [slice(lo, lo + step) for lo in range(0, num_rows, step)]
+        counts = [self._counts(rows[span], n) for span in spans]
+        level_idx, bottleneck = self._decide_levels(counts, starts)
+        if self.strategy == "drips":
+            normal = [self.level_names[0]] * len(self.names)
+            power = np.empty((num_rows, len(starts)))
+            last = np.empty((num_rows, len(starts)))
+            for span, block in zip(spans, counts):
+                for i in range(len(block[0])):
+                    t = span.start + i
+                    tiles, finish = self._drips_row(
+                        t, [c[i].tolist() for c in block], starts.tolist(),
+                        n)
+                    power[t] = [self._power(normal, row, row)
+                                for row in tiles]
+                    last[t] = [finish[e - 1] for e in window_ends.tolist()]
+        else:
+            power = self._level_power(level_idx)
+            last = np.concatenate([
+                self._scan(self._latencies(block, level_idx[span], n),
+                           span)[:, window_ends - 1]
+                for span, block in zip(spans, counts)
+            ])
+
+        # Last-stage finishes never decrease, so a window ends at its
+        # last input's finish; the running max keeps that explicit.
+        ends = np.maximum.accumulate(np.concatenate(
+            [self.stage_finish[:, None], last], axis=1), axis=1)
+        start_cycles = ends[:, :-1]
+        end_cycles = ends[:, 1:]
+        energy = (power * ((end_cycles - start_cycles) / self.base_mhz)
+                  ) * 1e-3  # mW*us -> uJ
+        self.energy_total = np.add.accumulate(np.concatenate(
+            [self.energy_total[:, None], energy], axis=1), axis=1)[:, -1]
+        self.stage_finish = end_cycles[:, -1].copy()
+        window_inputs = window_ends - starts
+        if self.tracer is not None:
+            self._emit(start_cycles, end_cycles, window_inputs, energy,
+                       power, level_idx, bottleneck)
+        if self.keep_windows:
+            self.kept.append((window_inputs, start_cycles, end_cycles,
+                              energy, level_idx, bottleneck))
+        self.num_windows += len(starts)
+        self.num_decisions += int((bottleneck >= 0).sum())
+
+    def _emit(self, start_cycles, end_cycles, window_inputs, energy,
+              power, level_idx, bottleneck) -> None:
+        for t in range(len(start_cycles)):
+            for w, (start, end) in enumerate(zip(start_cycles[t].tolist(),
+                                                 end_cycles[t].tolist())):
+                bn = int(bottleneck[t, w])
+                _emit_window_span(
+                    self.tracer, self.app.name, self.strategy,
+                    self.num_windows + w, start, end - start,
+                    int(window_inputs[w]), float(energy[t, w]),
+                    float(power[t, w]),
+                    {name: self.level_names[i] for name, i in
+                     zip(self.names, level_idx[t, w].tolist())},
+                    self.names[bn] if bn >= 0 else None,
+                )
+
+    def result(self, inputs: int) -> GroupResult:
+        num_rows = len(self.stage_finish)
+        kept = self.kept
+
+        def stacked(i: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+            if not kept:
+                return np.zeros(shape, dtype=dtype)
+            return np.concatenate([part[i] for part in kept],
+                                  axis=0 if i == 0 else 1)
+
+        num_kernels = len(self.names)
+        return GroupResult(
+            app=self.app.name,
+            strategy=self.strategy,
+            inputs=inputs,
+            num_windows=self.num_windows,
+            frequency_mhz=self.base_mhz,
+            kernel_names=list(self.names),
+            level_names=self.level_names,
+            makespan_cycles=self.stage_finish,
+            total_energy_uj=self.energy_total,
+            final_level_idx=self.controller.idx,
+            window_inputs=stacked(0, (0,), np.int64),
+            start_cycles=stacked(1, (num_rows, 0)),
+            end_cycles=stacked(2, (num_rows, 0)),
+            energy_uj=stacked(3, (num_rows, 0)),
+            level_idx=stacked(4, (num_rows, 0, num_kernels), np.int64),
+            bottleneck=stacked(5, (num_rows, 0), np.int64),
+        )
 
 
-class _FastIced:
-    """Fast-engine strategy adapter for the ICED DVFS configuration.
+def simulate_group(partition: Partition,
+                   streams: Sequence[Iterable[FeatureBlock]], window: int,
+                   *, strategy: str = "iced",
+                   params: PowerParams = DEFAULT_POWER_PARAMS,
+                   keep_windows: bool = True) -> GroupResult:
+    """Advance T >= 1 rows of ``partition`` through the pipeline together.
 
-    Latencies are ``iterations * II * slowdown`` — products of
-    integers — so the numpy scan applies. The controller's exeTable
-    gets the window's exact busy sum (integer summation is
-    order-independent), making decisions identical to a per-input
-    accumulation.
+    ``streams`` is one feature-block iterable per row, all with the same
+    number of inputs; ``strategy`` is ``iced`` (the DVFS controller),
+    ``static`` (nominal level everywhere) or ``drips`` (the island
+    re-shaper). Each row's outcome is bit-identical to the per-input
+    reference loop over that row alone. ``keep_windows=False`` drops
+    the per-window arrays, so a million-input run holds O(chunk) state.
     """
-
-    vector_ok = True
-    strategy = "iced"
-
-    def __init__(self, partition: Partition, controller: DVFSController):
-        self.controller = controller
-        self._ii = {p.kernel.name: p.ii for p in partition.placements}
-
-    def level_name_of(self, name: str) -> str:
-        return self.controller.level_of(name).name
-
-    def latency_window(self, name: str, counts: np.ndarray) -> np.ndarray:
-        level = self.controller.level_of(name)
-        # float multiplier -> float64 latencies in one op; exact, since
-        # every operand and product is an integer below 2**53.
-        factor = float(self._ii[name] * max(level.slowdown, 1))
-        lat = counts * factor
-        self.controller.record_execution(name, float(lat.sum()))
-        return lat
-
-    def on_window_end(self) -> None:
-        self.controller.end_of_window()
+    check_window(window)
+    if strategy not in ENGINE_STRATEGIES:
+        raise StreamingError(
+            f"unknown strategy {strategy!r} "
+            f"(known: {', '.join(ENGINE_STRATEGIES)})"
+        )
+    if not streams:
+        raise StreamingError("cannot simulate an empty group of rows")
+    wall_start = time.perf_counter()
+    run = _GroupRun(partition, len(streams), window, strategy, params,
+                    keep_windows)
+    inputs = 0
+    for n, rows in _chunks(list(streams), window):
+        run.advance(n, rows)
+        inputs += n
+    result = run.result(inputs)
+    registry = obs.metrics()
+    num_rows = len(streams)
+    registry.counter("streaming.windows").inc(num_rows * run.num_windows)
+    registry.counter("streaming.inputs").inc(num_rows * inputs)
+    if strategy == "iced":
+        registry.counter("streaming.dvfs_decisions").inc(run.num_decisions)
+    elapsed = time.perf_counter() - wall_start
+    if elapsed > 0:
+        registry.gauge("streaming.inputs_per_sec").set(
+            num_rows * inputs / elapsed)
+    return result
 
 
 def _as_blocks(stream) -> Iterable[FeatureBlock]:
@@ -513,9 +725,16 @@ def _as_blocks(stream) -> Iterable[FeatureBlock]:
     return stream
 
 
+def _single(strategy: str, partition: Partition, stream, window: int,
+            params: PowerParams, keep_windows: bool) -> StreamResult:
+    return simulate_group(
+        partition, [_as_blocks(stream)], window, strategy=strategy,
+        params=params, keep_windows=keep_windows,
+    ).row_result(0)
+
+
 def simulate_stream(partition: Partition, stream, window: int = 10,
                     params: PowerParams = DEFAULT_POWER_PARAMS,
-                    controller: DVFSController | None = None,
                     keep_windows: bool = True) -> StreamResult:
     """Run the ICED configuration: fixed partition, dynamic DVFS.
 
@@ -523,12 +742,21 @@ def simulate_stream(partition: Partition, stream, window: int = 10,
     constant-memory path) or a materialized ``StreamInput`` list (auto
     chunked).
     """
-    sim = FastPipelineSim(partition, params)
-    controller = controller or DVFSController(
-        dvfs=partition.cgra.dvfs,
-        kernel_names=[p.kernel.name for p in partition.placements],
-        window=window,
-    )
-    adapter = _FastIced(partition, controller)
-    return sim.run_blocks(_as_blocks(stream), window, adapter,
-                          keep_windows=keep_windows)
+    return _single("iced", partition, stream, window, params, keep_windows)
+
+
+def simulate_static(partition: Partition, stream, window: int = 10,
+                    params: PowerParams = DEFAULT_POWER_PARAMS,
+                    keep_windows: bool = True) -> StreamResult:
+    """A DynPaC-style static baseline: fixed partition, fixed nominal
+    V/f, no reshaping — the floor both DRIPS and ICED improve on."""
+    return _single("static", partition, stream, window, params,
+                   keep_windows)
+
+
+def simulate_drips(partition: Partition, stream, window: int = 10,
+                   params: PowerParams = DEFAULT_POWER_PARAMS,
+                   keep_windows: bool = True) -> StreamResult:
+    """Run the DRIPS configuration on the same partition and stream."""
+    return _single("drips", partition, stream, window, params,
+                   keep_windows)

@@ -33,9 +33,18 @@ from pathlib import Path
 from repro import obs
 from repro.errors import ScenarioError
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.drips import simulate_drips, simulate_static
-from repro.streaming.engine import StreamResult, simulate_stream
-from repro.streaming.partitioner import Partition, partition_app, streaming_cgra
+from repro.streaming.engine import (
+    StreamResult,
+    simulate_drips,
+    simulate_static,
+    simulate_stream,
+)
+from repro.streaming.partitioner import (
+    Partition,
+    partition_app,
+    profile_count,
+    streaming_cgra,
+)
 from repro.streaming.scenarios import make_scenario, scenario_names
 from repro.streaming.workloads import take_inputs
 
@@ -65,11 +74,6 @@ STRATEGIES = ("iced", "drips", "static")
 #: Default stream length for envelope runs: long enough for several
 #: controller windows per phase, short enough for CI.
 DEFAULT_ENVELOPE_INPUTS = 240
-
-#: Profiling prefix used to build the partition (matches the CLI's
-#: sizing rule).
-def _profile_count(n: int) -> int:
-    return min(50, max(5, n // 3))
 
 
 def weighted_percentile(values, weights, q: float) -> float:
@@ -167,7 +171,7 @@ def scenario_envelope(name: str, *, seed: int | None = None,
                     "streaming.inputs": inputs})
         if partition is None:
             profile = take_inputs(scenario.feature_blocks(),
-                                  _profile_count(inputs))
+                                  profile_count(inputs))
             partition = partition_app(
                 scenario.app, streaming_cgra(), profile,
                 use_cache=use_cache, jobs=jobs,

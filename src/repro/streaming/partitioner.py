@@ -217,6 +217,13 @@ def _stage_latency(app: StreamingApp, table, allocation: dict[str, int],
     return worst
 
 
+def profile_count(n: int) -> int:
+    """How many leading inputs of an ``n``-input stream the partitioner
+    profiles: the paper's 50, at least 5, and at most a third of the
+    stream, so a short run keeps most of its inputs to stream."""
+    return min(50, max(5, n // 3))
+
+
 def partition_app(app: StreamingApp, cgra: CGRA,
                   profile_inputs: list[StreamInput],
                   max_islands_per_kernel: int = 4,
@@ -225,6 +232,12 @@ def partition_app(app: StreamingApp, cgra: CGRA,
                   jobs: int = 1,
                   cache_dir: str | None = None) -> Partition:
     """Choose and realize the throughput-optimal island composition."""
+    if not profile_inputs:
+        # Every composition would score 0 and the first would win.
+        raise PartitionError(
+            f"{app.name}: cannot partition on an empty profile "
+            f"(no inputs to profile)"
+        )
     kernels = app.all_kernels()
     total_islands = len(cgra.islands)
     if len(kernels) > total_islands:

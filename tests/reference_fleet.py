@@ -1,12 +1,12 @@
 """The per-tenant fleet loop, kept as a test oracle.
 
-Production :class:`~repro.fleet.FleetSim` stacks homogeneous tenant
-groups into the tenant-major batched engine. This subclass replaces
-only that step with the honest baseline: one sequential engine run per
-tenant, in tenant order. Every other phase — bind, place, stream
+Production :class:`~repro.fleet.FleetSim` runs each homogeneous tenant
+group through the streaming engine as one multi-row run. This subclass
+replaces only that step with the honest baseline: one single-row
+engine run per tenant, in tenant order. Every other phase — bind, place, stream
 materialization, compile, accounting — is the production code, so the
 differential suite and the fleet bench compare exactly one thing: the
-batched simulation against N independent runs. Their canonical reports
+grouped simulation against N independent runs. Their canonical reports
 must be identical.
 """
 

@@ -1,47 +1,180 @@
 """The one-input-at-a-time streaming engine, kept as a test oracle.
 
-Production streams through the window-batched
-:class:`~repro.streaming.engine.FastPipelineSim`. This module keeps the
-plain recurrence it replaces: every input walks every stage through
-nested Python loops, so the arithmetic is trivially auditable. The
-differential suites require the production engine to reproduce these
-results float-for-float — the same ``StreamResult``, the same
-``WindowStats`` sequence and the same controller decisions — and the
-stream bench times the production engine against this loop.
+Production streams through :func:`repro.streaming.engine.simulate_group`,
+which decides a chunk's windows first and then scans each kernel once
+per chunk. This module keeps the plain recurrence it replaces: every
+input walks every stage through nested Python loops, and the ICED
+controller is the scalar per-kernel :class:`DVFSController`, so the
+arithmetic is trivially auditable. The differential suites require the
+production engine to reproduce these results float-for-float — the same
+``StreamResult``, the same ``WindowStats`` sequence and the same
+controller decisions (:func:`decision_log`) — and the stream bench
+times the production engine against this loop.
 
-The oracle reuses the production engine's constructor and power model
-(it subclasses :class:`FastPipelineSim` and only adds :meth:`run`) and
-drives the same strategy state: the ICED :class:`DVFSController` and
-the DRIPS :class:`_DripsState`.
+The oracle shares the production power function
+(:func:`~repro.streaming.engine.pipeline_power_mw`) and the DRIPS
+re-shaper state (:class:`~repro.streaming.drips._DripsState`).
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro import obs
+from repro.arch.dvfs import DVFSConfig, DVFSLevel
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.controller import DVFSController
+from repro.streaming.controller import BatchedDVFS
 from repro.streaming.drips import _DripsState
 from repro.streaming.engine import (
-    _DECISION_BUCKETS,
-    FastPipelineSim,
     StreamResult,
     WindowStats,
     _emit_window_span,
-    _set_throughput_gauge,
+    pipeline_power_mw,
 )
 from repro.streaming.partitioner import Partition
 from repro.streaming.stage import StreamInput
 
 
-class ReferencePipelineSim(FastPipelineSim):
+@dataclass
+class DVFSController:
+    """Window-based bottleneck detection and per-kernel level control,
+    one kernel at a time (the decision oracle for ``BatchedDVFS``)."""
+
+    dvfs: DVFSConfig
+    kernel_names: list[str]
+    window: int = 10
+    #: A kernel is lowered only "if possible" (section III-B): its
+    #: projected busy time at the slower level must stay below this
+    #: fraction of the bottleneck's.
+    headroom: float = 0.9
+    levels: dict[str, DVFSLevel] = field(init=False)
+    exe_table: dict[str, float] = field(init=False)
+    decisions: list[dict[str, str]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.levels = {name: self.dvfs.normal for name in self.kernel_names}
+        self.exe_table = {name: 0.0 for name in self.kernel_names}
+        self.decisions = []
+
+    def level_of(self, kernel_name: str) -> DVFSLevel:
+        return self.levels[kernel_name]
+
+    def record_execution(self, kernel_name: str, busy_cycles: float) -> None:
+        """A kernel finished one input; update the exeTable."""
+        self.exe_table[kernel_name] += busy_cycles
+
+    def end_of_window(self) -> str | None:
+        """The window-th input was consumed: adjust levels and reset.
+
+        Returns the bottleneck; an all-idle window makes no decision,
+        leaves every level untouched and returns ``None``.
+        """
+        if not any(self.exe_table.values()):
+            return None
+        bottleneck = max(self.exe_table, key=lambda k: self.exe_table[k])
+        bn_level = self.levels[bottleneck]
+        bn_next = self.dvfs.faster(bn_level)
+        # The bottleneck speeds up; project its new busy time as the bar
+        # every other kernel must stay under after its own change.
+        bar = self.headroom * self.exe_table[bottleneck] * (
+            bn_next.slowdown / bn_level.slowdown
+        )
+        self.levels[bottleneck] = bn_next
+        for name in self.kernel_names:
+            if name == bottleneck:
+                continue
+            current = self.levels[name]
+            slower = self.dvfs.slower(current)
+            if slower is current:
+                continue
+            projected = self.exe_table[name] * (
+                slower.slowdown / current.slowdown
+            )
+            if projected <= bar:
+                self.levels[name] = slower
+            elif self.exe_table[name] > bar and current is not bn_next:
+                # Already over the bar at the current level: raise it
+                # back toward normal instead of stalling the pipeline.
+                self.levels[name] = self.dvfs.faster(current)
+        self.decisions.append(
+            {name: level.name for name, level in self.levels.items()}
+            | {"_bottleneck": bottleneck}
+        )
+        self.exe_table = {name: 0.0 for name in self.kernel_names}
+        return bottleneck
+
+
+class OneRowController:
+    """The production :class:`BatchedDVFS` on a one-row state, behind the
+    oracle controller's interface, so the controller rule tests run
+    against both."""
+
+    def __init__(self, dvfs: DVFSConfig, kernel_names: list[str]):
+        self.dvfs = dvfs
+        self.kernel_names = list(kernel_names)
+        self.batched = BatchedDVFS(dvfs, 1, len(self.kernel_names))
+        self.exe_table = {name: 0.0 for name in self.kernel_names}
+        self.decisions: list[dict[str, str]] = []
+
+    @property
+    def levels(self) -> dict[str, DVFSLevel]:
+        return {name: self.dvfs.levels[i] for name, i in
+                zip(self.kernel_names, self.batched.idx[0].tolist())}
+
+    def level_of(self, kernel_name: str) -> DVFSLevel:
+        return self.levels[kernel_name]
+
+    def record_execution(self, kernel_name: str, busy_cycles: float) -> None:
+        self.exe_table[kernel_name] += busy_cycles
+
+    def end_of_window(self) -> str | None:
+        busy = np.array([[self.exe_table[n] for n in self.kernel_names]])
+        column = int(self.batched.end_of_window(busy)[0])
+        self.exe_table = {name: 0.0 for name in self.kernel_names}
+        if column < 0:
+            return None
+        bottleneck = self.kernel_names[column]
+        self.decisions.append(
+            {name: level.name for name, level in self.levels.items()}
+            | {"_bottleneck": bottleneck}
+        )
+        return bottleneck
+
+
+def decision_log(result: StreamResult) -> list[dict[str, str]]:
+    """An ICED run's controller decisions, rebuilt from its windows.
+
+    A window with a bottleneck made a decision; the levels it chose are
+    the next window's (the run's final levels after the last window),
+    the same shape as :attr:`DVFSController.decisions`.
+    """
+    windows = result.windows
+    log = []
+    for w, stats in enumerate(windows):
+        if stats.bottleneck is None:
+            continue
+        after = (windows[w + 1].levels if w + 1 < len(windows)
+                 else result.final_levels)
+        log.append(dict(after) | {"_bottleneck": stats.bottleneck})
+    return log
+
+
+class ReferencePipelineSim:
     """The pipeline recurrence evaluated one input at a time."""
 
+    def __init__(self, partition: Partition,
+                 params: PowerParams = DEFAULT_POWER_PARAMS):
+        self.partition = partition
+        self.app = partition.app
+        self.cgra = partition.cgra
+        self.params = params
+        self.prev_finish = {p.kernel.name: 0.0 for p in partition.placements}
+
     def run(self, inputs: list[StreamInput], window: int,
-            latency_of, level_name_of, on_window_end, strategy: str,
-            ) -> StreamResult:
-        wall_start = time.perf_counter()
+            latency_of, level_name_of, tiles_of, on_window_end,
+            strategy: str) -> StreamResult:
         stage_finish = 0.0
         windows: list[WindowStats] = []
         window_start = 0.0
@@ -50,7 +183,10 @@ class ReferencePipelineSim(FastPipelineSim):
         energy_total = 0.0
 
         base_mhz = self.cgra.dvfs.normal.frequency_mhz
+        names = [p.kernel.name for p in self.partition.placements]
         last_index = len(inputs) - 1
+        registry = obs.metrics()
+        tracer = obs.current_tracer()
         for index, item in enumerate(inputs):
             prev_stage_done = 0.0
             for stage in self.app.stages:
@@ -68,34 +204,36 @@ class ReferencePipelineSim(FastPipelineSim):
 
             if window_inputs == window or index == last_index:
                 duration = stage_finish - window_start
-                power = self._power_mw(level_name_of)
+                levels = {name: level_name_of(name) for name in names}
+                power = pipeline_power_mw(
+                    self.partition, self.params, list(levels.values()),
+                    tiles_of(),
+                )
                 energy = power * (duration / base_mhz) * 1e-3  # mW*us -> uJ
+                bottleneck = on_window_end()
                 stats = WindowStats(
                     index=window_index,
                     start_cycle=window_start,
                     end_cycle=stage_finish,
                     inputs=window_inputs,
                     energy_uj=energy,
-                    levels={
-                        p.kernel.name: level_name_of(p.kernel.name)
-                        for p in self.partition.placements
-                    },
+                    levels=levels,
+                    bottleneck=bottleneck,
                     frequency_mhz=base_mhz,
                 )
                 windows.append(stats)
                 energy_total += energy
-                _emit_window_span(self.app.name, strategy, window_index,
-                                  window_start, duration, window_inputs,
-                                  energy, power, stats.levels)
-                registry = obs.metrics()
+                if tracer is not None:
+                    _emit_window_span(tracer, self.app.name, strategy,
+                                      window_index, window_start, duration,
+                                      window_inputs, energy, power, levels,
+                                      bottleneck)
                 registry.counter("streaming.windows").inc()
                 registry.counter("streaming.inputs").inc(window_inputs)
-                _timed_window_end(registry, on_window_end)
                 window_start = stage_finish
                 window_inputs = 0
                 window_index += 1
 
-        _set_throughput_gauge(len(inputs), wall_start)
         return StreamResult(
             app=self.app.name,
             strategy=strategy,
@@ -104,16 +242,13 @@ class ReferencePipelineSim(FastPipelineSim):
             inputs=len(inputs),
             frequency_mhz=base_mhz,
             windows=windows,
+            final_levels={name: level_name_of(name) for name in names},
         )
 
 
-def _timed_window_end(registry, on_window_end) -> None:
-    t0 = time.perf_counter()
-    on_window_end()
-    registry.histogram("streaming.decision_latency_ms",
-                       buckets=_DECISION_BUCKETS).observe(
-        (time.perf_counter() - t0) * 1e3
-    )
+def _placement_tiles(partition: Partition):
+    tiles = [len(p.tile_ids(partition.cgra)) for p in partition.placements]
+    return lambda: tiles
 
 
 def reference_simulate_stream(partition: Partition,
@@ -141,6 +276,7 @@ def reference_simulate_stream(partition: Partition,
         inputs, window,
         latency_of=latency_of,
         level_name_of=lambda name: controller.level_of(name).name,
+        tiles_of=_placement_tiles(partition),
         on_window_end=controller.end_of_window,
         strategy="iced",
     )
@@ -163,6 +299,7 @@ def reference_simulate_static(partition: Partition,
         inputs, window,
         latency_of=latency_of,
         level_name_of=lambda name: partition.cgra.dvfs.normal.name,
+        tiles_of=_placement_tiles(partition),
         on_window_end=lambda: None,
         strategy="static",
     )
@@ -172,11 +309,11 @@ def reference_simulate_drips(partition: Partition,
                              inputs: list[StreamInput],
                              window: int = 10,
                              params: PowerParams = DEFAULT_POWER_PARAMS,
-                             max_islands_per_kernel: int = 4,
                              ) -> StreamResult:
     """The DRIPS configuration on the same partition and inputs."""
     sim = ReferencePipelineSim(partition, params)
-    state = _DripsState(sim, partition, window, max_islands_per_kernel)
+    state = _DripsState(partition, window)
+    names = [p.kernel.name for p in partition.placements]
 
     def latency_of(kernel, item: StreamInput) -> float:
         cycles = kernel.iterations(item) * state.current_ii(kernel.name)
@@ -189,6 +326,7 @@ def reference_simulate_drips(partition: Partition,
         inputs, window,
         latency_of=latency_of,
         level_name_of=lambda name: partition.cgra.dvfs.normal.name,
+        tiles_of=lambda: [state.kernel_tiles[name] for name in names],
         on_window_end=state.end_of_window,
         strategy="drips",
     )

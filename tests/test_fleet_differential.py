@@ -1,13 +1,13 @@
-"""Differential suite for the batched fleet engine.
+"""Differential suite for fleet groups on the streaming engine.
 
-The contract under test: for every tenant in a homogeneous group, the
-tenant-major batched engine produces a ``StreamResult`` **equal** (by
+The contract under test: for every tenant in a homogeneous group, one
+multi-row engine run produces a ``StreamResult`` **equal** (by
 ``asdict``, so every ``WindowStats`` field, float for float) to a
-standalone sequential engine run over the same partition and
-stream — and therefore a whole ``FleetSim`` report is identical to the
-per-tenant reference loop's (``tests/reference_fleet.py``), for every
-placement strategy and strategy mix (DRIPS rides the sequential
-fallback inside the batched path).
+standalone one-row run over the same partition and stream — and
+therefore a whole ``FleetSim`` report is identical to the per-tenant
+reference loop's (``tests/reference_fleet.py``), for every placement
+strategy and strategy mix, DRIPS included. Every row against the
+per-input oracle is ``test_streaming_differential``'s group test.
 
 Partitions are the same lightweight fakes the streaming differential
 suite uses: the engines only consume ``app``/``cgra``/``placements``/
@@ -23,14 +23,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.errors import FleetError  # noqa: E402
+from repro.errors import StreamingError  # noqa: E402
 from repro.fleet import (  # noqa: E402
     FabricInstance,
     FleetSim,
     FleetSpec,
     TenantSpec,
     canonical_report,
-    simulate_group_batched,
 )
 
 # The built-ins by name, not placement_names(): other test modules
@@ -38,18 +37,29 @@ from repro.fleet import (  # noqa: E402
 # and the registry is process-global.
 BUILTIN_PLACEMENTS = ("random", "load_balanced", "topology_aware")
 from repro.streaming import (  # noqa: E402
+    DEFAULT_BLOCK_SIZE,
     KernelStage,
     StreamInput,
     StreamingApp,
     blocks_of,
     make_scenario,
+    simulate_drips,
+    simulate_group,
     simulate_static,
     simulate_stream,
     streaming_cgra,
 )
-from repro.streaming.engine import _VECTOR_WINDOW_MIN  # noqa: E402
 
 from tests.reference_fleet import ReferenceFleetSim  # noqa: E402
+from tests.reference_streaming import (  # noqa: E402
+    reference_simulate_drips,
+    reference_simulate_static,
+    reference_simulate_stream,
+)
+
+REFERENCE = {"iced": reference_simulate_stream,
+             "static": reference_simulate_static,
+             "drips": reference_simulate_drips}
 
 CGRA = streaming_cgra()
 
@@ -144,27 +154,29 @@ def group_cases(draw):
         tenant_inputs.append(
             [StreamInput(i, {"x": float(x)}) for i, x in enumerate(xs)]
         )
-    window = draw(st.sampled_from([1, 3, 10, _VECTOR_WINDOW_MIN]))
+    window = draw(st.sampled_from([1, 3, 10, 24]))
     block_size = draw(st.sampled_from([1, 5, 13, 8192]))
     return partition, tenant_inputs, window, block_size
 
 
+SINGLE = {"iced": simulate_stream, "static": simulate_static,
+          "drips": simulate_drips}
+
+
 @settings(max_examples=40, **COMMON)
-@given(group_cases(), st.sampled_from(["iced", "static"]))
+@given(group_cases(), st.sampled_from(sorted(SINGLE)))
 def test_batched_group_equals_sequential_runs(case, strategy):
     partition, tenant_inputs, window, block_size = case
-    sequential_fn = (simulate_stream if strategy == "iced"
-                     else simulate_static)
-    batched = simulate_group_batched(
+    batched = simulate_group(
         partition,
         [blocks_of(inputs, block_size) for inputs in tenant_inputs],
         window, strategy=strategy,
     )
-    assert batched.num_tenants == len(tenant_inputs)
+    assert batched.num_rows == len(tenant_inputs)
     for t, inputs in enumerate(tenant_inputs):
-        sequential = sequential_fn(
+        sequential = SINGLE[strategy](
             partition, blocks_of(inputs, block_size), window=window)
-        assert asdict(batched.tenant_result(t)) == asdict(sequential)
+        assert asdict(batched.row_result(t)) == asdict(sequential)
 
 
 @st.composite
@@ -180,24 +192,62 @@ def real_scenario_groups(draw):
                           unique=True))
     scenarios = [make_scenario(name, seed=seed, n=n) for seed in seeds]
     partition = _fake_partition_for(scenarios[0].app, draw)
-    window = draw(st.sampled_from([1, 10, _VECTOR_WINDOW_MIN]))
+    window = draw(st.sampled_from([1, 10, 24]))
     return partition, scenarios, window
 
 
 @settings(max_examples=25, **COMMON)
-@given(real_scenario_groups(), st.sampled_from(["iced", "static"]))
+@given(real_scenario_groups(), st.sampled_from(sorted(SINGLE)))
 def test_real_scenario_group_equals_sequential_runs(case, strategy):
     partition, scenarios, window = case
-    sequential_fn = (simulate_stream if strategy == "iced"
-                     else simulate_static)
-    batched = simulate_group_batched(
+    batched = simulate_group(
         partition, [s.feature_blocks() for s in scenarios],
         window, strategy=strategy,
     )
     for t, scenario in enumerate(scenarios):
-        sequential = sequential_fn(partition, scenario.feature_blocks(),
-                                   window=window)
-        assert asdict(batched.tenant_result(t)) == asdict(sequential)
+        sequential = SINGLE[strategy](partition, scenario.feature_blocks(),
+                                      window=window)
+        assert asdict(batched.row_result(t)) == asdict(sequential)
+
+
+@pytest.mark.parametrize("num_rows,num_inputs,window", [
+    (40, 300, 10),
+    (3, DEFAULT_BLOCK_SIZE + 800, 100),
+])
+def test_rows_spanning_several_row_blocks(num_rows, num_inputs, window):
+    # The engine scans a chunk in blocks of DEFAULT_BLOCK_SIZE // n
+    # rows: 40 rows of 300 inputs make two blocks of one chunk, 3 long
+    # rows make two chunks of three one-row blocks. Every row must still
+    # equal its one-row run, and the first and last rows the per-input
+    # oracle.
+    kernels = [
+        KernelStage(name=f"k{i}", dfg=None, iteration_model=model,
+                    batch_model=batch)
+        for i, (model, batch) in enumerate([
+            (_dual_model(2, 3), _dual_model(2, 3)),
+            (_dual_model(1, 0), _dual_model(1, 0)),
+            (_scalar_only_model(0.5), None),
+            (_dual_model(3, 1), _dual_model(3, 1)),
+        ])
+    ]
+    app = StreamingApp(name="fake",
+                       stages=[[kernels[0]], kernels[1:3], [kernels[3]]])
+    partition = FakePartition(
+        app, [FakePlacement(k, 1 + i % 2, 2 + i)
+              for i, k in enumerate(kernels)],
+        {(k.name, c): max(1, 5 - c) for k in kernels for c in (1, 2, 3)})
+    rows = [[StreamInput(i, {"x": float(1 + (7 * i + 13 * t) % 97)})
+             for i in range(num_inputs)] for t in range(num_rows)]
+    for strategy, single in SINGLE.items():
+        group = simulate_group(partition,
+                               [blocks_of(inputs, 64) for inputs in rows],
+                               window, strategy=strategy)
+        for t, inputs in enumerate(rows):
+            alone = single(partition, inputs, window=window)
+            assert asdict(group.row_result(t)) == asdict(alone)
+        for t in (0, num_rows - 1):
+            ref = REFERENCE[strategy](partition, rows[t], window=window)
+            assert asdict(group.row_result(t)) == asdict(ref)
 
 
 # -- whole-fleet identity -----------------------------------------------------
@@ -210,7 +260,7 @@ def fleet_cases(draw):
     num_tenants = draw(st.integers(min_value=2, max_value=8))
     num_fabrics = draw(st.integers(min_value=1, max_value=4))
     placement = draw(st.sampled_from(BUILTIN_PLACEMENTS))
-    window = draw(st.sampled_from([5, 10, _VECTOR_WINDOW_MIN]))
+    window = draw(st.sampled_from([5, 10, 24]))
     inputs = draw(st.integers(min_value=5, max_value=40))
     scenario_mix = draw(st.lists(
         st.sampled_from(["enzyme", "bursty", "diurnal", "trace_fleet"]),
@@ -250,6 +300,7 @@ def test_fleet_report_batched_equals_reference(case):
     batched = FleetSim(spec, partitions=partitions).run()
     reference = ReferenceFleetSim(spec, partitions=partitions).run()
     assert canonical_report(batched) == canonical_report(reference)
+    assert batched["stats"]["fallback_runs"] == 0
     assert reference["stats"]["fallback_runs"] == len(spec.tenants)
 
 
@@ -271,25 +322,26 @@ def _inputs(n):
 
 class TestBatchedEngineErrors:
     def test_empty_group_is_an_error(self):
-        with pytest.raises(FleetError, match="empty tenant group"):
-            simulate_group_batched(_tiny_partition(), [], 10)
+        with pytest.raises(StreamingError, match="empty group"):
+            simulate_group(_tiny_partition(), [], 10)
 
     def test_mismatched_stream_lengths_are_an_error(self):
-        with pytest.raises(FleetError, match="different window grid"):
-            simulate_group_batched(
+        with pytest.raises(StreamingError, match="same number of inputs"):
+            simulate_group(
                 _tiny_partition(),
                 [blocks_of(_inputs(10), 5), blocks_of(_inputs(7), 5)],
                 10,
             )
 
     def test_unbatchable_strategy_is_an_error(self):
-        with pytest.raises(FleetError, match="cannot batch"):
-            simulate_group_batched(
+        # Every known strategy batches; an unknown one is refused.
+        with pytest.raises(StreamingError, match="unknown strategy"):
+            simulate_group(
                 _tiny_partition(), [blocks_of(_inputs(4), 2)], 10,
-                strategy="drips",
+                strategy="warp",
             )
 
     def test_bad_window_is_an_error(self):
-        with pytest.raises(FleetError, match="window"):
-            simulate_group_batched(
+        with pytest.raises(StreamingError, match="window"):
+            simulate_group(
                 _tiny_partition(), [blocks_of(_inputs(4), 2)], 0)

@@ -47,9 +47,16 @@ from repro.streaming.scenarios import (
     scenario_names,
 )
 from repro.streaming.app import gcn_app
-from repro.streaming.drips import simulate_drips, simulate_static
-from repro.streaming.engine import simulate_stream
-from repro.streaming.partitioner import partition_app, streaming_cgra
+from repro.streaming.engine import (
+    simulate_drips,
+    simulate_static,
+    simulate_stream,
+)
+from repro.streaming.partitioner import (
+    partition_app,
+    profile_count,
+    streaming_cgra,
+)
 from repro.streaming.stage import inputs_of
 from repro.streaming.workloads import (
     EnzymeGraphStream,
@@ -372,8 +379,7 @@ class TestEnvelopeMechanics:
 
 def scenario_partition(name, inputs):
     scenario = make_scenario(name, n=inputs)
-    profile = take_inputs(scenario.feature_blocks(),
-                          min(50, max(5, inputs // 3)))
+    profile = take_inputs(scenario.feature_blocks(), profile_count(inputs))
     return scenario, partition_app(scenario.app, streaming_cgra(), profile)
 
 

@@ -11,7 +11,6 @@ import pytest
 from repro.arch.dvfs import DEFAULT_DVFS_CONFIG
 from repro.errors import PartitionError
 from repro.streaming import (
-    DVFSController,
     EnzymeGraphStream,
     SparseMatrixStream,
     StreamInput,
@@ -23,6 +22,8 @@ from repro.streaming import (
     streaming_cgra,
 )
 from repro.streaming.partitioner import _snake_island_order, build_ii_table
+
+from tests.reference_streaming import DVFSController, OneRowController
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +90,13 @@ class TestApps:
 
 
 class TestController:
+    """The section III-B rules on the scalar oracle controller."""
+
+    controller_class = DVFSController
+
     def make(self, names=("a", "b", "c")):
-        return DVFSController(dvfs=DEFAULT_DVFS_CONFIG,
-                              kernel_names=list(names))
+        return self.controller_class(dvfs=DEFAULT_DVFS_CONFIG,
+                                     kernel_names=list(names))
 
     def test_starts_at_normal(self):
         ctrl = self.make()
@@ -140,6 +145,12 @@ class TestController:
         assert all(v == 0.0 for v in ctrl.exe_table.values())
         assert len(ctrl.decisions) == 1
         assert ctrl.decisions[0]["_bottleneck"] == "a"
+
+
+class TestProductionController(TestController):
+    """The same rules on the production controller with one row."""
+
+    controller_class = OneRowController
 
 
 class TestPartitioner:

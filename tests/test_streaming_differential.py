@@ -4,9 +4,11 @@ Mirrors how the router rewrite was pinned: hypothesis draws random
 pipeline apps (stage shapes, iteration models, IIs, island counts),
 random integer-feature streams, random windows and block sizes, and
 asserts the engine's ``StreamResult`` — including every
-``WindowStats`` field — and the ICED controller's decision log are
-**equal** (``==``, not approximately) to those of the per-input oracle
-in ``tests/reference_streaming.py``, for all three strategies.
+``WindowStats`` field — and the ICED controller's decision log (rebuilt
+from the windows by ``decision_log``) are **equal** (``==``, not
+approximately) to those of the per-input oracle in
+``tests/reference_streaming.py``, for all three strategies, for one
+stream and for every row of a multi-row group.
 
 The apps use lightweight fake partitions (the engines only consume
 ``app``/``cgra``/``placements``/``placement_of``/``ii_table``), so the
@@ -25,7 +27,6 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.streaming import (  # noqa: E402
-    DVFSController,
     KernelStage,
     StreamInput,
     StreamingApp,
@@ -34,12 +35,14 @@ from repro.streaming import (  # noqa: E402
     scenario_names,
     simulate_drips,
     simulate_static,
+    simulate_group,
     simulate_stream,
     streaming_cgra,
 )
-from repro.streaming.engine import _VECTOR_WINDOW_MIN  # noqa: E402
 
 from tests.reference_streaming import (  # noqa: E402
+    DVFSController,
+    decision_log,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -84,7 +87,7 @@ def _scalar_only_model(scale):
 
 
 @st.composite
-def scenarios(draw):
+def fake_partitions(draw):
     num_stages = draw(st.integers(min_value=1, max_value=4))
     stages = []
     placements = []
@@ -116,14 +119,17 @@ def scenarios(draw):
                 ii_table[(name, k)] = max(1, ii + 1 - k)
         stages.append(stage)
     app = StreamingApp(name="fake", stages=stages)
-    partition = FakePartition(app, placements, ii_table)
+    return FakePartition(app, placements, ii_table)
 
+
+@st.composite
+def scenarios(draw):
+    partition = draw(fake_partitions())
     num_inputs = draw(st.integers(min_value=0, max_value=90))
     xs = draw(st.lists(st.integers(min_value=1, max_value=10**6),
                        min_size=num_inputs, max_size=num_inputs))
     inputs = [StreamInput(i, {"x": float(x)}) for i, x in enumerate(xs)]
-    window = draw(st.sampled_from(
-        [1, 2, 3, 7, 10, _VECTOR_WINDOW_MIN, 40]))
+    window = draw(st.sampled_from([1, 2, 3, 7, 10, 24, 40]))
     block_size = draw(st.sampled_from([1, 2, 5, 13, 8192]))
     return partition, inputs, window, block_size
 
@@ -139,18 +145,19 @@ def test_iced_differential(scenario):
     names = [p.kernel.name for p in partition.placements]
     ref_ctl = DVFSController(dvfs=CGRA.dvfs, kernel_names=names,
                              window=window)
-    fast_ctl = DVFSController(dvfs=CGRA.dvfs, kernel_names=names,
-                              window=window)
     ref = reference_simulate_stream(partition, inputs, window=window,
                                     controller=ref_ctl)
     fast = simulate_stream(partition,
                            blocks_of(inputs, block_size)
                            if inputs else [],
-                           window=window, controller=fast_ctl)
+                           window=window)
     assert asdict(ref) == asdict(fast)
-    assert ref_ctl.decisions == fast_ctl.decisions
-    assert ref_ctl.levels == fast_ctl.levels
-    assert ref_ctl.exe_table == fast_ctl.exe_table
+    assert ref_ctl.decisions == decision_log(fast)
+    assert {n: lv.name for n, lv in ref_ctl.levels.items()} \
+        == fast.final_levels
+    # The production engine keeps no exeTable after a run; the oracle's
+    # is reset at every window end, the last one included.
+    assert all(v == 0.0 for v in ref_ctl.exe_table.values())
 
 
 @settings(max_examples=30, **COMMON)
@@ -200,7 +207,7 @@ def traffic_cases(draw):
         for k in (1, 2, 3):
             ii_table[(kernel.name, k)] = max(1, ii + 1 - k)
     partition = FakePartition(scenario.app, placements, ii_table)
-    window = draw(st.sampled_from([1, 3, 10, _VECTOR_WINDOW_MIN]))
+    window = draw(st.sampled_from([1, 3, 10, 24]))
     block_size = draw(st.sampled_from([1, 7, 64, 8192]))
     return scenario, partition, window, block_size
 
@@ -214,16 +221,15 @@ def test_scenario_differential_all_strategies(case):
 
     ref_ctl = DVFSController(dvfs=CGRA.dvfs, kernel_names=names,
                              window=window)
-    fast_ctl = DVFSController(dvfs=CGRA.dvfs, kernel_names=names,
-                              window=window)
     ref = reference_simulate_stream(partition, inputs, window=window,
                                     controller=ref_ctl)
     fast = simulate_stream(partition,
                            scenario.feature_blocks(block_size),
-                           window=window, controller=fast_ctl)
+                           window=window)
     assert asdict(ref) == asdict(fast)
-    assert ref_ctl.decisions == fast_ctl.decisions
-    assert ref_ctl.levels == fast_ctl.levels
+    assert ref_ctl.decisions == decision_log(fast)
+    assert {n: lv.name for n, lv in ref_ctl.levels.items()} \
+        == fast.final_levels
 
     ref = reference_simulate_drips(partition, inputs, window=window)
     fast = simulate_drips(partition,
@@ -236,3 +242,54 @@ def test_scenario_differential_all_strategies(case):
                            scenario.feature_blocks(block_size),
                            window=window)
     assert asdict(ref) == asdict(fast)
+
+
+# ---------------------------------------------------------------------------
+# Groups: T rows of one app through one engine run, each row against the
+# per-input oracle on that row alone.
+
+
+@st.composite
+def group_cases(draw):
+    partition = draw(fake_partitions())
+    num_rows = draw(st.integers(min_value=1, max_value=4))
+    num_inputs = draw(st.integers(min_value=1, max_value=90))
+    rows = [
+        [StreamInput(i, {"x": float(x)}) for i, x in enumerate(draw(
+            st.lists(st.integers(min_value=1, max_value=10**6),
+                     min_size=num_inputs, max_size=num_inputs)))]
+        for _ in range(num_rows)
+    ]
+    window = draw(st.sampled_from([1, 3, 10, 24, 40]))
+    block_size = draw(st.sampled_from([1, 7, 64, 8192]))
+    return partition, rows, window, block_size
+
+
+REFERENCE = {
+    "iced": reference_simulate_stream,
+    "static": reference_simulate_static,
+    "drips": reference_simulate_drips,
+}
+
+
+@settings(max_examples=30, **COMMON)
+@given(group_cases(), st.sampled_from(sorted(REFERENCE)))
+def test_group_rows_equal_the_per_input_oracle(case, strategy):
+    partition, rows, window, block_size = case
+    group = simulate_group(
+        partition, [blocks_of(inputs, block_size) for inputs in rows],
+        window, strategy=strategy,
+    )
+    assert group.num_rows == len(rows)
+    names = [p.kernel.name for p in partition.placements]
+    for t, inputs in enumerate(rows):
+        kwargs = {}
+        if strategy == "iced":
+            kwargs["controller"] = DVFSController(
+                dvfs=CGRA.dvfs, kernel_names=names, window=window)
+        ref = REFERENCE[strategy](partition, inputs, window=window,
+                                  **kwargs)
+        row = group.row_result(t)
+        assert asdict(row) == asdict(ref)
+        if strategy == "iced":
+            assert decision_log(row) == kwargs["controller"].decisions

@@ -3,7 +3,7 @@ the per-input reference loop on the real applications.
 
 The property-based differential suite lives in
 ``test_streaming_differential.py``; these are the deterministic unit
-tests — feature blocks, the window re-chunker, the satellite
+tests — feature blocks, the engine's chunker, the satellite
 regression fixes (duplicated input object, derived frequency), and
 fast-vs-reference equality on the gcn/lu partitions the module fixture
 builds.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.streaming import (
-    DVFSController,
+    DEFAULT_BLOCK_SIZE,
     EnzymeGraphStream,
     FeatureBlock,
     SparseMatrixStream,
@@ -25,6 +25,7 @@ from repro.streaming import (
     inputs_of,
     partition_app,
     simulate_drips,
+    simulate_group,
     simulate_static,
     simulate_stream,
     skip_blocks,
@@ -32,17 +33,18 @@ from repro.streaming import (
     take_inputs,
 )
 from repro.errors import StreamingError
-from repro.fleet import maxplus_scan_2d, simulate_group_batched
 from repro.streaming.scenarios import TraceReplayStream
 from repro.streaming.engine import (
     StreamResult,
     WindowStats,
-    _maxplus_scan_array,
+    _chunks,
     _maxplus_scan_list,
-    _window_iteration_chunks,
+    maxplus_scan_2d,
 )
 
 from tests.reference_streaming import (
+    DVFSController,
+    decision_log,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -165,47 +167,64 @@ class TestWindowChunker:
         kernels = self._kernels()
         for block_size in (1, 4, 7, 100):
             for window in (1, 3, 10, 60, 90):
-                chunks = list(_window_iteration_chunks(
-                    blocks_of(gcn_inputs, block_size), kernels, window))
-                sizes = [n for _, n in chunks]
+                streams = [blocks_of(gcn_inputs, block_size),
+                           blocks_of(gcn_inputs[::-1], block_size)]
+                chunks = list(_chunks(streams, window))
+                sizes = [n for n, _ in chunks]
                 assert sum(sizes) == len(gcn_inputs)
-                assert all(n == window for n in sizes[:-1])
-                assert 0 < sizes[-1] <= window
-                whole = {
-                    k.name: np.concatenate([c[k.name] for c, _ in chunks])
-                    for k in kernels
-                }
+                assert all(n % window == 0 for n in sizes[:-1])
                 for kernel in kernels:
+                    counts = [np.concatenate([
+                        kernel.iterations_block(FeatureBlock(rows[t]))
+                        for _, rows in chunks
+                    ]) for t in (0, 1)]
                     expected = [kernel.iterations(i) for i in gcn_inputs]
-                    assert whole[kernel.name].tolist() == expected
+                    assert counts[0].tolist() == expected
+                    assert counts[1].tolist() == expected[::-1]
+
+    def test_long_rows_cut_at_window_boundaries(self):
+        window = 100
+        inputs = [StreamInput(i, {"x": float(i)})
+                  for i in range(2 * DEFAULT_BLOCK_SIZE + 5)]
+        chunks = list(_chunks([blocks_of(inputs, 1000)], window))
+        sizes = [n for n, _ in chunks]
+        assert sum(sizes) == len(inputs)
+        for n in sizes[:-1]:
+            assert n >= DEFAULT_BLOCK_SIZE and n % window == 0
+        xs = np.concatenate([rows[0]["x"] for _, rows in chunks])
+        assert xs.tolist() == [i.get("x") for i in inputs]
 
 
 class TestMaxPlusScan:
     def test_scan_matches_sequential(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 17, 256):
-            s = rng.integers(0, 10**9, n).astype(np.float64)
-            lat = rng.integers(1, 10**6, n).astype(np.float64)
-            carry = float(rng.integers(0, 10**9))
-            seq = _maxplus_scan_list(s.tolist(), carry, lat.tolist())
-            vec = _maxplus_scan_array(s, carry, lat)
-            assert vec.tolist() == seq  # bit-identical, not approx
+            s = rng.integers(0, 10**9, (3, n)).astype(np.float64)
+            lat = rng.integers(1, 10**6, (3, n)).astype(np.float64)
+            carry = rng.integers(0, 10**9, 3).astype(np.float64)
+            vec = maxplus_scan_2d(s, carry, lat)
+            for t in range(3):
+                seq = _maxplus_scan_list(s[t].tolist(), float(carry[t]),
+                                         lat[t].tolist())
+                assert vec[t].tolist() == seq  # bit-identical, not approx
 
 
 class TestExactnessBound:
-    """Past 2**53 float64 drops integers: the vectorized scans refuse."""
+    """Past 2**53 float64 drops integers: the vectorized scan refuses."""
 
     BOUND = 2.0 ** 53
 
     def test_1d_scan_refuses_a_finish_at_the_bound(self):
+        # One row: the single-stream case.
         with pytest.raises(StreamingError, match=r"2\*\*53"):
-            _maxplus_scan_array(np.array([self.BOUND]), 0.0,
-                                np.array([1.0]))
+            maxplus_scan_2d(np.array([[self.BOUND]]), np.zeros(1),
+                            np.array([[1.0]]))
         with pytest.raises(StreamingError, match=r"2\*\*53"):
-            _maxplus_scan_array(np.zeros(3), self.BOUND, np.ones(3))
-        below = _maxplus_scan_array(np.array([self.BOUND - 2.0]), 0.0,
-                                    np.array([1.0]))
-        assert below.tolist() == [self.BOUND - 1.0]
+            maxplus_scan_2d(np.zeros((1, 3)), np.array([self.BOUND]),
+                            np.ones((1, 3)))
+        below = maxplus_scan_2d(np.array([[self.BOUND - 2.0]]),
+                                np.zeros(1), np.array([[1.0]]))
+        assert below.tolist() == [[self.BOUND - 1.0]]
 
     def test_2d_scan_refuses_when_any_row_reaches_the_bound(self):
         s = np.zeros((2, 4))
@@ -229,8 +248,8 @@ class TestExactnessBound:
             simulate_stream(gcn_partition, stream.feature_blocks(),
                             window=32)
         with pytest.raises(StreamingError, match=r"2\*\*53"):
-            simulate_group_batched(gcn_partition,
-                                   [stream.feature_blocks()], 32)
+            simulate_group(gcn_partition, [stream.feature_blocks(),
+                                           stream.feature_blocks()], 32)
 
 
 class TestFastEngineEquality:
@@ -239,14 +258,11 @@ class TestFastEngineEquality:
         names = [p.kernel.name for p in gcn_partition.placements]
         ref_ctl = DVFSController(dvfs=gcn_partition.cgra.dvfs,
                                  kernel_names=names, window=window)
-        fast_ctl = DVFSController(dvfs=gcn_partition.cgra.dvfs,
-                                  kernel_names=names, window=window)
         ref = reference_simulate_stream(gcn_partition, gcn_inputs,
                                         window=window, controller=ref_ctl)
-        fast = simulate_stream(gcn_partition, gcn_inputs,
-                               window=window, controller=fast_ctl)
+        fast = simulate_stream(gcn_partition, gcn_inputs, window=window)
         assert asdict(ref) == asdict(fast)
-        assert ref_ctl.decisions == fast_ctl.decisions
+        assert ref_ctl.decisions == decision_log(fast)
 
     @pytest.mark.parametrize("window", [1, 5, 10, 30, 60])
     def test_drips_identical(self, gcn_partition, gcn_inputs, window):
@@ -282,22 +298,6 @@ class TestFastEngineEquality:
         assert slim.makespan_cycles == full.makespan_cycles
         assert slim.total_energy_uj == full.total_energy_uj
         assert slim.inputs == full.inputs
-
-    def test_record_decisions_off_same_levels(self, gcn_partition,
-                                              gcn_inputs):
-        names = [p.kernel.name for p in gcn_partition.placements]
-        on = DVFSController(dvfs=gcn_partition.cgra.dvfs,
-                            kernel_names=names, window=10)
-        off = DVFSController(dvfs=gcn_partition.cgra.dvfs,
-                             kernel_names=names, window=10,
-                             record_decisions=False)
-        a = simulate_stream(gcn_partition, gcn_inputs, window=10,
-                            controller=on)
-        b = simulate_stream(gcn_partition, gcn_inputs, window=10,
-                            controller=off)
-        assert asdict(a) == asdict(b)
-        assert off.decisions == []
-        assert off.num_decisions == on.num_decisions == len(on.decisions)
 
     def test_empty_stream(self, gcn_partition):
         result = simulate_stream(gcn_partition, [], window=10)
