@@ -365,7 +365,7 @@ def compile_case(s: Smoke) -> None:
         "warm": warm["kernels"],
         "portfolio": portfolio,
     })
-    print(render_report(registry.snapshot(), warm["cache"]))
+    print(render_report(registry.snapshot()))
     print(f"\ncold serial {cold['wall_s']:.2f}s, cold --jobs "
           f"{COMPILE_JOBS} {parallel['wall_s']:.2f}s, warm "
           f"{warm['wall_s']:.3f}s; hot path: reference {ref_s:.2f}s vs "

@@ -33,7 +33,6 @@ from repro.compile import (
     MappingCache,
     compile_kernel,
     compile_portfolio,
-    get_cache,
     render_per_ii,
     render_report,
 )
@@ -193,8 +192,7 @@ def cmd_map(args) -> int:
         print(bitstream.to_json(indent=2))
     if args.stats:
         print()
-        print(render_report(obs.metrics().snapshot(),
-                            get_cache().stats_dict()))
+        print(render_report(obs.metrics().snapshot()))
         if result.engine_stats is not None and result.engine_stats.per_ii:
             print()
             print("engine effort per II attempt:")
@@ -303,8 +301,7 @@ def cmd_stream(args) -> int:
               f"({streamed / elapsed:,.0f} inputs/sec)")
     if args.stats:
         print()
-        print(render_report(obs.metrics().snapshot(),
-                            get_cache().stats_dict()))
+        print(render_report(obs.metrics().snapshot()))
     return 0
 
 

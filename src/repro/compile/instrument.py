@@ -69,9 +69,14 @@ def pass_rows(snapshot: dict[str, dict]) -> dict[str, dict[str, float]]:
     return rows
 
 
-def render_report(snapshot: dict[str, dict],
-                  cache_stats: dict[str, int] | None = None) -> str:
-    """The ``--stats`` text report: per-pass timings plus cache totals."""
+def render_report(snapshot: dict[str, dict]) -> str:
+    """The ``--stats`` text report: per-pass timings plus cache totals.
+
+    The cache line reads the ``place_route`` row: every compile looks
+    its artifact up there, in this process or on a pool worker, against
+    whichever cache tiers it was handed, so hits are the row's
+    ``cache_hit`` sum and misses its remaining calls.
+    """
     rows = pass_rows(snapshot)
     if not rows:
         return "no compile passes recorded"
@@ -92,17 +97,15 @@ def render_report(snapshot: dict[str, dict],
             f"{100.0 * row['wall_ms'] / total:.0f}%" if total else "-",
             extras or "-",
         ])
-    lines = [table.render()]
-    if cache_stats is not None:
-        hits = cache_stats.get("hits", 0)
-        misses = cache_stats.get("misses", 0)
-        looked = hits + misses
-        rate = f"{100.0 * hits / looked:.0f}%" if looked else "n/a"
-        lines.append(
-            f"mapping cache: {hits} hits / {misses} misses "
-            f"({rate} hit rate, {cache_stats.get('entries', 0)} entries)"
-        )
-    return "\n".join(lines)
+    place_route = rows.get("place_route", {})
+    calls = int(place_route.get("calls", 0))
+    hits = int(place_route.get("cache_hit", 0))
+    rate = f"{100.0 * hits / calls:.0f}%" if calls else "n/a"
+    return "\n".join([
+        table.render(),
+        f"mapping cache: {hits} hits / {calls - hits} misses "
+        f"({rate} hit rate)",
+    ])
 
 
 def render_per_ii(per_ii: list[dict]) -> str:

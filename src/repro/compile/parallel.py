@@ -99,7 +99,6 @@ class SweepItem:
     refine: bool = True
     anneal_moves: int = 800
     seed: int | None = None
-    tag: str = ""
 
     def __post_init__(self):
         if bool(self.kernel) == (self.dfg is not None):
@@ -123,7 +122,6 @@ class SweepOutcome:
     item: SweepItem
     result: CompileResult | None = None
     error: MappingError | None = None
-    worker_pid: int = 0
     #: Abandoned by ``cancel_on_optimal`` racing before it finished —
     #: not a failure, just work that a proof made redundant.
     cancelled: bool = False
@@ -189,7 +187,7 @@ def _compile_item(payload: tuple) -> tuple:
             result = _compile(item, cgra, cache)
         except MappingError as exc:
             return (index, None, None, "", False,
-                    (str(exc), exc.last_ii), os.getpid(),
+                    (str(exc), exc.last_ii),
                     tracer.to_dicts() if tracer else [],
                     obs.metrics().snapshot(), None)
         blob = json.dumps(result.mapping.to_dict(), sort_keys=True,
@@ -203,7 +201,7 @@ def _compile_item(payload: tuple) -> tuple:
             "backend_stats": result.backend_stats,
         }
         return (index, blob, engine_blob, result.cache_key,
-                result.cache_hit, None, os.getpid(),
+                result.cache_hit, None,
                 tracer.to_dicts() if tracer else [],
                 obs.metrics().snapshot(), meta)
     finally:
@@ -219,10 +217,13 @@ def _compile_item(payload: tuple) -> tuple:
 class SweepExecutor:
     """Deterministic fan-out of compile work items across processes.
 
-    ``jobs=1`` runs inline (no pool, no pickling) through exactly the
-    same code path the experiment harnesses always used — the parallel
-    path must reproduce its results bit for bit. ``cache_dir`` points
-    workers *and* the parent at one shared on-disk artifact store.
+    The one way a list of compiles runs: ``jobs=1`` compiles inline (no
+    pool, no pickling), and the pool path must reproduce its results
+    bit for bit. ``cache`` is the memory tier (default: a fresh
+    :class:`MappingCache`); ``cache_dir`` stacks a :class:`DiskCache`
+    behind it, which the workers share too. After construction
+    ``cache`` holds the composed cache that inline compiles and the
+    promotion of worker results go through.
     """
 
     jobs: int = 1
@@ -232,12 +233,9 @@ class SweepExecutor:
 
     def __post_init__(self):
         self.jobs = max(1, int(self.jobs))
-        if self.cache is None:
-            memory = MappingCache()
-            self.cache = (
-                TieredCache(memory, DiskCache(self.cache_dir))
-                if self.cache_dir else memory
-            )
+        memory = self.cache if self.cache is not None else MappingCache()
+        self.cache = (TieredCache(memory, DiskCache(self.cache_dir))
+                      if self.cache_dir else memory)
 
     def run(self, items, cgra: CGRA | Sequence[CGRA], *,
             cancel_on_optimal: bool = False) -> list[SweepOutcome]:
@@ -289,10 +287,8 @@ class SweepExecutor:
         try:
             result = _compile(item, cgra, self.cache)
         except MappingError as exc:
-            return SweepOutcome(index, item, error=exc,
-                                worker_pid=os.getpid())
-        return SweepOutcome(index, item, result=result,
-                            worker_pid=os.getpid())
+            return SweepOutcome(index, item, error=exc)
+        return SweepOutcome(index, item, result=result)
 
     # -- pool path ----------------------------------------------------------
 
@@ -350,7 +346,7 @@ class SweepExecutor:
                     continue  # raw stays None -> cancelled outcome
                 tup = future.result()  # re-raises worker crashes
                 raw[tup[0]] = tup
-                meta = tup[9]
+                meta = tup[8]
                 if meta and meta.get("optimal"):
                     proof_at = (tup[0] if proof_at is None
                                 else min(proof_at, tup[0]))
@@ -364,7 +360,7 @@ class SweepExecutor:
     def _merge(self, tup: tuple, item: SweepItem,
                cgra: CGRA) -> SweepOutcome:
         """Rehydrate, re-validate and account one worker result."""
-        (index, blob, engine_blob, cache_key, cache_hit, error, pid,
+        (index, blob, engine_blob, cache_key, cache_hit, error,
          span_dicts, metric_snapshot, meta) = tup
         tracer = obs.current_tracer()
         if tracer is not None and span_dicts:
@@ -374,8 +370,7 @@ class SweepExecutor:
         if error is not None:
             message, last_ii = error
             return SweepOutcome(index, item,
-                                error=MappingError(message, last_ii),
-                                worker_pid=pid)
+                                error=MappingError(message, last_ii))
         if item.dfg is not None:
             dfg = item.dfg
         else:
@@ -396,9 +391,7 @@ class SweepExecutor:
         # would strip additive envelope fields a previous producer
         # attached (e.g. the DSE driver's `sweep` provenance tag).
         meta = meta or {}
-        if (engine_blob is not None
-                and hasattr(self.cache, "store_serialized")
-                and cache_key not in self.cache):
+        if engine_blob is not None and cache_key not in self.cache:
             self.cache.store_serialized(
                 cache_key, engine_blob, backend=item.backend,
                 meta={k: meta[k] for k in ("optimal", "cost", "ii")
@@ -414,4 +407,4 @@ class SweepExecutor:
             optimal=bool(meta.get("optimal", False)),
             cost=float(meta.get("cost", 0.0)),
         )
-        return SweepOutcome(index, item, result=result, worker_pid=pid)
+        return SweepOutcome(index, item, result=result)

@@ -186,10 +186,8 @@ def _pass_place_route(ctx: CompileContext) -> None:
                 ctx.mapping = cached
                 ctx.cache_hit = True
                 ctx.cost = mapping_cost(cached)
-                meta_of = getattr(cache, "meta", None)
-                if meta_of is not None:
-                    ctx.optimal = bool(meta_of(ctx.cache_key)
-                                       .get("optimal", False))
+                ctx.optimal = bool(cache.meta(ctx.cache_key)
+                                   .get("optimal", False))
                 counters["cache_hit"] = 1
                 counters["ii"] = cached.ii
                 return

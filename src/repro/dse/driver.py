@@ -10,8 +10,9 @@ one-cold-compile-per-point oracle in ``tests/reference_dse.py``):
 * **exact-key dedupe** — the mapping cache is keyed by (DFG, fabric,
   engine config, backend), *not* strategy, and every DVFS-oblivious
   strategy (baseline, gating, per-tile) resolves to the same engine
-  config; one shared :class:`TieredCache` across the whole sweep turns
-  their placements into one compile plus warm hits;
+  config; the executor's one cache (disk-backed under ``cache_dir``),
+  shared across the whole sweep, turns their placements into one
+  compile plus warm hits;
 * **cross-variant blob aliasing** — a DVFS-oblivious search never
   reads any level but ``normal``, so fabrics differing *only* in V/F
   table depth run the identical search; the driver compiles one
@@ -51,8 +52,7 @@ from pathlib import Path
 from repro import obs
 from repro.arch.cgra import CGRA
 from repro.arch.dvfs import scaled_config
-from repro.compile.cache import MappingCache
-from repro.compile.diskcache import DiskCache, TieredCache, atomic_write
+from repro.compile.diskcache import DiskCache, atomic_write
 from repro.compile.fingerprint import mapping_cache_key
 from repro.compile.parallel import SweepExecutor, SweepItem
 from repro.compile.pipeline import resolve_config
@@ -184,8 +184,8 @@ def _failed(point: DesignPoint, error) -> dict:
 
 
 def run_dse(space: DesignSpace, *, jobs: int = 1,
-            cache: object | None = None, cache_dir: str | None = None,
-            seed: int = 0, blob_sink: dict | None = None,
+            cache_dir: str | None = None, seed: int = 0,
+            blob_sink: dict | None = None,
             resume: str | Path | None = None) -> dict:
     """Sweep ``space`` and return the canonical result document:
     ``{schema, space, space_hash, points, frontier, stats}``.
@@ -218,8 +218,8 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     }
     with obs.span("dse", category="dse", space=space.name,
                   space_hash=space_hash, points=len(points)):
-        rows = _run_optimized(points, space, space_hash, jobs, cache,
-                              cache_dir, seed, stats, blob_sink, manifest)
+        rows = _run_optimized(points, space, space_hash, jobs, cache_dir,
+                              seed, stats, blob_sink, manifest)
     rows.sort(key=lambda row: row["index"])
     frontier = pareto_front([r for r in rows if r["status"] == "ok"])
     stats["frontier_size"] = len(frontier)
@@ -315,7 +315,6 @@ class _Sweep:
             strategy=point.strategy,
             config=replace(plan.config, min_ii=min_ii),
             seed=derive_worker_seed(self.seed, point.index),
-            tag=str(point.index),
         )
 
     def resolve(self, plan: _Plan, executor: SweepExecutor) -> dict:
@@ -379,9 +378,8 @@ class _Sweep:
 
 
 def _run_optimized(points: list[DesignPoint], space: DesignSpace,
-                   space_hash: str, jobs: int, cache: object | None,
-                   cache_dir: str | None, seed: int, stats: dict,
-                   blob_sink: dict | None,
+                   space_hash: str, jobs: int, cache_dir: str | None,
+                   seed: int, stats: dict, blob_sink: dict | None,
                    manifest: ResumeManifest | None = None) -> list[dict]:
     rows: list[dict] = []
     if manifest is not None and manifest.rows:
@@ -390,12 +388,9 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
         rows.extend(manifest.rows[p.index] for p in done)
         points = [p for p in points if p.index not in manifest.rows]
         stats["resumed"] = len(done)
-    if cache is None:
-        cache = (TieredCache(MappingCache(), DiskCache(cache_dir))
-                 if cache_dir else MappingCache())
-    executor = SweepExecutor(jobs=jobs, cache=cache,
-                             cache_dir=cache_dir, seed=seed)
-    sweep = _Sweep(space, space_hash, cache, seed, stats, blob_sink)
+    executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir, seed=seed)
+    sweep = _Sweep(space, space_hash, executor.cache, seed, stats,
+                   blob_sink)
 
     # The first point of every distinct search, across all fabrics,
     # joins the search wave; every other point is derived from one.

@@ -8,14 +8,15 @@ pipeline cache sits a small per-process memo of ``MappedKernel``
 bundles so intra-process re-use skips even rehydration + revalidation.
 
 :func:`sweep_strategies` is the one kernel x strategy x unroll loop the
-per-figure modules used to copy-paste. With parallel defaults set
-(``set_parallel_defaults`` — the experiments CLI's ``--jobs``), the
-loop's compiles are prefetched through a
-:class:`~repro.compile.parallel.SweepExecutor` first: work fans out
-across a process pool and/or is served from the persistent on-disk
-cache, then the (unchanged, deterministic) aggregation loop runs
-entirely against warm memoized results — so a ``--jobs N`` figure is
-bit-identical to a serial one.
+per-figure modules used to copy-paste. Its compiles, and
+:func:`mapped_kernel`'s, fill the memo through one
+:class:`~repro.compile.parallel.SweepExecutor` run over every
+combination not yet memoized — inline at ``jobs=1``, over a process
+pool above (``set_parallel_defaults``: the experiments CLI's
+``--jobs``/``--cache-dir``), served from the persistent on-disk cache
+when one is configured. The aggregation loop then runs entirely
+against memoized results, so a ``--jobs N`` figure is bit-identical to
+a serial one.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.arch.cgra import CGRA
-from repro.compile import (
-    SweepExecutor,
-    SweepItem,
-    compile_kernel,
-    get_cache,
-)
+from repro.compile import SweepExecutor, SweepItem, get_cache
 from repro.errors import MappingError
 from repro.mapper.backends import (
     EXPERIMENT_STRATEGIES,
@@ -44,8 +40,8 @@ STRATEGIES = EXPERIMENT_STRATEGIES
 
 _MEMO: dict[tuple, "MappedKernel"] = {}
 
-#: Compiles that raised MappingError, memoized as such so parallel
-#: prefetches and serial retries agree on which combinations fail.
+#: Compiles that raised MappingError, memoized as such so a retry
+#: never compiles again.
 _MEMO_ERRORS: dict[tuple, MappingError] = {}
 
 #: Module defaults the CLI sets once (``--jobs``/``--cache-dir``) so
@@ -67,20 +63,6 @@ def set_parallel_defaults(jobs: int = 1,
     _DEFAULT_CACHE_DIR = cache_dir
 
 
-def get_parallel_defaults() -> tuple[int, str | None]:
-    return _DEFAULT_JOBS, _DEFAULT_CACHE_DIR
-
-
-def _experiment_cache():
-    """The cache experiment compiles go through: the process-wide
-    memory cache, disk-backed when a cache dir is configured."""
-    if _DEFAULT_CACHE_DIR is None:
-        return get_cache()
-    from repro.compile import DiskCache, TieredCache
-
-    return TieredCache(get_cache(), DiskCache(_DEFAULT_CACHE_DIR))
-
-
 @dataclass
 class MappedKernel:
     """A mapping plus its timing reconstruction."""
@@ -99,29 +81,52 @@ def fabric_key(cgra: CGRA) -> tuple:
             tuple(sorted(cgra.memory_tile_ids())))
 
 
+def _memoize(combos, cgra: CGRA, backend: str,
+             backend_options: dict | None, jobs: int) -> list[tuple]:
+    """The memo keys of ``combos`` ((kernel, unroll, strategy) triples),
+    after one executor run has compiled every one not yet memoized.
+
+    Successes and ``MappingError``s are memoized alike, so later
+    lookups never compile. Items carry ``seed=0``: a stochastic
+    strategy's result does not depend on where in a sweep it sits.
+    """
+    options = tuple(sorted((backend_options or {}).items()))
+    keys: list[tuple] = []
+    pending: dict[tuple, SweepItem] = {}
+    for name, unroll, strategy in combos:
+        strategy = resolve_strategy(strategy)
+        key = (name, unroll, fabric_key(cgra), strategy, backend, options)
+        keys.append(key)
+        if key not in _MEMO and key not in _MEMO_ERRORS:
+            pending[key] = SweepItem(kernel=name, unroll=unroll,
+                                     strategy=strategy, backend=backend,
+                                     backend_options=options, seed=0)
+    if pending:
+        executor = SweepExecutor(jobs=jobs, cache=get_cache(),
+                                 cache_dir=_DEFAULT_CACHE_DIR)
+        outcomes = executor.run(list(pending.values()), cgra)
+        for key, outcome in zip(pending, outcomes):
+            if outcome.ok:
+                result = outcome.result
+                _MEMO[key] = MappedKernel(
+                    mapping=result.mapping, report=result.report,
+                    cache_hit=result.cache_hit, cost=result.cost,
+                    optimal=result.optimal,
+                    backend_stats=result.backend_stats)
+            else:
+                _MEMO_ERRORS[key] = outcome.error
+    return keys
+
+
 def mapped_kernel(name: str, unroll: int, cgra: CGRA,
                   strategy: str, backend: str = "engine",
                   backend_options: dict | None = None) -> MappedKernel:
     """Compile (and memoize) one kernel under one strategy/backend."""
-    strategy = resolve_strategy(strategy)
-    options = tuple(sorted((backend_options or {}).items()))
-    key = (name, unroll, fabric_key(cgra), strategy, backend, options)
-    if key in _MEMO:
-        return _MEMO[key]
+    [key] = _memoize([(name, unroll, strategy)], cgra, backend,
+                     backend_options, jobs=1)
     if key in _MEMO_ERRORS:
         raise _MEMO_ERRORS[key]
-    compiled = compile_kernel(name, cgra, strategy, unroll=unroll,
-                              backend=backend,
-                              backend_options=dict(options),
-                              cache=_experiment_cache())
-    result = MappedKernel(mapping=compiled.mapping,
-                          report=compiled.report,
-                          cache_hit=compiled.cache_hit,
-                          cost=compiled.cost,
-                          optimal=compiled.optimal,
-                          backend_stats=compiled.backend_stats)
-    _MEMO[key] = result
-    return result
+    return _MEMO[key]
 
 
 def clear_cache() -> None:
@@ -161,46 +166,6 @@ class StrategySweep:
         return [self.averages[(s, unroll)] for s in self.strategies]
 
 
-def _prefetch_parallel(kernels: tuple[str, ...], cgra: CGRA,
-                       strategies: tuple[str, ...],
-                       unrolls: tuple[int, ...], jobs: int,
-                       backend: str = "engine",
-                       backend_options: dict | None = None) -> None:
-    """Fan every un-memoized (kernel, strategy, unroll) compile out
-    across the process pool, memoizing successes and failures so the
-    serial aggregation loop below never compiles."""
-    options = tuple(sorted((backend_options or {}).items()))
-    pending: list[tuple[tuple, SweepItem]] = []
-    for unroll in unrolls:
-        for name in kernels:
-            for strategy in strategies:
-                key = (name, unroll, fabric_key(cgra), strategy,
-                       backend, options)
-                if key in _MEMO or key in _MEMO_ERRORS:
-                    continue
-                pending.append((key, SweepItem(kernel=name, unroll=unroll,
-                                               strategy=strategy,
-                                               backend=backend,
-                                               backend_options=options)))
-    if not pending:
-        return
-    executor = SweepExecutor(jobs=jobs, cache=_experiment_cache(),
-                             cache_dir=_DEFAULT_CACHE_DIR)
-    outcomes = executor.run([item for _, item in pending], cgra)
-    for (key, _item), outcome in zip(pending, outcomes):
-        if outcome.ok:
-            _MEMO[key] = MappedKernel(
-                mapping=outcome.result.mapping,
-                report=outcome.result.report,
-                cache_hit=outcome.result.cache_hit,
-                cost=outcome.result.cost,
-                optimal=outcome.result.optimal,
-                backend_stats=outcome.result.backend_stats,
-            )
-        else:
-            _MEMO_ERRORS[key] = outcome.error
-
-
 def sweep_strategies(kernels: tuple[str, ...], cgra: CGRA,
                      strategies: tuple[str, ...], metric: Metric,
                      unrolls: tuple[int, ...] = (1,), *,
@@ -216,15 +181,15 @@ def sweep_strategies(kernels: tuple[str, ...], cgra: CGRA,
     :class:`~repro.errors.MappingError` under *any* strategy is dropped
     from that unroll's rows and averages (the Fig 12 small-fabric case).
 
-    ``jobs`` (default: the module's parallel defaults) > 1 prefetches
-    all compiles through a process pool first; the aggregation below is
-    unchanged and its output bit-identical to a serial run.
+    Every compile runs first, in one executor run over ``jobs``
+    processes (default: the module's parallel defaults); the
+    aggregation below only reads the memo, so its output is
+    bit-identical at every ``jobs``.
     """
-    jobs = _DEFAULT_JOBS if jobs is None else max(1, int(jobs))
-    if jobs > 1:
-        _prefetch_parallel(kernels, cgra, tuple(strategies),
-                           tuple(unrolls), jobs, backend,
-                           backend_options)
+    _memoize([(name, unroll, strategy) for unroll in unrolls
+              for name in kernels for strategy in strategies],
+             cgra, backend, backend_options,
+             _DEFAULT_JOBS if jobs is None else jobs)
     sweep = StrategySweep(strategies=tuple(strategies),
                           unrolls=tuple(unrolls))
     for unroll in unrolls:

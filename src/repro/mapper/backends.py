@@ -6,8 +6,10 @@ engine, annealing refinement, the exact branch-and-bound — is a
 object with a uniform ``map(dfg, fabric, config) -> MappingResult``
 contract. The compile pipeline's ``place_route`` pass dispatches
 through this registry, the CLI's ``--backend`` flag and ``repro
-backends list`` read it, and the ``portfolio`` meta-backend races its
-members and keeps the best result.
+backends list`` read it, and
+:func:`~repro.compile.portfolio.compile_portfolio` races registered
+backends on the :class:`~repro.compile.parallel.SweepExecutor` and
+keeps the best result by :func:`select_best`.
 
 This module is also the single source of truth for the *strategy*
 vocabulary (the post-pass families the pipeline applies on top of a
@@ -84,7 +86,7 @@ class MappingResult:
     """What every backend returns: a mapping plus its quality record.
 
     ``optimal`` asserts the II is *provably* minimal under the shared
-    feasibility model (exact and portfolio backends only). ``stats`` holds
+    feasibility model (the exact backend only). ``stats`` holds
     the backend's own search-effort counters under its native names —
     namespacing for merged snapshots is the pipeline's job. ``detail``
     carries structured per-run diagnostics (e.g. the engine's per-II
@@ -315,88 +317,3 @@ class ExactBackend:
 
 #: The portfolio's default member order (also its precedence order).
 DEFAULT_PORTFOLIO = ("engine", "anneal", "exact")
-
-
-@register_backend
-class PortfolioBackend:
-    """Races registered backends, keeps the best mapping per input.
-
-    Members run in precedence order; the run short-circuits as soon as
-    a member proves optimality (later members cannot improve the II,
-    and :func:`select_best` ignores them by construction). Individual
-    member failures (``MappingError``) are tolerated as long as one
-    member succeeds.
-    """
-
-    name = "portfolio"
-    proves_optimality = True
-
-    def __init__(self, members: tuple[str, ...] = DEFAULT_PORTFOLIO,
-                 budget_s: float | None = None,
-                 member_options: dict[str, dict] | None = None):
-        if isinstance(members, str):
-            members = tuple(m for m in members.split(",") if m)
-        self.members = tuple(members)
-        if not self.members:
-            raise ValueError("portfolio needs at least one member")
-        if self.name in self.members:
-            raise ValueError("portfolio cannot be its own member")
-        self.budget_s = float(budget_s) if budget_s is not None else None
-        self.member_options = {
-            k: dict(v) for k, v in (member_options or {}).items()
-        }
-        for member in self.members:
-            get_backend(member)  # fail fast on unknown names
-
-    def member_backend(self, member: str) -> MapperBackend:
-        options = dict(self.member_options.get(member, {}))
-        cls = get_backend(member)
-        if (self.budget_s is not None
-                and getattr(cls, "proves_optimality", False)
-                and "budget_s" not in options):
-            options["budget_s"] = self.budget_s
-        return cls(**options)
-
-    def map(self, dfg: DFG, fabric: CGRA,
-            config: EngineConfig | None = None, *,
-            analysis: DFGAnalysis | None = None) -> MappingResult:
-        start = time.perf_counter()
-        results: list[tuple[int, MappingResult]] = []
-        stats: dict[str, int] = {}
-        errors: list[str] = []
-        for idx, member in enumerate(self.members):
-            backend = self.member_backend(member)
-            try:
-                result = backend.map(dfg, fabric, config,
-                                     analysis=analysis)
-            except MappingError as exc:
-                errors.append(f"{member}: {exc}")
-                stats[f"{member}.failed"] = 1
-                continue
-            results.append((idx, result))
-            stats[f"{member}.ii"] = result.ii
-            stats[f"{member}.optimal"] = int(result.optimal)
-            for key, value in result.stats.items():
-                if isinstance(value, int):
-                    stats[f"{member}.{key}"] = value
-            if result.optimal:
-                break  # no later member can improve the II
-        if not results:
-            raise MappingError(
-                f"every portfolio member failed on {dfg.name!r}: "
-                + "; ".join(errors)
-            )
-        winner = select_best(results)
-        proven = [r.ii for _, r in results if r.optimal]
-        optimal = bool(proven) and winner.ii == min(proven)
-        stats["winner_index"] = next(
-            idx for idx, r in results if r is winner
-        )
-        if proven:
-            for idx, r in results:
-                stats[f"{self.members[idx]}.gap"] = r.ii - min(proven)
-        return MappingResult(
-            mapping=winner.mapping, backend=self.name, ii=winner.ii,
-            cost=winner.cost, optimal=optimal, stats=stats,
-            wall_ms=(time.perf_counter() - start) * 1000.0,
-        )

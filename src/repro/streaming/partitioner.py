@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.arch.cgra import CGRA
-from repro.compile import SweepExecutor, SweepItem, compile_dfg
-from repro.errors import MappingError, PartitionError
+from repro.compile import MappingCache, SweepExecutor, SweepItem, get_cache
+from repro.errors import PartitionError
 from repro.mapper.engine import EngineConfig
 from repro.mapper.mapping import Mapping
 from repro.streaming.app import StreamingApp
@@ -123,22 +123,46 @@ def _island_config(cgra: CGRA, island_ids: tuple[int, ...],
     )
 
 
-def _map_on_islands(kernel: KernelStage, cgra: CGRA,
-                    island_ids: tuple[int, ...], max_ii: int = 32, *,
-                    use_cache: bool = True) -> Mapping | None:
-    """Map one kernel restricted to ``island_ids``, through the pipeline.
+def _island_item(kernel: KernelStage, cgra: CGRA,
+                 island_ids: tuple[int, ...]) -> SweepItem:
+    """One kernel's compile restricted to ``island_ids``.
 
     ``allowed_tiles`` is part of the mapping cache key, so the table
     probe for k islands and the final realization on the same k islands
     share one engine run — and a restricted compile is never served a
     whole-fabric cached artifact.
     """
-    config = _island_config(cgra, island_ids, max_ii)
-    try:
-        return compile_dfg(kernel.dfg, cgra, "iced", config, refine=False,
-                           use_cache=use_cache).mapping
-    except MappingError:
-        return None
+    return SweepItem(dfg=kernel.dfg, strategy="iced",
+                     config=_island_config(cgra, island_ids), refine=False)
+
+
+def _executor(use_cache: bool, jobs: int,
+              cache_dir: str | None) -> SweepExecutor:
+    """The executor every compile of one partition runs through: the
+    process-wide memory cache with the disk tier under ``cache_dir``,
+    or, under ``use_cache=False``, a throwaway cache and no disk tier
+    (nothing shared is read or written)."""
+    if not use_cache:
+        return SweepExecutor(jobs=jobs, cache=MappingCache())
+    return SweepExecutor(jobs=jobs, cache=get_cache(), cache_dir=cache_dir)
+
+
+def _ii_table(app: StreamingApp, cgra: CGRA, max_islands_per_kernel: int,
+              executor: SweepExecutor) -> dict[tuple[str, int], int | None]:
+    snake = _snake_island_order(cgra)
+    probes = [
+        (kernel, count)
+        for kernel in app.all_kernels()
+        for count in range(1, max_islands_per_kernel + 1)
+    ]
+    outcomes = executor.run(
+        [_island_item(kernel, cgra, tuple(snake[:count]))
+         for kernel, count in probes], cgra)
+    return {
+        (kernel.name, count):
+            outcome.result.mapping.ii if outcome.ok else None
+        for (kernel, count), outcome in zip(probes, outcomes)
+    }
 
 
 def build_ii_table(app: StreamingApp, cgra: CGRA,
@@ -152,56 +176,12 @@ def build_ii_table(app: StreamingApp, cgra: CGRA,
     islands are homogeneous on the streaming fabric, so the II depends
     on the count (and rough shape), not the identity.
 
-    The (kernel x island-count) probe grid is independent work — with
-    ``jobs > 1`` it fans out across a process pool (the probes dominate
+    The (kernel x island-count) probe grid is one executor run — inline
+    at ``jobs=1``, over a process pool above (the probes dominate
     partitioning time), with deterministic results either way.
     """
-    snake = _snake_island_order(cgra)
-    probes = [
-        (kernel, count)
-        for kernel in app.all_kernels()
-        for count in range(1, max_islands_per_kernel + 1)
-    ]
-    if jobs > 1:
-        from repro.compile import (
-            DiskCache,
-            MappingCache,
-            TieredCache,
-            get_cache,
-        )
-
-        # Engine artifacts promote into the process-wide cache so the
-        # realization step below the table search hits warm. Without the
-        # cache they promote into a throwaway one: workers compile
-        # against fresh per-worker caches, so nothing shared is read or
-        # written.
-        if not use_cache:
-            parent_cache, cache_dir = MappingCache(), None
-        elif cache_dir:
-            parent_cache = TieredCache(get_cache(), DiskCache(cache_dir))
-        else:
-            parent_cache = get_cache()
-        executor = SweepExecutor(jobs=jobs, cache=parent_cache,
-                                 cache_dir=cache_dir)
-        items = [
-            SweepItem(dfg=kernel.dfg, strategy="iced",
-                      config=_island_config(cgra, tuple(snake[:count])),
-                      refine=False, tag=kernel.name)
-            for kernel, count in probes
-        ]
-        outcomes = executor.run(items, cgra)
-        return {
-            (kernel.name, count):
-                outcome.result.mapping.ii if outcome.ok else None
-            for (kernel, count), outcome in zip(probes, outcomes)
-        }
-    table: dict[tuple[str, int], int | None] = {}
-    for kernel, count in probes:
-        probe_islands = tuple(snake[:count])
-        mapping = _map_on_islands(kernel, cgra, probe_islands,
-                                  use_cache=use_cache)
-        table[(kernel.name, count)] = mapping.ii if mapping else None
-    return table
+    return _ii_table(app, cgra, max_islands_per_kernel,
+                     _executor(use_cache, jobs, cache_dir))
 
 
 def _stage_latency(app: StreamingApp, table, allocation: dict[str, int],
@@ -245,10 +225,9 @@ def partition_app(app: StreamingApp, cgra: CGRA,
             f"{app.name}: {len(kernels)} kernels exceed "
             f"{total_islands} islands (merge kernels first)"
         )
-    table = ii_table if ii_table is not None else build_ii_table(
-        app, cgra, max_islands_per_kernel,
-        use_cache=use_cache, jobs=jobs, cache_dir=cache_dir,
-    )
+    executor = _executor(use_cache, jobs, cache_dir)
+    table = ii_table if ii_table is not None else _ii_table(
+        app, cgra, max_islands_per_kernel, executor)
 
     names = [k.name for k in kernels]
     feasible_counts = {
@@ -282,25 +261,29 @@ def partition_app(app: StreamingApp, cgra: CGRA,
         )
 
     # Realize the allocation on concrete, spatially contiguous island
-    # groups (consecutive slices of the snake order) and produce each
-    # kernel's final mapping on its own islands.
+    # groups (consecutive slices of the snake order): one executor run
+    # produces each kernel's final mapping on its own islands.
     snake = _snake_island_order(cgra)
-    placements: list[KernelPlacement] = []
+    realized: list[tuple[int, KernelStage, tuple[int, ...]]] = []
     next_island = 0
     for stage_index, stage in enumerate(app.stages):
         for kernel in stage:
             count = best_alloc[kernel.name]
-            island_ids = tuple(snake[next_island:next_island + count])
+            realized.append((stage_index, kernel,
+                             tuple(snake[next_island:next_island + count])))
             next_island += count
-            mapping = _map_on_islands(kernel, cgra, island_ids,
-                                      use_cache=use_cache)
-            if mapping is None:
-                raise PartitionError(
-                    f"kernel {kernel.name!r} failed to map on its "
-                    f"allocated islands {island_ids}"
-                )
-            placements.append(
-                KernelPlacement(stage_index, kernel, island_ids, mapping)
+    outcomes = executor.run(
+        [_island_item(kernel, cgra, island_ids)
+         for _, kernel, island_ids in realized], cgra)
+    placements: list[KernelPlacement] = []
+    for (stage_index, kernel, island_ids), outcome in zip(realized,
+                                                          outcomes):
+        if not outcome.ok:
+            raise PartitionError(
+                f"kernel {kernel.name!r} failed to map on its "
+                f"allocated islands {island_ids}"
             )
+        placements.append(KernelPlacement(stage_index, kernel, island_ids,
+                                          outcome.result.mapping))
     return Partition(app=app, cgra=cgra, placements=placements,
                      ii_table=table)

@@ -51,13 +51,19 @@ from repro.mapper.validation import validate_mapping
 
 class TestRegistry:
     def test_core_backends_registered(self):
-        names = backend_names()
-        for expected in ("engine", "anneal", "exact", "portfolio"):
-            assert expected in names
         # ``exact`` is the one optimal backend; the brute force is a
-        # test oracle only.
-        assert "exhaustive" not in names
-        assert names == tuple(sorted(names))
+        # test oracle only, and the portfolio race is
+        # ``compile_portfolio``, not a backend.
+        assert backend_names() == ("anneal", "engine", "exact")
+
+    @pytest.mark.parametrize("command", ["map", "profile"])
+    def test_cli_refuses_the_portfolio_backend(self, command, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "fir", "--backend", "portfolio"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'portfolio'" in capsys.readouterr().err
 
     def test_unknown_backend_is_a_value_error_naming_the_known(self):
         with pytest.raises(ValueError, match="engine"):
@@ -291,45 +297,6 @@ class TestCounterNamespacing:
 EXACT_SMOKE = {"exact": {"max_probes": 5_000}}
 
 
-class TestPortfolioBackend:
-    def test_rejects_bad_member_lists(self):
-        with pytest.raises(ValueError):
-            make_backend("portfolio", members=())
-        with pytest.raises(ValueError):
-            make_backend("portfolio", members=("engine", "portfolio"))
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("portfolio", members=("engine", "wat"))
-
-    def test_comma_string_members(self):
-        backend = make_backend("portfolio", members="engine,anneal")
-        assert backend.members == ("engine", "anneal")
-
-    def test_inline_race_short_circuits_on_proof(self, fig1, cgra44):
-        backend = make_backend("portfolio",
-                               members=("exact", "anneal"),
-                               member_options=EXACT_SMOKE)
-        result = backend.map(fig1, cgra44)
-        if result.stats.get("exact.optimal"):
-            # The proof arrived first in precedence order: anneal never
-            # ran, exactly like a sequential portfolio.
-            assert "anneal.ii" not in result.stats
-            assert result.optimal
-
-    def test_tolerates_individual_member_failure(self, cgra66):
-        dfg = load_kernel("fft", 1)  # over the exact size cap
-        backend = make_backend("portfolio", members=("exact", "engine"))
-        result = backend.map(dfg, cgra66)
-        assert result.stats["exact.failed"] == 1
-        assert result.backend == "portfolio"
-        assert result.ii > 0
-
-    def test_all_members_failing_raises(self, cgra66):
-        dfg = load_kernel("fft", 1)
-        backend = make_backend("portfolio", members=("exact",))
-        with pytest.raises(MappingError, match="every portfolio member"):
-            backend.map(dfg, cgra66)
-
-
 def _fingerprint(report):
     return {
         "winner_backend": report.winner_backend,
@@ -391,3 +358,48 @@ class TestCompilePortfolio:
         with pytest.raises(MappingError, match="every portfolio member"):
             compile_portfolio(dfg, cgra66, "iced", members=("exact",),
                               cache=MappingCache())
+
+    def test_every_member_failing_raises_on_the_pool(self, cgra66):
+        from repro.mapper.engine import EngineConfig
+
+        # Two members at jobs=2 race on the pool: exact refuses fft for
+        # size and engine cannot reach II 1, so both errors cross back
+        # from the workers and the race names each one.
+        dfg = load_kernel("fft", 1)
+        with pytest.raises(MappingError, match="every portfolio member") \
+                as raised:
+            compile_portfolio(dfg, cgra66, "iced", EngineConfig(max_ii=1),
+                              members=("exact", "engine"), jobs=2,
+                              cache=MappingCache())
+        assert "exact: " in str(raised.value)
+        assert "engine: " in str(raised.value)
+
+    @pytest.mark.parametrize("members", [(), ("engine", "wat"),
+                                         ("engine", "portfolio")],
+                             ids=["empty", "unknown", "portfolio"])
+    def test_rejects_bad_member_lists(self, cgra44, members):
+        with pytest.raises(ValueError):
+            compile_portfolio("relu", cgra44, "iced", members=members,
+                              cache=MappingCache())
+
+    def test_inline_race_short_circuits_on_proof(self, fig1, cgra44):
+        report = compile_portfolio(fig1, cgra44, "iced",
+                                   members=("exact", "anneal"),
+                                   member_options=EXACT_SMOKE,
+                                   cache=MappingCache())
+        exact, anneal = report.entries
+        # The proof arrived first in precedence order: anneal never ran.
+        assert exact.optimal
+        assert anneal.cancelled
+        assert report.proven_optimal and report.winner_backend == "exact"
+
+    def test_tolerates_individual_member_failure(self, cgra66):
+        dfg = load_kernel("fft", 1)  # over the exact size cap
+        report = compile_portfolio(dfg, cgra66, "iced",
+                                   members=("exact", "engine"),
+                                   cache=MappingCache())
+        exact, engine = report.entries
+        assert exact.error and not exact.ok
+        assert engine.ok
+        assert report.winner_backend == "engine"
+        assert report.winner.report.ii == engine.ii

@@ -178,22 +178,32 @@ class TestPoolMechanics:
             [canon(o.mapping) for o in second]
 
 
+def _tiny_app():
+    from repro.streaming.app import StreamingApp
+    from repro.streaming.stage import KernelStage
+
+    return StreamingApp(name="tiny", stages=[
+        [KernelStage("fir", load_kernel("fir"), lambda item: 8)],
+        [KernelStage("relu", load_kernel("relu"), lambda item: 8)],
+    ])
+
+
+def _place_route(registry) -> dict:
+    row = pass_rows(registry.snapshot())["place_route"]
+    return {"calls": row["calls"], "attempts": row.get("attempts", 0),
+            "cache_hit": row.get("cache_hit", 0)}
+
+
 class TestPartitionerParity:
     @pytest.mark.parametrize("use_cache", [True, False])
     def test_ii_table_jobs_identical_to_serial(self, tmp_path, registry,
                                                use_cache):
-        from repro.kernels.suite import load_kernel
-        from repro.streaming.app import StreamingApp
         from repro.streaming.partitioner import (
             build_ii_table,
             streaming_cgra,
         )
-        from repro.streaming.stage import KernelStage
 
-        app = StreamingApp(name="tiny", stages=[
-            [KernelStage("fir", load_kernel("fir"), lambda item: 8)],
-            [KernelStage("relu", load_kernel("relu"), lambda item: 8)],
-        ])
+        app = _tiny_app()
         cgra = streaming_cgra()
         serial = build_ii_table(app, cgra, max_islands_per_kernel=2,
                                 jobs=1, use_cache=use_cache)
@@ -210,6 +220,64 @@ class TestPartitionerParity:
         assert set(serial) == {
             ("fir", 1), ("fir", 2), ("relu", 1), ("relu", 2)
         }
+
+    def _partition(self, jobs: int, cache_dir) -> tuple:
+        """A cold-memory partition of the tiny app and the place_route
+        counters it recorded."""
+        from repro.compile import get_cache
+        from repro.streaming.partitioner import (
+            partition_app,
+            streaming_cgra,
+        )
+        from repro.streaming.stage import StreamInput
+
+        get_cache().clear()
+        registry = obs.MetricsRegistry()
+        previous = obs.set_metrics(registry)
+        try:
+            partition = partition_app(
+                _tiny_app(), streaming_cgra(),
+                [StreamInput(i, {}) for i in range(3)],
+                max_islands_per_kernel=2, jobs=jobs,
+                cache_dir=str(cache_dir))
+        finally:
+            obs.set_metrics(previous)
+            get_cache().clear()
+        return partition, _place_route(registry)
+
+    def test_serial_partition_writes_every_key_to_disk(self, tmp_path):
+        from repro.compile import DiskCache
+        from repro.streaming.partitioner import _snake_island_order
+
+        partition, cold = self._partition(1, tmp_path)
+        snake = _snake_island_order(partition.cgra)
+        probes = {(name, tuple(snake[:count]))
+                  for name, count in partition.ii_table}
+        realizations = {(p.kernel.name, p.island_ids)
+                        for p in partition.placements}
+        assert len(DiskCache(tmp_path)) == len(probes | realizations)
+        assert cold["calls"] == len(probes) + len(realizations)
+        # A fresh memory tier over the same disk tree compiles nothing.
+        again, warm = self._partition(1, tmp_path)
+        assert warm["cache_hit"] == warm["calls"] == cold["calls"]
+        assert warm["attempts"] == 0
+        assert [canon(p.mapping) for p in again.placements] == \
+            [canon(p.mapping) for p in partition.placements]
+
+    def test_pool_partition_matches_serial_effort(self, tmp_path):
+        serial, serial_counts = self._partition(1, tmp_path / "serial")
+        pooled, pooled_counts = self._partition(2, tmp_path / "pooled")
+        assert [canon(p.mapping) for p in pooled.placements] == \
+            [canon(p.mapping) for p in serial.placements]
+        assert pooled.ii_table == serial.ii_table
+        # The first kernel is realized on its own probe's islands: a
+        # cache hit at every jobs.
+        assert serial_counts["cache_hit"] == 1
+        assert pooled_counts == serial_counts
+        # Realizations read the disk tier too: a warm pool rerun with a
+        # fresh memory tier compiles nothing.
+        _, warm = self._partition(2, tmp_path / "pooled")
+        assert warm["cache_hit"] == warm["calls"] == pooled_counts["calls"]
 
 
 class TestSweepStrategiesParity:

@@ -97,6 +97,8 @@ class TestRequestValidation:
         {"kernel": "fir", "surprise": 1},
         # The brute-force mapper is a test oracle, not a backend.
         {"kernel": "fir", "backend": "exhaustive"},
+        # Racing is `repro map --portfolio`, not a servable backend.
+        {"kernel": "fir", "backend": "portfolio"},
     ])
     def test_bad_compile_bodies_rejected(self, body):
         with pytest.raises(RequestError):
