@@ -16,6 +16,17 @@ serialized form (rather than the live object) buys three things:
 The cache is bounded (LRU) and thread-safe; one process-wide instance
 serves every entry point so experiment harnesses, the streaming
 partitioner and the CLI all share work.
+
+**Derived entries.** A deterministic strategy post-pass (island
+refinement, gating, per-tile DVFS) turns an engine artifact into
+another mapping. That mapping is kept as a canonical blob *next to* its
+engine entry, keyed by the entry's key and a *variant* (the strategy
+and the post-pass inputs the engine key does not cover). A derived
+entry rides on its engine entry: it is dropped when the entry is
+re-stored, evicted or cleared, and it is never counted in ``len``, the
+hit/miss statistics or ``in``. Only the memory tier keeps them; the
+same ``lookup_derived``/``store_derived`` protocol on
+:class:`~repro.compile.diskcache.DiskCache` keeps nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +43,12 @@ from repro.mapper.mapping import Mapping
 #: Default entry bound: a full figure sweep uses a few hundred entries;
 #: the cap only matters for very long-lived server processes.
 DEFAULT_MAX_ENTRIES = 4096
+
+
+def canonical_blob(mapping: Mapping) -> str:
+    """The canonical JSON every cache tier stores for ``mapping``."""
+    return json.dumps(mapping.to_dict(), sort_keys=True,
+                      separators=(",", ":"))
 
 
 @dataclass
@@ -64,7 +81,32 @@ class MappingCache:
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: OrderedDict = field(default_factory=OrderedDict)
     _meta: dict = field(default_factory=dict)
+    #: Engine key -> {variant: derived blob}; see the module docstring.
+    _derived: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
+
+    @classmethod
+    def from_snapshot(cls, snapshot: dict) -> "MappingCache":
+        """A cache holding what :meth:`snapshot` copied (fresh stats)."""
+        cache = cls(max_entries=snapshot["max_entries"])
+        cache._entries.update(snapshot["entries"])
+        cache._meta.update(snapshot["meta"])
+        cache._derived.update(snapshot["derived"])
+        return cache
+
+    def snapshot(self) -> dict:
+        """A plain, picklable copy of the entries (in LRU order), their
+        provenance and their derived entries — what a pool worker
+        starts from (the cache itself holds a lock, which does not
+        pickle)."""
+        with self._lock:
+            return {
+                "max_entries": self.max_entries,
+                "entries": list(self._entries.items()),
+                "meta": dict(self._meta),
+                "derived": {key: dict(variants)
+                            for key, variants in self._derived.items()},
+            }
 
     def lookup(self, key: str, dfg: DFG, cgra: CGRA,
                backend: str | None = None) -> Mapping | None:
@@ -99,18 +141,19 @@ class MappingCache:
         """Store a mapping (``engine_stats`` is accepted for protocol
         compatibility with :class:`DiskCache`; the memory tier has no
         envelope to embed it in)."""
-        blob = json.dumps(mapping.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        self.store_serialized(key, blob, backend=backend, meta=meta)
+        self.store_serialized(key, canonical_blob(mapping),
+                              backend=backend, meta=meta)
 
     def store_serialized(self, key: str, blob: str,
                          backend: str | None = None,
                          meta: dict | None = None) -> None:
         """Insert a pre-serialized canonical artifact (promotion from a
-        disk tier or a pool worker's returned blob)."""
+        disk tier or a pool worker's returned blob). Re-storing a key
+        drops its derived entries."""
         with self._lock:
             self._entries[key] = blob
             self._entries.move_to_end(key)
+            self._derived.pop(key, None)
             record = dict(meta or {})
             if backend is not None:
                 record.setdefault("backend", backend)
@@ -122,7 +165,29 @@ class MappingCache:
             while len(self._entries) > self.max_entries:
                 evicted, _ = self._entries.popitem(last=False)
                 self._meta.pop(evicted, None)
+                self._derived.pop(evicted, None)
                 self.stats.evictions += 1
+
+    def lookup_derived(self, key: str, variant: tuple, dfg: DFG,
+                       cgra: CGRA) -> Mapping | None:
+        """Rehydrate the ``variant`` derived from the engine entry under
+        ``key``; ``None`` when absent. Never touches the statistics or
+        the LRU order. A blob that does not rehydrate raises, like a
+        corrupt :meth:`lookup` artifact; the caller recomputes it."""
+        with self._lock:
+            blob = self._derived.get(key, {}).get(variant)
+        if blob is None:
+            return None
+        return Mapping.from_dict(json.loads(blob), dfg, cgra)
+
+    def store_derived(self, key: str, variant: tuple,
+                      mapping: Mapping) -> None:
+        """Keep ``mapping`` as the ``variant`` derived from the engine
+        entry under ``key`` (nothing is kept without that entry)."""
+        blob = canonical_blob(mapping)
+        with self._lock:
+            if key in self._entries:
+                self._derived.setdefault(key, {})[variant] = blob
 
     def serialized(self, key: str) -> str | None:
         """The raw cached bytes (for byte-identity tests)."""
@@ -141,6 +206,7 @@ class MappingCache:
         with self._lock:
             self._entries.clear()
             self._meta.clear()
+            self._derived.clear()
             self.stats = CacheStats()
 
     def stats_dict(self) -> dict[str, int]:

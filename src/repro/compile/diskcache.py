@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.arch.cgra import CGRA
-from repro.compile.cache import MappingCache
+from repro.compile.cache import MappingCache, canonical_blob
 from repro.dfg.graph import DFG
 from repro.mapper.mapping import Mapping
 
@@ -210,6 +210,13 @@ class DiskCache:
         servers over the same root); a peer's artifact is validated
         identically, but a corrupt one is *skipped*, never quarantined.
         """
+        found = self._load(key, backend)
+        return None if found is None else found[1]
+
+    def _load(self, key: str,
+              backend: str | None) -> tuple[dict, str, dict] | None:
+        """What :meth:`load_blob` reads, as ``(mapping payload,
+        canonical blob, provenance)`` from one read and one parse."""
         path = self._path(key)
         try:
             data = path.read_bytes()
@@ -217,33 +224,34 @@ class DiskCache:
             data = None
         if data is not None:
             try:
-                blob = self._validated_blob(data, key, backend)
+                found = self._validated(data, key, backend)
             except (ValueError, KeyError, TypeError, UnicodeDecodeError):
                 self._quarantine(path)
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
-            return blob
+            return found
         for version_dir in self._peer_version_dirs():
             try:
                 data = self._peer_path(version_dir, key).read_bytes()
             except OSError:
                 continue
             try:
-                blob = self._validated_blob(data, key, backend)
+                found = self._validated(data, key, backend)
             except (ValueError, KeyError, TypeError, UnicodeDecodeError):
                 continue  # a peer's corrupt artifact is not ours to move
             self.stats.hits += 1
             self.stats.peer_hits += 1
-            return blob
+            return found
         self.stats.misses += 1
         return None
 
     @staticmethod
-    def _validated_blob(data: bytes, key: str,
-                        backend: str | None) -> str:
+    def _validated(data: bytes, key: str,
+                   backend: str | None) -> tuple[dict, str, dict]:
         """Envelope validation; raises ``ValueError`` family on any
-        disagreement, returns the canonical mapping blob."""
+        disagreement, returns the mapping payload, its canonical blob
+        and the envelope's provenance fields."""
         envelope = json.loads(data.decode("utf-8"))
         if not isinstance(envelope, dict):
             raise ValueError("artifact is not a JSON object")
@@ -261,8 +269,9 @@ class DiskCache:
         mapping_dict = envelope["mapping"]
         if not isinstance(mapping_dict, dict):
             raise ValueError("mapping payload is not an object")
-        return json.dumps(mapping_dict, sort_keys=True,
+        blob = json.dumps(mapping_dict, sort_keys=True,
                           separators=(",", ":"))
+        return mapping_dict, blob, _provenance(envelope)
 
     def _envelope(self, key: str) -> dict | None:
         """The raw envelope under ``key``, own tree first, then peers."""
@@ -285,13 +294,7 @@ class DiskCache:
         shards are consulted on an own-tree miss, matching
         :meth:`load_blob`."""
         envelope = self._envelope(key)
-        if envelope is None:
-            return {}
-        out = {}
-        for field_name in ("backend", "optimal", "cost", "ii", "sweep"):
-            if field_name in envelope:
-                out[field_name] = envelope[field_name]
-        return out
+        return {} if envelope is None else _provenance(envelope)
 
     def lookup(self, key: str, dfg: DFG, cgra: CGRA,
                backend: str | None = None) -> Mapping | None:
@@ -300,23 +303,36 @@ class DiskCache:
         return None if found is None else found[0]
 
     def rehydrate(self, key: str, dfg: DFG, cgra: CGRA,
-                  backend: str | None = None) -> tuple[Mapping, str] | None:
-        """``(mapping, canonical blob)`` under ``key``; ``None`` on miss.
+                  backend: str | None = None,
+                  ) -> tuple[Mapping, str, dict] | None:
+        """``(mapping, canonical blob, provenance)`` under ``key``, all
+        from one read of the artifact; ``None`` on miss.
 
         A blob that parses but does not revalidate against the caller's
         DFG/fabric (e.g. a kernel-name mismatch) is counted as a miss and
         quarantined too: it can never become servable under this key.
         """
-        blob = self.load_blob(key, backend)
-        if blob is None:
+        found = self._load(key, backend)
+        if found is None:
             return None
+        mapping_dict, blob, meta = found
         try:
-            return Mapping.from_dict(json.loads(blob), dfg, cgra), blob
+            return Mapping.from_dict(mapping_dict, dfg, cgra), blob, meta
         except Exception:
             self._quarantine(self._path(key))
             self.stats.hits -= 1
             self.stats.misses += 1
             return None
+
+    # -- the memory-tier protocol (a disk tier keeps no derived entries) ----
+
+    def lookup_derived(self, key: str, variant: tuple, dfg: DFG,
+                       cgra: CGRA) -> Mapping | None:
+        return None
+
+    def store_derived(self, key: str, variant: tuple,
+                      mapping: Mapping) -> None:
+        pass
 
     # -- write path ---------------------------------------------------------
 
@@ -324,8 +340,7 @@ class DiskCache:
               engine_stats: dict[str, int] | None = None,
               backend: str | None = None,
               meta: dict | None = None) -> None:
-        blob = json.dumps(mapping.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        blob = canonical_blob(mapping)
         self.store_serialized(key, blob, kernel=mapping.dfg.name,
                               engine_stats=engine_stats, backend=backend,
                               meta=meta)
@@ -550,13 +565,23 @@ class DiskCache:
         return groups
 
 
+#: Envelope fields :meth:`DiskCache.meta` reports as provenance.
+_PROVENANCE_FIELDS = ("backend", "optimal", "cost", "ii", "sweep")
+
+
+def _provenance(envelope: dict) -> dict:
+    return {name: envelope[name] for name in _PROVENANCE_FIELDS
+            if name in envelope}
+
+
 @dataclass
 class TieredCache:
     """Memory cache in front, disk cache behind, one protocol.
 
     ``lookup`` promotes disk hits into the memory tier so repeated
     intra-process compiles skip the filesystem; ``store`` writes
-    through to both tiers. Safe to share across threads (each tier is
+    through to both tiers. Derived entries and snapshots belong to the
+    memory tier alone. Safe to share across threads (each tier is
     independently safe; the composition adds no shared state).
     """
 
@@ -571,9 +596,20 @@ class TieredCache:
         found = self.disk.rehydrate(key, dfg, cgra, backend)
         if found is None:
             return None
-        mapping, blob = found
-        self.memory.store_serialized(key, blob, meta=self.disk.meta(key))
+        mapping, blob, meta = found
+        self.memory.store_serialized(key, blob, meta=meta)
         return mapping
+
+    def lookup_derived(self, key: str, variant: tuple, dfg: DFG,
+                       cgra: CGRA) -> Mapping | None:
+        return self.memory.lookup_derived(key, variant, dfg, cgra)
+
+    def store_derived(self, key: str, variant: tuple,
+                      mapping: Mapping) -> None:
+        self.memory.store_derived(key, variant, mapping)
+
+    def snapshot(self) -> dict:
+        return self.memory.snapshot()
 
     def meta(self, key: str) -> dict:
         found = self.memory.meta(key)

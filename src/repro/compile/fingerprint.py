@@ -40,7 +40,19 @@ def dfg_fingerprint(dfg: DFG) -> dict[str, Any]:
 
 
 def cgra_fingerprint(cgra: CGRA) -> dict[str, Any]:
-    """Every fabric parameter the engine's search depends on."""
+    """Every fabric parameter the engine's search depends on.
+
+    A fabric never changes after construction, so the fingerprint is
+    computed once and kept on the instance (as the router keeps
+    ``_pred_neighbors``); callers must treat it as read-only.
+    """
+    cached = getattr(cgra, "_fingerprint", None)
+    if cached is None:
+        cached = cgra._fingerprint = _cgra_fingerprint(cgra)
+    return cached
+
+
+def _cgra_fingerprint(cgra: CGRA) -> dict[str, Any]:
     return {
         "rows": cgra.rows,
         "cols": cgra.cols,

@@ -69,13 +69,30 @@ def pass_rows(snapshot: dict[str, dict]) -> dict[str, dict[str, float]]:
     return rows
 
 
+#: Strategy -> the post-pass whose output the mapping cache keeps (as a
+#: derived entry of the engine artifact); each such row counts its
+#: ``cache_hit``. The pipeline dispatches its post-passes from this.
+CACHED_POST_PASSES = {
+    "iced": "refine_islands",
+    "baseline+gating": "gate_unused",
+    "per_tile_dvfs": "per_tile_dvfs",
+}
+
+
+def _hit_line(label: str, calls: int, hits: int) -> str:
+    rate = f"{100.0 * hits / calls:.0f}%" if calls else "n/a"
+    return (f"{label}: {hits} hits / {calls - hits} misses "
+            f"({rate} hit rate)")
+
+
 def render_report(snapshot: dict[str, dict]) -> str:
     """The ``--stats`` text report: per-pass timings plus cache totals.
 
     The cache line reads the ``place_route`` row: every compile looks
     its artifact up there, in this process or on a pool worker, against
     whichever cache tiers it was handed, so hits are the row's
-    ``cache_hit`` sum and misses its remaining calls.
+    ``cache_hit`` sum and misses its remaining calls. When a cached
+    post-pass ran, a second line sums those rows the same way.
     """
     rows = pass_rows(snapshot)
     if not rows:
@@ -98,14 +115,16 @@ def render_report(snapshot: dict[str, dict]) -> str:
             extras or "-",
         ])
     place_route = rows.get("place_route", {})
-    calls = int(place_route.get("calls", 0))
-    hits = int(place_route.get("cache_hit", 0))
-    rate = f"{100.0 * hits / calls:.0f}%" if calls else "n/a"
-    return "\n".join([
-        table.render(),
-        f"mapping cache: {hits} hits / {calls - hits} misses "
-        f"({rate} hit rate)",
-    ])
+    lines = [table.render(),
+             _hit_line("mapping cache", int(place_route.get("calls", 0)),
+                       int(place_route.get("cache_hit", 0)))]
+    post = [rows[name] for name in CACHED_POST_PASSES.values()
+            if name in rows]
+    if post:
+        lines.append(_hit_line(
+            "post-pass cache", sum(int(row["calls"]) for row in post),
+            sum(int(row.get("cache_hit", 0)) for row in post)))
+    return "\n".join(lines)
 
 
 def render_per_ii(per_ii: list[dict]) -> str:

@@ -18,6 +18,9 @@ list out across a ``ProcessPoolExecutor`` and merges the results back
   order — so the ``--stats`` table of a parallel sweep aggregates
   exactly the passes that ran, wherever they ran, and a ``--jobs N``
   trace carries exactly the span content of a serial one;
+* every worker starts from a snapshot of the parent's memory tier
+  (its derived entries included), so an item the parent could serve
+  from memory is served on the pool too;
 * workers share one :class:`~repro.compile.diskcache.DiskCache`
   directory (when configured), so a warm sweep — even from a fresh
   process — rehydrates artifacts instead of recompiling, and the
@@ -45,7 +48,7 @@ from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.arch.cgra import CGRA
-from repro.compile.cache import MappingCache
+from repro.compile.cache import MappingCache, canonical_blob
 from repro.compile.diskcache import DiskCache, TieredCache
 from repro.compile.instrument import measure
 from repro.compile.pipeline import CompileResult, compile_dfg, compile_kernel
@@ -148,9 +151,12 @@ class SweepOutcome:
 _WORKER_CACHE: MappingCache | TieredCache | None = None
 
 
-def _worker_init(cache_dir: str | None) -> None:
+def _worker_init(cache_dir: str | None, snapshot: dict) -> None:
+    """Build the worker's cache from the parent's memory-tier
+    ``snapshot`` (a fork inherits it; spawn pickles it) over the
+    shared disk tier, if any."""
     global _WORKER_CACHE
-    memory = MappingCache()
+    memory = MappingCache.from_snapshot(snapshot)
     _WORKER_CACHE = (
         TieredCache(memory, DiskCache(cache_dir)) if cache_dir else memory
     )
@@ -190,8 +196,7 @@ def _compile_item(payload: tuple) -> tuple:
                     (str(exc), exc.last_ii),
                     tracer.to_dicts() if tracer else [],
                     obs.metrics().snapshot(), None)
-        blob = json.dumps(result.mapping.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        blob = canonical_blob(result.mapping)
         engine_blob = cache.serialized(result.cache_key)
         meta = {
             "backend": result.backend,
@@ -308,7 +313,7 @@ class SweepExecutor:
             max_workers=min(self.jobs, len(items)),
             mp_context=self._pool_context(),
             initializer=_worker_init,
-            initargs=(self.cache_dir,),
+            initargs=(self.cache_dir, self.cache.snapshot()),
         ) as pool:
             futures = [
                 pool.submit(_compile_item, (i, item, fabrics[i], trace_on))

@@ -11,10 +11,14 @@ threaded through one :class:`CompileContext`. The ``place_route`` pass
 is backed by the content-addressed mapping cache
 (:mod:`repro.compile.cache`): a repeated (DFG, fabric, engine config)
 compile rehydrates the cached artifact instead of re-running the
-engine, and the pipeline re-validates it before returning — a cache
-hit is never trusted unchecked. Each pass is recorded once, in
-:mod:`repro.obs`, by :func:`~repro.compile.instrument.measure`;
-``--stats`` renders the registry's per-pass rows as a timing table.
+engine. The deterministic post-passes are cache-backed too, as
+derived entries of that artifact, and the *analyze* pass runs only
+when a backend does (nested in ``place_route``). Every compile still
+validates its DFG, and the pipeline re-validates the mapping before
+returning — a cache hit is never trusted unchecked. Each pass is
+recorded once, in :mod:`repro.obs`, by
+:func:`~repro.compile.instrument.measure`; ``--stats`` renders the
+registry's per-pass rows as a timing table.
 
 Entry points:
 
@@ -33,7 +37,7 @@ from repro import obs
 from repro.arch.cgra import CGRA
 from repro.compile.cache import MappingCache, get_cache
 from repro.compile.fingerprint import mapping_cache_key
-from repro.compile.instrument import measure
+from repro.compile.instrument import CACHED_POST_PASSES, measure
 from repro.dfg.analysis import DFGAnalysis, analyze_dfg
 from repro.dfg.graph import DFG
 from repro.mapper.anneal import AnnealStats, anneal_mapping
@@ -60,6 +64,10 @@ from repro.mapper.validation import validate_mapping
 
 #: Sentinel: the refinement pass inherits ``config.allowed_level_names``.
 _FROM_CONFIG = object()
+
+#: Each strategy's post-pass (``baseline`` has none); all but
+#: ``anneal`` are cached.
+_POST_PASSES = {**CACHED_POST_PASSES, "anneal": "anneal"}
 
 
 @dataclass
@@ -167,9 +175,9 @@ def _pass_place_route(ctx: CompileContext) -> None:
     in the key's option payload), so artifacts produced by different
     backends can never shadow one another; the disk tier additionally
     refuses to serve an artifact whose envelope names a different
-    backend (see :meth:`DiskCache.load_blob`).
+    backend (see :meth:`DiskCache.load_blob`). Only a miss runs the
+    *analyze* pass, whose results nothing but a backend reads.
     """
-    cache = ctx.cache if ctx.cache is not None else get_cache()
     ctx.cache_key = mapping_cache_key(
         ctx.dfg, ctx.cgra, ctx.config, ctx.backend,
         options=dict(sorted(ctx.backend_options.items()))
@@ -178,19 +186,20 @@ def _pass_place_route(ctx: CompileContext) -> None:
     with measure("place_route", ctx.dfg.name) as counters:
         if ctx.use_cache:
             try:
-                cached = cache.lookup(ctx.cache_key, ctx.dfg, ctx.cgra,
-                                      ctx.backend)
+                cached = ctx.cache.lookup(ctx.cache_key, ctx.dfg,
+                                          ctx.cgra, ctx.backend)
             except Exception:
                 cached = None  # corrupt artifact: recompile cold
             if cached is not None:
                 ctx.mapping = cached
                 ctx.cache_hit = True
                 ctx.cost = mapping_cost(cached)
-                ctx.optimal = bool(cache.meta(ctx.cache_key)
+                ctx.optimal = bool(ctx.cache.meta(ctx.cache_key)
                                    .get("optimal", False))
                 counters["cache_hit"] = 1
                 counters["ii"] = cached.ii
                 return
+        _pass_analyze(ctx)
         backend = make_backend(ctx.backend, **ctx.backend_options)
         with obs.span(f"backend:{ctx.backend}", category="mapper",
                       kernel=ctx.dfg.name) as span:
@@ -224,36 +233,28 @@ def _pass_place_route(ctx: CompileContext) -> None:
         counters["cache_hit"] = 0
         counters["ii"] = result.ii
         if ctx.use_cache:
-            cache.store(ctx.cache_key, ctx.mapping,
-                        engine_stats=namespaced, backend=ctx.backend,
-                        meta={"optimal": result.optimal,
-                              "cost": result.cost, "ii": result.ii})
+            ctx.cache.store(ctx.cache_key, ctx.mapping,
+                            engine_stats=namespaced, backend=ctx.backend,
+                            meta={"optimal": result.optimal,
+                                  "cost": result.cost, "ii": result.ii})
 
 
 def _pass_post(ctx: CompileContext) -> None:
-    """The strategy's post-pass over the engine placement (if any)."""
-    if ctx.strategy == "baseline":
+    """The strategy's post-pass over the engine placement (if any).
+
+    ``anneal`` always runs (its :class:`AnnealStats` are part of the
+    result). The deterministic post-passes are pure functions of the
+    engine artifact and their variant, so with the cache on their
+    output is kept as a derived entry of that artifact and served on
+    the next compile; ``_pass_validate`` checks it like any other
+    rehydrated mapping.
+    """
+    if ctx.strategy == "baseline" or (ctx.strategy == "iced"
+                                      and not ctx.refine):
         return
-    name = {
-        "iced": "refine_islands",
-        "baseline+gating": "gate_unused",
-        "per_tile_dvfs": "per_tile_dvfs",
-        "anneal": "anneal",
-    }[ctx.strategy]
-    if ctx.strategy == "iced" and not ctx.refine:
-        return
-    with measure(name, ctx.dfg.name) as counters:
-        if ctx.strategy == "iced":
-            names = (
-                ctx.config.allowed_level_names
-                if ctx.refine_level_names is _FROM_CONFIG
-                else ctx.refine_level_names
-            )
-            ctx.mapping = refine_island_levels(ctx.mapping, names)
-        elif ctx.strategy == "baseline+gating":
-            ctx.mapping = gate_unused_tiles(ctx.mapping)
-        elif ctx.strategy == "per_tile_dvfs":
-            ctx.mapping = assign_per_tile_dvfs(ctx.mapping)
+    with measure(_POST_PASSES[ctx.strategy], ctx.dfg.name) as counters:
+        if ctx.strategy in CACHED_POST_PASSES:
+            counters["cache_hit"] = int(_derive(ctx))
         else:  # anneal
             ctx.mapping, ctx.anneal_stats = anneal_mapping(
                 ctx.mapping, moves=ctx.anneal_moves, seed=ctx.seed,
@@ -261,6 +262,35 @@ def _pass_post(ctx: CompileContext) -> None:
             counters["moves_tried"] = ctx.anneal_stats.moves_tried
             counters["moves_accepted"] = ctx.anneal_stats.moves_accepted
         counters["gated_tiles"] = len(ctx.mapping.gated_tiles())
+
+
+def _derive(ctx: CompileContext) -> bool:
+    """Apply a deterministic post-pass; True when served from cache."""
+    names = None
+    if ctx.strategy == "iced":
+        names = (ctx.config.allowed_level_names
+                 if ctx.refine_level_names is _FROM_CONFIG
+                 else ctx.refine_level_names)
+    variant = (ctx.strategy,
+               None if names is None else tuple(sorted(names)))
+    if ctx.use_cache:
+        try:
+            cached = ctx.cache.lookup_derived(ctx.cache_key, variant,
+                                              ctx.dfg, ctx.cgra)
+        except Exception:
+            cached = None  # a blob that does not rehydrate: recompute
+        if cached is not None:
+            ctx.mapping = cached
+            return True
+    if ctx.strategy == "iced":
+        ctx.mapping = refine_island_levels(ctx.mapping, names)
+    elif ctx.strategy == "baseline+gating":
+        ctx.mapping = gate_unused_tiles(ctx.mapping)
+    else:  # per_tile_dvfs
+        ctx.mapping = assign_per_tile_dvfs(ctx.mapping)
+    if ctx.use_cache:
+        ctx.cache.store_derived(ctx.cache_key, variant, ctx.mapping)
+    return False
 
 
 def _pass_validate(ctx: CompileContext) -> None:
@@ -282,9 +312,11 @@ def _pass_bitstream(ctx: CompileContext) -> None:
 
 
 def _run(ctx: CompileContext, want_bitstream: bool) -> CompileResult:
+    if ctx.cache is None:
+        ctx.cache = get_cache()
     if ctx.dfg is None:
         _pass_lower(ctx)
-    _pass_analyze(ctx)
+    ctx.dfg.validate()
     _pass_place_route(ctx)
     _pass_post(ctx)
     _pass_validate(ctx)

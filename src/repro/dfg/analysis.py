@@ -179,8 +179,9 @@ def height_levels(dfg: DFG) -> dict[int, int]:
 class DFGAnalysis:
     """The analysis bundle the placement engine consumes.
 
-    Computed once per DFG by the compile pipeline's *analyze* pass and
-    threaded through every II retry of the engine's deepening loop —
+    Computed by the compile pipeline's *analyze* pass whenever a
+    backend runs (a cache hit needs none of it) and threaded through
+    every II retry of the engine's deepening loop —
     the quantities are invariant across retries, so recomputing them
     per attempt (as the engine historically did) is pure waste.
     """

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import CGRA
 from repro.compile import (
+    DiskCache,
     MappingCache,
+    TieredCache,
     compile_annealed,
     compile_dfg,
     compile_kernel,
@@ -18,10 +20,15 @@ from repro.compile import (
     pass_rows,
     render_report,
 )
+from repro.compile.cache import canonical_blob
+from repro.compile.instrument import CACHED_POST_PASSES
 from repro.dfg import DFGBuilder, Opcode
+from repro.dfg.graph import DFG
 from repro.kernels import load_kernel
+from repro.kernels.table1 import STANDALONE_KERNELS
 from repro.mapper.engine import EngineConfig
 from repro.mapper.validation import validate_mapping
+from repro.power.model import energy_uj, mapping_power
 from repro.sim.simulator import simulate_execution
 
 FABRIC = CGRA.build(6, 6, island_shape=(2, 2))
@@ -171,6 +178,162 @@ class TestCacheCorrectness:
         assert used <= set(island.tile_ids)
 
 
+#: The strategies whose post-pass output the cache keeps.
+DERIVED_STRATEGIES = ("iced", "baseline+gating", "per_tile_dvfs")
+
+
+def _post_row(registry, strategy: str) -> dict:
+    return pass_rows(registry.snapshot())[CACHED_POST_PASSES[strategy]]
+
+
+class TestDerivedCache:
+    """The strategy post-pass is served from a derived entry of its
+    engine artifact, and a served one is indistinguishable from a cold
+    compile."""
+
+    @staticmethod
+    def _outcome(result) -> tuple:
+        """What a compile delivers: mapping bytes, II, simulated cycles
+        and modelled energy."""
+        power = mapping_power(result.mapping, report=result.report)
+        seconds_us = (result.report.ii * 1000
+                      / FABRIC.dvfs.normal.frequency_mhz)
+        return (canonical_blob(result.mapping), result.report.ii,
+                simulate_execution(result.mapping, 20).total_cycles,
+                energy_uj(power, seconds_us))
+
+    @pytest.mark.parametrize("kernel", STANDALONE_KERNELS)
+    def test_warm_equals_cold(self, kernel, registry):
+        for strategy in DERIVED_STRATEGIES:
+            cache = MappingCache()
+            cold = compile_kernel(kernel, FABRIC, strategy, cache=cache)
+            warm = compile_kernel(kernel, FABRIC, strategy, cache=cache)
+            # The post-pass over a rehydrated engine artifact, which is
+            # what a hit ran before the post-pass was cached.
+            engine_only = MappingCache()
+            engine_only.store_serialized(
+                cold.cache_key, cache.serialized(cold.cache_key),
+                meta=cache.meta(cold.cache_key))
+            rerun = compile_kernel(kernel, FABRIC, strategy,
+                                   cache=engine_only)
+            assert warm.cache_hit and rerun.cache_hit
+            assert self._outcome(warm) == self._outcome(cold), strategy
+            assert self._outcome(rerun) == self._outcome(cold), strategy
+        rows = [_post_row(registry, s) for s in DERIVED_STRATEGIES]
+        # Per strategy: the cold miss, the warm hit, the rerun's miss.
+        assert [(r["calls"], r["cache_hit"]) for r in rows] == [(3, 1)] * 3
+
+    def test_hit_still_validates(self, monkeypatch):
+        cache = MappingCache()
+        compile_kernel("fir", FABRIC, "iced", cache=cache)
+        calls = {"mapping": 0, "dfg": 0}
+        real_validate = DFG.validate
+
+        def validate_dfg(dfg):
+            calls["dfg"] += 1
+            return real_validate(dfg)
+
+        def validate(mapping):
+            calls["mapping"] += 1
+            return validate_mapping(mapping)
+
+        monkeypatch.setattr(DFG, "validate", validate_dfg)
+        monkeypatch.setattr("repro.compile.pipeline.validate_mapping",
+                            validate)
+        warm = compile_kernel("fir", FABRIC, "iced", cache=cache)
+        assert warm.cache_hit
+        assert calls == {"mapping": 1, "dfg": 1}
+
+    def test_no_cache_neither_reads_nor_writes(self, registry):
+        class Spy(MappingCache):
+            def lookup_derived(self, *args):
+                raise AssertionError("read a derived entry")
+
+            def store_derived(self, *args):
+                raise AssertionError("wrote a derived entry")
+
+        cache = Spy()
+        compile_kernel("fir", FABRIC, "per_tile_dvfs", cache=cache,
+                       use_cache=False)
+        assert _post_row(registry, "per_tile_dvfs")["cache_hit"] == 0
+        assert cache.snapshot()["derived"] == {}
+
+    def test_derived_entries_ride_on_their_engine_entry(self):
+        cache = MappingCache(max_entries=1)
+        first = compile_kernel("fir", FABRIC, "per_tile_dvfs", cache=cache)
+        compile_kernel("fir", FABRIC, "baseline+gating", cache=cache)
+        derived = cache.snapshot()["derived"]
+        assert sorted(derived[first.cache_key]) == [
+            ("baseline+gating", None), ("per_tile_dvfs", None)]
+        # Never counted as entries, hits or misses.
+        assert len(cache) == 1
+        assert cache.stats.to_dict() == {
+            "hits": 1, "misses": 1, "stores": 1, "evictions": 0}
+        # Re-storing the engine entry drops them ...
+        cache.store_serialized(first.cache_key,
+                               cache.serialized(first.cache_key))
+        assert cache.snapshot()["derived"] == {}
+        # ... and so does evicting it.
+        compile_kernel("fir", FABRIC, "per_tile_dvfs", cache=cache)
+        assert first.cache_key in cache.snapshot()["derived"]
+        compile_kernel("relu", FABRIC, "baseline", cache=cache)
+        assert first.cache_key not in cache
+        assert cache.snapshot()["derived"] == {}
+        cache.clear()
+        assert cache.snapshot()["derived"] == {}
+
+    def test_corrupt_derived_blob_recomputed(self, registry):
+        cache = MappingCache()
+        cold = compile_kernel("fir", FABRIC, "iced", cache=cache)
+        variants = cache._derived[cold.cache_key]
+        (variant,) = variants
+        variants[variant] = '{"kernel": "fir"}'
+        warm = compile_kernel("fir", FABRIC, "iced", cache=cache)
+        assert _post_row(registry, "iced")["cache_hit"] == 0
+        assert canonical_blob(warm.mapping) == canonical_blob(cold.mapping)
+        # The recomputed mapping replaced the corrupt blob.
+        again = compile_kernel("fir", FABRIC, "iced", cache=cache)
+        assert _post_row(registry, "iced")["cache_hit"] == 1
+        assert canonical_blob(again.mapping) == canonical_blob(cold.mapping)
+
+    def test_memory_tier_only(self, tmp_path):
+        tiered = TieredCache(MappingCache(), DiskCache(tmp_path))
+        cold = compile_kernel("fir", FABRIC, "iced", cache=tiered)
+        warm = compile_kernel("fir", FABRIC, "iced", cache=tiered)
+        assert canonical_blob(warm.mapping) == canonical_blob(cold.mapping)
+        assert cold.cache_key in tiered.memory.snapshot()["derived"]
+        assert len(tiered.disk) == 1
+        # A bare disk cache keeps none.
+        disk = DiskCache(tmp_path)
+        disk.store_derived(cold.cache_key, ("iced", None), warm.mapping)
+        assert disk.lookup_derived(cold.cache_key, ("iced", None),
+                                   load_kernel("fir"), FABRIC) is None
+        assert len(disk) == 1
+
+    def test_refine_level_names_are_part_of_the_variant(self):
+        cache = MappingCache()
+        dfg = load_kernel("fir")
+        free = compile_dfg(dfg, FABRIC, "iced", cache=cache)
+        pinned = compile_dfg(dfg, FABRIC, "iced", cache=cache,
+                             refine_level_names=("normal",))
+        direct = compile_dfg(dfg, FABRIC, "iced", cache=MappingCache(),
+                             refine_level_names=("normal",))
+        assert canonical_blob(pinned.mapping) == \
+            canonical_blob(direct.mapping)
+        assert len(cache.snapshot()["derived"][free.cache_key]) == 2
+
+    def test_annealed_hits_keep_anneal_stats(self, registry):
+        cache = MappingCache()
+        dfg = load_kernel("fir")
+        _, first = compile_annealed(dfg, FABRIC, moves=50, cache=cache)
+        _, again = compile_annealed(dfg, FABRIC, moves=50, cache=cache)
+        assert again.cache_hit and again.anneal_stats is not None
+        assert again.anneal_stats == first.anneal_stats
+        assert canonical_blob(again.mapping) == canonical_blob(first.mapping)
+        # anneal is never served from the derived cache.
+        assert "cache_hit" not in pass_rows(registry.snapshot())["anneal"]
+
+
 class TestFingerprintSensitivity:
     CONFIG = EngineConfig()
 
@@ -249,7 +412,8 @@ class TestInstrumentationReport:
         summary = pass_rows(registry.snapshot())
         assert summary["place_route"]["calls"] == 2
         assert summary["place_route"]["cache_hit"] == 1
-        assert summary["analyze"]["calls"] == 2
+        # Only the miss ran a backend, so only it analyzed the DFG.
+        assert summary["analyze"]["calls"] == 1
 
     def test_render_report_mentions_passes_and_hit_rate(self, registry):
         cache = MappingCache()
@@ -259,6 +423,11 @@ class TestInstrumentationReport:
         assert "place_route" in text
         assert "refine_islands" in text
         assert "mapping cache: 1 hits / 1 misses (50% hit rate)" in text
+        assert "post-pass cache: 1 hits / 1 misses (50% hit rate)" in text
+
+    def test_render_report_omits_post_pass_line_without_one(self, registry):
+        compile_kernel("relu", FABRIC, "baseline", cache=MappingCache())
+        assert "post-pass cache" not in render_report(registry.snapshot())
 
     def test_render_report_empty(self):
         assert "no compile passes" in render_report({})

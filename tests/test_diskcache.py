@@ -387,6 +387,40 @@ class TestTieredCache:
         assert not disk._path(key).exists()
         assert key not in tiered.memory
 
+    def test_own_tree_hit_reads_the_artifact_once(
+            self, tmp_path, monkeypatch, baseline_fir, fir_dfg, cgra66):
+        """One read, one parse and no peer listing per disk hit, with
+        the envelope's provenance promoted along with the blob."""
+        from pathlib import Path
+
+        key = "78" * 16
+        disk = DiskCache(tmp_path)
+        disk.store(key, baseline_fir, backend="engine",
+                   meta={"optimal": True, "cost": 2.5, "ii": 6})
+        assert disk.tag_sweep(key, "feed", 3)
+        counts = {"read": 0, "parse": 0, "scandir": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Path, "read_bytes",
+                            counting("read", Path.read_bytes))
+        monkeypatch.setattr(json, "loads", counting("parse", json.loads))
+        monkeypatch.setattr(os, "scandir", counting("scandir", os.scandir))
+        tiered = TieredCache(MappingCache(), DiskCache(tmp_path))
+        mapping = tiered.lookup(key, fir_dfg, cgra66, "engine")
+        assert counts == {"read": 1, "parse": 1, "scandir": 0}
+        monkeypatch.undo()
+        assert canon(mapping.to_dict()) == canon(baseline_fir.to_dict())
+        assert tiered.memory.serialized(key) == canon(
+            baseline_fir.to_dict())
+        assert tiered.memory.meta(key) == {
+            "backend": "engine", "optimal": True, "cost": 2.5, "ii": 6,
+            "sweep": {"space_hash": "feed", "point": 3}}
+
     def test_stats_dict_has_both_tiers(self, tmp_path):
         tiered = TieredCache(MappingCache(), DiskCache(tmp_path))
         stats = tiered.stats_dict()

@@ -223,7 +223,7 @@ class TestPartitionerParity:
 
     def _partition(self, jobs: int, cache_dir) -> tuple:
         """A cold-memory partition of the tiny app and the place_route
-        counters it recorded."""
+        counters it recorded (``cache_dir=None``: no disk tier)."""
         from repro.compile import get_cache
         from repro.streaming.partitioner import (
             partition_app,
@@ -239,7 +239,7 @@ class TestPartitionerParity:
                 _tiny_app(), streaming_cgra(),
                 [StreamInput(i, {}) for i in range(3)],
                 max_islands_per_kernel=2, jobs=jobs,
-                cache_dir=str(cache_dir))
+                cache_dir=None if cache_dir is None else str(cache_dir))
         finally:
             obs.set_metrics(previous)
             get_cache().clear()
@@ -278,6 +278,52 @@ class TestPartitionerParity:
         # fresh memory tier compiles nothing.
         _, warm = self._partition(2, tmp_path / "pooled")
         assert warm["cache_hit"] == warm["calls"] == pooled_counts["calls"]
+
+    def test_pool_partition_without_disk_tier_matches_serial(self):
+        # Pool workers start from the parent's memory tier, so the
+        # realization on its own probe's islands hits there too.
+        serial, serial_counts = self._partition(1, None)
+        pooled, pooled_counts = self._partition(2, None)
+        assert serial_counts["cache_hit"] == 1
+        assert pooled_counts == serial_counts
+        assert [canon(p.mapping) for p in pooled.placements] == \
+            [canon(p.mapping) for p in serial.placements]
+
+
+class TestWorkerCache:
+    def test_snapshot_restores_entries_meta_and_derived(self):
+        import pickle
+
+        from repro.compile import MappingCache, compile_kernel
+
+        cgra = CGRA.build(6, 6, island_shape=(2, 2))
+        cache = MappingCache(max_entries=7)
+        for name in ("relu", "fir"):
+            compile_kernel(name, cgra, "per_tile_dvfs", cache=cache)
+        # Plain data: it pickles for spawned workers (the lock would not).
+        snapshot = pickle.loads(pickle.dumps(cache.snapshot()))
+        restored = MappingCache.from_snapshot(snapshot)
+        assert restored.snapshot() == cache.snapshot()
+        assert restored.max_entries == 7
+        assert restored.stats_dict()["hits"] == 0
+        warm = compile_kernel("fir", cgra, "per_tile_dvfs", cache=restored)
+        assert warm.cache_hit
+        assert canon(warm.mapping) == restored.snapshot()["derived"][
+            warm.cache_key][("per_tile_dvfs", None)]
+
+    def test_workers_start_from_the_parent_memory_tier(self, registry):
+        from repro.compile import MappingCache
+
+        cgra = CGRA.build(6, 6, island_shape=(2, 2))
+        cache = MappingCache()
+        SweepExecutor(jobs=1, cache=cache).run(_items(), cgra)
+        outcomes = SweepExecutor(jobs=2, cache=cache).run(_items(), cgra)
+        assert all(o.result.cache_hit for o in outcomes)
+        rows = pass_rows(registry.snapshot())
+        assert rows["revalidate"]["calls"] == len(KERNELS)
+        # Each item ran twice; the pool served the post-pass from the
+        # snapshot's derived entries.
+        assert rows["refine_islands"]["cache_hit"] == len(KERNELS)
 
 
 class TestSweepStrategiesParity:
