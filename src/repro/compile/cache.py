@@ -116,10 +116,19 @@ class MappingCache:
         named and the entry's recorded provenance names a *different*
         backend, the entry is not served (a keying bug must surface as
         a miss, never as a wrong artifact)."""
+        found = self.rehydrate(key, dfg, cgra, backend)
+        return None if found is None else found[0]
+
+    def rehydrate(self, key: str, dfg: DFG, cgra: CGRA,
+                  backend: str | None = None,
+                  ) -> tuple[Mapping, str, dict] | None:
+        """:meth:`lookup` as ``(mapping, canonical blob, provenance)``,
+        the same triple :meth:`DiskCache.rehydrate` returns."""
         with self._lock:
             blob = self._entries.get(key)
+            meta = self._meta.get(key, {})
             if blob is not None and backend is not None:
-                tagged = self._meta.get(key, {}).get("backend")
+                tagged = meta.get("backend")
                 if tagged is not None and tagged != backend:
                     blob = None
             if blob is None:
@@ -127,7 +136,8 @@ class MappingCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-        return Mapping.from_dict(json.loads(blob), dfg, cgra)
+            meta = dict(meta)
+        return Mapping.from_dict(json.loads(blob), dfg, cgra), blob, meta
 
     def meta(self, key: str) -> dict:
         """Provenance recorded with the entry (empty when unknown)."""

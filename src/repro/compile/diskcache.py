@@ -590,15 +590,22 @@ class TieredCache:
 
     def lookup(self, key: str, dfg: DFG, cgra: CGRA,
                backend: str | None = None) -> Mapping | None:
-        hit = self.memory.lookup(key, dfg, cgra, backend)
-        if hit is not None:
-            return hit
+        found = self.rehydrate(key, dfg, cgra, backend)
+        return None if found is None else found[0]
+
+    def rehydrate(self, key: str, dfg: DFG, cgra: CGRA,
+                  backend: str | None = None,
+                  ) -> tuple[Mapping, str, dict] | None:
+        """``(mapping, canonical blob, provenance)`` from the memory
+        tier, else from one read of the disk artifact (promoted)."""
+        found = self.memory.rehydrate(key, dfg, cgra, backend)
+        if found is not None:
+            return found
         found = self.disk.rehydrate(key, dfg, cgra, backend)
-        if found is None:
-            return None
-        mapping, blob, meta = found
-        self.memory.store_serialized(key, blob, meta=meta)
-        return mapping
+        if found is not None:
+            _mapping, blob, meta = found
+            self.memory.store_serialized(key, blob, meta=meta)
+        return found
 
     def lookup_derived(self, key: str, variant: tuple, dfg: DFG,
                        cgra: CGRA) -> Mapping | None:

@@ -186,16 +186,16 @@ def _pass_place_route(ctx: CompileContext) -> None:
     with measure("place_route", ctx.dfg.name) as counters:
         if ctx.use_cache:
             try:
-                cached = ctx.cache.lookup(ctx.cache_key, ctx.dfg,
-                                          ctx.cgra, ctx.backend)
+                found = ctx.cache.rehydrate(ctx.cache_key, ctx.dfg,
+                                            ctx.cgra, ctx.backend)
             except Exception:
-                cached = None  # corrupt artifact: recompile cold
-            if cached is not None:
+                found = None  # corrupt artifact: recompile cold
+            if found is not None:
+                cached, _blob, meta = found
                 ctx.mapping = cached
                 ctx.cache_hit = True
                 ctx.cost = mapping_cost(cached)
-                ctx.optimal = bool(ctx.cache.meta(ctx.cache_key)
-                                   .get("optimal", False))
+                ctx.optimal = bool(meta.get("optimal", False))
                 counters["cache_hit"] = 1
                 counters["ii"] = cached.ii
                 return

@@ -6,28 +6,61 @@ tile's clock: a hop into a tile with slowdown ``s`` takes ``s`` base
 cycles and holds that tile's crossbar and the link for ``s`` cycles),
 and finally waits in the consumer tile's registers until the consumer
 issues. The search state is (tile, time); cost is arrival time, so the
-first accepted goal pop is the earliest feasible arrival.
+first accepted goal is the earliest feasible arrival.
 
-Two accelerations sit on top of the plain Dijkstra, both chosen so the
-returned routes (and the earliest-arrival probe) are **bit-identical**
-to the unaccelerated search:
+The semantics are those of a plain Dijkstra popping ``(t, tile,
+depart)`` in order (the oracle in ``tests/reference_routing.py``), and
+every route, depart, arrival and probe is **bit-identical** to it. The
+search itself runs one time layer at a time:
 
-* **Distance-oracle pruning.** The fabric's all-pairs hop-distance
-  table (BFS per tile, computed once per :class:`CGRA`) gives the
-  admissible, consistent lower bound ``h(tile) = dist(tile, dst) *
-  min(slowdown)``. A state with ``t + h(tile) > horizon`` can never
-  reach the destination within the horizon, and — because ``h`` is
-  consistent — neither can any of its descendants, so dropping it
-  cannot change the parent, path or probe of any surviving state. The
-  pop order itself stays plain Dijkstra ``(t, tile, depart)``; the
-  heuristic only filters pushes and rejects hopeless queries in O(1)
-  before any frontier exists. The bound actually used is the sharper
-  *slowdown-weighted* shortest transit time to the destination (one
-  small Dijkstra per (topology, slowdown vector, dst), cached per
-  process and, with a :class:`RouteMemo`, in the memo): still an exact
-  lower bound — it ignores only congestion and waits — and still
-  consistent by the shortest-path triangle inequality, so the same
-  argument applies while pruning far harder around slowed DVFS islands.
+* **Layered bitmask frontier.** Layer ``t`` is a Python-int bitmask of
+  the tiles that hold a state at cycle ``t``. A hop into ``v`` takes
+  ``slow[v] >= 1`` cycles, so a layer only feeds later layers and the
+  layers are expanded in cycle order. The next states are built per
+  slowdown class (the tiles a hop enters in ``s`` cycles) and per link
+  group of the pool (the links sharing one tile-id offset): the
+  layer's sources whose link is free for every cycle of the hop are
+  shifted by the offset onto their destinations, which must be in the
+  class and have a free crossbar for the hop, and arrive by the
+  horizon. The destination is a sink: the first layer that holds it
+  with free destination registers until the deadline ends the search,
+  and the first layer that holds it at all is the probe. The pool
+  keeps the link and crossbar masks up to date on every claim and
+  rollback (see :mod:`repro.mrrg.resources`), so a layer costs a few
+  big-int operations per link group instead of a heap push and pop per
+  state.
+
+* **The parent rule.** The path is rebuilt backwards from the goal.
+  The parent of ``(t, v)`` is the lowest-id tile ``u`` of layer
+  ``t - slow[v]`` (the destination excluded) whose link ``u -> v`` is
+  free over ``[t - slow[v], t)``; a source state inside the seed range
+  (the register waits before departing) is the root, and its cycle is
+  the depart time. This is exactly the Dijkstra's first pusher: each
+  state is pushed once, by the first popped state that reaches it;
+  every pusher of ``(t, v)`` sits in layer ``t - slow[v]``, all of
+  whose states are in the heap before any of them pops (their pushers
+  sit in earlier layers); and within one layer the heap pops in tile
+  order, since ``(t, tile)`` is unique. The crossbar and horizon tests
+  depend on ``v`` and ``t`` alone, so only the link separates pushers.
+
+Two accelerations sit on top of the search, both chosen so the
+returned routes (and the earliest-arrival probe) stay identical:
+
+* **Distance-oracle rejection.** ``h(tile)``, the *slowdown-weighted*
+  shortest transit time from ``tile`` to the destination (one small
+  Dijkstra per (topology, slowdown vector, dst), cached per process
+  and, with a :class:`RouteMemo`, in the memo), is an exact lower
+  bound — it ignores only congestion and waits — and consistent by the
+  shortest-path triangle inequality. A query with ``ready + h(src) >
+  horizon`` is rejected in O(1) before any frontier exists, and the
+  seed range ends at the first departure that fails the same test.
+  The layers themselves are not filtered by ``h``: by consistency,
+  every ancestor of a state that reaches the destination by the
+  horizon passes the test too, so a state that fails it is never on a
+  returned path, never a candidate parent of a state that is, and
+  never the probe. Carrying it costs nothing per state in a bitmask,
+  where masking every layer would cost an operation per layer and a
+  cached tile mask per oracle level.
 
 * **Route memoization.** Candidate scoring, commit re-routing and
   reschedule retries repeat the same (src, dst, timing) query against
@@ -76,8 +109,8 @@ class RouteMemo:
     #: Safety valve: drop everything rather than grow without bound.
     MAX_ENTRIES = 200_000
 
-    __slots__ = ("table", "hits", "misses", "hcols", "hcol_builds",
-                 "hcol_reuses")
+    __slots__ = ("table", "hits", "misses", "hcols", "classes",
+                 "hcol_builds", "hcol_reuses")
 
     def __init__(self) -> None:
         self.table: dict[tuple, tuple] = {}
@@ -85,6 +118,8 @@ class RouteMemo:
         self.misses = 0
         #: (dst_tile, slow) -> weighted-distance heuristic column.
         self.hcols: dict[tuple, list[int]] = {}
+        #: slow -> its slowdown classes (see :func:`_slow_classes`).
+        self.classes: dict[tuple[int, ...], tuple] = {}
         #: Oracle columns built by Dijkstra vs served from the
         #: process-level topology-keyed cache (cross-point reuse).
         self.hcol_builds = 0
@@ -140,8 +175,8 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
 
     # Oracle early reject: even a congestion-free best-case transit
     # misses the horizon, so the full search would return (None, None).
-    hcol = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)
-    if ready + hcol[src_tile] > horizon:
+    h_src = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)[src_tile]
+    if ready + h_src > horizon:
         return None, None
 
     max_wait = deadline - ready if max_wait is None else min(
@@ -169,10 +204,11 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
     # search's outcome — nor the probe, when some arrival <= deadline
     # exists. Only the no-arrival-by-deadline case needs the wide rerun
     # (the probe in (deadline, horizon] is what the engine jumps on).
-    result, probe = _search(pool, slow, hcol, src_tile, ready,
+    classes = _slow_classes(memo, slow)
+    result, probe = _search(pool, slow, h_src, classes, src_tile, ready,
                             dst_tile, deadline, deadline, max_wait)
     if result is None and probe is None and horizon > deadline:
-        result, probe = _search(pool, slow, hcol, src_tile, ready,
+        result, probe = _search(pool, slow, h_src, classes, src_tile, ready,
                                 dst_tile, deadline, horizon, max_wait)
 
     if memo is not None:
@@ -311,146 +347,149 @@ def _weighted_hcol(memo: RouteMemo | None, cgra, slow: tuple[int, ...],
     return col
 
 
-def _search(pool, slow, hcol, src_tile: int, ready: int,
+def _slow_classes(memo: RouteMemo | None, slow: tuple[int, ...],
+                  ) -> tuple[tuple[int, int], ...]:
+    """``slow`` as ``(s, tiles)`` pairs in ascending ``s``: the bitmask
+    of the tiles a hop enters in ``s`` cycles (cached in the memo)."""
+    if memo is not None:
+        classes = memo.classes.get(slow)
+        if classes is not None:
+            return classes
+    members: dict[int, int] = {}
+    for tile, s in enumerate(slow):
+        members[s] = members.get(s, 0) | (1 << tile)
+    classes = tuple(sorted(members.items()))
+    if memo is not None:
+        memo.classes[slow] = classes
+    return classes
+
+
+def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
             dst_tile: int, deadline: int, horizon: int, max_wait: int,
             ) -> tuple[RouteResult | None, int | None]:
-    """The pruned Dijkstra itself (see the module docstring for why the
-    pruning cannot change the result).
-
-    States are packed into single ints so the heap compares machine
-    words instead of tuples: a heap entry is ``t << 40 | tile << 24 |
-    depart`` (numeric order == the reference (t, tile, depart) order),
-    and a parent-map key is ``t << 16 | tile``. A state is pushed at
-    most once (the parent map doubles as the visited set), so pops are
-    unique by construction.
-    """
+    """The search itself, one time layer at a time (the module docstring
+    says why it returns what the ``(t, tile, depart)`` Dijkstra
+    returns). ``layers[i]`` holds the tiles with a state at cycle
+    ``ready + i``; ``classes`` is ``(s, tiles)`` in ascending ``s``, and
+    ``h_src`` is the oracle's lower bound from the source."""
     ii = pool.ii
-    num_tiles = pool.num_tiles
     use = pool._use
-    caps = pool._caps
-    adj = pool.adj
-    xbar_cap = pool.xbar_capacity
-    heappush, heappop = heapq.heappush, heapq.heappop
+    full = pool._full
+    groups = pool.link_groups
+    xbar_masks = pool.xbar_masks
 
     # Seed states: depart after waiting w cycles in the source registers.
     # Feasibility of the wait interval is monotone in w, so stop at the
     # first blocked prefix (and at the first unreachable-by-horizon
     # departure: later departures are unreachable too).
-    heap: list[int] = []
-    parents: dict[int, int] = {}  # packed state -> packed state | -1
-    src_reg_base = (2 * num_tiles + src_tile) * ii
-    src_reg_cap = caps[2 * num_tiles + src_tile]
-    h_src = hcol[src_tile]
+    src_reg = 2 * pool.num_tiles + src_tile
+    src_reg_base = src_reg * ii
+    src_reg_cap = pool._caps[src_reg]
+    seeds = 0
     for wait in range(max_wait + 1):
         if wait and use[src_reg_base + (ready + wait - 1) % ii] >= src_reg_cap:
             break
-        t = ready + wait
-        if t + h_src > horizon:
+        if ready + wait + h_src > horizon:
             break
-        parents[(t << 16) | src_tile] = -1
-        heappush(heap, (t << 40) | (src_tile << 24) | t)
+        seeds += 1
+    if not seeds:
+        return None, None
 
-    dst_reg_rid = 2 * num_tiles + dst_tile
-    # Per-tile latest admissible arrival (arrive > limit[tile] can never
-    # reach the destination by the horizon). _UNREACHABLE makes the
-    # limit hugely negative, which rejects every arrival as intended.
-    limit = [horizon - h for h in hcol]
+    layers = [0] * (horizon - ready + 1)
+    src_bit = 1 << src_tile
+    for i in range(seeds):
+        layers[i] = src_bit
+    dst_bit = 1 << dst_tile
+    dst_reg_rid = 2 * pool.num_tiles + dst_tile
     earliest_arrival: int | None = None
-
-    if max(slow) == 1:
-        # Uniform fabric (no active slowdowns): every hop takes one
-        # cycle, so the per-neighbor latency lookup and the multi-cycle
-        # occupancy walk vanish. Same pop order, same results.
-        while heap:
-            entry = heappop(heap)
-            t = entry >> 40
-            tile = (entry >> 24) & 0xFFFF
-
-            if tile == dst_tile:
-                if earliest_arrival is None:
-                    earliest_arrival = t
-                if t <= deadline and (
-                    t == deadline
-                    or pool.interval_free(dst_reg_rid, t, deadline - t)
-                ):
-                    path = _reconstruct(parents, (t << 16) | tile)
-                    return RouteResult(path, entry & 0xFFFFFF, t), t
-                continue  # a later arrival may find free registers
-
-            state = (t << 16) | tile
-            depart = entry & 0xFFFFFF
-            tslot = t % ii
-            arrive = t + 1
-            nbase = arrive << 16
-            hbase = (arrive << 40) | depart
-            for link_base, neighbor, xbar_base in adj[tile]:
-                if arrive > limit[neighbor]:
-                    continue
-                nstate = nbase | neighbor
-                if nstate in parents:
-                    continue
-                if use[link_base + tslot] or \
-                        use[xbar_base + tslot] >= xbar_cap:
-                    continue
-                parents[nstate] = state
-                heappush(heap, hbase | (neighbor << 24))
-        return None, earliest_arrival
-
-    while heap:
-        entry = heappop(heap)
-        t = entry >> 40
-        tile = (entry >> 24) & 0xFFFF
-
-        if tile == dst_tile:
+    last = seeds - 1
+    i = -1
+    while i < last:
+        i += 1
+        layer = layers[i]
+        if not layer:
+            continue
+        t = ready + i
+        if layer & dst_bit:
+            # The destination is a sink: accept it here or drop it.
             if earliest_arrival is None:
                 earliest_arrival = t
             if t <= deadline and (
                 t == deadline
                 or pool.interval_free(dst_reg_rid, t, deadline - t)
             ):
-                path = _reconstruct(parents, (t << 16) | tile)
-                return RouteResult(path, entry & 0xFFFFFF, t), t
-            continue  # a later arrival may find free registers
-
-        state = (t << 16) | tile
-        depart = entry & 0xFFFFFF
-        tslot = t % ii
-        for link_base, neighbor, xbar_base in adj[tile]:
-            s = slow[neighbor]
-            arrive = t + s
-            if arrive > limit[neighbor]:
+                path, depart = _backtrack(pool, layers, ready, seeds, slow,
+                                          src_tile, dst_tile, t)
+                return RouteResult(path, depart, t), t
+            layer ^= dst_bit
+            if not layer:
                 continue
-            nstate = (arrive << 16) | neighbor
-            if nstate in parents:
-                continue
+        slot = t % ii
+        for s, members in classes:
+            if t + s > horizon:
+                break  # classes ascend, so every later arrival is late too
             if s == 1:
-                if use[link_base + tslot] or \
-                        use[xbar_base + tslot] >= xbar_cap:
-                    continue
+                xbar_full = full[xbar_masks + slot]
             else:
-                blocked = False
-                for step in range(t, arrive):
-                    slot = step % ii
-                    if use[link_base + slot] or \
-                            use[xbar_base + slot] >= xbar_cap:
-                        blocked = True
-                        break
-                if blocked:
+                xbar_full = 0
+                for step in range(t, t + s):
+                    xbar_full |= full[xbar_masks + step % ii]
+            targets = members & ~xbar_full
+            if not targets:
+                continue
+            reached = 0
+            for offset, sources, base in groups:
+                movers = layer & sources
+                if not movers:
                     continue
-            parents[nstate] = state
-            heappush(heap, (arrive << 40) | (neighbor << 24) | depart)
+                if s == 1:
+                    movers &= ~full[base + slot]
+                else:
+                    for step in range(t, t + s):
+                        movers &= ~full[base + step % ii]
+                if movers:
+                    reached |= movers << offset if offset > 0 \
+                        else movers >> -offset
+            reached &= targets
+            if reached:
+                layers[i + s] |= reached
+                if i + s > last:
+                    last = i + s
     return None, earliest_arrival
 
 
-def _reconstruct(parents: dict[int, int], state: int) -> tuple[int, ...]:
-    path = []
-    while state != -1:
-        path.append(state & 0xFFFF)
-        state = parents[state]
+def _backtrack(pool, layers: list[int], ready: int, seeds: int, slow,
+               src_tile: int, dst_tile: int, t: int,
+               ) -> tuple[tuple[int, ...], int]:
+    """The path to ``(t, dst_tile)`` and its depart time, by the parent
+    rule of the module docstring. The pool's link groups come in
+    descending offset, so the candidate parents ``v - offset`` come in
+    ascending id and the first one whose link is free is the parent."""
+    ii = pool.ii
+    full = pool._full
+    groups = pool.link_groups
+    not_dst = ~(1 << dst_tile)
+    path = [dst_tile]
+    tile = dst_tile
+    i = t - ready
+    while tile != src_tile or i >= seeds:
+        s = slow[tile]
+        i -= s
+        layer = layers[i] & not_dst
+        t0 = ready + i
+        for offset, sources, base in groups:
+            parent = tile - offset
+            if parent < 0 or not ((layer & sources) >> parent) & 1:
+                continue
+            for step in range(t0, t0 + s):
+                if (full[base + step % ii] >> parent) & 1:
+                    break
+            else:
+                break
+        path.append(parent)
+        tile = parent
     path.reverse()
-    # Waiting at the source repeats its tile id only via depart handling,
-    # never via duplicate path entries.
-    return tuple(path)
+    return tuple(path), ready + i
 
 
 def route_claims(path: tuple[int, ...], ready: int, depart: int,

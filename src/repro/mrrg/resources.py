@@ -34,6 +34,22 @@ router). Two pools over the same fabric and II whose routing-visible
 counts are equal have equal epochs regardless of claim order or
 intervening rollbacks, which is what makes the epoch a sound route-memo
 invalidation key.
+
+The pool also keeps the router's *occupancy masks*, Python-int bitmasks
+over tile ids (bit ``u`` is tile ``u``):
+
+* per link group and slot, the source tiles whose link is full. A link
+  group is the set of links sharing one tile-id offset ``dst - src``
+  (four on a mesh, eight on a king mesh, up to eight on a torus, whose
+  wrap-around links get offsets of their own), so shifting a mask of
+  sources by the offset gives the mask of the links' destinations;
+* per slot, the tiles whose crossbar is full.
+
+A bit flips only when a count crosses its capacity, in
+:meth:`claim_rid` (the overflow undo included) and in :meth:`rollback`,
+so the masks are always a function of the counts. Which mask row and
+bit a resource drives depends on the fabric alone and is cached on the
+:class:`CGRA` next to the id layout.
 """
 
 from __future__ import annotations
@@ -129,6 +145,46 @@ def _fabric_layout(cgra: CGRA):
     return layout
 
 
+def _mask_layout(cgra: CGRA):
+    """The resource-id -> occupancy-mask layout (cached on the CGRA).
+
+    Returns ``(groups, shifts, bits)``. ``groups`` lists the link
+    groups as ``(offset, sources)`` in descending ``offset`` (so the
+    sources ``v - offset`` of one tile ``v`` come in ascending id): the
+    tile-id offset its links share and the bitmask of tiles that have
+    such a link. Masks come in rows of II slots, group ``g`` in row
+    ``g`` and the crossbars in row ``len(groups)``; a link or crossbar
+    drives bit ``bits[rid]`` of its row, and ``shifts[rid]`` is that row
+    minus ``rid``, so flat cell ``index`` drives the mask at ``index +
+    shifts[rid] * II``. Other resources drive no mask. Like the id
+    layout, it depends on the fabric alone, so pools of any II share it.
+    """
+    layout = getattr(cgra, "_mrrg_masks", None)
+    if layout is not None:
+        return layout
+    num = cgra.num_tiles
+    _rids, keys, link_rows, _caps = _fabric_layout(cgra)
+    offsets = sorted({
+        neighbor - tile
+        for tile in range(num) for neighbor in cgra._neighbors[tile]
+    }, reverse=True)
+    group_of = {offset: group for group, offset in enumerate(offsets)}
+    sources = [0] * len(offsets)
+    shifts = [0] * len(keys)
+    bits = [0] * len(keys)
+    for tile in range(num):
+        shifts[num + tile] = len(offsets) - (num + tile)
+        bits[num + tile] = 1 << tile
+        for lrid, neighbor in zip(link_rows[tile], cgra._neighbors[tile]):
+            group = group_of[neighbor - tile]
+            sources[group] |= 1 << tile
+            shifts[lrid] = group - lrid
+            bits[lrid] = 1 << tile
+    layout = (tuple(zip(offsets, sources)), tuple(shifts), tuple(bits))
+    cgra._mrrg_masks = layout
+    return layout
+
+
 class ModuloResourcePool:
     """Usage counts for every (resource, slot) pair of an II-cycle MRRG."""
 
@@ -151,15 +207,28 @@ class ModuloResourcePool:
         #: Flat usage counts, indexed ``rid * ii + slot``. The router
         #: reads this directly (read-only) on its hot path.
         self._use: list[int] = [0] * (len(keys) * ii)
-        #: Router adjacency: per tile, ``(link_base, neighbor,
-        #: xbar_base)`` triples with the ``* ii`` offsets pre-applied,
-        #: in ``cgra._neighbors`` order.
-        self.adj: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
-            tuple(
-                (lrid * ii, nbr, (num + nbr) * ii)
-                for lrid, nbr in zip(link_rows[t], cgra._neighbors[t])
-            )
-            for t in range(num)
+        groups, shifts, bits = _mask_layout(cgra)
+        #: Link groups as ``(offset, sources, base)``: the offset and
+        #: sources of :func:`_mask_layout`, and the index of the
+        #: group's slot-0 mask in :attr:`_full`.
+        self.link_groups = tuple(
+            (offset, sources, group * ii)
+            for group, (offset, sources) in enumerate(groups)
+        )
+        #: Index of the slot-0 crossbar mask in :attr:`_full`.
+        self.xbar_masks = len(groups) * ii
+        #: Occupancy masks: ``_full[base + slot]`` holds the sources of
+        #: a link group whose link is full in ``slot``, and
+        #: ``_full[xbar_masks + slot]`` the tiles whose crossbar is
+        #: full in ``slot``. The router reads it directly (read-only).
+        self._full: list[int] = [0] * (self.xbar_masks + ii)
+        self._mask_shifts = shifts
+        self._mask_bits = bits
+        #: Per rid, the count below capacity from which one more unit
+        #: fills the resource (-1: the resource drives no mask).
+        self._crossing: list[int] = (
+            [-1] * num + [xbar_capacity - 1] * num + [-1] * num
+            + [0] * (len(keys) - 3 * num)
         )
         self._log: list[int] = []
         # Flat indices below this belong to FU resources; only cells at
@@ -285,6 +354,9 @@ class ModuloResourcePool:
             if index >= self._fu_end:
                 w = _WTAB.get((index << 4) | count)
                 self._epoch ^= _wdelta(index, count) if w is None else w
+                if count == self._crossing[rid]:
+                    self._full[index + self._mask_shifts[rid] * ii] ^= \
+                        self._mask_bits[rid]
             return
         self._check_length(length)
         log = self._log
@@ -292,6 +364,10 @@ class ModuloResourcePool:
         fu_end = self._fu_end
         epoch = self._epoch
         wtab_get = _WTAB.get
+        crossing = self._crossing[rid]
+        mask_shift = self._mask_shifts[rid] * ii
+        bit = self._mask_bits[rid]
+        full = self._full
         overflow = False
         slot = start % ii
         for _ in range(length):
@@ -308,6 +384,8 @@ class ModuloResourcePool:
             if index >= fu_end:
                 w = wtab_get((index << 4) | count)
                 epoch ^= _wdelta(index, count) if w is None else w
+                if count == crossing:
+                    full[index + mask_shift] ^= bit
         if overflow:
             # Undo the partial write so a failed claim is a no-op.
             while len(log) > mark:
@@ -315,6 +393,8 @@ class ModuloResourcePool:
                 count = use[index] = use[index] - 1
                 if index >= fu_end:
                     epoch ^= _wdelta(index, count)
+                    if count == crossing:
+                        full[index + mask_shift] ^= bit
             self._epoch = epoch
             raise MappingError(
                 f"resource {self._keys[rid]} oversubscribed at slots "
@@ -340,16 +420,17 @@ class ModuloResourcePool:
                 return
             if depart > ready:
                 self.claim_rid(reg0 + path[0], ready, depart - ready)
-            ii = self.ii
-            adj = self.adj
+            num = self.num_tiles
+            neighbors = self.cgra._neighbors
             t = depart
             prev = path[0]
             for nxt in path[1:]:
                 s = slow[nxt]
-                for link_base, neighbor, xbar_base in adj[prev]:
+                for lrid, neighbor in zip(self.link_rows[prev],
+                                          neighbors[prev]):
                     if neighbor == nxt:
-                        self.claim_rid(link_base // ii, t, s)
-                        self.claim_rid(xbar_base // ii, t, s)
+                        self.claim_rid(lrid, t, s)
+                        self.claim_rid(num + nxt, t, s)
                         break
                 else:
                     raise MappingError(
@@ -375,12 +456,20 @@ class ModuloResourcePool:
         fu_end = self._fu_end
         epoch = self._epoch
         wtab_get = _WTAB.get
+        ii = self.ii
+        crossing = self._crossing
+        shifts = self._mask_shifts
+        bits = self._mask_bits
+        full = self._full
         while len(log) > token:
             index = log.pop()
             count = use[index] = use[index] - 1
             if index >= fu_end:
                 w = wtab_get((index << 4) | count)
                 epoch ^= _wdelta(index, count) if w is None else w
+                rid = index // ii
+                if count == crossing[rid]:
+                    full[index + shifts[rid] * ii] ^= bits[rid]
         self._epoch = epoch
 
     # -- statistics -------------------------------------------------------------

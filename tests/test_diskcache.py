@@ -421,6 +421,41 @@ class TestTieredCache:
             "backend": "engine", "optimal": True, "cost": 2.5, "ii": 6,
             "sweep": {"space_hash": "feed", "point": 3}}
 
+    def test_bare_disk_hit_in_the_pipeline_reads_once(
+            self, tmp_path, monkeypatch, cgra66):
+        """A warm compile through a bare ``DiskCache`` reads and parses
+        the artifact once and lists no peers; ``optimal`` still comes
+        from the envelope."""
+        from pathlib import Path
+
+        from repro.compile import compile_kernel
+
+        cold = compile_kernel("fir", cgra66, "baseline",
+                              cache=DiskCache(tmp_path))
+        assert not cold.cache_hit
+        disk = DiskCache(tmp_path)
+        disk.store(cold.cache_key, cold.mapping, backend="engine",
+                   meta={"optimal": True, "cost": 2.5,
+                         "ii": cold.mapping.ii})
+        counts = {"read": 0, "parse": 0, "scandir": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Path, "read_bytes",
+                            counting("read", Path.read_bytes))
+        monkeypatch.setattr(json, "loads", counting("parse", json.loads))
+        monkeypatch.setattr(os, "scandir", counting("scandir", os.scandir))
+        warm = compile_kernel("fir", cgra66, "baseline",
+                              cache=DiskCache(tmp_path))
+        monkeypatch.undo()
+        assert counts == {"read": 1, "parse": 1, "scandir": 0}
+        assert warm.cache_hit and warm.optimal
+        assert canon(warm.mapping.to_dict()) == canon(cold.mapping.to_dict())
+
     def test_stats_dict_has_both_tiers(self, tmp_path):
         tiered = TieredCache(MappingCache(), DiskCache(tmp_path))
         stats = tiered.stats_dict()

@@ -11,10 +11,14 @@ the mapping's canonical ``to_dict()`` JSON and the compile's
 * partition probes: each of gcn_app's 6 kernels on the first 1-4
   islands of the snake order of ``streaming_cgra()``, compiled exactly
   as ``build_ii_table`` does (normal-only levels, no refinement). They
-  pin the restricted-island compiles behind every streaming partition.
+  pin the restricted-island compiles behind every streaming partition;
+* off-mesh fabrics: each of the 10 standalone kernels x {``baseline``,
+  ``iced``} on a 6x6 king mesh (diagonal links) and a 4x4 torus
+  (wrap-around links), both with 2x2 islands. They pin the router on
+  link groups the plain mesh does not have.
 
 A refactor of the mapper that claims "mappings unchanged" has to keep
-both byte-equal.
+all three byte-equal.
 
 Regenerate only after a deliberate change of mapping results, from the
 repo root:
@@ -53,10 +57,18 @@ PROBE_ISLANDS = (1, 2, 3, 4)
 PROBE_ROWS = [f"islands={count}" for count in PROBE_ISLANDS]
 PROBE_KERNELS = [f"gcn/{kernel.name}" for kernel in gcn_app().all_kernels()]
 
-#: Golden group -> its rows: the 50 whole-fabric compiles, then the 24
-#: partition probes.
+#: Off-mesh fabric name -> (rows, cols, topology); strategies per kernel.
+OFF_MESH_FABRICS = {"king6x6": (6, 6, "king"), "torus4x4": (4, 4, "torus")}
+OFF_MESH_ROWS = ["baseline", "iced"]
+
+#: Golden group -> its rows: the 50 whole-fabric compiles, the 24
+#: partition probes, then the 40 off-mesh compiles.
 EXPECTED = {kernel: sorted(ROWS) for kernel in STANDALONE_KERNELS}
 EXPECTED.update({group: PROBE_ROWS for group in PROBE_KERNELS})
+EXPECTED.update({
+    f"{fabric}/{kernel}": OFF_MESH_ROWS
+    for fabric in OFF_MESH_FABRICS for kernel in STANDALONE_KERNELS
+})
 
 
 def canonical_json(payload) -> str:
@@ -70,7 +82,7 @@ def _digest(result) -> dict:
 
 
 def mapping_digests() -> dict:
-    """``{group: {row: {"sha256", "cache_key"}}}`` of all 74 compiles."""
+    """``{group: {row: {"sha256", "cache_key"}}}`` of all 114 compiles."""
     cgra = CGRA.build(6, 6, island_shape=(2, 2))
     cache = MappingCache()
     digests: dict = {}
@@ -89,6 +101,14 @@ def mapping_digests() -> dict:
                                  refine=False, cache=probe_cache)
             digests.setdefault(f"gcn/{kernel.name}", {})[row] = \
                 _digest(result)
+    for fabric, (rows, cols, topology) in OFF_MESH_FABRICS.items():
+        cgra = CGRA.build(rows, cols, island_shape=(2, 2), topology=topology)
+        cache = MappingCache()
+        for kernel in STANDALONE_KERNELS:
+            for strategy in OFF_MESH_ROWS:
+                result = compile_kernel(kernel, cgra, strategy, cache=cache)
+                digests.setdefault(f"{fabric}/{kernel}", {})[strategy] = \
+                    _digest(result)
     return digests
 
 

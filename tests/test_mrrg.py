@@ -1,7 +1,9 @@
 """Tests for the modulo resource pool and MRRG claim vocabulary."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arch import CGRA
 from repro.errors import MappingError
 from repro.mrrg import MRRG, ModuloResourcePool, fu_key, link_key, reg_key, xbar_key
 from repro.mrrg.mrrg import hop_claims, op_claims, wait_claims
@@ -181,3 +183,133 @@ class TestCongestionEpoch:
         # is_free runs a scratch transaction; it must not leak epoch.
         assert mrrg.is_free([(reg_key(0), 0, 6), (link_key(0, 1), 0, 1)])
         assert mrrg.pool.epoch == before
+
+
+MASK_FABRICS = {
+    topology: CGRA.build(3, 4, island_shape=(1, 2), topology=topology)
+    for topology in ("mesh", "torus", "king")
+}
+
+
+def _recomputed_masks(pool: ModuloResourcePool) -> list[int]:
+    """The occupancy masks rebuilt from the usage counts alone."""
+    cgra = pool.cgra
+    ii = pool.ii
+    full = [0] * len(pool._full)
+    for offset, sources, base in pool.link_groups:
+        for tile in range(cgra.num_tiles):
+            if not (sources >> tile) & 1:
+                continue
+            for slot in range(ii):
+                if pool.used(link_key(tile, tile + offset), slot) >= 1:
+                    full[base + slot] |= 1 << tile
+    for tile in range(cgra.num_tiles):
+        for slot in range(ii):
+            if pool.used(xbar_key(tile), slot) >= pool.xbar_capacity:
+                full[pool.xbar_masks + slot] |= 1 << tile
+    return full
+
+
+@st.composite
+def mask_histories(draw):
+    """A fabric, a pool shape and a random sequence of pool mutations."""
+    topology = draw(st.sampled_from(sorted(MASK_FABRICS)))
+    cgra = MASK_FABRICS[topology]
+    ii = draw(st.integers(min_value=1, max_value=5))
+    xbar_capacity = draw(st.integers(min_value=1, max_value=3))
+    num = cgra.num_tiles
+    links = [(src, dst) for src in range(num) for dst in cgra._neighbors[src]]
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        op = draw(st.sampled_from(["claim", "route", "overflow", "rollback"]))
+        if op == "claim":
+            kind = draw(st.sampled_from(["fu", "xbar", "reg", "link"]))
+            if kind == "link":
+                key = link_key(*draw(st.sampled_from(links)))
+            else:
+                key = (kind, draw(st.integers(0, num - 1)))
+            steps.append((op, key, draw(st.integers(0, 2 * ii)),
+                          draw(st.integers(1, 2 * ii + 1))))
+        elif op == "route":
+            path = [draw(st.integers(0, num - 1))]
+            for _ in range(draw(st.integers(0, 4))):
+                path.append(draw(st.sampled_from(cgra._neighbors[path[-1]])))
+            ready = draw(st.integers(0, 2 * ii))
+            depart = ready + draw(st.integers(0, ii))
+            deadline = depart + 4 * len(path) + draw(st.integers(0, ii))
+            slow = tuple(draw(st.sampled_from([1, 1, 2, 4]))
+                         for _ in range(num))
+            steps.append((op, tuple(path), ready, depart, deadline, slow))
+        elif op == "overflow":
+            kind = draw(st.sampled_from(["xbar", "link"]))
+            if kind == "link":
+                key = link_key(*draw(st.sampled_from(links)))
+            else:
+                key = xbar_key(draw(st.integers(0, num - 1)))
+            steps.append((op, key, draw(st.integers(0, 2 * ii)),
+                          draw(st.integers(1, ii))))
+        else:
+            steps.append((op, draw(st.integers(0, 10**6))))
+    return cgra, ii, xbar_capacity, steps
+
+
+class TestOccupancyMasks:
+    """The router reads the pool's link-group and crossbar masks instead
+    of the counts, so they must never drift from the counts."""
+
+    @pytest.mark.parametrize("topology,groups",
+                             [("mesh", 4), ("torus", 8), ("king", 8)])
+    def test_one_group_per_link_offset(self, topology, groups):
+        cgra = MASK_FABRICS[topology]
+        pool = ModuloResourcePool(cgra, ii=2)
+        assert len(pool.link_groups) == groups
+        offsets = [offset for offset, _sources, _base in pool.link_groups]
+        assert offsets == sorted(offsets, reverse=True)
+        links = {(src, dst) for src in range(cgra.num_tiles)
+                 for dst in cgra._neighbors[src]}
+        grouped = {
+            (src, src + offset)
+            for offset, sources, _base in pool.link_groups
+            for src in range(cgra.num_tiles) if (sources >> src) & 1
+        }
+        assert grouped == links
+
+    @given(history=mask_histories())
+    @settings(max_examples=120, deadline=None)
+    def test_masks_match_counts_after_every_step(self, history):
+        cgra, ii, xbar_capacity, steps = history
+        pool = ModuloResourcePool(cgra, ii, xbar_capacity)
+        tokens = [pool.checkpoint()]
+        assert pool._full == _recomputed_masks(pool)
+        for step in steps:
+            op = step[0]
+            if op == "claim":
+                _op, key, start, length = step
+                try:
+                    pool.claim(key, start, length)
+                except MappingError:
+                    pass
+            elif op == "route":
+                _op, path, ready, depart, deadline, slow = step
+                try:
+                    pool.claim_route(path, ready, depart, deadline, slow)
+                except MappingError:
+                    pass
+            elif op == "overflow":
+                # Fill the last cell of the interval, then claim the
+                # whole interval: it overflows part-way and must undo
+                # the cells it already took.
+                _op, key, start, length = step
+                last = start + length - 1
+                while pool.used(key, last) < pool.capacity(key):
+                    pool.claim(key, last, 1)
+                before = pool.usage_snapshot()
+                with pytest.raises(MappingError):
+                    pool.claim(key, start, length)
+                assert pool.usage_snapshot() == before
+            else:
+                token = tokens[step[1] % len(tokens)]
+                pool.rollback(token)
+                tokens = [t for t in tokens if t <= token]
+            tokens.append(pool.checkpoint())
+            assert pool._full == _recomputed_masks(pool)

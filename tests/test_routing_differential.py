@@ -1,13 +1,17 @@
 """Differential property tests: optimized router vs. reference Dijkstra.
 
 The optimized ``find_route`` (distance-oracle pruning, deadline-tight
-first pass, packed-int states, route memo) must return exactly what the
-plain reference Dijkstra in :mod:`tests.reference_routing` returns, on
-random fabrics under random congestion — same path, same depart, same
-arrival, and the same earliest-arrival probe the engine's issue-time
-jump relies on. Same-tile queries are the one deliberate divergence
-(the optimized probe is strictly more informative); their contract is
-pinned down separately.
+first pass, the layered bitmask frontier over the pool's occupancy
+masks, route memo) must return exactly what the plain reference
+Dijkstra in :mod:`tests.reference_routing` returns, on random fabrics
+under random congestion — same path, same depart, same arrival, and the
+same earliest-arrival probe the engine's issue-time jump relies on. The
+fabrics include a king mesh (eight link groups) and an 8x8 mesh
+(64-tile masks), and part of each scenario's congestion is claimed and
+then partly rolled back, so the search also reads masks that
+``rollback`` restored. Same-tile queries are the one deliberate
+divergence (the optimized probe is strictly more informative); their
+contract is pinned down separately.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,8 @@ FABRICS = {
     "mesh33": CGRA.build(3, 3, island_shape=(1, 1)),
     "mesh42": CGRA.build(4, 2, island_shape=(2, 2)),
     "torus33": CGRA.build(3, 3, island_shape=(1, 1), topology="torus"),
+    "king33": CGRA.build(3, 3, island_shape=(1, 1), topology="king"),
+    "mesh88": CGRA.build(8, 8, island_shape=(2, 2)),
 }
 
 
@@ -34,22 +40,35 @@ def routing_scenario(draw):
     mrrg = MRRG(cgra, ii, xbar_capacity=draw(st.integers(1, 3)))
 
     # Random congestion: claims against every resource kind, applied
-    # best-effort (overflows are simply skipped).
+    # best-effort (overflows are simply skipped). The second batch is
+    # rolled back from a random claim on, so the search also sees
+    # masks that ``rollback`` restored.
     links = [
         (src, dst) for src in range(num) for dst in cgra._neighbors[src]
     ]
-    for _ in range(draw(st.integers(min_value=0, max_value=25))):
-        kind = draw(st.sampled_from(["fu", "xbar", "reg", "link"]))
-        if kind == "link":
-            key = ("link", *draw(st.sampled_from(links)))
-        else:
-            key = (kind, draw(st.integers(0, num - 1)))
-        start = draw(st.integers(min_value=0, max_value=2 * ii))
-        length = draw(st.integers(min_value=1, max_value=ii + 2))
-        try:
-            mrrg.pool.claim(key, start, length)
-        except MappingError:
-            pass
+
+    def claim_batch(limit: int) -> list[int]:
+        """Up to ``limit`` random claims; the token taken before each."""
+        tokens = []
+        for _ in range(draw(st.integers(min_value=0, max_value=limit))):
+            kind = draw(st.sampled_from(["fu", "xbar", "reg", "link"]))
+            if kind == "link":
+                key = ("link", *draw(st.sampled_from(links)))
+            else:
+                key = (kind, draw(st.integers(0, num - 1)))
+            start = draw(st.integers(min_value=0, max_value=2 * ii))
+            length = draw(st.integers(min_value=1, max_value=ii + 2))
+            tokens.append(mrrg.pool.checkpoint())
+            try:
+                mrrg.pool.claim(key, start, length)
+            except MappingError:
+                pass
+        return tokens
+
+    claim_batch(25)
+    tokens = claim_batch(15)
+    if tokens:
+        mrrg.pool.rollback(tokens[draw(st.integers(0, len(tokens) - 1))])
 
     slow = tuple(
         draw(st.sampled_from([1, 1, 2, 4])) for _ in range(num)
