@@ -338,6 +338,7 @@ def compile_case(s: Smoke) -> None:
     hot_path_speedup = ref_s / max(opt_s, 1e-9)
     memo_hits = int(cold_counters.get("route_memo_hits", 0))
     pruned = int(cold_counters.get("candidates_pruned", 0))
+    replayed = int(cold_counters.get("decisions_replayed", 0))
     s.report.update({
         "fabric": f"{COMPILE_SIZE}x{COMPILE_SIZE}",
         "jobs": COMPILE_JOBS,
@@ -357,6 +358,7 @@ def compile_case(s: Smoke) -> None:
             "speedup": round(hot_path_speedup, 2),
             "route_memo_hits": memo_hits,
             "candidates_pruned": pruned,
+            "decisions_replayed": replayed,
         },
         "passes": {name: {k: round(v, 3) for k, v in row.items()}
                    for name, row in pass_rows(registry.snapshot()).items()},
@@ -394,6 +396,7 @@ def compile_case(s: Smoke) -> None:
            "==", [])
     s.gate("cold sweep route_memo_hits", memo_hits, ">", 0)
     s.gate("cold sweep candidates_pruned", pruned, ">", 0)
+    s.gate("cold sweep decisions_replayed", replayed, ">", 0)
     s.against_baseline("cold sweep seconds", "cold_sweep_s", cold["wall_s"],
                        "<=", lambda base: base * (1 + MAX_COLD_REGRESSION))
 

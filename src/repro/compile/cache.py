@@ -120,10 +120,13 @@ class MappingCache:
         return None if found is None else found[0]
 
     def rehydrate(self, key: str, dfg: DFG, cgra: CGRA,
-                  backend: str | None = None,
-                  ) -> tuple[Mapping, str, dict] | None:
+                  backend: str | None = None, *, build: bool = True,
+                  ) -> tuple[Mapping | None, str, dict] | None:
         """:meth:`lookup` as ``(mapping, canonical blob, provenance)``,
-        the same triple :meth:`DiskCache.rehydrate` returns."""
+        the same triple :meth:`DiskCache.rehydrate` returns. With
+        ``build=False`` the hit is counted but no mapping is built (the
+        first element is ``None``): for a caller that serves a derived
+        entry instead."""
         with self._lock:
             blob = self._entries.get(key)
             meta = self._meta.get(key, {})
@@ -137,6 +140,8 @@ class MappingCache:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             meta = dict(meta)
+        if not build:
+            return None, blob, meta
         return Mapping.from_dict(json.loads(blob), dfg, cgra), blob, meta
 
     def meta(self, key: str) -> dict:

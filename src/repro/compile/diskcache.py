@@ -303,10 +303,12 @@ class DiskCache:
         return None if found is None else found[0]
 
     def rehydrate(self, key: str, dfg: DFG, cgra: CGRA,
-                  backend: str | None = None,
-                  ) -> tuple[Mapping, str, dict] | None:
+                  backend: str | None = None, *, build: bool = True,
+                  ) -> tuple[Mapping | None, str, dict] | None:
         """``(mapping, canonical blob, provenance)`` under ``key``, all
-        from one read of the artifact; ``None`` on miss.
+        from one read of the artifact; ``None`` on miss. ``build=False``
+        leaves the mapping ``None``, as :meth:`MappingCache.rehydrate`
+        does.
 
         A blob that parses but does not revalidate against the caller's
         DFG/fabric (e.g. a kernel-name mismatch) is counted as a miss and
@@ -316,6 +318,8 @@ class DiskCache:
         if found is None:
             return None
         mapping_dict, blob, meta = found
+        if not build:
+            return None, blob, meta
         try:
             return Mapping.from_dict(mapping_dict, dfg, cgra), blob, meta
         except Exception:
@@ -594,14 +598,14 @@ class TieredCache:
         return None if found is None else found[0]
 
     def rehydrate(self, key: str, dfg: DFG, cgra: CGRA,
-                  backend: str | None = None,
-                  ) -> tuple[Mapping, str, dict] | None:
+                  backend: str | None = None, *, build: bool = True,
+                  ) -> tuple[Mapping | None, str, dict] | None:
         """``(mapping, canonical blob, provenance)`` from the memory
         tier, else from one read of the disk artifact (promoted)."""
-        found = self.memory.rehydrate(key, dfg, cgra, backend)
+        found = self.memory.rehydrate(key, dfg, cgra, backend, build=build)
         if found is not None:
             return found
-        found = self.disk.rehydrate(key, dfg, cgra, backend)
+        found = self.disk.rehydrate(key, dfg, cgra, backend, build=build)
         if found is not None:
             _mapping, blob, meta = found
             self.memory.store_serialized(key, blob, meta=meta)

@@ -31,6 +31,7 @@ Entry points:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -88,6 +89,9 @@ class CompileContext:
     # -- produced by passes -------------------------------------------------
     analysis: DFGAnalysis | None = None
     mapping: Mapping | None = None
+    #: The cached post-pass output a hit serves (its engine mapping is
+    #: then left unbuilt).
+    derived: Mapping | None = None
     report: TimingReport | None = None
     bitstream: Bitstream | None = None
     engine_stats: EngineStats | None = None
@@ -185,19 +189,37 @@ def _pass_place_route(ctx: CompileContext) -> None:
     )
     with measure("place_route", ctx.dfg.name) as counters:
         if ctx.use_cache:
+            # A hit whose post-pass output is cached needs the engine
+            # mapping only when its provenance lacks the cost or II.
+            derived = None
+            variant = _variant(ctx)
+            if variant is not None:
+                try:
+                    derived = ctx.cache.lookup_derived(
+                        ctx.cache_key, variant, ctx.dfg, ctx.cgra)
+                except Exception:
+                    pass  # a blob that does not rehydrate: recompute it
             try:
                 found = ctx.cache.rehydrate(ctx.cache_key, ctx.dfg,
-                                            ctx.cgra, ctx.backend)
+                                            ctx.cgra, ctx.backend,
+                                            build=derived is None)
+                if found is not None:
+                    cached, blob, meta = found
+                    if cached is None and not ("cost" in meta
+                                               and "ii" in meta):
+                        cached = Mapping.from_dict(json.loads(blob),
+                                                   ctx.dfg, ctx.cgra)
             except Exception:
                 found = None  # corrupt artifact: recompile cold
             if found is not None:
-                cached, _blob, meta = found
                 ctx.mapping = cached
+                ctx.derived = derived
                 ctx.cache_hit = True
-                ctx.cost = mapping_cost(cached)
+                ctx.cost = (meta["cost"] if cached is None
+                            else mapping_cost(cached))
                 ctx.optimal = bool(meta.get("optimal", False))
                 counters["cache_hit"] = 1
-                counters["ii"] = cached.ii
+                counters["ii"] = meta["ii"] if cached is None else cached.ii
                 return
         _pass_analyze(ctx)
         backend = make_backend(ctx.backend, **ctx.backend_options)
@@ -264,26 +286,30 @@ def _pass_post(ctx: CompileContext) -> None:
         counters["gated_tiles"] = len(ctx.mapping.gated_tiles())
 
 
-def _derive(ctx: CompileContext) -> bool:
-    """Apply a deterministic post-pass; True when served from cache."""
+def _variant(ctx: CompileContext) -> tuple | None:
+    """The derived-entry variant of the strategy's post-pass, ``(strategy,
+    sorted level names island refinement may use or None)``, or ``None``
+    when the strategy runs no cached post-pass."""
+    if ctx.strategy not in CACHED_POST_PASSES or (
+            ctx.strategy == "iced" and not ctx.refine):
+        return None
     names = None
     if ctx.strategy == "iced":
         names = (ctx.config.allowed_level_names
                  if ctx.refine_level_names is _FROM_CONFIG
                  else ctx.refine_level_names)
-    variant = (ctx.strategy,
-               None if names is None else tuple(sorted(names)))
-    if ctx.use_cache:
-        try:
-            cached = ctx.cache.lookup_derived(ctx.cache_key, variant,
-                                              ctx.dfg, ctx.cgra)
-        except Exception:
-            cached = None  # a blob that does not rehydrate: recompute
-        if cached is not None:
-            ctx.mapping = cached
-            return True
+    return (ctx.strategy, None if names is None else tuple(sorted(names)))
+
+
+def _derive(ctx: CompileContext) -> bool:
+    """Apply a deterministic post-pass; True when served from cache
+    (``_pass_place_route`` looked the derived entry up on its hit)."""
+    if ctx.derived is not None:
+        ctx.mapping = ctx.derived
+        return True
+    variant = _variant(ctx)
     if ctx.strategy == "iced":
-        ctx.mapping = refine_island_levels(ctx.mapping, names)
+        ctx.mapping = refine_island_levels(ctx.mapping, variant[1])
     elif ctx.strategy == "baseline+gating":
         ctx.mapping = gate_unused_tiles(ctx.mapping)
     else:  # per_tile_dvfs

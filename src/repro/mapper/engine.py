@@ -110,6 +110,9 @@ class EngineStats:
     route_memo_hits: int = 0
     route_memo_misses: int = 0
     placements_committed: int = 0
+    #: Placement decisions an attempt took from its II's replay trie
+    #: instead of searching (see :meth:`_Attempt.run`).
+    decisions_replayed: int = 0
     #: Distance-oracle cache accounting. The oracle is process-global
     #: by design (cross-point reuse), so these two describe *cache
     #: state*, not search effort — they are deliberately left out of
@@ -135,11 +138,18 @@ class EngineStats:
             "route_memo_hits": self.route_memo_hits,
             "route_memo_misses": self.route_memo_misses,
             "placements_committed": self.placements_committed,
+            "decisions_replayed": self.decisions_replayed,
         }
 
 
 #: Sentinel: issuing this node later cannot help (out-edge deadline hit).
 _BREAK = object()
+
+#: Sentinel: the replay trie holds no decision for this key.
+_MISS = object()
+
+#: Kinds of a node's edge to a placed neighbour (see ``_Attempt._legs``).
+_IN, _SELF, _OUT = 0, 1, 2
 
 
 class _AttemptFailed(Exception):
@@ -190,9 +200,10 @@ def map_dfg(dfg: DFG, cgra: CGRA, config: EngineConfig | None = None,
     # pool's congestion epoch, so entries transfer safely between
     # attempts (reschedules repeat most early placements verbatim).
     memo = RouteMemo()
+    static = _Static(dfg, cgra, tiles)
     try:
-        return _deepen(dfg, cgra, config, analysis, stats, tiles, order,
-                       start_ii, softening_steps, memo)
+        return _deepen(dfg, cgra, config, stats, tiles, order, start_ii,
+                       softening_steps, memo, static)
     finally:
         stats.route_memo_hits += memo.hits
         stats.route_memo_misses += memo.misses
@@ -200,42 +211,40 @@ def map_dfg(dfg: DFG, cgra: CGRA, config: EngineConfig | None = None,
         stats.oracle_cols_reused += memo.hcol_reuses
 
 
-def _deepen(dfg: DFG, cgra: CGRA, config: EngineConfig,
-            analysis: DFGAnalysis, stats: EngineStats, tiles: list[int],
-            order: list[int], start_ii: int, softening_steps: int,
-            memo: RouteMemo) -> Mapping:
+#: The effort deltas an ``attempt`` span reports.
+_SPAN_EFFORT = ("routes_searched", "candidates_pruned", "route_memo_hits",
+                "decisions_replayed")
+
+
+def _effort(stats: EngineStats, memo: RouteMemo) -> dict[str, int]:
+    """The running totals the per-II rows and ``attempt`` spans report
+    as deltas."""
+    return {
+        "attempts": stats.attempts,
+        "candidates_probed": stats.candidates_probed,
+        "candidates_pruned": stats.candidates_pruned,
+        "routes_searched": stats.routes_searched,
+        "route_memo_hits": memo.hits,
+        "route_memo_misses": memo.misses,
+        "decisions_replayed": stats.decisions_replayed,
+    }
+
+
+def _deepen(dfg: DFG, cgra: CGRA, config: EngineConfig, stats: EngineStats,
+            tiles: list[int], order: list[int], start_ii: int,
+            softening_steps: int, memo: RouteMemo,
+            static: _Static) -> Mapping:
     """The II-deepening outer loop of :func:`map_dfg` (Alg. 2)."""
     last_error = ""
     for ii in range(start_ii, config.max_ii + 1):
         stats.iis_tried += 1
-        ii_row = {
-            "ii": ii, "outcome": "failed",
-            "attempts": stats.attempts,
-            "candidates_probed": stats.candidates_probed,
-            "candidates_pruned": stats.candidates_pruned,
-            "routes_searched": stats.routes_searched,
-            "route_memo_hits": memo.hits,
-            "route_memo_misses": memo.misses,
-        }
+        ii_row = {"ii": ii, "outcome": "failed"}
         stats.per_ii.append(ii_row)
-
-        def _close_ii(row=ii_row):
-            # Rewrite the snapshot fields into per-II deltas.
-            row["attempts"] = stats.attempts - row["attempts"]
-            row["candidates_probed"] = (
-                stats.candidates_probed - row["candidates_probed"]
-            )
-            row["candidates_pruned"] = (
-                stats.candidates_pruned - row["candidates_pruned"]
-            )
-            row["routes_searched"] = (
-                stats.routes_searched - row["routes_searched"]
-            )
-            row["route_memo_hits"] = memo.hits - row["route_memo_hits"]
-            row["route_memo_misses"] = (
-                memo.misses - row["route_memo_misses"]
-            )
-
+        ii_start = _effort(stats, memo)
+        # Every attempt at this II records its decisions here and
+        # replays those an earlier attempt already took (see
+        # ``_Attempt.run``); the trie is dropped with the II.
+        replay: dict = {}
         try:
             with obs.span(f"ii={ii}", category="mapper", kernel=dfg.name,
                           ii=ii):
@@ -270,56 +279,31 @@ def _deepen(dfg: DFG, cgra: CGRA, config: EngineConfig,
                             stats.reschedules += 1
                         attempt = _Attempt(dfg, cgra, config, ii, labels,
                                            tiles, floors, order=order,
-                                           stats=stats, memo=memo)
+                                           stats=stats, memo=memo,
+                                           replay=replay, static=static)
                         with obs.span("attempt", category="mapper",
                                       kernel=dfg.name, ii=ii,
                                       soften=soften, retry=retry) as span:
-                            before = (
-                                (stats.routes_searched,
-                                 stats.candidates_pruned, memo.hits)
-                                if span else None
-                            )
+                            before = _effort(stats, memo) if span else None
+                            mapping = failed = None
                             try:
                                 mapping = attempt.run()
                             except _AttemptFailed as exc:
                                 last_error = str(exc)
-                                if span:
-                                    span.set(
-                                        outcome="failed",
-                                        placed=len(attempt.placements),
-                                        routes_searched=(
-                                            stats.routes_searched
-                                            - before[0]
-                                        ),
-                                        candidates_pruned=(
-                                            stats.candidates_pruned
-                                            - before[1]
-                                        ),
-                                        route_memo_hits=(
-                                            memo.hits - before[2]
-                                        ),
-                                        error=last_error,
-                                    )
                                 failed = exc
-                            else:
-                                if span:
-                                    span.set(
-                                        outcome="mapped",
-                                        placed=len(attempt.placements),
-                                        routes_searched=(
-                                            stats.routes_searched
-                                            - before[0]
-                                        ),
-                                        candidates_pruned=(
-                                            stats.candidates_pruned
-                                            - before[1]
-                                        ),
-                                        route_memo_hits=(
-                                            memo.hits - before[2]
-                                        ),
-                                    )
-                                ii_row["outcome"] = "mapped"
-                                return mapping
+                            if span:
+                                now = _effort(stats, memo)
+                                span.set(
+                                    outcome="failed" if failed else "mapped",
+                                    placed=len(attempt.placements),
+                                    **{name: now[name] - before[name]
+                                       for name in _SPAN_EFFORT},
+                                    **({"error": last_error}
+                                       if failed else {}),
+                                )
+                        if mapping is not None:
+                            ii_row["outcome"] = "mapped"
+                            return mapping
                         if not failed.suggestion:
                             break
                         progressed = False
@@ -330,7 +314,11 @@ def _deepen(dfg: DFG, cgra: CGRA, config: EngineConfig,
                         if not progressed:
                             break
         finally:
-            _close_ii()
+            # The II's own effort: deltas of the running totals.
+            now = _effort(stats, memo)
+            ii_row.update(
+                (name, now[name] - ii_start[name]) for name in ii_start
+            )
     raise MappingError(
         f"no mapping of {dfg.name!r} ({dfg.num_nodes} nodes) onto "
         f"{cgra.name} within II <= {config.max_ii}: {last_error}",
@@ -427,12 +415,41 @@ def _clamp_labels(labels: dict[int, DVFSLevel], cgra: CGRA,
     return clamped
 
 
-@dataclass
-class _Candidate:
-    cost: float
-    tile: int
-    time: int
-    level: DVFSLevel
+class _Static:
+    """What every attempt of one :func:`map_dfg` call shares; all of it
+    depends on the DFG, the fabric and the allowed tiles alone."""
+
+    def __init__(self, dfg: DFG, cgra: CGRA, tiles: list[int]):
+        # CONST nodes are not mapped: a constant is an immediate operand
+        # baked into the consumer tile's configuration word, so neither
+        # the node nor its edges consume fabric resources.
+        self.immediates = {
+            n.id for n in dfg.nodes() if n.opcode is Opcode.CONST
+        }
+        #: Each node's mapped in- and out-edges as ``(index, edge)``.
+        self.ins: dict[int, list[tuple[int, DFGEdge]]] = {
+            n: [] for n in dfg.node_ids()
+        }
+        self.outs: dict[int, list[tuple[int, DFGEdge]]] = {
+            n: [] for n in dfg.node_ids()
+        }
+        for idx, edge in enumerate(dfg.edges()):
+            if edge.src in self.immediates or edge.dst in self.immediates:
+                continue
+            self.ins[edge.dst].append((idx, edge))
+            self.outs[edge.src].append((idx, edge))
+        #: The allowed tiles each opcode can issue on, in tile order.
+        self.capable: dict[Opcode, list[int]] = {
+            op: [t for t in tiles if cgra.tile(t).supports(op)]
+            for op in {n.opcode for n in dfg.nodes()}
+        }
+        #: Each node's latency on a representative capable tile (FUs
+        #: are homogeneous per opcode across the fabric), 1 if none.
+        self.base_latency: dict[int, int] = {
+            n.id: cgra.op_latency(self.capable[n.opcode][0], n.opcode)
+            if self.capable[n.opcode] else 1
+            for n in dfg.nodes()
+        }
 
 
 class _Attempt:
@@ -443,17 +460,23 @@ class _Attempt:
                  floors: dict[int, int] | None = None, *,
                  order: list[int] | None = None,
                  stats: EngineStats | None = None,
-                 memo: RouteMemo | None = None):
+                 memo: RouteMemo | None = None,
+                 replay: dict | None = None,
+                 static: _Static | None = None):
         self.dfg = dfg
         self.cgra = cgra
         self.config = config
         self.ii = ii
         self.labels = labels
-        self.tiles = tiles
         self.floors = dict(floors or {})
         self.order = order
         self.stats = stats if stats is not None else EngineStats()
         self.memo = memo
+        self.replay = {} if replay is None else replay
+        self.static = static or _Static(dfg, cgra, tiles)
+        self.immediates = self.static.immediates
+        self._in = self.static.ins
+        self._out = self.static.outs
         self.mrrg = MRRG(cgra, ii, config.xbar_capacity)
         self.placements: dict[int, Placement] = {}
         self.routes: dict[int, Route] = {}
@@ -461,26 +484,6 @@ class _Attempt:
         if not config.dvfs_aware:
             for island in cgra.islands:
                 self.island_levels[island.id] = cgra.dvfs.normal
-        # CONST nodes are not mapped: a constant is an immediate operand
-        # baked into the consumer tile's configuration word, so neither
-        # the node nor its edges consume fabric resources.
-        self.immediates = {
-            n.id for n in dfg.nodes() if n.opcode is Opcode.CONST
-        }
-        self.edges = [
-            (idx, edge) for idx, edge in enumerate(dfg.edges())
-            if edge.src not in self.immediates
-            and edge.dst not in self.immediates
-        ]
-        self._in: dict[int, list[tuple[int, DFGEdge]]] = {
-            n: [] for n in dfg.node_ids()
-        }
-        self._out: dict[int, list[tuple[int, DFGEdge]]] = {
-            n: [] for n in dfg.node_ids()
-        }
-        for idx, edge in self.edges:
-            self._in[edge.dst].append((idx, edge))
-            self._out[edge.src].append((idx, edge))
         # Cached per-tile slowdown vectors (see _slow_vector). Island
         # levels are only ever added, never changed, so the dict length
         # is a valid version stamp.
@@ -565,11 +568,12 @@ class _Attempt:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> Mapping:
+        base_latency = self.static.base_latency
         self.asap = modulo_schedule_times(
             self.dfg, self.ii,
             latency_of=lambda n: (
                 0 if n in self.immediates
-                else self._base_latency(n) * self.labels[n].slowdown
+                else base_latency[n] * self.labels[n].slowdown
             ),
             floor=self.floors,
         )
@@ -580,26 +584,45 @@ class _Attempt:
             )
         if self.order is None:
             self.order = _schedule_order(self.dfg, analyze_dfg(self.dfg))
+        # The decision at one position of the order is a function of the
+        # node's asap and label and of the decisions before it (which
+        # build the pool and the island levels it reads); the route memo
+        # never changes a result. So the replay trie keys a decision by
+        # (the trie node of the prefix, asap, label) and holds (tile,
+        # time, level, trie node of the longer prefix), or None where no
+        # tile was feasible: a retry at the same II commits what an
+        # earlier attempt decided until the first key it has not seen.
+        trie = self.replay
+        at = 0  # the root: nothing placed yet
         for node in self.order:
-            candidate = self._best_candidate(node)
-            if candidate is None:
+            key = (at, self.asap[node], self.labels[node])
+            decision = trie.get(key, _MISS)
+            if decision is _MISS:
+                best = self._best_candidate(node)
+                decision = trie[key] = (
+                    None if best is None else best[1:] + (len(trie) + 1,)
+                )
+            else:
+                self.stats.decisions_replayed += 1
+            if decision is None:
                 raise _AttemptFailed(
                     f"II={self.ii}: no feasible tile for node "
                     f"{self.dfg.node(node).label}",
                     suggestion=self._failure_suggestion(node),
                 )
-            self._commit(node, candidate)
+            tile, time, level, at = decision
+            self._commit(node, tile, time, level)
         return self._finish()
 
     # -- candidate search ----------------------------------------------------
 
-    def _best_candidate(self, node: int) -> _Candidate | None:
-        """The cheapest feasible (tile, issue time, level) for ``node``
-        among the beam of candidate tiles, or ``None``."""
+    def _best_candidate(self, node: int) -> tuple | None:
+        """The cheapest feasible ``(cost, tile, issue time, level)`` for
+        ``node`` among the beam of candidate tiles, or ``None``."""
         label = self.labels[node]
-        opcode = self.dfg.node(node).opcode
-        tiles = self._candidate_tiles(node, opcode)
-        best: _Candidate | None = None
+        legs = self._legs(node)
+        tiles = self._candidate_tiles(self.dfg.node(node).opcode, legs)
+        best: tuple | None = None
         feasible = 0
         for tile in tiles:
             if feasible >= self.config.max_good_candidates:
@@ -631,13 +654,13 @@ class _Attempt:
             s_best = self._op_cycles(node, tile) * min(
                 level.slowdown for level, _fresh in options
             )
-            earliest, latest = self._time_window(node, tile, s_best)
+            earliest, latest = self._time_window(node, tile, s_best, legs)
             if earliest > latest:
                 self.stats.candidates_pruned += len(options)
                 continue
             for level, fresh in options:
                 self.stats.candidates_probed += 1
-                result = self._try_tile(node, tile, level, island,
+                result = self._try_tile(node, tile, level, island, legs,
                                         s_hint=s_best,
                                         window=(earliest, latest))
                 if result is None:
@@ -657,20 +680,9 @@ class _Attempt:
                     )
                     cost += self.config.w_mismatch * mismatch
                     cost += self.config.w_new_island * (1 if fresh else 0)
-                if best is None or (cost, tile, time) < (
-                    best.cost, best.tile, best.time
-                ):
-                    best = _Candidate(cost, tile, time, level)
+                if best is None or (cost, tile, time) < best[:3]:
+                    best = (cost, tile, time, level)
         return best
-
-    def _base_latency(self, node: int) -> int:
-        """Latency of ``node`` on a representative capable tile (FUs are
-        homogeneous per opcode across the fabric)."""
-        opcode = self.dfg.node(node).opcode
-        for tile in self.tiles:
-            if self.cgra.tile(tile).supports(opcode):
-                return self.cgra.op_latency(tile, opcode)
-        return 1
 
     def _failure_suggestion(self, node: int) -> dict[int, int] | None:
         """Raised floors that could make ``node`` placeable next retry.
@@ -680,29 +692,21 @@ class _Attempt:
         by the shortfall re-opens the window. Resource-only failures
         (no placed consumer) produce no suggestion.
         """
-        consumers = [
-            (idx, edge) for idx, edge in self._out[node]
-            if edge.dst in self.placements and edge.dst != node
-        ]
+        legs = self._legs(node)
+        consumers = [(edge.dst, peer, deadline)
+                     for kind, _i, edge, peer, deadline in legs
+                     if kind == _OUT]
         if not consumers:
             return None
-        opcode = self.dfg.node(node).opcode
-        slowdown = self._base_latency(node) * self.labels[node].slowdown
+        slowdown = (self.static.base_latency[node]
+                    * self.labels[node].slowdown)
         best: tuple[int, int] | None = None  # (shortfall, consumer)
-        for tile in self.tiles:
-            if not self.cgra.tile(tile).supports(opcode):
-                continue
-            earliest, latest = self._time_window(node, tile, slowdown)
+        for tile in self.static.capable[self.dfg.node(node).opcode]:
+            earliest, latest = self._time_window(node, tile, slowdown, legs)
             shortfall = max(1, earliest - latest)
-            binding, bound = None, None
-            for _idx, edge in consumers:
-                dst = self.placements[edge.dst]
-                b = (dst.time + edge.dist * self.ii - slowdown
-                     - self.cgra.distance(tile, dst.tile))
-                if bound is None or b < bound:
-                    binding, bound = edge.dst, b
-            if binding is None:
-                continue
+            # The consumer whose deadline binds first on this tile.
+            binding = min(consumers, key=lambda c: (
+                c[2] - self.cgra.distance(tile, c[1])))[0]
             if best is None or shortfall < best[0]:
                 best = (shortfall, binding)
         if best is None:
@@ -710,60 +714,43 @@ class _Attempt:
         shortfall, consumer = best
         return {consumer: self.placements[consumer].time + shortfall}
 
-    def _candidate_tiles(self, node: int, opcode: Opcode) -> list[int]:
-        tiles = [
-            t for t in self.tiles if self.cgra.tile(t).supports(opcode)
-        ]
-        anchors = [
-            self.placements[e.src].tile
-            for _i, e in self._in[node] if e.src in self.placements
-        ] + [
-            self.placements[e.dst].tile
-            for _i, e in self._out[node] if e.dst in self.placements
-        ]
+    def _candidate_tiles(self, opcode: Opcode, legs: list[tuple]) -> list[int]:
+        """The capable tiles nearest the placed neighbours first (ties in
+        tile order: the capable list ascends and the sort is stable),
+        cut to the beam."""
+        tiles = self.static.capable[opcode]
+        anchors = [peer for kind, _i, _e, peer, _t in legs if kind != _SELF]
         if anchors:
             dist = self.cgra._distance
-            tiles.sort(key=lambda t: (
-                sum(dist[t][a] for a in anchors), t
-            ))
+            tiles = sorted(tiles, key=lambda t: sum(
+                map(dist[t].__getitem__, anchors)))
         if self.config.beam_width and len(tiles) > self.config.beam_width:
             tiles = tiles[: self.config.beam_width]
         return tiles
 
-    def _time_window(self, node: int, tile: int,
-                     slowdown: int) -> tuple[int, int]:
+    def _time_window(self, node: int, tile: int, slowdown: int,
+                     legs: list[tuple] | None = None) -> tuple[int, int]:
+        """The issue times of ``node`` on ``tile`` that its placed
+        producers can reach and its placed consumers still allow, for an
+        op of ``slowdown`` cycles (``legs`` as :meth:`_legs` returns)."""
+        if legs is None:
+            legs = self._legs(node)
         dist = self.cgra._distance
-        placements = self.placements
         earliest = self.asap[node]
-        for _idx, edge in self._in[node]:
-            src = placements.get(edge.src)
-            if src is None:
-                continue
-            bound = (
-                self._ready(edge.src)
-                + dist[src.tile][tile]
-                - edge.dist * self.ii
-            )
-            if bound > earliest:
-                earliest = bound
+        for kind, _i, edge, peer, ready in legs:
+            if kind == _IN:
+                bound = ready + dist[peer][tile] - edge.dist * self.ii
+                if bound > earliest:
+                    earliest = bound
         latest = earliest + self.ii - 1 + self.config.extra_window
-        tile_row = dist[tile]
-        for _idx, edge in self._out[node]:
-            if edge.dst == node:
-                continue
-            dst = placements.get(edge.dst)
-            if dst is None:
-                continue
-            bound = (
-                dst.time + edge.dist * self.ii
-                - slowdown - tile_row[dst.tile]
-            )
-            if bound < latest:
-                latest = bound
+        row = dist[tile]
+        for kind, _i, _e, peer, deadline in legs:
+            if kind == _OUT and deadline - slowdown - row[peer] < latest:
+                latest = deadline - slowdown - row[peer]
         return earliest, latest
 
     def _try_tile(self, node: int, tile: int, level: DVFSLevel,
-                  island: int, s_hint: int | None = None,
+                  island: int, legs: list[tuple], s_hint: int | None = None,
                   window: tuple[int, int] | None = None,
                   ) -> tuple[int, int] | None:
         """First issue time in the window at which all adjacent edges
@@ -772,18 +759,25 @@ class _Attempt:
         ``window`` optionally carries a precomputed ``_time_window``
         result for op duration ``s_hint`` (the candidate loop already
         computed it for its pruning check); it is used only when the
-        durations actually agree.
+        durations actually agree. The op's FU interval is only checked,
+        never claimed: nothing the probe routes reads FU occupancy (the
+        router and the epoch see links, crossbars and registers only).
         """
         s = self._op_cycles(node, tile) * level.slowdown
         if window is not None and s == s_hint:
             earliest, latest = window
         else:
-            earliest, latest = self._time_window(node, tile, s)
+            earliest, latest = self._time_window(node, tile, s, legs)
         slowdown_of = self._slowdown_fn(island, level)
         slow = self._slow_vector(island, level)
+        pool = self.mrrg.pool
         t = earliest
         while t <= latest:
-            outcome = self._probe(node, tile, t, s, slowdown_of, slow)
+            if not pool.interval_free(tile, t, s):  # the FU rid is the tile
+                t += 1
+                continue
+            outcome = self._route_adjacent(node, tile, t, s, slowdown_of,
+                                           slow, legs, commit=False)
             if isinstance(outcome, tuple):
                 return t, outcome[1]
             if outcome is _BREAK:
@@ -791,118 +785,105 @@ class _Attempt:
             t += outcome  # jump forward by the observed shortfall
         return None
 
-    def _probe(self, node: int, tile: int, t: int, s: int, slowdown_of,
-               slow: tuple[int, ...]):
-        """Try one (tile, t); returns (routes, latency), a forward jump
-        (int >= 1), or _BREAK when larger t cannot help."""
-        # The op claim is a single FU interval whose flat resource id is
-        # the tile id itself; probing it read-only first skips the
-        # checkpoint/raise/rollback round-trip of a doomed claim.
-        pool = self.mrrg.pool
-        if not pool.interval_free(tile, t, s):
-            return 1
-        token = pool.checkpoint()
-        pool.claim_rid(tile, t, s)  # the FU rid is the tile id
-        outcome = self._route_adjacent(node, tile, t, s, slowdown_of, slow)
-        pool.rollback(token)
-        return outcome
-
-    def _route_adjacent(self, node: int, tile: int, t: int, s: int,
-                        slowdown_of, slow: tuple[int, ...]):
-        """Route every edge between ``node`` and already-placed nodes,
-        claiming as it goes (caller owns rollback).
-
-        Returns (routes, total latency) on success; an int jump >= 1
-        when issuing later could succeed (sized from the router's
-        earliest-arrival probe); or _BREAK when later issue times cannot
-        help (an out-edge deadline was already overrun).
-        """
-        routes: dict[int, Route] = {}
-        latency = 0
-
+    def _legs(self, node: int) -> list[tuple]:
+        """The edges between ``node`` and placed nodes, in routing order,
+        as ``(kind, index, edge, peer tile, time)``: an in-edge's time is
+        the producer's ready time, an out-edge's the consumer's deadline
+        (a self-loop's peer and time are unused)."""
+        placements = self.placements
+        legs = []
         for idx, edge in self._in[node]:
-            if edge.src == node:
-                continue  # self-loop handled below
-            if edge.src not in self.placements:
-                continue
-            src = self.placements[edge.src]
-            ready = self._ready(edge.src)
-            deadline = t + edge.dist * self.ii
-            route, probe = self._route_one(
-                idx, edge, src.tile, ready, tile, deadline, slowdown_of,
-                slow, horizon=deadline + self.ii,
-            )
-            if route is None:
-                if probe is not None and probe > deadline:
-                    return probe - deadline  # issue late enough to catch it
-                return 1
-            routes[idx] = route
-            latency += route.arrival - ready
-
+            src = placements.get(edge.src)
+            if src is not None and edge.src != node:
+                legs.append((_IN, idx, edge, src.tile, self._ready(edge.src)))
         for idx, edge in self._out[node]:
             if edge.dst == node:
-                # Self-loop: value waits on this tile across iterations.
-                ready = t + s
-                deadline = t + edge.dist * self.ii
-                route, probe = self._route_one(idx, edge, tile, ready,
-                                               tile, deadline, slowdown_of,
-                                               slow)
-                if route is None:
-                    if probe is not None and probe > deadline:
-                        # The wait starts after the op retires; issuing
-                        # later cannot shrink it, so the shortfall is
-                        # constant — jump straight past the hopeless
-                        # issue times instead of crawling.
-                        return probe - deadline
-                    return 1
-                routes[idx] = route
+                legs.append((_SELF, idx, edge, None, 0))
                 continue
-            if edge.dst not in self.placements:
-                continue
-            dst = self.placements[edge.dst]
-            ready = t + s
-            deadline = dst.time + edge.dist * self.ii
-            route, probe = self._route_one(idx, edge, tile, ready,
-                                           dst.tile, deadline, slowdown_of,
-                                           slow)
-            if route is None:
-                # The consumer's deadline is fixed; issuing this node
-                # later only makes it worse.
-                return _BREAK
-            routes[idx] = route
-            latency += route.arrival - ready
-        return routes, latency
+            dst = placements.get(edge.dst)
+            if dst is not None:
+                legs.append((_OUT, idx, edge, dst.tile,
+                             dst.time + edge.dist * self.ii))
+        return legs
 
-    def _route_one(self, idx: int, edge: DFGEdge, src_tile: int, ready: int,
-                   dst_tile: int, deadline: int, slowdown_of,
-                   slow: tuple[int, ...], horizon: int | None = None,
-                   ) -> tuple[Route | None, int | None]:
-        self.stats.routes_searched += 1
-        found, probe = find_route(self.mrrg, slowdown_of, src_tile, ready,
-                                  dst_tile, deadline, horizon=horizon,
-                                  memo=self.memo, slow=slow)
-        if found is None:
-            return None, probe
-        try:
-            self.mrrg.pool.claim_route(found.path, ready, found.depart,
-                                       deadline, slow)
-        except MappingError:
-            return None, probe
-        route = Route(
-            edge_index=idx,
-            src_node=edge.src,
-            dst_node=edge.dst,
-            path=found.path,
-            depart=found.depart,
-            arrival=found.arrival,
-            deadline=deadline,
-        )
-        return route, probe
+    def _route_adjacent(self, node: int, tile: int, t: int, s: int,
+                        slowdown_of, slow: tuple[int, ...],
+                        legs: list[tuple] | None = None, *,
+                        commit: bool = True):
+        """Route every edge between ``node``, issued on ``tile`` at ``t``
+        for ``s`` cycles, and the placed nodes (``legs``, built here when
+        omitted), each seeing the routes claimed before it.
+
+        With ``commit`` it claims every route (the caller owns the
+        rollback) and returns ``(routes, total latency)``. A probe
+        (``commit=False``) claims only what a later edge must see:
+        the last route is checked with ``route_fits`` instead, the rest
+        are rolled back before it returns ``(None, total latency)``.
+        Either way a failure returns an int jump >= 1 when issuing later
+        could succeed (sized from the router's earliest-arrival probe),
+        or _BREAK when it cannot (an out-edge deadline was overrun).
+        """
+        if legs is None:
+            legs = self._legs(node)
+        pool = self.mrrg.pool
+        token = pool.checkpoint()
+        routes: dict[int, Route] | None = {} if commit else None
+        latency = 0
+        outcome = None
+        last = len(legs) - 1
+        for k, (kind, idx, edge, peer, time) in enumerate(legs):
+            horizon = None
+            if kind == _IN:
+                src, dst, ready = peer, tile, time
+                deadline = t + edge.dist * self.ii
+                horizon = deadline + self.ii
+            elif kind == _OUT:
+                src, dst, ready, deadline = tile, peer, t + s, time
+            else:  # the value waits on this tile across iterations
+                src = dst = tile
+                ready, deadline = t + s, t + edge.dist * self.ii
+            self.stats.routes_searched += 1
+            found, probe = find_route(self.mrrg, slowdown_of, src, ready,
+                                      dst, deadline, horizon=horizon,
+                                      memo=self.memo, slow=slow)
+            if found is not None:
+                if commit or k < last:
+                    try:
+                        pool.claim_route(found.path, ready, found.depart,
+                                         deadline, slow)
+                    except MappingError:
+                        found = None
+                elif not pool.route_fits(found.path, ready, found.depart,
+                                         deadline, slow):
+                    found = None
+            if found is None:
+                if kind == _OUT:
+                    # The consumer's deadline is fixed; issuing this
+                    # node later only makes it worse.
+                    outcome = _BREAK
+                elif probe is not None and probe > deadline:
+                    # Issue late enough to catch it. (A self-loop waits
+                    # from when the op retires, so its shortfall is the
+                    # same at every issue time: jump past all of them.)
+                    outcome = probe - deadline
+                else:
+                    outcome = 1
+                break
+            if kind != _SELF:
+                latency += found.arrival - ready
+            if commit:
+                routes[idx] = Route(
+                    edge_index=idx, src_node=edge.src, dst_node=edge.dst,
+                    path=found.path, depart=found.depart,
+                    arrival=found.arrival, deadline=deadline,
+                )
+        if not commit and pool.checkpoint() != token:
+            pool.rollback(token)
+        return (routes, latency) if outcome is None else outcome
 
     # -- commit -----------------------------------------------------------
 
-    def _commit(self, node: int, candidate: _Candidate) -> None:
-        tile, t, level = candidate.tile, candidate.time, candidate.level
+    def _commit(self, node: int, tile: int, t: int, level: DVFSLevel) -> None:
         island = self.cgra.island_of(tile).id
         if self.island_levels.get(island) is None:
             self.island_levels[island] = level

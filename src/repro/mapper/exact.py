@@ -298,13 +298,15 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
     level = cgra.dvfs.normal
     slowdown_of = attempt._slowdown_fn(None, None)
     slow = attempt._slow_vector(None, None)
+    # Only earlier nodes are placed whenever this loop runs.
+    legs = attempt._legs(node)
     for tile in _tile_order(attempt, node, tiles):
         if not cgra.tile(tile).supports(opcode):
             continue
         duration = cgra.op_latency(tile, opcode) * level.slowdown
         if duration > attempt.ii:
             continue  # cannot claim more slots than the II offers
-        earliest, latest = attempt._time_window(node, tile, duration)
+        earliest, latest = attempt._time_window(node, tile, duration, legs)
         for t in range(earliest, latest + 1):
             budget.spend()
             token = attempt.mrrg.checkpoint()
@@ -314,7 +316,7 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
                 attempt.mrrg.rollback(token)
                 continue
             routed = attempt._route_adjacent(node, tile, t, duration,
-                                             slowdown_of, slow)
+                                             slowdown_of, slow, legs)
             if not isinstance(routed, tuple):
                 attempt.mrrg.rollback(token)
                 if routed is _BREAK:

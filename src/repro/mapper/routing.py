@@ -198,18 +198,9 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
                                ready + arrival_rel), probe
         memo.misses += 1
 
-    # Deadline-tight pass first: a returned route always has arrival <=
-    # deadline, and every ancestor of a returned goal state has f <=
-    # arrival, so pruning at the deadline cannot change a successful
-    # search's outcome — nor the probe, when some arrival <= deadline
-    # exists. Only the no-arrival-by-deadline case needs the wide rerun
-    # (the probe in (deadline, horizon] is what the engine jumps on).
     classes = _slow_classes(memo, slow)
     result, probe = _search(pool, slow, h_src, classes, src_tile, ready,
-                            dst_tile, deadline, deadline, max_wait)
-    if result is None and probe is None and horizon > deadline:
-        result, probe = _search(pool, slow, h_src, classes, src_tile, ready,
-                                dst_tile, deadline, horizon, max_wait)
+                            dst_tile, deadline, horizon, max_wait)
 
     if memo is not None:
         if len(memo.table) >= RouteMemo.MAX_ENTRIES:
@@ -371,7 +362,18 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
     says why it returns what the ``(t, tile, depart)`` Dijkstra
     returns). ``layers[i]`` holds the tiles with a state at cycle
     ``ready + i``; ``classes`` is ``(s, tiles)`` in ascending ``s``, and
-    ``h_src`` is the oracle's lower bound from the source."""
+    ``h_src`` is the oracle's lower bound from the source.
+
+    Only an arrival by the deadline is accepted, so once the first
+    arrival is known nothing past the deadline is searched: an arrival
+    after it ends the search at once, one before it cuts the horizon
+    to the deadline. Up to the deadline the layers are those of a
+    search whose horizon is the deadline: a state ``(t, v)`` with ``t +
+    h(v) <= deadline`` has, by the oracle's consistency, only ancestors
+    that pass the same test (its seed included), so both searches hold
+    it; and every state a returned route, its candidate parents or its
+    root can be passes it, since ``h(u) <= slow[v] + h(v)`` on a link
+    ``u -> v``."""
     ii = pool.ii
     use = pool._use
     full = pool._full
@@ -413,8 +415,12 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
         if layer & dst_bit:
             # The destination is a sink: accept it here or drop it.
             if earliest_arrival is None:
+                if t > deadline:
+                    return None, t
                 earliest_arrival = t
-            if t <= deadline and (
+                horizon = deadline
+                last = min(last, deadline - ready)
+            if (
                 t == deadline
                 or pool.interval_free(dst_reg_rid, t, deadline - t)
             ):

@@ -44,21 +44,24 @@ def modulo_schedule_times(
             resurrect the FU conflicts the original schedule dodged.
 
     Returns ``None`` when the constraints diverge, i.e. some recurrence
-    cycle's total latency exceeds ``distance * ii``.
+    cycle's total latency exceeds ``distance * ii``. Both callbacks must
+    be pure: each edge's weight is evaluated once per call.
     """
     times = {n: (floor.get(n, 0) if floor else 0) for n in dfg.node_ids()}
-    edges = list(enumerate(dfg.edges()))
+    weighted = [
+        (edge.src, edge.dst,
+         latency_of(edge.src)
+         + (transit_of(idx) if transit_of is not None else 0)
+         - edge.dist * ii)
+        for idx, edge in enumerate(dfg.edges())
+    ]
     num_nodes = dfg.num_nodes
     for _ in range(num_nodes + 1):
         changed = False
-        for idx, edge in edges:
-            transit = transit_of(idx) if transit_of is not None else 0
-            bound = (
-                times[edge.src] + latency_of(edge.src) + transit
-                - edge.dist * ii
-            )
-            if bound > times[edge.dst]:
-                times[edge.dst] = bound
+        for src, dst, weight in weighted:
+            bound = times[src] + weight
+            if bound > times[dst]:
+                times[dst] = bound
                 changed = True
         if not changed:
             return times

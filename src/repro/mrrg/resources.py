@@ -25,7 +25,8 @@ pool (any II, any crossbar capacity) built over that fabric.
 
 The pool is transactional: :meth:`checkpoint` / :meth:`rollback` undo
 claims, which the placement engine uses to back out of failed candidate
-placements.
+placements. :meth:`route_fits` tells whether :meth:`claim_route` would
+succeed without claiming anything, for the last route of a probe.
 
 Every mutation also maintains :attr:`epoch`, an order-independent
 Zobrist hash over the usage counts of *routing-visible* resources
@@ -402,6 +403,41 @@ class ModuloResourcePool:
             )
         self._epoch = epoch
 
+    def _route_intervals(self, path: tuple[int, ...], ready: int,
+                         depart: int, deadline: int, slow):
+        """The ``(rid, start, length)`` intervals a route occupies, in
+        the order :func:`repro.mapper.routing.route_claims` enumerates
+        them: the source wait, then per hop its link and the receiving
+        crossbar, then the destination wait. Raises
+        :class:`MappingError` at a hop the fabric has no link for."""
+        reg0 = 2 * self.num_tiles
+        if len(path) == 1:
+            if deadline > ready:
+                yield reg0 + path[0], ready, deadline - ready
+            return
+        if depart > ready:
+            yield reg0 + path[0], ready, depart - ready
+        num = self.num_tiles
+        neighbors = self.cgra._neighbors
+        t = depart
+        prev = path[0]
+        for nxt in path[1:]:
+            s = slow[nxt]
+            for lrid, neighbor in zip(self.link_rows[prev], neighbors[prev]):
+                if neighbor == nxt:
+                    yield lrid, t, s
+                    yield num + nxt, t, s
+                    break
+            else:
+                raise MappingError(
+                    f"unknown resource {('link', prev, nxt)!r} on "
+                    f"{self.cgra.name}"
+                )
+            t += s
+            prev = nxt
+        if deadline > t:
+            yield reg0 + prev, t, deadline - t
+
     def claim_route(self, path: tuple[int, ...], ready: int, depart: int,
                     deadline: int, slow) -> None:
         """Fused, rid-direct equivalent of ``claim_all(route_claims(...))``.
@@ -413,37 +449,48 @@ class ModuloResourcePool:
         """
         token = len(self._log)
         try:
-            reg0 = 2 * self.num_tiles
-            if len(path) == 1:
-                if deadline > ready:
-                    self.claim_rid(reg0 + path[0], ready, deadline - ready)
-                return
-            if depart > ready:
-                self.claim_rid(reg0 + path[0], ready, depart - ready)
-            num = self.num_tiles
-            neighbors = self.cgra._neighbors
-            t = depart
-            prev = path[0]
-            for nxt in path[1:]:
-                s = slow[nxt]
-                for lrid, neighbor in zip(self.link_rows[prev],
-                                          neighbors[prev]):
-                    if neighbor == nxt:
-                        self.claim_rid(lrid, t, s)
-                        self.claim_rid(num + nxt, t, s)
-                        break
-                else:
-                    raise MappingError(
-                        f"unknown resource {('link', prev, nxt)!r} on "
-                        f"{self.cgra.name}"
-                    )
-                t += s
-                prev = nxt
-            if deadline > t:
-                self.claim_rid(reg0 + prev, t, deadline - t)
+            for rid, start, length in self._route_intervals(
+                    path, ready, depart, deadline, slow):
+                self.claim_rid(rid, start, length)
         except Exception:
             self.rollback(token)
             raise
+
+    def route_fits(self, path: tuple[int, ...], ready: int, depart: int,
+                   deadline: int, slow) -> bool:
+        """Would :meth:`claim_route` succeed? Read-only: the counts,
+        masks, epoch and undo log are left as they are.
+
+        It walks the same intervals and counts each cell the way
+        ``claim_rid`` would, with the route's own earlier units added,
+        so a route that holds one link or register twice in one slot
+        does not fit, and neither does an interval longer than
+        :data:`MAX_CLAIM_LENGTH`.
+        """
+        ii = self.ii
+        use = self._use
+        caps = self._caps
+        taken: dict[int, int] = {}
+        try:
+            for rid, start, length in self._route_intervals(
+                    path, ready, depart, deadline, slow):
+                if length > MAX_CLAIM_LENGTH:
+                    return False
+                cap = caps[rid]
+                base = rid * ii
+                slot = start % ii
+                for _ in range(length):
+                    index = base + slot
+                    held = taken.get(index, 0)
+                    if use[index] + held >= cap:
+                        return False
+                    taken[index] = held + 1
+                    slot += 1
+                    if slot == ii:
+                        slot = 0
+        except MappingError:
+            return False
+        return True
 
     def checkpoint(self) -> int:
         """A token for :meth:`rollback`."""

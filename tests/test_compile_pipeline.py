@@ -27,6 +27,7 @@ from repro.dfg.graph import DFG
 from repro.kernels import load_kernel
 from repro.kernels.table1 import STANDALONE_KERNELS
 from repro.mapper.engine import EngineConfig
+from repro.mapper.mapping import Mapping
 from repro.mapper.validation import validate_mapping
 from repro.power.model import energy_uj, mapping_power
 from repro.sim.simulator import simulate_execution
@@ -222,6 +223,27 @@ class TestDerivedCache:
         rows = [_post_row(registry, s) for s in DERIVED_STRATEGIES]
         # Per strategy: the cold miss, the warm hit, the rerun's miss.
         assert [(r["calls"], r["cache_hit"]) for r in rows] == [(3, 1)] * 3
+
+    def test_derived_hit_builds_one_mapping(self, monkeypatch):
+        # The served post-pass output is the only mapping a warm iced
+        # compile rehydrates; optimal, cost and II come from the engine
+        # artifact's provenance.
+        cache = MappingCache()
+        cold = compile_kernel("fir", FABRIC, "iced", cache=cache)
+        built = []
+        real = Mapping.from_dict.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Mapping, "from_dict", classmethod(counting))
+        warm = compile_kernel("fir", FABRIC, "iced", cache=cache)
+        monkeypatch.undo()
+        assert warm.cache_hit and len(built) == 1
+        assert canonical_blob(warm.mapping) == canonical_blob(cold.mapping)
+        assert (warm.cost, warm.optimal, warm.report.ii) == (
+            cold.cost, cold.optimal, cold.report.ii)
 
     def test_hit_still_validates(self, monkeypatch):
         cache = MappingCache()

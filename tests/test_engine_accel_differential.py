@@ -6,6 +6,11 @@ layer, which strips ``ACCEL_FIELDS`` from fingerprints — is *byte
 identity*: the same mapping and the same per-II effort rows as a cold
 search (on every II both runs tried), on every fabric/kernel pairing.
 
+The per-II replay trie (a retry commits the decisions an earlier
+attempt at the same II already took) has the same contract: with every
+attempt given an empty trie of its own, the mapping and each II's
+outcome and attempt count are unchanged.
+
 The routing distance-oracle cache is process-global by design (that is
 the cross-point reuse feature), so each run clears it first.
 """
@@ -23,6 +28,7 @@ from repro.mapper.engine import (
     ACCEL_FIELDS,
     EngineConfig,
     EngineStats,
+    _Attempt,
     map_dfg,
 )
 from repro.mapper.exact import exact_lower_bound
@@ -34,6 +40,9 @@ FABRICS = {
     "king44": CGRA.build(4, 4, island_shape=(1, 1), topology="king"),
 }
 
+#: Outside the sampled set: its whole-fabric compiles are slower.
+MESH66 = CGRA.build(6, 6)
+
 KERNELS = ("fir", "mvt", "latnrm", "dtw", "solver0", "histogram")
 
 
@@ -41,7 +50,7 @@ def _run(kernel: str, fabric: str, dvfs_aware: bool, **accel):
     """One cold engine run; returns (blob, effort counters, per-II)."""
     routing.clear_oracle_cache()
     dfg = load_kernel(kernel, 1)
-    cgra = FABRICS[fabric]
+    cgra = {**FABRICS, "mesh66": MESH66}[fabric]
     stats = EngineStats()
     config = EngineConfig(dvfs_aware=dvfs_aware, **accel)
     mapping = map_dfg(dfg, cgra, config, stats=stats)
@@ -104,3 +113,56 @@ def test_oracle_cache_reuse_is_observable():
     assert second.oracle_cols_built == 0
     assert second.oracle_cols_reused > 0
     routing.clear_oracle_cache()
+
+
+def _without_replay(monkeypatch):
+    """Give every attempt an empty trie of its own: no lookup finds a
+    decision, so every position is searched."""
+    init = _Attempt.__init__
+
+    def fresh_trie(self, *args, **kwargs):
+        kwargs["replay"] = None
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Attempt, "__init__", fresh_trie)
+
+
+def _outcomes(per_ii: list[dict]) -> list[tuple]:
+    return [(row["ii"], row["outcome"], row["attempts"]) for row in per_ii]
+
+
+@given(kernel=st.sampled_from(KERNELS),
+       fabric=st.sampled_from(sorted(FABRICS)),
+       dvfs_aware=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_replay_is_bit_identical(kernel, fabric, dvfs_aware):
+    replayed = _run(kernel, fabric, dvfs_aware)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _without_replay(monkeypatch)
+        searched = _run(kernel, fabric, dvfs_aware)
+    assert searched[1]["decisions_replayed"] == 0
+    assert replayed[0] == searched[0], "mapping blob diverged"
+    assert _outcomes(replayed[2]) == _outcomes(searched[2])
+
+
+def test_replay_fires_on_retries(monkeypatch):
+    """fir's baseline compile on 6x6 retries at its failing IIs; the
+    retries replay decisions instead of searching them again."""
+    calls = []
+    best = _Attempt._best_candidate
+
+    def counting(self, node):
+        calls.append(node)
+        return best(self, node)
+
+    monkeypatch.setattr(_Attempt, "_best_candidate", counting)
+    replayed = _run("fir", "mesh66", False)
+    with_replay = len(calls)
+    del calls[:]
+    _without_replay(monkeypatch)
+    searched = _run("fir", "mesh66", False)
+    assert replayed[1]["decisions_replayed"] > 0
+    assert with_replay < len(calls)
+    assert replayed[0] == searched[0]
+    assert (with_replay + replayed[1]["decisions_replayed"]
+            == len(calls))

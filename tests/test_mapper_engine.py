@@ -231,3 +231,9 @@ class TestSofteningSteps:
             if s.name == "attempt" and s.attrs.get("outcome") == "mapped"
         ]
         assert mapped == [(ii, soften, retry)]
+        # Every attempt reports what it replayed; the first one of an
+        # II has nothing to replay yet.
+        attempts = [s.attrs for s in tracer.spans if s.name == "attempt"]
+        assert all(a["decisions_replayed"] == 0
+                   for a in attempts if a["retry"] == a["soften"] == 0)
+        assert sum(a["decisions_replayed"] for a in attempts) > 0

@@ -7,6 +7,7 @@ from repro.arch import CGRA
 from repro.errors import MappingError
 from repro.mrrg import MRRG, ModuloResourcePool, fu_key, link_key, reg_key, xbar_key
 from repro.mrrg.mrrg import hop_claims, op_claims, wait_claims
+from repro.mrrg.resources import MAX_CLAIM_LENGTH
 
 
 @pytest.fixture
@@ -313,3 +314,94 @@ class TestOccupancyMasks:
                 tokens = [t for t in tokens if t <= token]
             tokens.append(pool.checkpoint())
             assert pool._full == _recomputed_masks(pool)
+
+
+@st.composite
+def fit_queries(draw):
+    """A pool with random prior claims and a route to claim on it: a
+    random walk (a bounce revisits a link, possibly in the same slot),
+    occasionally a hop with no link, and waits from none to II and
+    more, up to one past the claim-length cap."""
+    topology = draw(st.sampled_from(sorted(MASK_FABRICS)))
+    cgra = MASK_FABRICS[topology]
+    ii = draw(st.integers(min_value=1, max_value=5))
+    xbar_capacity = draw(st.integers(min_value=1, max_value=3))
+    num = cgra.num_tiles
+    links = [(src, dst) for src in range(num) for dst in cgra._neighbors[src]]
+    prior = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["xbar", "reg", "link"]))
+        if kind == "link":
+            key = link_key(*draw(st.sampled_from(links)))
+        else:
+            key = (kind, draw(st.integers(0, num - 1)))
+        prior.append((key, draw(st.integers(0, 2 * ii)),
+                      draw(st.integers(1, 2 * ii))))
+    path = [draw(st.integers(0, num - 1))]
+    for _ in range(draw(st.integers(0, 5))):
+        step = draw(st.sampled_from(["walk", "walk", "bounce", "jump"]))
+        if step == "bounce" and len(path) > 1:
+            path.append(path[-2])
+        elif step == "jump":
+            path.append(draw(st.integers(0, num - 1)))
+        else:
+            path.append(draw(st.sampled_from(cgra._neighbors[path[-1]])))
+    waits = st.sampled_from([0, 1, ii, ii + 1, 2 * ii, MAX_CLAIM_LENGTH + 1])
+    slow = tuple(draw(st.sampled_from([1, 1, 2, 4])) for _ in range(num))
+    ready = draw(st.integers(0, 2 * ii))
+    depart = ready + draw(waits)
+    arrival = depart + sum(slow[t] for t in path[1:])
+    deadline = arrival + draw(waits)
+    return (cgra, ii, xbar_capacity, prior,
+            (tuple(path), ready, depart, deadline, slow))
+
+
+class TestRouteFits:
+    """``route_fits`` is the probe's read-only stand-in for a
+    ``claim_route`` it would roll back at once."""
+
+    @given(query=fit_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_fits_exactly_when_the_claim_succeeds(self, query):
+        cgra, ii, xbar_capacity, prior, route = query
+        pool = ModuloResourcePool(cgra, ii, xbar_capacity)
+        for key, start, length in prior:
+            try:
+                pool.claim(key, start, length)
+            except MappingError:
+                pass
+        state = (list(pool._use), list(pool._full), pool.epoch,
+                 len(pool._log))
+        fits = pool.route_fits(*route)
+        assert (list(pool._use), list(pool._full), pool.epoch,
+                len(pool._log)) == state
+        try:
+            pool.claim_route(*route)
+        except MappingError:
+            claimed = False
+        else:
+            claimed = True
+        assert fits == claimed
+
+    def test_a_route_reusing_its_own_link_does_not_fit(self):
+        # 0 -> 1 -> 0 -> 1 on a 3x4 mesh at II 2: the link 0 -> 1 is
+        # held at cycles 0 and 2, one slot, though the pool is empty.
+        pool = ModuloResourcePool(MASK_FABRICS["mesh"], ii=2)
+        route = ((0, 1, 0, 1), 0, 0, 3, (1,) * 12)
+        assert not pool.route_fits(*route)
+        with pytest.raises(MappingError):
+            pool.claim_route(*route)
+        assert pool.route_fits((0, 1, 0), 0, 0, 2, (1,) * 12)
+
+    def test_the_claim_length_cap_applies(self):
+        # Room for the whole wait in tile 0's registers: only the cap
+        # refuses one cycle more than MAX_CLAIM_LENGTH.
+        pool = ModuloResourcePool(MASK_FABRICS["mesh"], ii=1)
+        pool._caps[2 * pool.num_tiles] = 2 * MAX_CLAIM_LENGTH
+        slow = (1,) * pool.num_tiles
+        assert pool.route_fits((0,), 0, 0, MAX_CLAIM_LENGTH, slow)
+        too_long = ((0,), 0, 0, MAX_CLAIM_LENGTH + 1, slow)
+        assert not pool.route_fits(*too_long)
+        with pytest.raises(MappingError):
+            pool.claim_route(*too_long)
+        pool.claim_route((0,), 0, 0, MAX_CLAIM_LENGTH, slow)

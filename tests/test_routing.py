@@ -43,6 +43,24 @@ class TestFindRoute:
         assert result is None
         assert probe is not None and probe >= 6
 
+    def test_one_search_per_query(self, mrrg, monkeypatch):
+        # Nothing arrives by the deadline: the one search goes on to
+        # the first arrival within the horizon instead of searching the
+        # query again with the wider horizon.
+        from repro.mapper import routing
+
+        calls = []
+        search = routing._search
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(routing, "_search", counting)
+        result, probe = find_route(mrrg, normal, 0, 0, 15, 3, horizon=12)
+        assert result is None and probe == 6
+        assert len(calls) == 1
+
     def test_deadline_before_ready(self, mrrg):
         result, probe = find_route(mrrg, normal, 0, 5, 1, 4)
         assert result is None and probe is None

@@ -77,3 +77,31 @@ class TestModuloScheduleTimes:
         times = modulo_schedule_times(dfg, 1, unit)
         # cycle latency 2 <= dist 3 * ii 1: feasible even at II = 1.
         assert times is not None
+
+    def test_weights_evaluated_once_per_edge(self):
+        # The late-phi graph needs several relaxation passes; the
+        # callbacks are pure, so each edge's weight is taken once.
+        b = DFGBuilder("once")
+        phi = b.op(Opcode.PHI)
+        a = b.op(Opcode.ADD, phi)
+        chain = b.op(Opcode.LOAD)
+        for _ in range(5):
+            chain = b.op(Opcode.ADD, chain)
+        closing = b.op(Opcode.ADD, a, chain)
+        b.back_edge(closing, phi)
+        dfg = b.build()
+        transits: list[int] = []
+        latencies: list[int] = []
+
+        def transit_of(idx: int) -> int:
+            transits.append(idx)
+            return 1
+
+        def latency_of(node: int) -> int:
+            latencies.append(node)
+            return 1
+
+        times = modulo_schedule_times(dfg, 8, latency_of, transit_of)
+        assert times is not None and times[phi] > 0
+        assert sorted(transits) == list(range(dfg.num_edges))
+        assert len(latencies) == dfg.num_edges
