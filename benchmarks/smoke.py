@@ -21,7 +21,8 @@ Cases (run sizes, repetition counts and thresholds are constants):
 * ``dse`` -- the 108-point solver0 space swept naive, one cold compile
   per point (``tests/reference_dse.py``; best of two, before and
   after), optimized serial (traced) and optimized ``--jobs 2``, which
-  must take no longer than serial;
+  must take no longer than serial; the optimized serial sweep must beat
+  naive both in seconds and in engine attempts;
 * ``stream`` -- enzyme's cold partition (timed and counted, report
   only), then 10^5 inputs through the engine and the per-input
   reference loop (``tests/reference_streaming.py``) for
@@ -338,6 +339,7 @@ def compile_case(s: Smoke) -> None:
     hot_path_speedup = ref_s / max(opt_s, 1e-9)
     memo_hits = int(cold_counters.get("route_memo_hits", 0))
     pruned = int(cold_counters.get("candidates_pruned", 0))
+    bounded = int(cold_counters.get("candidates_bounded", 0))
     replayed = int(cold_counters.get("decisions_replayed", 0))
     s.report.update({
         "fabric": f"{COMPILE_SIZE}x{COMPILE_SIZE}",
@@ -358,6 +360,7 @@ def compile_case(s: Smoke) -> None:
             "speedup": round(hot_path_speedup, 2),
             "route_memo_hits": memo_hits,
             "candidates_pruned": pruned,
+            "candidates_bounded": bounded,
             "decisions_replayed": replayed,
         },
         "passes": {name: {k: round(v, 3) for k, v in row.items()}
@@ -396,6 +399,7 @@ def compile_case(s: Smoke) -> None:
            "==", [])
     s.gate("cold sweep route_memo_hits", memo_hits, ">", 0)
     s.gate("cold sweep candidates_pruned", pruned, ">", 0)
+    s.gate("cold sweep candidates_bounded", bounded, ">", 0)
     s.gate("cold sweep decisions_replayed", replayed, ">", 0)
     s.against_baseline("cold sweep seconds", "cold_sweep_s", cold["wall_s"],
                        "<=", lambda base: base * (1 + MAX_COLD_REGRESSION))
@@ -456,13 +460,23 @@ DSE_SPACE = DesignSpace(
 )
 
 
-def _dse(sweep=run_dse, **options) -> tuple[float, dict, dict]:
-    """One timed sweep of the smoke space: (seconds, result, blobs)."""
+def _dse(sweep=run_dse, **options) -> tuple[float, dict, dict, int]:
+    """One timed sweep of the smoke space: (seconds, result, blobs, the
+    engine attempts of its place_route passes). The attempts come from a
+    fresh metrics registry, folded into the current one afterwards."""
     routing.clear_oracle_cache()
     blobs: dict = {}
-    seconds, result = timed(lambda: sweep(DSE_SPACE, seed=DSE_SEED,
-                                          blob_sink=blobs, **options))
-    return seconds, result, blobs
+    registry = obs.MetricsRegistry()
+    saved = obs.set_metrics(registry)
+    try:
+        seconds, result = timed(lambda: sweep(DSE_SPACE, seed=DSE_SEED,
+                                              blob_sink=blobs, **options))
+    finally:
+        obs.set_metrics(saved)
+    snapshot = registry.snapshot()
+    saved.merge(snapshot)
+    attempts = pass_rows(snapshot).get("place_route", {}).get("attempts", 0)
+    return seconds, result, blobs, int(attempts)
 
 
 @case("dse")
@@ -471,22 +485,27 @@ def dse_case(s: Smoke) -> None:
           f"(space hash {DSE_SPACE.space_hash()})")
     # Naive runs before and after the optimized ones; the best (the
     # conservative choice: warm-up can only flatter naive) is kept.
-    naive_s1, naive, naive_blobs = _dse(reference_run_dse)
+    naive_s1, naive, naive_blobs, naive_attempts = _dse(reference_run_dse)
     with tempfile.TemporaryDirectory(prefix="dse-smoke-") as tmp:
-        (opt_s, opt, opt_blobs), _ = s.traced(
+        (opt_s, opt, opt_blobs, opt_attempts), _ = s.traced(
             lambda: _dse(jobs=1, cache_dir=os.path.join(tmp, "serial")))
-        par_s, par, par_blobs = _dse(
+        par_s, par, par_blobs, _ = _dse(
             jobs=DSE_JOBS, cache_dir=os.path.join(tmp, "parallel"))
-    naive_s2, _, check_blobs = _dse(reference_run_dse)
+    naive_s2, _, check_blobs, _ = _dse(reference_run_dse)
     naive_s = min(naive_s1, naive_s2)
     stats = opt["stats"]
     speedup = naive_s / opt_s if opt_s else float("inf")
+    # The naive sweep runs the same engine, so an engine speedup moves
+    # the seconds ratio; the attempts ratio moves only with reuse.
+    attempts_ratio = naive_attempts / max(opt_attempts, 1)
     parallel_speedup = opt_s / max(par_s, 1e-9)
     effective = min(DSE_JOBS, usable_cores())
     print(f"naive {naive_s:.2f}s ({stats['points']} compiles), optimized "
           f"{opt_s:.2f}s ({stats['compiles']} compiles, "
           f"{stats['cache_hits']} hits, {stats['aliased_blobs']} aliased),"
           f" --jobs {DSE_JOBS} {par_s:.2f}s")
+    print(f"engine attempts: naive {naive_attempts}, optimized "
+          f"{opt_attempts} ({attempts_ratio:.2f}x)")
     print(render_summary(opt, top=5))
     s.report.update({
         "space_hash": DSE_SPACE.space_hash(),
@@ -497,6 +516,9 @@ def dse_case(s: Smoke) -> None:
         "effective_cores": effective,
         "parallel_speedup": round(parallel_speedup, 2),
         "speedup": round(speedup, 3),
+        "engine_attempts": {"naive": naive_attempts,
+                            "optimized": opt_attempts,
+                            "ratio": round(attempts_ratio, 3)},
         "stats": stats,
         "pareto": opt,
     })
@@ -517,6 +539,8 @@ def dse_case(s: Smoke) -> None:
            stats["aliased_blobs"], ">", 0)
     s.gate("cache hits (exact-key reuse fired)", stats["cache_hits"], ">", 0)
     s.gate("optimized vs naive speedup", speedup, ">=", MIN_DSE_SPEEDUP)
+    s.gate("optimized vs naive engine attempts", attempts_ratio, ">=",
+           MIN_DSE_SPEEDUP)
     s.gate(f"--jobs {DSE_JOBS} sweep seconds", par_s, "<=", opt_s,
            unmeasured=(None if effective >= 2
                        else f"{effective} usable core"))

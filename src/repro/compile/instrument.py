@@ -131,15 +131,17 @@ def render_per_ii(per_ii: list[dict]) -> str:
     """The per-II-attempt effort table (``map --stats`` / ``profile``).
 
     One row per II the deepening loop tried, with that II's *own*
-    probe/prune counts, route-memo hit rate and placement decisions
-    its retries replayed instead of searching — the aggregated
-    counters hide which II actually burned the search effort, which is
-    exactly what one needs when debugging a DSE hot spot.
+    probe/prune counts, the options its decisions left unprobed because
+    none could beat the best found (``bounded``), route-memo hit rate
+    and placement decisions its retries replayed instead of searching —
+    the aggregated counters hide which II actually burned the search
+    effort, which is exactly what one needs when debugging a DSE hot
+    spot.
     """
     if not per_ii:
         return "no per-II engine effort recorded"
     table = TextTable(["II", "outcome", "attempts", "probed", "pruned",
-                       "routes", "memo hit rate", "replayed"])
+                       "bounded", "routes", "memo hit rate", "replayed"])
     for row in per_ii:
         hits = row.get("route_memo_hits", 0)
         misses = row.get("route_memo_misses", 0)
@@ -151,6 +153,7 @@ def render_per_ii(per_ii: list[dict]) -> str:
             row.get("attempts", 0),
             row.get("candidates_probed", 0),
             row.get("candidates_pruned", 0),
+            row.get("candidates_bounded", 0),
             row.get("routes_searched", 0),
             rate,
             row.get("decisions_replayed", 0),

@@ -20,6 +20,8 @@ full placement + routing succeeds, exactly as Alg. 2's outer loop does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 from repro import obs
 from repro.arch.cgra import CGRA
@@ -30,7 +32,7 @@ from repro.dfg.ops import Opcode
 from repro.errors import MappingError
 from repro.mapper.labeling import label_dvfs_levels
 from repro.mapper.mapping import Mapping, Placement, Route
-from repro.mapper.routing import RouteMemo, find_route
+from repro.mapper.routing import RouteMemo, _weighted_hcol, find_route
 from repro.mapper.schedule import modulo_schedule_times
 from repro.mrrg.mrrg import MRRG, op_claims
 
@@ -60,7 +62,9 @@ class EngineConfig:
         w_time / w_route / w_mismatch / w_new_island / w_pressure:
             Cost weights (issue lateness, routing latency, label/island
             level mismatch, activating an untouched island, and FU
-            occupancy pressure on the candidate tile).
+            occupancy pressure on the candidate tile). ``w_time`` and
+            ``w_route`` must be >= 0: the candidate floors that let the
+            engine skip probes bound the cost from below only then.
         min_ii: A *sound lower bound* on the feasible II supplied by
             the caller (e.g. ``exact_lower_bound`` or a DSE warm-start
             ladder). IIs below it are skipped outright — bit-identical
@@ -106,6 +110,9 @@ class EngineStats:
     reschedules: int = 0
     candidates_probed: int = 0
     candidates_pruned: int = 0
+    #: Options a placement decision left unprobed because none of them
+    #: could beat the best one found (see :meth:`_Attempt._best_candidate`).
+    candidates_bounded: int = 0
     routes_searched: int = 0
     route_memo_hits: int = 0
     route_memo_misses: int = 0
@@ -134,6 +141,7 @@ class EngineStats:
             "reschedules": self.reschedules,
             "candidates_probed": self.candidates_probed,
             "candidates_pruned": self.candidates_pruned,
+            "candidates_bounded": self.candidates_bounded,
             "routes_searched": self.routes_searched,
             "route_memo_hits": self.route_memo_hits,
             "route_memo_misses": self.route_memo_misses,
@@ -150,6 +158,21 @@ _MISS = object()
 
 #: Kinds of a node's edge to a placed neighbour (see ``_Attempt._legs``).
 _IN, _SELF, _OUT = 0, 1, 2
+
+
+class _Option(NamedTuple):
+    """A tile at one level for a node, with its cost floor, op duration
+    and issue-time window (see ``_Attempt._options``)."""
+
+    floor: float
+    tile: int
+    level: DVFSLevel
+    fresh: bool
+    island: int
+    s: int
+    window: tuple[int, int]
+    slow: tuple[int, ...]
+    pressure: float
 
 
 class _AttemptFailed(Exception):
@@ -184,6 +207,12 @@ def map_dfg(dfg: DFG, cgra: CGRA, config: EngineConfig | None = None,
         analysis = analyze_dfg(dfg)  # also validates the DFG
     stats = stats if stats is not None else EngineStats()
     tiles = _allowed_tiles(cgra, config)
+    # ``_Attempt._floor`` is a lower bound on the cost only under these.
+    if not (config.w_time >= 0 and config.w_route >= 0):
+        raise MappingError(
+            f"w_time and w_route must be >= 0, got {config.w_time} and "
+            f"{config.w_route}"
+        )
     _check_memory_feasible(dfg, cgra, tiles)
 
     num_mappable = sum(
@@ -212,8 +241,8 @@ def map_dfg(dfg: DFG, cgra: CGRA, config: EngineConfig | None = None,
 
 
 #: The effort deltas an ``attempt`` span reports.
-_SPAN_EFFORT = ("routes_searched", "candidates_pruned", "route_memo_hits",
-                "decisions_replayed")
+_SPAN_EFFORT = ("routes_searched", "candidates_pruned", "candidates_bounded",
+                "route_memo_hits", "decisions_replayed")
 
 
 def _effort(stats: EngineStats, memo: RouteMemo) -> dict[str, int]:
@@ -223,6 +252,7 @@ def _effort(stats: EngineStats, memo: RouteMemo) -> dict[str, int]:
         "attempts": stats.attempts,
         "candidates_probed": stats.candidates_probed,
         "candidates_pruned": stats.candidates_pruned,
+        "candidates_bounded": stats.candidates_bounded,
         "routes_searched": stats.routes_searched,
         "route_memo_hits": memo.hits,
         "route_memo_misses": memo.misses,
@@ -582,8 +612,6 @@ class _Attempt:
                 f"II={self.ii}: recurrence cycles cannot absorb the "
                 "labeled slowdowns"
             )
-        if self.order is None:
-            self.order = _schedule_order(self.dfg, analyze_dfg(self.dfg))
         # The decision at one position of the order is a function of the
         # node's asap and label and of the decisions before it (which
         # build the pool and the island levels it reads); the route memo
@@ -618,71 +646,140 @@ class _Attempt:
 
     def _best_candidate(self, node: int) -> tuple | None:
         """The cheapest feasible ``(cost, tile, issue time, level)`` for
-        ``node`` among the beam of candidate tiles, or ``None``."""
+        ``node`` among its options (see :meth:`_options`), or ``None``.
+
+        The options are probed in order until ``max_good_candidates``
+        routed (the beam is cut at a tile boundary), or until the least
+        ``(floor, tile)`` still to come exceeds the best's ``(cost,
+        tile)``: no such option can beat the best under the ``(cost,
+        tile, time)`` order, whatever its probe would find.
+        """
         label = self.labels[node]
         legs = self._legs(node)
-        tiles = self._candidate_tiles(self.dfg.node(node).opcode, legs)
+        options = self._options(node, label, legs)
+        # The least (floor, tile) of each suffix, in one backward pass.
+        rest = list(accumulate(
+            (option[:2] for option in reversed(options)), min))[::-1]
         best: tuple | None = None
         feasible = 0
-        for tile in tiles:
-            if feasible >= self.config.max_good_candidates:
+        last_tile = None
+        for i, option in enumerate(options):
+            tile = option.tile
+            if tile != last_tile:
+                if feasible >= self.config.max_good_candidates:
+                    break
+                last_tile = tile
+            if best is not None and rest[i] > best[:2]:
+                self.stats.candidates_bounded += len(options) - i
                 break
+            self.stats.candidates_probed += 1
+            result = self._try_tile(node, option, legs)
+            if result is None:
+                continue
+            feasible += 1
+            time, route_latency = result
+            cost = self._cost(time, route_latency, option.pressure,
+                              option.level, label, option.fresh)
+            if best is None or (cost, tile, time) < best[:3]:
+                best = (cost, tile, time, option.level)
+        return best
+
+    def _options(self, node: int, label: DVFSLevel,
+                 legs: list[tuple]) -> list[_Option]:
+        """``node``'s options in probe order: the beam's tiles nearest
+        first, each at its one or two levels, each with its floor
+        (:meth:`_floor`). An option with no floor cannot succeed: it is
+        counted in ``candidates_pruned`` and left out."""
+        allowed_names = self.config.allowed_level_names
+        dvfs = self.cgra.dvfs
+        options = []
+        for tile in self._candidate_tiles(self.dfg.node(node).opcode, legs):
             island = self.cgra.island_of(tile).id
             assigned = self.island_levels.get(island)
-            if assigned is None:
+            fresh = assigned is None
+            if fresh:
                 # A fresh island could be opened at the label's level or
                 # at normal; evaluate both (a too-slow label must not
                 # sink the node — Alg. 1 falls back to normal for the
                 # same reason).
-                allowed_names = self.config.allowed_level_names
-                option_levels = {label, self.cgra.dvfs.normal}
-                options = [
-                    (level, True) for level in self.cgra.dvfs.levels
-                    if level in option_levels
+                levels = [
+                    level for level in dvfs.levels
+                    if level in (label, dvfs.normal)
                     and (allowed_names is None or level.name in allowed_names)
                 ]
+            elif assigned.at_least_as_fast_as(label):
+                levels = [assigned]
             else:
-                if not assigned.at_least_as_fast_as(label):
-                    continue  # Alg. 2 line 17: never onto a slower island
-                options = [(assigned, False)]
-            if not options:
-                continue
-            # Oracle pruning: the issue-time window only shrinks as the
-            # op slows down, so an empty window at the fastest available
-            # level means every option would fail its first feasibility
-            # check — skip the tile without probing.
-            s_best = self._op_cycles(node, tile) * min(
-                level.slowdown for level, _fresh in options
+                continue  # Alg. 2 line 17: never onto a slower island
+            # Probes roll back all they claim, so the cost reads this too.
+            pressure = self.mrrg.tile_busy_slots(tile) / self.ii
+            cycles = self._op_cycles(node, tile)
+            for level in levels:
+                s = cycles * level.slowdown
+                window = self._time_window(node, tile, s, legs)
+                slow = self._slow_vector(island, level)
+                floor = self._floor(node, legs, tile, level, fresh, s,
+                                    window, slow, pressure)
+                if floor is None:
+                    self.stats.candidates_pruned += 1
+                else:
+                    options.append(_Option(floor, tile, level, fresh, island,
+                                           s, window, slow, pressure))
+        return options
+
+    def _floor(self, node: int, legs: list[tuple], tile: int,
+               level: DVFSLevel, fresh: bool, s: int,
+               window: tuple[int, int], slow: tuple[int, ...],
+               pressure: float) -> float | None:
+        """A lower bound on the cost of issuing ``node`` on ``tile`` at
+        ``level`` (an op of ``s`` cycles in the issue-time ``window``,
+        routed under ``slow``), or ``None`` if no issue time can work.
+
+        No route the probe can find arrives before ``ready + h``, ``h``
+        being the router's oracle under ``slow``. So no issue time can
+        succeed before ``t0``, the first one from ``lo`` at which the FU
+        is free and every in-leg can meet its deadline. The floor is the
+        cost at ``t0`` with each leg's latency replaced by its ``h``;
+        the other terms are exact. With ``w_time, w_route >= 0``
+        (checked by :func:`map_dfg`) it never exceeds the cost.
+        """
+        ii = self.ii
+        start, latest = window
+        route = 0
+        for kind, _i, edge, peer, time in legs:
+            if kind == _IN:
+                h = _weighted_hcol(self.memo, self.cgra, slow, tile)[peer]
+                if time + h - edge.dist * ii > start:
+                    start = time + h - edge.dist * ii
+                route += h
+            elif kind == _OUT:
+                route += _weighted_hcol(self.memo, self.cgra, slow, peer)[tile]
+        interval_free = self.mrrg.pool.interval_free
+        # FU occupancy repeats every II cycles, so one period decides.
+        for t in range(start, min(latest, start + ii - 1) + 1):
+            if interval_free(tile, t, s):  # the FU rid is the tile
+                return self._cost(t, route, pressure, level,
+                                  self.labels[node], fresh)
+        return None
+
+    def _cost(self, time: int, route_latency: int, pressure: float,
+              level: DVFSLevel, label: DVFSLevel, fresh: bool) -> float:
+        """Algorithm 2's placement cost. :meth:`_floor` evaluates it too,
+        so a floor sums the same terms in the same order."""
+        config = self.config
+        cost = (
+            config.w_time * time
+            + config.w_route * route_latency
+            + config.w_pressure * pressure
+        )
+        if config.dvfs_aware:
+            mismatch = abs(
+                self.cgra.dvfs.index_of(level)
+                - self.cgra.dvfs.index_of(label)
             )
-            earliest, latest = self._time_window(node, tile, s_best, legs)
-            if earliest > latest:
-                self.stats.candidates_pruned += len(options)
-                continue
-            for level, fresh in options:
-                self.stats.candidates_probed += 1
-                result = self._try_tile(node, tile, level, island, legs,
-                                        s_hint=s_best,
-                                        window=(earliest, latest))
-                if result is None:
-                    continue
-                feasible += 1
-                time, route_latency = result
-                pressure = self.mrrg.tile_busy_slots(tile) / self.ii
-                cost = (
-                    self.config.w_time * time
-                    + self.config.w_route * route_latency
-                    + self.config.w_pressure * pressure
-                )
-                if self.config.dvfs_aware:
-                    mismatch = abs(
-                        self.cgra.dvfs.index_of(level)
-                        - self.cgra.dvfs.index_of(label)
-                    )
-                    cost += self.config.w_mismatch * mismatch
-                    cost += self.config.w_new_island * (1 if fresh else 0)
-                if best is None or (cost, tile, time) < best[:3]:
-                    best = (cost, tile, time, level)
-        return best
+            cost += config.w_mismatch * mismatch
+            cost += config.w_new_island * (1 if fresh else 0)
+        return cost
 
     def _failure_suggestion(self, node: int) -> dict[int, int] | None:
         """Raised floors that could make ``node`` placeable next retry.
@@ -749,35 +846,25 @@ class _Attempt:
                 latest = deadline - slowdown - row[peer]
         return earliest, latest
 
-    def _try_tile(self, node: int, tile: int, level: DVFSLevel,
-                  island: int, legs: list[tuple], s_hint: int | None = None,
-                  window: tuple[int, int] | None = None,
-                  ) -> tuple[int, int] | None:
-        """First issue time in the window at which all adjacent edges
-        route; returns (time, total route latency) or None.
+    def _try_tile(self, node: int, option: _Option,
+                  legs: list[tuple]) -> tuple[int, int] | None:
+        """First issue time in the option's window at which all adjacent
+        edges route; returns (time, total route latency) or None.
 
-        ``window`` optionally carries a precomputed ``_time_window``
-        result for op duration ``s_hint`` (the candidate loop already
-        computed it for its pruning check); it is used only when the
-        durations actually agree. The op's FU interval is only checked,
-        never claimed: nothing the probe routes reads FU occupancy (the
-        router and the epoch see links, crossbars and registers only).
+        The op's FU interval is only checked, never claimed: nothing the
+        probe routes reads FU occupancy (the router and the epoch see
+        links, crossbars and registers only).
         """
-        s = self._op_cycles(node, tile) * level.slowdown
-        if window is not None and s == s_hint:
-            earliest, latest = window
-        else:
-            earliest, latest = self._time_window(node, tile, s, legs)
-        slowdown_of = self._slowdown_fn(island, level)
-        slow = self._slow_vector(island, level)
+        tile, s = option.tile, option.s
+        slowdown_of = self._slowdown_fn(option.island, option.level)
         pool = self.mrrg.pool
-        t = earliest
+        t, latest = option.window
         while t <= latest:
             if not pool.interval_free(tile, t, s):  # the FU rid is the tile
                 t += 1
                 continue
             outcome = self._route_adjacent(node, tile, t, s, slowdown_of,
-                                           slow, legs, commit=False)
+                                           option.slow, legs, commit=False)
             if isinstance(outcome, tuple):
                 return t, outcome[1]
             if outcome is _BREAK:

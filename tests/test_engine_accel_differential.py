@@ -11,11 +11,19 @@ attempt at the same II already took) has the same contract: with every
 attempt given an empty trie of its own, the mapping and each II's
 outcome and attempt count are unchanged.
 
+The candidate floors (a placement decision stops once no option still
+to come can beat its best) have it too: with every floor patched to
+``-inf``, which drops no option and never stops, the probes are those
+of a search without floors, and the mapping and each II's outcome,
+attempts and replayed decisions are unchanged. Every probe that routes
+also checks that its cost is at least its option's floor.
+
 The routing distance-oracle cache is process-global by design (that is
 the cross-point reuse feature), so each run clears it first.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,3 +174,74 @@ def test_replay_fires_on_retries(monkeypatch):
     assert replayed[0] == searched[0]
     assert (with_replay + replayed[1]["decisions_replayed"]
             == len(calls))
+
+
+def _without_floors(monkeypatch):
+    """Give every option the floor ``-inf``: none is dropped and no
+    decision stops early, so every option the beam reaches is probed."""
+    monkeypatch.setattr(_Attempt, "_floor",
+                        lambda self, *args: -math.inf)
+
+
+def _effort_rows(per_ii: list[dict]) -> list[tuple]:
+    return [(row["ii"], row["outcome"], row["attempts"],
+             row["decisions_replayed"]) for row in per_ii]
+
+
+@given(kernel=st.sampled_from(KERNELS),
+       fabric=st.sampled_from(sorted(FABRICS)),
+       dvfs_aware=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_floors_are_bit_identical(kernel, fabric, dvfs_aware):
+    bounded = _run(kernel, fabric, dvfs_aware)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _without_floors(monkeypatch)
+        probed = _run(kernel, fabric, dvfs_aware)
+    assert probed[1]["candidates_bounded"] == 0
+    assert bounded[0] == probed[0], "mapping blob diverged"
+    assert _effort_rows(bounded[2]) == _effort_rows(probed[2])
+
+
+@given(kernel=st.sampled_from(KERNELS),
+       fabric=st.sampled_from(sorted(FABRICS)),
+       dvfs_aware=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_floor_never_exceeds_cost(kernel, fabric, dvfs_aware):
+    try_tile = _Attempt._try_tile
+    checked = []
+
+    def checking(self, node, option, legs):
+        result = try_tile(self, node, option, legs)
+        if result is not None:
+            cost = self._cost(*result, option.pressure, option.level,
+                              self.labels[node], option.fresh)
+            assert cost >= option.floor, (node, option, cost)
+            checked.append(node)
+        return result
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_Attempt, "_try_tile", checking)
+        _run(kernel, fabric, dvfs_aware)
+    assert checked
+
+
+def test_floors_skip_probes(monkeypatch):
+    """fir's baseline compile on 6x6 settles most decisions before its
+    beam runs out: fewer probes, the same mapping."""
+    calls = []
+    try_tile = _Attempt._try_tile
+
+    def counting(self, node, option, legs):
+        calls.append(node)
+        return try_tile(self, node, option, legs)
+
+    monkeypatch.setattr(_Attempt, "_try_tile", counting)
+    bounded = _run("fir", "mesh66", False)
+    with_floors = len(calls)
+    del calls[:]
+    _without_floors(monkeypatch)
+    probed = _run("fir", "mesh66", False)
+    assert bounded[1]["candidates_bounded"] > 0
+    assert with_floors < len(calls)
+    assert with_floors == bounded[1]["candidates_probed"]
+    assert bounded[0] == probed[0]

@@ -67,6 +67,16 @@ class TestBaseline:
             map_baseline(fig1, cgra44,
                          EngineConfig(allowed_tiles=frozenset()))
 
+    @pytest.mark.parametrize("weights", [
+        {"w_route": -1.0}, {"w_time": -0.5}, {"w_time": float("nan")},
+    ])
+    def test_negative_time_or_route_weight_rejected(self, fig1, cgra44,
+                                                    weights):
+        # The candidate floors bound the cost from below only when both
+        # weights are >= 0, so the engine refuses to search without it.
+        with pytest.raises(MappingError, match="w_time and w_route"):
+            map_dfg(fig1, cgra44, EngineConfig(**weights))
+
     def test_const_nodes_are_immediates(self, cgra44):
         b = DFGBuilder("imm")
         c = b.op(Opcode.CONST, name="c")
