@@ -340,6 +340,7 @@ def compile_case(s: Smoke) -> None:
     memo_hits = int(cold_counters.get("route_memo_hits", 0))
     pruned = int(cold_counters.get("candidates_pruned", 0))
     bounded = int(cold_counters.get("candidates_bounded", 0))
+    stopped = int(cold_counters.get("probes_stopped", 0))
     replayed = int(cold_counters.get("decisions_replayed", 0))
     s.report.update({
         "fabric": f"{COMPILE_SIZE}x{COMPILE_SIZE}",
@@ -361,6 +362,7 @@ def compile_case(s: Smoke) -> None:
             "route_memo_hits": memo_hits,
             "candidates_pruned": pruned,
             "candidates_bounded": bounded,
+            "probes_stopped": stopped,
             "decisions_replayed": replayed,
         },
         "passes": {name: {k: round(v, 3) for k, v in row.items()}
@@ -400,6 +402,7 @@ def compile_case(s: Smoke) -> None:
     s.gate("cold sweep route_memo_hits", memo_hits, ">", 0)
     s.gate("cold sweep candidates_pruned", pruned, ">", 0)
     s.gate("cold sweep candidates_bounded", bounded, ">", 0)
+    s.gate("cold sweep probes_stopped", stopped, ">", 0)
     s.gate("cold sweep decisions_replayed", replayed, ">", 0)
     s.against_baseline("cold sweep seconds", "cold_sweep_s", cold["wall_s"],
                        "<=", lambda base: base * (1 + MAX_COLD_REGRESSION))

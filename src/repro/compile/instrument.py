@@ -132,7 +132,8 @@ def render_per_ii(per_ii: list[dict]) -> str:
 
     One row per II the deepening loop tried, with that II's *own*
     probe/prune counts, the options its decisions left unprobed because
-    none could beat the best found (``bounded``), route-memo hit rate
+    none could beat the best found (``bounded``), the probes ended at an
+    in-leg that can never arrive (``stopped``), route-memo hit rate
     and placement decisions its retries replayed instead of searching —
     the aggregated counters hide which II actually burned the search
     effort, which is exactly what one needs when debugging a DSE hot
@@ -141,7 +142,8 @@ def render_per_ii(per_ii: list[dict]) -> str:
     if not per_ii:
         return "no per-II engine effort recorded"
     table = TextTable(["II", "outcome", "attempts", "probed", "pruned",
-                       "bounded", "routes", "memo hit rate", "replayed"])
+                       "bounded", "stopped", "routes", "memo hit rate",
+                       "replayed"])
     for row in per_ii:
         hits = row.get("route_memo_hits", 0)
         misses = row.get("route_memo_misses", 0)
@@ -154,6 +156,7 @@ def render_per_ii(per_ii: list[dict]) -> str:
             row.get("candidates_probed", 0),
             row.get("candidates_pruned", 0),
             row.get("candidates_bounded", 0),
+            row.get("probes_stopped", 0),
             row.get("routes_searched", 0),
             rate,
             row.get("decisions_replayed", 0),

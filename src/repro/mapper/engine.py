@@ -32,7 +32,12 @@ from repro.dfg.ops import Opcode
 from repro.errors import MappingError
 from repro.mapper.labeling import label_dvfs_levels
 from repro.mapper.mapping import Mapping, Placement, Route
-from repro.mapper.routing import RouteMemo, _weighted_hcol, find_route
+from repro.mapper.routing import (
+    RouteMemo,
+    _weighted_hcol,
+    find_route,
+    never_arrives,
+)
 from repro.mapper.schedule import modulo_schedule_times
 from repro.mrrg.mrrg import MRRG, op_claims
 
@@ -120,6 +125,9 @@ class EngineStats:
     #: Placement decisions an attempt took from its II's replay trie
     #: instead of searching (see :meth:`_Attempt.run`).
     decisions_replayed: int = 0
+    #: Probes ended at an in-leg that can never arrive, before the rest
+    #: of their window (see :meth:`_Attempt._never`).
+    probes_stopped: int = 0
     #: Distance-oracle cache accounting. The oracle is process-global
     #: by design (cross-point reuse), so these two describe *cache
     #: state*, not search effort — they are deliberately left out of
@@ -147,6 +155,7 @@ class EngineStats:
             "route_memo_misses": self.route_memo_misses,
             "placements_committed": self.placements_committed,
             "decisions_replayed": self.decisions_replayed,
+            "probes_stopped": self.probes_stopped,
         }
 
 
@@ -155,6 +164,9 @@ _BREAK = object()
 
 #: Sentinel: the replay trie holds no decision for this key.
 _MISS = object()
+
+#: Sentinel: no issue time of this probe can route an in-leg.
+_NEVER = object()
 
 #: Kinds of a node's edge to a placed neighbour (see ``_Attempt._legs``).
 _IN, _SELF, _OUT = 0, 1, 2
@@ -242,7 +254,7 @@ def map_dfg(dfg: DFG, cgra: CGRA, config: EngineConfig | None = None,
 
 #: The effort deltas an ``attempt`` span reports.
 _SPAN_EFFORT = ("routes_searched", "candidates_pruned", "candidates_bounded",
-                "route_memo_hits", "decisions_replayed")
+                "route_memo_hits", "decisions_replayed", "probes_stopped")
 
 
 def _effort(stats: EngineStats, memo: RouteMemo) -> dict[str, int]:
@@ -257,6 +269,7 @@ def _effort(stats: EngineStats, memo: RouteMemo) -> dict[str, int]:
         "route_memo_hits": memo.hits,
         "route_memo_misses": memo.misses,
         "decisions_replayed": stats.decisions_replayed,
+        "probes_stopped": stats.probes_stopped,
     }
 
 
@@ -447,7 +460,8 @@ def _clamp_labels(labels: dict[int, DVFSLevel], cgra: CGRA,
 
 class _Static:
     """What every attempt of one :func:`map_dfg` call shares; all of it
-    depends on the DFG, the fabric and the allowed tiles alone."""
+    depends on the DFG, the fabric and the allowed tiles alone (the beam
+    orders also on the config's ``beam_width``)."""
 
     def __init__(self, dfg: DFG, cgra: CGRA, tiles: list[int]):
         # CONST nodes are not mapped: a constant is an immediate operand
@@ -480,6 +494,20 @@ class _Static:
             if self.capable[n.opcode] else 1
             for n in dfg.nodes()
         }
+        #: Each node's own-clock latency per capable tile (one dict per
+        #: opcode, shared by its nodes).
+        latency = {op: {t: cgra.op_latency(t, op) for t in capable}
+                   for op, capable in self.capable.items()}
+        self.cycles: dict[int, dict[int, int]] = {
+            n.id: latency[n.opcode] for n in dfg.nodes()
+        }
+        #: Each tile's island id.
+        self.island: tuple[int, ...] = tuple(
+            cgra.island_of(t).id for t in range(cgra.num_tiles)
+        )
+        #: Beam orders by (opcode, anchor tiles); see
+        #: :meth:`_Attempt._candidate_tiles`.
+        self.beams: dict[tuple, list[int]] = {}
 
 
 class _Attempt:
@@ -520,8 +548,6 @@ class _Attempt:
         self._slow_version = -1
         self._slow_base: tuple[int, ...] = ()
         self._slow_variants: dict[tuple, tuple[int, ...]] = {}
-        # Opcode/tile latencies are static for the lifetime of a run.
-        self._op_cycles_cache: dict[int, int] = {}
         # A placed node's ready time never changes while it stays
         # placed (its island's level is fixed at commit); any caller
         # that *removes* a placement must drop the cache entry.
@@ -529,24 +555,13 @@ class _Attempt:
 
     # -- helpers ------------------------------------------------------------
 
-    def _slowdown_fn(self, candidate_island: int | None,
-                     candidate_level: DVFSLevel | None):
-        levels = self.island_levels
-
-        def slowdown_of(tile: int) -> int:
-            island = self.cgra.island_of(tile).id
-            level = levels.get(island)
-            if level is None and island == candidate_island:
-                level = candidate_level
-            if level is None or level.is_gated:
-                return 1  # routing through it will assign it normal
-            return level.slowdown
-
-        return slowdown_of
-
     def _slow_vector(self, candidate_island: int | None,
                      candidate_level: DVFSLevel | None) -> tuple[int, ...]:
-        """The per-tile values of :meth:`_slowdown_fn`, as a tuple.
+        """Each tile's slowdown: its island's level, or
+        ``candidate_level`` on a fresh ``candidate_island``; 1 on an
+        island with no level yet (routing through it assigns it normal)
+        or a gated one. Its ``__getitem__`` is the router's
+        ``slowdown_of``.
 
         Rebuilt only when an island gains a level; the per-candidate
         variant (one fresh island hypothetically opened at
@@ -554,9 +569,13 @@ class _Attempt:
         """
         version = len(self.island_levels)
         if version != self._slow_version:
-            fn = self._slowdown_fn(None, None)
+            levels = self.island_levels
+            slowdown = {
+                island: 1 if level.is_gated else level.slowdown
+                for island, level in levels.items()
+            }
             self._slow_base = tuple(
-                fn(t) for t in range(self.cgra.num_tiles)
+                slowdown.get(island, 1) for island in self.static.island
             )
             self._slow_version = version
             self._slow_variants = {}
@@ -577,21 +596,12 @@ class _Attempt:
             self._slow_variants[key] = vec
         return vec
 
-    def _op_cycles(self, node: int, tile: int) -> int:
-        """Own-clock latency of ``node`` on ``tile``'s FU (memoized)."""
-        key = (node << 16) | tile
-        cycles = self._op_cycles_cache.get(key)
-        if cycles is None:
-            cycles = self.cgra.op_latency(tile, self.dfg.node(node).opcode)
-            self._op_cycles_cache[key] = cycles
-        return cycles
-
     def _ready(self, node: int) -> int:
         ready = self._ready_cache.get(node)
         if ready is None:
             p = self.placements[node]
-            level = self.island_levels[self.cgra.island_of(p.tile).id]
-            ready = p.time + self._op_cycles(node, p.tile) * level.slowdown
+            level = self.island_levels[self.static.island[p.tile]]
+            ready = p.time + self.static.cycles[node][p.tile] * level.slowdown
             self._ready_cache[node] = ready
         return ready
 
@@ -693,8 +703,9 @@ class _Attempt:
         allowed_names = self.config.allowed_level_names
         dvfs = self.cgra.dvfs
         options = []
+        cycles = self.static.cycles[node]
         for tile in self._candidate_tiles(self.dfg.node(node).opcode, legs):
-            island = self.cgra.island_of(tile).id
+            island = self.static.island[tile]
             assigned = self.island_levels.get(island)
             fresh = assigned is None
             if fresh:
@@ -712,10 +723,9 @@ class _Attempt:
             else:
                 continue  # Alg. 2 line 17: never onto a slower island
             # Probes roll back all they claim, so the cost reads this too.
-            pressure = self.mrrg.tile_busy_slots(tile) / self.ii
-            cycles = self._op_cycles(node, tile)
+            pressure = self.mrrg.pool.tile_busy_slots(tile) / self.ii
             for level in levels:
-                s = cycles * level.slowdown
+                s = cycles[tile] * level.slowdown
                 window = self._time_window(node, tile, s, legs)
                 slow = self._slow_vector(island, level)
                 floor = self._floor(node, legs, tile, level, fresh, s,
@@ -814,15 +824,21 @@ class _Attempt:
     def _candidate_tiles(self, opcode: Opcode, legs: list[tuple]) -> list[int]:
         """The capable tiles nearest the placed neighbours first (ties in
         tile order: the capable list ascends and the sort is stable),
-        cut to the beam."""
+        cut to the beam; kept per (opcode, anchor tiles) for the run."""
+        anchors = tuple(peer for kind, _i, _e, peer, _t in legs
+                        if kind != _SELF)
+        key = (opcode, anchors)
+        tiles = self.static.beams.get(key)
+        if tiles is not None:
+            return tiles
         tiles = self.static.capable[opcode]
-        anchors = [peer for kind, _i, _e, peer, _t in legs if kind != _SELF]
         if anchors:
             dist = self.cgra._distance
             tiles = sorted(tiles, key=lambda t: sum(
                 map(dist[t].__getitem__, anchors)))
         if self.config.beam_width and len(tiles) > self.config.beam_width:
             tiles = tiles[: self.config.beam_width]
+        self.static.beams[key] = tiles
         return tiles
 
     def _time_window(self, node: int, tile: int, slowdown: int,
@@ -856,18 +872,20 @@ class _Attempt:
         links, crossbars and registers only).
         """
         tile, s = option.tile, option.s
-        slowdown_of = self._slowdown_fn(option.island, option.level)
         pool = self.mrrg.pool
         t, latest = option.window
         while t <= latest:
             if not pool.interval_free(tile, t, s):  # the FU rid is the tile
                 t += 1
                 continue
-            outcome = self._route_adjacent(node, tile, t, s, slowdown_of,
-                                           option.slow, legs, commit=False)
+            outcome = self._route_adjacent(node, tile, t, s, option.slow,
+                                           legs, commit=False)
             if isinstance(outcome, tuple):
                 return t, outcome[1]
             if outcome is _BREAK:
+                return None
+            if outcome is _NEVER:
+                self.stats.probes_stopped += 1
                 return None
             t += outcome  # jump forward by the observed shortfall
         return None
@@ -894,12 +912,13 @@ class _Attempt:
         return legs
 
     def _route_adjacent(self, node: int, tile: int, t: int, s: int,
-                        slowdown_of, slow: tuple[int, ...],
+                        slow: tuple[int, ...],
                         legs: list[tuple] | None = None, *,
                         commit: bool = True):
         """Route every edge between ``node``, issued on ``tile`` at ``t``
         for ``s`` cycles, and the placed nodes (``legs``, built here when
-        omitted), each seeing the routes claimed before it.
+        omitted), each seeing the routes claimed before it; ``slow`` is
+        the per-tile slowdown vector to route under.
 
         With ``commit`` it claims every route (the caller owns the
         rollback) and returns ``(routes, total latency)``. A probe
@@ -908,12 +927,15 @@ class _Attempt:
         are rolled back before it returns ``(None, total latency)``.
         Either way a failure returns an int jump >= 1 when issuing later
         could succeed (sized from the router's earliest-arrival probe),
-        or _BREAK when it cannot (an out-edge deadline was overrun).
+        or _BREAK when it cannot (an out-edge deadline was overrun). A
+        probe returns _NEVER when an in-leg can arrive at no issue time
+        (see :meth:`_never`).
         """
         if legs is None:
             legs = self._legs(node)
         pool = self.mrrg.pool
         token = pool.checkpoint()
+        slowdown_of = slow.__getitem__
         routes: dict[int, Route] | None = {} if commit else None
         latency = 0
         outcome = None
@@ -953,6 +975,10 @@ class _Attempt:
                     # from when the op retires, so its shortfall is the
                     # same at every issue time: jump past all of them.)
                     outcome = probe - deadline
+                elif (not commit and kind == _IN and probe is None
+                      and self._never(src, ready, dst, deadline, horizon,
+                                      slow, token)):
+                    outcome = _NEVER
                 else:
                     outcome = 1
                 break
@@ -968,18 +994,43 @@ class _Attempt:
             pool.rollback(token)
         return (routes, latency) if outcome is None else outcome
 
+    def _never(self, src: int, ready: int, dst: int, deadline: int,
+               horizon: int, slow: tuple[int, ...], token: int) -> bool:
+        """Can the in-leg ``src -> dst`` a probe just failed to route
+        arrive at no issue time of the probe's window?
+
+        Every issue time starts from the pool state at ``token`` and
+        routes the leg under it plus the routes claimed before the leg;
+        only the deadline and horizon move. So a router proof that no
+        deadline or horizon arrives under the state at ``token``, or any
+        fuller one (:func:`~repro.mapper.routing.never_arrives`), holds
+        for every later issue time. A proof under this issue time's own
+        claims is not one: the leg is asked again after rolling back to
+        ``token``.
+        """
+        mrrg, memo = self.mrrg, self.memo
+        if not never_arrives(mrrg, memo, src, ready, dst, slow):
+            return False
+        if mrrg.pool.checkpoint() == token:
+            return True
+        mrrg.pool.rollback(token)
+        if never_arrives(mrrg, memo, src, ready, dst, slow):
+            return True
+        self.stats.routes_searched += 1
+        find_route(mrrg, slow.__getitem__, src, ready, dst, deadline,
+                   horizon=horizon, memo=memo, slow=slow)
+        return never_arrives(mrrg, memo, src, ready, dst, slow)
+
     # -- commit -----------------------------------------------------------
 
     def _commit(self, node: int, tile: int, t: int, level: DVFSLevel) -> None:
-        island = self.cgra.island_of(tile).id
+        island = self.static.island[tile]
         if self.island_levels.get(island) is None:
             self.island_levels[island] = level
-        slowdown_of = self._slowdown_fn(None, None)
         slow = self._slow_vector(None, None)
-        duration = self._op_cycles(node, tile) * level.slowdown
+        duration = self.static.cycles[node][tile] * level.slowdown
         self.mrrg.claim_all(op_claims(tile, t, duration))
-        routed = self._route_adjacent(node, tile, t, duration, slowdown_of,
-                                      slow)
+        routed = self._route_adjacent(node, tile, t, duration, slow)
         if not isinstance(routed, tuple):
             raise MappingError(
                 f"commit failed for node {node} on tile {tile} at t={t}; "
@@ -994,7 +1045,7 @@ class _Attempt:
         # the route was timed with).
         for route in routes.values():
             for hop_tile in route.path:
-                hop_island = self.cgra.island_of(hop_tile).id
+                hop_island = self.static.island[hop_tile]
                 if self.island_levels.get(hop_island) is None:
                     self.island_levels[hop_island] = self.cgra.dvfs.normal
 

@@ -296,7 +296,6 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
     cgra = attempt.cgra
     opcode = attempt.dfg.node(node).opcode
     level = cgra.dvfs.normal
-    slowdown_of = attempt._slowdown_fn(None, None)
     slow = attempt._slow_vector(None, None)
     # Only earlier nodes are placed whenever this loop runs.
     legs = attempt._legs(node)
@@ -315,8 +314,8 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
             except MappingError:
                 attempt.mrrg.rollback(token)
                 continue
-            routed = attempt._route_adjacent(node, tile, t, duration,
-                                             slowdown_of, slow, legs)
+            routed = attempt._route_adjacent(node, tile, t, duration, slow,
+                                             legs)
             if not isinstance(routed, tuple):
                 attempt.mrrg.rollback(token)
                 if routed is _BREAK:

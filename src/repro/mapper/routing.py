@@ -43,8 +43,8 @@ search itself runs one time layer at a time:
   order, since ``(t, tile)`` is unique. The crossbar and horizon tests
   depend on ``v`` and ``t`` alone, so only the link separates pushers.
 
-Two accelerations sit on top of the search, both chosen so the
-returned routes (and the earliest-arrival probe) stay identical:
+Three additions sit on top of the search, all chosen so the returned
+routes (and the earliest-arrival probe) stay identical:
 
 * **Distance-oracle rejection.** ``h(tile)``, the *slowdown-weighted*
   shortest transit time from ``tile`` to the destination (one small
@@ -72,6 +72,15 @@ returned routes (and the earliest-arrival probe) stay identical:
   as the occupancy component. Values are stored relative to ``ready``
   (the search is shift-invariant under ``ready -> ready + k*II`` with
   fixed deltas), so probes of later iterations hit too.
+
+* **Final no-arrival answers.** When ``_search`` finds nothing at the
+  destination by the horizon, it also tells whether that answer holds
+  for every deadline and horizon of the query, under this occupancy or
+  any fuller one (see :func:`_search`). ``find_route`` records such
+  answers in :attr:`RouteMemo.final` under a deadline-free key, and
+  :func:`never_arrives` reads them back, so the engine can stop a probe
+  whose in-leg can never arrive instead of trying every later issue
+  time.
 """
 
 from __future__ import annotations
@@ -109,11 +118,14 @@ class RouteMemo:
     #: Safety valve: drop everything rather than grow without bound.
     MAX_ENTRIES = 200_000
 
-    __slots__ = ("table", "hits", "misses", "hcols", "classes",
+    __slots__ = ("table", "final", "hits", "misses", "hcols", "classes",
                  "hcol_builds", "hcol_reuses")
 
     def __init__(self) -> None:
         self.table: dict[tuple, tuple] = {}
+        #: Deadline-free keys (see :func:`_final_key`) of the queries
+        #: whose no-arrival answer is final; cleared with :attr:`table`.
+        self.final: set[tuple] = set()
         self.hits = 0
         self.misses = 0
         #: (dst_tile, slow) -> weighted-distance heuristic column.
@@ -199,12 +211,16 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
         memo.misses += 1
 
     classes = _slow_classes(memo, slow)
-    result, probe = _search(pool, slow, h_src, classes, src_tile, ready,
-                            dst_tile, deadline, horizon, max_wait)
+    result, probe, final = _search(pool, slow, h_src, classes, src_tile,
+                                   ready, dst_tile, deadline, horizon,
+                                   max_wait)
 
     if memo is not None:
         if len(memo.table) >= RouteMemo.MAX_ENTRIES:
             memo.table.clear()
+            memo.final.clear()
+        if final:
+            memo.final.add(_final_key(pool, src_tile, ready, dst_tile, slow))
         if result is None:
             memo.table[key] = (
                 None, 0, 0, None if probe is None else probe - ready
@@ -213,6 +229,26 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
             memo.table[key] = (result.path, result.depart - ready,
                                result.arrival - ready, probe - ready)
     return result, probe
+
+
+def _final_key(pool, src_tile: int, ready: int, dst_tile: int,
+               slow: tuple[int, ...]) -> tuple:
+    """The memo's key for a final no-arrival answer: a query's memo key
+    without its deadline, horizon and wait deltas."""
+    ii = pool.ii
+    return (ii, src_tile, dst_tile, ready % ii, slow, pool.epoch)
+
+
+def never_arrives(mrrg: MRRG, memo: RouteMemo | None, src_tile: int,
+                  ready: int, dst_tile: int, slow: tuple[int, ...]) -> bool:
+    """Has ``find_route`` proved, under the pool's present occupancy,
+    that a value ready on ``src_tile`` at ``ready`` reaches
+    ``dst_tile`` under no deadline and no horizon, now or after any
+    further claim? False whenever it has not searched such a query
+    (without ``memo`` it records nothing)."""
+    return memo is not None and (
+        _final_key(mrrg.pool, src_tile, ready, dst_tile, slow) in memo.final
+    )
 
 
 def _same_tile_route(pool, tile: int, ready: int, deadline: int,
@@ -357,7 +393,7 @@ def _slow_classes(memo: RouteMemo | None, slow: tuple[int, ...],
 
 def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
             dst_tile: int, deadline: int, horizon: int, max_wait: int,
-            ) -> tuple[RouteResult | None, int | None]:
+            ) -> tuple[RouteResult | None, int | None, bool]:
     """The search itself, one time layer at a time (the module docstring
     says why it returns what the ``(t, tile, depart)`` Dijkstra
     returns). ``layers[i]`` holds the tiles with a state at cycle
@@ -373,7 +409,25 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
     that pass the same test (its seed included), so both searches hold
     it; and every state a returned route, its candidate parents or its
     root can be passes it, since ``h(u) <= slow[v] + h(v)`` on a link
-    ``u -> v``."""
+    ``u -> v``.
+
+    The third value tells whether a ``(None, None)`` answer is *final*:
+    no deadline and no horizon of the same query reaches the
+    destination, under this occupancy or any fuller one (which only
+    drops seeds and hops). Two things must hold:
+
+    1. *The seeds are complete.* The seed loop stopped at a full source
+       register, which every longer wait also crosses; or it seeded at
+       least II waits, so every longer wait departs an II multiple after
+       a seeded one and, occupancy repeating every II cycles, grows the
+       II-shifts of that seed's states.
+    2. *The frontier never holds the destination.* Either no hop was
+       dropped at the horizon, so the frontier died out before it; or
+       the last ``s_max`` layers (``s_max`` the largest slowdown class)
+       equal the layers II earlier, which lie past the seeds. A layer
+       past the seeds is built from the ``s_max`` layers before it by a
+       rule that repeats every II cycles, so from there on every layer
+       equals the one II earlier."""
     ii = pool.ii
     use = pool._use
     full = pool._full
@@ -388,14 +442,17 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
     src_reg_base = src_reg * ii
     src_reg_cap = pool._caps[src_reg]
     seeds = 0
+    complete = False
     for wait in range(max_wait + 1):
         if wait and use[src_reg_base + (ready + wait - 1) % ii] >= src_reg_cap:
+            complete = True
             break
         if ready + wait + h_src > horizon:
             break
         seeds += 1
     if not seeds:
-        return None, None
+        return None, None, False
+    complete = complete or seeds >= ii
 
     layers = [0] * (horizon - ready + 1)
     src_bit = 1 << src_tile
@@ -404,6 +461,7 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
     dst_bit = 1 << dst_tile
     dst_reg_rid = 2 * pool.num_tiles + dst_tile
     earliest_arrival: int | None = None
+    cut = False  # whether the horizon dropped a hop
     last = seeds - 1
     i = -1
     while i < last:
@@ -416,23 +474,25 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
             # The destination is a sink: accept it here or drop it.
             if earliest_arrival is None:
                 if t > deadline:
-                    return None, t
+                    return None, t, False
                 earliest_arrival = t
                 horizon = deadline
                 last = min(last, deadline - ready)
+                cut = True  # an arrival: never final, so stop at late hops
             if (
                 t == deadline
                 or pool.interval_free(dst_reg_rid, t, deadline - t)
             ):
                 path, depart = _backtrack(pool, layers, ready, seeds, slow,
                                           src_tile, dst_tile, t)
-                return RouteResult(path, depart, t), t
+                return RouteResult(path, depart, t), t, False
             layer ^= dst_bit
             if not layer:
                 continue
         slot = t % ii
         for s, members in classes:
-            if t + s > horizon:
+            late = t + s > horizon
+            if late and cut:
                 break  # classes ascend, so every later arrival is late too
             if s == 1:
                 xbar_full = full[xbar_masks + slot]
@@ -458,10 +518,22 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
                         else movers >> -offset
             reached &= targets
             if reached:
+                if late:
+                    cut = True
+                    break
                 layers[i + s] |= reached
                 if i + s > last:
                     last = i + s
-    return None, earliest_arrival
+    if earliest_arrival is not None or not complete:
+        return None, earliest_arrival, False
+    if not cut:
+        return None, None, True  # the frontier died out
+    # A tail that repeats every II cycles never reaches the destination.
+    end = len(layers)
+    tail = end - classes[-1][0]
+    return None, None, (
+        tail - ii >= seeds and layers[tail:] == layers[tail - ii:end - ii]
+    )
 
 
 def _backtrack(pool, layers: list[int], ready: int, seeds: int, slow,

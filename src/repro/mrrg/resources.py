@@ -50,7 +50,9 @@ A bit flips only when a count crosses its capacity, in
 :meth:`claim_rid` (the overflow undo included) and in :meth:`rollback`,
 so the masks are always a function of the counts. Which mask row and
 bit a resource drives depends on the fabric alone and is cached on the
-:class:`CGRA` next to the id layout.
+:class:`CGRA` next to the id layout. The same two places keep each
+tile's busy-slot count (the slots in which its FU or crossbar holds a
+unit), the engine's pressure term, so reading it costs one index.
 """
 
 from __future__ import annotations
@@ -236,6 +238,9 @@ class ModuloResourcePool:
         # or above it feed the routing-visibility epoch.
         self._fu_end = num * ii
         self._epoch = 0
+        #: Per tile, the slots in which its FU or crossbar holds a unit.
+        #: A tile's crossbar cell sits ``_fu_end`` past its FU cell.
+        self._busy: list[int] = [0] * num
 
     @property
     def epoch(self) -> int:
@@ -352,12 +357,18 @@ class ModuloResourcePool:
                 )
             use[index] = count + 1
             self._log.append(index)
-            if index >= self._fu_end:
+            fu_end = self._fu_end
+            if index >= fu_end:
                 w = _WTAB.get((index << 4) | count)
                 self._epoch ^= _wdelta(index, count) if w is None else w
                 if count == self._crossing[rid]:
                     self._full[index + self._mask_shifts[rid] * ii] ^= \
                         self._mask_bits[rid]
+                if not count and index < 2 * fu_end \
+                        and not use[index - fu_end]:
+                    self._busy[rid - self.num_tiles] += 1
+            elif not count and not use[index + fu_end]:
+                self._busy[rid] += 1
             return
         self._check_length(length)
         log = self._log
@@ -369,6 +380,13 @@ class ModuloResourcePool:
         mask_shift = self._mask_shifts[rid] * ii
         bit = self._mask_bits[rid]
         full = self._full
+        # The tile whose busy count this rid drives, and the flat offset
+        # of its twin cell (FU <-> crossbar), if it is one of the two.
+        busy_tile = -1
+        if rid < 2 * self.num_tiles:
+            busy_tile = rid % self.num_tiles
+            twin = fu_end if rid < self.num_tiles else -fu_end
+            busy = self._busy
         overflow = False
         slot = start % ii
         for _ in range(length):
@@ -387,6 +405,8 @@ class ModuloResourcePool:
                 epoch ^= _wdelta(index, count) if w is None else w
                 if count == crossing:
                     full[index + mask_shift] ^= bit
+            if not count and busy_tile >= 0 and not use[index + twin]:
+                busy[busy_tile] += 1
         if overflow:
             # Undo the partial write so a failed claim is a no-op.
             while len(log) > mark:
@@ -396,6 +416,8 @@ class ModuloResourcePool:
                     epoch ^= _wdelta(index, count)
                     if count == crossing:
                         full[index + mask_shift] ^= bit
+                if not count and busy_tile >= 0 and not use[index + twin]:
+                    busy[busy_tile] -= 1
             self._epoch = epoch
             raise MappingError(
                 f"resource {self._keys[rid]} oversubscribed at slots "
@@ -508,6 +530,9 @@ class ModuloResourcePool:
         shifts = self._mask_shifts
         bits = self._mask_bits
         full = self._full
+        busy = self._busy
+        xbar_end = 2 * fu_end
+        num = self.num_tiles
         while len(log) > token:
             index = log.pop()
             count = use[index] = use[index] - 1
@@ -517,6 +542,11 @@ class ModuloResourcePool:
                 rid = index // ii
                 if count == crossing[rid]:
                     full[index + shifts[rid] * ii] ^= bits[rid]
+                if not count and index < xbar_end \
+                        and not use[index - fu_end]:
+                    busy[rid - num] -= 1
+            elif not count and not use[index + fu_end]:
+                busy[index // ii] -= 1
         self._epoch = epoch
 
     # -- statistics -------------------------------------------------------------
@@ -532,17 +562,10 @@ class ModuloResourcePool:
 
     def tile_busy_slots(self, tile: int, kinds: tuple[str, ...] = ("fu", "xbar")) -> int:
         """Distinct slots in which the tile's FU or crossbar is active."""
-        num = self.num_tiles
-        ii = self.ii
         if kinds == ("fu", "xbar"):
-            # The default (the engine's pressure metric) is hot.
-            use = self._use
-            fu_base = tile * ii
-            xbar_base = (num + tile) * ii
-            return sum(
-                1 for slot in range(ii)
-                if use[fu_base + slot] or use[xbar_base + slot]
-            )
+            # The default (the engine's pressure metric) is kept live.
+            return self._busy[tile]
+        num = self.num_tiles
         rids: list[int] = []
         for kind in kinds:
             if kind == "fu":

@@ -92,7 +92,6 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
             continue
         duration = cgra.op_latency(tile, opcode) * level.slowdown
         earliest, latest = attempt._time_window(node, tile, duration)
-        slowdown_of = attempt._slowdown_fn(None, None)
         slow = attempt._slow_vector(None, None)
         for t in range(earliest, latest + 1):
             stats.probes += 1
@@ -106,8 +105,7 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
             except MappingError:
                 attempt.mrrg.rollback(token)
                 continue
-            routed = attempt._route_adjacent(node, tile, t, duration,
-                                             slowdown_of, slow)
+            routed = attempt._route_adjacent(node, tile, t, duration, slow)
             if not isinstance(routed, tuple):
                 attempt.mrrg.rollback(token)
                 if routed is _BREAK:

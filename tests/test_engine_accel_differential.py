@@ -18,6 +18,11 @@ of a search without floors, and the mapping and each II's outcome,
 attempts and replayed decisions are unchanged. Every probe that routes
 also checks that its cost is at least its option's floor.
 
+The probe stop (a probe ends at an in-leg the router proved can never
+arrive) has it too: with the router's final answers ignored, every
+probe walks its whole window, and the mapping and each II's outcome,
+attempts, replayed decisions and probed candidates are unchanged.
+
 The routing distance-oracle cache is process-global by design (that is
 the cross-point reuse feature), so each run clears it first.
 """
@@ -31,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import CGRA
 from repro.compile.fingerprint import mapping_cache_key
 from repro.kernels import load_kernel
-from repro.mapper import routing
+from repro.mapper import engine, routing
 from repro.mapper.engine import (
     ACCEL_FIELDS,
     EngineConfig,
@@ -245,3 +250,76 @@ def test_floors_skip_probes(monkeypatch):
     assert with_floors < len(calls)
     assert with_floors == bounded[1]["candidates_probed"]
     assert bounded[0] == probed[0]
+
+
+def _without_final_answers(monkeypatch):
+    """Treat no router answer as final: no probe stops, so each walks
+    its whole window."""
+    monkeypatch.setattr(engine, "never_arrives", lambda *args: False)
+
+
+def _probe_rows(per_ii: list[dict]) -> list[tuple]:
+    return [(row["ii"], row["outcome"], row["attempts"],
+             row["decisions_replayed"], row["candidates_probed"])
+            for row in per_ii]
+
+
+@given(kernel=st.sampled_from(KERNELS),
+       fabric=st.sampled_from(sorted(FABRICS)),
+       dvfs_aware=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_probe_stops_are_bit_identical(kernel, fabric, dvfs_aware):
+    stopped = _run(kernel, fabric, dvfs_aware)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _without_final_answers(monkeypatch)
+        walked = _run(kernel, fabric, dvfs_aware)
+    assert walked[1]["probes_stopped"] == 0
+    assert stopped[0] == walked[0], "mapping blob diverged"
+    assert _probe_rows(stopped[2]) == _probe_rows(walked[2])
+
+
+def test_probe_stops_skip_searches(monkeypatch):
+    """mvt's iced compile on a 6x6 mesh with 2x2 islands has probes
+    whose in-leg can never arrive: they stop, and the compile searches
+    fewer routes for the same mapping."""
+    stopped = _run("mvt", "mesh66", True)
+    _without_final_answers(monkeypatch)
+    walked = _run("mvt", "mesh66", True)
+    assert stopped[1]["probes_stopped"] > 0
+    assert stopped[1]["routes_searched"] < walked[1]["routes_searched"]
+    assert stopped[0] == walked[0]
+    assert _probe_rows(stopped[2]) == _probe_rows(walked[2])
+
+
+def test_a_stop_needs_a_proof_under_the_probe_base_state():
+    """A leg proved never to arrive under routes its own issue time
+    claimed before it is asked again from the probe's base state, where
+    it arrives: no stop. A proof under the base state itself stops."""
+    cgra = FABRICS["mesh44"]
+    dfg = load_kernel("fir", 1)
+    labels = {n: cgra.dvfs.normal for n in dfg.node_ids()}
+    attempt = _Attempt(dfg, cgra, EngineConfig(), 2, labels,
+                       list(range(cgra.num_tiles)), memo=routing.RouteMemo())
+    mrrg, memo = attempt.mrrg, attempt.memo
+    slow = attempt._slow_vector(None, None)
+
+    def wall_off(dst):
+        """Hold every link into ``dst`` in every slot."""
+        for src in range(cgra.num_tiles):
+            if dst in cgra._neighbors[src]:
+                mrrg.pool.claim(("link", src, dst), 0, mrrg.ii)
+
+    def leg_never_arrives():
+        found = routing.find_route(mrrg, slow.__getitem__, 0, 0, 5, 6,
+                                   horizon=8, memo=memo, slow=slow)
+        assert found == (None, None)
+        return routing.never_arrives(mrrg, memo, 0, 0, 5, slow)
+
+    token = mrrg.pool.checkpoint()
+    wall_off(5)  # as if claimed by an earlier leg at this issue time
+    assert leg_never_arrives()
+    assert not attempt._never(0, 0, 5, 6, 8, slow, token)
+    assert mrrg.pool.checkpoint() == token
+    wall_off(5)  # now part of the base state
+    assert leg_never_arrives()
+    assert attempt._never(0, 0, 5, 6, 8, slow, mrrg.pool.checkpoint())

@@ -211,6 +211,16 @@ def _recomputed_masks(pool: ModuloResourcePool) -> list[int]:
     return full
 
 
+def _recounted_busy(pool: ModuloResourcePool) -> list[int]:
+    """Each tile's busy slots (FU or crossbar holds a unit), recounted
+    from the counts."""
+    return [
+        sum(1 for slot in range(pool.ii)
+            if pool.used(fu_key(tile), slot) or pool.used(xbar_key(tile), slot))
+        for tile in range(pool.num_tiles)
+    ]
+
+
 @st.composite
 def mask_histories(draw):
     """A fabric, a pool shape and a random sequence of pool mutations."""
@@ -242,11 +252,11 @@ def mask_histories(draw):
                          for _ in range(num))
             steps.append((op, tuple(path), ready, depart, deadline, slow))
         elif op == "overflow":
-            kind = draw(st.sampled_from(["xbar", "link"]))
+            kind = draw(st.sampled_from(["fu", "xbar", "link"]))
             if kind == "link":
                 key = link_key(*draw(st.sampled_from(links)))
             else:
-                key = xbar_key(draw(st.integers(0, num - 1)))
+                key = (kind, draw(st.integers(0, num - 1)))
             steps.append((op, key, draw(st.integers(0, 2 * ii)),
                           draw(st.integers(1, ii))))
         else:
@@ -256,7 +266,8 @@ def mask_histories(draw):
 
 class TestOccupancyMasks:
     """The router reads the pool's link-group and crossbar masks instead
-    of the counts, so they must never drift from the counts."""
+    of the counts, and the engine its per-tile busy-slot counts, so
+    neither may ever drift from the counts."""
 
     @pytest.mark.parametrize("topology,groups",
                              [("mesh", 4), ("torus", 8), ("king", 8)])
@@ -282,6 +293,8 @@ class TestOccupancyMasks:
         pool = ModuloResourcePool(cgra, ii, xbar_capacity)
         tokens = [pool.checkpoint()]
         assert pool._full == _recomputed_masks(pool)
+        busy = [pool.tile_busy_slots(tile) for tile in range(cgra.num_tiles)]
+        assert busy == _recounted_busy(pool)
         for step in steps:
             op = step[0]
             if op == "claim":
@@ -314,6 +327,9 @@ class TestOccupancyMasks:
                 tokens = [t for t in tokens if t <= token]
             tokens.append(pool.checkpoint())
             assert pool._full == _recomputed_masks(pool)
+            busy = [pool.tile_busy_slots(tile)
+                    for tile in range(cgra.num_tiles)]
+            assert busy == _recounted_busy(pool)
 
 
 @st.composite

@@ -12,13 +12,18 @@ then partly rolled back, so the search also reads masks that
 ``rollback`` restored. Same-tile queries are the one deliberate
 divergence (the optimized probe is strictly more informative); their
 contract is pinned down separately.
+
+A no-arrival answer the router records as final must hold for every
+deadline, horizon and wait bound of the same query, and after further
+claims too: the reference finds neither a route nor a probe for any of
+them.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import CGRA
 from repro.errors import MappingError
-from repro.mapper.routing import RouteMemo, find_route
+from repro.mapper.routing import RouteMemo, find_route, never_arrives
 from repro.mrrg.mrrg import MRRG, wait_claims
 from tests.reference_routing import reference_find_route
 
@@ -30,43 +35,50 @@ FABRICS = {
     "mesh88": CGRA.build(8, 8, island_shape=(2, 2)),
 }
 
+#: The fabrics whose reference searches are cheap enough to run a
+#: whole grid of queries per example.
+SMALL_FABRICS = ("king33", "mesh33", "mesh42", "torus33")
+
+
+def _claim_batch(draw, mrrg: MRRG, limit: int) -> list[int]:
+    """Up to ``limit`` random claims against every resource kind,
+    applied best-effort (overflows are simply skipped); the token taken
+    before each."""
+    cgra, ii, pool = mrrg.cgra, mrrg.ii, mrrg.pool
+    num = cgra.num_tiles
+    links = [
+        (src, dst) for src in range(num) for dst in cgra._neighbors[src]
+    ]
+    tokens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=limit))):
+        kind = draw(st.sampled_from(["fu", "xbar", "reg", "link"]))
+        if kind == "link":
+            key = ("link", *draw(st.sampled_from(links)))
+        else:
+            key = (kind, draw(st.integers(0, num - 1)))
+        start = draw(st.integers(min_value=0, max_value=2 * ii))
+        length = draw(st.integers(min_value=1, max_value=ii + 2))
+        tokens.append(pool.checkpoint())
+        try:
+            pool.claim(key, start, length)
+        except MappingError:
+            pass
+    return tokens
+
 
 @st.composite
-def routing_scenario(draw):
+def routing_scenario(draw, fabrics=tuple(sorted(FABRICS))):
     """A congested MRRG plus one routing query."""
-    cgra = FABRICS[draw(st.sampled_from(sorted(FABRICS)))]
+    cgra = FABRICS[draw(st.sampled_from(fabrics))]
     num = cgra.num_tiles
     ii = draw(st.integers(min_value=1, max_value=5))
     mrrg = MRRG(cgra, ii, xbar_capacity=draw(st.integers(1, 3)))
 
-    # Random congestion: claims against every resource kind, applied
-    # best-effort (overflows are simply skipped). The second batch is
-    # rolled back from a random claim on, so the search also sees
-    # masks that ``rollback`` restored.
-    links = [
-        (src, dst) for src in range(num) for dst in cgra._neighbors[src]
-    ]
-
-    def claim_batch(limit: int) -> list[int]:
-        """Up to ``limit`` random claims; the token taken before each."""
-        tokens = []
-        for _ in range(draw(st.integers(min_value=0, max_value=limit))):
-            kind = draw(st.sampled_from(["fu", "xbar", "reg", "link"]))
-            if kind == "link":
-                key = ("link", *draw(st.sampled_from(links)))
-            else:
-                key = (kind, draw(st.integers(0, num - 1)))
-            start = draw(st.integers(min_value=0, max_value=2 * ii))
-            length = draw(st.integers(min_value=1, max_value=ii + 2))
-            tokens.append(mrrg.pool.checkpoint())
-            try:
-                mrrg.pool.claim(key, start, length)
-            except MappingError:
-                pass
-        return tokens
-
-    claim_batch(25)
-    tokens = claim_batch(15)
+    # Random congestion. The second batch is rolled back from a random
+    # claim on, so the search also sees masks that ``rollback``
+    # restored.
+    _claim_batch(draw, mrrg, 25)
+    tokens = _claim_batch(draw, mrrg, 15)
     if tokens:
         mrrg.pool.rollback(tokens[draw(st.integers(0, len(tokens) - 1))])
 
@@ -82,6 +94,45 @@ def routing_scenario(draw):
     return mrrg, slow, src, ready, dst, deadline, horizon, max_wait
 
 
+@st.composite
+def walled_scenario(draw):
+    """A :func:`routing_scenario` on a small fabric whose query often
+    cannot arrive: the source's out-links may be held for a while from
+    ``ready`` on (a later deadline could wait them out), and the
+    destination's in-links or crossbar for part or all of the II."""
+    scenario = draw(routing_scenario(SMALL_FABRICS))
+    mrrg, _slow, src, ready, dst = scenario[:5]
+    cgra, ii, pool = mrrg.cgra, mrrg.ii, mrrg.pool
+    claims = []
+    if draw(st.booleans()):
+        span = draw(st.integers(1, ii))
+        claims += [(("link", src, nbr), ready, span)
+                   for nbr in cgra._neighbors[src]]
+    wall = draw(st.sampled_from(["none", "links", "xbar"]))
+    start = draw(st.integers(0, ii - 1))
+    span = draw(st.integers(1, ii))
+    if wall == "links":
+        claims += [(("link", u, dst), start, span)
+                   for u in range(cgra.num_tiles) if dst in cgra._neighbors[u]]
+    elif wall == "xbar":
+        claims += [(("xbar", dst), start, span)] * pool.xbar_capacity
+    for key, at, length in claims:
+        try:
+            pool.claim(key, at, length)
+        except MappingError:
+            pass
+    return scenario
+
+
+def _query_grid(ready: int, ii: int):
+    """Every deadline from ``ready`` to ``ready + 8*II + 12``, each
+    with three horizons and four wait bounds."""
+    for deadline in range(ready, ready + 8 * ii + 13):
+        for horizon in (deadline, deadline + ii, deadline + 3 * ii):
+            for max_wait in (None, 0, 1, 2 * ii):
+                yield deadline, horizon, max_wait
+
+
 def _run_both(scenario, memo=None):
     mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
     slowdown_of = slow.__getitem__
@@ -90,6 +141,59 @@ def _run_both(scenario, memo=None):
     new = find_route(mrrg, slowdown_of, src, ready, dst, deadline,
                      max_wait=max_wait, horizon=horizon, memo=memo)
     return ref, new
+
+
+class TestFinalAnswers:
+    @given(scenario=walled_scenario(), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_final_no_arrival_holds_for_every_query(self, scenario, data):
+        """The first query of the grid whose answer is recorded final
+        (if any): the reference finds no arrival for any query of the
+        grid, before and after more random claims."""
+        mrrg, slow, src, ready, dst = scenario[:5]
+        if src == dst:
+            return
+        memo = RouteMemo()
+        for deadline, horizon, max_wait in _query_grid(ready, mrrg.ii):
+            find_route(mrrg, slow.__getitem__, src, ready, dst, deadline,
+                       max_wait=max_wait, horizon=horizon, memo=memo,
+                       slow=slow)
+            if never_arrives(mrrg, memo, src, ready, dst, slow):
+                break
+        else:
+            return
+        for extra in (0, 15):
+            _claim_batch(data.draw, mrrg, extra)
+            for deadline, horizon, max_wait in _query_grid(ready, mrrg.ii):
+                assert reference_find_route(
+                    mrrg, slow.__getitem__, src, ready, dst, deadline,
+                    max_wait=max_wait, horizon=horizon,
+                ) == (None, None), (deadline, horizon, max_wait)
+
+    def test_final_answers_need_a_memo_and_a_search(self):
+        """Nothing is recorded without a memo, and neither the oracle's
+        early reject nor a deadline before ``ready`` is final."""
+        cgra = FABRICS["mesh33"]
+        mrrg = MRRG(cgra, 2)
+        slow = (1,) * cgra.num_tiles
+        for dst in cgra._neighbors[0]:
+            mrrg.pool.claim(("link", 0, dst), 0, 2)  # 0 can never depart
+        memo = RouteMemo()
+        assert find_route(mrrg, slow.__getitem__, 0, 0, 8, 3, memo=memo,
+                          slow=slow) == (None, None)  # early reject
+        assert find_route(mrrg, slow.__getitem__, 0, 5, 8, 4, memo=memo,
+                          slow=slow) == (None, None)  # deadline < ready
+        assert not never_arrives(mrrg, memo, 0, 0, 8, slow)
+        assert find_route(mrrg, slow.__getitem__, 0, 0, 8, 8,
+                          slow=slow) == (None, None)
+        assert not never_arrives(mrrg, None, 0, 0, 8, slow)
+        assert find_route(mrrg, slow.__getitem__, 0, 0, 8, 8, memo=memo,
+                          slow=slow) == (None, None)
+        assert never_arrives(mrrg, memo, 0, 0, 8, slow)
+        assert never_arrives(mrrg, memo, 0, 2, 8, slow)  # ready mod II
+        assert not never_arrives(mrrg, memo, 0, 1, 8, slow)
+        mrrg.pool.claim(("xbar", 4), 0, 1)  # a new epoch: not recorded
+        assert not never_arrives(mrrg, memo, 0, 0, 8, slow)
 
 
 class TestRouterEquivalence:
