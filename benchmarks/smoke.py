@@ -26,7 +26,8 @@ Cases (run sizes, repetition counts and thresholds are constants):
 * ``stream`` -- enzyme's cold partition (timed and counted, report
   only), then 10^5 inputs through the engine and the per-input
   reference loop (``tests/reference_streaming.py``) for
-  iced/drips/static, then a 10^6-input constant-memory run;
+  iced/drips/static, with the iced and drips engine speedups gated,
+  then a 10^6-input constant-memory run;
 * ``scenario`` -- the same at 5x10^4 / 3x10^5 inputs for
   ``--scenario NAME``, with the scenario's envelope in the report;
 * ``serve`` -- 240 requests over 40 connections against an in-process
@@ -675,6 +676,8 @@ def _stream_case(s: Smoke, name: str, inputs: int, million_inputs: int,
            "==", [])
     s.gate("iced engine vs reference speedup",
            strategies["iced"]["speedup"], ">=", min_speedup)
+    s.gate("drips engine vs reference speedup",
+           strategies["drips"]["speedup"], ">=", min_speedup)
     s.gate("million-input traced peak MB", million["peak_mem_mb"], "<",
            MAX_MILLION_PEAK_MB)
     return partition

@@ -29,8 +29,13 @@ enough to stay in cache. Per chunk:
 2. the chunk's window decisions run first, because a decision reads
    only the window's busy times, never a finish time. ICED's busy time
    for window w is ``sum(counts) * II * slowdown``, decided for every
-   row at once by :class:`BatchedDVFS`; DRIPS's re-shaper runs one row
-   at a time and one input at a time, in stream order;
+   row at once by :class:`BatchedDVFS`. DRIPS's re-shaper,
+   :class:`BatchedDrips`, decides one row block at a time by
+   speculating across windows: with every row's allocation held it
+   builds all remaining windows' latencies and busy times (summed input
+   by input, in stream order), evaluates the reshape rule for every row
+   and window, commits everything before the first window at which any
+   row reshapes, applies that window's reshapes and restarts after it;
 3. the decided levels (or allocations) give every input's latency;
 4. each kernel advances with one max-plus scan per chunk and row block:
    ``finish[i] = max(s[i], finish[i-1]) + lat[i]`` with
@@ -39,12 +44,13 @@ enough to stay in cache. Per chunk:
    ICED and static latencies are integer-valued float64, so below
    2**53 every operation is exact and the scan is **bit-identical** to
    the sequential recurrence (:func:`maxplus_scan_2d` raises
-   ``StreamingError`` once a finish time reaches the bound). DRIPS's
-   reshape penalties are fractional, so it keeps the sequential scan,
-   in the recurrence's own operation order, one row at a time.
+   ``StreamingError`` once a finish time reaches the bound). So are a
+   DRIPS row's until it takes its first reshape penalty, which is
+   fractional: from then on that row keeps the sequential scan, in the
+   recurrence's own operation order, its carry included.
 
 Window ends, durations, power and energy all come from those arrays.
-Power is memoized per level (or allocation) combination through
+Power is memoized per level combination (or DRIPS tile row) through
 :func:`pipeline_power_mw`, the one power function the test oracle
 calls too. Energy totals accumulate window by window, in order:
 ``np.add.accumulate`` is sequential, where ``np.sum`` (pairwise) or a
@@ -70,7 +76,7 @@ from repro.power.model import (
 )
 from repro.power.sram import SRAMModel
 from repro.streaming.controller import BatchedDVFS
-from repro.streaming.drips import _DripsState
+from repro.streaming.drips import BatchedDrips
 from repro.streaming.partitioner import Partition
 from repro.streaming.stage import (
     DEFAULT_BLOCK_SIZE,
@@ -193,11 +199,15 @@ def _emit_window_span(tracer, app_name: str, strategy: str,
                       window_index: int, window_start: float,
                       duration: float, window_inputs: int, energy: float,
                       power: float, levels: dict[str, str],
-                      bottleneck: str | None) -> None:
+                      bottleneck: str | None,
+                      allocation: dict[str, int] | None = None) -> None:
     # Logical span on the simulated-cycles track: the window's extent
     # in base cycles, the levels its kernels ran at, the bottleneck the
-    # controller picked at its end, and its energy.
+    # controller picked at its end (ICED), the islands each kernel held
+    # (DRIPS), and its energy.
     attrs = {} if bottleneck is None else {"bottleneck": bottleneck}
+    if allocation is not None:
+        attrs["allocation"] = dict(allocation)
     tracer.add_span(
         f"window[{window_index}]",
         category="streaming",
@@ -263,10 +273,11 @@ def maxplus_scan_2d(s: np.ndarray, carry: np.ndarray,
 def _maxplus_scan_list(s: list[float], carry: float,
                        lat: list[float]) -> list[float]:
     """The same recurrence as :func:`maxplus_scan_2d` for one row,
-    evaluated sequentially in its own exact operation order — for
-    DRIPS's fractional latencies, where the cumsum form could round
-    differently. Its match with the sequential reference comes from
-    that order, not from integer exactness, so it has no 2**53 check."""
+    evaluated sequentially in its own exact operation order — for a
+    DRIPS row's fractional latencies (and carry) once it has taken a
+    reshape penalty, where the cumsum form could round differently. Its
+    match with the sequential reference comes from that order, not from
+    integer exactness, so it has no 2**53 check."""
     out = []
     prev = carry
     for done, latency in zip(s, lat):
@@ -435,9 +446,8 @@ class _GroupRun:
                                [float(p.ii) for p in placements])
         self.level_strides = (np.int64(len(self.level_names))
                               ** np.arange(num_kernels, dtype=np.int64))
-        self.drips = ([_DripsState(partition, window)
-                       for _ in range(num_rows)]
-                      if strategy == "drips" else [])
+        self.drips = (BatchedDrips(partition, num_rows, window)
+                      if strategy == "drips" else None)
         self.power_memo: dict = {}
         self.prev_finish = np.zeros((num_kernels, num_rows))
         self.stage_finish = np.zeros(num_rows)
@@ -498,9 +508,10 @@ class _GroupRun:
             for k, c in enumerate(counts)
         ]
 
-    def _scan(self, lats: list[np.ndarray], rows: slice) -> np.ndarray:
-        """Advance every kernel of rows ``rows`` one chunk; returns the
-        last stage's ``(R, n)`` finish times."""
+    def _scan(self, lats: list[np.ndarray],
+              rows: slice | np.ndarray) -> np.ndarray:
+        """Advance every kernel of rows ``rows`` (a slice or row indices)
+        one chunk; returns the last stage's ``(R, n)`` finish times."""
         prev_stage = np.zeros_like(lats[0])
         for stage in self.app.stages:
             stage_done = None
@@ -516,22 +527,10 @@ class _GroupRun:
             prev_stage = stage_done
         return prev_stage
 
-    def _drips_row(self, t: int, counts: list[list[int]],
-                   starts: list[int], n: int,
-                   ) -> tuple[list[tuple], list[float]]:
-        """DRIPS for row ``t``: its windows in order, one input at a
-        time, then the sequential scan. Returns each window's tiles and
+    def _scan_row(self, lats: list[list[float]], t: int) -> list[float]:
+        """Advance row ``t`` one chunk with the sequential scan; returns
         the last stage's finish times."""
-        state = self.drips[t]
-        lats: list[list[float]] = [[] for _ in self.names]
-        tiles = []
-        for lo, hi in zip(starts, [*starts[1:], n]):
-            for k, name in enumerate(self.names):
-                lats[k] += state.window_latencies(name, counts[k][lo:hi])
-            tiles.append(tuple(state.kernel_tiles[name]
-                               for name in self.names))
-            state.end_of_window()
-        prev_stage = [0.0] * n
+        prev_stage = [0.0] * len(lats[0])
         for stage in self.app.stages:
             stage_done = None
             for kernel in stage:
@@ -543,7 +542,28 @@ class _GroupRun:
                     a if a >= b else b for a, b in zip(stage_done, finish)
                 ]
             prev_stage = stage_done
-        return tiles, prev_stage
+        return prev_stage
+
+    def _drips_block(self, rows: slice, counts: list[np.ndarray],
+                     window_ends: np.ndarray) -> tuple:
+        """DRIPS for one row block: its windows' decisions, then the
+        scans. Returns each window's ``(R, nw, K)`` tiles and
+        allocations and ``(R, nw)`` last-stage finish times."""
+        lats, tiles, allocation = self.drips.decide(rows, counts)
+        exact = ~self.drips.penalized[rows]
+        if exact.all():
+            last = self._scan(lats, rows)[:, window_ends - 1]
+        else:
+            last = np.empty(tiles.shape[:2])
+            if exact.any():
+                last[exact] = self._scan(
+                    [lat[exact] for lat in lats],
+                    rows.start + np.flatnonzero(exact))[:, window_ends - 1]
+            for i in np.flatnonzero(~exact).tolist():
+                finish = self._scan_row([lat[i].tolist() for lat in lats],
+                                        rows.start + i)
+                last[i] = [finish[e - 1] for e in window_ends.tolist()]
+        return tiles, allocation, last
 
     # -- power -----------------------------------------------------------
 
@@ -554,6 +574,19 @@ class _GroupRun:
             power = self.power_memo[key] = pipeline_power_mw(
                 self.partition, self.params, level_names, tiles)
         return power
+
+    def _tile_power(self, tiles: np.ndarray) -> np.ndarray:
+        """Each window's power from its ``(T, nw, K)`` tile counts, every
+        kernel at the nominal level, memoized per distinct tile row.
+        Tiles change only at decided windows, so consecutive windows
+        mostly repeat a row: one lookup per run of equal rows."""
+        rows = tiles.reshape(-1, tiles.shape[-1])
+        new = np.ones(len(rows), dtype=bool)
+        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+        normal = [self.level_names[0]] * len(self.names)
+        powers = np.array([self._power(normal, row, row)
+                           for row in map(tuple, rows[new].tolist())])
+        return powers[np.cumsum(new) - 1].reshape(tiles.shape[:2])
 
     def _level_power(self, level_idx: np.ndarray) -> np.ndarray:
         packed = level_idx @ self.level_strides
@@ -580,22 +613,18 @@ class _GroupRun:
         # decisions still see every row at once.
         step = max(1, DEFAULT_BLOCK_SIZE // n)
         spans = [slice(lo, lo + step) for lo in range(0, num_rows, step)]
-        counts = [self._counts(rows[span], n) for span in spans]
-        level_idx, bottleneck = self._decide_levels(counts, starts)
+        allocation = None
         if self.strategy == "drips":
-            normal = [self.level_names[0]] * len(self.names)
-            power = np.empty((num_rows, len(starts)))
-            last = np.empty((num_rows, len(starts)))
-            for span, block in zip(spans, counts):
-                for i in range(len(block[0])):
-                    t = span.start + i
-                    tiles, finish = self._drips_row(
-                        t, [c[i].tolist() for c in block], starts.tolist(),
-                        n)
-                    power[t] = [self._power(normal, row, row)
-                                for row in tiles]
-                    last[t] = [finish[e - 1] for e in window_ends.tolist()]
+            # One row block at a time, so no (T, K, n) array is held.
+            tiles, allocation, last = (np.concatenate(part) for part in zip(
+                *(self._drips_block(span, self._counts(rows[span], n),
+                                    window_ends) for span in spans)))
+            power = self._tile_power(tiles)
+            level_idx = np.zeros(allocation.shape, dtype=np.int64)
+            bottleneck = np.full(last.shape, -1, dtype=np.int64)
         else:
+            counts = [self._counts(rows[span], n) for span in spans]
+            level_idx, bottleneck = self._decide_levels(counts, starts)
             power = self._level_power(level_idx)
             last = np.concatenate([
                 self._scan(self._latencies(block, level_idx[span], n),
@@ -617,7 +646,7 @@ class _GroupRun:
         window_inputs = window_ends - starts
         if self.tracer is not None:
             self._emit(start_cycles, end_cycles, window_inputs, energy,
-                       power, level_idx, bottleneck)
+                       power, level_idx, bottleneck, allocation)
         if self.keep_windows:
             self.kept.append((window_inputs, start_cycles, end_cycles,
                               energy, level_idx, bottleneck))
@@ -625,7 +654,7 @@ class _GroupRun:
         self.num_decisions += int((bottleneck >= 0).sum())
 
     def _emit(self, start_cycles, end_cycles, window_inputs, energy,
-              power, level_idx, bottleneck) -> None:
+              power, level_idx, bottleneck, allocation) -> None:
         for t in range(len(start_cycles)):
             for w, (start, end) in enumerate(zip(start_cycles[t].tolist(),
                                                  end_cycles[t].tolist())):
@@ -638,6 +667,8 @@ class _GroupRun:
                     {name: self.level_names[i] for name, i in
                      zip(self.names, level_idx[t, w].tolist())},
                     self.names[bn] if bn >= 0 else None,
+                    None if allocation is None else dict(zip(
+                        self.names, allocation[t, w].tolist())),
                 )
 
     def result(self, inputs: int) -> GroupResult:

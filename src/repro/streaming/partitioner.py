@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.arch.cgra import CGRA
 from repro.compile import MappingCache, SweepExecutor, SweepItem, get_cache
 from repro.errors import PartitionError
@@ -184,17 +186,39 @@ def build_ii_table(app: StreamingApp, cgra: CGRA,
                      _executor(use_cache, jobs, cache_dir))
 
 
-def _stage_latency(app: StreamingApp, table, allocation: dict[str, int],
-                   item: StreamInput) -> float:
-    """Bottleneck latency of one input under an allocation."""
-    worst = 0.0
-    for stage in app.stages:
-        stage_latency = 0.0
-        for kernel in stage:
-            ii = table[(kernel.name, allocation[kernel.name])]
-            stage_latency = max(stage_latency, kernel.iterations(item) * ii)
-        worst = max(worst, stage_latency)
-    return worst
+def _best_allocation(app: StreamingApp, table,
+                     profile_inputs: list[StreamInput], total_islands: int,
+                     max_islands_per_kernel: int) -> dict[str, int] | None:
+    """The island composition with the least summed bottleneck latency
+    over the profile, or ``None`` if no composition fits.
+
+    An input's bottleneck latency is the max over stages of the max over
+    their kernels of ``iterations * II``. No iteration count depends on
+    the composition, so each kernel's counts are taken once and every
+    composition that fits is scored in integer arrays; ties go to the
+    first composition in ``itertools.product`` order (``argmin``), the
+    one a strict ``<`` scan keeps.
+    """
+    kernels = app.all_kernels()
+    feasible = [[c for c in range(1, max_islands_per_kernel + 1)
+                 if table.get((kernel.name, c)) is not None]
+                for kernel in kernels]
+    combos = np.array([combo for combo in itertools.product(*feasible)
+                       if sum(combo) <= total_islands],
+                      dtype=np.int64).reshape(-1, len(kernels))
+    if not len(combos):
+        return None
+    worst = np.zeros((len(combos), len(profile_inputs)), dtype=np.int64)
+    for k, kernel in enumerate(kernels):
+        ii = np.zeros(max_islands_per_kernel + 1, dtype=np.int64)
+        for count in feasible[k]:
+            ii[count] = table[(kernel.name, count)]
+        iterations = np.array([kernel.iterations(item)
+                               for item in profile_inputs], dtype=np.int64)
+        np.maximum(worst, ii[combos[:, k], None] * iterations, out=worst)
+    best = int(worst.sum(axis=1).argmin())
+    return dict(zip((kernel.name for kernel in kernels),
+                    combos[best].tolist()))
 
 
 def profile_count(n: int) -> int:
@@ -229,31 +253,13 @@ def partition_app(app: StreamingApp, cgra: CGRA,
     table = ii_table if ii_table is not None else _ii_table(
         app, cgra, max_islands_per_kernel, executor)
 
-    names = [k.name for k in kernels]
-    feasible_counts = {
-        name: [
-            c for c in range(1, max_islands_per_kernel + 1)
-            if table.get((name, c)) is not None
-        ]
-        for name in names
-    }
-    for name, counts in feasible_counts.items():
-        if not counts:
-            raise PartitionError(f"kernel {name!r} fits on no island count")
-
-    best_alloc: dict[str, int] | None = None
-    best_cost = float("inf")
-    for combo in itertools.product(*(feasible_counts[n] for n in names)):
-        if sum(combo) > total_islands:
-            continue
-        allocation = dict(zip(names, combo))
-        cost = sum(
-            _stage_latency(app, table, allocation, item)
-            for item in profile_inputs
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_alloc = allocation
+    for kernel in kernels:
+        if all(table.get((kernel.name, c)) is None
+               for c in range(1, max_islands_per_kernel + 1)):
+            raise PartitionError(
+                f"kernel {kernel.name!r} fits on no island count")
+    best_alloc = _best_allocation(app, table, profile_inputs, total_islands,
+                                  max_islands_per_kernel)
     if best_alloc is None:
         raise PartitionError(
             f"{app.name}: no island composition fits in "

@@ -11,13 +11,17 @@ production engine to reproduce these results float-for-float — the same
 controller decisions (:func:`decision_log`) — and the stream bench
 times the production engine against this loop.
 
-The oracle shares the production power function
-(:func:`~repro.streaming.engine.pipeline_power_mw`) and the DRIPS
-re-shaper state (:class:`~repro.streaming.drips._DripsState`).
+The DRIPS re-shaper is the scalar per-row :class:`_DripsState`, fed
+one input at a time (the decision oracle for ``BatchedDrips``), and
+:func:`reference_best_allocation` is the partitioner's composition
+search as the plain per-input loop (the oracle for its integer-array
+scoring). The oracle shares the production power function
+(:func:`~repro.streaming.engine.pipeline_power_mw`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +29,13 @@ import numpy as np
 from repro import obs
 from repro.arch.dvfs import DVFSConfig, DVFSLevel
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
+from repro.streaming.app import StreamingApp
 from repro.streaming.controller import BatchedDVFS
-from repro.streaming.drips import _DripsState
+from repro.streaming.drips import (
+    MAX_ISLANDS_PER_KERNEL,
+    RESHAPE_CONFIG_CYCLES,
+    RESHAPE_DRAIN_INPUTS,
+)
 from repro.streaming.engine import (
     StreamResult,
     WindowStats,
@@ -143,6 +152,96 @@ class OneRowController:
         return bottleneck
 
 
+class _DripsState:
+    """The DRIPS re-shaper's mutable state and window-end decision, one
+    row and one kernel at a time (the decision oracle for
+    ``BatchedDrips``)."""
+
+    def __init__(self, partition: Partition, window: int):
+        self.partition = partition
+        self.table = partition.ii_table
+        self.window = window
+        self.allocation = {
+            p.kernel.name: len(p.island_ids) for p in partition.placements
+        }
+        # Placements never change during a run, only the allocation.
+        self.tiles_per_island = {
+            p.kernel.name: len(p.tile_ids(partition.cgra))
+            // max(1, len(p.island_ids))
+            for p in partition.placements
+        }
+        #: Tiles each kernel holds, for the power model: its placement's
+        #: until the first decided window, then its allocation's.
+        self.kernel_tiles = {
+            p.kernel.name: len(p.tile_ids(partition.cgra))
+            for p in partition.placements
+        }
+        self.busy: dict[str, float] = {name: 0.0 for name in self.allocation}
+        self.penalty: dict[str, float] = {
+            name: 0.0 for name in self.allocation
+        }
+
+    def current_ii(self, name: str) -> int:
+        ii = self.table.get((name, self.allocation[name]))
+        if ii is None:  # fall back to the realized mapping's II
+            ii = self.partition.placement_of(name).ii
+        return ii
+
+    def end_of_window(self) -> None:
+        if not any(self.busy.values()):
+            return
+        busy = self.busy
+        allocation = self.allocation
+        table = self.table
+        bottleneck = max(busy, key=lambda k: busy[k])
+        donors = sorted(
+            (k for k in busy if k != bottleneck and allocation[k] > 1),
+            key=lambda k: busy[k],
+        )
+        grown = allocation[bottleneck] + 1
+        can_grow = (
+            grown <= MAX_ISLANDS_PER_KERNEL
+            and table.get((bottleneck, grown)) is not None
+            and donors
+        )
+        if can_grow:
+            donor = donors[0]
+            shrunk = allocation[donor] - 1
+            new_donor_ii = table.get((donor, shrunk))
+            if new_donor_ii is not None:
+                # Reshape only when the projected throughput gain over
+                # the next window beats the drain/reload cost.
+                bn_gain = busy[bottleneck] * (
+                    1.0 - table[(bottleneck, grown)]
+                    / self.current_ii(bottleneck)
+                )
+                donor_loss = max(
+                    0.0,
+                    busy[donor]
+                    * (new_donor_ii / self.current_ii(donor) - 1.0)
+                    - (busy[bottleneck] - busy[donor]),
+                )
+                drain = RESHAPE_DRAIN_INPUTS * (
+                    busy[bottleneck] + busy[donor]
+                ) / max(1, self.window) + 2 * RESHAPE_CONFIG_CYCLES
+                if bn_gain - donor_loss > drain:
+                    allocation[donor] = shrunk
+                    allocation[bottleneck] = grown
+                    self.penalty[donor] += (
+                        RESHAPE_DRAIN_INPUTS * busy[donor]
+                        / max(1, self.window) + RESHAPE_CONFIG_CYCLES
+                    )
+                    self.penalty[bottleneck] += (
+                        RESHAPE_DRAIN_INPUTS * busy[bottleneck]
+                        / max(1, self.window) + RESHAPE_CONFIG_CYCLES
+                    )
+        for name in busy:
+            busy[name] = 0.0
+        # Power accounting follows the new allocation.
+        for name, tiles in self.tiles_per_island.items():
+            self.kernel_tiles[name] = tiles * allocation[name]
+
+
 def decision_log(result: StreamResult) -> list[dict[str, str]]:
     """An ICED run's controller decisions, rebuilt from its windows.
 
@@ -174,7 +273,7 @@ class ReferencePipelineSim:
 
     def run(self, inputs: list[StreamInput], window: int,
             latency_of, level_name_of, tiles_of, on_window_end,
-            strategy: str) -> StreamResult:
+            strategy: str, allocation_of=None) -> StreamResult:
         stage_finish = 0.0
         windows: list[WindowStats] = []
         window_start = 0.0
@@ -210,6 +309,8 @@ class ReferencePipelineSim:
                     tiles_of(),
                 )
                 energy = power * (duration / base_mhz) * 1e-3  # mW*us -> uJ
+                allocation = (None if allocation_of is None
+                              else allocation_of())
                 bottleneck = on_window_end()
                 stats = WindowStats(
                     index=window_index,
@@ -227,7 +328,7 @@ class ReferencePipelineSim:
                     _emit_window_span(tracer, self.app.name, strategy,
                                       window_index, window_start, duration,
                                       window_inputs, energy, power, levels,
-                                      bottleneck)
+                                      bottleneck, allocation)
                 registry.counter("streaming.windows").inc()
                 registry.counter("streaming.inputs").inc(window_inputs)
                 window_start = stage_finish
@@ -329,4 +430,50 @@ def reference_simulate_drips(partition: Partition,
         tiles_of=lambda: [state.kernel_tiles[name] for name in names],
         on_window_end=state.end_of_window,
         strategy="drips",
+        allocation_of=lambda: dict(state.allocation),
     )
+
+
+def _stage_latency(app: StreamingApp, table, allocation: dict[str, int],
+                   item: StreamInput) -> float:
+    """Bottleneck latency of one input under an allocation."""
+    worst = 0.0
+    for stage in app.stages:
+        stage_latency = 0.0
+        for kernel in stage:
+            ii = table[(kernel.name, allocation[kernel.name])]
+            stage_latency = max(stage_latency, kernel.iterations(item) * ii)
+        worst = max(worst, stage_latency)
+    return worst
+
+
+def reference_best_allocation(app: StreamingApp, table,
+                              profile_inputs: list[StreamInput],
+                              total_islands: int,
+                              max_islands_per_kernel: int,
+                              ) -> dict[str, int] | None:
+    """The partitioner's composition search as a plain loop: every
+    composition that fits, in ``itertools.product`` order, scored input
+    by input; a strictly lower cost wins."""
+    names = [k.name for k in app.all_kernels()]
+    feasible_counts = {
+        name: [
+            c for c in range(1, max_islands_per_kernel + 1)
+            if table.get((name, c)) is not None
+        ]
+        for name in names
+    }
+    best_alloc: dict[str, int] | None = None
+    best_cost = float("inf")
+    for combo in itertools.product(*(feasible_counts[n] for n in names)):
+        if sum(combo) > total_islands:
+            continue
+        allocation = dict(zip(names, combo))
+        cost = sum(
+            _stage_latency(app, table, allocation, item)
+            for item in profile_inputs
+        )
+        if cost < best_cost:
+            best_cost = cost
+            best_alloc = allocation
+    return best_alloc

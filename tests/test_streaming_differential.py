@@ -40,9 +40,15 @@ from repro.streaming import (  # noqa: E402
     streaming_cgra,
 )
 
+from repro import obs  # noqa: E402
+from repro.power.model import DEFAULT_POWER_PARAMS  # noqa: E402
+from repro.streaming.engine import pipeline_power_mw  # noqa: E402
+from repro.streaming.partitioner import _best_allocation  # noqa: E402
+
 from tests.reference_streaming import (  # noqa: E402
     DVFSController,
     decision_log,
+    reference_best_allocation,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -52,11 +58,11 @@ CGRA = streaming_cgra()
 
 
 class FakePlacement:
-    def __init__(self, kernel, islands: int, ii: int):
+    def __init__(self, kernel, islands: int, ii: int, tiles: int = 0):
         self.kernel = kernel
         self.island_ids = list(range(islands))
         self.ii = ii
-        self._tiles = 2 * islands
+        self._tiles = tiles or 2 * islands
 
     def tile_ids(self, cgra):
         return list(range(self._tiles))
@@ -293,3 +299,149 @@ def test_group_rows_equal_the_per_input_oracle(case, strategy):
         assert asdict(row) == asdict(ref)
         if strategy == "iced":
             assert decision_log(row) == kwargs["controller"].decisions
+
+
+# ---------------------------------------------------------------------------
+# DRIPS, fixed cases: islands of unequal size, and reshapes at chosen
+# windows of a multi-row group, one of them on a chunk's last window.
+
+
+def _counting_kernel(name, key):
+    """A kernel that runs feature ``key``'s value of iterations."""
+    def model(item):
+        return item.get(key)
+    return KernelStage(name=name, dfg=None, iteration_model=model,
+                       batch_model=model)
+
+
+def _drips_allocations(run):
+    """The ``allocation`` arg of every DRIPS window span ``run()`` emits."""
+    tracer = obs.install_tracer()
+    try:
+        run()
+    finally:
+        obs.uninstall_tracer()
+    return [s.attrs["allocation"] for s in tracer.spans
+            if s.name.startswith("window[")]
+
+
+def test_drips_bills_placement_tiles_until_the_first_decision():
+    # 5 tiles on 2 islands: tiles-per-island x allocation (4) differs
+    # from the placement (5) even when nothing reshapes, so the first
+    # window's power pins that tiles are recorded before its decision.
+    a = _counting_kernel("a", "x")
+    b = _counting_kernel("b", "x")
+    app = StreamingApp(name="uneven", stages=[[a], [b]])
+    partition = FakePartition(
+        app, [FakePlacement(a, 2, 3, tiles=5), FakePlacement(b, 1, 2)],
+        {("a", c): 3 for c in (1, 2, 3)} | {("b", c): 2 for c in (1, 2)})
+    rows = [[StreamInput(i, {"x": float(1 + (i * (t + 3)) % 11)})
+             for i in range(23)] for t in range(3)]
+    group = simulate_group(partition, [blocks_of(r, 5) for r in rows], 4,
+                           strategy="drips")
+    placed, held = (pipeline_power_mw(partition, DEFAULT_POWER_PARAMS,
+                                      ["normal"] * 2, tiles)
+                    for tiles in ([5, 2], [4, 2]))
+    for t, inputs in enumerate(rows):
+        ref = reference_simulate_drips(partition, inputs, window=4)
+        row = group.row_result(t)
+        assert asdict(row) == asdict(ref)
+        assert [w.power_mw for w in row.windows] == pytest.approx(
+            [placed] + [held] * (len(row.windows) - 1))
+
+
+#: Rows of the reshape case and the window at which each reshapes.
+RESHAPE_AT = [[3], [1364], [1370], [1400], [], [1370]]
+RESHAPE_WINDOW = 6
+SPIKE = [997.0, 1000.0, 1003.0, 999.0, 1001.0, 1002.0]
+
+
+def _reshape_case():
+    """Kernel a (1 island, II 8) feeds kernel b (2 islands, II 4). A
+    window in which a's counts spike makes a the bottleneck with enough
+    gain to take one of b's islands; afterwards b holds one island, so
+    no donor is left and the row keeps its allocation."""
+    a = _counting_kernel("a", "x")
+    b = _counting_kernel("b", "y")
+    app = StreamingApp(name="reshape", stages=[[a], [b]])
+    partition = FakePartition(
+        app, [FakePlacement(a, 1, 8), FakePlacement(b, 2, 4)],
+        {("a", 1): 8, ("a", 2): 4, ("a", 3): 3,
+         ("b", 1): 4, ("b", 2): 4, ("b", 3): 4})
+    rows = []
+    for windows in RESHAPE_AT:
+        xs = [1.0] * 9000
+        for w in windows:
+            lo = w * RESHAPE_WINDOW
+            xs[lo:lo + RESHAPE_WINDOW] = SPIKE
+        rows.append([StreamInput(i, {"x": x, "y": float(1 + i % 3)})
+                     for i, x in enumerate(xs)])
+    return partition, rows
+
+
+def test_drips_group_reshapes_at_different_windows_across_chunks():
+    # Chunk one holds 8190 inputs (windows 0-1364), each row its own row
+    # block; chunk two holds the last 810, all rows in one block. Row 1
+    # reshapes on chunk one's last window, so its penalty lands on
+    # chunk two's first input; rows 2, 3 and 5 reshape inside chunk two
+    # at two distinct windows; row 4 never reshapes.
+    partition, rows = _reshape_case()
+    group = simulate_group(partition, [blocks_of(r) for r in rows],
+                           RESHAPE_WINDOW, strategy="drips")
+    for t, inputs in enumerate(rows):
+        ref = reference_simulate_drips(partition, inputs,
+                                       window=RESHAPE_WINDOW)
+        assert asdict(group.row_result(t)) == asdict(ref)
+    # The case is built as described: the oracle reshapes each row at
+    # its listed windows and nowhere else.
+    for inputs, expected in zip(rows, RESHAPE_AT):
+        allocations = _drips_allocations(lambda: reference_simulate_drips(
+            partition, inputs, window=RESHAPE_WINDOW))
+        assert [w for w in range(len(allocations) - 1)
+                if allocations[w] != allocations[w + 1]] == expected
+
+
+def test_drips_window_spans_carry_the_allocation():
+    partition, rows = _reshape_case()
+    inputs = rows[0][:300]
+    engine = _drips_allocations(lambda: simulate_drips(
+        partition, inputs, window=RESHAPE_WINDOW))
+    oracle = _drips_allocations(lambda: reference_simulate_drips(
+        partition, inputs, window=RESHAPE_WINDOW))
+    assert engine == oracle
+    assert engine[3] == {"a": 1, "b": 2} and engine[4] == {"a": 2, "b": 1}
+
+
+# ---------------------------------------------------------------------------
+# The partitioner's composition search against the per-input loop.
+
+
+@st.composite
+def composition_cases(draw):
+    """A fake app, an II table with unmappable (None) entries and few
+    distinct IIs (so costs tie), a profile, and an island budget that
+    sometimes fits no composition."""
+    app = draw(fake_partitions()).app
+    kernels = app.all_kernels()
+    max_islands = draw(st.sampled_from([4, 3, 2, 1]))
+    table = {
+        (kernel.name, c): draw(st.sampled_from([1, 2, 3, 4, 6, 8, None]))
+        for kernel in kernels for c in range(1, max_islands + 1)
+    }
+    profile = [StreamInput(i, {"x": float(x)}) for i, x in enumerate(draw(
+        st.lists(st.integers(min_value=1, max_value=50), min_size=1,
+                 max_size=12)))]
+    # Counted down from a budget every composition fits, to one below
+    # the fewest islands any composition takes.
+    total = len(kernels) * max_islands - draw(st.integers(
+        min_value=0, max_value=len(kernels) * (max_islands - 1) + 1))
+    return app, table, profile, total, max_islands
+
+
+@settings(max_examples=80, **COMMON)
+@given(composition_cases())
+def test_composition_search_matches_the_per_input_loop(case):
+    app, table, profile, total, max_islands = case
+    assert _best_allocation(app, table, profile, total, max_islands) \
+        == reference_best_allocation(app, table, profile, total,
+                                     max_islands)
