@@ -791,6 +791,22 @@ FLEET = dict(scenarios=("enzyme", "diurnal", "bursty", "trace_fleet"),
              placement="load_balanced", seed=0)
 
 
+def _bind_attrs(run) -> dict:
+    """``run()`` under the installed tracer (one of its own when none
+    is) and the attributes of the ``fleet.bind`` span it recorded."""
+    tracer = obs.current_tracer()
+    own = tracer is None
+    if own:
+        tracer = obs.install_tracer()
+    try:
+        run()
+    finally:
+        if own:
+            obs.uninstall_tracer()
+    (bind,) = [span for span in tracer.spans if span.name == "fleet.bind"]
+    return bind.attrs
+
+
 @case("fleet")
 def fleet_case(s: Smoke) -> None:
     spec = synthesize_fleet(FLEET_TENANTS, FLEET_FABRICS, **FLEET)
@@ -806,8 +822,8 @@ def fleet_case(s: Smoke) -> None:
         batched_s, batched = best_of(
             2, lambda _: run(), clock=lambda r: r["stats"]["simulate_s"])
         jobs2 = run(jobs=2)
-        if s.trace:  # the traced run: one extra batched run
-            s.traced(run)
+        # One extra batched run, traced, read for its bind span.
+        bind, _ = s.traced(lambda: _bind_attrs(run))
     total_inputs = reference["rollup"]["total_inputs"]
     speedup = reference_s / max(batched_s, 1e-9)
     print(f"reference {total_inputs / reference_s:11,.0f} inputs/s "
@@ -820,9 +836,13 @@ def fleet_case(s: Smoke) -> None:
         "batched_simulate_s": round(batched_s, 4),
         "batched_groups": batched["stats"]["batched_groups"],
         "fallback_runs": batched["stats"]["fallback_runs"],
+        "apps_built": bind["apps_built"],
         "speedup": round(speedup, 2),
         "rollup": reference["rollup"],
     })
+    # Binding builds one app per scenario kind, however many tenants.
+    s.gate("apps built while binding", bind["apps_built"], "==",
+           len(set(FLEET["scenarios"])))
     s.gate("batched canonical report == reference",
            canonical_report(batched) == canonical_report(reference),
            "==", True)

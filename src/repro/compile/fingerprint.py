@@ -12,6 +12,13 @@ post-pass options.
 Fingerprints are pure functions of value semantics — two independently
 built but identical objects hash equal, which is what lets repeated
 experiment sweeps share work across fresh ``CGRA.build`` calls.
+
+The key is assembled from canonical JSON pieces. A DFG's is kept
+through :meth:`~repro.dfg.graph.DFG.memo` (a mutation or rename drops
+it) and a fabric's on the fabric, which never changes after
+construction; both are reused across the compiles of a sweep. A
+config's is encoded per key: callers build a config for the key they
+ask for.
 """
 
 from __future__ import annotations
@@ -40,19 +47,7 @@ def dfg_fingerprint(dfg: DFG) -> dict[str, Any]:
 
 
 def cgra_fingerprint(cgra: CGRA) -> dict[str, Any]:
-    """Every fabric parameter the engine's search depends on.
-
-    A fabric never changes after construction, so the fingerprint is
-    computed once and kept on the instance (as the router keeps
-    ``_pred_neighbors``); callers must treat it as read-only.
-    """
-    cached = getattr(cgra, "_fingerprint", None)
-    if cached is None:
-        cached = cgra._fingerprint = _cgra_fingerprint(cgra)
-    return cached
-
-
-def _cgra_fingerprint(cgra: CGRA) -> dict[str, Any]:
+    """Every fabric parameter the engine's search depends on."""
     return {
         "rows": cgra.rows,
         "cols": cgra.cols,
@@ -76,7 +71,8 @@ def _cgra_fingerprint(cgra: CGRA) -> dict[str, Any]:
 
 def config_fingerprint(config: EngineConfig) -> dict[str, Any]:
     """All engine tunables, with unordered fields canonicalized."""
-    d = dataclasses.asdict(config)
+    d = {f.name: getattr(config, f.name)
+         for f in dataclasses.fields(config)}
     if d["allowed_tiles"] is not None:
         d["allowed_tiles"] = sorted(d["allowed_tiles"])
     if d["allowed_level_names"] is not None:
@@ -89,17 +85,35 @@ def config_fingerprint(config: EngineConfig) -> dict[str, Any]:
     return d
 
 
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _dfg_json(dfg: DFG) -> str:
+    return dfg.memo("fingerprint", lambda g: _canonical(dfg_fingerprint(g)))
+
+
+def _cgra_json(cgra: CGRA) -> str:
+    """``_canonical(cgra_fingerprint(cgra))``, encoded once and kept on
+    the fabric as a plain str, so it pickles into pool work items."""
+    cached = getattr(cgra, "_key_json", None)
+    if cached is None:
+        cached = cgra._key_json = _canonical(cgra_fingerprint(cgra))
+    return cached
+
+
 def mapping_cache_key(dfg: DFG, cgra: CGRA, config: EngineConfig,
                       kind: str, options: dict[str, Any] | None = None,
                       ) -> str:
-    """Content-addressed key of one (DFG, fabric, config, kind) compile."""
-    payload = {
-        "v": KEY_VERSION,
-        "kind": kind,
-        "dfg": dfg_fingerprint(dfg),
-        "cgra": cgra_fingerprint(cgra),
-        "config": config_fingerprint(config),
-        "options": options or {},
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Content-addressed key of one (DFG, fabric, config, kind) compile.
+
+    The digest is that of ``_canonical(payload)`` for the payload
+    ``{"v", "kind", "dfg", "cgra", "config", "options"}``: the pieces
+    are spliced in its sorted key order, so the bytes are the same.
+    """
+    blob = (f'{{"cgra":{_cgra_json(cgra)},'
+            f'"config":{_canonical(config_fingerprint(config))},'
+            f'"dfg":{_dfg_json(dfg)},"kind":{_canonical(kind)},'
+            f'"options":{_canonical(options or {})},'
+            f'"v":{_canonical(KEY_VERSION)}}}')
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

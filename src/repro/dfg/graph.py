@@ -8,12 +8,16 @@ edges between the same node pair are allowed (``x * x``).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import networkx as nx
 
 from repro.dfg.ops import Opcode, arity, is_memory_op
 from repro.errors import DFGError
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ class DFG:
 
     Build one with :class:`~repro.dfg.builder.DFGBuilder` or the
     ``add_node``/``add_edge`` methods, then call :meth:`validate` before
-    handing it to a mapper.
+    handing it to a mapper. Change a built graph only through its
+    methods: they forget what :meth:`memo` kept about the old content.
     """
 
     name: str = "dfg"
@@ -70,6 +75,10 @@ class DFG:
     _out: dict[int, list[DFGEdge]] = field(default_factory=dict)
     _in: dict[int, list[DFGEdge]] = field(default_factory=dict)
     _next_id: int = 0
+    #: ``key -> (name, value)`` kept by :meth:`memo`; every mutation
+    #: empties it. Plain values only: graphs are pickled into pool work.
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     # -- construction -----------------------------------------------------
 
@@ -80,6 +89,7 @@ class DFG:
         self._nodes[node_id] = DFGNode(node_id, opcode, name)
         self._out[node_id] = []
         self._in[node_id] = []
+        self._memo.clear()
         return node_id
 
     def add_edge(self, src: int, dst: int, dist: int = 0, port: int = 0) -> DFGEdge:
@@ -92,6 +102,7 @@ class DFG:
         self._edges.append(edge)
         self._out[src].append(edge)
         self._in[dst].append(edge)
+        self._memo.clear()
         return edge
 
     def remove_node(self, node_id: int) -> None:
@@ -105,6 +116,13 @@ class DFG:
         for edge in self._in.pop(node_id):
             self._out[edge.src] = [e for e in self._out[edge.src] if e not in touching]
         del self._nodes[node_id]
+        self._memo.clear()
+
+    def set_opcode(self, node_id: int, opcode: Opcode) -> None:
+        """Give node ``node_id`` another opcode (its id and name stay)."""
+        old = self.node(node_id)
+        self._nodes[node_id] = DFGNode(old.id, opcode, old.name)
+        self._memo.clear()
 
     # -- accessors --------------------------------------------------------
 
@@ -158,7 +176,22 @@ class DFG:
         other._out = {k: list(v) for k, v in self._out.items()}
         other._in = {k: list(v) for k, v in self._in.items()}
         other._next_id = self._next_id
+        other._memo = dict(self._memo)
         return other
+
+    def memo(self, key: str, compute: Callable[["DFG"], T]) -> T:
+        """``compute(self)``, computed once per graph content and name.
+
+        Every mutation forgets the kept values, :meth:`copy` carries them
+        over, and a value kept under another ``name`` is computed again,
+        so ``compute`` may read anything the graph holds.
+        """
+        kept = self._memo.get(key)
+        if kept is not None and kept[0] == self.name:
+            return kept[1]
+        value = compute(self)
+        self._memo[key] = (self.name, value)
+        return value
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export to a networkx multigraph (edge attr ``dist``)."""
@@ -174,8 +207,12 @@ class DFG:
 
         Invariants: arity limits respected, no dist-0 cycles (an
         intra-iteration dependence cycle is not executable), graph is
-        non-empty.
+        non-empty. A graph that passed is not checked again until it is
+        mutated or renamed.
         """
+        self.memo("validate", DFG._check)
+
+    def _check(self) -> bool:
         if not self._nodes:
             raise DFGError(f"DFG {self.name!r} has no nodes")
         for node in self.nodes():
@@ -195,6 +232,7 @@ class DFG:
             raise DFGError(
                 f"DFG {self.name!r} has an intra-iteration dependence cycle: {cycle}"
             )
+        return True
 
     def __repr__(self) -> str:
         return f"DFG({self.name!r}, {self.num_nodes} nodes, {self.num_edges} edges)"

@@ -4,6 +4,8 @@
 scenario bound to an app and an arrival stream — across M fabric
 instances:
 
+0. **bind** — every tenant gets its own scenario stream; each scenario
+   kind's app is built once, for its name;
 1. **place** — the requested placement strategy assigns every tenant
    to a healthy fabric (:mod:`repro.fleet.placement`);
 2. **compile** — one partition per distinct app, profiled from the
@@ -50,7 +52,7 @@ from repro.streaming.partitioner import (
     profile_count,
     streaming_cgra,
 )
-from repro.streaming.scenarios import make_scenario, scenario_names
+from repro.streaming.scenarios import Scenario, make_scenario, scenario_names
 from repro.streaming.workloads import take_inputs
 from repro.utils.rng import derive_worker_seed
 
@@ -227,14 +229,30 @@ class FleetSim:
     # -- phases ----------------------------------------------------------
 
     def _bind(self) -> list[_Tenant]:
+        """Bind every tenant to its own scenario stream.
+
+        Placement and grouping read only an app's name, so each
+        scenario kind's app is built once per run, by its first
+        tenant's scenario; the table is local to the run, so every run
+        builds (and, cold, synthesizes) what it reads. ``apps_built``
+        counts the scenarios that hold a built app.
+        """
+        first_of_kind: dict[str, Scenario] = {}
+        scenarios = []
         tenants = []
-        for index, spec in enumerate(self.spec.tenants):
-            scenario = make_scenario(spec.scenario, seed=spec.seed,
-                                     n=spec.inputs)
-            tenants.append(_Tenant(
-                spec=spec, index=index, app_name=scenario.app.name,
-                stream=scenario.stream,
-            ))
+        with obs.span("fleet.bind", category="fleet",
+                      tenants=len(self.spec.tenants)) as span:
+            for index, spec in enumerate(self.spec.tenants):
+                scenario = make_scenario(spec.scenario, seed=spec.seed,
+                                         n=spec.inputs)
+                scenarios.append(scenario)
+                first = first_of_kind.setdefault(spec.scenario, scenario)
+                tenants.append(_Tenant(
+                    spec=spec, index=index, app_name=first.app.name,
+                    stream=scenario.stream,
+                ))
+            span.set(apps_built=sum("app" in vars(scenario)
+                                    for scenario in scenarios))
         return tenants
 
     def _materialize(self, tenants: list[_Tenant]) -> None:

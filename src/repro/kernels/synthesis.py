@@ -288,7 +288,5 @@ class _Wiring:
             else:
                 choice = Opcode.SELECT
             replacements[node] = choice
-        # DFGNode is immutable; rebuild the node table in place.
         for node_id, opcode in replacements.items():
-            old = self.dfg._nodes[node_id]
-            self.dfg._nodes[node_id] = type(old)(old.id, opcode, old.name)
+            self.dfg.set_opcode(node_id, opcode)

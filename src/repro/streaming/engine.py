@@ -61,6 +61,7 @@ time reference loop in ``tests/reference_streaming.py``.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -89,7 +90,7 @@ from repro.streaming.stage import (
 ENGINE_STRATEGIES = ("iced", "static", "drips")
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowStats:
     """One observation window's outcome.
 
@@ -287,6 +288,12 @@ def _maxplus_scan_list(s: list[float], carry: float,
     return out
 
 
+def _level_strides(num_levels: int, num_kernels: int) -> np.ndarray:
+    """Weights that pack a row of ``num_kernels`` level indices into one
+    int64 (base ``num_levels``): equal rows, and only they, pack equal."""
+    return np.int64(num_levels) ** np.arange(num_kernels, dtype=np.int64)
+
+
 def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -390,23 +397,23 @@ class GroupResult:
                 for name, i in zip(self.kernel_names, idx_row)}
 
     def row_result(self, t: int) -> StreamResult:
-        names = self.kernel_names
-        windows: list[WindowStats] = []
-        level_dicts: dict[tuple, dict[str, str]] = {}
-        for w, (start, end, inputs, energy, idx_row, bn) in enumerate(zip(
-                self.start_cycles[t].tolist(), self.end_cycles[t].tolist(),
-                self.window_inputs.tolist(), self.energy_uj[t].tolist(),
-                map(tuple, self.level_idx[t].tolist()),
-                self.bottleneck[t].tolist())):
-            levels = level_dicts.get(idx_row)
-            if levels is None:
-                levels = level_dicts[idx_row] = self._levels(idx_row)
-            windows.append(WindowStats(
-                index=w, start_cycle=start, end_cycle=end, inputs=inputs,
-                energy_uj=energy, levels=dict(levels),
-                bottleneck=names[bn] if bn >= 0 else None,
-                frequency_mhz=self.frequency_mhz,
-            ))
+        # One pass over the windows. Each distinct level row becomes a
+        # dict once and every window gets its own copy. Bottleneck -1
+        # (none) picks the trailing None.
+        idx = self.level_idx[t]
+        packed = idx @ _level_strides(len(self.level_names), idx.shape[1])
+        _, first, which = np.unique(packed, return_index=True,
+                                    return_inverse=True)
+        levels = [self._levels(row) for row in idx[first].tolist()]
+        bottleneck_of = [*self.kernel_names, None]
+        nw = len(packed)
+        windows = list(map(
+            WindowStats, range(nw),
+            self.start_cycles[t].tolist(), self.end_cycles[t].tolist(),
+            self.window_inputs.tolist(), self.energy_uj[t].tolist(),
+            map(dict.copy, map(levels.__getitem__, which.tolist())),
+            map(bottleneck_of.__getitem__, self.bottleneck[t].tolist()),
+            itertools.repeat(self.frequency_mhz, nw)))
         return StreamResult(
             app=self.app,
             strategy=self.strategy,
@@ -444,8 +451,8 @@ class _GroupRun:
         # latency factor [level, kernel] = II * max(slowdown, 1)
         self.factor = np.outer(self.controller.latency_slowdown,
                                [float(p.ii) for p in placements])
-        self.level_strides = (np.int64(len(self.level_names))
-                              ** np.arange(num_kernels, dtype=np.int64))
+        self.level_strides = _level_strides(len(self.level_names),
+                                            num_kernels)
         self.drips = (BatchedDrips(partition, num_rows, window)
                       if strategy == "drips" else None)
         self.power_memo: dict = {}

@@ -8,7 +8,7 @@ seedable object:
     from repro.streaming.scenarios import make_scenario, scenario_names
 
     scenario = make_scenario("bursty", seed=3, n=10_000)
-    scenario.app               # the StreamingApp its features drive
+    scenario.app               # the StreamingApp (built on first access)
     scenario.feature_blocks()  # lazy FeatureBlocks for the engine
     scenario.generate()        # the same stream as StreamInput objects
 
@@ -365,12 +365,17 @@ class Scenario:
     spec: ScenarioSpec
     seed: int
     n: int
-    app: StreamingApp
     stream: object = field(repr=False)
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @functools.cached_property
+    def app(self) -> StreamingApp:
+        """The application its features drive, built on first access:
+        a scenario made only for its stream builds none."""
+        return self.spec.app_factory()
 
     def feature_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
                        ) -> Iterator[FeatureBlock]:
@@ -435,7 +440,7 @@ def make_scenario(name: str, seed: int | None = None,
         raise ScenarioError(f"scenario {name!r}: n must be >= 0, got {n}")
     if seed is None:
         seed = spec.default_seed
-    return Scenario(spec=spec, seed=seed, n=n, app=spec.app_factory(),
+    return Scenario(spec=spec, seed=seed, n=n,
                     stream=spec.stream_factory(seed, n))
 
 

@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+from repro import obs
+from repro.dfg.graph import DFG
 from repro.errors import FleetError, PlacementError
 from repro.fleet import (
     FabricInstance,
@@ -27,6 +29,10 @@ from repro.fleet import (
     render_fleet_summary,
     synthesize_fleet,
 )
+from repro.streaming import gcn_app
+
+from tests.reference_fleet import ReferenceFleetSim
+from tests.test_kernels import _FakePartition
 
 
 def requests(n, app="gcn", load=100.0):
@@ -290,6 +296,42 @@ class TestFleetReport:
         assert "6 tenants" in text
         assert "2/3 healthy" in text
         assert "FAILED" in text
+
+
+# -- binding ------------------------------------------------------------------
+
+
+BIND_MIX = dict(scenarios=("enzyme", "bursty", "trace_fleet"),
+                strategies=("iced", "static", "drips"), inputs=20, seed=5)
+
+
+class TestFleetBind:
+    def test_graph_copies_scale_with_scenario_kinds(self, monkeypatch):
+        partitions = {"gcn": _FakePartition(gcn_app())}
+        copies = []
+        real = DFG.copy
+        monkeypatch.setattr(DFG, "copy", lambda self, *args, **kwargs: (
+            copies.append(self.name) or real(self, *args, **kwargs)))
+        counts = []
+        for tenants in (24, 48):
+            spec = synthesize_fleet(tenants, 4, **BIND_MIX)
+            del copies[:]
+            report = FleetSim(spec, partitions=partitions).run()
+            counts.append(len(copies))
+            reference = ReferenceFleetSim(spec, partitions=partitions).run()
+            assert canonical_report(report) == canonical_report(reference)
+        # One gcn app per scenario kind: 6 stage graphs plus 2 renames.
+        assert counts == [3 * 8, 3 * 8]
+
+    def test_bind_span_counts_tenants_and_apps_built(self):
+        spec = synthesize_fleet(24, 4, **BIND_MIX)
+        tracer = obs.install_tracer()
+        try:
+            FleetSim(spec, partitions={"gcn": _FakePartition(gcn_app())}).run()
+        finally:
+            obs.uninstall_tracer()
+        (bind,) = [s for s in tracer.spans if s.name == "fleet.bind"]
+        assert bind.attrs == {"tenants": 24, "apps_built": 3}
 
 
 # -- CLI ----------------------------------------------------------------------

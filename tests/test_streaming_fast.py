@@ -299,6 +299,13 @@ class TestFastEngineEquality:
         assert slim.total_energy_uj == full.total_energy_uj
         assert slim.inputs == full.inputs
 
+    @pytest.mark.parametrize("run", [simulate_stream, simulate_static,
+                                     simulate_drips])
+    def test_windows_own_their_level_dicts(self, gcn_partition, gcn_inputs,
+                                           run):
+        windows = run(gcn_partition, gcn_inputs, window=5).windows
+        assert len({id(w.levels) for w in windows}) == len(windows) > 1
+
     def test_empty_stream(self, gcn_partition):
         result = simulate_stream(gcn_partition, [], window=10)
         assert result.inputs == 0
