@@ -87,7 +87,6 @@ from repro.serve import (
     loadtest,
 )
 from repro.streaming import (
-    inputs_of,
     make_scenario,
     partition_app,
     scenario_envelope,
@@ -97,13 +96,14 @@ from repro.streaming import (
     simulate_stream,
     skip_blocks,
     streaming_cgra,
-    take_inputs,
+    take_block,
 )
 from tests.reference_dse import reference_run_dse
 from tests.reference_fleet import ReferenceFleetSim
 from tests.reference_streaming import (
     DVFSController,
     decision_log,
+    inputs_of,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -636,7 +636,7 @@ def _cold_partition(scenario) -> tuple:
     before = obs.metrics().counters()
     wall_s, partition = timed(lambda: partition_app(
         scenario.app, streaming_cgra(),
-        take_inputs(scenario.stream.feature_blocks(), PROFILE_INPUTS),
+        take_block(scenario.stream.feature_blocks(), PROFILE_INPUTS),
     ))
     after = obs.metrics().counters()
     section = {"wall_s": round(wall_s, 3)}

@@ -10,7 +10,7 @@ Run:  python examples/streaming_gcn.py
 """
 
 from repro import gcn_app, partition_app, simulate_drips, simulate_stream, streaming_cgra
-from repro.streaming import EnzymeGraphStream
+from repro.streaming import EnzymeGraphStream, skip_blocks, take_block
 
 
 def main() -> None:
@@ -20,8 +20,9 @@ def main() -> None:
 
     # 150 synthetic ENZYMES-like graphs; the first 50 profile the
     # partition (exactly the paper's setup), the rest are the run.
-    inputs = EnzymeGraphStream(num_graphs=150).generate()
-    profile, run = inputs[:50], inputs[50:]
+    stream = EnzymeGraphStream(num_graphs=150)
+    profile = take_block(stream.feature_blocks(), 50)
+    run = list(skip_blocks(stream.feature_blocks(), 50))
 
     partition = partition_app(app, fabric, profile)
     print("\npartition (kernel: islands, II):")

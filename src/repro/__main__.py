@@ -219,7 +219,7 @@ def cmd_stream(args) -> int:
         EnzymeGraphStream,
         SparseMatrixStream,
         skip_blocks,
-        take_inputs,
+        take_block,
     )
 
     check_window(args.window)
@@ -248,7 +248,7 @@ def cmd_stream(args) -> int:
             f"--inputs {args.inputs} leaves nothing to stream after the "
             f"{profile_n}-input profiling prefix"
         )
-    profile = take_inputs(workload.feature_blocks(), profile_n)
+    profile = take_block(workload.feature_blocks(), profile_n)
     partition = None
 
     def run_streaming():
@@ -433,12 +433,15 @@ def cmd_trace(args) -> int:
     controller makes window decisions — the written trace carries all
     four span categories (pipeline, mapper, sim, streaming).
     """
+    import numpy as np
+
     from repro.kernels.suite import load_kernel
     from repro.sim.simulator import simulate_execution
     from repro.streaming.app import StreamingApp
     from repro.streaming.engine import check_window, simulate_stream
     from repro.streaming.partitioner import partition_app, streaming_cgra
-    from repro.streaming.stage import KernelStage, StreamInput
+    from repro.streaming.stage import FeatureBlock, KernelStage
+    from repro.streaming.workloads import take_block
 
     check_window(args.window)
     cgra = _build_fabric(args)
@@ -450,19 +453,16 @@ def cmd_trace(args) -> int:
         # Stream the same kernel as a one-stage pipeline: the DVFS
         # controller still watches windows, so streaming spans appear.
         dfg = load_kernel(args.kernel, args.unroll)
-        stage = KernelStage(
-            name=dfg.name, dfg=dfg,
-            iteration_model=lambda item: int(item.get("work")),
-        )
+        stage = KernelStage(name=dfg.name, dfg=dfg,
+                            iteration_model=lambda block: block.get("work"))
         app = StreamingApp(name=f"{args.kernel}-stream", stages=[[stage]])
-        inputs = [
-            StreamInput(index=i, features={"work": 6.0 + 3.0 * (i % 5)})
-            for i in range(args.inputs)
-        ]
-        partition = partition_app(app, streaming_cgra(), inputs[:4],
+        inputs = FeatureBlock(
+            {"work": 6.0 + 3.0 * (np.arange(args.inputs) % 5)})
+        partition = partition_app(app, streaming_cgra(),
+                                  take_block([inputs], 4),
                                   max_islands_per_kernel=2,
                                   use_cache=False)
-        stream = simulate_stream(partition, inputs, window=args.window)
+        stream = simulate_stream(partition, [inputs], window=args.window)
         print(f"{args.kernel}: II={result.mapping.ii}, "
               f"{len(stream.windows)} stream windows")
     return 0

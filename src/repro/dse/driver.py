@@ -331,16 +331,13 @@ class _Sweep:
             # only the (shared) normal level — and revalidation still
             # runs.
             if plan.key not in self.cache:
+                # The disk tier files the blob under its own kernel.
+                self.cache.store_serialized(
+                    plan.key, solved["blob"], backend="engine",
+                    meta=solved["meta"])
                 if self.disk is not None:
-                    self.cache.store_serialized(
-                        plan.key, solved["blob"], kernel=point.kernel,
-                        backend="engine", meta=solved["meta"])
                     self.disk.tag_sweep(plan.key, self.space_hash,
                                         point.index)
-                else:
-                    self.cache.store_serialized(
-                        plan.key, solved["blob"], backend="engine",
-                        meta=solved["meta"])
                 self.stats["aliased_blobs"] += 1
             sibling_ii = solved["meta"].get("ii")
             if isinstance(sibling_ii, int) and sibling_ii > min_ii:

@@ -11,7 +11,12 @@ from repro.experiments.base import ExperimentResult
 from repro.streaming.app import gcn_app, lu_app
 from repro.streaming.engine import simulate_drips, simulate_stream
 from repro.streaming.partitioner import partition_app, streaming_cgra
-from repro.streaming.workloads import EnzymeGraphStream, SparseMatrixStream
+from repro.streaming.workloads import (
+    EnzymeGraphStream,
+    SparseMatrixStream,
+    skip_blocks,
+    take_block,
+)
 from repro.utils.tables import TextTable
 
 DEFAULT_WINDOWS = (2, 5, 10, 25, 50)
@@ -23,12 +28,13 @@ def run(app_name: str = "lu",
         profile_inputs: int = 50) -> ExperimentResult:
     if app_name == "gcn":
         app = gcn_app()
-        inputs = EnzymeGraphStream(num_graphs=num_inputs).generate()
+        workload = EnzymeGraphStream(num_graphs=num_inputs)
     else:
         app = lu_app()
-        inputs = SparseMatrixStream(num_matrices=num_inputs).generate()
+        workload = SparseMatrixStream(num_matrices=num_inputs)
     cgra = streaming_cgra()
-    profile, run_inputs = inputs[:profile_inputs], inputs[profile_inputs:]
+    profile = take_block(workload.feature_blocks(), profile_inputs)
+    run_inputs = list(skip_blocks(workload.feature_blocks(), profile_inputs))
     partition = partition_app(app, cgra, profile)
 
     table = TextTable(["window", "iced mW", "iced cycles", "perf/W vs DRIPS"])

@@ -14,7 +14,12 @@ from repro.experiments.base import ExperimentResult
 from repro.streaming.app import gcn_app, lu_app
 from repro.streaming.engine import simulate_drips, simulate_stream
 from repro.streaming.partitioner import partition_app, streaming_cgra
-from repro.streaming.workloads import EnzymeGraphStream, SparseMatrixStream
+from repro.streaming.workloads import (
+    EnzymeGraphStream,
+    SparseMatrixStream,
+    skip_blocks,
+    take_block,
+)
 from repro.utils.tables import TextTable
 
 PAPER_AVERAGES = {"gcn": 1.12, "lu": 1.26}
@@ -33,14 +38,16 @@ def run(apps: tuple[str, ...] = ("gcn", "lu"),
     for app_name in apps:
         if app_name == "gcn":
             app = gcn_app()
-            inputs = EnzymeGraphStream(num_graphs=num_inputs).generate()
+            workload = EnzymeGraphStream(num_graphs=num_inputs)
         elif app_name == "lu":
             app = lu_app()
-            inputs = SparseMatrixStream(num_matrices=num_inputs).generate()
+            workload = SparseMatrixStream(num_matrices=num_inputs)
         else:
             raise ValueError(f"unknown streaming app {app_name!r}")
         cgra = streaming_cgra()
-        profile, run_inputs = inputs[:profile_inputs], inputs[profile_inputs:]
+        profile = take_block(workload.feature_blocks(), profile_inputs)
+        run_inputs = list(skip_blocks(workload.feature_blocks(),
+                                      profile_inputs))
         partition = partition_app(app, cgra, profile)
         iced = simulate_stream(partition, run_inputs, window=window)
         drips = simulate_drips(partition, run_inputs, window=window)

@@ -53,7 +53,7 @@ from repro.streaming.partitioner import (
     streaming_cgra,
 )
 from repro.streaming.scenarios import Scenario, make_scenario, scenario_names
-from repro.streaming.workloads import take_inputs
+from repro.streaming.workloads import take_block
 from repro.utils.rng import derive_worker_seed
 
 __all__ = [
@@ -306,7 +306,7 @@ class FleetSim:
                     tenant.spec.scenario, seed=tenant.spec.seed,
                     n=tenant.spec.inputs,
                 )
-                profile = take_inputs(
+                profile = take_block(
                     scenario.feature_blocks(),
                     profile_count(tenant.spec.inputs),
                 )

@@ -90,8 +90,7 @@ class MappingResult:
     the backend's own search-effort counters under its native names —
     namespacing for merged snapshots is the pipeline's job. ``detail``
     carries structured per-run diagnostics (e.g. the engine's per-II
-    effort rows) — like ``wall_ms`` it varies run to run, so it is
-    excluded from serialization and the fingerprint.
+    effort rows); like ``wall_ms`` it varies run to run.
     """
 
     mapping: Mapping
@@ -113,40 +112,6 @@ class MappingResult:
                    cost=mapping_cost(mapping), optimal=optimal,
                    stats=dict(stats or {}), wall_ms=wall_ms,
                    detail=detail)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-stable encoding (round-trips through :meth:`from_dict`)."""
-        return {
-            "mapping": self.mapping.to_dict(),
-            "backend": self.backend,
-            "ii": self.ii,
-            "cost": self.cost,
-            "optimal": self.optimal,
-            "stats": {str(k): int(v) for k, v in sorted(self.stats.items())},
-            "wall_ms": self.wall_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any], dfg: DFG,
-                  cgra: CGRA) -> "MappingResult":
-        return cls(
-            mapping=Mapping.from_dict(data["mapping"], dfg, cgra),
-            backend=str(data["backend"]),
-            ii=int(data["ii"]),
-            cost=float(data["cost"]),
-            optimal=bool(data["optimal"]),
-            stats={str(k): int(v) for k, v in data.get("stats", {}).items()},
-            wall_ms=float(data.get("wall_ms", 0.0)),
-        )
-
-    def fingerprint(self) -> dict[str, Any]:
-        """The jobs-independent identity of this result: everything in
-        :meth:`to_dict` except wall-clock and effort counters, which
-        legitimately vary run to run."""
-        d = self.to_dict()
-        d.pop("wall_ms")
-        d.pop("stats")
-        return d
 
 
 @runtime_checkable

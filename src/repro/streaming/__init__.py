@@ -21,21 +21,14 @@ a per-strategy energy/latency envelope gated by committed goldens
 (``docs/streaming_scenarios.md``).
 """
 
-from repro.streaming.stage import (
-    DEFAULT_BLOCK_SIZE,
-    FeatureBlock,
-    KernelStage,
-    StreamInput,
-    blocks_of,
-    inputs_of,
-)
+from repro.streaming.stage import DEFAULT_BLOCK_SIZE, FeatureBlock, KernelStage
 from repro.streaming.app import StreamingApp, branchy_app, gcn_app, lu_app
 from repro.streaming.workloads import (
     EnzymeGraphStream,
     SegmentedWorkload,
     SparseMatrixStream,
     skip_blocks,
-    take_inputs,
+    take_block,
 )
 from repro.streaming.scenarios import (
     Scenario,
@@ -72,9 +65,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "FeatureBlock",
     "KernelStage",
-    "StreamInput",
-    "blocks_of",
-    "inputs_of",
     "StreamingApp",
     "branchy_app",
     "gcn_app",
@@ -83,7 +73,7 @@ __all__ = [
     "SegmentedWorkload",
     "SparseMatrixStream",
     "skip_blocks",
-    "take_inputs",
+    "take_block",
     "Scenario",
     "ScenarioSpec",
     "TraceReplayStream",

@@ -15,14 +15,15 @@ Stage graphs follow the paper (Table I's island column and section V):
   init -> decompose -> (solver0 | solver1) -> (invert | determinant),
   preferring 1+1+(2+2)+(1+2) = 9 islands.
 
-Iteration models are written as pure feature arithmetic (``item.get``
-plus ``*``/``+``), so the same lambda evaluates one
-:class:`~repro.streaming.stage.StreamInput` *or* a whole
-:class:`~repro.streaming.stage.FeatureBlock` — truncation to an
-iteration count happens once, in ``KernelStage.iterations``. The only
-exception is solver0's ``** 1.5``: numpy's vectorized pow rounds
-differently than libm's, so its batch model runs libm pow per element
-to stay bit-identical with the per-input model.
+Iteration models read a whole
+:class:`~repro.streaming.stage.FeatureBlock` (``block.get`` returns a
+feature column) and are written as elementwise float64 arithmetic;
+truncation to an iteration count happens once, in
+``KernelStage.iterations_block``. Each model computes, per input,
+exactly what the same formula computes on Python floats — the per-input
+test oracle counts that way. Two need care: solver0's ``** 1.5`` runs
+libm pow per element (numpy's vectorized pow rounds differently), and
+cond_scan's max is ``np.maximum`` (an exact select).
 """
 
 from __future__ import annotations
@@ -60,29 +61,24 @@ class StreamingApp:
 
 
 def _stage(name: str, model, islands: int, unroll: int = 1,
-           instance: str = "", batch_model=None,
-           alias: str = "") -> KernelStage:
+           instance: str = "", alias: str = "") -> KernelStage:
     dfg = load_kernel(name, unroll)
     if alias:
         dfg = dfg.copy(name=alias)
     elif instance:
         dfg = dfg.copy(name=f"{name}.{instance}")
-    return KernelStage(
-        name=dfg.name, dfg=dfg, iteration_model=model,
-        preferred_islands=islands,
-        # Feature-arithmetic models vectorize as themselves unless a
-        # bit-exact twin is supplied explicitly.
-        batch_model=batch_model if batch_model is not None else model,
-    )
+    return KernelStage(name=dfg.name, dfg=dfg, iteration_model=model,
+                       preferred_islands=islands)
 
 
 def gcn_app(unroll: int = 1) -> StreamingApp:
     """The 2-layer GCN inference pipeline over graph inputs."""
     def by_nnz(scale: float):
-        return lambda item: scale * item.get("nnz")
+        return lambda block: scale * block.get("nnz")
 
     def by_nodes(scale: float):
-        return lambda item: scale * item.get("n_nodes") * item.get("features")
+        return lambda block: (scale * block.get("n_nodes")
+                              * block.get("features"))
 
     return StreamingApp(name="gcn", stages=[
         [_stage("compress", by_nnz(1.0), 1, unroll)],
@@ -90,34 +86,25 @@ def gcn_app(unroll: int = 1) -> StreamingApp:
         [_stage("combine", by_nodes(2.0), 1, unroll)],
         [_stage("aggregate", by_nnz(2.0), 2, unroll, instance="l2")],
         [_stage("combrelu", by_nodes(1.5), 2, unroll)],
-        [_stage("pooling", lambda item: item.get("n_nodes"), 1, unroll)],
+        [_stage("pooling", lambda block: block.get("n_nodes"), 1,
+                unroll)],
     ])
-
-
-def _solver0_model(item):
-    return item.get("n") ** 1.5 * 0.9
 
 
 def _solver0_batch(block):
     # libm pow per element: python's ``**`` and numpy's vectorized pow
-    # disagree in the last ulp, and bit-identity with the per-input
-    # model matters more here than one vectorized op.
+    # disagree in the last ulp, and the per-input oracle's ``n ** 1.5``
+    # must count the same iterations.
     n = block.get("n")
     return np.array([v ** 1.5 for v in n.tolist()], dtype=np.float64) * 0.9
 
 
-def _predicated_model(item):
+def _predicated_batch(block):
     # If-converted nested conditional under *partial predication*: the
     # fabric executes both branch arms every outer iteration and
     # selects, so the per-iteration cost is the max of the arm trip
     # counts (heavy arm scales with the input's nesting depth, light
-    # arm is constant).
-    return item.get("outer") * max(item.get("depth") * 4.0, 6.0)
-
-
-def _predicated_batch(block):
-    # np.maximum is an exact elementwise float64 select — bit-identical
-    # to the scalar max() per row (no NaNs in these features).
+    # arm is constant). np.maximum is an exact float64 select.
     return block.get("outer") * np.maximum(block.get("depth") * 4.0, 6.0)
 
 
@@ -146,8 +133,7 @@ def branchy_app(unroll: int = 1) -> StreamingApp:
     control-flow analogue of the GCN's sparse/dense shift.
     """
     return StreamingApp(name="branchy", stages=[
-        [_stage("fir", _predicated_model, 1, unroll, alias="cond_scan",
-                batch_model=_predicated_batch)],
+        [_stage("fir", _predicated_batch, 1, unroll, alias="cond_scan")],
         [
             _stage("relu",
                    lambda x: x.get("outer") * (1.0 + 7.0 * x.get("taken")),
@@ -168,8 +154,7 @@ def lu_app(unroll: int = 1) -> StreamingApp:
         [_stage("lu_init", lambda x: x.get("n") * 4, 1, unroll)],
         [_stage("decompose", lambda x: x.get("nnz") * 0.8, 1, unroll)],
         [
-            _stage("solver0", _solver0_model, 2, unroll,
-                   batch_model=_solver0_batch),
+            _stage("solver0", _solver0_batch, 2, unroll),
             _stage("solver1",
                    lambda x: x.get("nnz") * 0.35 + x.get("n"), 2,
                    unroll),

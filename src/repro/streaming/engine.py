@@ -16,7 +16,9 @@ One engine, :func:`simulate_group`, advances T >= 1 same-length rows
 (streams) of one partition under one strategy: ``iced``, ``static`` or
 ``drips``. :func:`simulate_stream`, :func:`simulate_static` and
 :func:`simulate_drips` are its T=1 case; the fleet simulator runs each
-tenant group through it. It consumes the rows in chunks of whole
+tenant group through it. Every row is an iterable of
+:class:`~repro.streaming.stage.FeatureBlock`, the one stream
+representation; the engine consumes the rows in chunks of whole
 windows (at least :data:`DEFAULT_BLOCK_SIZE` inputs per row, cut at a
 window boundary, the remainder carried to the next chunk), so a lazy
 million-input stream holds O(chunk) state. Within a chunk, rows go in
@@ -25,7 +27,9 @@ stream; many rows of short ones), which keeps a block's arrays small
 enough to stay in cache. Per chunk:
 
 1. each kernel's iteration model runs once per row block, over the
-   block's feature columns concatenated;
+   block's feature columns concatenated
+   (:meth:`~repro.streaming.stage.KernelStage.iterations_block`, which
+   refuses a count that is not finite or reaches 2**63);
 2. the chunk's window decisions run first, because a decision reads
    only the window's busy times, never a finish time. ICED's busy time
    for window w is ``sum(counts) * II * slowdown``, decided for every
@@ -56,7 +60,9 @@ calls too. Energy totals accumulate window by window, in order:
 ``np.add.accumulate`` is sequential, where ``np.sum`` (pairwise) or a
 compensated ``sum()`` would round differently. The differential suites
 pin equality of the full ``StreamResult`` against the one-input-at-a-
-time reference loop in ``tests/reference_streaming.py``.
+time reference loop in ``tests/reference_streaming.py``, which
+materializes the blocks input by input and counts each input's
+iterations with scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -79,12 +85,7 @@ from repro.power.sram import SRAMModel
 from repro.streaming.controller import BatchedDVFS
 from repro.streaming.drips import BatchedDrips
 from repro.streaming.partitioner import Partition
-from repro.streaming.stage import (
-    DEFAULT_BLOCK_SIZE,
-    FeatureBlock,
-    StreamInput,
-    blocks_of,
-)
+from repro.streaming.stage import DEFAULT_BLOCK_SIZE, FeatureBlock
 
 #: The strategies :func:`simulate_group` runs.
 ENGINE_STRATEGIES = ("iced", "static", "drips")
@@ -752,38 +753,26 @@ def simulate_group(partition: Partition,
     return result
 
 
-def _as_blocks(stream) -> Iterable[FeatureBlock]:
-    """Accept either a materialized ``StreamInput`` sequence or an
-    iterable of feature blocks."""
-    if isinstance(stream, (list, tuple)):
-        if not stream:
-            return iter(())
-        if isinstance(stream[0], StreamInput):
-            return blocks_of(stream)
-    return stream
-
-
-def _single(strategy: str, partition: Partition, stream, window: int,
+def _single(strategy: str, partition: Partition,
+            stream: Iterable[FeatureBlock], window: int,
             params: PowerParams, keep_windows: bool) -> StreamResult:
     return simulate_group(
-        partition, [_as_blocks(stream)], window, strategy=strategy,
+        partition, [stream], window, strategy=strategy,
         params=params, keep_windows=keep_windows,
     ).row_result(0)
 
 
-def simulate_stream(partition: Partition, stream, window: int = 10,
+def simulate_stream(partition: Partition, stream: Iterable[FeatureBlock],
+                    window: int = 10,
                     params: PowerParams = DEFAULT_POWER_PARAMS,
                     keep_windows: bool = True) -> StreamResult:
-    """Run the ICED configuration: fixed partition, dynamic DVFS.
-
-    ``stream`` is either an iterable of :class:`FeatureBlock` (the
-    constant-memory path) or a materialized ``StreamInput`` list (auto
-    chunked).
-    """
+    """Run the ICED configuration: fixed partition, dynamic DVFS, over
+    ``stream``, an iterable of :class:`FeatureBlock`."""
     return _single("iced", partition, stream, window, params, keep_windows)
 
 
-def simulate_static(partition: Partition, stream, window: int = 10,
+def simulate_static(partition: Partition, stream: Iterable[FeatureBlock],
+                    window: int = 10,
                     params: PowerParams = DEFAULT_POWER_PARAMS,
                     keep_windows: bool = True) -> StreamResult:
     """A DynPaC-style static baseline: fixed partition, fixed nominal
@@ -792,7 +781,8 @@ def simulate_static(partition: Partition, stream, window: int = 10,
                    keep_windows)
 
 
-def simulate_drips(partition: Partition, stream, window: int = 10,
+def simulate_drips(partition: Partition, stream: Iterable[FeatureBlock],
+                   window: int = 10,
                    params: PowerParams = DEFAULT_POWER_PARAMS,
                    keep_windows: bool = True) -> StreamResult:
     """Run the DRIPS configuration on the same partition and stream."""

@@ -46,7 +46,7 @@ from repro.streaming.partitioner import (
     streaming_cgra,
 )
 from repro.streaming.scenarios import make_scenario, scenario_names
-from repro.streaming.workloads import take_inputs
+from repro.streaming.workloads import take_block
 
 __all__ = [
     "DEFAULT_ENVELOPE_INPUTS",
@@ -170,8 +170,8 @@ def scenario_envelope(name: str, *, seed: int | None = None,
         span.set(**{"streaming.scenario": name,
                     "streaming.inputs": inputs})
         if partition is None:
-            profile = take_inputs(scenario.feature_blocks(),
-                                  profile_count(inputs))
+            profile = take_block(scenario.feature_blocks(),
+                                 profile_count(inputs))
             partition = partition_app(
                 scenario.app, streaming_cgra(), profile,
                 use_cache=use_cache, jobs=jobs,

@@ -27,7 +27,7 @@ from repro.errors import PartitionError
 from repro.mapper.engine import EngineConfig
 from repro.mapper.mapping import Mapping
 from repro.streaming.app import StreamingApp
-from repro.streaming.stage import KernelStage, StreamInput
+from repro.streaming.stage import FeatureBlock, KernelStage
 
 
 def streaming_cgra(rows: int = 6, cols: int = 6,
@@ -187,7 +187,7 @@ def build_ii_table(app: StreamingApp, cgra: CGRA,
 
 
 def _best_allocation(app: StreamingApp, table,
-                     profile_inputs: list[StreamInput], total_islands: int,
+                     profile_inputs: FeatureBlock, total_islands: int,
                      max_islands_per_kernel: int) -> dict[str, int] | None:
     """The island composition with the least summed bottleneck latency
     over the profile, or ``None`` if no composition fits.
@@ -213,8 +213,7 @@ def _best_allocation(app: StreamingApp, table,
         ii = np.zeros(max_islands_per_kernel + 1, dtype=np.int64)
         for count in feasible[k]:
             ii[count] = table[(kernel.name, count)]
-        iterations = np.array([kernel.iterations(item)
-                               for item in profile_inputs], dtype=np.int64)
+        iterations = kernel.iterations_block(profile_inputs)
         np.maximum(worst, ii[combos[:, k], None] * iterations, out=worst)
     best = int(worst.sum(axis=1).argmin())
     return dict(zip((kernel.name for kernel in kernels),
@@ -229,7 +228,7 @@ def profile_count(n: int) -> int:
 
 
 def partition_app(app: StreamingApp, cgra: CGRA,
-                  profile_inputs: list[StreamInput],
+                  profile_inputs: FeatureBlock,
                   max_islands_per_kernel: int = 4,
                   ii_table: dict | None = None, *,
                   use_cache: bool = True,

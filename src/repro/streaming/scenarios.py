@@ -10,12 +10,11 @@ seedable object:
     scenario = make_scenario("bursty", seed=3, n=10_000)
     scenario.app               # the StreamingApp (built on first access)
     scenario.feature_blocks()  # lazy FeatureBlocks for the engine
-    scenario.generate()        # the same stream as StreamInput objects
 
 Every scenario pairs a stream generator with the application whose
 iteration models consume its features, so one ``FeatureBlock`` stream
-drives the engine and its per-input test-side reference unchanged —
-the engine-vs-reference float-identity contract
+drives the engine and, materialized input by input, its test-side
+reference — the engine-vs-reference float-identity contract
 (``docs/streaming_runtime.md``) extends to every registered scenario
 and is pinned by the differential suite.
 
@@ -46,12 +45,7 @@ import numpy as np
 
 from repro.errors import ScenarioError, TraceFormatError
 from repro.streaming.app import StreamingApp, branchy_app, gcn_app, lu_app
-from repro.streaming.stage import (
-    DEFAULT_BLOCK_SIZE,
-    FeatureBlock,
-    StreamInput,
-    inputs_of,
-)
+from repro.streaming.stage import DEFAULT_BLOCK_SIZE, FeatureBlock
 from repro.streaming.workloads import (
     EnzymeGraphStream,
     SegmentedWorkload,
@@ -339,9 +333,6 @@ class TraceReplayStream:
                 start += count
         return rechunk_blocks(segments(), block_size)
 
-    def generate(self) -> list[StreamInput]:
-        return inputs_of(self.feature_blocks())
-
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -381,9 +372,6 @@ class Scenario:
                        ) -> Iterator[FeatureBlock]:
         return self.stream.feature_blocks(block_size)
 
-    def generate(self) -> list[StreamInput]:
-        return self.stream.generate()
-
 
 _SCENARIOS: dict[str, ScenarioSpec] = {}
 
@@ -393,9 +381,9 @@ def register_scenario(name: str, *, app: Callable[[], StreamingApp],
     """Class/function decorator registering a scenario stream factory.
 
     The decorated callable receives ``(seed, n)`` and must return an
-    object with ``feature_blocks(block_size)`` and ``generate()``
-    yielding value-identical streams (``SegmentedWorkload`` subclasses
-    qualify by construction).
+    object whose ``feature_blocks(block_size)`` yields the same values
+    for every block size (``SegmentedWorkload`` subclasses qualify by
+    construction).
     """
     if not name or any(c.isspace() for c in name):
         raise ScenarioError(f"invalid scenario name {name!r}")

@@ -9,16 +9,12 @@ is all the experiment consumes: the bottleneck-shifting dynamics of
 Fig 13 are driven purely by the *variance of per-input kernel
 iteration counts* (DESIGN.md section 4).
 
-Every generator derives from :class:`SegmentedWorkload` and exposes two
-shapes of the **same** stream:
-
-* :meth:`SegmentedWorkload.generate` — the whole stream as
-  ``StreamInput`` objects (what the per-input reference loop and small
-  experiments use);
-* :meth:`SegmentedWorkload.feature_blocks` — the stream as lazily
-  produced :class:`~repro.streaming.stage.FeatureBlock` chunks, holding
-  O(block) memory regardless of stream length. A million-input run
-  never materializes a million objects.
+Every generator derives from :class:`SegmentedWorkload` and produces
+its stream as lazy :class:`~repro.streaming.stage.FeatureBlock` chunks
+(:meth:`SegmentedWorkload.feature_blocks`), holding O(block) memory
+regardless of stream length: a million-input run never materializes a
+million of anything. :func:`take_block` and :func:`skip_blocks` cut a
+block stream into a profiling prefix and the rest.
 
 Seeding convention (the SweepExecutor one, see ``repro.utils.rng``):
 the stream is cut into fixed :data:`SEGMENT_INPUTS`-input segments and
@@ -30,9 +26,7 @@ pure function of ``(seed, segment index)``:
   process or across processes (no dependence on consumption order,
   object identity or hash randomization);
 * ``feature_blocks(block_size)`` *re-chunks* the fixed segments, so
-  every block size yields the same values — and ``generate()`` is
-  defined as the flattened block stream, so the two shapes cannot
-  drift apart;
+  every block size yields the same values;
 * each segment is one batched numpy draw, so block production is
   vectorized for every generator (the old scalar-recurrence fallback
   for interleaved draws is gone).
@@ -45,13 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.streaming.stage import (
-    DEFAULT_BLOCK_SIZE,
-    FeatureBlock,
-    StreamInput,
-    blocks_of,
-    inputs_of,
-)
+from repro.streaming.stage import DEFAULT_BLOCK_SIZE, FeatureBlock
 from repro.utils.rng import worker_rng
 
 __all__ = [
@@ -59,11 +47,9 @@ __all__ = [
     "EnzymeGraphStream",
     "SegmentedWorkload",
     "SparseMatrixStream",
-    "blocks_of",
-    "inputs_of",
     "rechunk_blocks",
     "skip_blocks",
-    "take_inputs",
+    "take_block",
 ]
 
 #: Inputs per RNG segment. Fixed — independent of the block size a
@@ -93,18 +79,23 @@ def skip_blocks(blocks: Iterable[FeatureBlock],
         remaining = 0
 
 
-def take_inputs(blocks: Iterable[FeatureBlock],
-                count: int) -> list[StreamInput]:
-    """Materialize the first ``count`` inputs of a block stream as
-    ``StreamInput`` objects (profiling prefixes), consuming only the
-    blocks it needs."""
-    taken: list[StreamInput] = []
-    for block in blocks:
-        for row in block.rows():
-            if len(taken) >= count:
-                return taken
-            taken.append(row)
-    return taken
+def take_block(blocks: Iterable[FeatureBlock],
+               count: int) -> FeatureBlock:
+    """The first ``count`` inputs of a block stream as one block (a
+    profiling prefix), consuming only the blocks it needs."""
+    blocks = iter(blocks)
+    taken: list[FeatureBlock] = []
+    length = 0
+    while length < count and (block := next(blocks, None)) is not None:
+        taken.append(block)
+        length += len(block)
+    if not taken:
+        return FeatureBlock({})
+    return FeatureBlock(
+        {key: _cat([block.features[key] for block in taken])[:count]
+         for key in taken[0].features},
+        start_index=taken[0].start_index,
+    )
 
 
 def rechunk_blocks(segments: Iterable[dict[str, np.ndarray]],
@@ -155,8 +146,7 @@ class SegmentedWorkload:
     start, count)`` — one batched draw of ``count`` consecutive inputs
     beginning at absolute stream position ``start``, using ``rng``
     (already derived for that segment). Everything else — the fixed
-    segmentation, re-chunking to arbitrary block sizes, and the scalar
-    ``generate()`` shape — is shared.
+    segmentation and re-chunking to arbitrary block sizes — is shared.
     """
 
     #: Subclasses are dataclasses carrying their own ``seed`` field.
@@ -181,14 +171,9 @@ class SegmentedWorkload:
         """The stream as lazy, constant-memory feature blocks.
 
         Values are identical for every ``block_size`` (blocks re-chunk
-        the fixed segments) and equal to :meth:`generate` input for
-        input.
+        the fixed segments).
         """
         return rechunk_blocks(self._segments(), block_size)
-
-    def generate(self) -> list[StreamInput]:
-        """The whole stream, materialized as ``StreamInput`` objects."""
-        return inputs_of(self.feature_blocks())
 
 
 @dataclass

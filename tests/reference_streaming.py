@@ -11,6 +11,14 @@ production engine to reproduce these results float-for-float — the same
 controller decisions (:func:`decision_log`) — and the stream bench
 times the production engine against this loop.
 
+The oracle's input is a materialized list of :class:`StreamInput`
+objects, one per input (:func:`inputs_of` flattens the production
+feature blocks into it, :func:`blocks_of` chunks it back), and
+:func:`iterations` counts one input at a time with scalar arithmetic:
+a kernel's model evaluated on Python floats, or its scalar twin where
+the production model is written differently for numpy (solver0's libm
+``** 1.5``, cond_scan's ``max``; :func:`scalar_twin` registers more).
+
 The DRIPS re-shaper is the scalar per-row :class:`_DripsState`, fed
 one input at a time (the decision oracle for ``BatchedDrips``), and
 :func:`reference_best_allocation` is the partitioner's composition
@@ -22,6 +30,7 @@ scoring). The oracle shares the production power function
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +38,7 @@ import numpy as np
 from repro import obs
 from repro.arch.dvfs import DVFSConfig, DVFSLevel
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
-from repro.streaming.app import StreamingApp
+from repro.streaming.app import StreamingApp, _predicated_batch, _solver0_batch
 from repro.streaming.controller import BatchedDVFS
 from repro.streaming.drips import (
     MAX_ISLANDS_PER_KERNEL,
@@ -43,7 +52,81 @@ from repro.streaming.engine import (
     pipeline_power_mw,
 )
 from repro.streaming.partitioner import Partition
-from repro.streaming.stage import StreamInput
+from repro.streaming.stage import DEFAULT_BLOCK_SIZE, FeatureBlock
+
+
+@dataclass(frozen=True)
+class StreamInput:
+    """One input instance of a streaming application.
+
+    ``features`` carries whatever the iteration models consume — for
+    the GCN stream the graph's node count and non-zeros, for the LU
+    stream the matrix order and density.
+    """
+
+    index: int
+    features: dict[str, float] = field(hash=False)
+
+    def get(self, key: str) -> float:
+        return self.features[key]
+
+
+def blocks_of(inputs: Sequence[StreamInput],
+              block_size: int = DEFAULT_BLOCK_SIZE,
+              ) -> Iterator[FeatureBlock]:
+    """Chunk a materialized ``StreamInput`` list into feature blocks.
+
+    The arrays hold exactly the inputs' feature values, so an engine
+    run over ``blocks_of(inputs)`` sees the same stream the oracle sees
+    over ``inputs``.
+    """
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    for start in range(0, len(inputs), block_size):
+        chunk = inputs[start:start + block_size]
+        keys = list(chunk[0].features)
+        yield FeatureBlock(
+            {k: np.array([item.features[k] for item in chunk],
+                         dtype=np.float64) for k in keys},
+            start_index=chunk[0].index,
+        )
+
+
+def inputs_of(blocks: Iterable[FeatureBlock]) -> list[StreamInput]:
+    """Materialize a block stream as ``StreamInput`` objects."""
+    return [
+        StreamInput(block.start_index + i, {
+            key: float(column[i]) for key, column in block.features.items()
+        })
+        for block in blocks for i in range(len(block))
+    ]
+
+
+def _solver0_scalar(item):
+    return item.get("n") ** 1.5 * 0.9
+
+
+def _predicated_scalar(item):
+    return item.get("outer") * max(item.get("depth") * 4.0, 6.0)
+
+
+#: Production iteration model -> its per-input scalar twin.
+_SCALAR_TWINS = {_solver0_batch: _solver0_scalar,
+                 _predicated_batch: _predicated_scalar}
+
+
+def scalar_twin(model, scalar):
+    """Make ``scalar`` the oracle's per-input form of the production
+    iteration ``model``; returns ``model``."""
+    _SCALAR_TWINS[model] = scalar
+    return model
+
+
+def iterations(kernel, item: StreamInput) -> int:
+    """The iterations ``kernel`` runs for one input: truncated toward
+    zero and clamped at 1."""
+    model = _SCALAR_TWINS.get(kernel.iteration_model, kernel.iteration_model)
+    return max(1, int(model(item)))
 
 
 @dataclass
@@ -369,7 +452,7 @@ def reference_simulate_stream(partition: Partition,
     def latency_of(kernel, item) -> float:
         level = controller.level_of(kernel.name)
         ii = partition.placement_of(kernel.name).ii
-        cycles = kernel.iterations(item) * ii * max(level.slowdown, 1)
+        cycles = iterations(kernel, item) * ii * max(level.slowdown, 1)
         controller.record_execution(kernel.name, cycles)
         return cycles
 
@@ -392,7 +475,7 @@ def reference_simulate_static(partition: Partition,
     sim = ReferencePipelineSim(partition, params)
 
     def latency_of(kernel, item: StreamInput) -> float:
-        return kernel.iterations(item) * partition.placement_of(
+        return iterations(kernel, item) * partition.placement_of(
             kernel.name
         ).ii
 
@@ -417,7 +500,7 @@ def reference_simulate_drips(partition: Partition,
     names = [p.kernel.name for p in partition.placements]
 
     def latency_of(kernel, item: StreamInput) -> float:
-        cycles = kernel.iterations(item) * state.current_ii(kernel.name)
+        cycles = iterations(kernel, item) * state.current_ii(kernel.name)
         cycles += state.penalty[kernel.name]
         state.penalty[kernel.name] = 0.0
         state.busy[kernel.name] += cycles
@@ -442,7 +525,7 @@ def _stage_latency(app: StreamingApp, table, allocation: dict[str, int],
         stage_latency = 0.0
         for kernel in stage:
             ii = table[(kernel.name, allocation[kernel.name])]
-            stage_latency = max(stage_latency, kernel.iterations(item) * ii)
+            stage_latency = max(stage_latency, iterations(kernel, item) * ii)
         worst = max(worst, stage_latency)
     return worst
 

@@ -2,9 +2,9 @@
 
 Covers the registry/protocol contract, the deterministic portfolio
 selection rule, the exact branch-and-bound backend's optimality proofs
-on the small Table I kernels, `MappingResult` round-trip stability
-(hypothesis), per-backend counter namespacing in merged snapshots, and
-the `compile_portfolio` jobs-independence contract.
+on the small Table I kernels, per-backend counter namespacing in
+merged snapshots, and the `compile_portfolio` jobs-independence
+contract.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.compile import (
@@ -213,37 +211,6 @@ class TestExactBackend:
         assert result.optimal
         assert result.backend_stats["proved_optimal"] == 1
         assert result.cost == pytest.approx(mapping_cost(result.mapping))
-
-
-# -- MappingResult round-trip (hypothesis) ------------------------------------
-
-
-stat_dicts = st.dictionaries(
-    st.text(alphabet="abcdefghij_.", min_size=1, max_size=12),
-    st.integers(min_value=0, max_value=10**9),
-    max_size=6,
-)
-
-
-class TestMappingResultRoundtrip:
-    @settings(max_examples=25, deadline=None)
-    @given(backend=st.sampled_from(DEFAULT_PORTFOLIO),
-           optimal=st.booleans(), stats=stat_dicts,
-           wall_ms=st.floats(min_value=0.0, max_value=1e6,
-                             allow_nan=False))
-    def test_to_dict_from_dict_round_trip(self, baseline_fig1, fig1,
-                                          cgra44, backend, optimal,
-                                          stats, wall_ms):
-        original = MappingResult.wrap(baseline_fig1, backend,
-                                      optimal=optimal, stats=stats,
-                                      wall_ms=wall_ms)
-        wire = json.loads(json.dumps(original.to_dict(), sort_keys=True))
-        restored = MappingResult.from_dict(wire, fig1, cgra44)
-        assert restored.to_dict() == original.to_dict()
-        # The jobs-independent identity ignores effort and wall-clock.
-        fp = original.fingerprint()
-        assert "wall_ms" not in fp and "stats" not in fp
-        assert fp == restored.fingerprint()
 
 
 # -- counter namespacing (heterogeneous sweeps) -------------------------------

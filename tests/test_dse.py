@@ -276,6 +276,22 @@ def test_tag_sweep_keeps_first_producer(tmp_path):
     assert disk.meta(key)["sweep"] == before
 
 
+def test_aliased_artifacts_name_the_kernel_they_map(tmp_path):
+    # Unrolled, relu maps as relu_u2: the blob aliased to the second
+    # V/F depth must be filed under that name, as every compile is.
+    root = str(tmp_path / "cache")
+    space = DesignSpace(fabrics=((4, 4),), vf_levels=(2, 3),
+                        strategies=("baseline", "iced"), kernels=("relu",),
+                        unroll=2)
+    result = run_dse(space, seed=0, cache_dir=root)
+    assert result["stats"]["aliased_blobs"] == 1
+    envelopes = [json.loads(path.read_text())
+                 for path in DiskCache(root).artifact_paths()]
+    assert len(envelopes) == 4
+    assert all(envelope["kernel"] == envelope["mapping"]["kernel"]
+               == "relu_u2" for envelope in envelopes)
+
+
 # -- sweep resume ------------------------------------------------------------
 
 #: Two V/F depths: the search wave holds points 0 (the oblivious

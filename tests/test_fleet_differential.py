@@ -17,6 +17,7 @@ paying for kernel mapping.
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,9 +40,7 @@ BUILTIN_PLACEMENTS = ("random", "load_balanced", "topology_aware")
 from repro.streaming import (  # noqa: E402
     DEFAULT_BLOCK_SIZE,
     KernelStage,
-    StreamInput,
     StreamingApp,
-    blocks_of,
     make_scenario,
     simulate_drips,
     simulate_group,
@@ -52,9 +51,12 @@ from repro.streaming import (  # noqa: E402
 
 from tests.reference_fleet import ReferenceFleetSim  # noqa: E402
 from tests.reference_streaming import (  # noqa: E402
+    StreamInput,
+    blocks_of,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
+    scalar_twin,
 )
 
 REFERENCE = {"iced": reference_simulate_stream,
@@ -94,8 +96,12 @@ def _dual_model(scale, offset):
     return lambda item: scale * item.get("x") + offset
 
 
-def _scalar_only_model(scale):
-    return lambda item: item.get("x") ** 1.2 * scale
+def _pow_model(scale):
+    # libm pow per element; the oracle counts with the scalar twin.
+    return scalar_twin(
+        lambda block: np.array([v ** 1.2 for v in block.get("x").tolist()])
+        * scale,
+        lambda item: item.get("x") ** 1.2 * scale)
 
 
 def _fake_partition_for(app, draw):
@@ -128,13 +134,9 @@ def group_cases(draw):
             if draw(st.booleans()):
                 offset = draw(st.integers(min_value=0, max_value=16))
                 model = _dual_model(scale, offset)
-                kernel = KernelStage(name=name, dfg=None,
-                                     iteration_model=model,
-                                     batch_model=model)
             else:
-                kernel = KernelStage(
-                    name=name, dfg=None,
-                    iteration_model=_scalar_only_model(scale))
+                model = _pow_model(scale)
+            kernel = KernelStage(name=name, dfg=None, iteration_model=model)
             stage.append(kernel)
             ii = draw(st.integers(min_value=1, max_value=8))
             islands = draw(st.integers(min_value=1, max_value=2))
@@ -221,14 +223,9 @@ def test_rows_spanning_several_row_blocks(num_rows, num_inputs, window):
     # equal its one-row run, and the first and last rows the per-input
     # oracle.
     kernels = [
-        KernelStage(name=f"k{i}", dfg=None, iteration_model=model,
-                    batch_model=batch)
-        for i, (model, batch) in enumerate([
-            (_dual_model(2, 3), _dual_model(2, 3)),
-            (_dual_model(1, 0), _dual_model(1, 0)),
-            (_scalar_only_model(0.5), None),
-            (_dual_model(3, 1), _dual_model(3, 1)),
-        ])
+        KernelStage(name=f"k{i}", dfg=None, iteration_model=model)
+        for i, model in enumerate([_dual_model(2, 3), _dual_model(1, 0),
+                                   _pow_model(0.5), _dual_model(3, 1)])
     ]
     app = StreamingApp(name="fake",
                        stages=[[kernels[0]], kernels[1:3], [kernels[3]]])
@@ -243,7 +240,7 @@ def test_rows_spanning_several_row_blocks(num_rows, num_inputs, window):
                                [blocks_of(inputs, 64) for inputs in rows],
                                window, strategy=strategy)
         for t, inputs in enumerate(rows):
-            alone = single(partition, inputs, window=window)
+            alone = single(partition, blocks_of(inputs), window=window)
             assert asdict(group.row_result(t)) == asdict(alone)
         for t in (0, num_rows - 1):
             ref = REFERENCE[strategy](partition, rows[t], window=window)
@@ -309,8 +306,7 @@ def test_fleet_report_batched_equals_reference(case):
 
 def _tiny_partition():
     kernel = KernelStage(name="k0", dfg=None,
-                         iteration_model=_dual_model(1, 0),
-                         batch_model=_dual_model(1, 0))
+                         iteration_model=_dual_model(1, 0))
     app = StreamingApp(name="fake", stages=[[kernel]])
     return FakePartition(app, [FakePlacement(kernel, 1, 2)],
                          {("k0", k): 2 for k in (1, 2, 3)})

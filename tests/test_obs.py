@@ -17,13 +17,14 @@ from repro.obs.sinks import CORE_CATEGORIES, SIM_PID, WALL_PID
 from repro.streaming import (
     KernelStage,
     StreamingApp,
-    StreamInput,
     simulate_stream,
     streaming_cgra,
 )
 from tests.reference_streaming import (
     DVFSController,
     OneRowController,
+    StreamInput,
+    blocks_of,
     reference_simulate_stream,
 )
 
@@ -247,7 +248,7 @@ class TestWindowSpans:
             app, [_StreamPlacement(heavy, ii=1), _StreamPlacement(light, ii=1)]
         )
         inputs = [StreamInput(index=i, features={"x": 10.0}) for i in range(10)]
-        result = simulate_stream(partition, inputs, window=5)
+        result = simulate_stream(partition, blocks_of(inputs), window=5)
         spans = [s for s in tracer.spans if s.name.startswith("window[")]
         # Each window's span carries its levels and the bottleneck the
         # controller picked at its end; b idles, so it steps down.
@@ -298,7 +299,8 @@ class TestStreamingMetrics:
             StreamInput(index=i, features={"x": float(3 + i % 5)})
             for i in range(25)
         ]
-        result = simulate(partition, inputs, window=5)
+        stream = blocks_of(inputs) if simulate is simulate_stream else inputs
+        result = simulate(partition, stream, window=5)
         return result, registry.snapshot()
 
     def test_fast_engine_reports_throughput(self, registry):

@@ -8,6 +8,7 @@ its result.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -229,7 +230,7 @@ class TestPartitionerParity:
             partition_app,
             streaming_cgra,
         )
-        from repro.streaming.stage import StreamInput
+        from repro.streaming.stage import FeatureBlock
 
         get_cache().clear()
         registry = obs.MetricsRegistry()
@@ -237,7 +238,7 @@ class TestPartitionerParity:
         try:
             partition = partition_app(
                 _tiny_app(), streaming_cgra(),
-                [StreamInput(i, {}) for i in range(3)],
+                FeatureBlock({"x": np.zeros(3)}),
                 max_islands_per_kernel=2, jobs=jobs,
                 cache_dir=None if cache_dir is None else str(cache_dir))
         finally:

@@ -57,14 +57,14 @@ from repro.streaming.partitioner import (
     profile_count,
     streaming_cgra,
 )
-from repro.streaming.stage import inputs_of
 from repro.streaming.workloads import (
     EnzymeGraphStream,
     SparseMatrixStream,
-    take_inputs,
+    take_block,
 )
 
 from tests.reference_streaming import (
+    inputs_of,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -168,8 +168,10 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
     def test_generate_matches_blocks(self, name):
+        # The generated stream, materialized input by input, is the
+        # same for every block size.
         scenario = make_scenario(name, n=100)
-        materialized = scenario.generate()
+        materialized = inputs_of(scenario.feature_blocks())
         assert len(materialized) == 100
         for a, b in zip(materialized,
                         inputs_of(scenario.feature_blocks(13))):
@@ -228,7 +230,7 @@ class TestTraceReplay:
 
     def test_replay_cycles_rows_to_length(self):
         stream = TraceReplayStream(DEFAULT_TRACE_PATH, num_inputs=100)
-        rows = stream.generate()
+        rows = inputs_of(stream.feature_blocks())
         assert len(rows) == 100
         assert rows[0].features == rows[48].features
         assert rows[1].features == rows[49].features
@@ -238,7 +240,7 @@ class TestTraceReplay:
         stream = TraceReplayStream(path, num_inputs=7)
         from_blocks = inputs_of(stream.feature_blocks(2))
         assert [r.features for r in from_blocks] == [
-            r.features for r in stream.generate()
+            r.features for r in inputs_of(stream.feature_blocks())
         ]
         assert from_blocks[3].features == {"x": 1.0, "y": 2.0}
 
@@ -304,7 +306,7 @@ class TestTraceReplay:
         # Blocks are fresh arrays: callers may still write to those.
         next(iter(short.feature_blocks(8))).features["nnz"][0] = 1.0
         replay = make_scenario("trace_replay", n=5).stream
-        assert len(replay.generate()) == 5
+        assert len(inputs_of(replay.feature_blocks())) == 5
 
     def test_caller_trace_is_reread_on_every_construction(self, tmp_path):
         path = self.write(tmp_path, "x,y\n1,2\n3,4\n")
@@ -312,9 +314,9 @@ class TestTraceReplay:
         # Same size, possibly the same mtime tick: still re-read.
         path.write_text("x,y\n5,6\n7,8\n")
         after = TraceReplayStream(path)
-        assert [r.features for r in before.generate()] == [
+        assert [r.features for r in inputs_of(before.feature_blocks())] == [
             {"x": 1.0, "y": 2.0}, {"x": 3.0, "y": 4.0}]
-        assert [r.features for r in after.generate()] == [
+        assert [r.features for r in inputs_of(after.feature_blocks())] == [
             {"x": 5.0, "y": 6.0}, {"x": 7.0, "y": 8.0}]
 
 
@@ -379,7 +381,7 @@ class TestEnvelopeMechanics:
 
 def scenario_partition(name, inputs):
     scenario = make_scenario(name, n=inputs)
-    profile = take_inputs(scenario.feature_blocks(), profile_count(inputs))
+    profile = take_block(scenario.feature_blocks(), profile_count(inputs))
     return scenario, partition_app(scenario.app, streaming_cgra(), profile)
 
 
@@ -405,7 +407,7 @@ class TestGoldenEnvelopes:
     @pytest.mark.parametrize("name", ["branchy", "phase_shift"])
     def test_fast_reference_identity_on_real_partition(self, name):
         scenario, partition = scenario_partition(name, 60)
-        inputs = scenario.generate()
+        inputs = inputs_of(scenario.feature_blocks())
         pairs = [
             (reference_simulate_stream, simulate_stream),
             (reference_simulate_drips, simulate_drips),

@@ -6,24 +6,31 @@ shares one partition per app via module-scoped fixtures on a reduced
 input set.
 """
 
+import numpy as np
 import pytest
 
 from repro.arch.dvfs import DEFAULT_DVFS_CONFIG
 from repro.errors import PartitionError
 from repro.streaming import (
     EnzymeGraphStream,
+    FeatureBlock,
     SparseMatrixStream,
-    StreamInput,
     gcn_app,
     lu_app,
     partition_app,
     simulate_drips,
     simulate_stream,
+    skip_blocks,
     streaming_cgra,
+    take_block,
 )
 from repro.streaming.partitioner import _snake_island_order, build_ii_table
 
-from tests.reference_streaming import DVFSController, OneRowController
+from tests.reference_streaming import (
+    DVFSController,
+    OneRowController,
+    inputs_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,37 +39,49 @@ def fabric():
 
 
 @pytest.fixture(scope="module")
-def gcn_inputs():
-    return EnzymeGraphStream(num_graphs=60, seed=3).generate()
+def gcn_stream():
+    return EnzymeGraphStream(num_graphs=60, seed=3)
 
 
 @pytest.fixture(scope="module")
-def gcn_partition(fabric, gcn_inputs):
-    return partition_app(gcn_app(), fabric, gcn_inputs[:20])
+def gcn_partition(fabric, gcn_stream):
+    return partition_app(gcn_app(), fabric,
+                         take_block(gcn_stream.feature_blocks(), 20))
+
+
+@pytest.fixture(scope="module")
+def gcn_run(gcn_stream):
+    """The 40 inputs after the 20-input profile."""
+    return list(skip_blocks(gcn_stream.feature_blocks(), 20))
 
 
 class TestWorkloads:
     def test_enzyme_statistics(self):
-        inputs = EnzymeGraphStream(num_graphs=300, seed=1).generate()
+        inputs = inputs_of(EnzymeGraphStream(num_graphs=300, seed=1)
+                           .feature_blocks())
         degrees = [i.get("degree") for i in inputs]
         assert all(2 <= d <= 126 for d in degrees)
         mean = sum(degrees) / len(degrees)
         assert 20 <= mean <= 50  # published mean 32.6
 
     def test_enzyme_deterministic(self):
-        a = EnzymeGraphStream(num_graphs=10, seed=5).generate()
-        b = EnzymeGraphStream(num_graphs=10, seed=5).generate()
+        a = inputs_of(EnzymeGraphStream(num_graphs=10, seed=5)
+                      .feature_blocks())
+        b = inputs_of(EnzymeGraphStream(num_graphs=10, seed=5)
+                      .feature_blocks())
         assert [i.features for i in a] == [i.features for i in b]
 
     def test_sparse_matrix_bounds(self):
-        inputs = SparseMatrixStream(num_matrices=100, seed=2).generate()
+        inputs = inputs_of(SparseMatrixStream(num_matrices=100, seed=2)
+                           .feature_blocks())
         for item in inputs:
             n = item.get("n")
             assert 16 <= n <= 100
             assert item.get("nnz") >= n
 
     def test_indices_sequential(self):
-        inputs = SparseMatrixStream(num_matrices=5).generate()
+        inputs = inputs_of(SparseMatrixStream(num_matrices=5)
+                           .feature_blocks())
         assert [i.index for i in inputs] == [0, 1, 2, 3, 4]
 
 
@@ -83,10 +102,12 @@ class TestApps:
 
     def test_iteration_models_positive(self):
         app = gcn_app()
-        item = StreamInput(0, {"n_nodes": 10.0, "degree": 5.0,
-                               "nnz": 50.0, "features": 16.0})
+        block = FeatureBlock({"n_nodes": np.array([10.0]),
+                              "degree": np.array([5.0]),
+                              "nnz": np.array([50.0]),
+                              "features": np.array([16.0])})
         for kernel in app.all_kernels():
-            assert kernel.iterations(item) >= 1
+            assert kernel.iterations_block(block).tolist()[0] >= 1
 
 
 class TestController:
@@ -192,21 +213,22 @@ class TestPartitioner:
         with pytest.raises(PartitionError):
             gcn_partition.placement_of("ghost")
 
-    def test_ii_table_shape(self, fabric, gcn_inputs):
+    def test_ii_table_shape(self, fabric):
         table = build_ii_table(gcn_app(), fabric, max_islands_per_kernel=2)
         assert all(count in (1, 2) for (_n, count) in table)
         feasible = [ii for ii in table.values() if ii is not None]
         assert feasible
 
-    def test_too_many_kernels_rejected(self, gcn_inputs):
+    def test_too_many_kernels_rejected(self, gcn_stream):
         tiny = streaming_cgra(2, 2)  # a single 2x2 island
         with pytest.raises(PartitionError):
-            partition_app(gcn_app(), tiny, gcn_inputs[:5])
+            partition_app(gcn_app(), tiny,
+                          take_block(gcn_stream.feature_blocks(), 5))
 
 
 class TestEngine:
-    def test_iced_runs_and_accounts(self, gcn_partition, gcn_inputs):
-        result = simulate_stream(gcn_partition, gcn_inputs[20:60], window=10)
+    def test_iced_runs_and_accounts(self, gcn_partition, gcn_run):
+        result = simulate_stream(gcn_partition, gcn_run, window=10)
         assert result.strategy == "iced"
         assert result.inputs == 40
         assert result.makespan_cycles > 0
@@ -214,19 +236,19 @@ class TestEngine:
         assert len(result.windows) == 4
         assert sum(w.inputs for w in result.windows) == 40
 
-    def test_windows_are_contiguous(self, gcn_partition, gcn_inputs):
-        result = simulate_stream(gcn_partition, gcn_inputs[20:60], window=10)
+    def test_windows_are_contiguous(self, gcn_partition, gcn_run):
+        result = simulate_stream(gcn_partition, gcn_run, window=10)
         for prev, cur in zip(result.windows, result.windows[1:]):
             assert cur.start_cycle == prev.end_cycle
         assert result.windows[-1].end_cycle == result.makespan_cycles
 
-    def test_power_below_all_normal_bound(self, gcn_partition, gcn_inputs):
-        result = simulate_stream(gcn_partition, gcn_inputs[20:60])
+    def test_power_below_all_normal_bound(self, gcn_partition, gcn_run):
+        result = simulate_stream(gcn_partition, gcn_run)
         # 36 tiles at normal + controllers + SRAM is a hard upper bound.
         assert 0 < result.average_power_mw < 220
 
-    def test_drips_runs(self, gcn_partition, gcn_inputs):
-        result = simulate_drips(gcn_partition, gcn_inputs[20:60], window=10)
+    def test_drips_runs(self, gcn_partition, gcn_run):
+        result = simulate_drips(gcn_partition, gcn_run, window=10)
         assert result.strategy == "drips"
         assert result.makespan_cycles > 0
         levels = {
@@ -234,44 +256,44 @@ class TestEngine:
         }
         assert levels == {"normal"}  # DRIPS never scales V/f
 
-    def test_iced_saves_power_vs_drips(self, gcn_partition, gcn_inputs):
-        iced = simulate_stream(gcn_partition, gcn_inputs[20:60])
-        drips = simulate_drips(gcn_partition, gcn_inputs[20:60])
+    def test_iced_saves_power_vs_drips(self, gcn_partition, gcn_run):
+        iced = simulate_stream(gcn_partition, gcn_run)
+        drips = simulate_drips(gcn_partition, gcn_run)
         assert iced.average_power_mw < drips.average_power_mw
 
-    def test_throughput_not_collapsed(self, gcn_partition, gcn_inputs):
-        iced = simulate_stream(gcn_partition, gcn_inputs[20:60])
-        drips = simulate_drips(gcn_partition, gcn_inputs[20:60])
+    def test_throughput_not_collapsed(self, gcn_partition, gcn_run):
+        iced = simulate_stream(gcn_partition, gcn_run)
+        drips = simulate_drips(gcn_partition, gcn_run)
         assert iced.makespan_cycles <= 1.5 * drips.makespan_cycles
 
-    def test_deterministic(self, gcn_partition, gcn_inputs):
-        a = simulate_stream(gcn_partition, gcn_inputs[20:60])
-        b = simulate_stream(gcn_partition, gcn_inputs[20:60])
+    def test_deterministic(self, gcn_partition, gcn_run):
+        a = simulate_stream(gcn_partition, gcn_run)
+        b = simulate_stream(gcn_partition, gcn_run)
         assert a.makespan_cycles == b.makespan_cycles
         assert a.total_energy_uj == pytest.approx(b.total_energy_uj)
 
 
 class TestStaticBaseline:
-    def test_static_runs_at_normal(self, gcn_partition, gcn_inputs):
+    def test_static_runs_at_normal(self, gcn_partition, gcn_run):
         from repro.streaming import simulate_static
-        result = simulate_static(gcn_partition, gcn_inputs[20:60])
+        result = simulate_static(gcn_partition, gcn_run)
         assert result.strategy == "static"
         levels = {
             level for w in result.windows for level in w.levels.values()
         }
         assert levels == {"normal"}
 
-    def test_drips_not_slower_than_static(self, gcn_partition, gcn_inputs):
+    def test_drips_not_slower_than_static(self, gcn_partition, gcn_run):
         from repro.streaming import simulate_drips, simulate_static
-        static = simulate_static(gcn_partition, gcn_inputs[20:60])
-        drips = simulate_drips(gcn_partition, gcn_inputs[20:60])
+        static = simulate_static(gcn_partition, gcn_run)
+        drips = simulate_drips(gcn_partition, gcn_run)
         assert drips.makespan_cycles <= static.makespan_cycles * 1.02
 
     def test_iced_beats_static_perf_per_watt(self, gcn_partition,
-                                             gcn_inputs):
+                                             gcn_run):
         from repro.streaming import simulate_static, simulate_stream
-        static = simulate_static(gcn_partition, gcn_inputs[20:60])
-        iced = simulate_stream(gcn_partition, gcn_inputs[20:60])
+        static = simulate_static(gcn_partition, gcn_run)
+        iced = simulate_stream(gcn_partition, gcn_run)
         assert iced.perf_per_watt() > static.perf_per_watt()
 
 
@@ -280,10 +302,11 @@ class TestLUApplication:
 
     @pytest.fixture(scope="class")
     def lu_setup(self, fabric):
-        inputs = SparseMatrixStream(num_matrices=40, seed=9).generate()
-        partition = partition_app(lu_app(), fabric, inputs[:12],
+        stream = SparseMatrixStream(num_matrices=40, seed=9)
+        partition = partition_app(lu_app(), fabric,
+                                  take_block(stream.feature_blocks(), 12),
                                   max_islands_per_kernel=2)
-        return partition, inputs[12:]
+        return partition, list(skip_blocks(stream.feature_blocks(), 12))
 
     def test_partition_fits(self, lu_setup, fabric):
         partition, _ = lu_setup
@@ -293,7 +316,7 @@ class TestLUApplication:
     def test_parallel_stage_kernels_both_run(self, lu_setup):
         partition, run_inputs = lu_setup
         result = simulate_stream(partition, run_inputs)
-        assert result.inputs == len(run_inputs)
+        assert result.inputs == sum(map(len, run_inputs)) == 28
         # Both solvers appear in every window's level map.
         for window in result.windows:
             assert "solver0" in window.levels

@@ -13,13 +13,15 @@ stream and for every row of a multi-row group.
 The apps use lightweight fake partitions (the engines only consume
 ``app``/``cgra``/``placements``/``placement_of``/``ii_table``), so the
 suite explores far more shapes than the two real applications without
-paying for mapping. Iteration models mix dual-use feature arithmetic
-(vectorizes as itself) and scalar-only models (row-by-row fallback),
-covering both paths of ``KernelStage.iterations_block``.
+paying for mapping. Iteration models mix plain feature arithmetic
+(the oracle evaluates the model itself on one input) and libm-pow
+models that run ``**`` per element, as solver0's does (the oracle
+counts with their registered scalar twins).
 """
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -28,9 +30,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.streaming import (  # noqa: E402
     KernelStage,
-    StreamInput,
     StreamingApp,
-    blocks_of,
     make_scenario,
     scenario_names,
     simulate_drips,
@@ -47,11 +47,15 @@ from repro.streaming.partitioner import _best_allocation  # noqa: E402
 
 from tests.reference_streaming import (  # noqa: E402
     DVFSController,
+    StreamInput,
+    blocks_of,
     decision_log,
+    inputs_of,
     reference_best_allocation,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
+    scalar_twin,
 )
 
 CGRA = streaming_cgra()
@@ -82,14 +86,17 @@ class FakePartition:
 
 def _dual_model(scale, offset):
     # Pure feature arithmetic: exact on scalars and on numpy columns,
-    # so it serves as its own batch model.
+    # so the oracle evaluates the model itself.
     return lambda item: scale * item.get("x") + offset
 
 
-def _scalar_only_model(scale):
-    # Not expressible as exact column arithmetic (libm pow) — forces
-    # the row-by-row fallback in iterations_block.
-    return lambda item: item.get("x") ** 1.2 * scale
+def _pow_model(scale):
+    # numpy's vectorized pow rounds differently than libm's: the block
+    # model runs libm pow per element, the oracle its scalar twin.
+    return scalar_twin(
+        lambda block: np.array([v ** 1.2 for v in block.get("x").tolist()])
+        * scale,
+        lambda item: item.get("x") ** 1.2 * scale)
 
 
 @st.composite
@@ -110,13 +117,9 @@ def fake_partitions(draw):
             if dual:
                 offset = draw(st.integers(min_value=0, max_value=16))
                 model = _dual_model(scale, offset)
-                kernel = KernelStage(name=name, dfg=None,
-                                     iteration_model=model,
-                                     batch_model=model)
             else:
-                kernel = KernelStage(name=name, dfg=None,
-                                     iteration_model=_scalar_only_model(
-                                         scale))
+                model = _pow_model(scale)
+            kernel = KernelStage(name=name, dfg=None, iteration_model=model)
             stage.append(kernel)
             ii = draw(st.integers(min_value=1, max_value=8))
             islands = draw(st.integers(min_value=1, max_value=2))
@@ -222,7 +225,7 @@ def traffic_cases(draw):
 @given(traffic_cases())
 def test_scenario_differential_all_strategies(case):
     scenario, partition, window, block_size = case
-    inputs = scenario.generate()
+    inputs = inputs_of(scenario.feature_blocks())
     names = [p.kernel.name for p in partition.placements]
 
     ref_ctl = DVFSController(dvfs=CGRA.dvfs, kernel_names=names,
@@ -310,8 +313,7 @@ def _counting_kernel(name, key):
     """A kernel that runs feature ``key``'s value of iterations."""
     def model(item):
         return item.get(key)
-    return KernelStage(name=name, dfg=None, iteration_model=model,
-                       batch_model=model)
+    return KernelStage(name=name, dfg=None, iteration_model=model)
 
 
 def _drips_allocations(run):
@@ -405,7 +407,7 @@ def test_drips_window_spans_carry_the_allocation():
     partition, rows = _reshape_case()
     inputs = rows[0][:300]
     engine = _drips_allocations(lambda: simulate_drips(
-        partition, inputs, window=RESHAPE_WINDOW))
+        partition, blocks_of(inputs), window=RESHAPE_WINDOW))
     oracle = _drips_allocations(lambda: reference_simulate_drips(
         partition, inputs, window=RESHAPE_WINDOW))
     assert engine == oracle
@@ -442,6 +444,7 @@ def composition_cases(draw):
 @given(composition_cases())
 def test_composition_search_matches_the_per_input_loop(case):
     app, table, profile, total, max_islands = case
-    assert _best_allocation(app, table, profile, total, max_islands) \
+    assert _best_allocation(app, table, next(blocks_of(profile)), total,
+                            max_islands) \
         == reference_best_allocation(app, table, profile, total,
                                      max_islands)

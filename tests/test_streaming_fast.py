@@ -18,11 +18,9 @@ from repro.streaming import (
     DEFAULT_BLOCK_SIZE,
     EnzymeGraphStream,
     FeatureBlock,
+    KernelStage,
     SparseMatrixStream,
-    StreamInput,
-    blocks_of,
     gcn_app,
-    inputs_of,
     partition_app,
     simulate_drips,
     simulate_group,
@@ -30,7 +28,7 @@ from repro.streaming import (
     simulate_stream,
     skip_blocks,
     streaming_cgra,
-    take_inputs,
+    take_block,
 )
 from repro.errors import StreamingError
 from repro.streaming.scenarios import TraceReplayStream
@@ -44,7 +42,11 @@ from repro.streaming.engine import (
 
 from tests.reference_streaming import (
     DVFSController,
+    StreamInput,
+    blocks_of,
     decision_log,
+    inputs_of,
+    iterations,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -58,12 +60,13 @@ def fabric():
 
 @pytest.fixture(scope="module")
 def gcn_inputs():
-    return EnzymeGraphStream(num_graphs=60, seed=3).generate()
+    return inputs_of(EnzymeGraphStream(num_graphs=60, seed=3)
+                     .feature_blocks())
 
 
 @pytest.fixture(scope="module")
 def gcn_partition(fabric, gcn_inputs):
-    return partition_app(gcn_app(), fabric, gcn_inputs[:20])
+    return partition_app(gcn_app(), fabric, next(blocks_of(gcn_inputs[:20])))
 
 
 class TestFeatureBlocks:
@@ -83,7 +86,7 @@ class TestFeatureBlocks:
 
     def test_row_materializes_stream_input(self, gcn_inputs):
         block = next(blocks_of(gcn_inputs, 10))
-        row = block.row(3)
+        row = inputs_of([block])[3]
         assert isinstance(row, StreamInput)
         assert row.index == gcn_inputs[3].index
         assert row.features == gcn_inputs[3].features
@@ -103,11 +106,16 @@ class TestFeatureBlocks:
             i.index for i in gcn_inputs[13:]
         ]
 
-    def test_take_inputs_prefix(self, gcn_inputs):
-        taken = take_inputs(blocks_of(gcn_inputs, 8), 13)
-        assert [i.features for i in taken] == [
-            i.features for i in gcn_inputs[:13]
-        ]
+    def test_take_block_prefix(self, gcn_inputs):
+        for block_size, count, consumed in ((8, 13, 16), (8, 16, 16),
+                                            (100, 13, 60), (8, 0, 0),
+                                            (8, 500, 60)):
+            blocks = blocks_of(gcn_inputs, block_size)
+            taken = take_block(blocks, count)
+            assert isinstance(taken, FeatureBlock)
+            assert inputs_of([taken]) == gcn_inputs[:count]
+            # Only the blocks the prefix needs are consumed.
+            assert len(inputs_of(blocks)) == len(gcn_inputs) - consumed
 
 
 class TestChunkedWorkloads:
@@ -116,8 +124,10 @@ class TestChunkedWorkloads:
         (SparseMatrixStream, "num_matrices"),
     ])
     def test_feature_blocks_match_generate(self, stream_cls, count):
+        # The generated stream, materialized input by input, is the
+        # same for every block size.
         stream = stream_cls(**{count: 157}, seed=9)
-        reference = stream.generate()
+        reference = inputs_of(stream.feature_blocks())
         for block_size in (1, 13, 157, 8192):
             chunked = inputs_of(stream.feature_blocks(block_size))
             assert [i.index for i in chunked] == [
@@ -178,7 +188,7 @@ class TestWindowChunker:
                         kernel.iterations_block(FeatureBlock(rows[t]))
                         for _, rows in chunks
                     ]) for t in (0, 1)]
-                    expected = [kernel.iterations(i) for i in gcn_inputs]
+                    expected = [iterations(kernel, i) for i in gcn_inputs]
                     assert counts[0].tolist() == expected
                     assert counts[1].tolist() == expected[::-1]
 
@@ -251,6 +261,40 @@ class TestExactnessBound:
             simulate_group(gcn_partition, [stream.feature_blocks(),
                                            stream.feature_blocks()], 32)
 
+    def test_counts_past_int64_are_refused(self, gcn_partition, tmp_path):
+        # Finite 1e30 features pass the trace loader, but compress's
+        # counts do not fit int64: no engine may stream them (the cast
+        # once made each one iteration), nor may the partitioner
+        # profile them.
+        path = tmp_path / "huge.csv"
+        path.write_text("n_nodes,degree,nnz,features\n"
+                        "10,2,1e30,4\n12,3,1e30,4\n")
+        stream = TraceReplayStream(path, num_inputs=64)
+        with pytest.raises(StreamingError, match="'compress'"):
+            simulate_stream(gcn_partition, stream.feature_blocks(),
+                            window=32)
+        with pytest.raises(StreamingError, match="'compress'"):
+            simulate_group(gcn_partition, [stream.feature_blocks(),
+                                           stream.feature_blocks()], 32,
+                           strategy="drips")
+        with pytest.raises(StreamingError, match="'compress'"):
+            partition_app(gcn_app(), gcn_partition.cgra,
+                          take_block(stream.feature_blocks(), 20),
+                          ii_table=gcn_partition.ii_table)
+
+    def test_iteration_counts_must_fit_int64(self):
+        def stage(counts):
+            return KernelStage(name="k", dfg=None,
+                               iteration_model=lambda block: counts)
+
+        block = FeatureBlock({"x": np.zeros(2)})
+        for bad in (np.nan, np.inf, -np.inf, 2.0 ** 63):
+            with pytest.raises(StreamingError, match="'k'"):
+                stage(np.array([1.0, bad])).iterations_block(block)
+        fits = stage(np.array([2.0 ** 62, -1e30])).iterations_block(block)
+        assert fits.tolist() == [2 ** 62, 1]
+        assert stage(3.9).iterations_block(block).tolist() == [3, 3]
+
 
 class TestFastEngineEquality:
     @pytest.mark.parametrize("window", [1, 3, 10, 24, 37, 60, 500])
@@ -260,7 +304,8 @@ class TestFastEngineEquality:
                                  kernel_names=names, window=window)
         ref = reference_simulate_stream(gcn_partition, gcn_inputs,
                                         window=window, controller=ref_ctl)
-        fast = simulate_stream(gcn_partition, gcn_inputs, window=window)
+        fast = simulate_stream(gcn_partition, blocks_of(gcn_inputs),
+                               window=window)
         assert asdict(ref) == asdict(fast)
         assert ref_ctl.decisions == decision_log(fast)
 
@@ -268,7 +313,7 @@ class TestFastEngineEquality:
     def test_drips_identical(self, gcn_partition, gcn_inputs, window):
         ref = reference_simulate_drips(gcn_partition, gcn_inputs,
                                        window=window)
-        fast = simulate_drips(gcn_partition, gcn_inputs,
+        fast = simulate_drips(gcn_partition, blocks_of(gcn_inputs),
                               window=window)
         assert asdict(ref) == asdict(fast)
 
@@ -276,12 +321,12 @@ class TestFastEngineEquality:
     def test_static_identical(self, gcn_partition, gcn_inputs, window):
         ref = reference_simulate_static(gcn_partition, gcn_inputs,
                                         window=window)
-        fast = simulate_static(gcn_partition, gcn_inputs,
+        fast = simulate_static(gcn_partition, blocks_of(gcn_inputs),
                                window=window)
         assert asdict(ref) == asdict(fast)
 
     def test_block_size_invariance(self, gcn_partition, gcn_inputs):
-        baseline = simulate_stream(gcn_partition, gcn_inputs,
+        baseline = simulate_stream(gcn_partition, blocks_of(gcn_inputs),
                                    window=10)
         for block_size in (1, 9, 17):
             result = simulate_stream(
@@ -291,9 +336,10 @@ class TestFastEngineEquality:
 
     def test_keep_windows_false_same_totals(self, gcn_partition,
                                             gcn_inputs):
-        full = simulate_stream(gcn_partition, gcn_inputs, window=10)
-        slim = simulate_stream(gcn_partition, gcn_inputs, window=10,
-                               keep_windows=False)
+        full = simulate_stream(gcn_partition, blocks_of(gcn_inputs),
+                               window=10)
+        slim = simulate_stream(gcn_partition, blocks_of(gcn_inputs),
+                               window=10, keep_windows=False)
         assert slim.windows == []
         assert slim.makespan_cycles == full.makespan_cycles
         assert slim.total_energy_uj == full.total_energy_uj
@@ -303,7 +349,7 @@ class TestFastEngineEquality:
                                      simulate_drips])
     def test_windows_own_their_level_dicts(self, gcn_partition, gcn_inputs,
                                            run):
-        windows = run(gcn_partition, gcn_inputs, window=5).windows
+        windows = run(gcn_partition, blocks_of(gcn_inputs), window=5).windows
         assert len({id(w.levels) for w in windows}) == len(windows) > 1
 
     def test_empty_stream(self, gcn_partition):
@@ -314,7 +360,7 @@ class TestFastEngineEquality:
 
     def test_bad_window_rejected(self, gcn_partition, gcn_inputs):
         with pytest.raises(StreamingError, match="window must be >= 1"):
-            simulate_stream(gcn_partition, gcn_inputs, window=0)
+            simulate_stream(gcn_partition, blocks_of(gcn_inputs), window=0)
 
 
 class TestSatelliteRegressions:
@@ -329,7 +375,7 @@ class TestSatelliteRegressions:
         result = reference_simulate_stream(gcn_partition, stream, window=50)
         assert len(result.windows) == 1
         assert result.windows[0].inputs == len(stream)
-        fast = simulate_stream(gcn_partition, stream, window=50)
+        fast = simulate_stream(gcn_partition, blocks_of(stream), window=50)
         assert asdict(fast) == asdict(result)
 
     def test_frequency_has_no_hardcoded_default(self):
@@ -341,6 +387,7 @@ class TestSatelliteRegressions:
     def test_frequency_derived_from_fabric(self, gcn_partition,
                                            gcn_inputs):
         base = gcn_partition.cgra.dvfs.normal.frequency_mhz
-        result = simulate_stream(gcn_partition, gcn_inputs[:10], window=5)
+        result = simulate_stream(gcn_partition, blocks_of(gcn_inputs[:10]),
+                                 window=5)
         assert result.frequency_mhz == base
         assert all(w.frequency_mhz == base for w in result.windows)
