@@ -446,7 +446,6 @@ def exact_case(s: Smoke) -> None:
 MIN_DSE_SPEEDUP = 3.0
 MAX_DSE_REGRESSION = 0.5
 DSE_JOBS = 2
-DSE_SEED = 0
 #: 3 fabrics x 3 island geometries x 3 V/F depths x 4 strategies for
 #: one workload = 108 points: the "size a fabric for this kernel"
 #: question a DSE exists to answer. ``solver0``'s conventional mapping
@@ -473,8 +472,8 @@ def _dse(sweep=run_dse, **options) -> tuple[float, dict, dict, int]:
     registry = obs.MetricsRegistry()
     saved = obs.set_metrics(registry)
     try:
-        seconds, result = timed(lambda: sweep(DSE_SPACE, seed=DSE_SEED,
-                                              blob_sink=blobs, **options))
+        seconds, result = timed(lambda: sweep(DSE_SPACE, blob_sink=blobs,
+                                              **options))
     finally:
         obs.set_metrics(saved)
     snapshot = registry.snapshot()

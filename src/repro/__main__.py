@@ -560,8 +560,7 @@ def cmd_dse(args) -> int:
             )
         with _tracing(args.trace):
             result = run_dse(space, jobs=args.jobs,
-                             cache_dir=args.cache_dir, seed=args.seed,
-                             resume=args.resume)
+                             cache_dir=args.cache_dir, resume=args.resume)
     except DSEError as exc:
         print(f"dse: {exc}", file=sys.stderr)
         return 2
@@ -960,7 +959,6 @@ def main(argv: list[str] | None = None) -> int:
     dse.add_argument("--jobs", type=int, default=1,
                      help="compile points on a process pool "
                           "(deterministic: results match --jobs 1)")
-    dse.add_argument("--seed", type=int, default=0)
     dse.add_argument("--cache-dir", default=None,
                      help="share an on-disk mapping cache across runs "
                           "and pool workers (default: in-memory only)")

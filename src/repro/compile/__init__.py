@@ -38,10 +38,8 @@ from repro.compile.parallel import (
     default_jobs,
 )
 from repro.compile.pipeline import (
-    KNOWN_STRATEGIES,
     CompileContext,
     CompileResult,
-    compile_annealed,
     compile_dfg,
     compile_kernel,
     resolve_config,
@@ -58,7 +56,6 @@ __all__ = [
     "PortfolioReport",
     "compile_portfolio",
     "KEY_VERSION",
-    "KNOWN_STRATEGIES",
     "SCHEMA_VERSION",
     "CacheStats",
     "CompileContext",
@@ -71,7 +68,6 @@ __all__ = [
     "SweepOutcome",
     "TieredCache",
     "cgra_fingerprint",
-    "compile_annealed",
     "compile_dfg",
     "compile_kernel",
     "config_fingerprint",

@@ -6,11 +6,11 @@ seconds-long and CPU-bound. :class:`SweepExecutor` fans such a work
 list out across a ``ProcessPoolExecutor`` and merges the results back
 **deterministically**:
 
-* results come back in work-list order, never completion order;
-* per-item seeds are derived in the *parent* from (sweep seed, item
-  index) via :func:`repro.utils.rng.derive_worker_seed`, so a
-  ``--jobs N`` sweep is bit-identical to ``--jobs 1`` no matter how
-  items land on workers;
+* results come back in work-list order, never completion order, and
+  an item's result is a pure function of the item (a stochastic
+  backend carries its seed in ``backend_options``), so a ``--jobs N``
+  sweep is bit-identical to ``--jobs 1`` no matter how items land on
+  workers;
 * each worker records its item under a fresh metrics registry (and,
   when :func:`repro.obs.current_tracer` returns a tracer in the
   parent, a fresh tracer); the parent merges the metric snapshot and
@@ -44,7 +44,7 @@ import multiprocessing
 import os
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import obs
 from repro.arch.cgra import CGRA
@@ -57,7 +57,6 @@ from repro.errors import MappingError
 from repro.mapper.engine import EngineConfig
 from repro.mapper.mapping import Mapping
 from repro.mapper.validation import validate_mapping
-from repro.utils.rng import derive_worker_seed
 
 #: Environment override for the default worker count.
 ENV_JOBS = "REPRO_JOBS"
@@ -83,8 +82,7 @@ class SweepItem:
 
     Either ``kernel`` (a Table I name, lowered in the worker) or
     ``dfg`` (an explicit graph, e.g. a streaming kernel) names the
-    input; ``seed=None`` means "derive from the sweep seed + my index"
-    (the reproducible default for stochastic strategies like anneal).
+    input.
     """
 
     kernel: str = ""
@@ -100,8 +98,6 @@ class SweepItem:
     #: precedence item proves optimality (see ``cancel_on_optimal``).
     cancellable: bool = False
     refine: bool = True
-    anneal_moves: int = 800
-    seed: int | None = None
 
     def __post_init__(self):
         if bool(self.kernel) == (self.dfg is not None):
@@ -166,8 +162,7 @@ def _compile(item: SweepItem, cgra: CGRA, cache) -> CompileResult:
     """Compile one item through the pipeline against ``cache``."""
     common = dict(backend=item.backend,
                   backend_options=item.backend_kwargs(),
-                  refine=item.refine, anneal_moves=item.anneal_moves,
-                  seed=item.seed or 0, cache=cache)
+                  refine=item.refine, cache=cache)
     if item.dfg is not None:
         return compile_dfg(item.dfg, cgra, item.strategy, item.config,
                            **common)
@@ -234,7 +229,6 @@ class SweepExecutor:
     jobs: int = 1
     cache: object | None = None
     cache_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         self.jobs = max(1, int(self.jobs))
@@ -258,20 +252,16 @@ class SweepExecutor:
         (see :func:`repro.mapper.backends.select_best`), which keeps
         the chosen result independent of cancellation timing.
         """
-        seeded = [
-            item if item.seed is not None
-            else replace(item, seed=derive_worker_seed(self.seed, i))
-            for i, item in enumerate(items)
-        ]
-        fabrics = ([cgra] * len(seeded) if isinstance(cgra, CGRA)
+        items = list(items)
+        fabrics = ([cgra] * len(items) if isinstance(cgra, CGRA)
                    else list(cgra))
-        if len(fabrics) != len(seeded):
-            raise ValueError(f"{len(fabrics)} fabrics for {len(seeded)} "
+        if len(fabrics) != len(items):
+            raise ValueError(f"{len(fabrics)} fabrics for {len(items)} "
                              f"items: pass one CGRA or one per item")
-        if self.jobs == 1 or len(seeded) <= 1:
+        if self.jobs == 1 or len(items) <= 1:
             outcomes: list[SweepOutcome] = []
             proof_at: int | None = None
-            for i, item in enumerate(seeded):
+            for i, item in enumerate(items):
                 if (cancel_on_optimal and proof_at is not None
                         and i > proof_at and item.cancellable):
                     outcomes.append(SweepOutcome(i, item, cancelled=True))
@@ -282,7 +272,7 @@ class SweepExecutor:
                         and outcome.ok and outcome.result.optimal):
                     proof_at = i
             return outcomes
-        return self._run_pool(seeded, fabrics,
+        return self._run_pool(items, fabrics,
                               cancel_on_optimal=cancel_on_optimal)
 
     # -- serial path --------------------------------------------------------

@@ -11,11 +11,11 @@ threaded through one :class:`CompileContext`. The ``place_route`` pass
 is backed by the content-addressed mapping cache
 (:mod:`repro.compile.cache`): a repeated (DFG, fabric, engine config)
 compile rehydrates the cached artifact instead of re-running the
-engine. The deterministic post-passes are cache-backed too, as
-derived entries of that artifact, and the *analyze* pass runs only
-when a backend does (nested in ``place_route``). Every compile still
-validates its DFG, and the pipeline re-validates the mapping before
-returning — a cache hit is never trusted unchecked. Each pass is
+engine. Every post-pass is cache-backed too, as a derived entry of
+that artifact, and the *analyze* pass runs only when a backend does
+(nested in ``place_route``). Every compile still validates its DFG,
+and the pipeline re-validates the mapping before returning — a cache
+hit is never trusted unchecked. Each pass is
 recorded once, in :mod:`repro.obs`, by
 :func:`~repro.compile.instrument.measure`; ``--stats`` renders the
 registry's per-pass rows as a timing table.
@@ -25,8 +25,9 @@ Entry points:
 * :func:`compile_kernel` — by Table I kernel name (adds the *lower*
   pass).
 * :func:`compile_dfg` — from an existing DFG.
-* :func:`compile_annealed` — heuristic seed from the cache, then
-  simulated-annealing refinement.
+
+Annealing is the ``anneal`` backend (a placement step), never a
+strategy.
 """
 
 from __future__ import annotations
@@ -41,20 +42,7 @@ from repro.compile.fingerprint import mapping_cache_key
 from repro.compile.instrument import CACHED_POST_PASSES, measure
 from repro.dfg.analysis import DFGAnalysis, analyze_dfg
 from repro.dfg.graph import DFG
-from repro.mapper.anneal import AnnealStats, anneal_mapping
-# The strategy vocabulary lives in the backend registry (single source
-# of truth for the CLI, experiments and benchmarks); re-exported here
-# for compatibility with historical imports.
-from repro.mapper.backends import (  # noqa: F401  (re-exports)
-    KNOWN_STRATEGIES,
-    STRATEGY_ALIASES,
-    MappingResult,
-    backend_names,
-    make_backend,
-    mapping_cost,
-    resolve_strategy,
-    strategy_choices,
-)
+from repro.mapper.backends import make_backend, mapping_cost, resolve_strategy
 from repro.mapper.bitstream import Bitstream, generate_bitstream
 from repro.mapper.engine import EngineConfig, EngineStats
 from repro.mapper.island_refine import refine_island_levels
@@ -65,10 +53,6 @@ from repro.mapper.validation import validate_mapping
 
 #: Sentinel: the refinement pass inherits ``config.allowed_level_names``.
 _FROM_CONFIG = object()
-
-#: Each strategy's post-pass (``baseline`` has none); all but
-#: ``anneal`` are cached.
-_POST_PASSES = {**CACHED_POST_PASSES, "anneal": "anneal"}
 
 
 @dataclass
@@ -81,7 +65,6 @@ class CompileContext:
     dfg: DFG | None = None
     kernel: str = ""
     unroll: int = 1
-    seed: int = 0
     use_cache: bool = True
     cache: MappingCache | None = None
     backend: str = "engine"
@@ -95,7 +78,6 @@ class CompileContext:
     report: TimingReport | None = None
     bitstream: Bitstream | None = None
     engine_stats: EngineStats | None = None
-    anneal_stats: AnnealStats | None = None
     backend_stats: dict | None = None
     optimal: bool = False
     cost: float = 0.0
@@ -104,7 +86,6 @@ class CompileContext:
     # -- options ------------------------------------------------------------
     refine: bool = True
     refine_level_names: object = _FROM_CONFIG
-    anneal_moves: int = 800
 
 
 @dataclass
@@ -116,7 +97,6 @@ class CompileResult:
     cache_key: str = ""
     cache_hit: bool = False
     engine_stats: EngineStats | None = None
-    anneal_stats: AnnealStats | None = None
     bitstream: Bitstream | None = None
     backend: str = "engine"
     backend_stats: dict | None = None
@@ -127,7 +107,7 @@ class CompileResult:
 def resolve_config(strategy: str,
                    config: EngineConfig | None) -> EngineConfig:
     """The engine configuration a strategy's placement actually runs
-    with. Derived strategies (gating, per-tile, anneal) post-process a
+    with. Derived strategies (gating, per-tile) post-process a
     *baseline* placement, so their engine runs DVFS-oblivious whatever
     the caller passed — mirroring the historical entry points."""
     from dataclasses import replace
@@ -264,32 +244,24 @@ def _pass_place_route(ctx: CompileContext) -> None:
 def _pass_post(ctx: CompileContext) -> None:
     """The strategy's post-pass over the engine placement (if any).
 
-    ``anneal`` always runs (its :class:`AnnealStats` are part of the
-    result). The deterministic post-passes are pure functions of the
-    engine artifact and their variant, so with the cache on their
-    output is kept as a derived entry of that artifact and served on
-    the next compile; ``_pass_validate`` checks it like any other
-    rehydrated mapping.
+    Every post-pass is a pure function of the engine artifact and its
+    variant, so with the cache on its output is kept as a derived entry
+    of that artifact and served on the next compile; ``_pass_validate``
+    checks it like any other rehydrated mapping.
     """
-    if ctx.strategy == "baseline" or (ctx.strategy == "iced"
-                                      and not ctx.refine):
+    variant = _variant(ctx)
+    if variant is None:
         return
-    with measure(_POST_PASSES[ctx.strategy], ctx.dfg.name) as counters:
-        if ctx.strategy in CACHED_POST_PASSES:
-            counters["cache_hit"] = int(_derive(ctx))
-        else:  # anneal
-            ctx.mapping, ctx.anneal_stats = anneal_mapping(
-                ctx.mapping, moves=ctx.anneal_moves, seed=ctx.seed,
-            )
-            counters["moves_tried"] = ctx.anneal_stats.moves_tried
-            counters["moves_accepted"] = ctx.anneal_stats.moves_accepted
+    with measure(CACHED_POST_PASSES[ctx.strategy],
+                 ctx.dfg.name) as counters:
+        counters["cache_hit"] = int(_derive(ctx, variant))
         counters["gated_tiles"] = len(ctx.mapping.gated_tiles())
 
 
 def _variant(ctx: CompileContext) -> tuple | None:
     """The derived-entry variant of the strategy's post-pass, ``(strategy,
     sorted level names island refinement may use or None)``, or ``None``
-    when the strategy runs no cached post-pass."""
+    when the strategy runs no post-pass."""
     if ctx.strategy not in CACHED_POST_PASSES or (
             ctx.strategy == "iced" and not ctx.refine):
         return None
@@ -301,13 +273,12 @@ def _variant(ctx: CompileContext) -> tuple | None:
     return (ctx.strategy, None if names is None else tuple(sorted(names)))
 
 
-def _derive(ctx: CompileContext) -> bool:
-    """Apply a deterministic post-pass; True when served from cache
+def _derive(ctx: CompileContext, variant: tuple) -> bool:
+    """Apply the post-pass; True when served from cache
     (``_pass_place_route`` looked the derived entry up on its hit)."""
     if ctx.derived is not None:
         ctx.mapping = ctx.derived
         return True
-    variant = _variant(ctx)
     if ctx.strategy == "iced":
         ctx.mapping = refine_island_levels(ctx.mapping, variant[1])
     elif ctx.strategy == "baseline+gating":
@@ -354,7 +325,6 @@ def _run(ctx: CompileContext, want_bitstream: bool) -> CompileResult:
         cache_key=ctx.cache_key,
         cache_hit=ctx.cache_hit,
         engine_stats=ctx.engine_stats,
-        anneal_stats=ctx.anneal_stats,
         bitstream=ctx.bitstream,
         backend=ctx.backend,
         backend_stats=ctx.backend_stats,
@@ -369,7 +339,6 @@ def compile_dfg(dfg: DFG, cgra: CGRA, strategy: str = "iced",
                 backend_options: dict | None = None,
                 refine: bool = True,
                 refine_level_names: object = _FROM_CONFIG,
-                anneal_moves: int = 800, seed: int = 0,
                 use_cache: bool = True, cache: MappingCache | None = None,
                 want_bitstream: bool = False) -> CompileResult:
     """Compile an existing DFG onto ``cgra`` under ``strategy``,
@@ -378,9 +347,9 @@ def compile_dfg(dfg: DFG, cgra: CGRA, strategy: str = "iced",
     ctx = CompileContext(
         cgra=cgra, strategy=strategy,
         config=resolve_config(strategy, config), dfg=dfg,
-        seed=seed, use_cache=use_cache, cache=cache, backend=backend,
+        use_cache=use_cache, cache=cache, backend=backend,
         backend_options=dict(backend_options or {}), refine=refine,
-        refine_level_names=refine_level_names, anneal_moves=anneal_moves,
+        refine_level_names=refine_level_names,
     )
     return _run(ctx, want_bitstream)
 
@@ -390,7 +359,6 @@ def compile_kernel(name: str, cgra: CGRA, strategy: str = "iced",
                    backend: str = "engine",
                    backend_options: dict | None = None,
                    unroll: int = 1, refine: bool = True,
-                   anneal_moves: int = 800, seed: int = 0,
                    use_cache: bool = True,
                    cache: MappingCache | None = None,
                    want_bitstream: bool = False) -> CompileResult:
@@ -399,28 +367,10 @@ def compile_kernel(name: str, cgra: CGRA, strategy: str = "iced",
     ctx = CompileContext(
         cgra=cgra, strategy=strategy,
         config=resolve_config(strategy, config),
-        kernel=name, unroll=unroll, seed=seed,
+        kernel=name, unroll=unroll,
         use_cache=use_cache, cache=cache,
         backend=backend, backend_options=dict(backend_options or {}),
-        refine=refine, anneal_moves=anneal_moves,
+        refine=refine,
     )
     return _run(ctx, want_bitstream)
 
-
-def compile_annealed(dfg: DFG, cgra: CGRA,
-                     config: EngineConfig | None = None, *,
-                     moves: int = 800, seed: int = 0,
-                     use_cache: bool = True,
-                     cache: MappingCache | None = None,
-                     ) -> tuple[CompileResult, CompileResult]:
-    """The annealing comparison pair: (heuristic seed, refined result).
-
-    The seed mapping comes through the cache, so sweeping anneal
-    parameters (moves, seed) never re-runs the constructive engine.
-    """
-    base = compile_dfg(dfg, cgra, "baseline", config,
-                       use_cache=use_cache, cache=cache)
-    refined = compile_dfg(dfg, cgra, "anneal", config,
-                          anneal_moves=moves, seed=seed,
-                          use_cache=use_cache, cache=cache)
-    return base, refined

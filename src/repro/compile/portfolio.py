@@ -7,13 +7,14 @@ SweepExecutor`, applies the registry's deterministic selection rule
 a per-member score board and the optimality gap whenever a
 proof-capable member closed one.
 
-Determinism: member precedence is the caller's ``members`` order; the
-executor derives per-item seeds in the parent; selection truncates at
-the lowest-precedence proven-optimal member. ``--jobs N`` therefore
-returns the *same winner mapping, gap and score board entries for
-every non-cancelled member* as ``--jobs 1`` — only which doomed
-members got cancelled before finishing may differ, and those never
-participate in selection.
+Determinism: member precedence is the caller's ``members`` order; each
+member is a pure function of its options (the ``anneal`` member runs
+its backend's default seed unless ``member_options`` names one);
+selection truncates at the lowest-precedence proven-optimal member.
+``--jobs N`` therefore returns the *same winner mapping, gap and score
+board entries for every non-cancelled member* as ``--jobs 1`` — only
+which doomed members got cancelled before finishing may differ, and
+those never participate in selection.
 
 Each member that runs caches its own artifact under its own backend's
 key; the race itself publishes nothing further.
@@ -82,14 +83,12 @@ class PortfolioReport:
 
 
 def _member_options(member: str, member_options: dict[str, dict] | None,
-                    budget_s: float | None, seed: int) -> tuple:
+                    budget_s: float | None) -> tuple:
     options = dict((member_options or {}).get(member, {}))
     cls = get_backend(member)
     if (budget_s is not None and getattr(cls, "proves_optimality", False)
             and "budget_s" not in options):
         options["budget_s"] = budget_s
-    if member == "anneal" and "seed" not in options:
-        options["seed"] = seed
     return tuple(sorted(options.items()))
 
 
@@ -98,7 +97,7 @@ def compile_portfolio(dfg: DFG | str, cgra: CGRA, strategy: str = "iced",
                       members: tuple[str, ...] = DEFAULT_PORTFOLIO,
                       member_options: dict[str, dict] | None = None,
                       budget_s: float | None = None,
-                      unroll: int = 1, jobs: int = 1, seed: int = 0,
+                      unroll: int = 1, jobs: int = 1,
                       cache: object | None = None,
                       cache_dir: str | None = None,
                       ) -> PortfolioReport:
@@ -123,13 +122,12 @@ def compile_portfolio(dfg: DFG | str, cgra: CGRA, strategy: str = "iced",
             unroll=unroll, strategy=strategy, config=config,
             backend=member,
             backend_options=_member_options(member, member_options,
-                                            budget_s, seed),
-            cancellable=True, seed=seed,
+                                            budget_s),
+            cancellable=True,
         )
         for member in members
     ]
-    executor = SweepExecutor(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                             seed=seed)
+    executor = SweepExecutor(jobs=jobs, cache=cache, cache_dir=cache_dir)
     outcomes = executor.run(items, cgra, cancel_on_optimal=True)
 
     entries: list[PortfolioEntry] = []

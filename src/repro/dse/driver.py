@@ -35,8 +35,8 @@ in, seeds its II and resolves it in this process against the shared
 cache — a warm hit, or, when its search failed, the same failing
 compile ``--jobs 1`` runs.
 
-Determinism: per-point seeds derive from (sweep seed, point index) —
-never from scheduling — and result rows carry no volatile fields, so
+Determinism: every point compiles deterministically (no stochastic
+strategy exists) and result rows carry no volatile fields, so
 ``--jobs N`` points and frontier are byte-equal to ``--jobs 1``
 (``stats`` aggregates reuse/timing and is the one volatile section).
 """
@@ -64,7 +64,6 @@ from repro.mapper.engine import EngineConfig
 from repro.mapper.exact import exact_lower_bound
 from repro.power.area import area_report
 from repro.power.model import energy_uj, mapping_power
-from repro.utils.rng import derive_worker_seed
 from repro.utils.tables import TextTable
 
 #: Result-file schema; bump on incompatible row changes.
@@ -199,6 +198,10 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     atomically rewritten after each of the two waves (see the module
     docstring) so an interrupted sweep can pick up where it stopped.
     ``jobs`` below 1 raises :class:`~repro.errors.DSEError`.
+
+    ``seed`` is accepted and ignored: no point is stochastic. It stays
+    only because the end-to-end benchmark (``perfbench/workloads.py``)
+    still passes it; drop it once that caller does.
     """
     if jobs < 1:
         raise DSEError(f"jobs must be at least 1, got {jobs}")
@@ -219,7 +222,7 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     with obs.span("dse", category="dse", space=space.name,
                   space_hash=space_hash, points=len(points)):
         rows = _run_optimized(points, space, space_hash, jobs, cache_dir,
-                              seed, stats, blob_sink, manifest)
+                              stats, blob_sink, manifest)
     rows.sort(key=lambda row: row["index"])
     frontier = pareto_front([r for r in rows if r["status"] == "ok"])
     stats["frontier_size"] = len(frontier)
@@ -283,7 +286,6 @@ class _Sweep:
     space: DesignSpace
     space_hash: str
     cache: object
-    seed: int
     stats: dict
     blob_sink: dict | None
     #: search id -> the solved blob and its provenance meta, for every
@@ -314,7 +316,6 @@ class _Sweep:
             kernel=point.kernel, unroll=point.unroll,
             strategy=point.strategy,
             config=replace(plan.config, min_ii=min_ii),
-            seed=derive_worker_seed(self.seed, point.index),
         )
 
     def resolve(self, plan: _Plan, executor: SweepExecutor) -> dict:
@@ -376,7 +377,7 @@ class _Sweep:
 
 def _run_optimized(points: list[DesignPoint], space: DesignSpace,
                    space_hash: str, jobs: int, cache_dir: str | None,
-                   seed: int, stats: dict, blob_sink: dict | None,
+                   stats: dict, blob_sink: dict | None,
                    manifest: ResumeManifest | None = None) -> list[dict]:
     rows: list[dict] = []
     if manifest is not None and manifest.rows:
@@ -385,9 +386,8 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
         rows.extend(manifest.rows[p.index] for p in done)
         points = [p for p in points if p.index not in manifest.rows]
         stats["resumed"] = len(done)
-    executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir, seed=seed)
-    sweep = _Sweep(space, space_hash, executor.cache, seed, stats,
-                   blob_sink)
+    executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
+    sweep = _Sweep(space, space_hash, executor.cache, stats, blob_sink)
 
     # The first point of every distinct search, across all fabrics,
     # joins the search wave; every other point is derived from one.

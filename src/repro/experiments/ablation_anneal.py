@@ -5,14 +5,19 @@ annealing; the paper's heuristic skips it for compile-time ("optimal
 solutions within tens of seconds"). This sweep quantifies what is left
 on the table: annealing each baseline mapping at fixed II and measuring
 the route-latency / active-island / power deltas.
+
+The baseline mapping comes through the mapping cache, so sweeping the
+anneal parameters (moves, seed) never re-runs the constructive engine;
+each refined mapping is validated like any compile result.
 """
 
 from __future__ import annotations
 
 from repro.arch.cgra import CGRA
-from repro.compile import compile_annealed
+from repro.compile import compile_kernel
 from repro.experiments.base import ExperimentResult
-from repro.kernels.suite import load_kernel
+from repro.mapper.anneal import anneal_mapping
+from repro.mapper.validation import validate_mapping
 from repro.power.model import mapping_power
 from repro.utils.tables import TextTable
 
@@ -27,12 +32,9 @@ def run(kernels: tuple[str, ...] = ("fir", "spmv", "histogram", "gemm"),
     ])
     series = {"cost reduction %": []}
     for name in kernels:
-        # the anneal seed comes out of the mapping cache, so sweeping
-        # (moves, seed) never re-runs the constructive engine
-        base, result = compile_annealed(load_kernel(name, 1), cgra,
-                                        moves=moves, seed=seed)
-        mapping, refined = base.mapping, result.mapping
-        stats = result.anneal_stats
+        mapping = compile_kernel(name, cgra, "baseline").mapping
+        refined, stats = anneal_mapping(mapping, moves=moves, seed=seed)
+        validate_mapping(refined)
 
         def islands_of(m) -> int:
             return len({cgra.island_of(t).id for t in m.tiles_used()})

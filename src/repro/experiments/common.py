@@ -87,8 +87,7 @@ def _memoize(combos, cgra: CGRA, backend: str,
     after one executor run has compiled every one not yet memoized.
 
     Successes and ``MappingError``s are memoized alike, so later
-    lookups never compile. Items carry ``seed=0``: a stochastic
-    strategy's result does not depend on where in a sweep it sits.
+    lookups never compile.
     """
     options = tuple(sorted((backend_options or {}).items()))
     keys: list[tuple] = []
@@ -100,7 +99,7 @@ def _memoize(combos, cgra: CGRA, backend: str,
         if key not in _MEMO and key not in _MEMO_ERRORS:
             pending[key] = SweepItem(kernel=name, unroll=unroll,
                                      strategy=strategy, backend=backend,
-                                     backend_options=options, seed=0)
+                                     backend_options=options)
     if pending:
         executor = SweepExecutor(jobs=jobs, cache=get_cache(),
                                  cache_dir=_DEFAULT_CACHE_DIR)

@@ -21,7 +21,6 @@ from repro.mapper.exact import ExactStats, exact_lower_bound, map_exact
 from repro.mapper.backends import (
     DEFAULT_PORTFOLIO,
     EXPERIMENT_STRATEGIES,
-    KNOWN_STRATEGIES,
     STRATEGY_ALIASES,
     MapperBackend,
     MappingResult,
@@ -58,7 +57,6 @@ __all__ = [
     "map_exact",
     "DEFAULT_PORTFOLIO",
     "EXPERIMENT_STRATEGIES",
-    "KNOWN_STRATEGIES",
     "STRATEGY_ALIASES",
     "MapperBackend",
     "MappingResult",

@@ -11,8 +11,8 @@ for many concurrent clients, the way one CLI invocation never could:
   queue slot — attaching a waiter to work already promised is free.
 * **request coalescing** — every request is fingerprinted through the
   existing :func:`repro.compile.fingerprint.mapping_cache_key`
-  machinery (plus the post-pass fields the engine key deliberately
-  excludes: strategy and seed). Identical in-flight requests share one
+  machinery (plus the post-pass field the engine key deliberately
+  excludes: the strategy). Identical in-flight requests share one
   future and therefore one compile; all waiters receive the *same*
   serialized payload, byte for byte.
 * **a shared cache** — worker threads compile through
@@ -132,7 +132,6 @@ class CompileRequest:
     unroll: int = 1
     cgra: tuple[int, int] = (6, 6)
     island: tuple[int, int] = (2, 2)
-    seed: int = 0
     priority: str = "batch"
     tenant: str = ""
 
@@ -142,7 +141,7 @@ class CompileRequest:
             raise RequestError("request body must be a JSON object")
         unknown = set(body) - {
             "kernel", "strategy", "backend", "unroll", "cgra", "island",
-            "seed", "priority", "tenant",
+            "priority", "tenant",
         }
         if unknown:
             raise RequestError(f"unknown request fields: {sorted(unknown)}")
@@ -167,9 +166,8 @@ class CompileRequest:
             )
         try:
             unroll = int(body.get("unroll", 1))
-            seed = int(body.get("seed", 0))
         except (TypeError, ValueError):
-            raise RequestError("unroll and seed must be integers") from None
+            raise RequestError("unroll must be an integer") from None
         if unroll < 1:
             raise RequestError("unroll must be >= 1")
         return cls(
@@ -177,7 +175,7 @@ class CompileRequest:
             unroll=unroll,
             cgra=_parse_shape(body.get("cgra", "6x6"), "cgra"),
             island=_parse_shape(body.get("island", "2x2"), "island"),
-            seed=seed, priority=priority,
+            priority=priority,
             tenant=_parse_tenant(body.get("tenant", "")),
         )
 
@@ -186,8 +184,7 @@ class CompileRequest:
             "kernel": self.kernel, "strategy": self.strategy,
             "backend": self.backend, "unroll": self.unroll,
             "cgra": list(self.cgra), "island": list(self.island),
-            "seed": self.seed, "priority": self.priority,
-            "tenant": self.tenant,
+            "priority": self.priority, "tenant": self.tenant,
         }
 
 
@@ -381,10 +378,10 @@ class CompileService:
         """The coalescing identity of one request.
 
         For compiles this is the engine's content-addressed
-        ``mapping_cache_key`` extended by the post-pass inputs the
-        engine key deliberately ignores (strategy and seed — two
-        requests that share a placement but diverge in the post-pass
-        must not share a response). Stream requests hash their full
+        ``mapping_cache_key`` extended by the post-pass input the
+        engine key deliberately ignores (the strategy — two requests
+        that share a placement but diverge in the post-pass must not
+        share a response). Stream requests hash their full
         parameter tuple. Requests are frozen dataclasses, so repeats
         (the load-test common case) hit a memo instead of re-hashing
         the fabric.
@@ -401,8 +398,7 @@ class CompileService:
                 resolve_config(request.strategy, None), request.backend,
             )
             payload = {"compile": engine_key,
-                       "strategy": request.strategy,
-                       "seed": request.seed}
+                       "strategy": request.strategy}
         else:
             payload = {"stream": request.to_dict()}
             # Neither priority nor tenant changes the computed result:
@@ -573,7 +569,6 @@ class CompileService:
         item = SweepItem(
             kernel=request.kernel, unroll=request.unroll,
             strategy=request.strategy, backend=request.backend,
-            seed=request.seed,
         )
         executor = SweepExecutor(jobs=1, cache=self.cache)
         outcome = executor.run([item], self._fabric(request))[0]

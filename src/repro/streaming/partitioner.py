@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.arch.cgra import CGRA
 from repro.compile import MappingCache, SweepExecutor, SweepItem, get_cache
-from repro.errors import PartitionError
+from repro.errors import PartitionError, StreamingError
 from repro.mapper.engine import EngineConfig
 from repro.mapper.mapping import Mapping
 from repro.streaming.app import StreamingApp
@@ -186,18 +186,21 @@ def build_ii_table(app: StreamingApp, cgra: CGRA,
                      _executor(use_cache, jobs, cache_dir))
 
 
-def _best_allocation(app: StreamingApp, table,
-                     profile_inputs: FeatureBlock, total_islands: int,
+def _best_allocation(app: StreamingApp, table, counts: list[np.ndarray],
+                     total_islands: int,
                      max_islands_per_kernel: int) -> dict[str, int] | None:
     """The island composition with the least summed bottleneck latency
     over the profile, or ``None`` if no composition fits.
 
-    An input's bottleneck latency is the max over stages of the max over
-    their kernels of ``iterations * II``. No iteration count depends on
-    the composition, so each kernel's counts are taken once and every
-    composition that fits is scored in integer arrays; ties go to the
-    first composition in ``itertools.product`` order (``argmin``), the
-    one a strict ``<`` scan keeps.
+    ``counts`` holds each kernel's ``iterations_block`` of the profile,
+    in ``app.all_kernels()`` order. An input's bottleneck latency is the
+    max over stages of the max over their kernels of ``iterations *
+    II``, so every composition that fits is scored in int64 arrays; ties
+    go to the first composition in ``itertools.product`` order
+    (``argmin``), the one a strict ``<`` scan keeps. No score exceeds
+    the sum over kernels of the largest II times the summed counts; when
+    that bound, in Python ints, reaches 2**63 a score could wrap, so the
+    search raises :class:`~repro.errors.StreamingError` instead.
     """
     kernels = app.all_kernels()
     feasible = [[c for c in range(1, max_islands_per_kernel + 1)
@@ -208,13 +211,20 @@ def _best_allocation(app: StreamingApp, table,
                       dtype=np.int64).reshape(-1, len(kernels))
     if not len(combos):
         return None
-    worst = np.zeros((len(combos), len(profile_inputs)), dtype=np.int64)
+    bound = sum(max(table[(kernel.name, c)] for c in options)
+                * sum(count.tolist())
+                for kernel, options, count in zip(kernels, feasible, counts))
+    if bound >= 2 ** 63:
+        raise StreamingError(
+            f"{app.name}: the profile's iteration counts are too large "
+            f"to score island compositions (a score could reach 2**63)"
+        )
+    worst = np.zeros((len(combos), len(counts[0])), dtype=np.int64)
     for k, kernel in enumerate(kernels):
         ii = np.zeros(max_islands_per_kernel + 1, dtype=np.int64)
         for count in feasible[k]:
             ii[count] = table[(kernel.name, count)]
-        iterations = kernel.iterations_block(profile_inputs)
-        np.maximum(worst, ii[combos[:, k], None] * iterations, out=worst)
+        np.maximum(worst, ii[combos[:, k], None] * counts[k], out=worst)
     best = int(worst.sum(axis=1).argmin())
     return dict(zip((kernel.name for kernel in kernels),
                     combos[best].tolist()))
@@ -248,6 +258,9 @@ def partition_app(app: StreamingApp, cgra: CGRA,
             f"{app.name}: {len(kernels)} kernels exceed "
             f"{total_islands} islands (merge kernels first)"
         )
+    # Counted before any probe maps, so a profile whose counts do not
+    # fit is refused without the mapping work.
+    counts = [kernel.iterations_block(profile_inputs) for kernel in kernels]
     executor = _executor(use_cache, jobs, cache_dir)
     table = ii_table if ii_table is not None else _ii_table(
         app, cgra, max_islands_per_kernel, executor)
@@ -257,7 +270,7 @@ def partition_app(app: StreamingApp, cgra: CGRA,
                for c in range(1, max_islands_per_kernel + 1)):
             raise PartitionError(
                 f"kernel {kernel.name!r} fits on no island count")
-    best_alloc = _best_allocation(app, table, profile_inputs, total_islands,
+    best_alloc = _best_allocation(app, table, counts, total_islands,
                                   max_islands_per_kernel)
     if best_alloc is None:
         raise PartitionError(

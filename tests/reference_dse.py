@@ -24,10 +24,9 @@ from repro.dse.pareto import pareto_front
 from repro.dse.space import DesignSpace
 from repro.errors import MappingError
 from repro.mapper import routing
-from repro.utils.rng import derive_worker_seed
 
 
-def reference_run_dse(space: DesignSpace, *, seed: int = 0,
+def reference_run_dse(space: DesignSpace, *,
                       blob_sink: dict | None = None) -> dict:
     """Sweep ``space`` one cold compile per point:
     ``{points, frontier, stats}``, with ``points`` and ``frontier`` as
@@ -44,9 +43,7 @@ def reference_run_dse(space: DesignSpace, *, seed: int = 0,
         try:
             result = compile_kernel(
                 point.kernel, cgra, point.strategy, config,
-                unroll=point.unroll,
-                seed=derive_worker_seed(seed, point.index),
-                cache=MappingCache(),
+                unroll=point.unroll, cache=MappingCache(),
             )
         except MappingError as exc:
             stats["unmappable"] += 1

@@ -26,7 +26,7 @@ from repro.errors import MappingError
 from repro.kernels.suite import load_kernel
 from repro.mapper.backends import (
     DEFAULT_PORTFOLIO,
-    KNOWN_STRATEGIES,
+    EXPERIMENT_STRATEGIES,
     MapperBackend,
     MappingResult,
     _REGISTRY,
@@ -104,9 +104,12 @@ class TestRegistry:
 
     def test_strategy_vocabulary_single_source(self):
         assert resolve_strategy("per_tile") == "per_tile_dvfs"
-        assert set(KNOWN_STRATEGIES) <= set(strategy_choices())
+        assert set(EXPERIMENT_STRATEGIES) <= set(strategy_choices())
         with pytest.raises(ValueError, match="unknown strategy"):
             resolve_strategy("fastest")
+        # Annealing is the ``anneal`` backend, never a strategy.
+        with pytest.raises(ValueError, match="unknown strategy"):
+            resolve_strategy("anneal")
 
 
 # -- portfolio selection rule -------------------------------------------------

@@ -47,6 +47,7 @@ from repro.__main__ import main
     ["dse", "--topologies", "nope"],
     ["dse", "--kernels", "nope"],
     ["dse", "--strategies", "nope"],
+    ["dse", "--strategies", "anneal"],
     ["dse", "--iterations", "-5"],
     ["dse", "--iterations", "0"],
     ["dse", "--unroll", "0"],
@@ -62,6 +63,20 @@ def test_bad_input_exits_2_with_one_line_error(argv, tmp_path, capsys,
     assert err[0].startswith(f"{argv[0]}: ")
     assert "Traceback" not in err[0]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["map", "fir", "--strategy", "anneal"], "invalid choice: 'anneal'"),
+    (["dse", "--seed", "1"], "unrecognized arguments: --seed 1"),
+], ids=["map fir --strategy anneal", "dse --seed 1"])
+def test_removed_flags_and_values_exit_2_through_argparse(argv, message,
+                                                          capsys):
+    # Annealing is `--backend anneal`, not a strategy, and no compile
+    # takes a seed.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [

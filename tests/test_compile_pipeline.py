@@ -12,7 +12,6 @@ from repro.compile import (
     DiskCache,
     MappingCache,
     TieredCache,
-    compile_annealed,
     compile_dfg,
     compile_kernel,
     get_cache,
@@ -344,17 +343,6 @@ class TestDerivedCache:
             canonical_blob(direct.mapping)
         assert len(cache.snapshot()["derived"][free.cache_key]) == 2
 
-    def test_annealed_hits_keep_anneal_stats(self, registry):
-        cache = MappingCache()
-        dfg = load_kernel("fir")
-        _, first = compile_annealed(dfg, FABRIC, moves=50, cache=cache)
-        _, again = compile_annealed(dfg, FABRIC, moves=50, cache=cache)
-        assert again.cache_hit and again.anneal_stats is not None
-        assert again.anneal_stats == first.anneal_stats
-        assert canonical_blob(again.mapping) == canonical_blob(first.mapping)
-        # anneal is never served from the derived cache.
-        assert "cache_hit" not in pass_rows(registry.snapshot())["anneal"]
-
 
 class TestFingerprintSensitivity:
     CONFIG = EngineConfig()
@@ -407,23 +395,6 @@ class TestFingerprintSensitivity:
         assert key_a != self.key(make(n_a, opcode, dist + 1))
         if opcode is not Opcode.ADD:
             assert key_a != self.key(make(n_a, Opcode.ADD, dist))
-
-
-class TestSeededSearches:
-    def test_annealed_seed_comes_from_cache(self):
-        cache = MappingCache()
-        dfg = load_kernel("fir")
-        base, refined = compile_annealed(dfg, FABRIC, moves=50,
-                                         cache=cache)
-        assert not base.cache_hit
-        assert refined.cache_hit  # anneal reuses the baseline artifact
-        assert refined.anneal_stats is not None
-        assert refined.mapping.ii == base.mapping.ii
-        validate_mapping(refined.mapping)
-        # a second sweep with a different seed re-uses the same artifact
-        _, again = compile_annealed(dfg, FABRIC, moves=50, seed=7,
-                                    cache=cache)
-        assert again.cache_hit
 
 
 class TestInstrumentationReport:

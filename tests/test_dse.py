@@ -157,8 +157,8 @@ def test_point_keys_partition_the_axes():
 
 def test_optimized_matches_naive_rows_and_blobs():
     opt_blobs, naive_blobs = {}, {}
-    optimized = run_dse(SMALL_SPACE, seed=0, blob_sink=opt_blobs)
-    naive = reference_run_dse(SMALL_SPACE, seed=0, blob_sink=naive_blobs)
+    optimized = run_dse(SMALL_SPACE, blob_sink=opt_blobs)
+    naive = reference_run_dse(SMALL_SPACE, blob_sink=naive_blobs)
     assert optimized["points"] == naive["points"]
     assert optimized["frontier"] == naive["frontier"]
     assert opt_blobs == naive_blobs
@@ -168,10 +168,10 @@ def test_optimized_matches_naive_rows_and_blobs():
 
 def test_jobs_two_matches_jobs_one_byte_for_byte(tmp_path):
     serial_blobs, pool_blobs = {}, {}
-    serial = run_dse(SMALL_SPACE, jobs=1, seed=0,
+    serial = run_dse(SMALL_SPACE, jobs=1,
                      cache_dir=str(tmp_path / "c1"),
                      blob_sink=serial_blobs)
-    pool = run_dse(SMALL_SPACE, jobs=2, seed=0,
+    pool = run_dse(SMALL_SPACE, jobs=2,
                    cache_dir=str(tmp_path / "c2"),
                    blob_sink=pool_blobs)
     for section in ("points", "frontier"):
@@ -184,8 +184,8 @@ def test_jobs_two_without_cache_dir_matches_jobs_one():
     # Derived points resolve in the parent against the shared in-memory
     # cache, so a pool sweep with no disk tier still reuses every search.
     serial_blobs, pool_blobs = {}, {}
-    serial = run_dse(SMALL_SPACE, jobs=1, seed=0, blob_sink=serial_blobs)
-    pool = run_dse(SMALL_SPACE, jobs=2, seed=0, blob_sink=pool_blobs)
+    serial = run_dse(SMALL_SPACE, jobs=1, blob_sink=serial_blobs)
+    pool = run_dse(SMALL_SPACE, jobs=2, blob_sink=pool_blobs)
     for counter in ("compiles", "cache_hits", "aliased_blobs",
                     "unmappable"):
         assert pool["stats"][counter] == serial["stats"][counter], counter
@@ -206,7 +206,7 @@ def test_pool_sweep_dispatches_once(tmp_path, monkeypatch):
         return original(self, items, *args, **kwargs)
 
     monkeypatch.setattr(SweepExecutor, "_run_pool", recording)
-    result = run_dse(SMALL_SPACE, jobs=2, seed=0,
+    result = run_dse(SMALL_SPACE, jobs=2,
                      cache_dir=str(tmp_path / "cache"))
     assert result["stats"]["compiles"] == 6
     assert dispatches == [result["stats"]["compiles"]]
@@ -216,7 +216,7 @@ def test_unmappable_points_are_recorded_not_raised():
     space = DesignSpace(fabrics=((1, 1),), islands=((1, 1),),
                         strategies=("baseline",),
                         kernels=("fft",), vf_levels=(3,))
-    result = run_dse(space, seed=0)
+    result = run_dse(space)
     statuses = {row["status"] for row in result["points"]}
     assert statuses == {"unmappable"}
     assert result["frontier"] == []
@@ -226,7 +226,7 @@ def test_unmappable_points_are_recorded_not_raised():
 def test_result_document_shape():
     result = run_dse(DesignSpace(fabrics=((4, 4),),
                                  strategies=("baseline",),
-                                 kernels=("fir",)), seed=0)
+                                 kernels=("fir",)))
     assert result["schema"] == 1
     assert result["space_hash"] == DesignSpace(
         fabrics=((4, 4),), strategies=("baseline",), kernels=("fir",)
@@ -248,7 +248,7 @@ def test_artifacts_carry_sweep_tag_and_footprint_groups(tmp_path, jobs):
     root = str(tmp_path / "cache")
     space = DesignSpace(fabrics=((4, 4),), vf_levels=(3, 4),
                         strategies=("baseline", "iced"), kernels=("fir",))
-    result = run_dse(space, seed=0, cache_dir=root, jobs=jobs)
+    result = run_dse(space, cache_dir=root, jobs=jobs)
     disk = DiskCache(root)
     assert len(disk) > 0
     footprint = disk.sweep_footprint()
@@ -268,7 +268,7 @@ def test_tag_sweep_keeps_first_producer(tmp_path):
     root = str(tmp_path / "cache")
     space = DesignSpace(fabrics=((4, 4),), strategies=("baseline",),
                         kernels=("fir",))
-    run_dse(space, seed=0, cache_dir=root)
+    run_dse(space, cache_dir=root)
     disk = DiskCache(root)
     key = disk.artifact_paths()[0].stem
     before = disk.meta(key)["sweep"]
@@ -283,7 +283,7 @@ def test_aliased_artifacts_name_the_kernel_they_map(tmp_path):
     space = DesignSpace(fabrics=((4, 4),), vf_levels=(2, 3),
                         strategies=("baseline", "iced"), kernels=("relu",),
                         unroll=2)
-    result = run_dse(space, seed=0, cache_dir=root)
+    result = run_dse(space, cache_dir=root)
     assert result["stats"]["aliased_blobs"] == 1
     envelopes = [json.loads(path.read_text())
                  for path in DiskCache(root).artifact_paths()]
@@ -306,9 +306,9 @@ RESUME_SPACE = DesignSpace(name="resume", fabrics=((4, 4),),
 
 def test_resume_replays_every_completed_row(tmp_path):
     manifest = tmp_path / "sweep.resume.json"
-    first = run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    first = run_dse(RESUME_SPACE, resume=manifest)
     assert manifest.exists()
-    second = run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    second = run_dse(RESUME_SPACE, resume=manifest)
     assert second["points"] == first["points"]
     assert second["frontier"] == first["frontier"]
     assert second["stats"]["resumed"] == len(first["points"])
@@ -318,13 +318,13 @@ def test_resume_replays_every_completed_row(tmp_path):
 
 def test_partial_manifest_compiles_only_the_rest(tmp_path):
     manifest = tmp_path / "sweep.resume.json"
-    full = run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    full = run_dse(RESUME_SPACE, resume=manifest)
     doc = json.loads(manifest.read_text(encoding="utf-8"))
     kept = {index: row for index, row in doc["rows"].items()
             if int(index) % 2 == 0}
     doc["rows"] = kept
     manifest.write_text(json.dumps(doc), encoding="utf-8")
-    resumed = run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    resumed = run_dse(RESUME_SPACE, resume=manifest)
     assert resumed["points"] == full["points"]
     assert resumed["stats"]["resumed"] == len(kept)
     assert (resumed["stats"]["compiles"]
@@ -337,7 +337,7 @@ def test_partial_manifest_compiles_only_the_rest(tmp_path):
 def test_sweep_killed_after_the_search_wave_resumes(tmp_path,
                                                     monkeypatch):
     manifest = tmp_path / "sweep.resume.json"
-    full = run_dse(RESUME_SPACE, seed=0)
+    full = run_dse(RESUME_SPACE)
 
     def killed(self, plan, executor):
         raise RuntimeError("killed before the first derived point")
@@ -345,10 +345,10 @@ def test_sweep_killed_after_the_search_wave_resumes(tmp_path,
     with monkeypatch.context() as patch:
         patch.setattr(driver._Sweep, "resolve", killed)
         with pytest.raises(RuntimeError, match="killed"):
-            run_dse(RESUME_SPACE, seed=0, resume=manifest)
+            run_dse(RESUME_SPACE, resume=manifest)
     doc = json.loads(manifest.read_text(encoding="utf-8"))
     assert sorted(int(index) for index in doc["rows"]) == [0, 1, 3]
-    resumed = run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    resumed = run_dse(RESUME_SPACE, resume=manifest)
     for section in ("points", "frontier"):
         assert (json.dumps(resumed[section], sort_keys=True)
                 == json.dumps(full[section], sort_keys=True))
@@ -359,11 +359,11 @@ def test_manifest_from_another_space_is_refused(tmp_path):
     from repro.errors import DSEError
 
     manifest = tmp_path / "sweep.resume.json"
-    run_dse(RESUME_SPACE, seed=0, resume=manifest)
+    run_dse(RESUME_SPACE, resume=manifest)
     other = DesignSpace(fabrics=((4, 4),), strategies=("baseline",),
                         kernels=("mvt",))
     with pytest.raises(DSEError, match="space hash"):
-        run_dse(other, seed=0, resume=manifest)
+        run_dse(other, resume=manifest)
 
 
 def test_corrupt_manifest_is_refused(tmp_path):
@@ -372,7 +372,7 @@ def test_corrupt_manifest_is_refused(tmp_path):
     manifest = tmp_path / "sweep.resume.json"
     manifest.write_text("not json", encoding="utf-8")
     with pytest.raises(DSEError, match="unreadable"):
-        run_dse(RESUME_SPACE, seed=0, resume=manifest)
+        run_dse(RESUME_SPACE, resume=manifest)
     manifest.write_text(json.dumps({"schema": 99}), encoding="utf-8")
     with pytest.raises(DSEError, match="schema"):
-        run_dse(RESUME_SPACE, seed=0, resume=manifest)
+        run_dse(RESUME_SPACE, resume=manifest)

@@ -5,9 +5,11 @@ the mapping's canonical ``to_dict()`` JSON and the compile's
 ``mapping_cache_key`` for two families of compiles:
 
 * whole-fabric: each of the 10 standalone kernels x (4 experiment
-  strategies + the ``anneal`` backend under ``iced``) on the 6x6
-  fabric with 2x2 islands. The ``anneal`` rows pin the router's
-  memo-less path, which only the annealer takes;
+  strategies + the ``anneal`` backend under ``iced`` and under
+  ``baseline``) on the 6x6 fabric with 2x2 islands. The ``anneal``
+  rows pin the router's memo-less path, which only the annealer takes;
+  the ``baseline/anneal`` rows pin the one way to anneal a baseline
+  placement (default moves and seed);
 * partition probes: each of gcn_app's 6 kernels on the first 1-4
   islands of the snake order of ``streaming_cgra()``, compiled exactly
   as ``build_ii_table`` does (normal-only levels, no refinement). They
@@ -51,6 +53,7 @@ GOLDEN = Path(__file__).parent / "golden" / "mapping_digests.json"
 #: Golden row name -> (strategy, backend) of the compile it pins.
 ROWS = {strategy: (strategy, "engine") for strategy in EXPERIMENT_STRATEGIES}
 ROWS["anneal"] = ("iced", "anneal")
+ROWS["baseline/anneal"] = ("baseline", "anneal")
 
 #: Island counts of the partition probes (build_ii_table's default).
 PROBE_ISLANDS = (1, 2, 3, 4)
@@ -61,7 +64,7 @@ PROBE_KERNELS = [f"gcn/{kernel.name}" for kernel in gcn_app().all_kernels()]
 OFF_MESH_FABRICS = {"king6x6": (6, 6, "king"), "torus4x4": (4, 4, "torus")}
 OFF_MESH_ROWS = ["baseline", "iced"]
 
-#: Golden group -> its rows: the 50 whole-fabric compiles, the 24
+#: Golden group -> its rows: the 60 whole-fabric compiles, the 24
 #: partition probes, then the 40 off-mesh compiles.
 EXPECTED = {kernel: sorted(ROWS) for kernel in STANDALONE_KERNELS}
 EXPECTED.update({group: PROBE_ROWS for group in PROBE_KERNELS})
@@ -82,7 +85,7 @@ def _digest(result) -> dict:
 
 
 def mapping_digests() -> dict:
-    """``{group: {row: {"sha256", "cache_key"}}}`` of all 114 compiles."""
+    """``{group: {row: {"sha256", "cache_key"}}}`` of all 124 compiles."""
     cgra = CGRA.build(6, 6, island_shape=(2, 2))
     cache = MappingCache()
     digests: dict = {}

@@ -1,9 +1,9 @@
 """The parallel sweep executor's determinism and merging contracts.
 
 The headline invariant: ``--jobs N`` is bit-identical to ``--jobs 1``.
-Seeds are derived in the parent from (sweep seed, work-item index), so
-where an item lands — which worker, what order — can never leak into
-its result.
+An item's result is a pure function of the item (a stochastic backend
+carries its seed in ``backend_options``), so where an item lands —
+which worker, what order — can never leak into its result.
 """
 
 import json
@@ -84,32 +84,21 @@ class TestDefaultJobs:
 class TestDeterminism:
     """jobs=N must be bit-identical to jobs=1."""
 
-    def _blobs(self, jobs: int, strategy: str, seed: int = 0,
-               cgra_size: int = 6) -> list[str]:
-        executor = SweepExecutor(jobs=jobs, seed=seed)
-        cgra = CGRA.build(cgra_size, cgra_size)
-        outcomes = executor.run(_items(strategy), cgra)
+    def _blobs(self, jobs: int, items: list[SweepItem]) -> list[str]:
+        outcomes = SweepExecutor(jobs=jobs).run(items, CGRA.build(6, 6))
         return [canon(o.mapping) for o in outcomes]
 
     def test_parallel_matches_serial(self):
-        assert self._blobs(1, "iced") == self._blobs(2, "iced")
+        assert self._blobs(1, _items()) == self._blobs(2, _items())
 
     def test_parallel_matches_serial_annealed(self):
-        # The annealer consumes its per-item seed: this is the
-        # regression test for seed derivation under fan-out.
-        assert self._blobs(1, "anneal") == self._blobs(3, "anneal")
-
-    def test_sweep_seed_changes_annealed_results(self):
-        base = self._blobs(1, "anneal", seed=0)
-        other = self._blobs(1, "anneal", seed=99)
-        assert base != other
-
-    def test_explicit_item_seed_wins(self):
-        item = SweepItem(kernel="fir", strategy="anneal", seed=1234)
-        cgra = CGRA.build(6, 6)
-        a = SweepExecutor(jobs=1, seed=0).run([item], cgra)
-        b = SweepExecutor(jobs=1, seed=55).run([item], cgra)
-        assert canon(a[0].mapping) == canon(b[0].mapping)
+        # Each item seeds the annealer's walk from its own backend
+        # options, the same on whichever worker runs it.
+        items = [SweepItem(kernel=name, strategy="baseline",
+                           backend="anneal",
+                           backend_options=(("seed", seed),))
+                 for seed, name in enumerate(KERNELS)]
+        assert self._blobs(1, items) == self._blobs(3, items)
 
 
 class TestPoolMechanics:

@@ -22,6 +22,7 @@ import pytest
 
 from repro import obs
 from repro.compile import compile_kernel
+from repro.kernels.table1 import STANDALONE_KERNELS
 from repro.serve import (
     BackgroundServer,
     CompileRequest,
@@ -46,6 +47,11 @@ def run(coro, timeout_s: float = 60.0):
 def request_for(kernel="fir", **overrides) -> CompileRequest:
     body = {"kernel": kernel, **overrides}
     return CompileRequest.from_dict(body)
+
+
+def distinct(i: int, **overrides) -> CompileRequest:
+    """The ``i``-th of several requests that never coalesce."""
+    return request_for(STANDALONE_KERNELS[i], **overrides)
 
 
 class Seam:
@@ -99,6 +105,9 @@ class TestRequestValidation:
         {"kernel": "fir", "backend": "exhaustive"},
         # Racing is `repro map --portfolio`, not a servable backend.
         {"kernel": "fir", "backend": "portfolio"},
+        # Annealing is `"backend": "anneal"`, and no compile is seeded.
+        {"kernel": "fir", "strategy": "anneal"},
+        {"kernel": "fir", "seed": 0},
     ])
     def test_bad_compile_bodies_rejected(self, body):
         with pytest.raises(RequestError):
@@ -133,9 +142,6 @@ class TestFingerprint:
         gating = service.fingerprint(request_for(strategy="baseline+gating"))
         per_tile = service.fingerprint(request_for(strategy="per_tile_dvfs"))
         assert gating != per_tile
-        seeded = service.fingerprint(request_for(strategy="baseline+gating",
-                                                 seed=7))
-        assert seeded != gating
 
     def test_priority_is_not_identity(self, registry):
         service = CompileService(workers=1)
@@ -190,8 +196,7 @@ class TestCoalescing:
             service = CompileService(workers=2, compile_fn=seam)
             await service.start()
             try:
-                futures = [service.submit(request_for(seed=i))
-                           for i in range(3)]
+                futures = [service.submit(distinct(i)) for i in range(3)]
                 gate.set()
                 outcomes = await asyncio.gather(*futures)
             finally:
@@ -237,13 +242,13 @@ class TestAdmission:
             try:
                 # Submitted back-to-back without yielding: the worker
                 # never runs, so the heap holds exactly what we put in.
-                futures = [service.submit(request_for(seed=0)),
-                           service.submit(request_for(seed=1))]
+                futures = [service.submit(distinct(0)),
+                           service.submit(distinct(1))]
                 with pytest.raises(QueueFullError) as excinfo:
-                    service.submit(request_for(seed=2))
+                    service.submit(distinct(2))
                 assert excinfo.value.retry_after_s == 2.5
                 # A coalesced join never needs a queue slot.
-                joined = service.submit(request_for(seed=0))
+                joined = service.submit(distinct(0))
                 gate.set()
                 outcomes = await asyncio.gather(*futures, joined)
             finally:
@@ -308,16 +313,16 @@ class TestTenantQuota:
             await service.start()
             try:
                 futures = [
-                    service.submit(request_for(seed=0, tenant="acme")),
-                    service.submit(request_for(seed=1, tenant="acme")),
+                    service.submit(distinct(0, tenant="acme")),
+                    service.submit(distinct(1, tenant="acme")),
                 ]
                 with pytest.raises(QueueFullError) as excinfo:
-                    service.submit(request_for(seed=2, tenant="acme"))
+                    service.submit(distinct(2, tenant="acme"))
                 assert excinfo.value.retry_after_s == 0.5
                 # Other tenants and anonymous requests are unaffected.
                 futures.append(
-                    service.submit(request_for(seed=3, tenant="globex")))
-                futures.append(service.submit(request_for(seed=4)))
+                    service.submit(distinct(3, tenant="globex")))
+                futures.append(service.submit(distinct(4)))
                 assert service.health()["tenants_pending"] == {
                     "acme": 2, "globex": 1,
                 }
@@ -364,10 +369,8 @@ class TestTenantQuota:
                                      compile_fn=seam)
             await service.start()
             try:
-                first = await service.submit(request_for(seed=0,
-                                                         tenant="acme"))
-                second = await service.submit(request_for(seed=1,
-                                                          tenant="acme"))
+                first = await service.submit(distinct(0, tenant="acme"))
+                second = await service.submit(distinct(1, tenant="acme"))
             finally:
                 await service.shutdown()
             assert first["status"] == 200 and second["status"] == 200
@@ -398,18 +401,17 @@ class TestPriorities:
                 # worker runs; dequeue order is then priority-first,
                 # FIFO within a class.
                 futures = [
-                    service.submit(request_for(seed=0, priority="batch")),
-                    service.submit(request_for(seed=1, priority="batch")),
-                    service.submit(request_for(seed=2,
-                                               priority="interactive")),
-                    service.submit(request_for(seed=3,
-                                               priority="interactive")),
+                    service.submit(distinct(0, priority="batch")),
+                    service.submit(distinct(1, priority="batch")),
+                    service.submit(distinct(2, priority="interactive")),
+                    service.submit(distinct(3, priority="interactive")),
                 ]
                 gate.set()
                 await asyncio.gather(*futures)
             finally:
                 await service.shutdown()
-            assert [r.seed for r in seam.calls] == [2, 3, 0, 1]
+            assert [r.kernel for r in seam.calls] == [
+                STANDALONE_KERNELS[i] for i in (2, 3, 0, 1)]
 
         run(body())
 
@@ -426,8 +428,7 @@ class TestGracefulShutdown:
 
             service = CompileService(workers=2, compile_fn=slow)
             await service.start()
-            futures = [service.submit(request_for(seed=i))
-                       for i in range(6)]
+            futures = [service.submit(distinct(i)) for i in range(6)]
             await service.shutdown()
             assert all(f.done() for f in futures), "drain dropped work"
             outcomes = [f.result() for f in futures]
@@ -503,13 +504,18 @@ class TestHTTP:
                     wrong_method = await client.get("/compile")
                     bad_kernel = await client.post(
                         "/compile", {"kernel": "no-such-kernel"})
+                    # Annealing is a backend, and no compile is seeded.
+                    anneal = await client.post(
+                        "/compile", {"kernel": "fir", "strategy": "anneal"})
+                    seeded = await client.post(
+                        "/compile", {"kernel": "fir", "seed": 0})
                     ok = await client.post("/compile", {"kernel": "fir"})
                     metrics = await client.get("/metrics")
                     return (health, stats, metrics, missing,
-                            wrong_method, bad_kernel, ok)
+                            wrong_method, bad_kernel, anneal, seeded, ok)
 
             (health, stats, metrics, missing, wrong_method, bad_kernel,
-             ok) = run(go())
+             anneal, seeded, ok) = run(go())
         assert health[0] == 200 and health[2]["status"] == "ok"
         assert stats[0] == 200 and stats[2]["tier"] == "memory"
         assert metrics[0] == 200
@@ -518,6 +524,10 @@ class TestHTTP:
         assert wrong_method[0] == 405
         assert bad_kernel[0] == 400
         assert "unknown kernel" in bad_kernel[2]["error"]
+        assert anneal[0] == 400
+        assert "unknown strategy 'anneal'" in anneal[2]["error"]
+        assert seeded[0] == 400
+        assert "'seed'" in seeded[2]["error"]
         assert ok[0] == 200
         assert ok[2]["fingerprint"]
 
@@ -597,8 +607,7 @@ class TestHTTP:
                     c = HTTPClient(server.url, timeout_s=60.0)
                     async with a, b, c:
                         first = asyncio.create_task(
-                            a.post("/compile",
-                                   {"kernel": "fir", "seed": 0}))
+                            a.post("/compile", {"kernel": "fir"}))
                         # Wait until the worker picked up the first job,
                         # then fill the single queue slot.
                         deadline = time.monotonic() + 10.0
@@ -609,15 +618,14 @@ class TestHTTP:
                                 break
                             await asyncio.sleep(0.01)
                         second = asyncio.create_task(
-                            b.post("/compile",
-                                   {"kernel": "fir", "seed": 1}))
+                            b.post("/compile", {"kernel": "mvt"}))
                         while time.monotonic() < deadline:
                             _, _, health = await c.get("/healthz")
                             if health["queue_depth"] >= 1:
                                 break
                             await asyncio.sleep(0.01)
                         status, headers, payload = await c.post(
-                            "/compile", {"kernel": "fir", "seed": 2})
+                            "/compile", {"kernel": "relu"})
                         gate.set()
                         await asyncio.gather(first, second)
                         return status, headers, payload

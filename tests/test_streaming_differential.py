@@ -444,7 +444,8 @@ def composition_cases(draw):
 @given(composition_cases())
 def test_composition_search_matches_the_per_input_loop(case):
     app, table, profile, total, max_islands = case
-    assert _best_allocation(app, table, next(blocks_of(profile)), total,
-                            max_islands) \
+    block = next(blocks_of(profile))
+    counts = [kernel.iterations_block(block) for kernel in app.all_kernels()]
+    assert _best_allocation(app, table, counts, total, max_islands) \
         == reference_best_allocation(app, table, profile, total,
                                      max_islands)

@@ -30,6 +30,7 @@ from repro.streaming import (
     streaming_cgra,
     take_block,
 )
+from repro.compile import SweepExecutor
 from repro.errors import StreamingError
 from repro.streaming.scenarios import TraceReplayStream
 from repro.streaming.engine import (
@@ -47,6 +48,7 @@ from tests.reference_streaming import (
     decision_log,
     inputs_of,
     iterations,
+    reference_best_allocation,
     reference_simulate_drips,
     reference_simulate_static,
     reference_simulate_stream,
@@ -281,6 +283,51 @@ class TestExactnessBound:
             partition_app(gcn_app(), gcn_partition.cgra,
                           take_block(stream.feature_blocks(), 20),
                           ii_table=gcn_partition.ii_table)
+
+    @staticmethod
+    def _gcn_profile(tmp_path, nnz: str):
+        """A 20-input gcn profile whose every input has ``nnz``."""
+        path = tmp_path / f"nnz{nnz}.csv"
+        path.write_text("n_nodes,degree,nnz,features\n"
+                        f"10,2,{nnz},4\n12,3,{nnz},4\n")
+        stream = TraceReplayStream(path, num_inputs=20)
+        return take_block(stream.feature_blocks(), 20)
+
+    def test_partition_scores_that_could_wrap_are_refused(
+            self, gcn_partition, tmp_path):
+        # At nnz = 1e17 every count fits int64, but a composition's
+        # summed bottleneck latency can pass 2**63: the int64 score once
+        # wrapped and silently picked one island for every kernel.
+        table = gcn_partition.ii_table
+        with pytest.raises(StreamingError, match="gcn"):
+            partition_app(gcn_app(), gcn_partition.cgra,
+                          self._gcn_profile(tmp_path, "1e17"),
+                          ii_table=table)
+        # At nnz = 1e15 the scores fit and the search agrees with the
+        # per-input oracle's Python ints.
+        profile = self._gcn_profile(tmp_path, "1e15")
+        partition = partition_app(gcn_app(), gcn_partition.cgra, profile,
+                                  ii_table=table)
+        assert {p.kernel.name: len(p.island_ids)
+                for p in partition.placements} == reference_best_allocation(
+            gcn_app(), table, inputs_of([profile]),
+            len(gcn_partition.cgra.islands), 4)
+
+    def test_partition_counts_the_profile_before_any_probe(
+            self, fabric, tmp_path, monkeypatch):
+        runs = []
+        run = SweepExecutor.run
+
+        def spy(self, items, cgra, **kwargs):
+            runs.append(len(items))
+            return run(self, items, cgra, **kwargs)
+
+        monkeypatch.setattr(SweepExecutor, "run", spy)
+        with pytest.raises(StreamingError, match="'compress'"):
+            partition_app(gcn_app(), fabric,
+                          self._gcn_profile(tmp_path, "1e30"),
+                          use_cache=False)
+        assert runs == []
 
     def test_iteration_counts_must_fit_int64(self):
         def stage(counts):
