@@ -9,6 +9,7 @@ islands out to pipeline stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.arch.dvfs import DVFSConfig, DEFAULT_DVFS_CONFIG
 from repro.arch.fu import alu_fu, memory_fu, universal_fu
@@ -178,6 +179,17 @@ class CGRA:
     @property
     def num_tiles(self) -> int:
         return len(self.tiles)
+
+    @cached_property
+    def tile_ids(self) -> frozenset[int]:
+        """The ids of every tile."""
+        return frozenset(t.id for t in self.tiles)
+
+    @cached_property
+    def config_depth(self) -> int:
+        """The shallowest tile's configuration memory, in words: the
+        largest II every tile can hold a modulo schedule for."""
+        return min(t.config_depth for t in self.tiles)
 
     def tile(self, tile_id: int) -> Tile:
         try:

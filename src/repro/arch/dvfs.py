@@ -124,6 +124,13 @@ class DVFSConfig:
             level: self.levels[max(i - 1, 0)]
             for i, level in enumerate(self.levels)
         })
+        # The name table behind ``level_named``: rehydrating a cached
+        # mapping resolves every tile's, island's and label's level by
+        # name. The first level of ``all_levels`` with a name wins.
+        by_name: dict[str, DVFSLevel] = {}
+        for level in self.all_levels:
+            by_name.setdefault(level.name, level)
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def normal(self) -> DVFSLevel:
@@ -141,10 +148,10 @@ class DVFSConfig:
         return self.levels + (self.power_gated,)
 
     def level_named(self, name: str) -> DVFSLevel:
-        for level in self.all_levels:
-            if level.name == name:
-                return level
-        raise ArchitectureError(f"no DVFS level named {name!r}")
+        try:
+            return self._by_name[name]
+        except (KeyError, TypeError):
+            raise ArchitectureError(f"no DVFS level named {name!r}") from None
 
     def index_of(self, level: DVFSLevel) -> int:
         """Position of an active level (0 = normal). Gated is not indexed."""

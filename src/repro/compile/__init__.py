@@ -23,7 +23,6 @@ from repro.compile.fingerprint import (
     KEY_VERSION,
     cgra_fingerprint,
     config_fingerprint,
-    dfg_fingerprint,
     mapping_cache_key,
 )
 from repro.compile.instrument import (
@@ -73,7 +72,6 @@ __all__ = [
     "config_fingerprint",
     "default_cache_root",
     "default_jobs",
-    "dfg_fingerprint",
     "get_cache",
     "mapping_cache_key",
     "pass_rows",

@@ -13,12 +13,14 @@ Fingerprints are pure functions of value semantics — two independently
 built but identical objects hash equal, which is what lets repeated
 experiment sweeps share work across fresh ``CGRA.build`` calls.
 
-The key is assembled from canonical JSON pieces. A DFG's is kept
-through :meth:`~repro.dfg.graph.DFG.memo` (a mutation or rename drops
-it) and a fabric's on the fabric, which never changes after
-construction; both are reused across the compiles of a sweep. A
-config's is encoded per key: callers build a config for the key they
-ask for.
+The key is assembled from canonical JSON pieces. A DFG's is
+:meth:`~repro.dfg.graph.DFG.structure_json`, kept through
+:meth:`~repro.dfg.graph.DFG.memo` (a mutation or rename drops it, a
+copy carries it, and :func:`repro.kernels.load_kernel` hands out copies
+of graphs that already hold it); a fabric's is kept on the fabric,
+which never changes after construction. Both are reused across the
+compiles of a sweep. A config's is encoded per key: callers build a
+config for the key they ask for.
 """
 
 from __future__ import annotations
@@ -35,15 +37,6 @@ from repro.mapper.engine import ACCEL_FIELDS, EngineConfig
 #: Bump when the engine's search semantics change incompatibly: old
 #: cached artifacts keep validating but would mask behaviour changes.
 KEY_VERSION = 1
-
-
-def dfg_fingerprint(dfg: DFG) -> dict[str, Any]:
-    """Structure of ``dfg`` as far as the mapper can observe it."""
-    return {
-        "name": dfg.name,
-        "nodes": [[n.id, n.opcode.name] for n in dfg.nodes()],
-        "edges": [[e.src, e.dst, e.dist] for e in dfg.edges()],
-    }
 
 
 def cgra_fingerprint(cgra: CGRA) -> dict[str, Any]:
@@ -89,10 +82,6 @@ def _canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _dfg_json(dfg: DFG) -> str:
-    return dfg.memo("fingerprint", lambda g: _canonical(dfg_fingerprint(g)))
-
-
 def _cgra_json(cgra: CGRA) -> str:
     """``_canonical(cgra_fingerprint(cgra))``, encoded once and kept on
     the fabric as a plain str, so it pickles into pool work items."""
@@ -113,7 +102,7 @@ def mapping_cache_key(dfg: DFG, cgra: CGRA, config: EngineConfig,
     """
     blob = (f'{{"cgra":{_cgra_json(cgra)},'
             f'"config":{_canonical(config_fingerprint(config))},'
-            f'"dfg":{_dfg_json(dfg)},"kind":{_canonical(kind)},'
+            f'"dfg":{dfg.structure_json()},"kind":{_canonical(kind)},'
             f'"options":{_canonical(options or {})},'
             f'"v":{_canonical(KEY_VERSION)}}}')
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

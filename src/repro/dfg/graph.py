@@ -8,6 +8,7 @@ edges between the same node pair are allowed (``x * x``).
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TypeVar
@@ -18,6 +19,9 @@ from repro.dfg.ops import Opcode, arity, is_memory_op
 from repro.errors import DFGError
 
 T = TypeVar("T")
+
+#: The :meth:`DFG.memo` key of :meth:`DFG.structure_json`.
+STRUCTURE_JSON = "structure_json"
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,22 @@ class DFG:
         value = compute(self)
         self._memo[key] = (self.name, value)
         return value
+
+    def structure_json(self) -> str:
+        """The graph as far as a mapper can observe it, as canonical JSON
+        (sorted keys, compact separators): its name, its nodes as ``[id,
+        opcode name]`` and its edges as ``[src, dst, dist]``. Computed
+        once per content and name; the mapping cache key splices it in,
+        and a copy carries it over."""
+        return self.memo(STRUCTURE_JSON, DFG._structure_json)
+
+    def _structure_json(self) -> str:
+        structure = {
+            "name": self.name,
+            "nodes": [[n.id, n.opcode.name] for n in self.nodes()],
+            "edges": [[e.src, e.dst, e.dist] for e in self._edges],
+        }
+        return json.dumps(structure, sort_keys=True, separators=(",", ":"))
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export to a networkx multigraph (edge attr ``dist``)."""

@@ -218,6 +218,8 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
         "sibling_ii_seeds": 0,
         "unmappable": 0,
         "resumed": 0,
+        "search_wave_ms": 0.0,
+        "derived_wave_ms": 0.0,
     }
     with obs.span("dse", category="dse", space=space.name,
                   space_hash=space_hash, points=len(points)):
@@ -226,7 +228,7 @@ def run_dse(space: DesignSpace, *, jobs: int = 1,
     rows.sort(key=lambda row: row["index"])
     frontier = pareto_front([r for r in rows if r["status"] == "ok"])
     stats["frontier_size"] = len(frontier)
-    stats["wall_ms"] = round((time.perf_counter() - started) * 1000.0, 1)
+    stats["wall_ms"] = _ms_since(started)
     registry = obs.metrics()
     registry.counter("dse.points").inc(len(points))
     registry.counter("dse.compiles").inc(stats["compiles"])
@@ -408,6 +410,7 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
 
     if search:
         # One pool dispatch for the whole sweep.
+        started = time.perf_counter()
         with obs.span("dse.wave", category="dse", wave="search",
                       points=len(search)):
             outcomes = executor.run(
@@ -415,13 +418,20 @@ def _run_optimized(points: list[DesignPoint], space: DesignSpace,
                 [plan.cgra for plan in search])
             wave_rows = [sweep.account(plan, outcome)
                          for plan, outcome in zip(search, outcomes)]
+        stats["search_wave_ms"] = _ms_since(started)
         checkpoint(wave_rows)
     if derived:
+        started = time.perf_counter()
         with obs.span("dse.wave", category="dse", wave="derived",
                       points=len(derived)):
             wave_rows = [sweep.resolve(plan, executor) for plan in derived]
+        stats["derived_wave_ms"] = _ms_since(started)
         checkpoint(wave_rows)
     return rows
+
+
+def _ms_since(started: float) -> float:
+    return round((time.perf_counter() - started) * 1000.0, 1)
 
 
 # -- reporting ---------------------------------------------------------------
@@ -438,7 +448,9 @@ def render_summary(result: dict, top: int = 10) -> str:
         f"hits, {stats['aliased_blobs']} aliased blobs, "
         f"{stats['unmappable']} unmappable"
         + (f", {resumed} resumed" if resumed else "")
-        + f" [{stats['wall_ms']:.0f} ms]",
+        + f" [{stats['wall_ms']:.0f} ms: search wave "
+        f"{stats.get('search_wave_ms', 0.0):.0f} ms, derived wave "
+        f"{stats.get('derived_wave_ms', 0.0):.0f} ms]",
         f"pareto frontier ({stats['frontier_size']} points, "
         f"minimizing {' x '.join(result['axes'])}):",
     ]

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from repro.arch.cgra import CGRA
 from repro.arch.dvfs import DVFSLevel
-from repro.errors import ValidationError
 from repro.experiments.base import ExperimentResult
 from repro.kernels.synthetic import fig1_kernel
 from repro.mapper.baseline import map_baseline
 from repro.mapper.dvfs import map_dvfs_aware
 from repro.mapper.per_tile import assign_per_tile_dvfs
-from repro.mapper.retime import retime_with_levels
+from repro.mapper.retime import retime_fits, retime_with_levels
 from repro.mapper.timing import compute_timing
 from repro.power.model import mapping_power
 from repro.sim.utilization import average_dvfs_fraction, utilization_stats
@@ -52,15 +51,9 @@ def _island_dvfs_on_mapping(mapping, strategy: str):
             trial = dict(levels)
             for tile in island.tile_ids:
                 trial[tile] = level
-            candidate = retime_with_levels(mapping, trial)
-            if candidate is None:
-                continue
-            try:
-                compute_timing(candidate)
-            except ValidationError:
-                continue
-            levels = trial
-            break
+            if retime_fits(mapping, trial):
+                levels = trial
+                break
     result = retime_with_levels(mapping, levels, strategy=strategy)
     assert result is not None
     return result

@@ -61,7 +61,8 @@ def load_kernel(name: str, unroll: int = 1) -> DFG:
 
     Each ``(name, unroll)`` graph is synthesized once per process and
     memoized; every call returns a fresh :meth:`DFG.copy` of it, so the
-    caller owns its graph and may mutate it. Errors are not memoized:
+    caller owns its graph and may mutate it; the copy already holds the
+    DFG piece of its mapping cache key. Errors are not memoized:
     a bad name or unroll raises :class:`DFGError` on every call.
     """
     return _synthesized(name, unroll).copy()
@@ -69,7 +70,17 @@ def load_kernel(name: str, unroll: int = 1) -> DFG:
 
 @functools.lru_cache(maxsize=_KERNEL_MEMO_SIZE)
 def _synthesized(name: str, unroll: int) -> DFG:
-    """The memoized graph behind :func:`load_kernel`; never handed out."""
+    """The memoized graph behind :func:`load_kernel`; never handed out.
+
+    It holds its structure JSON (:meth:`DFG.structure_json`) in its
+    memo, so every copy carries the DFG piece of its mapping cache key.
+    """
+    graph = _synthesize(name, unroll)
+    graph.structure_json()
+    return graph
+
+
+def _synthesize(name: str, unroll: int) -> DFG:
     spec = kernel_spec(name)
     if unroll < 1:
         raise DFGError("unroll factor must be >= 1")

@@ -35,7 +35,7 @@ from repro.mapper.backends import (
     strategy_choices,
 )
 from repro.mapper.bitstream import Bitstream, generate_bitstream
-from repro.mapper.retime import retime_with_levels
+from repro.mapper.retime import retime_fits, retime_with_levels
 from repro.mapper.timing import TimingReport, compute_timing
 from repro.mapper.validation import validate_mapping
 
@@ -71,6 +71,7 @@ __all__ = [
     "strategy_choices",
     "Bitstream",
     "generate_bitstream",
+    "retime_fits",
     "retime_with_levels",
     "TimingReport",
     "compute_timing",

@@ -51,9 +51,11 @@ class EngineConfig:
     Attributes:
         dvfs_aware: Enable Algorithm 1 labels and island-level assignment.
         max_ii: Give up (raise :class:`MappingError`) past this II.
-        allowed_tiles: Restrict placement and routing to these tiles
-            (used by the streaming partitioner to map one kernel onto a
-            subset of islands). ``None`` means the whole fabric.
+        allowed_tiles: Restrict placement to these tiles (used by the
+            streaming partitioner to map one kernel onto a subset of
+            islands). Routes are not restricted: a route may pass
+            through tiles outside the set, including tiles another
+            kernel's partition holds. ``None`` means the whole fabric.
         allowed_level_names: Restrict island levels to these names (the
             streaming compiler allocates only normal/relax, section IV-B).
         xbar_capacity: Concurrent routes through one tile's crossbar.

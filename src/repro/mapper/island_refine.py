@@ -12,12 +12,10 @@ performance is preserved by construction.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.arch.dvfs import DVFSLevel
 from repro.errors import ValidationError
 from repro.mapper.mapping import Mapping
-from repro.mapper.retime import retime_with_levels
+from repro.mapper.retime import retime_fits, retime_with_levels
 from repro.mapper.timing import compute_timing
 
 
@@ -60,20 +58,15 @@ def refine_island_levels(mapping: Mapping,
             trial = dict(levels)
             for tile in island.tile_ids:
                 trial[tile] = level
-            candidate = retime_with_levels(mapping, trial)
-            if candidate is None:
-                continue
-            try:
-                compute_timing(candidate)
-            except ValidationError:
+            if not retime_fits(mapping, trial):
                 continue
             levels = trial
             island_levels[island.id] = level
             break
 
-    refined = retime_with_levels(mapping, levels, strategy=mapping.strategy)
+    refined = retime_with_levels(mapping, levels, strategy=mapping.strategy,
+                                 island_levels=island_levels)
     if refined is None:  # every accepted step re-validated; cannot happen
         raise ValidationError("island refinement retiming diverged")
-    refined = replace(refined, island_levels=island_levels)
     compute_timing(refined)
     return refined

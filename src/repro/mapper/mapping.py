@@ -7,7 +7,21 @@ from dataclasses import dataclass, field, replace
 from repro.arch.cgra import CGRA
 from repro.arch.dvfs import DVFSLevel
 from repro.dfg.graph import DFG
+from repro.dfg.ops import Opcode
 from repro.errors import ValidationError
+
+
+def mappable_nodes(dfg: DFG) -> frozenset[int]:
+    """Ids of the nodes a mapping places: every node but the CONSTs,
+    whose values ride in their consumers' configuration words. Kept
+    through :meth:`DFG.memo`, so a graph computes it once."""
+    return dfg.memo("mappable", _mappable)
+
+
+def _mappable(dfg: DFG) -> frozenset[int]:
+    return frozenset(
+        n.id for n in dfg.nodes() if n.opcode is not Opcode.CONST
+    )
 
 
 @dataclass(frozen=True)

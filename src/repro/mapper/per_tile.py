@@ -8,9 +8,10 @@ untouched tiles power gated.
 Slowing a tile stretches its operations and hops, so dependent issue
 times must slip; each candidate level is therefore applied through the
 re-timing solver (:mod:`repro.mapper.retime`) and then re-validated end
-to end by the timing reconstruction. Tiles hosting RecMII-critical
-nodes are never slowed (slowing them would lengthen the II —
-section II-B of the paper).
+to end by the timing reconstruction. A trial builds no mapping; only
+the accepted levels are built into one. Tiles hosting RecMII-critical
+nodes are never slowed (slowing them would lengthen the II — section
+II-B of the paper).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.arch.dvfs import DVFSLevel
 from repro.dfg.analysis import critical_cycle_nodes
 from repro.errors import ValidationError
 from repro.mapper.mapping import Mapping
-from repro.mapper.retime import retime_with_levels
+from repro.mapper.retime import retime_fits, retime_with_levels
 from repro.mapper.timing import compute_timing
 
 
@@ -94,15 +95,9 @@ def assign_per_tile_dvfs(mapping: Mapping,
                 break
             trial_levels = dict(levels)
             trial_levels[tile] = level
-            trial = retime_with_levels(mapping, trial_levels)
-            if trial is None:
-                continue
-            try:
-                compute_timing(trial)
-            except ValidationError:
-                continue
-            levels[tile] = level
-            break
+            if retime_fits(mapping, trial_levels):
+                levels[tile] = level
+                break
     result = retime_with_levels(mapping, levels, strategy="per_tile_dvfs")
     if result is None:  # accepted levels re-validated above; cannot fail
         raise ValidationError("per-tile retiming diverged unexpectedly")

@@ -4,13 +4,16 @@
 mapper run: structural invariants first (everything placed, levels
 consistent with islands, II within the configuration memory depth),
 then the full timing/resource reconstruction of
-:mod:`repro.mapper.timing`.
+:mod:`repro.mapper.timing`. The structural checks read what depends on
+the fabric alone (:attr:`CGRA.config_depth`, :attr:`CGRA.tile_ids`) or
+on the graph alone (:func:`~repro.mapper.mapping.mappable_nodes`) from
+where it is kept; every call still runs every check.
 """
 
 from __future__ import annotations
 
 from repro.errors import ValidationError
-from repro.mapper.mapping import Mapping
+from repro.mapper.mapping import Mapping, mappable_nodes
 from repro.mapper.timing import TimingReport, compute_timing
 
 
@@ -20,28 +23,23 @@ def validate_mapping(mapping: Mapping, check_islands: bool = True) -> TimingRepo
 
     if mapping.ii < 1:
         raise ValidationError("II must be >= 1")
-    config_depth = min(t.config_depth for t in cgra.tiles)
-    if mapping.ii > config_depth:
+    if mapping.ii > cgra.config_depth:
         raise ValidationError(
             f"II {mapping.ii} exceeds the tiles' configuration depth "
-            f"({config_depth} words)"
+            f"({cgra.config_depth} words)"
         )
 
-    from repro.dfg.ops import Opcode
-
-    mappable = {
-        n.id for n in dfg.nodes() if n.opcode is not Opcode.CONST
-    }
-    missing = mappable - set(mapping.placements)
-    if missing:
-        raise ValidationError(f"nodes not placed: {sorted(missing)}")
-    extra = set(mapping.placements) - mappable
-    if extra:
+    mappable = mappable_nodes(dfg)
+    if mapping.placements.keys() != mappable:
+        missing = mappable - set(mapping.placements)
+        if missing:
+            raise ValidationError(f"nodes not placed: {sorted(missing)}")
+        extra = set(mapping.placements) - mappable
         raise ValidationError(
             f"placements for unknown or immediate nodes: {sorted(extra)}"
         )
 
-    if set(mapping.tile_levels) != {t.id for t in cgra.tiles}:
+    if mapping.tile_levels.keys() != cgra.tile_ids:
         raise ValidationError("tile_levels must cover every tile exactly")
 
     if check_islands and mapping.island_levels:

@@ -252,6 +252,8 @@ def partition_app(app: StreamingApp, cgra: CGRA,
             f"(no inputs to profile)"
         )
     kernels = app.all_kernels()
+    if not kernels:
+        raise PartitionError(f"{app.name}: the app has no kernels to partition")
     total_islands = len(cgra.islands)
     if len(kernels) > total_islands:
         raise PartitionError(

@@ -238,6 +238,17 @@ def test_result_document_shape():
         assert field in row
 
 
+def test_stats_time_both_waves():
+    result = run_dse(SMALL_SPACE)
+    stats = result["stats"]
+    assert stats["search_wave_ms"] > 0 and stats["derived_wave_ms"] > 0
+    assert stats["search_wave_ms"] + stats["derived_wave_ms"] \
+        <= stats["wall_ms"]
+    summary = driver.render_summary(result)
+    assert (f"search wave {stats['search_wave_ms']:.0f} ms, derived wave "
+            f"{stats['derived_wave_ms']:.0f} ms]") in summary
+
+
 # -- sweep provenance --------------------------------------------------------
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -11,6 +11,7 @@ way, so a graph broken after a passing check must fail the next one.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -18,9 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import CGRA
 from repro.arch.dvfs import scaled_config
-from repro.compile import SweepItem, mapping_cache_key
+from repro.compile import (
+    MappingCache,
+    SweepItem,
+    compile_kernel,
+    mapping_cache_key,
+)
+from repro.compile.pipeline import resolve_config
 from repro.dfg import Opcode
-from repro.dfg.graph import DFG
+from repro.dfg.graph import DFG, STRUCTURE_JSON
 from repro.errors import DFGError
 from repro.kernels import load_kernel
 from repro.kernels.suite import kernel_names
@@ -29,7 +36,10 @@ from repro.mapper.engine import EngineConfig
 from repro.streaming.app import branchy_app, gcn_app, lu_app
 from repro.utils.rng import make_rng
 
-from tests.reference_fingerprint import reference_mapping_cache_key
+from tests.reference_fingerprint import (
+    reference_dfg_fingerprint,
+    reference_mapping_cache_key,
+)
 
 #: Table I kernels at unroll 1 and 2, then every streaming app's stage
 #: graphs (renamed instances such as ``aggregate.l1`` included).
@@ -179,6 +189,35 @@ def test_a_copy_carries_the_memo_but_not_its_later_changes():
     twin.add_node(Opcode.ADD)
     assert key(dfg) == oracle(dfg)  # refills the original's memo
     assert key(twin) == oracle(twin) != key(dfg)
+
+
+def test_the_key_piece_is_the_canonical_payload_dict():
+    dfg = load_kernel("gemm", 2)
+    assert dfg.structure_json() == json.dumps(
+        reference_dfg_fingerprint(dfg), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", kernel_names())
+def test_kernel_copies_carry_their_key_piece(name):
+    for unroll in (1, 2):
+        dfg = load_kernel(name, unroll)
+        assert STRUCTURE_JSON in dfg._memo  # kept by the memoized graph
+        assert key(dfg) == oracle(dfg)
+
+
+def test_a_second_compile_by_kernel_name_builds_no_dfg_json(monkeypatch):
+    cache = MappingCache()
+    compile_kernel("fir", FABRIC, "baseline", cache=cache)
+    built = []
+    real = DFG._structure_json
+    monkeypatch.setattr(DFG, "_structure_json",
+                        lambda self: built.append(self.name) or real(self))
+    result = compile_kernel("fir", FABRIC, "baseline", cache=cache)
+    assert result.cache_hit
+    assert built == []
+    assert result.cache_key == reference_mapping_cache_key(
+        load_kernel("fir"), FABRIC, resolve_config("baseline", None),
+        "engine")
 
 
 def test_a_renamed_copy_keys_its_own_name():

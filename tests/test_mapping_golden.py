@@ -30,6 +30,7 @@ repo root:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -84,16 +85,19 @@ def _digest(result) -> dict:
             "cache_key": result.cache_key}
 
 
-def mapping_digests() -> dict:
-    """``{group: {row: {"sha256", "cache_key"}}}`` of all 124 compiles."""
+@functools.lru_cache(maxsize=1)
+def golden_compiles() -> tuple:
+    """``(group, row, CompileResult)`` of all 124 compiles, compiled once
+    per process (``tests/test_timing_differential.py`` checks the same
+    mappings). Callers must not mutate the results."""
+    compiles = []
     cgra = CGRA.build(6, 6, island_shape=(2, 2))
     cache = MappingCache()
-    digests: dict = {}
     for kernel in STANDALONE_KERNELS:
         for row, (strategy, backend) in ROWS.items():
             result = compile_kernel(kernel, cgra, strategy, backend=backend,
                                     cache=cache)
-            digests.setdefault(kernel, {})[row] = _digest(result)
+            compiles.append((kernel, row, result))
     fabric = streaming_cgra()
     snake = _snake_island_order(fabric)
     probe_cache = MappingCache()
@@ -102,16 +106,22 @@ def mapping_digests() -> dict:
             config = _island_config(fabric, tuple(snake[:count]))
             result = compile_dfg(kernel.dfg, fabric, "iced", config,
                                  refine=False, cache=probe_cache)
-            digests.setdefault(f"gcn/{kernel.name}", {})[row] = \
-                _digest(result)
+            compiles.append((f"gcn/{kernel.name}", row, result))
     for fabric, (rows, cols, topology) in OFF_MESH_FABRICS.items():
         cgra = CGRA.build(rows, cols, island_shape=(2, 2), topology=topology)
         cache = MappingCache()
         for kernel in STANDALONE_KERNELS:
             for strategy in OFF_MESH_ROWS:
                 result = compile_kernel(kernel, cgra, strategy, cache=cache)
-                digests.setdefault(f"{fabric}/{kernel}", {})[strategy] = \
-                    _digest(result)
+                compiles.append((f"{fabric}/{kernel}", strategy, result))
+    return tuple(compiles)
+
+
+def mapping_digests() -> dict:
+    """``{group: {row: {"sha256", "cache_key"}}}`` of all 124 compiles."""
+    digests: dict = {}
+    for group, row, result in golden_compiles():
+        digests.setdefault(group, {})[row] = _digest(result)
     return digests
 
 

@@ -24,6 +24,7 @@ from repro.streaming import (
     streaming_cgra,
     take_block,
 )
+from repro.streaming.app import StreamingApp
 from repro.streaming.partitioner import _snake_island_order, build_ii_table
 
 from tests.reference_streaming import (
@@ -224,6 +225,19 @@ class TestPartitioner:
         with pytest.raises(PartitionError):
             partition_app(gcn_app(), tiny,
                           take_block(gcn_stream.feature_blocks(), 5))
+
+    def test_an_app_without_kernels_is_refused(self, fabric, gcn_stream,
+                                               monkeypatch):
+        table_work = []
+        for name in ("_ii_table", "_best_allocation"):
+            monkeypatch.setattr(
+                f"repro.streaming.partitioner.{name}",
+                lambda *args, name=name, **kwargs: table_work.append(name))
+        with pytest.raises(PartitionError,
+                           match="^empty: the app has no kernels"):
+            partition_app(StreamingApp(name="empty", stages=[]), fabric,
+                          take_block(gcn_stream.feature_blocks(), 5))
+        assert table_work == []
 
 
 class TestEngine:

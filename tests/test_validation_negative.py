@@ -14,9 +14,14 @@ import dataclasses
 
 import pytest
 
+from repro.arch import CGRA
+from repro.arch.fu import FunctionalUnit
+from repro.dfg.graph import DFG
+from repro.dfg.ops import COMPUTE_OPS, Opcode
 from repro.errors import ValidationError
-from repro.mapper.mapping import Placement
+from repro.mapper.mapping import Mapping, Placement, Route
 from repro.mapper.validation import validate_mapping
+from repro.mrrg.resources import MAX_CLAIM_LENGTH
 
 
 def _editable(mapping):
@@ -125,3 +130,137 @@ class TestFixturesStillValid:
         for mapping in (baseline_fir, iced_fir):
             report = validate_mapping(_editable(mapping))
             assert report.ii == mapping.ii
+
+
+# -- every checker error, word for word ---------------------------------------
+
+def _tiny(fabric=None, xbar_capacity: int = 4) -> Mapping:
+    """A hand-built valid mapping at II 4 on a 2x3 mesh (tiles 0 1 2 over
+    3 4 5, tiles 0 and 3 on the SPM column):
+
+    * edge 0, ``x0`` (tile 0, t 0) -> ``x1`` (tile 2, t 3) over 0, 1, 2;
+    * edge 1, ``y0`` (tile 4, t 0) -> ``y1`` (tile 2, t 4) over 4, 5, 2,
+      waiting one cycle in tile 2's registers;
+    * edge 2, ``c`` -> ``x1``, an immediate operand with no route.
+
+    Both routes hop at cycles 1 and 2, so they share tile 2's crossbar
+    in slot 2.
+    """
+    cgra = fabric or CGRA.build(2, 3, island_shape=(1, 1))
+    dfg = DFG("tiny")
+    x0 = dfg.add_node(Opcode.ADD, "x0")
+    x1 = dfg.add_node(Opcode.ADD, "x1")
+    y0 = dfg.add_node(Opcode.ADD, "y0")
+    y1 = dfg.add_node(Opcode.ADD, "y1")
+    c = dfg.add_node(Opcode.CONST, "c")
+    dfg.add_edge(x0, x1)
+    dfg.add_edge(y0, y1)
+    dfg.add_edge(c, x1, port=1)
+    return Mapping(
+        dfg=dfg, cgra=cgra, ii=4,
+        placements={x0: Placement(x0, 0, 0), x1: Placement(x1, 2, 3),
+                    y0: Placement(y0, 4, 0), y1: Placement(y1, 2, 4)},
+        routes={0: Route(0, x0, x1, (0, 1, 2), 1, 3, 3),
+                1: Route(1, y0, y1, (4, 5, 2), 1, 3, 4)},
+        tile_levels={t.id: cgra.dvfs.normal for t in cgra.tiles},
+        xbar_capacity=xbar_capacity,
+    )
+
+
+def _store_tile_fabric() -> CGRA:
+    """The 2x3 mesh with tile 4 able to STORE but not LOAD, so it is
+    not an SPM tile yet passes the opcode check for a STORE."""
+    base = CGRA.build(2, 3, island_shape=(1, 1))
+    tiles = list(base.tiles)
+    tiles[4] = dataclasses.replace(tiles[4], fu=FunctionalUnit(
+        "compute+store", frozenset(COMPUTE_OPS | {Opcode.STORE})))
+    return CGRA(2, 3, tiles, list(base.islands), base.dvfs, base.spm)
+
+
+def _retimed_y1(time: int):
+    def mutate(mapping):
+        mapping.placements[3] = Placement(3, 2, time)
+    return mutate
+
+
+def _gate(tile: int):
+    def mutate(mapping):
+        mapping.tile_levels[tile] = mapping.cgra.dvfs.power_gated
+    return mutate
+
+
+def _opcode(node: int, opcode: Opcode):
+    def mutate(mapping):
+        mapping.dfg.set_opcode(node, opcode)
+    return mutate
+
+
+def _negative_time(mapping):
+    mapping.placements[0] = Placement(0, 0, -1)
+
+
+def _y_over_tile_1(mapping):
+    mapping.routes[1] = Route(1, 2, 3, (4, 1, 2), 1, 3, 4)
+
+
+def _immediate_route(mapping):
+    mapping.routes[2] = Route(2, 4, 1, (2,), 0, 0, 3)
+
+
+def _nothing(mapping):
+    pass
+
+
+#: (case, fabric, xbar capacity, mutation, the exact message). Ops are
+#: checked in placement order before any route; routes in edge order.
+CHECKER_ERRORS = [
+    ("unsupported opcode", None, 4, _opcode(2, Opcode.LOAD),
+     "tile 4 cannot execute LOAD"),
+    ("memory op off the SPM column", _store_tile_fabric, 4,
+     _opcode(2, Opcode.STORE), "memory op y0 on non-SPM tile 4"),
+    ("negative issue time", None, 4, _negative_time,
+     "node x0 issues before cycle 0"),
+    ("op on a gated tile", None, 4, _gate(4),
+     "node y0 is placed on power-gated tile 4"),
+    ("hop through a gated tile", None, 4, _gate(1),
+     "route 0 passes through a power-gated tile"),
+    ("link conflict", None, 4, _y_over_tile_1,
+     "routing resource conflict on edge 1: resource ('link', 1, 2) "
+     "oversubscribed at slots [2, 3) mod 4"),
+    ("crossbar over capacity", None, 1, _nothing,
+     "routing resource conflict on edge 1: resource ('xbar', 2) "
+     "oversubscribed at slots [2, 3) mod 4"),
+    # A 37-cycle wait holds 9 or 10 of tile 2's 8 registers per slot.
+    ("register overflow on a wait of II or more", None, 4, _retimed_y1(40),
+     "routing resource conflict on edge 1: resource ('reg', 2) "
+     "oversubscribed at slots [3, 40) mod 4"),
+    ("wait over MAX_CLAIM_LENGTH", None, 4,
+     _retimed_y1(3 + MAX_CLAIM_LENGTH + 1),
+     f"routing resource conflict on edge 1: claim of "
+     f"{MAX_CLAIM_LENGTH + 1} cycles exceeds the sanity cap "
+     f"({MAX_CLAIM_LENGTH}); this indicates a mapper bug"),
+    ("arrival after the deadline", None, 4, _retimed_y1(2),
+     "route 1 (y0->y1) arrives at 3, after its deadline 2"),
+    ("route on an immediate edge", None, 4, _immediate_route,
+     "edge 2 touches a constant but has a route"),
+]
+
+
+class TestEveryCheckerError:
+    def test_the_hand_built_mapping_is_valid(self):
+        report = validate_mapping(_tiny())
+        assert report.ii == 4
+        assert report.tile_busy[2] == 3  # FU in slots 3 and 0, xbar in 2
+
+    @pytest.mark.parametrize(
+        "fabric, xbar_capacity, mutate, message",
+        [case[1:] for case in CHECKER_ERRORS],
+        ids=[case[0] for case in CHECKER_ERRORS])
+    def test_exact_type_and_message(self, fabric, xbar_capacity, mutate,
+                                    message):
+        mapping = _tiny(fabric() if fabric else None, xbar_capacity)
+        mutate(mapping)
+        with pytest.raises(ValidationError) as caught:
+            validate_mapping(mapping)
+        assert type(caught.value) is ValidationError
+        assert str(caught.value) == message
