@@ -788,6 +788,9 @@ FLEET_FABRICS = 16
 FLEET = dict(scenarios=("enzyme", "diurnal", "bursty", "trace_fleet"),
              strategies=("iced", "static"), inputs=288, window=10,
              placement="load_balanced", seed=0)
+#: The phase timings of a fleet report's ``stats`` that the fleet case
+#: copies into its report (report only: no gate reads them).
+FLEET_PHASES = ("place_s", "stream_s", "compile_s", "simulate_s")
 
 
 def _bind_attrs(run) -> dict:
@@ -825,14 +828,18 @@ def fleet_case(s: Smoke) -> None:
         bind, _ = s.traced(lambda: _bind_attrs(run))
     total_inputs = reference["rollup"]["total_inputs"]
     speedup = reference_s / max(batched_s, 1e-9)
+    phases = {key: batched["stats"][key] for key in FLEET_PHASES}
     print(f"reference {total_inputs / reference_s:11,.0f} inputs/s "
           f"({reference_s:.2f}s), batched {total_inputs / batched_s:11,.0f}"
           f" inputs/s ({batched_s:.3f}s)")
+    print("batched phases: " + ", ".join(
+        f"{key} {value:.4f}" for key, value in phases.items()))
     s.report.update({
         "spec": {**FLEET, "tenants": FLEET_TENANTS,
                  "fabrics": FLEET_FABRICS},
         "reference_simulate_s": round(reference_s, 3),
         "batched_simulate_s": round(batched_s, 4),
+        "batched_stats": phases,
         "batched_groups": batched["stats"]["batched_groups"],
         "fallback_runs": batched["stats"]["fallback_runs"],
         "apps_built": bind["apps_built"],

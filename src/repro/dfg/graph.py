@@ -79,8 +79,9 @@ class DFG:
     _out: dict[int, list[DFGEdge]] = field(default_factory=dict)
     _in: dict[int, list[DFGEdge]] = field(default_factory=dict)
     _next_id: int = 0
-    #: ``key -> (name, value)`` kept by :meth:`memo`; every mutation
-    #: empties it. Plain values only: graphs are pickled into pool work.
+    #: ``key -> (name, value)`` kept by :meth:`memo`, shared with the
+    #: graph's same-name copies; a mutation gives the graph a new, empty
+    #: one. Plain values only: graphs are pickled into pool work.
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -93,7 +94,7 @@ class DFG:
         self._nodes[node_id] = DFGNode(node_id, opcode, name)
         self._out[node_id] = []
         self._in[node_id] = []
-        self._memo.clear()
+        self._memo = {}
         return node_id
 
     def add_edge(self, src: int, dst: int, dist: int = 0, port: int = 0) -> DFGEdge:
@@ -106,7 +107,7 @@ class DFG:
         self._edges.append(edge)
         self._out[src].append(edge)
         self._in[dst].append(edge)
-        self._memo.clear()
+        self._memo = {}
         return edge
 
     def remove_node(self, node_id: int) -> None:
@@ -120,13 +121,13 @@ class DFG:
         for edge in self._in.pop(node_id):
             self._out[edge.src] = [e for e in self._out[edge.src] if e not in touching]
         del self._nodes[node_id]
-        self._memo.clear()
+        self._memo = {}
 
     def set_opcode(self, node_id: int, opcode: Opcode) -> None:
         """Give node ``node_id`` another opcode (its id and name stay)."""
         old = self.node(node_id)
         self._nodes[node_id] = DFGNode(old.id, opcode, old.name)
-        self._memo.clear()
+        self._memo = {}
 
     # -- accessors --------------------------------------------------------
 
@@ -173,22 +174,29 @@ class DFG:
     # -- structure --------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "DFG":
-        """A deep, independent copy (nodes/edges are immutable values)."""
+        """A deep, independent copy (nodes/edges are immutable values).
+
+        A copy under the same name shares :meth:`memo` with this graph
+        until either is changed, so what one computes the other reads; a
+        renamed copy starts from a snapshot of it.
+        """
         other = DFG(name=name if name is not None else self.name)
         other._nodes = dict(self._nodes)
         other._edges = list(self._edges)
         other._out = {k: list(v) for k, v in self._out.items()}
         other._in = {k: list(v) for k, v in self._in.items()}
         other._next_id = self._next_id
-        other._memo = dict(self._memo)
+        other._memo = (self._memo if other.name == self.name
+                       else dict(self._memo))
         return other
 
     def memo(self, key: str, compute: Callable[["DFG"], T]) -> T:
         """``compute(self)``, computed once per graph content and name.
 
-        Every mutation forgets the kept values, :meth:`copy` carries them
-        over, and a value kept under another ``name`` is computed again,
-        so ``compute`` may read anything the graph holds.
+        Every mutation forgets the kept values, same-name copies share
+        them (:meth:`copy`), and a value kept under another ``name`` is
+        computed again, so ``compute`` may read anything the graph
+        holds. Keep immutable values: every sharer reads the same one.
         """
         kept = self._memo.get(key)
         if kept is not None and kept[0] == self.name:

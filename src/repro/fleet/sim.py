@@ -8,19 +8,25 @@ instances:
    kind's app is built once, for its name;
 1. **place** — the requested placement strategy assigns every tenant
    to a healthy fabric (:mod:`repro.fleet.placement`);
-2. **compile** — one partition per distinct app, profiled from the
+2. **streams** — every tenant's stream is synthesized once, into
+   feature blocks, streams that differ only in seed as one batch
+   (:func:`~repro.streaming.workloads.materialize_streams`);
+3. **compile** — one partition per distinct app, profiled from the
    first tenant running it; the mapping work fans out through the
    ``SweepExecutor`` inside :func:`partition_app` (``--jobs N`` is
    bit-identical to ``--jobs 1``, so the whole fleet report is too);
-3. **simulate** — homogeneous tenant groups (same app, window, stream
+4. **simulate** — homogeneous tenant groups (same app, window, stream
    length and strategy, DRIPS included) advance together through the
    streaming engine, one row per tenant
    (:func:`repro.streaming.engine.simulate_group`);
-4. **account** — per-tenant summaries (p99 latency, energy,
-   throughput) checked against each tenant's SLO, rolled up into
-   per-fabric load/utilization and fleet-wide totals.
+5. **account** — per-tenant summaries (p99 latency, energy,
+   throughput), computed per group from the engine's arrays
+   (:func:`~repro.streaming.envelopes.summarize_group`), checked
+   against each tenant's SLO, rolled up into per-fabric
+   load/utilization and fleet-wide totals.
 
-The per-tenant reference loop — one sequential engine run per tenant —
+The per-tenant reference loop — each stream synthesized alone, one
+sequential engine run per tenant and a scalar summary of each —
 lives test-side (``tests/reference_fleet.py``) and must produce an
 *identical* report (minus wall-clock ``stats``): the differential
 suite and the CI bench gate pin this, which is what makes the batched
@@ -45,7 +51,7 @@ from repro.fleet.placement import (
 )
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
 from repro.streaming.engine import ENGINE_STRATEGIES, simulate_group
-from repro.streaming.envelopes import summarize_run
+from repro.streaming.envelopes import summarize_group
 from repro.streaming.partitioner import (
     Partition,
     partition_app,
@@ -53,7 +59,7 @@ from repro.streaming.partitioner import (
     streaming_cgra,
 )
 from repro.streaming.scenarios import Scenario, make_scenario, scenario_names
-from repro.streaming.workloads import take_block
+from repro.streaming.workloads import materialize_streams, take_block
 from repro.utils.rng import derive_worker_seed
 
 __all__ = [
@@ -186,8 +192,7 @@ class _Tenant:
     fabric_id: int = -1
     #: Feature blocks materialized once per run (the ``stream`` phase)
     #: and consumed by the simulate phase — so ``simulate_s`` times
-    #: engine work, not arrival-stream synthesis, and the test-side
-    #: reference loop sees byte-identical inputs by construction.
+    #: engine work, not arrival-stream synthesis.
     blocks: list = field(default_factory=list)
 
 
@@ -258,12 +263,14 @@ class FleetSim:
     def _materialize(self, tenants: list[_Tenant]) -> None:
         """Synthesize every tenant's arrival stream into feature
         blocks, once — the simulate phase then times simulation, not
-        stream synthesis.
+        stream synthesis. Streams that differ only in seed synthesize
+        as one batch (:func:`materialize_streams`).
         """
         with obs.span("fleet.streams", category="fleet",
                       tenants=len(tenants)):
-            for tenant in tenants:
-                tenant.blocks = list(tenant.stream.feature_blocks())
+            streams = materialize_streams([t.stream for t in tenants])
+            for tenant, blocks in zip(tenants, streams):
+                tenant.blocks = blocks
 
     def _place(self, tenants: list[_Tenant]) -> dict[str, int]:
         with obs.span("fleet.place", category="fleet",
@@ -345,16 +352,8 @@ class FleetSim:
                     partitions[app_name], [t.blocks for t in members],
                     window, strategy=strategy, params=self.params,
                 )
-            latencies = ((result.end_cycles - result.start_cycles)
-                         / result.window_inputs).tolist()
-            weights = result.window_inputs.tolist()
-            for tenant, makespan, energy, row_latencies in zip(
-                    members, result.makespan_cycles.tolist(),
-                    result.total_energy_uj.tolist(), latencies):
-                summaries[tenant.index] = summarize_run(
-                    makespan, energy, result.inputs, result.num_windows,
-                    row_latencies, weights, result.frequency_mhz,
-                )
+            for tenant, summary in zip(members, summarize_group(result)):
+                summaries[tenant.index] = summary
         return summaries, len(groups), 0
 
     # -- the whole run ---------------------------------------------------

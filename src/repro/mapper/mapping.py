@@ -24,6 +24,16 @@ def _mappable(dfg: DFG) -> frozenset[int]:
     )
 
 
+def _filled(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``
+    (every field, by name), built without its ``__init__``: one
+    ``__dict__`` fill instead of a frozen ``__setattr__`` per field.
+    Rehydrating a cached mapping builds hundreds of these."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Placement:
     """A DFG node bound to a tile at a schedule time.
@@ -199,22 +209,24 @@ class Mapping:
                 f"{dfg.name!r}"
             )
         level = cgra.dvfs.level_named
-        placements = {
-            int(n): Placement(int(n), p["tile"], p["time"])
-            for n, p in data["placements"].items()
-        }
-        routes = {
-            int(i): Route(
-                edge_index=int(i),
-                src_node=r["src"],
-                dst_node=r["dst"],
-                path=tuple(r["path"]),
-                depart=r["depart"],
-                arrival=r["arrival"],
-                deadline=r["deadline"],
-            )
-            for i, r in data["routes"].items()
-        }
+        placements = {}
+        for n, p in data["placements"].items():
+            node = int(n)
+            placements[node] = _filled(Placement, {
+                "node": node, "tile": p["tile"], "time": p["time"],
+            })
+        routes = {}
+        for i, r in data["routes"].items():
+            index = int(i)
+            routes[index] = _filled(Route, {
+                "edge_index": index,
+                "src_node": r["src"],
+                "dst_node": r["dst"],
+                "path": tuple(r["path"]),
+                "depart": r["depart"],
+                "arrival": r["arrival"],
+                "deadline": r["deadline"],
+            })
         return cls(
             dfg=dfg,
             cgra=cgra,

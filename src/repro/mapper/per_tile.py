@@ -18,10 +18,22 @@ from __future__ import annotations
 
 from repro.arch.dvfs import DVFSLevel
 from repro.dfg.analysis import critical_cycle_nodes
+from repro.dfg.graph import DFG
 from repro.errors import ValidationError
 from repro.mapper.mapping import Mapping
 from repro.mapper.retime import retime_fits, retime_with_levels
 from repro.mapper.timing import compute_timing
+
+
+def critical_nodes(dfg: DFG) -> frozenset[int]:
+    """:func:`~repro.dfg.analysis.critical_cycle_nodes`, kept through
+    :meth:`DFG.memo`: every ``load_kernel`` copy of a kernel shares one
+    cycle enumeration, however many passes run on fresh copies."""
+    return dfg.memo("critical_cycle_nodes", _critical_nodes)
+
+
+def _critical_nodes(dfg: DFG) -> frozenset[int]:
+    return frozenset(critical_cycle_nodes(dfg))
 
 
 def gate_unused_tiles(mapping: Mapping,
@@ -69,7 +81,7 @@ def assign_per_tile_dvfs(mapping: Mapping,
     used = mapping.tiles_used()
     critical_tiles = {
         mapping.placements[node].tile
-        for node in critical_cycle_nodes(mapping.dfg)
+        for node in critical_nodes(mapping.dfg)
         if node in mapping.placements
     }
 

@@ -21,7 +21,10 @@ latency (``duration_cycles / inputs``) with weight ``inputs``. That
 makes p99 sensitive to short heavy windows — exactly the bursts the
 ``bursty`` and ``phase_shift`` scenarios exist to produce — while
 staying a pure function of the ``WindowStats`` the differential suite
-already pins.
+already pins. :func:`summarize_group` computes every row of a
+:class:`~repro.streaming.engine.GroupResult` at once (the fleet
+simulator's tenant summaries); :func:`summarize_result` is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from repro import obs
 from repro.errors import ScenarioError
 from repro.power.model import DEFAULT_POWER_PARAMS, PowerParams
 from repro.streaming.engine import (
+    GroupResult,
     StreamResult,
     simulate_drips,
     simulate_static,
@@ -58,9 +64,9 @@ __all__ = [
     "envelope_path",
     "load_envelope",
     "scenario_envelope",
+    "summarize_group",
     "summarize_result",
-    "summarize_run",
-    "weighted_percentile",
+    "weighted_percentiles",
     "write_envelope",
 ]
 
@@ -76,62 +82,101 @@ STRATEGIES = ("iced", "drips", "static")
 DEFAULT_ENVELOPE_INPUTS = 240
 
 
-def weighted_percentile(values, weights, q: float) -> float:
-    """Weighted nearest-rank percentile: the smallest value whose
-    cumulative weight reaches ``q`` of the total. Deterministic (ties
-    resolved by value order) and exact for the small window counts
-    envelopes deal in."""
+def weighted_percentiles(values: np.ndarray, weights: np.ndarray,
+                         q: float) -> np.ndarray:
+    """Every row's weighted nearest-rank percentile: the smallest value
+    whose cumulative weight reaches ``q`` of the row's total.
+
+    ``values`` is ``(T, W)``; ``weights`` holds non-negative integers
+    and broadcasts to it. Windows of weight 0 never answer, and a row
+    whose weights are all 0 gets 0.0. Per row: a stable argsort of the
+    values, a cumulative sum of the weights in that order and the first
+    position where it reaches ``q * total`` (exact while totals stay
+    below 2**53). Equal values are one answer, so their order is moot.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    pairs = sorted(
-        (float(v), float(w)) for v, w in zip(values, weights) if w > 0
-    )
-    if not pairs:
-        return 0.0
-    total = sum(w for _, w in pairs)
-    threshold = q * total
-    cumulative = 0.0
-    for value, weight in pairs:
-        cumulative += weight
-        if cumulative >= threshold:
-            return value
-    return pairs[-1][0]
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.broadcast_to(weights, values.shape)
+    if values.shape[1] == 0:
+        return np.zeros(values.shape[0])
+    order = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(weights, order, axis=1)
+    cumulative = np.cumsum(ranked, axis=1)
+    total = cumulative[:, -1]
+    crossed = (cumulative >= q * total[:, None]) & (ranked > 0)
+    first = np.take_along_axis(order, crossed.argmax(axis=1)[:, None],
+                               axis=1)
+    answer = np.take_along_axis(values, first, axis=1)[:, 0]
+    return np.where(total > 0, answer, 0.0)
 
 
-def summarize_run(makespan: float, energy: float, inputs: int,
-                  windows: int, latencies, weights,
-                  frequency_mhz: float) -> dict:
-    """One run's summary entry from its totals and per-window latencies.
+def summarize_group(result: GroupResult) -> list[dict]:
+    """Every row's summary entry, straight from the group's arrays.
 
-    The single implementation behind :func:`summarize_result` and the
-    fleet's batched path, so both agree bitwise.
+    The keys: ``energy_uj``, ``makespan_cycles``, ``inputs``,
+    ``windows``, ``throughput_inputs_per_kcycle``, the weighted
+    ``p50_latency_cycles`` / ``p99_latency_cycles`` over the windows
+    (:func:`weighted_percentiles`) and ``average_power_mw``. Needs the
+    per-window arrays (``keep_windows=True``).
     """
-    makespan_us = makespan / frequency_mhz
-    return {
-        "energy_uj": energy,
-        "makespan_cycles": makespan,
-        "inputs": inputs,
-        "windows": windows,
-        "throughput_inputs_per_kcycle":
-            (1e3 * inputs / makespan) if makespan > 0 else 0.0,
-        "p50_latency_cycles": weighted_percentile(latencies, weights, 0.50),
-        "p99_latency_cycles": weighted_percentile(latencies, weights, 0.99),
-        "average_power_mw":
-            (energy * 1e3 / makespan_us) if makespan_us > 0 else 0.0,
-    }
+    return _summaries(
+        result.makespan_cycles, result.total_energy_uj, result.inputs,
+        result.num_windows, result.end_cycles - result.start_cycles,
+        result.window_inputs, result.frequency_mhz,
+    )
 
 
 def summarize_result(result: StreamResult) -> dict:
-    """One strategy's envelope entry from its ``StreamResult``."""
-    busy = [w for w in result.windows if w.inputs > 0]
-    return summarize_run(
-        result.makespan_cycles, result.total_energy_uj, result.inputs,
-        len(result.windows), [w.duration_cycles / w.inputs for w in busy],
-        [w.inputs for w in busy], result.frequency_mhz,
-    )
+    """One strategy's envelope entry from its ``StreamResult``: the
+    one-row case of :func:`summarize_group`."""
+    windows = result.windows
+    return _summaries(
+        np.array([result.makespan_cycles]),
+        np.array([result.total_energy_uj]), result.inputs, len(windows),
+        np.array([[w.duration_cycles for w in windows]]),
+        np.array([w.inputs for w in windows], dtype=np.int64),
+        result.frequency_mhz,
+    )[0]
 
 
-#: Strategy -> single-stream runner, shared with the fleet simulator.
+def _summaries(makespan: np.ndarray, energy: np.ndarray, inputs: int,
+               windows: int, durations: np.ndarray, weights: np.ndarray,
+               frequency_mhz: float) -> list[dict]:
+    """The summary dicts of ``T`` rows: per-row ``(T,)`` totals,
+    ``(T, W)`` window durations and the ``(W,)`` inputs per window."""
+    latencies = durations / np.maximum(weights, 1)
+    p50 = weighted_percentiles(latencies, weights, 0.50)
+    p99 = weighted_percentiles(latencies, weights, 0.99)
+    throughput = _ratio(1e3 * inputs, makespan)
+    power = _ratio(energy * 1e3, makespan / frequency_mhz)
+    return [
+        {
+            "energy_uj": e,
+            "makespan_cycles": m,
+            "inputs": inputs,
+            "windows": windows,
+            "throughput_inputs_per_kcycle": tp,
+            "p50_latency_cycles": lo,
+            "p99_latency_cycles": hi,
+            "average_power_mw": pw,
+        }
+        for e, m, tp, lo, hi, pw in zip(
+            energy.tolist(), makespan.tolist(), throughput.tolist(),
+            p50.tolist(), p99.tolist(), power.tolist())
+    ]
+
+
+def _ratio(numerator, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where the denominator is positive,
+    0.0 elsewhere."""
+    positive = denominator > 0
+    return np.where(positive,
+                    numerator / np.where(positive, denominator, 1.0), 0.0)
+
+
+#: Strategy -> single-stream runner (the per-tenant fleet oracle in
+#: ``tests/reference_fleet.py`` runs its tenants through it too).
 RUNNERS = {
     "iced": simulate_stream,
     "drips": simulate_drips,

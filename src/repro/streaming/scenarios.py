@@ -50,6 +50,8 @@ from repro.streaming.workloads import (
     EnzymeGraphStream,
     SegmentedWorkload,
     SparseMatrixStream,
+    graph_features,
+    graph_size_draws,
     rechunk_blocks,
 )
 
@@ -106,23 +108,18 @@ class DiurnalStream(SegmentedWorkload):
     def num_inputs(self) -> int:
         return self.num_inputs_
 
-    def segment_features(self, rng: np.random.Generator, start: int,
-                         count: int) -> dict[str, np.ndarray]:
-        draws = rng.lognormal(mean=(3.4, 3.3), sigma=(0.45, 0.55),
-                              size=(count, 2))
+    def segment_draws(self, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, ...]:
+        return graph_size_draws(rng, count)
+
+    def transform(self, draws: tuple[np.ndarray, ...], start: int,
+                  count: int) -> dict[str, np.ndarray]:
+        (sizes,) = draws
         index = np.arange(start, start + count, dtype=np.float64)
         load = 1.0 + self.amplitude * np.sin(
             2.0 * math.pi * index / self.period
         )
-        n_nodes = np.clip(draws[:, 0] * load, 3, 126).astype(np.int64)
-        degree = np.clip(draws[:, 1] * load, 2, 126)
-        nnz = np.maximum(n_nodes, (n_nodes * degree).astype(np.int64))
-        return {
-            "n_nodes": n_nodes.astype(np.float64),
-            "degree": degree,
-            "nnz": nnz.astype(np.float64),
-            "features": np.full(count, 16.0),
-        }
+        return graph_features(sizes[..., 0] * load, sizes[..., 1] * load)
 
 
 @dataclass
@@ -142,19 +139,15 @@ class ParetoBurstStream(SegmentedWorkload):
     def num_inputs(self) -> int:
         return self.num_inputs_
 
-    def segment_features(self, rng: np.random.Generator, start: int,
-                         count: int) -> dict[str, np.ndarray]:
-        node_draw = rng.lognormal(mean=3.4, sigma=0.45, size=count)
-        tail = rng.pareto(self.alpha, size=count)
-        n_nodes = np.clip(node_draw, 3, 126).astype(np.int64)
-        degree = np.clip(2.0 + 4.0 * tail, 2, 126)
-        nnz = np.maximum(n_nodes, (n_nodes * degree).astype(np.int64))
-        return {
-            "n_nodes": n_nodes.astype(np.float64),
-            "degree": degree,
-            "nnz": nnz.astype(np.float64),
-            "features": np.full(count, 16.0),
-        }
+    def segment_draws(self, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, ...]:
+        return (rng.lognormal(mean=3.4, sigma=0.45, size=count),
+                rng.pareto(self.alpha, size=count))
+
+    def transform(self, draws: tuple[np.ndarray, ...], start: int,
+                  count: int) -> dict[str, np.ndarray]:
+        node_draw, tail = draws
+        return graph_features(node_draw, 2.0 + 4.0 * tail)
 
 
 @dataclass
@@ -175,24 +168,19 @@ class PhaseShiftStream(SegmentedWorkload):
     def num_inputs(self) -> int:
         return self.num_inputs_
 
-    def segment_features(self, rng: np.random.Generator, start: int,
-                         count: int) -> dict[str, np.ndarray]:
-        z = rng.standard_normal(size=(count, 2))
+    def segment_draws(self, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, ...]:
+        return (rng.standard_normal(size=(count, 2)),)
+
+    def transform(self, draws: tuple[np.ndarray, ...], start: int,
+                  count: int) -> dict[str, np.ndarray]:
+        (z,) = draws
         index = np.arange(start, start + count)
         dense_phase = (index // self.phase_len) % 2 == 0
         node_mean = np.where(dense_phase, 2.9, 4.2)
         degree_mean = np.where(dense_phase, 4.1, 1.3)
-        n_nodes = np.clip(
-            np.exp(node_mean + 0.35 * z[:, 0]), 3, 126
-        ).astype(np.int64)
-        degree = np.clip(np.exp(degree_mean + 0.4 * z[:, 1]), 2, 126)
-        nnz = np.maximum(n_nodes, (n_nodes * degree).astype(np.int64))
-        return {
-            "n_nodes": n_nodes.astype(np.float64),
-            "degree": degree,
-            "nnz": nnz.astype(np.float64),
-            "features": np.full(count, 16.0),
-        }
+        return graph_features(np.exp(node_mean + 0.35 * z[..., 0]),
+                              np.exp(degree_mean + 0.4 * z[..., 1]))
 
 
 @dataclass
@@ -210,13 +198,16 @@ class BranchyStream(SegmentedWorkload):
     def num_inputs(self) -> int:
         return self.num_inputs_
 
-    def segment_features(self, rng: np.random.Generator, start: int,
-                         count: int) -> dict[str, np.ndarray]:
-        outer = np.clip(
-            rng.lognormal(mean=3.0, sigma=0.6, size=count), 4, 512
-        ).astype(np.int64)
-        taken = rng.uniform(0.0, 1.0, size=count)
-        depth = rng.integers(1, 9, size=count)
+    def segment_draws(self, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, ...]:
+        return (rng.lognormal(mean=3.0, sigma=0.6, size=count),
+                rng.uniform(0.0, 1.0, size=count),
+                rng.integers(1, 9, size=count))
+
+    def transform(self, draws: tuple[np.ndarray, ...], start: int,
+                  count: int) -> dict[str, np.ndarray]:
+        outer_draw, taken, depth = draws
+        outer = np.clip(outer_draw, 4, 512).astype(np.int64)
         return {
             "outer": outer.astype(np.float64),
             # Quantized to 1/64 so every downstream product stays an

@@ -30,11 +30,21 @@ pure function of ``(seed, segment index)``:
 * each segment is one batched numpy draw, so block production is
   vectorized for every generator (the old scalar-recurrence fallback
   for interleaved draws is gone).
+
+A segment is made in two halves: the stream's own RNG draws, then one
+elementwise transform of the draws into feature columns. The
+transform runs once over the stacked draws of every stream in a batch
+(:func:`materialize_streams`, which the fleet simulator uses to
+synthesize all its tenants' streams), so many same-shaped streams pay
+one transform between them; a lone stream's :meth:`feature_blocks
+<SegmentedWorkload.feature_blocks>` is a batch of one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import dataclasses
+import functools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +57,9 @@ __all__ = [
     "EnzymeGraphStream",
     "SegmentedWorkload",
     "SparseMatrixStream",
+    "graph_features",
+    "graph_size_draws",
+    "materialize_streams",
     "rechunk_blocks",
     "skip_blocks",
     "take_block",
@@ -108,45 +121,61 @@ def rechunk_blocks(segments: Iterable[dict[str, np.ndarray]],
     through untouched, so the emitted stream is independent of how the
     producer segmented it.
     """
+    for start, columns in _rechunk(segments, block_size):
+        yield FeatureBlock(columns, start_index=start)
+
+
+def _rechunk(segments: Iterable[dict[str, np.ndarray]], block_size: int,
+             ) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """:func:`rechunk_blocks` along the columns' last axis, as ``(start
+    index, columns)`` pairs: a batch's ``(rows, count)`` columns cut
+    into every row's blocks at once."""
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     pending: dict[str, list[np.ndarray]] = {}
     buffered = 0
     emitted = 0
     for segment in segments:
-        n = len(next(iter(segment.values()))) if segment else 0
+        n = next(iter(segment.values())).shape[-1] if segment else 0
         pos = 0
         while pos < n:
             take = min(block_size - buffered, n - pos)
             for key, column in segment.items():
-                pending.setdefault(key, []).append(column[pos:pos + take])
+                pending.setdefault(key, []).append(
+                    column[..., pos:pos + take])
             buffered += take
             pos += take
             if buffered == block_size:
-                yield FeatureBlock(
-                    {k: _cat(v) for k, v in pending.items()},
-                    start_index=emitted,
-                )
+                yield emitted, {k: _cat(v) for k, v in pending.items()}
                 emitted += buffered
                 pending = {}
                 buffered = 0
     if buffered:
-        yield FeatureBlock({k: _cat(v) for k, v in pending.items()},
-                           start_index=emitted)
+        yield emitted, {k: _cat(v) for k, v in pending.items()}
 
 
 def _cat(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 class SegmentedWorkload:
     """Base class for segment-addressed synthetic streams.
 
-    Subclasses provide ``num_inputs()`` and ``segment_features(rng,
-    start, count)`` — one batched draw of ``count`` consecutive inputs
-    beginning at absolute stream position ``start``, using ``rng``
-    (already derived for that segment). Everything else — the fixed
-    segmentation and re-chunking to arbitrary block sizes — is shared.
+    Subclasses provide ``num_inputs()`` and a segment in two halves:
+
+    * ``segment_draws(rng, count)`` — the random draws of ``count``
+      consecutive inputs from ``rng`` (already derived for that
+      segment), as a tuple of arrays whose first axis is the input.
+      Only this half touches a generator; it runs once per stream.
+    * ``transform(draws, start, count)`` — the feature columns, from
+      the draws of a batch of streams stacked on a new leading row axis
+      (each draw array has shape ``(rows, count, ...)``, each column
+      must have shape ``(rows, count)``). Clips, casts, products and
+      curves of the absolute input index ``start + arange(count)``,
+      all elementwise, so a row's values never depend on its batch.
+
+    Everything else — the fixed segmentation, batching and re-chunking
+    to arbitrary block sizes — is shared.
     """
 
     #: Subclasses are dataclasses carrying their own ``seed`` field.
@@ -155,25 +184,83 @@ class SegmentedWorkload:
     def num_inputs(self) -> int:
         raise NotImplementedError
 
-    def segment_features(self, rng: np.random.Generator, start: int,
-                         count: int) -> dict[str, np.ndarray]:
+    def segment_draws(self, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
-    def _segments(self) -> Iterator[dict[str, np.ndarray]]:
+    def transform(self, draws: tuple[np.ndarray, ...], start: int,
+                  count: int) -> dict[str, np.ndarray]:
+        raise NotImplementedError
+
+    def batch_key(self) -> tuple:
+        """Streams with equal keys synthesize as one batch: the class
+        and every field but ``seed`` (the length included)."""
+        cls = type(self)
+        return (cls, *map(self.__getattribute__, _batch_fields(cls)))
+
+    def _segments(self, seeds: Sequence[int],
+                  ) -> Iterator[dict[str, np.ndarray]]:
+        """Every segment as ``(len(seeds), count)`` feature columns, row
+        ``i`` drawn from ``seeds[i]`` and this stream's other fields."""
         total = self.num_inputs()
         for index, start in enumerate(range(0, total, SEGMENT_INPUTS)):
             count = min(SEGMENT_INPUTS, total - start)
-            yield self.segment_features(worker_rng(self.seed, index),
-                                        start, count)
+            draws = [self.segment_draws(worker_rng(seed, index), count)
+                     for seed in seeds]
+            yield self.transform(tuple(map(np.stack, zip(*draws))),
+                                 start, count)
 
     def feature_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
                        ) -> Iterator[FeatureBlock]:
         """The stream as lazy, constant-memory feature blocks.
 
         Values are identical for every ``block_size`` (blocks re-chunk
-        the fixed segments).
+        the fixed segments) and to this stream's row of any batch.
         """
-        return rechunk_blocks(self._segments(), block_size)
+        return _row_blocks(_rechunk(self._segments([self.seed]),
+                                    block_size), 0)
+
+
+@functools.cache
+def _batch_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if f.name != "seed")
+
+
+def _row_blocks(chunks: Iterable[tuple[int, dict[str, np.ndarray]]],
+                row: int) -> Iterator[FeatureBlock]:
+    """Row ``row`` of batched ``(start index, columns)`` chunks, as
+    feature blocks of views."""
+    for start, columns in chunks:
+        yield FeatureBlock({key: column[row]
+                            for key, column in columns.items()},
+                           start_index=start)
+
+
+def materialize_streams(streams: Sequence,
+                        block_size: int = DEFAULT_BLOCK_SIZE,
+                        ) -> list[list[FeatureBlock]]:
+    """Every stream's feature blocks as a list, in ``streams`` order.
+
+    :class:`SegmentedWorkload` streams with equal
+    :meth:`~SegmentedWorkload.batch_key` synthesize as one batch, and
+    each gets views of its own rows; any other stream (a trace replay)
+    lists its own ``feature_blocks``. Each list holds the values of
+    that stream's ``feature_blocks(block_size)``.
+    """
+    blocks: list = [None] * len(streams)
+    batches: dict[tuple, list[int]] = {}
+    for i, stream in enumerate(streams):
+        if isinstance(stream, SegmentedWorkload):
+            batches.setdefault(stream.batch_key(), []).append(i)
+        else:
+            blocks[i] = list(stream.feature_blocks(block_size))
+    for members in batches.values():
+        chunks = list(_rechunk(streams[members[0]]._segments(
+            [streams[i].seed for i in members]), block_size))
+        for row, i in enumerate(members):
+            blocks[i] = list(_row_blocks(chunks, row))
+    return blocks
 
 
 @dataclass
@@ -192,21 +279,38 @@ class EnzymeGraphStream(SegmentedWorkload):
     def num_inputs(self) -> int:
         return self.num_graphs
 
-    def segment_features(self, rng: np.random.Generator, start: int,
-                         count: int) -> dict[str, np.ndarray]:
-        # One broadcast lognormal draw per segment: column 0 is the
-        # node draw, column 1 the degree draw.
-        draws = rng.lognormal(mean=(3.4, 3.3), sigma=(0.45, 0.55),
-                              size=(count, 2))
-        n_nodes = np.clip(draws[:, 0], 3, 126).astype(np.int64)
-        degree = np.clip(draws[:, 1], 2, 126)
-        nnz = np.maximum(n_nodes, (n_nodes * degree).astype(np.int64))
-        return {
-            "n_nodes": n_nodes.astype(np.float64),
-            "degree": degree,
-            "nnz": nnz.astype(np.float64),
-            "features": np.full(count, 16.0),
-        }
+    def segment_draws(self, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, ...]:
+        return graph_size_draws(rng, count)
+
+    def transform(self, draws: tuple[np.ndarray, ...], start: int,
+                  count: int) -> dict[str, np.ndarray]:
+        (sizes,) = draws
+        return graph_features(sizes[..., 0], sizes[..., 1])
+
+
+def graph_size_draws(rng: np.random.Generator,
+                     count: int) -> tuple[np.ndarray]:
+    """One broadcast lognormal draw per segment: column 0 is the node
+    draw, column 1 the degree draw (ENZYMES statistics)."""
+    return (rng.lognormal(mean=(3.4, 3.3), sigma=(0.45, 0.55),
+                          size=(count, 2)),)
+
+
+def graph_features(node_draw: np.ndarray,
+                   degree_draw: np.ndarray) -> dict[str, np.ndarray]:
+    """The GCN feature columns from node and degree draws: node counts
+    clipped to 3..126 and truncated, degrees clipped to 2..126, and
+    ``nnz`` at least one per node."""
+    n_nodes = np.clip(node_draw, 3, 126).astype(np.int64)
+    degree = np.clip(degree_draw, 2, 126)
+    nnz = np.maximum(n_nodes, (n_nodes * degree).astype(np.int64))
+    return {
+        "n_nodes": n_nodes.astype(np.float64),
+        "degree": degree,
+        "nnz": nnz.astype(np.float64),
+        "features": np.full(n_nodes.shape, 16.0),
+    }
 
 
 @dataclass
@@ -226,12 +330,15 @@ class SparseMatrixStream(SegmentedWorkload):
     def num_inputs(self) -> int:
         return self.num_matrices
 
-    def segment_features(self, rng: np.random.Generator, start: int,
-                         count: int) -> dict[str, np.ndarray]:
-        n = rng.integers(16, self.max_order + 1, size=count)
-        density = np.exp(
-            rng.uniform(np.log(0.02), np.log(0.35), size=count)
-        )
+    def segment_draws(self, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, ...]:
+        return (rng.integers(16, self.max_order + 1, size=count),
+                rng.uniform(np.log(0.02), np.log(0.35), size=count))
+
+    def transform(self, draws: tuple[np.ndarray, ...], start: int,
+                  count: int) -> dict[str, np.ndarray]:
+        n, log_density = draws
+        density = np.exp(log_density)
         nnz = np.maximum(n, (n * n * density).astype(np.int64))
         return {
             "n": n.astype(np.float64),

@@ -3,11 +3,13 @@
 The contract under test: for every tenant in a homogeneous group, one
 multi-row engine run produces a ``StreamResult`` **equal** (by
 ``asdict``, so every ``WindowStats`` field, float for float) to a
-standalone one-row run over the same partition and stream — and
-therefore a whole ``FleetSim`` report is identical to the per-tenant
-reference loop's (``tests/reference_fleet.py``), for every placement
-strategy and strategy mix, DRIPS included. Every row against the
-per-input oracle is ``test_streaming_differential``'s group test.
+standalone one-row run over the same partition and stream; every
+row's summary from the group's arrays equals the scalar summary of
+its run (``tests/reference_summary.py``) — and therefore a whole
+``FleetSim`` report is identical to the per-tenant reference loop's
+(``tests/reference_fleet.py``), for every placement strategy and
+strategy mix, DRIPS included. Every row against the per-input oracle
+is ``test_streaming_differential``'s group test.
 
 Partitions are the same lightweight fakes the streaming differential
 suite uses: the engines only consume ``app``/``cgra``/``placements``/
@@ -48,6 +50,11 @@ from repro.streaming import (  # noqa: E402
     simulate_stream,
     streaming_cgra,
 )
+from repro.streaming.envelopes import (  # noqa: E402
+    summarize_group,
+    summarize_result,
+    weighted_percentiles,
+)
 
 from tests.reference_fleet import ReferenceFleetSim  # noqa: E402
 from tests.reference_streaming import (  # noqa: E402
@@ -57,6 +64,10 @@ from tests.reference_streaming import (  # noqa: E402
     reference_simulate_static,
     reference_simulate_stream,
     scalar_twin,
+)
+from tests.reference_summary import (  # noqa: E402
+    reference_summary,
+    weighted_percentile,
 )
 
 REFERENCE = {"iced": reference_simulate_stream,
@@ -245,6 +256,88 @@ def test_rows_spanning_several_row_blocks(num_rows, num_inputs, window):
         for t in (0, num_rows - 1):
             ref = REFERENCE[strategy](partition, rows[t], window=window)
             assert asdict(group.row_result(t)) == asdict(ref)
+
+
+# -- summaries ----------------------------------------------------------------
+
+
+@st.composite
+def percentile_cases(draw):
+    """``(T, W)`` values drawn from a few distinct floats (so ties are
+    common), integer weights with many zeros and sometimes an all-zero
+    row, and a quantile; ``per_row`` says whether the weights are
+    ``(T, W)`` or one ``(W,)`` row shared by every row."""
+    rows = draw(st.integers(min_value=1, max_value=5))
+    width = draw(st.integers(min_value=0, max_value=12))
+    pool = draw(st.lists(st.floats(min_value=0.0, max_value=1e9,
+                                   allow_nan=False), min_size=1,
+                         max_size=4))
+    values = [[draw(st.sampled_from(pool)) for _ in range(width)]
+              for _ in range(rows)]
+    weight = st.sampled_from([0, 0, 0, 1, 2, 7, 10**6])
+    per_row = draw(st.booleans())
+    weights = [[draw(weight) for _ in range(width)]
+               for _ in range(rows if per_row else 1)]
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, len(weights) - 1))] = [0] * width
+    q = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0])
+             | st.floats(min_value=0.0, max_value=1.0))
+    return values, weights, per_row, q
+
+
+@settings(max_examples=300, **COMMON)
+@given(percentile_cases())
+def test_group_percentiles_equal_the_scalar_oracle(case):
+    values, weights, per_row, q = case
+    array = np.array(values, dtype=np.float64).reshape(len(values), -1)
+    weight_array = np.array(weights, dtype=np.int64).reshape(
+        len(weights), -1)
+    got = weighted_percentiles(array,
+                               weight_array if per_row else weight_array[0],
+                               q)
+    row_weights = weights if per_row else weights * len(values)
+    assert got.tolist() == [weighted_percentile(v, w, q)
+                            for v, w in zip(values, row_weights)]
+
+
+@pytest.mark.parametrize("values,weights,q,expected", [
+    # q = 0: a zero-weight window never answers, even when it sorts first.
+    ([1.0, 2.0, 3.0], [0, 4, 1], 0.0, 2.0),
+    ([5.0, 1.0], [3, 0], 0.0, 5.0),
+    ([5.0, 1.0], [3, 0], 1.0, 5.0),
+    ([4.0, 4.0, 9.0], [1, 1, 2], 0.5, 4.0),
+    ([4.0, 4.0, 9.0], [1, 1, 2], 0.51, 9.0),
+    ([2.0, 3.0], [0, 0], 0.5, 0.0),
+    ([7.5], [3], 0.99, 7.5),
+])
+def test_group_percentile_edge_cases(values, weights, q, expected):
+    got = weighted_percentiles(np.array([values]), np.array(weights), q)
+    assert got.tolist() == [expected]
+    assert weighted_percentile(values, weights, q) == expected
+
+
+def test_group_summaries_equal_the_scalar_summary_of_each_row():
+    kernels = [
+        KernelStage(name=f"k{i}", dfg=None, iteration_model=model)
+        for i, model in enumerate([_dual_model(2, 3), _pow_model(0.5)])
+    ]
+    app = StreamingApp(name="fake", stages=[kernels[:1], kernels[1:]])
+    partition = FakePartition(
+        app, [FakePlacement(k, 1 + i, 3 + i) for i, k in enumerate(kernels)],
+        {(k.name, c): max(1, 5 - c) for k in kernels for c in (1, 2, 3)})
+    rows = [[StreamInput(i, {"x": float(1 + (11 * i + 5 * t) % 89)})
+             for i in range(37)] for t in range(5)]
+    for strategy in SINGLE:
+        for window in (1, 10, 37, 50):
+            group = simulate_group(partition,
+                                   [blocks_of(inputs) for inputs in rows],
+                                   window, strategy=strategy)
+            summaries = summarize_group(group)
+            assert len(summaries) == len(rows)
+            for t, summary in enumerate(summaries):
+                alone = group.row_result(t)
+                assert summary == reference_summary(alone)
+                assert summarize_result(alone) == summary
 
 
 # -- whole-fleet identity -----------------------------------------------------

@@ -1,17 +1,23 @@
 """Tests for retiming, per-tile DVFS, gating, island refinement,
 validation and the Mapping container."""
 
+import functools
+
 import pytest
 
+from repro.compile import MappingCache, compile_kernel
+from repro.dfg import analysis
 from repro.errors import ValidationError
-from repro.kernels import load_kernel
+from repro.kernels import load_kernel, suite
+from repro.kernels.table1 import STANDALONE_KERNELS
 from repro.mapper import (
     assign_per_tile_dvfs,
     map_dvfs_aware,
     validate_mapping,
 )
 from repro.mapper.island_refine import refine_island_levels
-from repro.mapper.per_tile import gate_unused_tiles
+from repro.mapper.mapping import Mapping
+from repro.mapper.per_tile import critical_nodes, gate_unused_tiles
 from repro.mapper.retime import retime_with_levels
 from repro.mapper.timing import compute_timing
 from repro.dfg.analysis import critical_cycle_nodes
@@ -73,6 +79,40 @@ class TestPerTileDVFS:
         }
         for tile in critical:
             assert per_tile_fir.tile_levels[tile] is cgra66.dvfs.normal
+
+    def test_fresh_kernel_copies_enumerate_cycles_once(self, monkeypatch,
+                                                       cgra66):
+        # A private load_kernel memo: no earlier test has run a per-tile
+        # pass on its solver0.
+        monkeypatch.setattr(suite, "_synthesized", functools.lru_cache(
+            maxsize=None)(suite._synthesized.__wrapped__))
+        blob = compile_kernel("solver0", cgra66, "baseline",
+                              cache=MappingCache()).mapping.to_dict()
+        copies = [Mapping.from_dict(blob, load_kernel("solver0"), cgra66)
+                  for _ in range(2)]
+        assert copies[0].dfg is not copies[1].dfg
+        calls = []
+        real = analysis.recurrence_cycles
+        monkeypatch.setattr(
+            analysis, "recurrence_cycles",
+            lambda dfg, *args: calls.append(dfg.name) or real(dfg, *args))
+        first, second = (assign_per_tile_dvfs(m) for m in copies)
+        assert calls == ["solver0"]
+        assert first.to_dict() == second.to_dict()
+
+    def test_a_changed_copy_enumerates_its_own_cycles(self):
+        dfg = load_kernel("solver0")
+        kept = critical_nodes(dfg)
+        changed = load_kernel("solver0")
+        changed.add_edge(max(kept), min(kept), dist=1)
+        assert critical_nodes(changed) == critical_cycle_nodes(changed)
+        assert critical_nodes(load_kernel("solver0")) == kept
+
+    @pytest.mark.parametrize("name", STANDALONE_KERNELS)
+    def test_kept_critical_nodes_are_the_enumerated_ones(self, name):
+        for _ in range(2):
+            dfg = load_kernel(name)
+            assert critical_nodes(dfg) == critical_cycle_nodes(dfg)
 
     def test_average_level_not_above_baseline(self, baseline_fir,
                                               per_tile_fir):

@@ -42,6 +42,7 @@ from repro.arch.cgra import CGRA
 from repro.compile import MappingCache, compile_dfg, compile_kernel
 from repro.kernels.table1 import STANDALONE_KERNELS
 from repro.mapper.backends import EXPERIMENT_STRATEGIES
+from repro.mapper.mapping import Mapping, Placement, Route
 from repro.streaming.app import gcn_app
 from repro.streaming.partitioner import (
     _island_config,
@@ -150,6 +151,40 @@ def test_mappings_match_golden(fresh, golden, field):
         if fresh[group][row][field] != golden[group][row][field]
     ]
     assert not changed, f"{field} differs from the golden for: {changed}"
+
+
+def _constructed(data: dict, dfg, cgra) -> Mapping:
+    """``Mapping.from_dict`` with every ``Placement`` and ``Route``
+    built through its dataclass ``__init__`` (the rehydration oracle)."""
+    mapping = Mapping.from_dict(data, dfg, cgra)
+    mapping.placements = {
+        int(n): Placement(int(n), p["tile"], p["time"])
+        for n, p in data["placements"].items()
+    }
+    mapping.routes = {
+        int(i): Route(edge_index=int(i), src_node=r["src"],
+                      dst_node=r["dst"], path=tuple(r["path"]),
+                      depart=r["depart"], arrival=r["arrival"],
+                      deadline=r["deadline"])
+        for i, r in data["routes"].items()
+    }
+    return mapping
+
+
+def test_rehydration_equals_the_dataclass_constructors():
+    for group, row, result in golden_compiles():
+        mapping = result.mapping
+        data = mapping.to_dict()
+        fast = Mapping.from_dict(data, mapping.dfg, mapping.cgra)
+        slow = _constructed(data, mapping.dfg, mapping.cgra)
+        assert fast.to_dict() == data, f"{group}/{row}"
+        assert fast == slow, f"{group}/{row}"
+        for kept in ("placements", "routes"):
+            for key, obj in getattr(fast, kept).items():
+                twin = getattr(slow, kept)[key]
+                assert type(obj) is type(twin)
+                assert vars(obj) == vars(twin)
+                assert hash(obj) == hash(twin)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from repro.streaming.envelopes import (
     envelope_path,
     load_envelope,
     scenario_envelope,
-    weighted_percentile,
+    weighted_percentiles,
     write_envelope,
 )
 from repro.streaming.scenarios import (
@@ -58,8 +58,11 @@ from repro.streaming.partitioner import (
     streaming_cgra,
 )
 from repro.streaming.workloads import (
+    SEGMENT_INPUTS,
     EnzymeGraphStream,
+    SegmentedWorkload,
     SparseMatrixStream,
+    materialize_streams,
     take_block,
 )
 
@@ -69,6 +72,7 @@ from tests.reference_streaming import (
     reference_simulate_static,
     reference_simulate_stream,
 )
+from tests.reference_summary import weighted_percentile
 
 GOLDEN_DIR = Path(__file__).parent / "envelopes"
 
@@ -177,6 +181,83 @@ class TestDeterminism:
                         inputs_of(scenario.feature_blocks(13))):
             assert a.index == b.index
             assert a.features == b.features
+
+    # Literal pins of whole two-segment streams (seed 3, one segment
+    # plus 37 inputs), computed once and committed: every generator's
+    # draws and transform, index curves past the first segment
+    # included.
+    TWO_SEGMENT_PINS = {
+        "branchy":
+            "811b029071e300539d449a565eb0d292b57e555562bf6c1138fa9e5bf5c18109",
+        "bursty":
+            "2f040ad22f51cc60e6a794cfeee462d079bb0e9ae77d5718c03fc466912baaf7",
+        "diurnal":
+            "1ec186e23199caa05507223261c92dd52371a65bd5c23e5466de167bed8291f0",
+        "enzyme":
+            "4d31b018397d909ccd91d7b4d25b58af2c08ca23725e6187de7fa906335999c6",
+        "phase_shift":
+            "b1a75a66cf31001f53245f714f28ca703262417d8c79df43d0285306df2185c7",
+        "sparse_lu":
+            "e01dfb73c36c3e79ebddc079cf3b391435b15675e55652a4015a471b64bd5221",
+        "trace_replay":
+            "545605647ea37fa3dabdc5b12c95b929a3fa81803aeb7ce2be7bb0fd3f944237",
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
+    def test_two_segment_stream_pinned(self, name):
+        scenario = make_scenario(name, seed=3, n=SEGMENT_INPUTS + 37)
+        assert (stream_digest(scenario.feature_blocks())
+                == self.TWO_SEGMENT_PINS[name])
+
+    SEGMENTED = sorted(
+        name for name in scenario_names()
+        if isinstance(make_scenario(name, n=1).stream, SegmentedWorkload))
+
+    def test_every_generator_but_the_replays_is_segmented(self):
+        assert set(self.SEGMENTED) == EXPECTED_SCENARIOS - {"trace_replay"}
+
+    @pytest.mark.parametrize("name", SEGMENTED)
+    @pytest.mark.parametrize("n", [1, 150, SEGMENT_INPUTS + 37,
+                                   2 * SEGMENT_INPUTS + 5])
+    def test_a_batch_synthesizes_each_stream_as_it_would_alone(self, name,
+                                                               n):
+        # Mixed seeds (one repeated) batch together; every row must be
+        # byte-equal to the stream's own feature_blocks at every block
+        # size, segment boundaries included.
+        streams = [make_scenario(name, seed=seed, n=n).stream
+                   for seed in (5, 0, 2**40 + 3, 5)]
+        for block_size in (7, 1000, SEGMENT_INPUTS, 8192):
+            batched = materialize_streams(streams, block_size)
+            assert len(batched) == len(streams)
+            for stream, blocks in zip(streams, batched):
+                alone = list(stream.feature_blocks(block_size))
+                assert ([(b.start_index, len(b)) for b in blocks]
+                        == [(b.start_index, len(b)) for b in alone])
+                for got, want in zip(blocks, alone):
+                    assert sorted(got.features) == sorted(want.features)
+                    for key, column in want.features.items():
+                        assert got.features[key].dtype == column.dtype
+                        assert (got.features[key].tobytes()
+                                == column.tobytes())
+
+    def test_streams_batch_only_with_equal_parameters(self):
+        # A different length, period or class starts its own batch, and
+        # a trace replay lists its own blocks, in the caller's order.
+        streams = [
+            make_scenario("diurnal", seed=1, n=40).stream,
+            make_scenario("trace_replay", n=40).stream,
+            make_scenario("diurnal", seed=2, n=41).stream,
+            make_scenario("enzyme", seed=1, n=40).stream,
+            make_scenario("diurnal", seed=3, n=40).stream,
+        ]
+        streams[4].period = 17
+        keys = {s.batch_key() for s in streams
+                if isinstance(s, SegmentedWorkload)}
+        assert len(keys) == 4
+        batched = materialize_streams(streams, 16)
+        for stream, blocks in zip(streams, batched):
+            assert stream_digest(blocks) == stream_digest(
+                stream.feature_blocks(16))
 
     def test_default_seed_is_the_registered_one(self):
         assert make_scenario("enzyme", n=4).seed == 7
@@ -326,14 +407,19 @@ class TestTraceReplay:
 
 class TestEnvelopeMechanics:
     def test_weighted_percentile_nearest_rank(self):
-        values = [10.0, 20.0, 30.0]
-        weights = [1.0, 1.0, 98.0]
-        assert weighted_percentile(values, weights, 0.5) == 30.0
-        assert weighted_percentile(values, weights, 0.0) == 10.0
-        assert weighted_percentile(values, weights, 1.0) == 30.0
+        values = np.array([[10.0, 20.0, 30.0]])
+        weights = np.array([1, 1, 98])
+        for q, expected in ((0.5, 30.0), (0.0, 10.0), (1.0, 30.0)):
+            assert weighted_percentiles(values, weights, q).tolist() == [
+                expected]
+            assert weighted_percentile(values[0], weights, q) == expected
+        assert weighted_percentiles(np.zeros((1, 0)), np.zeros(0, int),
+                                    0.5).tolist() == [0.0]
         assert weighted_percentile([], [], 0.5) == 0.0
         with pytest.raises(ValueError):
-            weighted_percentile(values, weights, 1.5)
+            weighted_percentiles(values, weights, 1.5)
+        with pytest.raises(ValueError):
+            weighted_percentile(values[0], weights, 1.5)
 
     def test_compare_accepts_within_band(self):
         golden = {"strategies": {"iced": {"energy_uj": 100.0}}}

@@ -85,6 +85,21 @@ def test_committed_baseline_sections():
     }
 
 
+def test_fleet_phases_are_fleet_report_stats():
+    # The fleet case copies these keys out of a batched run's stats.
+    from repro.fleet import FleetSim, synthesize_fleet
+    from repro.streaming import gcn_app
+
+    from tests.test_kernels import _FakePartition
+
+    spec = synthesize_fleet(4, 2, inputs=20)
+    report = FleetSim(spec, partitions={"gcn": _FakePartition(gcn_app())}
+                      ).run()
+    assert set(smoke.FLEET_PHASES) <= set(report["stats"])
+    assert all(isinstance(report["stats"][key], float)
+               for key in smoke.FLEET_PHASES)
+
+
 def test_exact_case_writes_its_report(tmp_path):
     out = tmp_path / "exact.json"
     assert smoke.main(["exact", "--out", str(out),
