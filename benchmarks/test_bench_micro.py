@@ -12,8 +12,7 @@ from repro.kernels import load_kernel
 from repro.mapper import map_baseline, map_dvfs_aware
 from repro.mapper.routing import find_route
 from repro.mapper.timing import compute_timing
-from repro.mrrg import MRRG
-from repro.mrrg.resources import ModuloResourcePool, fu_key
+from repro.mrrg import ModuloResourcePool
 from repro.sim import simulate_execution
 
 
@@ -35,10 +34,11 @@ def test_bench_map_iced_fir(benchmark, cgra66):
 
 
 def test_bench_router(benchmark, cgra66):
-    mrrg = MRRG(cgra66, ii=4)
+    pool = ModuloResourcePool(cgra66, ii=4)
+    slow = (1,) * cgra66.num_tiles
 
     def route_corner_to_corner():
-        result, _ = find_route(mrrg, lambda t: 1, 0, 0, 35, 16)
+        result, _ = find_route(pool, slow, 0, 0, 35, 16)
         return result
 
     assert benchmark(route_corner_to_corner) is not None
@@ -49,7 +49,7 @@ def test_bench_pool_claims(benchmark, cgra66):
         pool = ModuloResourcePool(cgra66, ii=8)
         token = pool.checkpoint()
         for tile in range(36):
-            pool.claim(fu_key(tile), tile % 8, 2)
+            pool.claim_rid(tile, tile % 8, 2)  # the FU rid is the tile
         pool.rollback(token)
         return pool
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 from repro.errors import MappingError, ValidationError
 from repro.mapper.mapping import Mapping, Placement, Route
-from repro.mapper.routing import find_route, route_claims
+from repro.mapper.routing import find_route
 from repro.mapper.timing import compute_timing
-from repro.mrrg.mrrg import MRRG, op_claims
+from repro.mrrg.resources import ModuloResourcePool
 from repro.utils.rng import make_rng
 
 
@@ -60,27 +60,27 @@ class _State:
         self.placements = dict(mapping.placements)
         self.routes = dict(mapping.routes)
         self.edges = list(enumerate(self.dfg.edges()))
-
-    def slowdown_of(self, tile: int) -> int:
-        level = self.mapping.tile_levels[tile]
-        return 1 if level.is_gated else level.slowdown
+        levels = mapping.tile_levels
+        #: The per-tile slowdowns every op and route is timed with.
+        self.slow = tuple(
+            1 if levels[t].is_gated else levels[t].slowdown
+            for t in range(self.cgra.num_tiles)
+        )
 
     def _duration(self, node: int, tile: int) -> int:
         opcode = self.dfg.node(node).opcode
-        return (self.cgra.op_latency(tile, opcode)
-                * self.slowdown_of(tile))
+        return self.cgra.op_latency(tile, opcode) * self.slow[tile]
 
-    def _build_pool_without(self, node: int) -> MRRG | None:
+    def _build_pool_without(self, node: int) -> ModuloResourcePool | None:
         """Claims of everything except ``node`` and its edges."""
-        mrrg = MRRG(self.cgra, self.ii, self.mapping.xbar_capacity)
+        pool = ModuloResourcePool(self.cgra, self.ii,
+                                  self.mapping.xbar_capacity)
         try:
             for other, placement in self.placements.items():
                 if other == node:
                     continue
-                mrrg.claim_all(op_claims(
-                    placement.tile, placement.time,
-                    self._duration(other, placement.tile),
-                ))
+                pool.claim_rid(placement.tile, placement.time,
+                               self._duration(other, placement.tile))
             for idx, edge in self.edges:
                 if edge.src == node or edge.dst == node:
                     continue
@@ -90,13 +90,11 @@ class _State:
                 ready = (self.placements[edge.src].time
                          + self._duration(edge.src,
                                           self.placements[edge.src].tile))
-                mrrg.claim_all(route_claims(
-                    route.path, ready, max(route.depart, ready),
-                    route.deadline, self.slowdown_of,
-                ))
+                pool.claim_route(route.path, ready, max(route.depart, ready),
+                                 route.deadline, self.slow)
         except MappingError:
             return None
-        return mrrg
+        return pool
 
     def try_move(self, node: int, tile: int, time: int) -> bool:
         """Relocate ``node``; True when all its edges re-route."""
@@ -104,12 +102,12 @@ class _State:
             return False
         if not self.cgra.tile(tile).supports(self.dfg.node(node).opcode):
             return False
-        mrrg = self._build_pool_without(node)
-        if mrrg is None:
+        pool = self._build_pool_without(node)
+        if pool is None:
             return False
         duration = self._duration(node, tile)
         try:
-            mrrg.claim_all(op_claims(tile, time, duration))
+            pool.claim_rid(tile, time, duration)  # the FU rid is the tile
         except MappingError:
             return False
 
@@ -133,15 +131,13 @@ class _State:
                 src_tile, dst_tile = src.tile, tile
                 ready = src.time + self._duration(edge.src, src.tile)
                 deadline = time + edge.dist * self.ii
-            found, _probe = find_route(mrrg, self.slowdown_of, src_tile,
-                                       ready, dst_tile, deadline)
+            found, _probe = find_route(pool, self.slow, src_tile, ready,
+                                       dst_tile, deadline)
             if found is None:
                 return False
             try:
-                mrrg.claim_all(route_claims(
-                    found.path, ready, found.depart, deadline,
-                    self.slowdown_of,
-                ))
+                pool.claim_route(found.path, ready, found.depart, deadline,
+                                 self.slow)
             except MappingError:
                 return False
             new_routes[idx] = Route(

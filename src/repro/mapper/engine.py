@@ -39,7 +39,7 @@ from repro.mapper.routing import (
     never_arrives,
 )
 from repro.mapper.schedule import modulo_schedule_times
-from repro.mrrg.mrrg import MRRG, op_claims
+from repro.mrrg.resources import ModuloResourcePool
 
 import math
 
@@ -537,7 +537,7 @@ class _Attempt:
         self.immediates = self.static.immediates
         self._in = self.static.ins
         self._out = self.static.outs
-        self.mrrg = MRRG(cgra, ii, config.xbar_capacity)
+        self.pool = ModuloResourcePool(cgra, ii, config.xbar_capacity)
         self.placements: dict[int, Placement] = {}
         self.routes: dict[int, Route] = {}
         self.island_levels: dict[int, DVFSLevel] = {}
@@ -562,8 +562,7 @@ class _Attempt:
         """Each tile's slowdown: its island's level, or
         ``candidate_level`` on a fresh ``candidate_island``; 1 on an
         island with no level yet (routing through it assigns it normal)
-        or a gated one. Its ``__getitem__`` is the router's
-        ``slowdown_of``.
+        or a gated one: the router's ``slow``.
 
         Rebuilt only when an island gains a level; the per-candidate
         variant (one fresh island hypothetically opened at
@@ -725,7 +724,7 @@ class _Attempt:
             else:
                 continue  # Alg. 2 line 17: never onto a slower island
             # Probes roll back all they claim, so the cost reads this too.
-            pressure = self.mrrg.pool.tile_busy_slots(tile) / self.ii
+            pressure = self.pool.tile_busy_slots(tile) / self.ii
             for level in levels:
                 s = cycles[tile] * level.slowdown
                 window = self._time_window(node, tile, s, legs)
@@ -766,7 +765,7 @@ class _Attempt:
                 route += h
             elif kind == _OUT:
                 route += _weighted_hcol(self.memo, self.cgra, slow, peer)[tile]
-        interval_free = self.mrrg.pool.interval_free
+        interval_free = self.pool.interval_free
         # FU occupancy repeats every II cycles, so one period decides.
         for t in range(start, min(latest, start + ii - 1) + 1):
             if interval_free(tile, t, s):  # the FU rid is the tile
@@ -874,7 +873,7 @@ class _Attempt:
         links, crossbars and registers only).
         """
         tile, s = option.tile, option.s
-        pool = self.mrrg.pool
+        pool = self.pool
         t, latest = option.window
         while t <= latest:
             if not pool.interval_free(tile, t, s):  # the FU rid is the tile
@@ -935,9 +934,8 @@ class _Attempt:
         """
         if legs is None:
             legs = self._legs(node)
-        pool = self.mrrg.pool
+        pool = self.pool
         token = pool.checkpoint()
-        slowdown_of = slow.__getitem__
         routes: dict[int, Route] | None = {} if commit else None
         latency = 0
         outcome = None
@@ -954,9 +952,8 @@ class _Attempt:
                 src = dst = tile
                 ready, deadline = t + s, t + edge.dist * self.ii
             self.stats.routes_searched += 1
-            found, probe = find_route(self.mrrg, slowdown_of, src, ready,
-                                      dst, deadline, horizon=horizon,
-                                      memo=self.memo, slow=slow)
+            found, probe = find_route(pool, slow, src, ready, dst, deadline,
+                                      horizon=horizon, memo=self.memo)
             if found is not None:
                 if commit or k < last:
                     try:
@@ -1010,18 +1007,18 @@ class _Attempt:
         claims is not one: the leg is asked again after rolling back to
         ``token``.
         """
-        mrrg, memo = self.mrrg, self.memo
-        if not never_arrives(mrrg, memo, src, ready, dst, slow):
+        pool, memo = self.pool, self.memo
+        if not never_arrives(pool, memo, src, ready, dst, slow):
             return False
-        if mrrg.pool.checkpoint() == token:
+        if pool.checkpoint() == token:
             return True
-        mrrg.pool.rollback(token)
-        if never_arrives(mrrg, memo, src, ready, dst, slow):
+        pool.rollback(token)
+        if never_arrives(pool, memo, src, ready, dst, slow):
             return True
         self.stats.routes_searched += 1
-        find_route(mrrg, slow.__getitem__, src, ready, dst, deadline,
-                   horizon=horizon, memo=memo, slow=slow)
-        return never_arrives(mrrg, memo, src, ready, dst, slow)
+        find_route(pool, slow, src, ready, dst, deadline, horizon=horizon,
+                   memo=memo)
+        return never_arrives(pool, memo, src, ready, dst, slow)
 
     # -- commit -----------------------------------------------------------
 
@@ -1031,7 +1028,7 @@ class _Attempt:
             self.island_levels[island] = level
         slow = self._slow_vector(None, None)
         duration = self.static.cycles[node][tile] * level.slowdown
-        self.mrrg.claim_all(op_claims(tile, t, duration))
+        self.pool.claim_rid(tile, t, duration)  # the FU rid is the tile
         routed = self._route_adjacent(node, tile, t, duration, slow)
         if not isinstance(routed, tuple):
             raise MappingError(

@@ -47,7 +47,6 @@ from repro.mapper.engine import (
     map_dfg,
 )
 from repro.mapper.mapping import Mapping, Placement
-from repro.mrrg.mrrg import op_claims
 
 #: Refuse instances bigger than this: even branch-and-bound is
 #: exponential in the worst case, and the paper's Table I kernels the
@@ -297,6 +296,7 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
     opcode = attempt.dfg.node(node).opcode
     level = cgra.dvfs.normal
     slow = attempt._slow_vector(None, None)
+    pool = attempt.pool
     # Only earlier nodes are placed whenever this loop runs.
     legs = attempt._legs(node)
     for tile in _tile_order(attempt, node, tiles):
@@ -308,16 +308,15 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
         earliest, latest = attempt._time_window(node, tile, duration, legs)
         for t in range(earliest, latest + 1):
             budget.spend()
-            token = attempt.mrrg.checkpoint()
+            token = pool.checkpoint()
             try:
-                attempt.mrrg.claim_all(op_claims(tile, t, duration))
+                pool.claim_rid(tile, t, duration)  # the FU rid is the tile
             except MappingError:
-                attempt.mrrg.rollback(token)
                 continue
             routed = attempt._route_adjacent(node, tile, t, duration, slow,
                                              legs)
             if not isinstance(routed, tuple):
-                attempt.mrrg.rollback(token)
+                pool.rollback(token)
                 if routed is _BREAK:
                     break  # larger t cannot satisfy this tile either
                 continue
@@ -331,5 +330,5 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
             del attempt.placements[node]
             attempt._ready_cache.pop(node, None)
             attempt.routes = saved_routes
-            attempt.mrrg.rollback(token)
+            pool.rollback(token)
     return False

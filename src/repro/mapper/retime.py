@@ -50,7 +50,7 @@ def retime_with_levels(mapping: Mapping,
         edge = edges[idx]
         ready = times[edge.src] + latency[edge.src]
         depart = max(route.depart, ready)
-        arrival = route_arrival(route.path, depart, slow.__getitem__)
+        arrival = route_arrival(route.path, depart, slow)
         deadline = times[edge.dst] + edge.dist * mapping.ii
         if arrival > deadline:
             return None  # should not happen: the transits fed the solver

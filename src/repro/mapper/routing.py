@@ -65,7 +65,7 @@ routes (and the earliest-arrival probe) stay identical:
 * **Route memoization.** Candidate scoring, commit re-routing and
   reschedule retries repeat the same (src, dst, timing) query against
   the same congestion state over and over. The search outcome is a
-  function of (II, endpoints, ready mod II, the deadline/horizon/wait
+  function of (II, endpoints, ready mod II, the deadline and horizon
   deltas, the slowdown vector, and the routing-visible occupancy), so
   :class:`RouteMemo` caches results under exactly that key, using the
   pool's Zobrist :attr:`~repro.mrrg.resources.ModuloResourcePool.epoch`
@@ -86,11 +86,9 @@ routes (and the earliest-arrival probe) stay identical:
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.mrrg.mrrg import MRRG, Claim, hop_claims, wait_claims
-from repro.mrrg.resources import MAX_CLAIM_LENGTH
+from repro.mrrg.resources import MAX_CLAIM_LENGTH, ModuloResourcePool
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,6 @@ class RouteResult:
     path: tuple[int, ...]
     depart: int
     arrival: int
-
-
-SlowdownFn = Callable[[int], int]
 
 
 class RouteMemo:
@@ -138,19 +133,19 @@ class RouteMemo:
         self.hcol_reuses = 0
 
 
-def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
-               ready: int, dst_tile: int, deadline: int,
-               max_wait: int | None = None,
+def find_route(pool: ModuloResourcePool, slow: tuple[int, ...],
+               src_tile: int, ready: int, dst_tile: int, deadline: int,
                horizon: int | None = None,
                memo: RouteMemo | None = None,
-               slow: tuple[int, ...] | None = None,
                ) -> tuple[RouteResult | None, int | None]:
     """Find the earliest-arrival route from ``src_tile`` to ``dst_tile``.
 
     ``ready`` is when the producer's value exists; ``deadline`` is the
-    absolute time the consumer reads it. Waiting is allowed only at the
-    endpoints (source registers before departing, destination registers
-    after arriving).
+    absolute time the consumer reads it; ``slow`` is the per-tile
+    slowdown tuple (a hop into tile ``v`` takes ``slow[v]`` cycles).
+    Waiting is allowed only at the endpoints (source registers before
+    departing, for at most ``min(deadline - ready, 2 * II)`` cycles;
+    destination registers after arriving).
 
     The search explores up to ``horizon`` (default: the deadline) even
     though only arrivals within the deadline are acceptable; the second
@@ -165,14 +160,11 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
     wait becomes trivially feasible), otherwise the latest deadline the
     source registers could actually hold the value for.
 
-    ``slow`` optionally supplies the per-tile slowdown vector (saves
-    re-evaluating ``slowdown_of`` per query); ``memo`` enables result
-    caching across repeated queries.
+    ``memo`` enables result caching across repeated queries.
     """
     if horizon is None:
         horizon = deadline
     horizon = max(horizon, deadline)
-    pool = mrrg.pool
 
     if src_tile == dst_tile:
         return _same_tile_route(pool, src_tile, ready, deadline)
@@ -180,25 +172,16 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
     if deadline < ready:
         return None, None
 
-    ii = mrrg.ii
-    num_tiles = mrrg.cgra.num_tiles
-    if slow is None:
-        slow = tuple(slowdown_of(t) for t in range(num_tiles))
-
+    ii = pool.ii
     # Oracle early reject: even a congestion-free best-case transit
     # misses the horizon, so the full search would return (None, None).
-    h_src = _weighted_hcol(memo, mrrg.cgra, slow, dst_tile)[src_tile]
+    h_src = _weighted_hcol(memo, pool.cgra, slow, dst_tile)[src_tile]
     if ready + h_src > horizon:
         return None, None
 
-    max_wait = deadline - ready if max_wait is None else min(
-        max_wait, deadline - ready
-    )
-    max_wait = min(max_wait, 2 * ii)
-
     if memo is not None:
         key = (ii, src_tile, dst_tile, ready % ii, deadline - ready,
-               horizon - ready, max_wait, slow, pool.epoch)
+               horizon - ready, slow, pool.epoch)
         hit = memo.table.get(key)
         if hit is not None:
             memo.hits += 1
@@ -212,8 +195,7 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
 
     classes = _slow_classes(memo, slow)
     result, probe, final = _search(pool, slow, h_src, classes, src_tile,
-                                   ready, dst_tile, deadline, horizon,
-                                   max_wait)
+                                   ready, dst_tile, deadline, horizon)
 
     if memo is not None:
         if len(memo.table) >= RouteMemo.MAX_ENTRIES:
@@ -234,20 +216,21 @@ def find_route(mrrg: MRRG, slowdown_of: SlowdownFn, src_tile: int,
 def _final_key(pool, src_tile: int, ready: int, dst_tile: int,
                slow: tuple[int, ...]) -> tuple:
     """The memo's key for a final no-arrival answer: a query's memo key
-    without its deadline, horizon and wait deltas."""
+    without its deadline and horizon deltas."""
     ii = pool.ii
     return (ii, src_tile, dst_tile, ready % ii, slow, pool.epoch)
 
 
-def never_arrives(mrrg: MRRG, memo: RouteMemo | None, src_tile: int,
-                  ready: int, dst_tile: int, slow: tuple[int, ...]) -> bool:
+def never_arrives(pool: ModuloResourcePool, memo: RouteMemo | None,
+                  src_tile: int, ready: int, dst_tile: int,
+                  slow: tuple[int, ...]) -> bool:
     """Has ``find_route`` proved, under the pool's present occupancy,
     that a value ready on ``src_tile`` at ``ready`` reaches
     ``dst_tile`` under no deadline and no horizon, now or after any
     further claim? False whenever it has not searched such a query
     (without ``memo`` it records nothing)."""
     return memo is not None and (
-        _final_key(mrrg.pool, src_tile, ready, dst_tile, slow) in memo.final
+        _final_key(pool, src_tile, ready, dst_tile, slow) in memo.final
     )
 
 
@@ -392,7 +375,7 @@ def _slow_classes(memo: RouteMemo | None, slow: tuple[int, ...],
 
 
 def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
-            dst_tile: int, deadline: int, horizon: int, max_wait: int,
+            dst_tile: int, deadline: int, horizon: int,
             ) -> tuple[RouteResult | None, int | None, bool]:
     """The search itself, one time layer at a time (the module docstring
     says why it returns what the ``(t, tile, depart)`` Dijkstra
@@ -443,7 +426,7 @@ def _search(pool, slow, h_src, classes, src_tile: int, ready: int,
     src_reg_cap = pool._caps[src_reg]
     seeds = 0
     complete = False
-    for wait in range(max_wait + 1):
+    for wait in range(min(deadline - ready, 2 * ii) + 1):
         if wait and use[src_reg_base + (ready + wait - 1) % ii] >= src_reg_cap:
             complete = True
             break
@@ -570,28 +553,10 @@ def _backtrack(pool, layers: list[int], ready: int, seeds: int, slow,
     return tuple(path), ready + i
 
 
-def route_claims(path: tuple[int, ...], ready: int, depart: int,
-                 deadline: int, slowdown_of: SlowdownFn) -> list[Claim]:
-    """The canonical resource claims of a route (shared with the
-    timing validator, so the mapper and the checker cannot disagree)."""
-    claims: list[Claim] = []
-    if len(path) == 1:
-        claims.extend(wait_claims(path[0], ready, deadline))
-        return claims
-    claims.extend(wait_claims(path[0], ready, depart))
-    t = depart
-    for src, dst in zip(path, path[1:]):
-        s = slowdown_of(dst)
-        claims.extend(hop_claims(src, dst, t, s))
-        t += s
-    claims.extend(wait_claims(path[-1], t, deadline))
-    return claims
-
-
-def route_arrival(path: tuple[int, ...], depart: int,
-                  slowdown_of: SlowdownFn) -> int:
-    """Arrival time implied by a path and its departure time."""
+def route_arrival(path: tuple[int, ...], depart: int, slow) -> int:
+    """Arrival time implied by a path and its departure time under the
+    per-tile slowdowns ``slow``."""
     t = depart
     for dst in path[1:]:
-        t += slowdown_of(dst)
+        t += slow[dst]
     return t

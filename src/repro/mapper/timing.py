@@ -3,12 +3,12 @@
 ``compute_timing`` rebuilds the entire modulo-resource picture of a
 mapping *from scratch* — op occupancy, every route's hop timings, waits,
 register pressure — using only the placement, the route paths and the
-tile levels. It counts the claims that :func:`repro.mrrg.mrrg.op_claims`
-and :func:`repro.mapper.routing.route_claims` define into one flat list
-of usage counts indexed ``rid * II + slot``, in the mapper pool's
-resource-id layout (:func:`repro.mrrg.resources._fabric_layout`), and
-tests each count against its resource's capacity as it is added. It
-shares the claim vocabulary and the id layout with the mapper but none
+tile levels. It counts the claims :mod:`repro.mrrg.resources` defines
+(an op's FU interval; a route's waits, links and crossbars) into one
+flat list of usage counts indexed ``rid * II + slot``, in the mapper
+pool's resource-id layout (:func:`repro.mrrg.resources._fabric_layout`),
+and tests each count against its resource's capacity as it is added. It
+shares the claim definition and the id layout with the mapper but none
 of its search state — no pool, undo log or occupancy masks — so it acts
 as an adversarial checker: if the mapper and this module disagree,
 validation fails.
@@ -209,7 +209,7 @@ def _count(mapping: Mapping, tile_levels: dict[int, DVFSLevel],
                 f"{dfg.node(edge.dst).label}) arrives at {arrival}, after "
                 f"its deadline {deadline}"
             )
-        # route_claims' order: the source wait, each hop's link and
+        # claim_route's order: the source wait, each hop's link and
         # receiving crossbar, the destination wait.
         refused = None
         if not links:

@@ -3,18 +3,11 @@
 The MRRG is the time-extended view of the CGRA used by modulo-scheduling
 mappers: every hardware resource (FU, mesh link, crossbar port, register
 slot) is replicated for each of the II cycles of the steady-state
-schedule, and all claims are made modulo II.
+schedule, and all claims are made modulo II. One object holds it,
+:class:`ModuloResourcePool`, whose flat resource ids are the mapper's
+one resource vocabulary (see :mod:`repro.mrrg.resources`).
 """
 
-from repro.mrrg.resources import ModuloResourcePool, ResourceKey, fu_key, link_key, xbar_key, reg_key
-from repro.mrrg.mrrg import MRRG
+from repro.mrrg.resources import ModuloResourcePool
 
-__all__ = [
-    "ModuloResourcePool",
-    "ResourceKey",
-    "fu_key",
-    "link_key",
-    "xbar_key",
-    "reg_key",
-    "MRRG",
-]
+__all__ = ["ModuloResourcePool"]

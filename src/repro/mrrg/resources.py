@@ -1,25 +1,46 @@
-"""Transactional modulo-II resource accounting.
+"""Transactional modulo-II resource accounting: the mapper's MRRG.
 
-Resources are identified by small tuples:
+The modulo routing resource graph replicates every hardware resource
+for each of the II cycles of the steady-state schedule; all claims are
+made modulo II. Each resource has a dense integer id (its *rid*): FUs,
+then crossbars, then register files, then links, in tile order, so a
+tile's FU rid is the tile id, its crossbar rid ``num_tiles + tile`` and
+its register file rid ``2 * num_tiles + tile``, and
+``link_rows[tile][k]`` is the rid of the link to the k-th entry of
+``cgra._neighbors[tile]``. Capacities:
 
-* ``("fu", tile)`` — the tile's FU issue slot, capacity 1;
-* ``("link", src, dst)`` — a directed mesh link, capacity 1;
-* ``("xbar", tile)`` — concurrent crossbar connections, capacity
-  ``xbar_capacity``;
-* ``("reg", tile)`` — register/bypass slots holding data in place,
-  capacity ``tile.num_registers``.
+* a tile's FU issue slot, capacity 1;
+* a directed link, capacity 1;
+* a tile's crossbar, capacity ``xbar_capacity`` concurrent connections;
+* a tile's register/bypass slots, capacity ``tile.num_registers``.
+
+What an operation and a route occupy (DESIGN.md section 5) is defined
+here once, and :func:`repro.mapper.timing.compute_timing` checks a
+finished mapping against the same definition:
+
+* an op issued at base cycle ``t`` on a tile with slowdown ``s`` holds
+  the FU for ``[t, t+s)`` (:meth:`ModuloResourcePool.claim_rid` with
+  the tile as rid);
+* a hop ``a -> b`` departing at ``t`` is paced by the receiving tile's
+  clock: it holds the directed link and ``b``'s crossbar for
+  ``[t, t+s_b)`` and delivers at ``t + s_b``;
+* data waiting at a tile holds one register slot per waiting cycle.
+
+:meth:`ModuloResourcePool.claim_route` claims a whole route that way:
+the source wait, then per hop its link and the receiving crossbar, then
+the destination wait.
 
 A claim covers ``length`` consecutive base cycles starting at ``start``;
 slot indices are taken modulo II. A claim longer than II legitimately
 occupies multiple units of a capacity resource in the same slot (a value
 waiting 2*II cycles needs two registers), which is why usage is counted,
-not boolean.
+not boolean. A resource is named in error messages by its tuple
+(``("fu", tile)``, ``("link", src, dst)``, ``("xbar", tile)``,
+``("reg", tile)``).
 
-Storage is a flat array: every resource gets a dense integer id (FUs,
-then crossbars, then register files, then links, in tile order), and
-usage lives at ``rid * II + slot`` in one list of ints. The router reads
-that list directly on its hot path; the undo log is a list of flat
-indices. The id layout is a function of the fabric alone, so it is
+Usage lives at ``rid * II + slot`` in one list of ints. The router
+reads that list directly on its hot path; the undo log is a list of
+flat indices. The id layout is a function of the fabric alone, so it is
 computed once and cached on the :class:`CGRA` instance, shared by every
 pool (any II, any crossbar capacity) built over that fabric.
 
@@ -60,26 +81,8 @@ from __future__ import annotations
 from repro.arch.cgra import CGRA
 from repro.errors import MappingError
 
-ResourceKey = tuple
-
 #: Longest single claim we accept; a claim this long is a mapper bug.
 MAX_CLAIM_LENGTH = 4096
-
-
-def fu_key(tile: int) -> ResourceKey:
-    return ("fu", tile)
-
-
-def link_key(src: int, dst: int) -> ResourceKey:
-    return ("link", src, dst)
-
-
-def xbar_key(tile: int) -> ResourceKey:
-    return ("xbar", tile)
-
-
-def reg_key(tile: int) -> ResourceKey:
-    return ("reg", tile)
 
 
 _M64 = (1 << 64) - 1
@@ -118,17 +121,17 @@ def _fabric_layout(cgra: CGRA):
     """The fabric's dense resource-id layout (cached on the CGRA).
 
     Returns ``(rids, keys, link_rows, reg_caps)`` where ``rids`` maps
-    every resource key to its dense id, ``keys`` is the inverse, and
-    ``link_rows[tile][k]`` is the id of the link to the k-th entry of
-    ``cgra._neighbors[tile]`` (the router walks neighbours in exactly
-    that order).
+    every resource's name tuple to its dense id, ``keys`` is the
+    inverse, and ``link_rows[tile][k]`` is the id of the link to the
+    k-th entry of ``cgra._neighbors[tile]`` (the router walks
+    neighbours in exactly that order).
     """
     layout = getattr(cgra, "_mrrg_layout", None)
     if layout is not None:
         return layout
     num = cgra.num_tiles
-    rids: dict[ResourceKey, int] = {}
-    keys: list[ResourceKey] = []
+    rids: dict[tuple, int] = {}
+    keys: list[tuple] = []
     for kind in ("fu", "xbar", "reg"):
         for tile in range(num):
             rids[(kind, tile)] = len(keys)
@@ -197,10 +200,9 @@ class ModuloResourcePool:
         self.cgra = cgra
         self.ii = ii
         self.xbar_capacity = xbar_capacity
-        rids, keys, link_rows, reg_caps = _fabric_layout(cgra)
+        _rids, keys, link_rows, reg_caps = _fabric_layout(cgra)
         num = cgra.num_tiles
         self.num_tiles = num
-        self._rids = rids
         self._keys = keys
         self.link_rows = link_rows
         self._caps: list[int] = (
@@ -252,58 +254,12 @@ class ModuloResourcePool:
         """
         return self._epoch
 
-    # -- capacities ---------------------------------------------------------
-
-    def capacity(self, key: ResourceKey) -> int:
-        kind = key[0]
-        if kind == "fu" or kind == "link":
-            return 1
-        if kind == "xbar":
-            return self.xbar_capacity
-        if kind == "reg":
-            return self.cgra.tile(key[1]).num_registers
-        raise MappingError(f"unknown resource kind {kind!r}")
-
     # -- queries ------------------------------------------------------------
 
-    def used(self, key: ResourceKey, slot: int) -> int:
-        rid = self._rids.get(key)
-        if rid is None:
-            return 0
-        return self._use[rid * self.ii + slot % self.ii]
-
-    def is_free(self, key: ResourceKey, start: int, length: int,
-                amount: int = 1) -> bool:
-        """Can ``amount`` more units be claimed for the whole interval?
-
-        The check accounts for wrap-around: a length >= II interval hits
-        every slot at least once, some slots multiple times.
-        """
-        if length <= 0:
-            return True
-        self._check_length(length)
-        cap = self.capacity(key)
-        rid = self._rids.get(key)
-        ii = self.ii
-        use = self._use
-        base = None if rid is None else rid * ii
-        start %= ii
-        if length >= ii:
-            full, rem = divmod(length, ii)
-            for slot in range(ii):
-                times = full + (1 if (slot - start) % ii < rem else 0)
-                held = 0 if base is None else use[base + slot]
-                if held + amount * times > cap:
-                    return False
-            return True
-        for k in range(length):
-            held = 0 if base is None else use[base + (start + k) % ii]
-            if held + amount > cap:
-                return False
-        return True
-
     def interval_free(self, rid: int, start: int, length: int) -> bool:
-        """Fast-path :meth:`is_free` for one more unit of a known rid."""
+        """Could one more unit of ``rid`` be claimed for the whole
+        interval? A length >= II interval hits every slot at least
+        once, some slots several times."""
         if length <= 0:
             return True
         if length > MAX_CLAIM_LENGTH:
@@ -328,19 +284,11 @@ class ModuloResourcePool:
 
     # -- mutation -------------------------------------------------------------
 
-    def claim(self, key: ResourceKey, start: int, length: int) -> None:
-        """Claim the interval; raises :class:`MappingError` if it overflows."""
-        if length <= 0:
-            return
-        rid = self._rids.get(key)
-        if rid is None:
-            self.capacity(key)  # raises on unknown kinds
-            raise MappingError(f"unknown resource {key!r} on {self.cgra.name}")
-        self.claim_rid(rid, start, length)
-
     def claim_rid(self, rid: int, start: int, length: int) -> None:
-        """:meth:`claim` for a known flat resource id (skips the key
-        lookup; FU rids equal their tile ids). ``length`` must be > 0."""
+        """Claim one unit of ``rid`` for ``length`` cycles from
+        ``start`` (FU rids equal their tile ids; ``length`` must be
+        > 0). Raises :class:`MappingError` if it overflows, after
+        undoing whatever part of the interval it took."""
         ii = self.ii
         base = rid * ii
         cap = self._caps[rid]
@@ -427,10 +375,9 @@ class ModuloResourcePool:
 
     def _route_intervals(self, path: tuple[int, ...], ready: int,
                          depart: int, deadline: int, slow):
-        """The ``(rid, start, length)`` intervals a route occupies, in
-        the order :func:`repro.mapper.routing.route_claims` enumerates
-        them: the source wait, then per hop its link and the receiving
-        crossbar, then the destination wait. Raises
+        """The ``(rid, start, length)`` intervals a route occupies (see
+        the module docstring): the source wait, then per hop its link
+        and the receiving crossbar, then the destination wait. Raises
         :class:`MappingError` at a hop the fabric has no link for."""
         reg0 = 2 * self.num_tiles
         if len(path) == 1:
@@ -462,12 +409,11 @@ class ModuloResourcePool:
 
     def claim_route(self, path: tuple[int, ...], ready: int, depart: int,
                     deadline: int, slow) -> None:
-        """Fused, rid-direct equivalent of ``claim_all(route_claims(...))``.
-
-        Claims exactly what :func:`repro.mapper.routing.route_claims`
-        enumerates, in the same order, atomically (everything is rolled
-        back before the :class:`MappingError` propagates). ``slow`` is
-        an indexable per-tile slowdown vector.
+        """Claim everything a route occupies: a value ready at
+        ``ready`` waits on ``path[0]`` until ``depart``, hops along
+        ``path`` under the per-tile slowdowns ``slow`` and waits on
+        ``path[-1]`` until ``deadline``. Atomic: everything is rolled
+        back before the :class:`MappingError` propagates.
         """
         token = len(self._log)
         try:
@@ -551,51 +497,10 @@ class ModuloResourcePool:
 
     # -- statistics -------------------------------------------------------------
 
-    def busy_slots(self, key: ResourceKey) -> int:
-        """Distinct busy slots of one resource (<= II)."""
-        rid = self._rids.get(key)
-        if rid is None:
-            return 0
-        base = rid * self.ii
-        use = self._use
-        return sum(1 for slot in range(self.ii) if use[base + slot] > 0)
-
-    def tile_busy_slots(self, tile: int, kinds: tuple[str, ...] = ("fu", "xbar")) -> int:
-        """Distinct slots in which the tile's FU or crossbar is active."""
-        if kinds == ("fu", "xbar"):
-            # The default (the engine's pressure metric) is kept live.
-            return self._busy[tile]
-        num = self.num_tiles
-        rids: list[int] = []
-        for kind in kinds:
-            if kind == "fu":
-                rids.append(tile)
-            elif kind == "xbar":
-                rids.append(num + tile)
-            elif kind == "reg":
-                rids.append(2 * num + tile)
-            elif kind == "link":
-                rids.extend(self.link_rows[tile])
-        ii = self.ii
-        use = self._use
-        busy = 0
-        for slot in range(ii):
-            if any(use[rid * ii + slot] for rid in rids):
-                busy += 1
-        return busy
-
-    def usage_snapshot(self) -> dict[tuple[ResourceKey, int], int]:
-        """Nonzero usage counts as ``{(key, slot): count}`` (for tests)."""
-        ii = self.ii
-        use = self._use
-        snapshot: dict[tuple[ResourceKey, int], int] = {}
-        for rid, key in enumerate(self._keys):
-            base = rid * ii
-            for slot in range(ii):
-                count = use[base + slot]
-                if count:
-                    snapshot[(key, slot)] = count
-        return snapshot
+    def tile_busy_slots(self, tile: int) -> int:
+        """Distinct slots in which the tile's FU or crossbar is active
+        (the engine's pressure metric, kept live)."""
+        return self._busy[tile]
 
     # -- internals ------------------------------------------------------------
 

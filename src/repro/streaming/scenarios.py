@@ -310,6 +310,12 @@ class TraceReplayStream:
     def columns(self) -> tuple[str, ...]:
         return tuple(self._columns)
 
+    def replay_key(self) -> tuple:
+        """Equal for replays of one parse (one columns object, as the
+        copies of a bundled trace share) to one length, whose blocks
+        are equal; a file parsed again gets a key of its own."""
+        return (id(self._columns), self.num_inputs_)
+
     def feature_blocks(self, block_size: int = DEFAULT_BLOCK_SIZE,
                        ) -> Iterator[FeatureBlock]:
         def segments():

@@ -244,15 +244,20 @@ def materialize_streams(streams: Sequence,
 
     :class:`SegmentedWorkload` streams with equal
     :meth:`~SegmentedWorkload.batch_key` synthesize as one batch, and
-    each gets views of its own rows; any other stream (a trace replay)
-    lists its own ``feature_blocks``. Each list holds the values of
-    that stream's ``feature_blocks(block_size)``.
+    each gets views of its own rows. Trace replays with equal
+    ``replay_key()`` (one parse, one length) are gathered once, and
+    each gets the same read-only blocks. Any other stream lists its own
+    ``feature_blocks``. Each list holds the values of that stream's
+    ``feature_blocks(block_size)``.
     """
     blocks: list = [None] * len(streams)
     batches: dict[tuple, list[int]] = {}
+    replays: dict[tuple, list[int]] = {}
     for i, stream in enumerate(streams):
         if isinstance(stream, SegmentedWorkload):
             batches.setdefault(stream.batch_key(), []).append(i)
+        elif hasattr(stream, "replay_key"):
+            replays.setdefault(stream.replay_key(), []).append(i)
         else:
             blocks[i] = list(stream.feature_blocks(block_size))
     for members in batches.values():
@@ -260,6 +265,13 @@ def materialize_streams(streams: Sequence,
             [streams[i].seed for i in members]), block_size))
         for row, i in enumerate(members):
             blocks[i] = list(_row_blocks(chunks, row))
+    for members in replays.values():
+        shared = list(streams[members[0]].feature_blocks(block_size))
+        for block in shared:
+            for column in block.features.values():
+                column.flags.writeable = False
+        for i in members:
+            blocks[i] = list(shared)
     return blocks
 
 

@@ -20,7 +20,7 @@ from repro.dfg.ops import Opcode
 from repro.errors import MappingError
 from repro.mapper.engine import _Attempt, _BREAK, EngineConfig
 from repro.mapper.mapping import Mapping, Placement
-from repro.mrrg.mrrg import op_claims
+from tests.reference_claims import claim, fu_key
 
 import math
 
@@ -99,15 +99,15 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
                 raise MappingError(
                     f"exhaustive search exceeded {max_probes} probes"
                 )
-            token = attempt.mrrg.checkpoint()
+            token = attempt.pool.checkpoint()
             try:
-                attempt.mrrg.claim_all(op_claims(tile, t, duration))
+                claim(attempt.pool, fu_key(tile), t, duration)
             except MappingError:
-                attempt.mrrg.rollback(token)
+                attempt.pool.rollback(token)
                 continue
             routed = attempt._route_adjacent(node, tile, t, duration, slow)
             if not isinstance(routed, tuple):
-                attempt.mrrg.rollback(token)
+                attempt.pool.rollback(token)
                 if routed is _BREAK:
                     break  # larger t cannot satisfy this tile either
                 continue
@@ -121,5 +121,5 @@ def _search(attempt: _Attempt, order: list[int], depth: int,
             del attempt.placements[node]
             attempt._ready_cache.pop(node, None)
             attempt.routes = saved_routes
-            attempt.mrrg.rollback(token)
+            attempt.pool.rollback(token)
     return False

@@ -3,10 +3,11 @@
 This is the plain Dijkstra ``find_route`` the optimized router in
 :mod:`repro.mapper.routing` must agree with: no distance oracle, no
 memo, no deadline-tight first pass, tuple-keyed states, occupancy read
-through the pool's public API. The differential property suite runs
-both on random fabrics and claims and requires identical answers; the
-perf bench monkeypatches this implementation into the placement engine
-to measure the hot-path speedup inside one process.
+by resource key (:mod:`tests.reference_claims`). The differential
+property suite runs both on random fabrics and claims and requires
+identical answers; the perf bench monkeypatches this implementation
+into the placement engine to measure the hot-path speedup inside one
+process.
 
 Behavioural differences, both deliberate:
 
@@ -25,45 +26,42 @@ from __future__ import annotations
 
 import heapq
 
-from repro.mapper.routing import RouteResult, SlowdownFn
-from repro.mrrg.mrrg import MRRG, wait_claims
-from repro.mrrg.resources import reg_key
+from repro.mapper.routing import RouteResult
+from repro.mrrg.resources import ModuloResourcePool
+from tests.reference_claims import (
+    capacity,
+    claims_free,
+    reg_key,
+    used,
+    wait_claims,
+)
 
 
-def reference_find_route(mrrg: MRRG, slowdown_of: SlowdownFn,
+def reference_find_route(pool: ModuloResourcePool, slow: tuple[int, ...],
                          src_tile: int, ready: int, dst_tile: int,
-                         deadline: int, max_wait: int | None = None,
-                         horizon: int | None = None,
+                         deadline: int, horizon: int | None = None,
                          **_ignored,
                          ) -> tuple[RouteResult | None, int | None]:
     """Earliest-arrival route search, unaccelerated.
 
     Accepts (and ignores) the optimized router's extra keyword
-    arguments (``memo``, ``slow``) so it can be substituted for it.
+    argument (``memo``) so it can be substituted for it.
     """
     if horizon is None:
         horizon = deadline
     horizon = max(horizon, deadline)
     if deadline < ready:
         return None, None
-    pool = mrrg.pool
 
     if src_tile == dst_tile:
-        if mrrg.is_free(wait_claims(src_tile, ready, deadline)):
+        if claims_free(pool, wait_claims(src_tile, ready, deadline)):
             return RouteResult((src_tile,), ready, ready), ready
         return None, ready
 
-    max_wait = deadline - ready if max_wait is None else min(
-        max_wait, deadline - ready
-    )
-    max_wait = min(max_wait, 2 * mrrg.ii)
-
-    ii = mrrg.ii
-    num_tiles = mrrg.cgra.num_tiles
-    slow = [slowdown_of(t) for t in range(num_tiles)]
-    neighbors = mrrg.cgra._neighbors
+    ii = pool.ii
+    max_wait = min(deadline - ready, 2 * ii)
+    neighbors = pool.cgra._neighbors
     xbar_cap = pool.xbar_capacity
-    used = pool.used
 
     # Seed states: depart after waiting w cycles in the source
     # registers; the wait's feasibility is monotone in w, so stop at
@@ -71,9 +69,9 @@ def reference_find_route(mrrg: MRRG, slowdown_of: SlowdownFn,
     heap: list[tuple[int, int, int]] = []  # (time, tile, depart)
     parents: dict[tuple[int, int], tuple[int, int] | None] = {}
     reg_src = reg_key(src_tile)
-    reg_cap = pool.capacity(reg_src)
+    reg_cap = capacity(pool, reg_src)
     for wait in range(max_wait + 1):
-        if wait and used(reg_src, ready + wait - 1) >= reg_cap:
+        if wait and used(pool, reg_src, ready + wait - 1) >= reg_cap:
             break
         t = ready + wait
         state = (src_tile, t)
@@ -93,8 +91,8 @@ def reference_find_route(mrrg: MRRG, slowdown_of: SlowdownFn,
         if tile == dst_tile:
             if earliest_arrival is None:
                 earliest_arrival = t
-            if t <= deadline and mrrg.is_free(
-                wait_claims(dst_tile, t, deadline)
+            if t <= deadline and claims_free(
+                pool, wait_claims(dst_tile, t, deadline)
             ):
                 return RouteResult(_reconstruct(parents, state), depart, t), t
             continue  # a later arrival may find free registers
@@ -112,7 +110,8 @@ def reference_find_route(mrrg: MRRG, slowdown_of: SlowdownFn,
             blocked = False
             for step in range(t, arrive):
                 slot = step % ii
-                if used(lkey, slot) >= 1 or used(xkey, slot) >= xbar_cap:
+                if (used(pool, lkey, slot) >= 1
+                        or used(pool, xkey, slot) >= xbar_cap):
                     blocked = True
                     break
             if blocked:

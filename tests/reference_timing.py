@@ -4,8 +4,8 @@ kept as test oracles.
 :func:`repro.mapper.timing.compute_timing` counts a mapping's claims
 into one flat list and tests each count as it is added. This module
 keeps the definition it must agree with: replay every claim that
-:func:`repro.mrrg.mrrg.op_claims` and
-:func:`repro.mapper.routing.route_claims` enumerate through the
+:func:`tests.reference_claims.op_claims` and
+:func:`tests.reference_claims.route_claims` enumerate through the
 mapper's transactional :class:`~repro.mrrg.resources.ModuloResourcePool`
 and read the per-tile busy slots back from it. Both must return equal
 reports on a good mapping and raise the same exception, with the same
@@ -30,20 +30,17 @@ from repro.arch.dvfs import DVFSLevel
 from repro.dfg.ops import is_memory_op
 from repro.errors import MappingError, ValidationError
 from repro.mapper.mapping import Mapping, Placement, Route
-from repro.mapper.routing import route_arrival, route_claims
+from repro.mapper.routing import route_arrival
 from repro.mapper.schedule import modulo_schedule_times
 from repro.mapper.timing import EdgeTiming, TimingReport
-from repro.mrrg.mrrg import op_claims
 from repro.mrrg.resources import ModuloResourcePool
+from tests.reference_claims import claim, op_claims, route_claims
 
 
 def reference_compute_timing(mapping: Mapping) -> TimingReport:
     """Rebuild and verify all resource claims; raise on any violation."""
     cgra, dfg, ii = mapping.cgra, mapping.dfg, mapping.ii
     pool = ModuloResourcePool(cgra, ii, mapping.xbar_capacity)
-
-    def slowdown_of(tile: int) -> int:
-        return mapping.slowdown(tile)
 
     # Operations.
     for node_id, placement in mapping.placements.items():
@@ -112,7 +109,8 @@ def reference_compute_timing(mapping: Mapping) -> TimingReport:
         # ready time instead is legal as long as the fresh claims below
         # still fit.
         depart = max(route.depart, ready)
-        arrival = route_arrival(route.path, depart, slowdown_of)
+        slow = {t: mapping.slowdown(t) for t in route.path[1:]}
+        arrival = route_arrival(route.path, depart, slow)
         if arrival > deadline:
             raise ValidationError(
                 f"route {idx} ({dfg.node(edge.src).label}->"
@@ -120,7 +118,7 @@ def reference_compute_timing(mapping: Mapping) -> TimingReport:
                 f"its deadline {deadline}"
             )
         _claim(pool,
-               route_claims(route.path, ready, depart, deadline, slowdown_of),
+               route_claims(route.path, ready, depart, deadline, slow),
                f"routing resource conflict on edge {idx}")
         edge_timings[idx] = EdgeTiming(idx, ready, depart, arrival, deadline)
 
@@ -134,7 +132,7 @@ def reference_compute_timing(mapping: Mapping) -> TimingReport:
 def _claim(pool: ModuloResourcePool, claims, context: str) -> None:
     try:
         for key, start, length in claims:
-            pool.claim(key, start, length)
+            claim(pool, key, start, length)
     except MappingError as exc:
         raise ValidationError(f"{context}: {exc}") from exc
 
@@ -245,7 +243,8 @@ def reference_retime_with_levels(mapping: Mapping,
         edge = edges[idx]
         ready = times[edge.src] + latency_of(edge.src)
         depart = max(route.depart, ready)
-        arrival = route_arrival(route.path, depart, slowdown)
+        arrival = route_arrival(route.path, depart,
+                                {t: slowdown(t) for t in route.path[1:]})
         deadline = times[edge.dst] + edge.dist * mapping.ii
         if arrival > deadline:
             return None  # should not happen: transit_of fed the solver

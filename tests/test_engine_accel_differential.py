@@ -45,6 +45,7 @@ from repro.mapper.engine import (
     map_dfg,
 )
 from repro.mapper.exact import exact_lower_bound
+from tests.reference_claims import claim
 
 FABRICS = {
     "mesh44": CGRA.build(4, 4, island_shape=(2, 2)),
@@ -300,26 +301,26 @@ def test_a_stop_needs_a_proof_under_the_probe_base_state():
     labels = {n: cgra.dvfs.normal for n in dfg.node_ids()}
     attempt = _Attempt(dfg, cgra, EngineConfig(), 2, labels,
                        list(range(cgra.num_tiles)), memo=routing.RouteMemo())
-    mrrg, memo = attempt.mrrg, attempt.memo
+    pool, memo = attempt.pool, attempt.memo
     slow = attempt._slow_vector(None, None)
 
     def wall_off(dst):
         """Hold every link into ``dst`` in every slot."""
         for src in range(cgra.num_tiles):
             if dst in cgra._neighbors[src]:
-                mrrg.pool.claim(("link", src, dst), 0, mrrg.ii)
+                claim(pool, ("link", src, dst), 0, pool.ii)
 
     def leg_never_arrives():
-        found = routing.find_route(mrrg, slow.__getitem__, 0, 0, 5, 6,
-                                   horizon=8, memo=memo, slow=slow)
+        found = routing.find_route(pool, slow, 0, 0, 5, 6, horizon=8,
+                                   memo=memo)
         assert found == (None, None)
-        return routing.never_arrives(mrrg, memo, 0, 0, 5, slow)
+        return routing.never_arrives(pool, memo, 0, 0, 5, slow)
 
-    token = mrrg.pool.checkpoint()
+    token = pool.checkpoint()
     wall_off(5)  # as if claimed by an earlier leg at this issue time
     assert leg_never_arrives()
     assert not attempt._never(0, 0, 5, 6, 8, slow, token)
-    assert mrrg.pool.checkpoint() == token
+    assert pool.checkpoint() == token
     wall_off(5)  # now part of the base state
     assert leg_never_arrives()
-    assert attempt._never(0, 0, 5, 6, 8, slow, mrrg.pool.checkpoint())
+    assert attempt._never(0, 0, 5, 6, 8, slow, pool.checkpoint())

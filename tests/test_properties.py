@@ -19,7 +19,8 @@ from repro.frontend import lower_kernel, run_kernel_ast, run_lowered_dfg
 from repro.kernels.programs import fir_program
 from repro.kernels.synthesis import synthesize_dfg
 from repro.mapper.schedule import modulo_schedule_times
-from repro.mrrg.resources import ModuloResourcePool, fu_key, reg_key
+from repro.mrrg.resources import ModuloResourcePool, _fabric_layout
+from tests.reference_claims import capacity, claim, fu_key, reg_key, used
 
 CGRA44 = CGRA.build(4, 4)
 
@@ -44,30 +45,32 @@ class TestPoolProperties:
         committed = []
         for key, start, length in claims[: len(claims) // 2]:
             try:
-                pool.claim(key, start, length)
+                claim(pool, key, start, length)
                 committed.append((key, start, length))
             except MappingError:
                 pass
-        snapshot = pool.usage_snapshot()
+        snapshot = list(pool._use)
         epoch = pool.epoch
         token = pool.checkpoint()
         for key, start, length in claims[len(claims) // 2:]:
             try:
-                pool.claim(key, start, length)
+                claim(pool, key, start, length)
             except MappingError:
                 pass
         pool.rollback(token)
-        assert pool.usage_snapshot() == snapshot
+        assert pool._use == snapshot
         assert pool.epoch == epoch
 
     @given(claims=claims, ii=st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_is_free_predicts_claim(self, claims, ii):
+        # ``interval_free`` is the pool's read-only is-free check.
         pool = ModuloResourcePool(CGRA44, ii)
+        rids = _fabric_layout(CGRA44)[0]
         for key, start, length in claims:
-            free = pool.is_free(key, start, length)
+            free = pool.interval_free(rids[key], start, length)
             try:
-                pool.claim(key, start, length)
+                pool.claim_rid(rids[key], start, length)
                 succeeded = True
             except MappingError:
                 succeeded = False
@@ -79,11 +82,12 @@ class TestPoolProperties:
         pool = ModuloResourcePool(CGRA44, ii)
         for key, start, length in claims:
             try:
-                pool.claim(key, start, length)
+                claim(pool, key, start, length)
             except MappingError:
                 pass
-        for (key, _slot), used in pool.usage_snapshot().items():
-            assert used <= pool.capacity(key)
+        for key in _fabric_layout(CGRA44)[1]:
+            for slot in range(ii):
+                assert used(pool, key, slot) <= capacity(pool, key)
 
 
 # -- random DFGs ----------------------------------------------------------------

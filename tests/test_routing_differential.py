@@ -14,9 +14,8 @@ divergence (the optimized probe is strictly more informative); their
 contract is pinned down separately.
 
 A no-arrival answer the router records as final must hold for every
-deadline, horizon and wait bound of the same query, and after further
-claims too: the reference finds neither a route nor a probe for any of
-them.
+deadline and horizon of the same query, and after further claims too:
+the reference finds neither a route nor a probe for any of them.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import CGRA
 from repro.errors import MappingError
 from repro.mapper.routing import RouteMemo, find_route, never_arrives
-from repro.mrrg.mrrg import MRRG, wait_claims
+from repro.mrrg import ModuloResourcePool
+from tests.reference_claims import claim, claims_free, wait_claims
 from tests.reference_routing import reference_find_route
 
 FABRICS = {
@@ -40,11 +40,11 @@ FABRICS = {
 SMALL_FABRICS = ("king33", "mesh33", "mesh42", "torus33")
 
 
-def _claim_batch(draw, mrrg: MRRG, limit: int) -> list[int]:
+def _claim_batch(draw, pool: ModuloResourcePool, limit: int) -> list[int]:
     """Up to ``limit`` random claims against every resource kind,
     applied best-effort (overflows are simply skipped); the token taken
     before each."""
-    cgra, ii, pool = mrrg.cgra, mrrg.ii, mrrg.pool
+    cgra, ii = pool.cgra, pool.ii
     num = cgra.num_tiles
     links = [
         (src, dst) for src in range(num) for dst in cgra._neighbors[src]
@@ -60,7 +60,7 @@ def _claim_batch(draw, mrrg: MRRG, limit: int) -> list[int]:
         length = draw(st.integers(min_value=1, max_value=ii + 2))
         tokens.append(pool.checkpoint())
         try:
-            pool.claim(key, start, length)
+            claim(pool, key, start, length)
         except MappingError:
             pass
     return tokens
@@ -68,19 +68,19 @@ def _claim_batch(draw, mrrg: MRRG, limit: int) -> list[int]:
 
 @st.composite
 def routing_scenario(draw, fabrics=tuple(sorted(FABRICS))):
-    """A congested MRRG plus one routing query."""
+    """A congested pool plus one routing query."""
     cgra = FABRICS[draw(st.sampled_from(fabrics))]
     num = cgra.num_tiles
     ii = draw(st.integers(min_value=1, max_value=5))
-    mrrg = MRRG(cgra, ii, xbar_capacity=draw(st.integers(1, 3)))
+    pool = ModuloResourcePool(cgra, ii, xbar_capacity=draw(st.integers(1, 3)))
 
     # Random congestion. The second batch is rolled back from a random
     # claim on, so the search also sees masks that ``rollback``
     # restored.
-    _claim_batch(draw, mrrg, 25)
-    tokens = _claim_batch(draw, mrrg, 15)
+    _claim_batch(draw, pool, 25)
+    tokens = _claim_batch(draw, pool, 15)
     if tokens:
-        mrrg.pool.rollback(tokens[draw(st.integers(0, len(tokens) - 1))])
+        pool.rollback(tokens[draw(st.integers(0, len(tokens) - 1))])
 
     slow = tuple(
         draw(st.sampled_from([1, 1, 2, 4])) for _ in range(num)
@@ -90,8 +90,7 @@ def routing_scenario(draw, fabrics=tuple(sorted(FABRICS))):
     ready = draw(st.integers(min_value=0, max_value=8))
     deadline = ready + draw(st.integers(min_value=-3, max_value=12))
     horizon = deadline + draw(st.sampled_from([0, 0, ii, 2 * ii]))
-    max_wait = draw(st.sampled_from([None, 0, 1, 2 * ii]))
-    return mrrg, slow, src, ready, dst, deadline, horizon, max_wait
+    return pool, slow, src, ready, dst, deadline, horizon
 
 
 @st.composite
@@ -101,8 +100,8 @@ def walled_scenario(draw):
     ``ready`` on (a later deadline could wait them out), and the
     destination's in-links or crossbar for part or all of the II."""
     scenario = draw(routing_scenario(SMALL_FABRICS))
-    mrrg, _slow, src, ready, dst = scenario[:5]
-    cgra, ii, pool = mrrg.cgra, mrrg.ii, mrrg.pool
+    pool, _slow, src, ready, dst = scenario[:5]
+    cgra, ii = pool.cgra, pool.ii
     claims = []
     if draw(st.booleans()):
         span = draw(st.integers(1, ii))
@@ -118,7 +117,7 @@ def walled_scenario(draw):
         claims += [(("xbar", dst), start, span)] * pool.xbar_capacity
     for key, at, length in claims:
         try:
-            pool.claim(key, at, length)
+            claim(pool, key, at, length)
         except MappingError:
             pass
     return scenario
@@ -126,20 +125,18 @@ def walled_scenario(draw):
 
 def _query_grid(ready: int, ii: int):
     """Every deadline from ``ready`` to ``ready + 8*II + 12``, each
-    with three horizons and four wait bounds."""
+    with three horizons."""
     for deadline in range(ready, ready + 8 * ii + 13):
         for horizon in (deadline, deadline + ii, deadline + 3 * ii):
-            for max_wait in (None, 0, 1, 2 * ii):
-                yield deadline, horizon, max_wait
+            yield deadline, horizon
 
 
 def _run_both(scenario, memo=None):
-    mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
-    slowdown_of = slow.__getitem__
-    ref = reference_find_route(mrrg, slowdown_of, src, ready, dst,
-                               deadline, max_wait=max_wait, horizon=horizon)
-    new = find_route(mrrg, slowdown_of, src, ready, dst, deadline,
-                     max_wait=max_wait, horizon=horizon, memo=memo)
+    pool, slow, src, ready, dst, deadline, horizon = scenario
+    ref = reference_find_route(pool, slow, src, ready, dst, deadline,
+                               horizon=horizon)
+    new = find_route(pool, slow, src, ready, dst, deadline,
+                     horizon=horizon, memo=memo)
     return ref, new
 
 
@@ -150,50 +147,46 @@ class TestFinalAnswers:
         """The first query of the grid whose answer is recorded final
         (if any): the reference finds no arrival for any query of the
         grid, before and after more random claims."""
-        mrrg, slow, src, ready, dst = scenario[:5]
+        pool, slow, src, ready, dst = scenario[:5]
         if src == dst:
             return
         memo = RouteMemo()
-        for deadline, horizon, max_wait in _query_grid(ready, mrrg.ii):
-            find_route(mrrg, slow.__getitem__, src, ready, dst, deadline,
-                       max_wait=max_wait, horizon=horizon, memo=memo,
-                       slow=slow)
-            if never_arrives(mrrg, memo, src, ready, dst, slow):
+        for deadline, horizon in _query_grid(ready, pool.ii):
+            find_route(pool, slow, src, ready, dst, deadline,
+                       horizon=horizon, memo=memo)
+            if never_arrives(pool, memo, src, ready, dst, slow):
                 break
         else:
             return
         for extra in (0, 15):
-            _claim_batch(data.draw, mrrg, extra)
-            for deadline, horizon, max_wait in _query_grid(ready, mrrg.ii):
+            _claim_batch(data.draw, pool, extra)
+            for deadline, horizon in _query_grid(ready, pool.ii):
                 assert reference_find_route(
-                    mrrg, slow.__getitem__, src, ready, dst, deadline,
-                    max_wait=max_wait, horizon=horizon,
-                ) == (None, None), (deadline, horizon, max_wait)
+                    pool, slow, src, ready, dst, deadline, horizon=horizon,
+                ) == (None, None), (deadline, horizon)
 
     def test_final_answers_need_a_memo_and_a_search(self):
         """Nothing is recorded without a memo, and neither the oracle's
         early reject nor a deadline before ``ready`` is final."""
         cgra = FABRICS["mesh33"]
-        mrrg = MRRG(cgra, 2)
+        pool = ModuloResourcePool(cgra, 2)
         slow = (1,) * cgra.num_tiles
         for dst in cgra._neighbors[0]:
-            mrrg.pool.claim(("link", 0, dst), 0, 2)  # 0 can never depart
+            claim(pool, ("link", 0, dst), 0, 2)  # 0 can never depart
         memo = RouteMemo()
-        assert find_route(mrrg, slow.__getitem__, 0, 0, 8, 3, memo=memo,
-                          slow=slow) == (None, None)  # early reject
-        assert find_route(mrrg, slow.__getitem__, 0, 5, 8, 4, memo=memo,
-                          slow=slow) == (None, None)  # deadline < ready
-        assert not never_arrives(mrrg, memo, 0, 0, 8, slow)
-        assert find_route(mrrg, slow.__getitem__, 0, 0, 8, 8,
-                          slow=slow) == (None, None)
-        assert not never_arrives(mrrg, None, 0, 0, 8, slow)
-        assert find_route(mrrg, slow.__getitem__, 0, 0, 8, 8, memo=memo,
-                          slow=slow) == (None, None)
-        assert never_arrives(mrrg, memo, 0, 0, 8, slow)
-        assert never_arrives(mrrg, memo, 0, 2, 8, slow)  # ready mod II
-        assert not never_arrives(mrrg, memo, 0, 1, 8, slow)
-        mrrg.pool.claim(("xbar", 4), 0, 1)  # a new epoch: not recorded
-        assert not never_arrives(mrrg, memo, 0, 0, 8, slow)
+        assert find_route(pool, slow, 0, 0, 8, 3,
+                          memo=memo) == (None, None)  # early reject
+        assert find_route(pool, slow, 0, 5, 8, 4,
+                          memo=memo) == (None, None)  # deadline < ready
+        assert not never_arrives(pool, memo, 0, 0, 8, slow)
+        assert find_route(pool, slow, 0, 0, 8, 8) == (None, None)
+        assert not never_arrives(pool, None, 0, 0, 8, slow)
+        assert find_route(pool, slow, 0, 0, 8, 8, memo=memo) == (None, None)
+        assert never_arrives(pool, memo, 0, 0, 8, slow)
+        assert never_arrives(pool, memo, 0, 2, 8, slow)  # ready mod II
+        assert not never_arrives(pool, memo, 0, 1, 8, slow)
+        claim(pool, ("xbar", 4), 0, 1)  # a new epoch: not recorded
+        assert not never_arrives(pool, memo, 0, 0, 8, slow)
 
 
 class TestRouterEquivalence:
@@ -201,7 +194,7 @@ class TestRouterEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_cross_tile_results_identical(self, scenario):
         """src != dst: the full (route, probe) pair must match."""
-        mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
+        pool, slow, src, ready, dst, deadline, horizon = scenario
         if src == dst:
             return
         (ref_route, ref_probe), (new_route, new_probe) = _run_both(scenario)
@@ -217,7 +210,7 @@ class TestRouterEquivalence:
     def test_same_tile_contract(self, scenario):
         """src == dst: same feasibility; the optimized probe is the
         latest deadline the registers can hold the value for."""
-        mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
+        pool, slow, src, ready, dst, deadline, horizon = scenario
         if src != dst:
             return
         (ref_route, ref_probe), (new_route, new_probe) = _run_both(scenario)
@@ -237,15 +230,15 @@ class TestRouterEquivalence:
         # probe must be the exact feasibility frontier.
         assert ref_probe == ready
         assert ready <= new_probe < deadline
-        assert mrrg.is_free(wait_claims(src, ready, new_probe))
-        assert not mrrg.is_free(wait_claims(src, ready, new_probe + 1))
+        assert claims_free(pool, wait_claims(src, ready, new_probe))
+        assert not claims_free(pool, wait_claims(src, ready, new_probe + 1))
 
     @given(scenario=routing_scenario())
     @settings(max_examples=60, deadline=None)
     def test_memoized_result_identical(self, scenario):
         """A memo hit must reproduce the fresh search exactly, and a
         pool mutation (new congestion epoch) must not serve stale hits."""
-        mrrg, slow, src, ready, dst, deadline, horizon, max_wait = scenario
+        pool, slow, src, ready, dst, deadline, horizon = scenario
         memo = RouteMemo()
         first = _run_both(scenario, memo=memo)[1]
         again = _run_both(scenario, memo=memo)[1]
@@ -255,7 +248,7 @@ class TestRouterEquivalence:
         # Mutate routing-visible occupancy, then compare the memoized
         # router against the reference on the new state.
         try:
-            mrrg.pool.claim(("xbar", dst), 0, 1)
+            claim(pool, ("xbar", dst), 0, 1)
         except MappingError:
             return
         ref, new = _run_both(scenario, memo=memo)

@@ -259,6 +259,33 @@ class TestDeterminism:
             assert stream_digest(blocks) == stream_digest(
                 stream.feature_blocks(16))
 
+    def test_replays_of_one_parse_share_one_gather(self):
+        # Bundled replays of one trace and one length (any seed) get
+        # the same read-only blocks; another length, another trace or a
+        # file parsed again gathers its own.
+        n = SEGMENT_INPUTS + 37
+        streams = [
+            make_scenario("trace_fleet", seed=1, n=n).stream,
+            make_scenario("trace_replay", n=n).stream,
+            make_scenario("trace_fleet", seed=2, n=n).stream,
+            make_scenario("trace_fleet", seed=1, n=n + 1).stream,
+            TraceReplayStream(FLEET_TRACE_PATH, num_inputs=n),
+            make_scenario("trace_fleet", seed=3, n=n).stream,
+        ]
+        batched = materialize_streams(streams, 1000)
+        for stream, blocks in zip(streams, batched):
+            assert stream_digest(blocks) == stream_digest(
+                stream.feature_blocks(1000))
+            for block in blocks:
+                for column in block.features.values():
+                    assert not column.flags.writeable
+        shared = [batched[0], batched[2], batched[5]]
+        for blocks in shared[1:]:
+            assert blocks is not shared[0]
+            assert all(a is b for a, b in zip(blocks, shared[0]))
+        for other in (batched[1], batched[3], batched[4]):
+            assert not any(a is b for a, b in zip(other, shared[0]))
+
     def test_default_seed_is_the_registered_one(self):
         assert make_scenario("enzyme", n=4).seed == 7
         assert make_scenario("sparse_lu", n=4).seed == 11
